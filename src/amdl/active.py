@@ -4,13 +4,13 @@ algorithm (large target error) and the two-stage agreement-querying algorithm
 
 Version-space updates compare exact disagreement masses against the epoch
 radius, so the deterministic invariants (nested version spaces, retained
-hypotheses within radius) hold bit-for-bit and are asserted every epoch.
+hypotheses within radius) hold bit-for-bit and are checked every epoch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -123,12 +123,13 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
         eps_n, delta_n = sched.eps_n[n - 1], sched.delta_n[n - 1]
         labels_before = oracles.ledger.label_total
         fam = induced_family(oracles, V)
-        inner = cfg.with_target(eps=eps_n, delta=delta_n, nu=eps_n / REGIME_FACTOR)
+        inner = replace(cfg, eps=eps_n, delta=delta_n, nu=eps_n / REGIME_FACTOR)
         res: HedgeResult = mdl_hedge_vc(cls, V, fam, inner, k, d)
         h_n = res.hypothesis
         bound = Fraction(2) * Fraction(eps_n)
         V_new = [h for h in V if _rho_exact_to_mixture(inst, h, h_n) <= bound]
-        assert set(V_new) <= set(V)
+        if not set(V_new) <= set(V):
+            raise ContractViolation(f"epoch {n} version space is not nested")
         labels_epoch = oracles.ledger.label_total - labels_before
         if not V_new:
             tr_row = (n, eps_n, 0, float("nan"), res.total_draws, labels_epoch)
@@ -139,11 +140,11 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
                                     "schedule_n0": sched.n0})
             return out
         dis_now = set(int(x) for x in disagreement_region(cls, V_new))
-        if prev_dis is not None:
-            assert dis_now <= prev_dis
+        if prev_dis is not None and not dis_now <= prev_dis:
+            raise ContractViolation(f"epoch {n} disagreement region grew")
         prev_dis = dis_now
-        for h in V_new:
-            assert _rho_exact_to_mixture(inst, h, h_n) <= bound
+        if any(_rho_exact_to_mixture(inst, h, h_n) > bound for h in V_new):
+            raise ContractViolation(f"epoch {n} kept a hypothesis outside radius 2 eps_n")
         V = V_new
         version_spaces.append(tuple(V))
         trace.append((n, eps_n, len(V), float(_max_dis_mass(inst, V)),
@@ -207,7 +208,7 @@ def active_small_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
             degenerate.append(i)
     agreement_labels_cost = oracles.ledger.label_total - labels_before
     fam = surrogate_family(oracles, V0, samples)
-    final_cfg = cfg.with_target(eps=eps / 2.0, delta=delta / 6.0, nu=nu)
+    final_cfg = replace(cfg, eps=eps / 2.0, delta=delta / 6.0, nu=nu)
     res = mdl_hedge_vc(cls, V0, fam, final_cfg, k, d)
     stage2_labels = oracles.ledger.label_total - labels_before
     trace.append(("stage2", eps / 2.0, len(V0), float(_max_dis_mass(inst, V0)),

@@ -121,8 +121,9 @@ def _instance_stats(inst: MDLInstance) -> dict:
 
 
 def run_single_trial(inst: MDLInstance, cfg: RunConfig, seed: int,
-                     stats: dict) -> tuple[TrialRecord, object]:
-    """Execute one seeded trial; returns the record and the raw run result."""
+                     stats: dict) -> tuple[TrialRecord, object, OracleSet]:
+    """Execute one seeded trial; returns the record, the raw run result and
+    the trial's oracle set (its ledger holds the label transcript)."""
     nu, d, s = stats["nu"], stats["d"], stats["s"]
     oracles = OracleSet(inst, seed, log_transcript=cfg.trace)
     knobs = cfg.solver_knobs()
@@ -171,11 +172,12 @@ def run_single_trial(inst: MDLInstance, cfg: RunConfig, seed: int,
         unlabeled=ledger.unlabeled_total,
         achieved_err=achieved, nu=nu, success=success, failure_mode=failure,
         wall_ms=wall_ms)
-    assert rec.labels_total == sum(rec.labels_per_dist)
+    if rec.labels_total != sum(rec.labels_per_dist):
+        raise ContractViolation("ledger total disagrees with its per-distribution counts")
     return rec, res, oracles
 
 
-def _trial_worker(args) -> tuple[TrialRecord, list]:
+def _trial_worker(args) -> tuple[TrialRecord, list[tuple[int, int, int, int]]]:
     inst, cfg, seed, stats = args
     rec, _, oracles = run_single_trial(inst, cfg, seed, stats)
     transcript = list(oracles.ledger.transcript) if cfg.trace else []

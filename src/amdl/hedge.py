@@ -54,11 +54,6 @@ class SolverConfig:
         if min(self.c_t, self.c_t1, self.c_eta, self.c_eps1, self.c_n, self.c_naive) <= 0:
             raise ContractViolation("scale knobs must be positive")
 
-    def with_target(self, eps: float, delta: float, nu: float) -> "SolverConfig":
-        return SolverConfig(eps=eps, delta=delta, nu=nu, c_t=self.c_t, c_t1=self.c_t1,
-                            c_eta=self.c_eta, c_eps1=self.c_eps1, c_n=self.c_n,
-                            c_naive=self.c_naive)
-
 
 def hyperparams(cfg: SolverConfig, k: int, d: int) -> tuple[float, float, int, int]:
     """(eps1, eta, T, T1) from the stated schedule; errors on nonpositive results."""
@@ -103,13 +98,14 @@ def hedge_step(state: HedgeState, r_hat: np.ndarray, eta: float) -> HedgeState:
     """Multiplicative update W_i <- W_i e^{eta r_i} (log-space), renormalize,
     and fold the new weight vector into the running maxima."""
     r = np.asarray(r_hat, dtype=float)
-    if r.min() < 0 or r.max() > 1:
+    if not (r.min() >= 0 and r.max() <= 1):   # also refuses NaN
         raise ContractViolation("reward estimates must lie in [0,1]")
     state.log_w = state.log_w + eta * r
     state.w = state.normalized()
     state.w_bar = np.maximum(state.w_bar, state.w)
     state.t += 1
-    assert abs(state.w.sum() - 1.0) <= WEIGHT_SUM_TOL
+    if not abs(state.w.sum() - 1.0) <= WEIGHT_SUM_TOL:
+        raise ContractViolation("Hedge weights no longer sum to one")
     return state
 
 
@@ -132,18 +128,6 @@ def weighted_erm(cls: HypothesisClass, store: Sequence[tuple[np.ndarray, np.ndar
         err = (cls.labels[np.ix_(idxs, xs)] != ys).sum(axis=1)
         scores += (w[i] / n[i]) * err
     return idxs[int(np.argmin(scores))]
-
-
-def reward_estimate(state: HedgeState, i: int, h_index: int, cls: HypothesisClass,
-                    sampler: SamplerFamily, k: int) -> tuple[float, int]:
-    """Empirical loss of the played hypothesis on ceil(k * w_bar_i) fresh draws
-    through the injected sampler; unbiased for the sampled distribution."""
-    if state.w_bar[i] <= 0:
-        raise ContractViolation("reward estimation requires a positive running maximum")
-    cnt = math.ceil(k * state.w_bar[i])
-    xs, ys = sampler.draw(i, cnt)
-    r = float((cls.labels[h_index, xs] != ys).mean())
-    return r, cnt
 
 
 @dataclass
@@ -184,10 +168,9 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     trace = [] if collect_trace else None
 
     for _ in range(T):
-        state.w = state.normalized()
+        # hedge_step leaves state.w normalized and checks its sum
         w = state.w
-        assert abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL
-        if np.any(w >= 2.0 * state.w_hat):
+        if (w >= 2.0 * state.w_hat).any():
             state.w_hat = np.maximum(state.w_hat, w)
             for i in range(k):
                 target = math.ceil(T1 * state.w_hat[i])
@@ -199,16 +182,18 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
                     err_counts[i] += (sub_labels[:, xs] != ys).sum(axis=1)
                     state.n_counts[i] = target
                     store_draws[i] += grow
-            assert np.all(w < 2.0 * state.w_hat + 1e-15)
+            if not np.all(w < 2.0 * state.w_hat + 1e-15):
+                raise ContractViolation("doubling rule left a weight above twice its threshold")
         scores = (w / state.n_counts) @ err_counts
-        local = int(np.argmin(scores))
+        local = int(scores.argmin())
         h_index = V[local]
         play_counts[h_index] = play_counts.get(h_index, 0) + 1
         state.w_bar = np.maximum(state.w_bar, w)
-        r = np.zeros(k)
-        for i in range(k):
-            r[i], cnt = reward_estimate(state, i, h_index, cls, sampler, k)
-            reward_draws[i] += cnt
+        # reward: the played hypothesis' empirical loss on ceil(k * w_bar_i)
+        # fresh draws from each distribution, unbiased for the sampled one
+        counts = np.ceil(k * state.w_bar).astype(np.int64)
+        r = sampler.round_losses(cls.labels[h_index], counts)
+        reward_draws += counts
         if trace is not None:
             trace.append((state.t + 1, w.copy(), float(state.w_bar.sum()),
                           int(state.n_counts.sum())))
@@ -220,18 +205,6 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     final = RandomizedHypothesis(cls, support)
     return HedgeResult(final, T, state.n_counts.copy(), reward_draws, store_draws,
                        play_counts, trace)
-
-
-def write_hedge_trace(trace: list, path: str) -> None:
-    """Diagnostic CSV: round, per-distribution weights, l1 norm of the running
-    maxima, pooled store size."""
-    with open(path, "w") as fh:
-        k = trace[0][1].size if trace else 0
-        cols = ",".join(f"w_{i}" for i in range(k))
-        fh.write(f"round,{cols},w_bar_l1,store_size\n")
-        for t, w, wbar_l1, size in trace:
-            ws = ",".join(repr(float(v)) for v in w)
-            fh.write(f"{t},{ws},{repr(wbar_l1)},{size}\n")
 
 
 def naive_erm_baseline(inst: MDLInstance, oracles: OracleSet, eps: float, delta: float,

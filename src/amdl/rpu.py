@@ -9,7 +9,7 @@ finishes with one passive solve over the abstain-imputed distributions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -246,7 +246,7 @@ def active_dist_free(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
             trace.append((n, eps_n, abst, pr.rounds, labels_epoch))
         else:
             target = eps_n if final_target_eps_n else eps
-            final_cfg = cfg.with_target(eps=target, delta=delta_n, nu=nu)
+            final_cfg = replace(cfg, eps=target, delta=delta_n, nu=nu)
             labels_final_before = oracles.ledger.label_queries.copy()
             res = mdl_hedge_vc(cls, cls.full_version_space(), fam, final_cfg, k, d)
             labels_epoch = oracles.ledger.label_total - labels_before

@@ -10,7 +10,7 @@ import amdl
 from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, OracleSet, SolverConfig)
 from amdl.hedge import (HedgeState, hedge_step, hyperparams, mdl_hedge_vc,
-                        naive_erm_baseline, reward_estimate, weighted_erm)
+                        naive_erm_baseline, weighted_erm)
 from amdl.oracles import plain_family
 
 from conftest import one_point_instance
@@ -127,31 +127,40 @@ def test_weighted_erm_requires_samples_for_weighted_dist():
         weighted_erm(cls, store, np.array([1.0]), np.array([0]))
 
 
-def test_reward_estimate_realizable_is_zero():
+def test_round_losses_realizable_is_zero():
     inst = one_point_instance()
     o = OracleSet(inst, seed=0)
     fam = plain_family(o)
-    state = HedgeState(1)
-    state.w_bar = np.array([1.0])
-    r, cnt = reward_estimate(state, 0, 0, inst.hypothesis_class, fam, k=1)
-    assert r == 0.0 and cnt == 1
+    r = fam.round_losses(inst.hypothesis_class.labels[0], np.array([1]))
+    assert r.tolist() == [0.0]
+    assert fam.calls.tolist() == [1] and o.ledger.label_total == 1
 
 
-def test_reward_estimate_sample_count_and_noise_rate():
+def test_round_losses_sample_count_and_noise_rate():
     cls = HypothesisClass([Hypothesis([1])])
     dist = LabeledDistribution([1.0], [0.5])
     inst = MDLInstance(FeatureSpace(1), cls, [dist])
     o = OracleSet(inst, seed=0)
     fam = plain_family(o)
-    state = HedgeState(1)
-    state.w_bar = np.array([0.6])
+    counts = np.array([math.ceil(5 * 0.6)])  # the solver's ceil(k * w_bar_i)
     total, rounds = 0.0, 3000
     for _ in range(rounds):
-        r, cnt = reward_estimate(state, 0, 0, cls, fam, k=5)
-        assert cnt == 3  # ceil(5 * 0.6)
-        total += r
-    assert o.ledger.label_total == 3 * rounds
+        total += fam.round_losses(cls.labels[0], counts)[0]
+    assert o.ledger.label_total == fam.total_calls == 3 * rounds
     assert abs(total / rounds - 0.5) < 0.02
+
+
+def test_round_losses_refuses_an_empty_count():
+    inst = amdl.gen_prop1(3, 0.2)
+    fam = plain_family(OracleSet(inst, seed=0))
+    with pytest.raises(ContractViolation):
+        fam.round_losses(inst.hypothesis_class.labels[0], np.array([1, 0, 1]))
+
+
+def test_hedge_step_rejects_nan_rewards():
+    state = HedgeState(2)
+    with pytest.raises(ContractViolation):
+        hedge_step(state, np.array([np.nan, 0.0]), eta=0.1)
 
 
 def _alternation_instance(gamma: Fraction) -> MDLInstance:
@@ -207,6 +216,14 @@ def test_mdl_hedge_vc_accounting_reconciles(desk_knobs):
     # trace monotonicity of the running maxima l1 norm
     l1 = [row[2] for row in res.trace]
     assert all(a <= b + 1e-15 for a, b in zip(l1, l1[1:]))
+    # each round draws ceil(k * w_bar_i) reward pairs from distribution i,
+    # where w_bar is the running maximum of the played weight vectors
+    w_bar = np.zeros(3)
+    expected = np.zeros(3, dtype=np.int64)
+    for row in res.trace:
+        w_bar = np.maximum(w_bar, row[1])
+        expected += [math.ceil(3 * v) for v in w_bar]
+    assert res.reward_draws.tolist() == expected.tolist()
 
 
 def test_mdl_hedge_vc_respects_version_space(desk_knobs):

@@ -293,3 +293,81 @@ def test_transcript_records_every_label_query(tmp_path):
     o.ledger.write_transcript(str(path), trial=3)
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 50 and lines[0].startswith("3,0,")
+
+
+# -- the fused solver round -------------------------------------------------------
+
+def _three_distribution_fixture():
+    # the _induced_fixture class over three distinct distributions
+    cls = _induced_fixture().hypothesis_class
+    dists = [
+        LabeledDistribution([Fraction(3, 10), Fraction(2, 10), Fraction(4, 10),
+                             Fraction(1, 10)],
+                            [Fraction(1, 2), Fraction(1, 4), Fraction(1), Fraction(0)]),
+        LabeledDistribution([Fraction(1, 4)] * 4,
+                            [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1, 5)]),
+        LabeledDistribution([Fraction(1, 10), Fraction(1, 10), Fraction(1, 10),
+                             Fraction(7, 10)],
+                            [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 2)]),
+    ]
+    return MDLInstance(FeatureSpace(4), cls, dists)
+
+
+_SAMPLE = (np.array([2, 3, 2], dtype=np.int64), np.array([1, -1, -1], dtype=np.int8))
+
+FAMILY_BUILDERS = {
+    "plain": lambda o: amdl.plain_family(o),
+    "induced": lambda o: amdl.induced_family(o, (0, 1)),
+    "imputed": lambda o: amdl.imputed_family(o, np.array([0, 1, 0, -1], dtype=np.int8)),
+    "surrogate": lambda o: amdl.surrogate_family(o, (0, 1), [_SAMPLE] * 3),
+    "surrogate-none": lambda o: amdl.surrogate_family(o, (0, 1), [_SAMPLE, None, _SAMPLE]),
+}
+
+# per-round reward counts; the 5000 forces every stream across a buffer refill
+ROUND_COUNTS = [(1, 1, 1), (2, 3, 1), (4, 4, 4), (5000, 1, 3), (1, 2, 2), (3, 1, 5000)]
+
+
+@pytest.mark.parametrize("log_transcript", [False, True])
+@pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
+def test_round_losses_equals_k_draws_on_a_twin(kind, log_transcript):
+    inst = _three_distribution_fixture()
+    labels = inst.hypothesis_class.labels
+    fused_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
+    twin_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
+    fused = FAMILY_BUILDERS[kind](fused_o)
+    twin = FAMILY_BUILDERS[kind](twin_o)
+    for t, counts in enumerate(ROUND_COUNTS):
+        row = labels[t % len(labels)]
+        got = fused.round_losses(row, np.array(counts, dtype=np.int64))
+        want = []
+        for i, n in enumerate(counts):
+            xs, ys = twin.draw(i, n)
+            want.append(float((row[xs] != ys).mean()))
+        assert got.tolist() == want
+    assert fused.calls.tolist() == twin.calls.tolist()
+    assert fused_o.ledger.label_queries.tolist() == twin_o.ledger.label_queries.tolist()
+    assert fused_o.ledger.unlabeled_draws.tolist() == twin_o.ledger.unlabeled_draws.tolist()
+    assert fused_o.ledger.transcript == twin_o.ledger.transcript
+    assert len(fused_o.ledger.transcript) == (fused_o.ledger.label_total
+                                              if log_transcript else 0)
+    assert fused_o.ledger.label_total > 0
+    for a, b in zip(fused_o._streams, twin_o._streams):
+        assert a.pos == b.pos and np.array_equal(a.buf, b.buf)
+
+
+def test_uniform_take_matches_one_generator_run():
+    # views within a block and copies across refills give the generator's
+    # doubles in order, whatever the request sizes
+    from amdl.oracles import _Uniforms
+    src = _Uniforms(np.random.default_rng(5), block=8)
+    got = np.concatenate([src.take(n).copy() for n in (3, 5, 0, 2, 20, 1, 7)])
+    want = np.random.default_rng(5).random(got.size)
+    assert np.array_equal(got, want)
+
+
+def test_sampler_family_refuses_bad_index():
+    fam = amdl.plain_family(OracleSet(two_point_instance(), seed=0))
+    with pytest.raises(ContractViolation):
+        fam.draw(1, 3)
+    with pytest.raises(ContractViolation):
+        fam.draw(-1, 3)
