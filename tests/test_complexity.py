@@ -174,3 +174,74 @@ def test_star_unqualified_is_max_over_references():
     cls = inst.hypothesis_class
     expect = max(star_number(cls, h).value for h in cls.hypotheses)
     assert star_number_unqualified(cls).value == expect
+
+
+# -- star values pinned to the frozenset branch-and-bound --------------------------
+# (value, lower_bound_only) as computed by the original frozenset search; the
+# bitmask search must reproduce them with the same node order and budget.
+
+def _random(n_hyp, seed):
+    return amdl.FamilySpec("random", {"m": 10, "n_hyp": n_hyp, "k": 4,
+                                      "seed": seed}).generate()
+
+
+STAR_PINS = [
+    # the benchmark's instance-scale generators
+    (lambda: _random(128, 1), (7, False), (8, False)),
+    (lambda: _random(128, 2), (7, False), (8, False)),
+    (lambda: _random(128, 7_000_000), (7, False), (8, False)),
+    (lambda: _random(256, 1), (8, False), (9, False)),
+    (lambda: _random(256, 7_000_002), (7, False), (9, False)),
+    # the families of the acceptance cells
+    (lambda: amdl.gen_prop1(4, 0.1), (4, False), (4, False)),
+    (lambda: amdl.gen_prop1(8, 0.05), (8, False), (8, False)),
+    (lambda: amdl.gen_example1(0.2, 0.05, "a"), (1, False), (1, False)),
+    (lambda: amdl.gen_example1(0.2, 0.05, "b"), (1, False), (1, False)),
+    (lambda: amdl.gen_star_lb(2, 4, 1, 1), (7, False), (8, False)),
+    (lambda: amdl.gen_star_lb(2, 4, 1, 2), (7, False), (8, False)),
+    (lambda: amdl.gen_star_lb(2, 8, 1, 3), (15, False), (16, False)),
+    (lambda: amdl.gen_agnostic_lb(4, 0.4, 0.05), (1, False), (1, False)),
+    (lambda: amdl.gen_agnostic_lb(3, 0.4, 0.05), (1, False), (1, False)),
+]
+
+
+def _pair(v):
+    return (v.value, v.lower_bound_only)
+
+
+@pytest.mark.parametrize("gen,star,unqualified", STAR_PINS)
+def test_star_values_pinned(gen, star, unqualified):
+    inst = gen()
+    cls = inst.hypothesis_class
+    ref = amdl.best_nu(inst)[0]
+    assert _pair(star_number(cls, ref)) == star
+    assert _pair(star_number_unqualified(cls)) == unqualified
+
+
+@pytest.mark.parametrize("n_hyp,cap,star,unqualified", [
+    (128, 3, (3, True), (3, True)),
+    (128, 8, (7, False), (8, True)),
+    (128, 9, (7, False), (8, False)),
+    (256, 9, (8, False), (9, True)),
+])
+def test_star_cap_values_pinned(n_hyp, cap, star, unqualified):
+    inst = _random(n_hyp, 1)
+    cls = inst.hypothesis_class
+    ref = amdl.best_nu(inst)[0]
+    assert _pair(star_number(cls, ref, cap=cap)) == star
+    assert _pair(star_number_unqualified(cls, cap=cap)) == unqualified
+
+
+@pytest.mark.parametrize("budget,expect", [
+    (1, [(5, True), (7, True), (6, True), (7, True), (6, True), (6, True)]),
+    (10, [(6, True), (7, True), (6, True), (7, True), (6, True), (7, True)]),
+    (20, [(6, True), (7, True), (7, True), (7, True), (6, True), (7, True)]),
+    (50, [(7, True), (7, True), (7, True), (7, True), (6, True), (7, True)]),
+    (200, [(7, True), (7, True), (7, False), (7, False), (7, True), (7, True)]),
+])
+def test_star_node_budget_pinned(monkeypatch, budget, expect):
+    # a budget-limited search reports the best of the nodes it visited, so
+    # these values also pin the order in which the search visits nodes
+    cls = _random(128, 1).hypothesis_class
+    monkeypatch.setattr(amdl.complexity, "_STAR_NODE_BUDGET", budget)
+    assert [_pair(star_number(cls, ref)) for ref in cls.hypotheses[:6]] == expect
