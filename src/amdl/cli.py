@@ -65,12 +65,9 @@ def _cmd_measure(args) -> int:
         f"star_number_unqualified={st_any.value}",
         f"star_unqualified_lower_bound_only={int(st_any.lower_bound_only)}",
     ]
-    for i, d in enumerate(inst.distributions):
-        theta = disagreement_coefficient(d, cls, ref, args.r0)
-        lines.append(f"theta_{i}={theta!r}")
-    theta_max = max(disagreement_coefficient(d, cls, ref, args.r0)
-                    for d in inst.distributions)
-    lines.append(f"theta_max={theta_max!r}")
+    thetas = [disagreement_coefficient(d, cls, ref, args.r0) for d in inst.distributions]
+    lines.extend(f"theta_{i}={theta!r}" for i, theta in enumerate(thetas))
+    lines.append(f"theta_max={max(thetas)!r}")
     out = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

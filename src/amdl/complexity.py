@@ -74,43 +74,76 @@ def vc_dimension(cls: HypothesisClass, cap: int = DEFAULT_VC_CAP) -> ComplexityV
     return ComplexityValue(cap, lower_bound_only=True)
 
 
-def _star_feasible(S: tuple[int, ...], diffs: list[frozenset[int]]) -> bool:
-    Sset = set(S)
-    for x in S:
-        ok = False
-        for d in diffs:
-            if x in d and len(d & Sset) == 1:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+def _label_codes(labels: np.ndarray) -> list[int]:
+    """Each row's +1 points as an int bitmask (bit x is point x)."""
+    rows = np.packbits(labels > 0, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def star_number(cls: HypothesisClass, hstar: Hypothesis,
-                cap: int = DEFAULT_STAR_CAP) -> ComplexityValue:
-    """Largest star set around `hstar`: points each flippable alone by some
-    class member that agrees with `hstar` on the rest of the set.
+def _witness_sets(codes: list[int], ref: int) -> dict[int, list[int]]:
+    """For each point x that some class member flips against `ref`, the
+    inclusion-minimal sets D - {x} over the difference sets D that contain x.
 
-    Exact branch-and-bound (the star property is downward closed); degrades to
-    a greedy lower bound with `lower_bound_only=True` if the cap or the node
-    budget is hit.
+    A point set S is a star set iff each x in S has a witness disjoint from S;
+    a superset witness is disjoint from S only if its subsets are, so the
+    minimal ones decide.
     """
-    diffs = []
-    for h in cls.hypotheses:
-        d = frozenset(int(x) for x in np.nonzero(h.labels != hstar.labels)[0])
-        if d:
-            diffs.append(d)
-    diffs = sorted(set(diffs), key=lambda d: (len(d), sorted(d)))
-    points = sorted({x for d in diffs for x in d})
-    if not points:
-        return ComplexityValue(0)
+    codeset = set(codes)
+    diffs = sorted({c ^ ref for c in codes}, key=int.bit_count)
+    union = 0
+    for d in diffs:
+        union |= d
+    out = {}
+    for x in range(union.bit_length()):
+        bx = 1 << x
+        if not union & bx:
+            continue
+        if (ref ^ bx) in codeset:
+            out[x] = [0]  # flipping x alone: witnessed in every star set
+            continue
+        kept: list[int] = []
+        for d in diffs:  # by size, so each set's subsets come before it
+            if d & bx:
+                w = d ^ bx
+                for v in kept:
+                    if v & w == v:
+                        break
+                else:
+                    kept.append(w)
+        out[x] = kept
+    return out
 
-    best = 0
+
+def _kill_mask(S: int, members: list[int], witnesses: dict[int, list[int]]) -> int:
+    """Points whose addition to the star set S leaves some member unwitnessed:
+    those lying in every witness of that member that is disjoint from S."""
+    kill = 0
+    for x in members:
+        common = -1
+        for w in witnesses[x]:
+            if not w & S:
+                common &= w
+        kill |= common
+    return kill
+
+
+def _star_search(codes: list[int], ref: int, cap: int,
+                 floor: int = 0) -> tuple[int, bool]:
+    """Branch-and-bound for the largest star set around `ref`, pruning
+    branches that cannot exceed `floor`.  Returns (value, exact); a search cut
+    by the cap or the node budget returns its greedy completion, inexact."""
+    witnesses = _witness_sets(codes, ref)
+    points = sorted(witnesses)
+    best = floor
     nodes = 0
     budget_hit = False
 
-    def extend(S: tuple[int, ...], start: int):
+    def open_for(y: int, S: int, kill: int) -> bool:
+        return not kill >> y & 1 and any(not w & S for w in witnesses[y])
+
+    def extend(S: int, members: list[int], pool: list[int]):
+        # a star set's subsets are star sets, so a child's candidates are
+        # among the later candidates of its parent
         nonlocal best, nodes, budget_hit
         if budget_hit:
             return
@@ -118,41 +151,62 @@ def star_number(cls: HypothesisClass, hstar: Hypothesis,
         if nodes > _STAR_NODE_BUDGET:
             budget_hit = True
             return
-        best = max(best, len(S))
-        if len(S) >= cap:
-            budget_hit = budget_hit or len(S) == cap  # cap can truncate the search
+        size = len(members)
+        best = max(best, size)
+        if size >= cap:
+            budget_hit = budget_hit or size == cap  # cap can truncate the search
             return
-        cands = [y for y in points[start:] if _star_feasible(S + (y,), diffs)]
-        if len(S) + len(cands) <= best:
+        kill = _kill_mask(S, members, witnesses)
+        cands = [y for y in pool if open_for(y, S, kill)]
+        if size + len(cands) <= best:
             return
-        for pos, y in enumerate(cands):
-            extend(S + (y,), points.index(y) + 1)
+        for i, y in enumerate(cands):
+            extend(S | 1 << y, members + [y], cands[i + 1:])
 
-    extend((), 0)
-    if budget_hit:
-        # greedy completion as an explicit lower bound
-        S: tuple[int, ...] = ()
-        for y in points:
-            if len(S) >= cap:
-                break
-            if _star_feasible(S + (y,), diffs):
-                S = S + (y,)
-        return ComplexityValue(max(best, len(S)), lower_bound_only=True)
-    return ComplexityValue(best, lower_bound_only=False)
+    extend(0, [], points)
+    if not budget_hit:
+        return best, True
+    # greedy completion as an explicit lower bound
+    S, members = 0, []
+    for y in points:
+        if len(members) >= cap:
+            break
+        if open_for(y, S, _kill_mask(S, members, witnesses)):
+            S |= 1 << y
+            members.append(y)
+    return max(best, len(members)), False
+
+
+def star_number(cls: HypothesisClass, hstar: Hypothesis,
+                cap: int = DEFAULT_STAR_CAP) -> ComplexityValue:
+    """Largest star set around `hstar`: points each flippable alone by some
+    class member that agrees with `hstar` on the rest of the set.
+
+    Exact branch-and-bound over label bitmasks (the star property is downward
+    closed); degrades to a greedy lower bound with `lower_bound_only=True` if
+    the cap or the node budget is hit.
+    """
+    ref = _label_codes(hstar.labels[None, :])[0]
+    value, exact = _star_search(_label_codes(cls.labels), ref, cap)
+    return ComplexityValue(value, lower_bound_only=not exact)
 
 
 def star_number_unqualified(cls: HypothesisClass, cap: int = DEFAULT_STAR_CAP) -> ComplexityValue:
     """Max of the reference-based star number over references in the class.
 
     The unqualified star number is reported this way and flagged as such; the
-    reference-based variant is the primitive.
+    reference-based variant is the primitive.  Each reference's search only
+    looks for star sets larger than the best found so far, and the value is
+    flagged whenever a search was cut by the cap or the node budget.
     """
-    best = ComplexityValue(0)
-    for h in cls.hypotheses:
-        v = star_number(cls, h, cap)
-        if v.value > best.value or (v.value == best.value and v.lower_bound_only):
-            best = v
-    return best
+    codes = _label_codes(cls.labels)
+    best, exact = 0, True
+    for ref in codes:
+        best, complete = _star_search(codes, ref, cap, floor=best)
+        exact = exact and complete
+        if best >= cap:
+            break
+    return ComplexityValue(best, lower_bound_only=not exact)
 
 
 @dataclass(frozen=True)
@@ -179,8 +233,8 @@ def disagreement_profile(dist: LabeledDistribution, cls: HypothesisClass,
         ball = [i for i, rho in enumerate(rhos) if rho <= r]
         pts = disagreement_region(cls, ball) if ball else np.array([], dtype=int)
         masses.append(dist.mass_exact(int(x) for x in pts))
-    for a, b in zip(masses, masses[1:]):
-        assert a <= b
+    if any(a > b for a, b in zip(masses, masses[1:])):
+        raise ContractViolation("disagreement masses must not decrease in the radius")
     return DisagreementProfile(tuple(radii), tuple(masses))
 
 
@@ -202,7 +256,8 @@ def disagreement_coefficient_exact(dist: LabeledDistribution, cls: HypothesisCla
 
     candidates = [r0] + [r for r in prof.radii if r >= r0]
     theta = max(mass_at(r) / r for r in candidates)
-    assert theta * r0 <= 1, "disagreement coefficient exceeded its 1/r0 ceiling"
+    if theta * r0 > 1:
+        raise ContractViolation("disagreement coefficient exceeded its 1/r0 ceiling")
     return theta
 
 

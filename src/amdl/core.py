@@ -220,12 +220,6 @@ class RandomizedHypothesis:
     def support_indices(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.counts)
 
-    def weight_of(self, idx: int) -> Fraction:
-        for i, c in self.counts:
-            if i == idx:
-                return Fraction(c, self.total)
-        return Fraction(0)
-
     def __repr__(self) -> str:
         return f"RandomizedHypothesis(total={self.total}, support={dict(self.counts)})"
 

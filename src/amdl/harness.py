@@ -111,20 +111,21 @@ class TrialRecord:
         ])
 
 
-def _instance_stats(inst: MDLInstance) -> dict:
+def _instance_stats(inst: MDLInstance, alg: str) -> dict:
+    """The instance constants `alg` reads: nu and the VC dimension d for every
+    algorithm, the star number s only for active-df, the one that uses it."""
     cls = inst.hypothesis_class
-    return {
-        "nu": float(inst.nu_exact()),
-        "d": vc_dimension(cls).value,
-        "s": star_number_unqualified(cls).value,
-    }
+    stats = {"nu": float(inst.nu_exact()), "d": vc_dimension(cls).value}
+    if alg == "active-df":
+        stats["s"] = star_number_unqualified(cls).value
+    return stats
 
 
 def run_single_trial(inst: MDLInstance, cfg: RunConfig, seed: int,
                      stats: dict) -> tuple[TrialRecord, object, OracleSet]:
     """Execute one seeded trial; returns the record, the raw run result and
     the trial's oracle set (its ledger holds the label transcript)."""
-    nu, d, s = stats["nu"], stats["d"], stats["s"]
+    nu, d = stats["nu"], stats["d"]
     oracles = OracleSet(inst, seed, log_transcript=cfg.trace)
     knobs = cfg.solver_knobs()
     solver_cfg = SolverConfig(eps=cfg.eps, delta=cfg.delta, nu=nu, **knobs)
@@ -141,7 +142,8 @@ def run_single_trial(inst: MDLInstance, cfg: RunConfig, seed: int,
         res = regime_dispatch(inst, oracles, cfg.eps, cfg.delta, solver_cfg, d=d)
         output, failure = res.output, res.failure_mode or ""
     elif cfg.alg == "active-df":
-        res = active_dist_free(inst, oracles, cfg.eps, cfg.delta, s, d, solver_cfg)
+        res = active_dist_free(inst, oracles, cfg.eps, cfg.delta, stats["s"], d,
+                               solver_cfg)
         output, failure = res.output, res.failure_mode or ""
     elif cfg.alg == "passive-hedge":
         # the solver's nu parameter is the exact optimum, so its guarantee
@@ -192,7 +194,7 @@ def run_trials(cfg: RunConfig) -> list[TrialRecord]:
     order-independent.
     """
     inst = cfg.load()
-    stats = _instance_stats(inst)
+    stats = _instance_stats(inst, cfg.alg)
     seeds = [cfg.base_seed + t for t in range(cfg.trials)]
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -99,12 +99,6 @@ class QueryLedger:
     def unlabeled_total(self) -> int:
         return int(self.unlabeled_draws.sum())
 
-    def write_transcript(self, path: str, trial: int = 0) -> None:
-        # line-delimited records: trial, i, x, y, cumulative_label_count
-        with open(path, "a") as fh:
-            for (i, x, y, cum) in self.transcript:
-                fh.write(f"{trial},{i},{x},{y},{cum}\n")
-
 
 _SIGN = np.array([-1, 1], dtype=np.int8)   # _SIGN[u < eta_plus[x]] is the label
 

@@ -266,7 +266,7 @@ def active_dist_free(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
                                          [float(abstain_mass_of(i, f)) for i in range(k)],
                                      "final_abstain_mass": abst,
                                      "classifiers": classifiers})
-    raise AssertionError("unreachable: schedule always ends in a passive epoch")
+    raise ContractViolation("unreachable: schedule always ends in a passive epoch")
 
 
 def write_df_trace(result: ActiveRunResult, path: str) -> None:

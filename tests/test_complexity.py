@@ -245,3 +245,26 @@ def test_star_node_budget_pinned(monkeypatch, budget, expect):
     cls = _random(128, 1).hypothesis_class
     monkeypatch.setattr(amdl.complexity, "_STAR_NODE_BUDGET", budget)
     assert [_pair(star_number(cls, ref)) for ref in cls.hypotheses[:6]] == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_star_unqualified_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 7))
+    n = int(rng.integers(1, 13))
+    cls = amdl.gen_random(m, min(n, 2 ** m), 1, seed=seed).hypothesis_class
+    got = star_number_unqualified(cls)
+    assert not got.lower_bound_only
+    assert got.value == max(brute_star(cls.labels, h.labels) for h in cls.hypotheses)
+
+
+def test_star_unqualified_cap_flags_lower_bound():
+    cls = amdl.gen_star_lb(2, 4, 1, 0).hypothesis_class
+    exact = star_number_unqualified(cls)
+    assert exact.value == 8 and not exact.lower_bound_only
+    assert _pair(star_number_unqualified(cls, cap=0)) == (0, True)
+    assert _pair(star_number_unqualified(cls, cap=3)) == (3, True)
+    # a cap the class reaches is flagged: the search stopped there
+    assert _pair(star_number_unqualified(cls, cap=8)) == (8, True)
+    assert _pair(star_number_unqualified(cls, cap=9)) == (8, False)

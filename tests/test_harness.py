@@ -139,15 +139,15 @@ def test_cli_gen_measure_run(tmp_path):
     rc = cli_main(["measure", "--instance", str(inst_path), "--r0", "0.1",
                    "--out", str(measure_path)])
     assert rc == 0
-    text = measure_path.read_text()
-    assert "vc_dimension=1" in text
     # reference is the minimax optimum (a flip): its own flip point blocks the
     # rest of the set, so the reference-based value is m-1 while the
     # unqualified max over references reaches m
-    assert "star_number=5" in text
-    assert "star_number_unqualified=6" in text
-    assert "nu=0.0" in text
-    assert "theta_max=" in text
+    assert measure_path.read_text() == "\n".join([
+        "m=6", "k=2", "class_size=7", "nu=0.0",
+        "vc_dimension=1", "vc_lower_bound_only=0",
+        "star_reference_index=1", "star_number=5", "star_lower_bound_only=0",
+        "star_number_unqualified=6", "star_unqualified_lower_bound_only=0",
+        "theta_0=1.5", "theta_1=3.0", "theta_max=3.0"]) + "\n"
 
     out_path = tmp_path / "records.csv"
     rc = cli_main(["run", "--instance", str(inst_path), "--alg", "active-dd-large",
@@ -226,3 +226,24 @@ def test_cli_entry_point_subprocess(tmp_path):
          "--eps", "0.1", "--out", str(inst_path)],
         capture_output=True, text=True)
     assert res.returncode == 0 and inst_path.exists()
+
+
+@pytest.mark.parametrize("alg", amdl.ALGORITHMS)
+def test_only_active_df_computes_the_star_number(monkeypatch, alg):
+    # the star-number search is the costly instance statistic; only the
+    # distribution-free learner reads s, so only its runs may pay for it
+    calls = []
+
+    def star(cls, *args, **kwargs):
+        if alg != "active-df":
+            raise AssertionError(f"{alg} computed the star number")
+        calls.append(cls)
+        return amdl.star_number_unqualified(cls, *args, **kwargs)
+
+    monkeypatch.setattr(amdl.harness, "star_number_unqualified", star)
+    inst = amdl.gen_prop1(2, 0.1)
+    for base_seed in (0, 5):
+        recs = run_trials(RunConfig(alg=alg, eps=0.2, delta=0.1, trials=2,
+                                    base_seed=base_seed, instance=inst))
+        assert [r.seed for r in recs] == [base_seed, base_seed + 1]
+    assert len(calls) == (2 if alg == "active-df" else 0)

@@ -13,6 +13,7 @@ from amdl import (ContractViolation, DegenerateAgreementRegion, FeatureSpace,
                   Hypothesis, HypothesisClass, LabeledDistribution, MDLInstance,
                   OracleSet)
 from amdl.core import imputed_distribution, induced_distribution, loss_exact
+from amdl.harness import RunConfig, _instance_stats, run_single_trial, run_trials
 from amdl.oracles import surrogate_joint_exact
 
 from conftest import empirical_tv, two_point_instance
@@ -289,10 +290,20 @@ def test_transcript_records_every_label_query(tmp_path):
     o.sample_induced_batch(0, (0, 1), 25)
     assert len(o.ledger.transcript) == o.ledger.label_total == 50
     assert [rec[3] for rec in o.ledger.transcript] == list(range(1, 51))
+    # the harness writes each trial's ledger transcript, one line per label
+    # query, prefixed by the trial's seed
     path = tmp_path / "transcript.log"
-    o.ledger.write_transcript(str(path), trial=3)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 50 and lines[0].startswith("3,0,")
+    cfg = RunConfig(alg="passive-naive", eps=0.2, delta=0.1, trials=2, base_seed=3,
+                    instance=inst, trace=True, transcript_path=str(path))
+    recs = run_trials(cfg)
+    stats = _instance_stats(inst, cfg.alg)
+    want = []
+    for rec in recs:
+        _, _, trial = run_single_trial(inst, cfg, rec.seed, stats)
+        assert len(trial.ledger.transcript) == rec.labels_total > 0
+        want.extend(f"{rec.seed},{i},{x},{y},{cum}"
+                    for i, x, y, cum in trial.ledger.transcript)
+    assert path.read_text().splitlines() == want
 
 
 # -- the fused solver round -------------------------------------------------------
