@@ -86,9 +86,8 @@ def _witness_sets(codes: list[int], ref: int) -> dict[int, list[int]]:
 
     A point set S is a star set iff each x in S has a witness disjoint from S;
     a superset witness is disjoint from S only if its subsets are, so the
-    minimal ones decide.
+    minimal ones decide.  A point some member flips alone gets [0].
     """
-    codeset = set(codes)
     diffs = sorted({c ^ ref for c in codes}, key=int.bit_count)
     union = 0
     for d in diffs:
@@ -97,9 +96,6 @@ def _witness_sets(codes: list[int], ref: int) -> dict[int, list[int]]:
     for x in range(union.bit_length()):
         bx = 1 << x
         if not union & bx:
-            continue
-        if (ref ^ bx) in codeset:
-            out[x] = [0]  # flipping x alone: witnessed in every star set
             continue
         kept: list[int] = []
         for d in diffs:  # by size, so each set's subsets come before it
@@ -127,11 +123,10 @@ def _kill_mask(S: int, members: list[int], witnesses: dict[int, list[int]]) -> i
     return kill
 
 
-def _star_search(codes: list[int], ref: int, cap: int,
-                 floor: int = 0) -> tuple[int, bool]:
+def _star_search(codes: list[int], ref: int, cap: int, floor: int = 0) -> ComplexityValue:
     """Branch-and-bound for the largest star set around `ref`, pruning
-    branches that cannot exceed `floor`.  Returns (value, exact); a search cut
-    by the cap or the node budget returns its greedy completion, inexact."""
+    branches that cannot exceed `floor`; a search cut by the cap or the node
+    budget returns its greedy completion as a lower bound."""
     witnesses = _witness_sets(codes, ref)
     points = sorted(witnesses)
     best = floor
@@ -165,7 +160,7 @@ def _star_search(codes: list[int], ref: int, cap: int,
 
     extend(0, [], points)
     if not budget_hit:
-        return best, True
+        return ComplexityValue(best)
     # greedy completion as an explicit lower bound
     S, members = 0, []
     for y in points:
@@ -174,7 +169,7 @@ def _star_search(codes: list[int], ref: int, cap: int,
         if open_for(y, S, _kill_mask(S, members, witnesses)):
             S |= 1 << y
             members.append(y)
-    return max(best, len(members)), False
+    return ComplexityValue(max(best, len(members)), lower_bound_only=True)
 
 
 def star_number(cls: HypothesisClass, hstar: Hypothesis,
@@ -187,8 +182,7 @@ def star_number(cls: HypothesisClass, hstar: Hypothesis,
     the cap or the node budget is hit.
     """
     ref = _label_codes(hstar.labels[None, :])[0]
-    value, exact = _star_search(_label_codes(cls.labels), ref, cap)
-    return ComplexityValue(value, lower_bound_only=not exact)
+    return _star_search(_label_codes(cls.labels), ref, cap)
 
 
 def star_number_unqualified(cls: HypothesisClass, cap: int = DEFAULT_STAR_CAP) -> ComplexityValue:
@@ -202,8 +196,8 @@ def star_number_unqualified(cls: HypothesisClass, cap: int = DEFAULT_STAR_CAP) -
     codes = _label_codes(cls.labels)
     best, exact = 0, True
     for ref in codes:
-        best, complete = _star_search(codes, ref, cap, floor=best)
-        exact = exact and complete
+        v = _star_search(codes, ref, cap, floor=best)
+        best, exact = v.value, exact and not v.lower_bound_only
         if best >= cap:
             break
     return ComplexityValue(best, lower_bound_only=not exact)
