@@ -4,14 +4,26 @@ The digests pin the exact bytes the lab emits for the six criterion-4 cells
 at two seeds each, and the label transcripts of two of them.  Any change to
 the order in which a sampler consumes its random stream, to the ledger, or
 to how a loss is rounded changes a digest; a pure speed-up must not.
+
+The `active-dd-large` cells of `configs/sweep_scaling.json` are pinned as
+well, with the version spaces and epoch trace each run keeps, so the exact
+radius test that prunes them cannot drift, ties at the bound included.
 """
 
 import hashlib
+import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import amdl
-from amdl.harness import RunConfig, records_to_csv, run_trials
+from amdl import active
+from amdl.core import disagreement_exact
+from amdl.families import FamilySpec
+from amdl.harness import PROFILES, RunConfig, records_to_csv, run_trials
+from amdl.hedge import SolverConfig
+from amdl.oracles import OracleSet
 
 DELTA = 0.1
 SEEDS = (0, 1)
@@ -78,3 +90,112 @@ def test_transcript_bytes(cell, tmp_path):
     assert data.count(b"\n") == sum(r.labels_total for r in recs)
     assert _sha256(records_to_csv(recs).encode()) == RECORD_SHA256[cell]
     assert _sha256(data) == TRANSCRIPT_SHA256[cell]
+
+
+# -- active-dd-large cells of the scaling sweep ---------------------------------
+
+SWEEP = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                    / "sweep_scaling.json").read_text())
+SWEEP_FAMILIES = {f"{fam['family']}({','.join(map(str, fam['params'].values()))})": fam
+                  for fam in SWEEP["families"]}
+SWEEP_CELLS = [(name, eps) for name in SWEEP_FAMILIES for eps in SWEEP["eps_grid"]]
+
+SWEEP_RECORD_SHA256 = {
+    "star-lb(2,8,1,3)/0.2":
+        "b4c278235ce8b8af2f79039c75a04243243f84730abbb240fe63aa2247e665ce",
+    "star-lb(2,8,1,3)/0.1":
+        "1220277c2b01fd56cede9d48bbb7effc6a502c740090b98ee22e56e27209cc0f",
+    "star-lb(2,8,1,3)/0.05":
+        "1d15e3fab4815b8e4e5a033de6ae0c0730c8fddd13edb08abb727bc1bf4cd844",
+    "prop1(8,0.05)/0.2":
+        "90b8d4bdef293d499973bc89f362b6a0d18bb20f7a56f3761a1bb3d89cdd12d8",
+    "prop1(8,0.05)/0.1":
+        "89306cf4af56ef2714a81b61d3ccf8c1785fc5af981d5b7c6bcf0fcce8e3ae48",
+    "prop1(8,0.05)/0.05":
+        "f42c98e515a4ab97ee2d8d4ba556543ecc37b48e753fdb399598727a11b418b7",
+}
+
+SWEEP_VERSION_SPACE_SHA256 = {
+    "star-lb(2,8,1,3)/0.2":
+        "4cbd5e29f1832efc5266b484f98666fc02ab03ef004643ef6bdf41830ec72e05",
+    "star-lb(2,8,1,3)/0.1":
+        "4a4b1b47fd7384e23acc196661348a54c3cd463e23c72da41bfde2190cbb2240",
+    "star-lb(2,8,1,3)/0.05":
+        "f50cb08209b091720a8c9c72af83c6213e463221eefefde778f493a38af7a981",
+    "prop1(8,0.05)/0.2":
+        "96e8d361ec1d465f52b743595a9b46bc91fa71c98300db604ca648336091ba1b",
+    "prop1(8,0.05)/0.1":
+        "c3617e5e3d3aa60da506490ffa354e69bd7fdc0a30cec5f3f6f25e6d0cbad01a",
+    "prop1(8,0.05)/0.05":
+        "68082f1ac92cefc477ed6d2dba2bb13584bdd0fba960116de5f27b1a15644d8b",
+}
+
+
+def _sweep_instance(name: str) -> amdl.MDLInstance:
+    fam = SWEEP_FAMILIES[name]
+    return FamilySpec(fam["family"], dict(fam["params"])).generate()
+
+
+def _large_eps_run(inst: amdl.MDLInstance, eps: float, seed: int):
+    """One trial of `active-dd-large` exactly as `run_trials` starts it."""
+    cfg = SolverConfig(eps=eps, delta=DELTA, nu=float(inst.nu_exact()),
+                       **PROFILES[SWEEP["profile"]])
+    d = amdl.vc_dimension(inst.hypothesis_class).value
+    return active.active_large_eps(inst, OracleSet(inst, seed), eps, DELTA, cfg, d=d)
+
+
+def test_sweep_cells_cover_the_config():
+    assert SWEEP["algs"].count("active-dd-large") == 1
+    assert SWEEP["delta"] == DELTA and SWEEP["profile"] == "desk"
+    assert sorted(SWEEP_RECORD_SHA256) == sorted(f"{n}/{e}" for n, e in SWEEP_CELLS)
+
+
+@pytest.mark.parametrize("name,eps", SWEEP_CELLS)
+def test_sweep_large_eps_record_bytes(name, eps):
+    cfg = RunConfig(alg="active-dd-large", eps=eps, delta=DELTA, trials=len(SEEDS),
+                    base_seed=SEEDS[0], profile=SWEEP["profile"],
+                    instance=_sweep_instance(name))
+    recs = run_trials(cfg)
+    assert _sha256(records_to_csv(recs).encode()) == SWEEP_RECORD_SHA256[f"{name}/{eps}"]
+
+
+@pytest.mark.parametrize("name,eps", SWEEP_CELLS)
+def test_sweep_large_eps_version_spaces(name, eps):
+    inst = _sweep_instance(name)
+    kept = []
+    for seed in SEEDS:
+        res = _large_eps_run(inst, eps, seed)
+        kept.append((seed, res.failure_mode, res.metadata.get("version_spaces"),
+                     res.trace))
+    digest = _sha256(repr(kept).encode())
+    assert digest == SWEEP_VERSION_SPACE_SHA256[f"{name}/{eps}"]
+
+
+def test_sweep_large_eps_keeps_hypotheses_at_the_radius(monkeypatch):
+    """On star-lb(2,8,1,3) at eps=0.1 some hypotheses sit exactly at the
+    pruning radius 2 eps_n of the epoch mixture (epochs 3 and 4); the test
+    is `rho <= 2 eps_n`, so every one of them survives the epoch."""
+    inst = _sweep_instance("star-lb(2,8,1,3)")
+    cls = inst.hypothesis_class
+    for seed in SEEDS:
+        solves = []
+
+        def capture(cls_, V, *args, _solve=active.mdl_hedge_vc, **kw):
+            res = _solve(cls_, V, *args, **kw)
+            solves.append((tuple(V), res.hypothesis))
+            return res
+
+        monkeypatch.setattr(active, "mdl_hedge_vc", capture)
+        run = _large_eps_run(inst, 0.1, seed)
+        monkeypatch.undo()
+        spaces = run.metadata["version_spaces"]
+        ties = []
+        for n, ((V, mix), kept) in enumerate(zip(solves, spaces), start=1):
+            bound = 2 * Fraction(2) ** -n
+            rho = {h: max(disagreement_exact(cls[h], mix, D) for D in inst.distributions)
+                   for h in V}
+            assert kept == tuple(h for h in V if rho[h] <= bound)
+            at_bound = [h for h in V if rho[h] == bound]
+            assert set(at_bound) <= set(kept)
+            ties.append(len(at_bound))
+        assert ties == [0, 0, 7, 9], seed
