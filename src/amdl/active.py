@@ -75,16 +75,18 @@ def _result(oracles: OracleSet, **kw) -> ActiveRunResult:
                            **kw)
 
 
-def _rho_exact_to_mixture(inst: MDLInstance, h_idx: int,
-                          mix: RandomizedHypothesis) -> Fraction:
-    """max_i of the support-count-weighted mean disagreement, all exact."""
-    out = Fraction(0)
-    for i in range(inst.k):
-        acc = Fraction(0)
-        for idx, cnt in mix.counts:
-            acc += cnt * inst.pair_disagreement_exact(h_idx, idx, i)
-        out = max(out, Fraction(acc, mix.total))
-    return out
+def _within_radius(inst: MDLInstance, h_idx: int, mix: RandomizedHypothesis,
+                   bound: Fraction) -> bool:
+    """Exact test of max_i rho_i(h, mix) <= bound, where rho_i is the
+    support-count-weighted mean disagreement under distribution i.  rho_i is
+    an integer over mix.total * _mden of distribution i, so the test
+    cross-multiplies Python ints and builds no Fraction."""
+    for i, dist in enumerate(inst.distributions):
+        acc = sum(cnt * inst.pair_disagreement_num(h_idx, idx, i)
+                  for idx, cnt in mix.counts)
+        if acc * bound.denominator > bound.numerator * mix.total * dist._mden:
+            return False
+    return True
 
 
 def _max_dis_mass(inst: MDLInstance, version_space: Sequence[int]) -> Fraction:
@@ -127,7 +129,7 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
         res: HedgeResult = mdl_hedge_vc(cls, V, fam, inner, k, d)
         h_n = res.hypothesis
         bound = Fraction(2) * Fraction(eps_n)
-        V_new = [h for h in V if _rho_exact_to_mixture(inst, h, h_n) <= bound]
+        V_new = [h for h in V if _within_radius(inst, h, h_n, bound)]
         if not set(V_new) <= set(V):
             raise ContractViolation(f"epoch {n} version space is not nested")
         labels_epoch = oracles.ledger.label_total - labels_before
@@ -143,7 +145,7 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
         if prev_dis is not None and not dis_now <= prev_dis:
             raise ContractViolation(f"epoch {n} disagreement region grew")
         prev_dis = dis_now
-        if any(_rho_exact_to_mixture(inst, h, h_n) > bound for h in V_new):
+        if not all(_within_radius(inst, h, h_n, bound) for h in V_new):
             raise ContractViolation(f"epoch {n} kept a hypothesis outside radius 2 eps_n")
         V = V_new
         version_spaces.append(tuple(V))

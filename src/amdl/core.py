@@ -269,7 +269,7 @@ class MDLInstance:
     distributions: list[LabeledDistribution]
     declared_nu: float | None = None
     metadata: dict = field(default_factory=dict)
-    _pair_dis_cache: dict = field(default_factory=dict, repr=False, init=False)
+    _pair_num_cache: dict = field(default_factory=dict, repr=False, init=False)
     _best: tuple[int, Fraction] | None = field(default=None, repr=False, init=False)
 
     def __post_init__(self):
@@ -314,19 +314,24 @@ class MDLInstance:
     def nu_exact(self) -> Fraction:
         return self._best_pair()[1]
 
-    def pair_disagreement_exact(self, ia: int, ib: int, i: int) -> Fraction:
-        """Exact rho_i between class members ia, ib (cached)."""
+    def pair_disagreement_num(self, ia: int, ib: int, i: int) -> int:
+        """Numerator of the exact rho_i between class members ia, ib over
+        distribution i's common marginal denominator `_mden` (cached)."""
         if ia == ib:
-            return Fraction(0)
+            return 0
         key = (min(ia, ib), max(ia, ib), i)
-        got = self._pair_dis_cache.get(key)
+        got = self._pair_num_cache.get(key)
         if got is None:
             la = self.hypothesis_class.labels[ia]
             lb = self.hypothesis_class.labels[ib]
-            pts = np.nonzero(la != lb)[0]
-            got = self.distributions[i].mass_exact(int(x) for x in pts)
-            self._pair_dis_cache[key] = got
+            mnum = self.distributions[i]._mnum
+            got = sum(mnum[x] for x in np.nonzero(la != lb)[0].tolist())
+            self._pair_num_cache[key] = got
         return got
+
+    def pair_disagreement_exact(self, ia: int, ib: int, i: int) -> Fraction:
+        """Exact rho_i between class members ia, ib."""
+        return Fraction(self.pair_disagreement_num(ia, ib, i), self.distributions[i]._mden)
 
 
 def worst_loss(h: HypothesisLike, inst: MDLInstance) -> float:
@@ -412,33 +417,6 @@ def mixture_distribution(dists: Sequence[LabeledDistribution],
             num[x] += px * d.eta_plus[x]
     eta = [num[x] / marg[x] if marg[x] else Fraction(0) for x in range(m)]
     return LabeledDistribution(marg, eta)
-
-
-def induced_distribution(dist: LabeledDistribution, cls: HypothesisClass,
-                         version_space: Sequence[int]) -> LabeledDistribution:
-    """Closed form of the version-space-imputed distribution.
-
-    Keeps the marginal; on the agreement region the label is deterministically
-    the unanimous prediction, on the disagreement region the conditional is
-    untouched.
-    """
-    lab = agreement_labels(cls, version_space)
-    eta = [dist.eta_plus[x] if lab[x] == 0 else Fraction(1 if lab[x] > 0 else 0)
-           for x in range(dist.m)]
-    return LabeledDistribution(dist.marginal, eta)
-
-
-def imputed_distribution(dist: LabeledDistribution, outputs: Sequence[int]) -> LabeledDistribution:
-    """Closed form of the abstaining-classifier-imputed distribution.
-
-    `outputs[x]` in {-1,+1,0}; labels are imputed wherever the classifier
-    commits, and untouched where it abstains.
-    """
-    if len(outputs) != dist.m:
-        raise ContractViolation("classifier outputs must cover the feature space")
-    eta = [dist.eta_plus[x] if outputs[x] == 0 else Fraction(1 if outputs[x] > 0 else 0)
-           for x in range(dist.m)]
-    return LabeledDistribution(dist.marginal, eta)
 
 
 # ---------------------------------------------------------------------------

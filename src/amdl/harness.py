@@ -69,6 +69,8 @@ class RunConfig:
             raise ContractViolation("trials must be >= 1")
         if self.profile not in PROFILES:
             raise ContractViolation(f"unknown profile {self.profile!r}")
+        if self.workers < 1:
+            raise ContractViolation(f"workers must be >= 1, got {self.workers}")
 
     def load(self) -> MDLInstance:
         if self.instance is None:

@@ -27,15 +27,13 @@ separate `draw` calls in index order would.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (ContractViolation, HypothesisClass, LabeledDistribution,
-                   MDLInstance, agreement_labels, disagreement_region)
+from .core import ContractViolation, MDLInstance, agreement_labels
 
 
 class DegenerateAgreementRegion(RuntimeError):
@@ -381,27 +379,3 @@ def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
             _check_surrogate_sample(sample)
             sources.append(partial(oracles._surrogate_pairs, dis_mask, sample, i))
     return SamplerFamily(sources, "surrogate")
-
-
-# -- closed-form pmfs of the sampled distributions (for verification) ---------
-
-
-def surrogate_joint_exact(dist: LabeledDistribution, cls: HypothesisClass,
-                          version_space: Sequence[int],
-                          sample: tuple[np.ndarray, np.ndarray]) -> dict[tuple[int, int], Fraction]:
-    """Exact joint pmf of the surrogate distribution given the realized S_i:
-    the raw joint restricted to DIS(V0) plus Pr[AGR(V0)] times the empirical
-    distribution of S_i."""
-    dis = set(int(x) for x in disagreement_region(cls, version_space))
-    out: dict[tuple[int, int], Fraction] = {}
-    joint = dist.joint_exact()
-    for (x, y), p in joint.items():
-        if x in dis:
-            out[(x, y)] = out.get((x, y), Fraction(0)) + p
-    agr_mass = 1 - dist.mass_exact(dis)
-    sx, sy = sample
-    n = sx.size
-    for x, y in zip(sx, sy):
-        key = (int(x), int(y))
-        out[key] = out.get(key, Fraction(0)) + agr_mass * Fraction(1, n)
-    return out

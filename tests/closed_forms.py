@@ -1,0 +1,62 @@
+"""Closed-form pmfs of the distributions the label-efficient samplers draw
+from: the version-space-imputed, abstain-imputed and surrogate laws.
+
+The lab never needs them at run time; the tests compare empirical draws
+against them.
+"""
+
+from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
+
+from amdl.core import (ContractViolation, HypothesisClass, LabeledDistribution,
+                       agreement_labels, disagreement_region)
+
+
+def induced_distribution(dist: LabeledDistribution, cls: HypothesisClass,
+                         version_space: Sequence[int]) -> LabeledDistribution:
+    """Closed form of the version-space-imputed distribution.
+
+    Keeps the marginal; on the agreement region the label is deterministically
+    the unanimous prediction, on the disagreement region the conditional is
+    untouched.
+    """
+    lab = agreement_labels(cls, version_space)
+    eta = [dist.eta_plus[x] if lab[x] == 0 else Fraction(1 if lab[x] > 0 else 0)
+           for x in range(dist.m)]
+    return LabeledDistribution(dist.marginal, eta)
+
+
+def imputed_distribution(dist: LabeledDistribution, outputs: Sequence[int]) -> LabeledDistribution:
+    """Closed form of the abstaining-classifier-imputed distribution.
+
+    `outputs[x]` in {-1,+1,0}; labels are imputed wherever the classifier
+    commits, and untouched where it abstains.
+    """
+    if len(outputs) != dist.m:
+        raise ContractViolation("classifier outputs must cover the feature space")
+    eta = [dist.eta_plus[x] if outputs[x] == 0 else Fraction(1 if outputs[x] > 0 else 0)
+           for x in range(dist.m)]
+    return LabeledDistribution(dist.marginal, eta)
+
+
+def surrogate_joint_exact(dist: LabeledDistribution, cls: HypothesisClass,
+                          version_space: Sequence[int],
+                          sample: tuple[np.ndarray, np.ndarray]) -> dict[tuple[int, int], Fraction]:
+    """Exact joint pmf of the surrogate distribution given the realized S_i:
+    the raw joint restricted to DIS(V0) plus Pr[AGR(V0)] times the empirical
+    distribution of S_i."""
+    dis = set(int(x) for x in disagreement_region(cls, version_space))
+    out: dict[tuple[int, int], Fraction] = {}
+    joint = dist.joint_exact()
+    for (x, y), p in joint.items():
+        if x in dis:
+            out[(x, y)] = out.get((x, y), Fraction(0)) + p
+    agr_mass = 1 - dist.mass_exact(dis)
+    sx, sy = sample
+    n = sx.size
+    for x, y in zip(sx, sy):
+        key = (int(x), int(y))
+        out[key] = out.get(key, Fraction(0)) + agr_mass * Fraction(1, n)
+    return out

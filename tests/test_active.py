@@ -4,12 +4,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amdl
 from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
-                  LabeledDistribution, MDLInstance, OracleSet, SolverConfig)
-from amdl.active import (EpochSchedule, active_large_eps, active_small_eps,
-                         regime_dispatch, write_epoch_trace)
+                  LabeledDistribution, MDLInstance, OracleSet,
+                  RandomizedHypothesis, SolverConfig)
+from amdl.active import (EpochSchedule, _within_radius, active_large_eps,
+                         active_small_eps, regime_dispatch, write_epoch_trace)
+from amdl.core import disagreement_exact
 
 from conftest import one_point_instance
 
@@ -68,6 +72,31 @@ def test_version_spaces_nested_and_radius_bound(desk_knobs):
     assert sizes == [len(V) for V in spaces]
     masses = [row[3] for row in res.trace]
     assert all(a >= b for a, b in zip(masses, masses[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.data())
+def test_radius_predicate_matches_fraction_arithmetic(seed, data):
+    inst = amdl.gen_random(6, 10, 3, seed=seed)
+    cls = inst.hypothesis_class
+    n = len(cls)
+    for a in range(n):
+        for b in range(n):
+            for i, D in enumerate(inst.distributions):
+                assert inst.pair_disagreement_exact(a, b, i) == \
+                    disagreement_exact(cls[a], cls[b], D)
+    support = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    mix = RandomizedHypothesis(cls, support)
+    tiny = Fraction(1, 10 ** 12)
+    for h in range(n):
+        rhos = [disagreement_exact(cls[h], mix, D) for D in inst.distributions]
+        rho = max(rhos)
+        # every rho_i, so the bound meets the max exactly and falls below it;
+        # just off the max on either side; and the epoch radii 2 * 2^-n
+        bounds = set(rhos) | {rho - tiny, rho + tiny}
+        bounds |= {2 * Fraction(2) ** -e for e in range(1, 7)}
+        for bound in bounds:
+            assert _within_radius(inst, h, mix, bound) == (rho <= bound), (h, bound)
 
 
 def test_realizable_labeling_hypothesis_survives(desk_knobs):

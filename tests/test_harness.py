@@ -52,6 +52,13 @@ def test_run_config_validation():
         RunConfig(alg="passive-naive", eps=0.1, delta=0.1, profile="warp")
 
 
+@pytest.mark.parametrize("workers", [0, -1, -8])
+def test_run_config_refuses_workers_below_one(workers):
+    # a non-positive worker count used to run the trials serially, unnoticed
+    with pytest.raises(ContractViolation, match="workers"):
+        RunConfig(alg="passive-naive", eps=0.1, delta=0.1, workers=workers)
+
+
 def test_all_algorithms_produce_records():
     inst = amdl.gen_agnostic_lb(2, 0.4, 0.05)
     for alg in ("active-dd-large", "active-dd-small", "active-dd-auto",

@@ -7,7 +7,12 @@ import pytest
 
 import amdl
 
-CHECKED_MODULES = ("hedge.py", "active.py", "harness.py", "complexity.py", "rpu.py")
+CHECKED_MODULES = sorted(path.name for path in Path(amdl.__file__).parent.glob("*.py"))
+
+
+def test_every_module_is_checked():
+    for name in ("core.py", "hedge.py", "active.py", "harness.py", "cli.py"):
+        assert name in CHECKED_MODULES
 
 
 def _raises_assertion_error(node: ast.AST) -> bool:

@@ -12,10 +12,11 @@ import amdl
 from amdl import (ContractViolation, DegenerateAgreementRegion, FeatureSpace,
                   Hypothesis, HypothesisClass, LabeledDistribution, MDLInstance,
                   OracleSet)
-from amdl.core import imputed_distribution, induced_distribution, loss_exact
+from amdl.core import loss_exact
 from amdl.harness import RunConfig, _instance_stats, run_single_trial, run_trials
-from amdl.oracles import surrogate_joint_exact
 
+from closed_forms import (imputed_distribution, induced_distribution,
+                          surrogate_joint_exact)
 from conftest import empirical_tv, two_point_instance
 
 

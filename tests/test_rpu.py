@@ -10,12 +10,12 @@ import pytest
 import amdl
 from amdl import (AbstainingClassifier, ContractViolation, OracleSet,
                   SolverConfig)
-from amdl.core import imputed_distribution
 from amdl.oracles import imputed_family
 from amdl.rpu import (active_dist_free, batch_size, passive_rpu_mdl,
                       robust_rpu_learn, rpu_report, threshold_majority,
                       write_df_trace)
 
+from closed_forms import imputed_distribution
 from conftest import empirical_tv
 
 
