@@ -54,7 +54,6 @@ def test_run_config_validation():
 
 @pytest.mark.parametrize("workers", [0, -1, -8])
 def test_run_config_refuses_workers_below_one(workers):
-    # a non-positive worker count used to run the trials serially, unnoticed
     with pytest.raises(ContractViolation, match="workers"):
         RunConfig(alg="passive-naive", eps=0.1, delta=0.1, workers=workers)
 
