@@ -8,6 +8,11 @@ to how a loss is rounded changes a digest; a pure speed-up must not.
 The `active-dd-large` cells of `configs/sweep_scaling.json` are pinned as
 well, with the version spaces and epoch trace each run keeps, so the exact
 radius test that prunes them cannot drift, ties at the bound included.
+
+The solver's own outputs that no record shows (reward and store draws,
+store sizes, play counts, traced weight rows, ledger and transcript) are
+pinned per sampler family on every acceptance instance and on prop1 at k=8,
+where numpy sums the weights pairwise.
 """
 
 import hashlib
@@ -15,6 +20,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import amdl
@@ -199,3 +205,84 @@ def test_sweep_large_eps_keeps_hypotheses_at_the_radius(monkeypatch):
             assert set(at_bound) <= set(kept)
             ties.append(len(at_bound))
         assert ties == [0, 0, 7, 9], seed
+
+
+# -- the solver's own outputs ------------------------------------------------------
+
+# every acceptance instance of CELLS at its cell's eps, plus prop1 at k=8
+HEDGE_INSTANCES = {
+    "prop1(4,0.1)": (lambda: amdl.gen_prop1(4, 0.1), 0.1),
+    "example1(0.2,0.05,a)": (lambda: amdl.gen_example1(0.2, 0.05, "a"), 0.05),
+    "example1(0.2,0.05,b)": (lambda: amdl.gen_example1(0.2, 0.05, "b"), 0.05),
+    "star-lb(2,4,1,1)": (lambda: amdl.gen_star_lb(2, 4, 1, 1), 0.1),
+    "agnostic-lb(4,0.4,0.05)": (lambda: amdl.gen_agnostic_lb(4, 0.4, 0.05), 0.05),
+    "prop1(8,0.05)": (lambda: amdl.gen_prop1(8, 0.05), 0.1),
+}
+
+
+def _imputed_outputs(inst: amdl.MDLInstance) -> np.ndarray:
+    # the first hypothesis' labels, abstaining on every third point
+    out = inst.hypothesis_class.labels[0].copy()
+    out[::3] = 0
+    return out
+
+
+def _surrogate_sample(inst: amdl.MDLInstance):
+    # every point once, labeled by the last hypothesis
+    return (np.arange(inst.m, dtype=np.int64), inst.hypothesis_class.labels[-1].copy())
+
+
+HEDGE_FAMILIES = {
+    "plain": lambda o, inst, V: amdl.plain_family(o),
+    "induced": lambda o, inst, V: amdl.induced_family(o, V),
+    "imputed": lambda o, inst, V: amdl.imputed_family(o, _imputed_outputs(inst)),
+    "surrogate": lambda o, inst, V: amdl.surrogate_family(
+        o, V, [_surrogate_sample(inst)] * inst.k),
+    "surrogate-none": lambda o, inst, V: amdl.surrogate_family(
+        o, V, [None] + [_surrogate_sample(inst)] * (inst.k - 1)),
+}
+
+HEDGE_RESULT_SHA256 = {
+    "imputed":
+        "da8d1b8decf2c806a8e1a7905823954f8723676ad6804de6f2de821ac2406f5a",
+    "induced":
+        "a4f0b0d21a383941e440949f72595a4d95e4fa85258832e4fc5f2305ceab06af",
+    "plain":
+        "bc7da663f97401346e546f68050fa9098ac58e2e4e4249eddf15bfacefe38b72",
+    "surrogate":
+        "817ce3765f1797a3e60f9cb4f9710778ad2b3221edfc87c822773c126d7d2e23",
+    "surrogate-none":
+        "dc745b762b1777a8abd1e4100c2b8fe677c49248ac17acfe1fd18485935c88f8",
+}
+
+
+def _hedge_fields(inst: amdl.MDLInstance, eps: float, kind: str, seed: int) -> dict:
+    """Every HedgeResult field the record digests do not cover, from one
+    traced solve, with the ledger it left."""
+    cls = inst.hypothesis_class
+    V = tuple(range(len(cls)))
+    cfg = SolverConfig(eps=eps, delta=DELTA, nu=float(inst.nu_exact()), **PROFILES["desk"])
+    d = amdl.vc_dimension(cls).value
+    o = OracleSet(inst, seed, log_transcript=True)
+    res = amdl.mdl_hedge_vc(cls, V, HEDGE_FAMILIES[kind](o, inst, V), cfg, inst.k, d,
+                            collect_trace=True)
+    return {
+        "rounds": res.rounds,
+        "reward_draws": [int(v) for v in res.reward_draws],
+        "store_draws": [int(v) for v in res.store_draws],
+        "store_sizes": [int(v) for v in res.store_sizes],
+        "play_counts": sorted(res.play_counts.items()),
+        "support": list(res.hypothesis.support_indices),
+        "trace": [(int(t), [float(v) for v in w], float(l1), int(n))
+                  for t, w, l1, n in res.trace],
+        "labels": o.ledger.label_queries.tolist(),
+        "unlabeled": o.ledger.unlabeled_draws.tolist(),
+        "transcript": [tuple(int(v) for v in row) for row in o.ledger.transcript],
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(HEDGE_FAMILIES))
+def test_hedge_result_fields(kind):
+    got = [(name, seed, _hedge_fields(gen(), eps, kind, seed))
+           for name, (gen, eps) in sorted(HEDGE_INSTANCES.items()) for seed in SEEDS]
+    assert _sha256(json.dumps(got).encode()) == HEDGE_RESULT_SHA256[kind]
