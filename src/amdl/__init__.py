@@ -14,8 +14,7 @@ from .oracles import (DegenerateAgreementRegion, OracleSet, QueryLedger,
                       SamplerFamily, imputed_family, induced_family,
                       plain_family, surrogate_family)
 from .hedge import (HedgeResult, HedgeState, SolverConfig, hedge_step,
-                    hyperparams, mdl_hedge_vc, naive_erm_baseline,
-                    weighted_erm)
+                    hyperparams, mdl_hedge_vc, naive_erm_baseline)
 from .active import (ActiveRunResult, EpochSchedule, active_large_eps,
                      active_small_eps, regime_dispatch)
 from .rpu import (AbstainingClassifier, RpuReport, active_dist_free, batch_size,

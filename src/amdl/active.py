@@ -4,7 +4,10 @@ algorithm (large target error) and the two-stage agreement-querying algorithm
 
 Version-space updates compare exact disagreement masses against the epoch
 radius, so the deterministic invariants (nested version spaces, retained
-hypotheses within radius) hold bit-for-bit and are checked every epoch.
+hypotheses within radius) hold bit-for-bit.  Nesting and the shrinking
+disagreement region are checked every epoch; the radius holds by
+construction of the filter, and the tests check it with `Fraction`
+arithmetic apart from the integer predicate.
 """
 
 from __future__ import annotations
@@ -145,8 +148,6 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
         if prev_dis is not None and not dis_now <= prev_dis:
             raise ContractViolation(f"epoch {n} disagreement region grew")
         prev_dis = dis_now
-        if not all(_within_radius(inst, h, h_n, bound) for h in V_new):
-            raise ContractViolation(f"epoch {n} kept a hypothesis outside radius 2 eps_n")
         V = V_new
         version_spaces.append(tuple(V))
         trace.append((n, eps_n, len(V), float(_max_dis_mass(inst, V)),

@@ -10,9 +10,9 @@ import sys
 from .complexity import (disagreement_coefficient, star_number,
                          star_number_unqualified, vc_dimension)
 from .core import best_nu, load_instance, save_instance
-from .families import FamilySpec
-from .harness import (PROFILES, RunConfig, records_to_csv, report, run_trials,
-                      sweep, sweep_from_csv, sweep_to_csv)
+from .families import FAMILIES, FamilySpec
+from .harness import (ALGORITHMS, PROFILES, RunConfig, records_to_csv, report,
+                      run_trials, sweep, sweep_from_csv, sweep_to_csv)
 
 
 def _parse_knobs(pairs: list[str]) -> dict:
@@ -126,8 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a benchmark instance file")
-    g.add_argument("--family", required=True,
-                   choices=("prop1", "star-lb", "agnostic-lb", "example1", "random"))
+    g.add_argument("--family", required=True, choices=FAMILIES)
     g.add_argument("--k", type=int)
     g.add_argument("--eps", type=float)
     g.add_argument("--nu", type=float)
@@ -155,9 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="metered trials of one algorithm on one instance")
     r.add_argument("--instance", required=True)
-    r.add_argument("--alg", required=True,
-                   choices=("active-dd-large", "active-dd-small", "active-dd-auto",
-                            "active-df", "passive-hedge", "passive-naive"))
+    r.add_argument("--alg", required=True, choices=ALGORITHMS)
     r.add_argument("--eps", type=float, required=True)
     r.add_argument("--delta", type=float, default=0.1)
     r.add_argument("--trials", type=int, default=1)

@@ -69,65 +69,81 @@ def hyperparams(cfg: SolverConfig, k: int, d: int) -> tuple[float, float, int, i
     return eps1, eta, T, T1
 
 
+def _fold_max(acc: list[float], w: list[float]) -> list[float]:
+    """Elementwise max, as np.maximum gives it for non-NaN floats."""
+    return [a if a >= b else b for a, b in zip(acc, w)]
+
+
 @dataclass
 class HedgeState:
-    """Column-player bookkeeping: weights, doubled thresholds, running maxima."""
+    """Column-player bookkeeping: weights, doubled thresholds, running maxima.
+
+    The k-vectors are Python floats.  `w_arr` holds the weights `w` as the
+    array numpy normalized them into, which is what the ERM scores read."""
 
     k: int
     t: int = 0
-    log_w: np.ndarray = field(init=False)
-    w: np.ndarray = field(init=False)
-    w_hat: np.ndarray = field(init=False)
-    w_bar: np.ndarray = field(init=False)
-    n_counts: np.ndarray = field(init=False)
+    log_w: list[float] = field(init=False)
+    w: list[float] = field(init=False)
+    w_arr: np.ndarray = field(init=False)
+    w_hat: list[float] = field(init=False)
+    w_bar: list[float] = field(init=False)
 
     def __post_init__(self):
-        self.log_w = np.zeros(self.k)
-        self.w = np.full(self.k, 1.0 / self.k)
-        self.w_hat = np.zeros(self.k)
-        self.w_bar = np.zeros(self.k)
-        self.n_counts = np.zeros(self.k, dtype=np.int64)
+        self.log_w = [0.0] * self.k
+        self.w_arr = np.full(self.k, 1.0 / self.k)
+        self.w = self.w_arr.tolist()
+        self.w_hat = [0.0] * self.k
+        self.w_bar = [0.0] * self.k
 
     def normalized(self) -> np.ndarray:
-        z = self.log_w - self.log_w.max()
-        e = np.exp(z)
+        # np.exp and the (pairwise, for k >= 8) np.sum fix the rounding
+        top = max(self.log_w)
+        e = np.exp([v - top for v in self.log_w])
         return e / e.sum()
 
 
-def hedge_step(state: HedgeState, r_hat: np.ndarray, eta: float) -> HedgeState:
+def hedge_step(state: HedgeState, r_hat: Sequence[float], eta: float) -> HedgeState:
     """Multiplicative update W_i <- W_i e^{eta r_i} (log-space), renormalize,
     and fold the new weight vector into the running maxima."""
-    r = np.asarray(r_hat, dtype=float)
-    if not (r.min() >= 0 and r.max() <= 1):   # also refuses NaN
-        raise ContractViolation("reward estimates must lie in [0,1]")
-    state.log_w = state.log_w + eta * r
-    state.w = state.normalized()
-    state.w_bar = np.maximum(state.w_bar, state.w)
+    if len(r_hat) != state.k or not all(0.0 <= r <= 1.0 for r in r_hat):   # refuses NaN
+        raise ContractViolation("reward estimates must be k values in [0,1]")
+    state.log_w = [v + eta * r for v, r in zip(state.log_w, r_hat)]
+    state.w_arr = state.normalized()
+    state.w = state.w_arr.tolist()
+    state.w_bar = _fold_max(state.w_bar, state.w)
     state.t += 1
-    if not abs(state.w.sum() - 1.0) <= WEIGHT_SUM_TOL:
+    if not abs(math.fsum(state.w) - 1.0) <= WEIGHT_SUM_TOL:
         raise ContractViolation("Hedge weights no longer sum to one")
     return state
 
 
-def weighted_erm(cls: HypothesisClass, store: Sequence[tuple[np.ndarray, np.ndarray]],
-                 w: np.ndarray, n: np.ndarray,
-                 candidates: Sequence[int] | None = None) -> int:
-    """argmin over the class of sum_i (w_i / n_i) sum_{j<=n_i} loss on the j-th
-    stored example of distribution i; ties broken by class order.  Returns the
-    class index."""
-    idxs = list(candidates) if candidates is not None else list(range(len(cls)))
-    k = len(store)
-    scores = np.zeros(len(idxs))
-    for i in range(k):
-        if w[i] == 0 and n[i] == 0:
-            continue
-        if n[i] == 0:
-            raise ContractViolation(f"distribution {i} has positive weight but no samples")
-        xs, ys = store[i]
-        xs, ys = xs[: int(n[i])], ys[: int(n[i])]
-        err = (cls.labels[np.ix_(idxs, xs)] != ys).sum(axis=1)
-        scores += (w[i] / n[i]) * err
-    return idxs[int(np.argmin(scores))]
+class PooledStore:
+    """The row player's pooled sample store, kept as per-distribution sample
+    counts and mistake counts of every candidate.
+
+    `err[i, j]` counts the mistakes of candidate j on the samples stored for
+    distribution i, so the weighted ERM is one weighted sum per call."""
+
+    def __init__(self, labels: np.ndarray, k: int):
+        self.labels = labels                  # candidates x points
+        self.n = np.zeros(k, dtype=np.int64)
+        self.err = np.zeros((k, len(labels)), dtype=np.int64)
+        self._empty = k                       # distributions with no samples
+
+    def add(self, i: int, xs: np.ndarray, ys: np.ndarray) -> None:
+        if self.n[i] == 0 and xs.size:
+            self._empty -= 1
+        self.err[i] += (self.labels[:, xs] != ys).sum(axis=1)
+        self.n[i] += xs.size
+
+    def erm(self, w: np.ndarray) -> int:
+        """argmin over candidates j of sum_i (w_i / n_i) err[i, j], ties to the
+        first candidate.  Hedge weights are positive, so every distribution
+        must hold samples."""
+        if self._empty:
+            raise ContractViolation("a distribution has positive weight but no samples")
+        return int(((w / self.n) @ self.err).argmin())
 
 
 @dataclass
@@ -158,53 +174,45 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
         raise ContractViolation("solver needs a non-empty candidate set")
     eps1, eta, T, T1 = hyperparams(cfg, k, d)
     state = HedgeState(k)
-    store: list[list] = [[np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8)]
-                         for _ in range(k)]
-    err_counts = np.zeros((k, len(V)), dtype=np.int64)
-    sub_labels = cls.labels[V]
+    store = PooledStore(cls.labels[V], k)
+    rows = store.labels.tolist()
     play_counts: dict[int, int] = {}
-    reward_draws = np.zeros(k, dtype=np.int64)
-    store_draws = np.zeros(k, dtype=np.int64)
+    reward_draws = [0] * k
+    doubled = [0.0] * k        # 2 * w_hat, the doubling thresholds
     trace = [] if collect_trace else None
 
     for _ in range(T):
         # hedge_step leaves state.w normalized and checks its sum
         w = state.w
-        if (w >= 2.0 * state.w_hat).any():
-            state.w_hat = np.maximum(state.w_hat, w)
-            for i in range(k):
-                target = math.ceil(T1 * state.w_hat[i])
-                if target > state.n_counts[i]:
-                    grow = target - int(state.n_counts[i])
-                    xs, ys = sampler.draw(i, grow)
-                    store[i][0] = np.concatenate([store[i][0], xs])
-                    store[i][1] = np.concatenate([store[i][1], ys])
-                    err_counts[i] += (sub_labels[:, xs] != ys).sum(axis=1)
-                    state.n_counts[i] = target
-                    store_draws[i] += grow
-            if not np.all(w < 2.0 * state.w_hat + 1e-15):
+        if any(a >= b for a, b in zip(w, doubled)):
+            state.w_hat = _fold_max(state.w_hat, w)
+            for i, v in enumerate(state.w_hat):
+                grow = math.ceil(T1 * v) - int(store.n[i])
+                if grow > 0:
+                    store.add(i, *sampler.draw(i, grow))
+            doubled = [2.0 * v for v in state.w_hat]
+            if not all(a < b + 1e-15 for a, b in zip(w, doubled)):
                 raise ContractViolation("doubling rule left a weight above twice its threshold")
-        scores = (w / state.n_counts) @ err_counts
-        local = int(scores.argmin())
+        local = store.erm(state.w_arr)
         h_index = V[local]
         play_counts[h_index] = play_counts.get(h_index, 0) + 1
-        state.w_bar = np.maximum(state.w_bar, w)
+        state.w_bar = _fold_max(state.w_bar, w)
         # reward: the played hypothesis' empirical loss on ceil(k * w_bar_i)
         # fresh draws from each distribution, unbiased for the sampled one
-        counts = np.ceil(k * state.w_bar).astype(np.int64)
-        r = sampler.round_losses(cls.labels[h_index], counts)
-        reward_draws += counts
+        counts = [math.ceil(k * v) for v in state.w_bar]
+        r = sampler.round_losses(rows[local], counts)
+        reward_draws = [a + b for a, b in zip(reward_draws, counts)]
         if trace is not None:
-            trace.append((state.t + 1, w.copy(), float(state.w_bar.sum()),
-                          int(state.n_counts.sum())))
+            trace.append((state.t + 1, state.w_arr, float(np.sum(state.w_bar)),
+                          int(store.n.sum())))
         hedge_step(state, r, eta)
 
     support: list[int] = []
     for idx, cnt in sorted(play_counts.items()):
         support.extend([idx] * cnt)
     final = RandomizedHypothesis(cls, support)
-    return HedgeResult(final, T, state.n_counts.copy(), reward_draws, store_draws,
-                       play_counts, trace)
+    return HedgeResult(final, T, store.n.copy(), np.array(reward_draws, dtype=np.int64),
+                       store.n.copy(), play_counts, trace)
 
 
 def naive_erm_baseline(inst: MDLInstance, oracles: OracleSet, eps: float, delta: float,

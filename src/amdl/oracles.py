@@ -22,10 +22,20 @@ from distribution i takes, from stream i,
 A request reads no other stream, so a solver round may serve its k requests
 in one call (`SamplerFamily.round_losses`) and consume exactly what k
 separate `draw` calls in index order would.
+
+Two paths keep that order.  `draw`, store growth and the public `*_batch`
+samplers work on numpy arrays.  A solver round is a handful of pairs, so
+`round_losses` runs on Python scalars instead: each family has a scalar
+round source that reads the same variates through the stream's float view,
+finds a point by `bisect_right` on the cdf (as `searchsorted(side="right")`
+does), labels it +1 when `u < eta_plus[x]`, and picks surrogate element
+`min(int(u * size), size - 1)`.  Both paths give the same pairs, ledger
+counts and transcript lines.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -41,15 +51,41 @@ class DegenerateAgreementRegion(RuntimeError):
 
 
 class _Uniforms:
-    """Buffered uniform(0,1) source over one Generator; deterministic blocks."""
+    """Buffered uniform(0,1) source over one Generator; deterministic blocks.
 
-    __slots__ = ("rng", "buf", "pos", "block")
+    `take` serves arrays and `floats` Python floats from one position, so
+    any mix of requests reads the generator's variates in order.  `floats`
+    reads a list mirror of at most `block` buffered values, never of a whole
+    oversized refill."""
+
+    __slots__ = ("rng", "buf", "pos", "block", "_mirror", "_mirror_pos")
 
     def __init__(self, rng: np.random.Generator, block: int = 4096):
         self.rng = rng
-        self.buf = rng.random(block)
-        self.pos = 0
         self.block = block
+        self.refill(block)
+
+    def refill(self, size: int) -> None:
+        """Replace the buffer with the generator's next `size` variates."""
+        self.buf = self.rng.random(size)
+        self.pos = 0
+        self._mirror: list[float] = []
+        self._mirror_pos = 0     # buffer position of _mirror[0]
+
+    def floats(self, n: int) -> list[float]:
+        """The next n variates as Python floats: the values `take(n)` would
+        return."""
+        pos = self.pos
+        off = pos - self._mirror_pos
+        end = off + n
+        if end > len(self._mirror):
+            if n > self.block or pos + n > self.buf.size:
+                return self.take(n).tolist()
+            self._mirror = self.buf[pos:pos + self.block].tolist()
+            self._mirror_pos = pos
+            off, end = 0, n
+        self.pos = pos + n
+        return self._mirror[off:end]
 
     def take(self, n: int) -> np.ndarray:
         """The next n variates: a view of the buffer when it holds them (not
@@ -64,8 +100,7 @@ class _Uniforms:
         while got < n:
             avail = self.buf.size - self.pos
             if avail == 0:
-                self.buf = self.rng.random(max(self.block, n - got))
-                self.pos = 0
+                self.refill(max(self.block, n - got))
                 avail = self.buf.size
             use = min(avail, n - got)
             out[got:got + use] = self.buf[self.pos:self.pos + use]
@@ -101,6 +136,12 @@ class QueryLedger:
 _SIGN = np.array([-1, 1], dtype=np.int8)   # _SIGN[u < eta_plus[x]] is the label
 
 
+def _imputed_view(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An abstaining classifier's outputs as (abstains, labels)."""
+    outs = np.asarray(outputs, dtype=np.int8)
+    return outs == 0, outs
+
+
 def _check_surrogate_sample(sample: tuple[np.ndarray, np.ndarray]) -> None:
     if sample[0].size == 0:
         raise ContractViolation("surrogate sampling needs a non-empty pre-labeled sample")
@@ -118,6 +159,8 @@ class OracleSet:
         self._aux = _Uniforms(np.random.default_rng(children[k]))
         self._cdf = [d.cdf for d in instance.distributions]
         self._eta = [d.eta_f for d in instance.distributions]
+        self._cdf_list = [c.tolist() for c in self._cdf]
+        self._eta_list = [e.tolist() for e in self._eta]
         self.ledger = QueryLedger(k, log_transcript)
         self._view_cache: dict = {}
 
@@ -164,21 +207,14 @@ class OracleSet:
         xs = self._points(i, n)
         return xs, self._labels_for(i, xs)
 
-    def _induced_pairs(self, view: tuple[np.ndarray, np.ndarray], i: int,
-                       n: int) -> tuple[np.ndarray, np.ndarray]:
-        dis_mask, agr = view
+    def _imputing_pairs(self, view: tuple[np.ndarray, np.ndarray], i: int,
+                        n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Induced and imputed sampling: a label query where `dis_mask[x]`,
+        the imputed label `labels[x]` elsewhere."""
+        dis_mask, labels = view
         xs = self._points(i, n)
-        ys = agr[xs]
+        ys = labels[xs]
         need = dis_mask[xs]
-        if need.any():
-            ys[need] = self._labels_for(i, xs[need])
-        return xs, ys
-
-    def _imputed_pairs(self, outputs: np.ndarray, i: int,
-                       n: int) -> tuple[np.ndarray, np.ndarray]:
-        xs = self._points(i, n)
-        ys = outputs[xs]
-        need = ys == 0
         if need.any():
             ys[need] = self._labels_for(i, xs[need])
         return xs, ys
@@ -199,6 +235,54 @@ class OracleSet:
             xs[resample] = sx[idx]
             ys[resample] = sy[idx]
         return xs, ys
+
+    # -- per-family scalar round sources: the mistakes of the label row `row`
+    # on the pairs the primitive above would draw, on Python scalars
+
+    def _point_list(self, i: int, n: int) -> list[int]:
+        cdf = self._cdf_list[i]
+        xs = [bisect_right(cdf, u) for u in self._streams[i].floats(n)]
+        self.ledger.unlabeled_draws[i] += n
+        return xs
+
+    def _label_list(self, i: int, xs: list[int]) -> list[int]:
+        n = len(xs)
+        eta = self._eta_list[i]
+        ys = [1 if u < eta[x] else -1 for x, u in zip(xs, self._streams[i].floats(n))]
+        ledger = self.ledger
+        ledger.label_queries[i] += n
+        if ledger.log_transcript:
+            cum = int(ledger.label_queries.sum())
+            ledger.transcript.extend(zip(repeat(i, n), xs, ys, range(cum - n + 1, cum + 1)))
+        return ys
+
+    def _plain_errors(self, i: int, row: Sequence[int], n: int) -> int:
+        xs = self._point_list(i, n)
+        return sum(row[x] != y for x, y in zip(xs, self._label_list(i, xs)))
+
+    def _imputing_errors(self, dis: list[bool], labels: list[int], i: int,
+                         row: Sequence[int], n: int) -> int:
+        xs = self._point_list(i, n)
+        need = [x for x in xs if dis[x]]
+        errors = sum(row[x] != labels[x] for x in xs if not dis[x])
+        if need:
+            errors += sum(row[x] != y for x, y in zip(need, self._label_list(i, need)))
+        return errors
+
+    def _surrogate_errors(self, dis: list[bool], sample: tuple[list[int], list[int]],
+                          i: int, row: Sequence[int], n: int) -> int:
+        sx, sy = sample
+        xs = self._point_list(i, n)
+        need = [x for x in xs if dis[x]]
+        errors = 0
+        if need:
+            errors = sum(row[x] != y for x, y in zip(need, self._label_list(i, need)))
+        if len(need) < n:
+            size = len(sx)
+            for u in self._streams[i].floats(n - len(need)):
+                j = min(int(u * size), size - 1)
+                errors += row[sx[j]] != sy[j]
+        return errors
 
     def draw_labeled_batch(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Plain labeled sampling: every pair costs one label query."""
@@ -225,7 +309,7 @@ class OracleSet:
         """Version-space-imputed sampling: query only inside DIS(V), impute the
         unanimous label outside."""
         self._check_index(i)
-        return self._induced_pairs(self._vs_view(version_space), i, n)
+        return self._imputing_pairs(self._vs_view(version_space), i, n)
 
     def sample_induced(self, i: int, version_space: Sequence[int]) -> tuple[int, int]:
         xs, ys = self.sample_induced_batch(i, version_space, 1)
@@ -236,7 +320,7 @@ class OracleSet:
         """Abstaining-classifier-imputed sampling: query only where the
         classifier abstains."""
         self._check_index(i)
-        return self._imputed_pairs(np.asarray(outputs, dtype=np.int8), i, n)
+        return self._imputing_pairs(_imputed_view(outputs), i, n)
 
     def sample_imputed(self, i: int, outputs: np.ndarray) -> tuple[int, int]:
         xs, ys = self.sample_imputed_batch(i, outputs, 1)
@@ -274,8 +358,7 @@ class OracleSet:
         got = 0
         while got < n:
             if stream.pos == stream.buf.size:
-                stream.buf = stream.rng.random(max(stream.block, 2 * (n - got)))
-                stream.pos = 0
+                stream.refill(max(stream.block, 2 * (n - got)))
             block = stream.buf[stream.pos:]
             xs = np.searchsorted(d.cdf, block, side="right").astype(np.int64)
             acc = ~dis_mask[xs]
@@ -307,19 +390,26 @@ class OracleSet:
 # -- sampler families ---------------------------------------------------------
 
 PairSource = Callable[[int], tuple[np.ndarray, np.ndarray]]
+RoundSource = Callable[[Sequence[int], int], int]
 
 
 class SamplerFamily:
     """A per-distribution (x, y) source injected into the solvers.
 
     `draw(i, n)` returns n pairs from distribution i; `round_losses` serves a
-    whole solver round in one call.  `calls[i]` counts pairs drawn, which lets
-    the solvers reconcile their own accounting against the ledger.
+    whole solver round in one call, from `rounds[i]`, which counts the
+    mistakes of a label row on the pairs `sources[i]` would draw.  `calls[i]`
+    counts pairs drawn, which lets the solvers reconcile their own accounting
+    against the ledger.
     """
 
-    def __init__(self, sources: Sequence[PairSource], kind: str):
+    def __init__(self, sources: Sequence[PairSource], rounds: Sequence[RoundSource],
+                 kind: str):
+        if len(rounds) != len(sources):
+            raise ContractViolation("a family needs one round source per pair source")
         self.k = len(sources)
         self._sources = tuple(sources)
+        self._rounds = tuple(rounds)
         self.kind = kind
         self.calls = np.zeros(self.k, dtype=np.int64)
 
@@ -329,17 +419,14 @@ class SamplerFamily:
         self.calls[i] += n
         return self._sources[i](n)
 
-    def round_losses(self, row: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Empirical loss of the label row `row` on counts[i] fresh pairs from
-        each distribution i, unbiased for the sampled distribution.  The pairs
-        are exactly those of `draw(i, counts[i])` for i = 0..k-1 in turn."""
-        ns = counts.tolist()
-        if len(ns) != self.k or min(ns) < 1:
+    def round_losses(self, row: Sequence[int], counts: Sequence[int]) -> list[float]:
+        """Empirical loss of the label row `row` (a list of +-1 per point) on
+        counts[i] fresh pairs from each distribution i, unbiased for the
+        sampled distribution.  The pairs are exactly those of
+        `draw(i, counts[i])` for i = 0..k-1 in turn."""
+        if len(counts) != self.k or min(counts) < 1:
             raise ContractViolation("a round needs at least one draw from every distribution")
-        losses = np.empty(self.k)
-        for i, (source, n) in enumerate(zip(self._sources, ns)):
-            xs, ys = source(n)
-            losses[i] = np.count_nonzero(row[xs] != ys) / n
+        losses = [errors(row, n) / n for errors, n in zip(self._rounds, counts)]
         self.calls += counts
         return losses
 
@@ -349,20 +436,26 @@ class SamplerFamily:
 
 
 def plain_family(oracles: OracleSet) -> SamplerFamily:
-    return SamplerFamily([partial(oracles._plain_pairs, i)
-                          for i in range(oracles.instance.k)], "plain")
+    ks = range(oracles.instance.k)
+    return SamplerFamily([partial(oracles._plain_pairs, i) for i in ks],
+                         [partial(oracles._plain_errors, i) for i in ks], "plain")
+
+
+def _imputing_family(oracles: OracleSet, view: tuple[np.ndarray, np.ndarray],
+                     kind: str) -> SamplerFamily:
+    dis, labels = view[0].tolist(), view[1].tolist()
+    ks = range(oracles.instance.k)
+    return SamplerFamily([partial(oracles._imputing_pairs, view, i) for i in ks],
+                         [partial(oracles._imputing_errors, dis, labels, i) for i in ks],
+                         kind)
 
 
 def induced_family(oracles: OracleSet, version_space: Sequence[int]) -> SamplerFamily:
-    view = oracles._vs_view(version_space)
-    return SamplerFamily([partial(oracles._induced_pairs, view, i)
-                          for i in range(oracles.instance.k)], "induced")
+    return _imputing_family(oracles, oracles._vs_view(version_space), "induced")
 
 
 def imputed_family(oracles: OracleSet, outputs: np.ndarray) -> SamplerFamily:
-    outs = np.asarray(outputs, dtype=np.int8)
-    return SamplerFamily([partial(oracles._imputed_pairs, outs, i)
-                          for i in range(oracles.instance.k)], "imputed")
+    return _imputing_family(oracles, _imputed_view(outputs), "imputed")
 
 
 def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
@@ -371,11 +464,15 @@ def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
     region has zero mass there, in which case the surrogate equals the raw
     distribution and fresh labeled draws are used (flagged by the caller)."""
     dis_mask, _ = oracles._vs_view(version_space)
-    sources = []
+    dis = dis_mask.tolist()
+    sources, rounds = [], []
     for i, sample in enumerate(samples):
         if sample is None:
             sources.append(partial(oracles._plain_pairs, i))
+            rounds.append(partial(oracles._plain_errors, i))
         else:
             _check_surrogate_sample(sample)
             sources.append(partial(oracles._surrogate_pairs, dis_mask, sample, i))
-    return SamplerFamily(sources, "surrogate")
+            pairs = (sample[0].tolist(), sample[1].tolist())
+            rounds.append(partial(oracles._surrogate_errors, dis, pairs, i))
+    return SamplerFamily(sources, rounds, "surrogate")

@@ -1,7 +1,9 @@
 """Distribution-dependent active learners."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,12 @@ import amdl
 from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, OracleSet,
                   RandomizedHypothesis, SolverConfig)
+from amdl import active
 from amdl.active import (EpochSchedule, _within_radius, active_large_eps,
                          active_small_eps, regime_dispatch, write_epoch_trace)
 from amdl.core import disagreement_exact
+from amdl.families import FamilySpec
+from amdl.harness import PROFILES
 
 from conftest import one_point_instance
 
@@ -97,6 +102,46 @@ def test_radius_predicate_matches_fraction_arithmetic(seed, data):
         bounds |= {2 * Fraction(2) ** -e for e in range(1, 7)}
         for bound in bounds:
             assert _within_radius(inst, h, mix, bound) == (rho <= bound), (h, bound)
+
+
+SWEEP = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                    / "sweep_scaling.json").read_text())
+
+
+@pytest.mark.parametrize("eps", SWEEP["eps_grid"])
+@pytest.mark.parametrize("family", SWEEP["families"], ids=lambda f: f["family"])
+def test_kept_members_lie_within_the_epoch_radius(monkeypatch, family, eps):
+    """The radius invariant of active_large_eps, checked apart from the
+    integer predicate that prunes: every member an epoch keeps has
+    max_i rho_i(h, h_n) <= 2 eps_n for that epoch's mixture h_n, evaluated
+    with core.disagreement_exact on the active-dd-large sweep cells."""
+    inst = FamilySpec(family["family"], dict(family["params"])).generate()
+    cls = inst.hypothesis_class
+    cfg = SolverConfig(eps=eps, delta=SWEEP["delta"], nu=float(inst.nu_exact()),
+                       **PROFILES[SWEEP["profile"]])
+    d = amdl.vc_dimension(cls).value
+    for seed in (0, 1):
+        solves = []
+
+        def capture(cls_, V, *args, _solve=active.mdl_hedge_vc, **kw):
+            res = _solve(cls_, V, *args, **kw)
+            solves.append((tuple(V), res.hypothesis))
+            return res
+
+        monkeypatch.setattr(active, "mdl_hedge_vc", capture)
+        run = active_large_eps(inst, OracleSet(inst, seed), eps, SWEEP["delta"], cfg, d=d)
+        monkeypatch.undo()
+        # epoch n keeps what epoch n + 1 solves over; the last epoch keeps
+        # the final version space, or nothing when the space collapsed
+        final = run.metadata["final_version_space"] if run.ok else ()
+        kept = [V for V, _ in solves[1:]] + [final]
+        if run.ok:
+            assert kept == run.metadata["version_spaces"]
+        for n, ((_, mix), members) in enumerate(zip(solves, kept), start=1):
+            bound = 2 * Fraction(2) ** -n
+            for h in members:
+                assert max(disagreement_exact(cls[h], mix, D)
+                           for D in inst.distributions) <= bound, (seed, n, h)
 
 
 def test_realizable_labeling_hypothesis_survives(desk_knobs):

@@ -213,6 +213,17 @@ def test_cli_sweep_and_report(tmp_path):
     assert (outdir / "success_vs_eps.csv").exists()
 
 
+def test_cli_choices_are_the_registries():
+    # the parser takes its choices from the registries, not from copies
+    from amdl.cli import build_parser
+    from amdl.families import FAMILIES
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    opts = {(cmd, act.dest): act.choices for cmd, parser in sub.choices.items()
+            for act in parser._actions}
+    assert opts[("run", "alg")] is amdl.ALGORITHMS
+    assert opts[("gen", "family")] is FAMILIES
+
+
 def test_run_transcript_emission(tmp_path):
     path = tmp_path / "audit.log"
     cfg = _prop1_cfg(trials=2, trace=True, transcript_path=str(path))

@@ -9,8 +9,8 @@ import pytest
 import amdl
 from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, OracleSet, SolverConfig)
-from amdl.hedge import (HedgeState, hedge_step, hyperparams, mdl_hedge_vc,
-                        naive_erm_baseline, weighted_erm)
+from amdl.hedge import (HedgeState, PooledStore, hedge_step, hyperparams, mdl_hedge_vc,
+                        naive_erm_baseline)
 from amdl.oracles import plain_family
 
 from conftest import one_point_instance
@@ -81,58 +81,94 @@ def test_hedge_step_uniform_rewards_cancel():
     assert np.allclose(state.w, 0.25, atol=1e-15)
 
 
+# the solver passes round_losses' list of floats; arrays are refused alike
+BAD_REWARDS = [[1.2, 0.0], [0.0, -0.1], [0.5, float("inf")], [0.5], [0.5, 0.5, 0.5]]
+
+
+def _refuses(rewards) -> None:
+    for r in (rewards, np.array(rewards)):
+        state = HedgeState(2)
+        with pytest.raises(ContractViolation):
+            hedge_step(state, r, eta=0.1)
+        assert state.t == 0 and state.log_w == [0.0, 0.0]
+
+
 def test_hedge_step_rejects_out_of_range_rewards():
+    for rewards in BAD_REWARDS:
+        _refuses(rewards)
+
+
+def test_hedge_step_rejects_nan_rewards():
+    _refuses([float("nan"), 0.0])
+    _refuses([0.3, float("nan")])
+
+
+def test_hedge_step_folds_the_running_maxima():
     state = HedgeState(2)
-    with pytest.raises(ContractViolation):
-        hedge_step(state, np.array([1.2, 0.0]), eta=0.1)
+    hedge_step(state, [1.0, 0.0], eta=0.5)
+    hedge_step(state, [0.0, 1.0], eta=2.0)
+    assert state.w == state.w_arr.tolist() and state.t == 2
+    first = math.exp(0.5) / (math.exp(0.5) + 1)
+    assert state.w_bar[0] == pytest.approx(first, abs=1e-15)
+    assert state.w_bar[1] == max(state.w[1], 1 - first)
+
+
+# the solver's weighted ERM: PooledStore keeps mistake counts as the store grows
+
+def _store(cls: HypothesisClass, samples) -> PooledStore:
+    store = PooledStore(cls.labels, len(samples))
+    for i, (xs, ys) in enumerate(samples):
+        if xs:
+            store.add(i, np.array(xs), np.array(ys, dtype=np.int8))
+    return store
 
 
 def test_weighted_erm_consistent_sample():
     inst = one_point_instance()
-    cls = inst.hypothesis_class
-    store = [(np.array([0, 0, 0]), np.array([1, 1, 1], dtype=np.int8))]
-    idx = weighted_erm(cls, store, np.array([1.0]), np.array([3]))
-    assert idx == 0  # the all-plus hypothesis fits perfectly
+    store = _store(inst.hypothesis_class, [([0, 0, 0], [1, 1, 1])])
+    assert store.erm(np.array([1.0])) == 0  # the all-plus hypothesis fits perfectly
 
 
 def test_weighted_erm_hand_built_store():
     cls = HypothesisClass([Hypothesis([1, 1]), Hypothesis([-1, 1])])
     # dist 0: two samples, one error for h0 at point 0 labeled -1
     # dist 1: one sample at point 1 labeled +1 (no errors for either)
-    store = [(np.array([0, 0]), np.array([-1, 1], dtype=np.int8)),
-             (np.array([1]), np.array([1], dtype=np.int8))]
-    w = np.array([0.5, 0.5])
-    n = np.array([2, 1])
+    store = _store(cls, [([0, 0], [-1, 1]), ([1], [1])])
+    assert store.n.tolist() == [2, 1] and store.err.tolist() == [[1, 1], [0, 0]]
     # hand evaluation: h0 score 0.5*(1/2) = 0.25; h1 score 0.5*(1/2) = 0.25 -> tie -> h0
-    assert weighted_erm(cls, store, w, n) == 0
-    # reweighting the first distribution breaks the tie toward h1 when its
-    # single error there is cheaper: give h1 two errors on dist 1
-    store = [(np.array([0, 0]), np.array([-1, 1], dtype=np.int8)),
-             (np.array([1, 1]), np.array([-1, -1], dtype=np.int8))]
-    n = np.array([2, 2])
-    # h0: 0.5*(1/2) + 0.5*1 = 0.75 ; h1: 0.5*(1/2) + 0.5*1 = 0.75 -> tie -> 0
-    assert weighted_erm(cls, store, w, n) == 0
+    assert store.erm(np.array([0.5, 0.5])) == 0
+    # two more samples per distribution, added in steps: h0 errs on both
+    # new dist-0 samples, h1 on neither; both err on both new dist-1 samples
+    store.add(0, np.array([0]), np.array([-1], dtype=np.int8))
+    store.add(0, np.array([0]), np.array([-1], dtype=np.int8))
+    store.add(1, np.array([1, 1]), np.array([-1, -1], dtype=np.int8))
+    assert store.n.tolist() == [4, 3] and store.err.tolist() == [[3, 1], [2, 2]]
+    # h0: 0.5*(3/4) + 0.5*(2/3) ; h1: 0.5*(1/4) + 0.5*(2/3) -> h1
+    assert store.erm(np.array([0.5, 0.5])) == 1
+    # all weight on dist 1, where both err twice: tie -> h0
+    assert store.erm(np.array([0.0, 1.0])) == 0
 
 
 def test_weighted_erm_tie_breaks_by_class_order():
     cls = HypothesisClass([Hypothesis([1]), Hypothesis([-1])])
-    store = [(np.array([0, 0]), np.array([1, -1], dtype=np.int8))]
-    assert weighted_erm(cls, store, np.array([1.0]), np.array([2])) == 0
+    store = _store(cls, [([0, 0], [1, -1])])
+    assert store.erm(np.array([1.0])) == 0
 
 
 def test_weighted_erm_requires_samples_for_weighted_dist():
     cls = HypothesisClass([Hypothesis([1])])
-    store = [(np.empty(0, dtype=int), np.empty(0, dtype=np.int8))]
     with pytest.raises(ContractViolation):
-        weighted_erm(cls, store, np.array([1.0]), np.array([0]))
+        _store(cls, [([], [])]).erm(np.array([1.0]))
+    with pytest.raises(ContractViolation):
+        _store(cls, [([0], [1]), ([], [])]).erm(np.array([0.5, 0.5]))
 
 
 def test_round_losses_realizable_is_zero():
     inst = one_point_instance()
     o = OracleSet(inst, seed=0)
     fam = plain_family(o)
-    r = fam.round_losses(inst.hypothesis_class.labels[0], np.array([1]))
-    assert r.tolist() == [0.0]
+    r = fam.round_losses(inst.hypothesis_class.labels[0].tolist(), [1])
+    assert r == [0.0]
     assert fam.calls.tolist() == [1] and o.ledger.label_total == 1
 
 
@@ -142,10 +178,10 @@ def test_round_losses_sample_count_and_noise_rate():
     inst = MDLInstance(FeatureSpace(1), cls, [dist])
     o = OracleSet(inst, seed=0)
     fam = plain_family(o)
-    counts = np.array([math.ceil(5 * 0.6)])  # the solver's ceil(k * w_bar_i)
+    counts = [math.ceil(5 * 0.6)]  # the solver's ceil(k * w_bar_i)
     total, rounds = 0.0, 3000
     for _ in range(rounds):
-        total += fam.round_losses(cls.labels[0], counts)[0]
+        total += fam.round_losses(cls.labels[0].tolist(), counts)[0]
     assert o.ledger.label_total == fam.total_calls == 3 * rounds
     assert abs(total / rounds - 0.5) < 0.02
 
@@ -154,13 +190,7 @@ def test_round_losses_refuses_an_empty_count():
     inst = amdl.gen_prop1(3, 0.2)
     fam = plain_family(OracleSet(inst, seed=0))
     with pytest.raises(ContractViolation):
-        fam.round_losses(inst.hypothesis_class.labels[0], np.array([1, 0, 1]))
-
-
-def test_hedge_step_rejects_nan_rewards():
-    state = HedgeState(2)
-    with pytest.raises(ContractViolation):
-        hedge_step(state, np.array([np.nan, 0.0]), eta=0.1)
+        fam.round_losses(inst.hypothesis_class.labels[0].tolist(), [1, 0, 1])
 
 
 def _alternation_instance(gamma: Fraction) -> MDLInstance:

@@ -1,5 +1,6 @@
 """Metered oracles and label-efficient samplers."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -330,32 +331,67 @@ _SAMPLE = (np.array([2, 3, 2], dtype=np.int64), np.array([1, -1, -1], dtype=np.i
 FAMILY_BUILDERS = {
     "plain": lambda o: amdl.plain_family(o),
     "induced": lambda o: amdl.induced_family(o, (0, 1)),
-    "imputed": lambda o: amdl.imputed_family(o, np.array([0, 1, 0, -1], dtype=np.int8)),
-    "surrogate": lambda o: amdl.surrogate_family(o, (0, 1), [_SAMPLE] * 3),
-    "surrogate-none": lambda o: amdl.surrogate_family(o, (0, 1), [_SAMPLE, None, _SAMPLE]),
+    "imputed": lambda o: amdl.imputed_family(
+        o, np.resize(np.array([0, 1, 0, -1], dtype=np.int8), o.instance.m)),
+    "surrogate": lambda o: amdl.surrogate_family(o, (0, 1), [_SAMPLE] * o.instance.k),
+    "surrogate-none": lambda o: amdl.surrogate_family(
+        o, (0, 1), [None if i == 1 else _SAMPLE for i in range(o.instance.k)]),
 }
 
-# per-round reward counts; the 5000 forces every stream across a buffer refill
-ROUND_COUNTS = [(1, 1, 1), (2, 3, 1), (4, 4, 4), (5000, 1, 3), (1, 2, 2), (3, 1, 5000)]
+TWIN_INSTANCES = {
+    "three": _three_distribution_fixture,
+    "prop1-k8": lambda: amdl.gen_prop1(8, 0.05),
+}
+
+
+def _round_counts(k: int) -> list[tuple[int, ...]]:
+    """Per-round reward counts: a 5000 crosses a buffer refill within one
+    request; the 700s carry every stream's running total across the next
+    4096-variate boundaries in requests that each fit one block."""
+    small = [tuple((3 * t + i) % 4 + 1 for i in range(k)) for t in range(4)]
+    big = [tuple(5000 if i == t else 1 for i in range(k)) for t in range(2)]
+    return small + big + [(700,) * k] * 6 + small
+
+
+def _start_streams(o: OracleSet, start: str) -> None:
+    if start == "agreement":
+        # a long rejection run: each stream ends on an oversized refill
+        for i in range(o.instance.k):
+            o.sample_conditional_agreement(i, (0, 1), 20_000)
+    elif start == "large-buffer":
+        # part-way into an oversized buffer, as the rejection loop leaves a
+        # stream between its refill of 2 (n - got) variates and its cut
+        for stream in o._streams:
+            stream.refill(3 * stream.block + 11)
+            stream.take(5)
 
 
 @pytest.mark.parametrize("log_transcript", [False, True])
 @pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
 def test_round_losses_equals_k_draws_on_a_twin(kind, log_transcript):
-    inst = _three_distribution_fixture()
+    for name, start in itertools.product(sorted(TWIN_INSTANCES),
+                                         ("fresh", "agreement", "large-buffer")):
+        _check_twin_rounds(TWIN_INSTANCES[name](), kind, log_transcript, start)
+
+
+def _check_twin_rounds(inst: MDLInstance, kind: str, log_transcript: bool,
+                       start: str) -> None:
     labels = inst.hypothesis_class.labels
     fused_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
     twin_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
+    _start_streams(fused_o, start)
+    _start_streams(twin_o, start)
     fused = FAMILY_BUILDERS[kind](fused_o)
     twin = FAMILY_BUILDERS[kind](twin_o)
-    for t, counts in enumerate(ROUND_COUNTS):
+    for t, counts in enumerate(_round_counts(inst.k)):
         row = labels[t % len(labels)]
-        got = fused.round_losses(row, np.array(counts, dtype=np.int64))
+        got = fused.round_losses(row.tolist(), list(counts))
         want = []
         for i, n in enumerate(counts):
             xs, ys = twin.draw(i, n)
             want.append(float((row[xs] != ys).mean()))
-        assert got.tolist() == want
+        assert got == want
+        assert all(len(a._mirror) <= a.block for a in fused_o._streams)
     assert fused.calls.tolist() == twin.calls.tolist()
     assert fused_o.ledger.label_queries.tolist() == twin_o.ledger.label_queries.tolist()
     assert fused_o.ledger.unlabeled_draws.tolist() == twin_o.ledger.unlabeled_draws.tolist()
@@ -375,6 +411,41 @@ def test_uniform_take_matches_one_generator_run():
     got = np.concatenate([src.take(n).copy() for n in (3, 5, 0, 2, 20, 1, 7)])
     want = np.random.default_rng(5).random(got.size)
     assert np.array_equal(got, want)
+
+
+def test_uniform_floats_match_take_and_mirror_at_most_one_block():
+    # floats and take interleaved on one source read what take alone reads
+    # on a twin, across refills and an oversized buffer; the float mirror
+    # never holds more than one block
+    from amdl.oracles import _Uniforms
+    src = _Uniforms(np.random.default_rng(9), block=16)
+    twin = _Uniforms(np.random.default_rng(9), block=16)
+    plan = [("f", 3), ("t", 2), ("f", 16), ("f", 1), ("refill", 200), ("f", 5),
+            ("f", 16), ("t", 7), ("f", 17), ("f", 0), ("f", 40), ("f", 150),
+            ("f", 4), ("f", 30), ("t", 9), ("f", 12)]
+    for op, n in plan:
+        if op == "refill":
+            src.refill(n)
+            twin.refill(n)
+            continue
+        want = twin.take(n).tolist()
+        got = src.floats(n) if op == "f" else src.take(n).tolist()
+        assert got == want and all(type(v) is float for v in got)
+        assert len(src._mirror) <= src.block
+        assert src.pos == twin.pos and src.buf is not twin.buf
+        assert np.array_equal(src.buf, twin.buf)
+
+
+def test_float_mirror_stays_small_after_a_long_agreement_run():
+    inst = _three_distribution_fixture()
+    o = OracleSet(inst, seed=4)
+    xs, _ = o.sample_conditional_agreement(2, (0, 1), 300_000)
+    stream = o._streams[2]
+    assert xs.size == 300_000 and stream.buf.size > 10 * stream.block
+    fam = amdl.plain_family(o)
+    for _ in range(50):
+        fam.round_losses(inst.hypothesis_class.labels[0].tolist(), [1, 2, 3])
+        assert len(stream._mirror) <= stream.block
 
 
 def test_sampler_family_refuses_bad_index():
