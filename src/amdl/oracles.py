@@ -269,7 +269,7 @@ class OracleSet:
             errors += sum(row[x] != y for x, y in zip(need, self._label_list(i, need)))
         return errors
 
-    def _surrogate_errors(self, dis: list[bool], sample: tuple[list[int], list[int]],
+    def _surrogate_errors(self, dis: list[bool], sample: tuple[memoryview, memoryview],
                           i: int, row: Sequence[int], n: int) -> int:
         sx, sy = sample
         xs = self._point_list(i, n)
@@ -473,6 +473,9 @@ def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
         else:
             _check_surrogate_sample(sample)
             sources.append(partial(oracles._surrogate_pairs, dis_mask, sample, i))
-            pairs = (sample[0].tolist(), sample[1].tolist())
+            # S_i may hold hundreds of thousands of pairs and a round picks a
+            # few: index the arrays through memoryviews, which yield Python
+            # ints without copying
+            pairs = (memoryview(sample[0]), memoryview(sample[1]))
             rounds.append(partial(oracles._surrogate_errors, dis, pairs, i))
     return SamplerFamily(sources, rounds, "surrogate")
