@@ -244,15 +244,15 @@ HEDGE_FAMILIES = {
 
 HEDGE_RESULT_SHA256 = {
     "imputed":
-        "da8d1b8decf2c806a8e1a7905823954f8723676ad6804de6f2de821ac2406f5a",
+        "1c5440d7d3d83f27b33a3a5ff6841e045b264e7f834743ac1e18382b35370487",
     "induced":
-        "a4f0b0d21a383941e440949f72595a4d95e4fa85258832e4fc5f2305ceab06af",
+        "ca35830a3e719273e89546330b9187e2c11957bfae31408a9ab49fbb21dda579",
     "plain":
-        "bc7da663f97401346e546f68050fa9098ac58e2e4e4249eddf15bfacefe38b72",
+        "d900a3c3c43d555d56e50ea3f4f90e59dcbf0bf40b1d46c92ce1824de910d785",
     "surrogate":
-        "817ce3765f1797a3e60f9cb4f9710778ad2b3221edfc87c822773c126d7d2e23",
+        "24900ee0dc5df831611e782b8b11b934ebc4b4c34992a6a6f323217cf9e314b3",
     "surrogate-none":
-        "dc745b762b1777a8abd1e4100c2b8fe677c49248ac17acfe1fd18485935c88f8",
+        "b0eba312f1ab548b5d3f97921a4ead688c384b2948796cd3d9455c63b864f19e",
 }
 
 
@@ -270,7 +270,6 @@ def _hedge_fields(inst: amdl.MDLInstance, eps: float, kind: str, seed: int) -> d
         "rounds": res.rounds,
         "reward_draws": [int(v) for v in res.reward_draws],
         "store_draws": [int(v) for v in res.store_draws],
-        "store_sizes": [int(v) for v in res.store_sizes],
         "play_counts": sorted(res.play_counts.items()),
         "support": list(res.hypothesis.support_indices),
         "trace": [(int(t), [float(v) for v in w], float(l1), int(n))
