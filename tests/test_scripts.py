@@ -1,0 +1,35 @@
+"""The maintenance scripts under scripts/ run against the current API."""
+
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# `calibrate_profile.py --trials 2` under the desk profile, less the
+# machine-dependent t/trial column
+CALIBRATE_TWO_TRIALS = """\
+knobs: {'c_t': 3e-05, 'c_t1': 0.0001, 'c_eta': 50.0, 'c_eps1': 100.0, 'c_n': 0.1, 'c_naive': 1.0}
+prop1 k=4 alg1           ok 2/2 fails 0 worst_err 0.1000 bound 0.2000 margin +0.1000 labels 132
+example1-a alg3          ok 2/2 fails 0 worst_err 0.2343 bound 0.4000 margin +0.1657 labels 156892
+example1-b alg3          ok 2/2 fails 0 worst_err 0.3054 bound 0.4500 margin +0.1446 labels 176540
+star-lb alg6             ok 2/2 fails 0 worst_err 0.0000 bound 0.1000 margin +0.1000 labels 146700
+agnostic alg5            ok 2/2 fails 0 worst_err 0.2107 bound 0.3500 margin +0.1393 labels 5588
+agnostic alg3            ok 2/2 fails 0 worst_err 0.2023 bound 0.3500 margin +0.1477 labels 313712
+"""
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_calibrate_profile_output(monkeypatch, capsys):
+    script = _load_script("calibrate_profile")
+    monkeypatch.setattr(sys, "argv", ["calibrate_profile.py", "--trials", "2"])
+    script.main()
+    out = re.sub(r" t/trial \S+", "", capsys.readouterr().out)
+    assert out == CALIBRATE_TWO_TRIALS
