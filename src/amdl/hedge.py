@@ -150,7 +150,6 @@ class PooledStore:
 class HedgeResult:
     hypothesis: RandomizedHypothesis
     rounds: int
-    store_sizes: np.ndarray
     reward_draws: np.ndarray
     store_draws: np.ndarray
     play_counts: dict[int, int]
@@ -211,8 +210,8 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     for idx, cnt in sorted(play_counts.items()):
         support.extend([idx] * cnt)
     final = RandomizedHypothesis(cls, support)
-    return HedgeResult(final, T, store.n.copy(), np.array(reward_draws, dtype=np.int64),
-                       store.n.copy(), play_counts, trace)
+    return HedgeResult(final, T, np.array(reward_draws, dtype=np.int64), store.n.copy(),
+                       play_counts, trace)
 
 
 def naive_erm_baseline(inst: MDLInstance, oracles: OracleSet, eps: float, delta: float,
