@@ -8,33 +8,33 @@ import time
 import numpy as np
 
 import amdl
-from amdl.active import active_large_eps, active_small_eps
-from amdl.harness import PROFILES
-from amdl.hedge import SolverConfig, mdl_hedge_vc
-from amdl.oracles import OracleSet, plain_family
-from amdl.rpu import active_dist_free
+from amdl.harness import PROFILES, RunConfig, run_trials
+
+# (row name, instance builder, algorithm tag, eps)
+SUITES = (
+    ("prop1 k=4 alg1", lambda: amdl.gen_prop1(4, 0.1), "active-dd-large", 0.1),
+    ("example1-a alg3", lambda: amdl.gen_example1(0.2, 0.05, "a"), "active-dd-small", 0.05),
+    ("example1-b alg3", lambda: amdl.gen_example1(0.2, 0.05, "b"), "active-dd-small", 0.05),
+    ("star-lb alg6", lambda: amdl.gen_star_lb(2, 4, 1, 1), "active-df", 0.1),
+    ("agnostic alg5", lambda: amdl.gen_agnostic_lb(4, 0.4, 0.05), "passive-hedge", 0.05),
+    ("agnostic alg3", lambda: amdl.gen_agnostic_lb(4, 0.4, 0.05), "active-dd-small", 0.05),
+)
 
 
-def bench(name, inst, runner, trials, eps):
-    nu = float(inst.nu_exact())
+def bench(name, inst, alg, eps, trials, knobs):
     t0 = time.perf_counter()
-    ok, errs, labels = 0, [], []
-    fails = 0
-    for seed in range(trials):
-        o = OracleSet(inst, seed)
-        out, lab = runner(inst, o, seed)
-        if out is None:
-            fails += 1
-            continue
-        wl = amdl.worst_loss(out, inst)
-        errs.append(wl)
-        labels.append(lab)
-        ok += wl <= nu + eps + 1e-12
+    recs = run_trials(RunConfig(alg=alg, eps=eps, delta=0.1, trials=trials,
+                                knobs=knobs, instance=inst))
     dt = (time.perf_counter() - t0) / trials
-    margin = (nu + eps) - np.max(errs) if errs else float("nan")
-    print(f"{name:24s} ok {ok}/{trials} fails {fails} "
+    bound = recs[0].nu + eps
+    done = [r for r in recs if not r.failure_mode]
+    errs = [r.achieved_err for r in done]
+    labels = [r.labels_total for r in done]
+    ok = sum(r.success for r in recs)
+    margin = bound - np.max(errs) if errs else float("nan")
+    print(f"{name:24s} ok {ok}/{trials} fails {trials - len(done)} "
           f"worst_err {np.max(errs) if errs else float('nan'):.4f} "
-          f"bound {nu + eps:.4f} margin {margin:+.4f} "
+          f"bound {bound:.4f} margin {margin:+.4f} "
           f"labels {np.mean(labels) if labels else 0:.0f} t/trial {dt:.2f}s")
 
 
@@ -51,40 +51,8 @@ def main():
         if v is not None:
             kn[knob] = v
     print("knobs:", kn)
-    trials = args.trials
-
-    inst = amdl.gen_prop1(4, 0.1)
-    d = amdl.vc_dimension(inst.hypothesis_class).value
-    cfg = SolverConfig(eps=0.1, delta=0.1, nu=float(inst.nu_exact()), **kn)
-    bench("prop1 k=4 alg1", inst,
-          lambda i, o, s: (lambda r: (r.output, r.labels_total))(
-              active_large_eps(i, o, 0.1, 0.1, cfg, d=d)), trials, 0.1)
-
-    for case in ("a", "b"):
-        inst = amdl.gen_example1(0.2, 0.05, case)
-        nu = float(inst.nu_exact())
-        cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **kn)
-        bench(f"example1-{case} alg3", inst,
-              lambda i, o, s: (lambda r: (r.output, r.labels_total))(
-                  active_small_eps(i, o, 0.05, 0.1, nu, cfg, d=1)), trials, 0.05)
-
-    inst = amdl.gen_star_lb(2, 4, 1, 1)
-    s_star = amdl.star_number_unqualified(inst.hypothesis_class).value
-    cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **kn)
-    bench("star-lb alg6", inst,
-          lambda i, o, s: (lambda r: (r.output, r.labels_total))(
-              active_dist_free(i, o, 0.1, 0.1, s_star, 1, cfg)), trials, 0.1)
-
-    inst = amdl.gen_agnostic_lb(4, 0.4, 0.05)
-    nu = float(inst.nu_exact())
-    cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **kn)
-    bench("agnostic alg5", inst,
-          lambda i, o, s: (lambda r: (r.hypothesis, o.ledger.label_total))(
-              mdl_hedge_vc(i.hypothesis_class, (0, 1), plain_family(o), cfg, i.k, 1)),
-          trials, 0.05)
-    bench("agnostic alg3", inst,
-          lambda i, o, s: (lambda r: (r.output, r.labels_total))(
-              active_small_eps(i, o, 0.05, 0.1, nu, cfg, d=1)), trials, 0.05)
+    for name, gen, alg, eps in SUITES:
+        bench(name, gen(), alg, eps, args.trials, kn)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from .oracles import (DegenerateAgreementRegion, OracleSet, QueryLedger,
                       plain_family, surrogate_family)
 from .hedge import (HedgeResult, HedgeState, SolverConfig, hedge_step,
                     hyperparams, mdl_hedge_vc, naive_erm_baseline)
-from .active import (ActiveRunResult, EpochSchedule, active_large_eps,
+from .active import (EpochSchedule, RunResult, active_large_eps,
                      active_small_eps, regime_dispatch)
 from .rpu import (AbstainingClassifier, RpuReport, active_dist_free, batch_size,
                   passive_rpu_mdl, robust_rpu_learn, rpu_report,

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .core import (ContractViolation, Hypothesis, MDLInstance,
                    RandomizedHypothesis, disagreement_region)
 from .hedge import HedgeResult, SolverConfig, mdl_hedge_vc
@@ -47,35 +45,19 @@ class EpochSchedule:
 
 
 @dataclass
-class ActiveRunResult:
-    """Output hypothesis plus the measured ledger and per-epoch trace."""
+class RunResult:
+    """What every algorithm returns: the output hypothesis (None on failure),
+    the failure mode, a per-epoch or per-stage trace and free-form metadata.
+    Label and draw counts are read from the oracle set's ledger."""
 
     output: Hypothesis | RandomizedHypothesis | None
-    output_index: int | None
-    labels_per_dist: np.ndarray
-    unlabeled_per_dist: np.ndarray
-    trace: list = field(default_factory=list)
     failure_mode: str | None = None
-    achieved_error: float | None = None
+    trace: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-
-    @property
-    def labels_total(self) -> int:
-        return int(self.labels_per_dist.sum())
-
-    @property
-    def unlabeled_total(self) -> int:
-        return int(self.unlabeled_per_dist.sum())
 
     @property
     def ok(self) -> bool:
         return self.failure_mode is None and self.output is not None
-
-
-def _result(oracles: OracleSet, **kw) -> ActiveRunResult:
-    return ActiveRunResult(labels_per_dist=oracles.ledger.label_queries.copy(),
-                           unlabeled_per_dist=oracles.ledger.unlabeled_draws.copy(),
-                           **kw)
 
 
 def _within_radius(inst: MDLInstance, h_idx: int, mix: RandomizedHypothesis,
@@ -98,7 +80,7 @@ def _max_dis_mass(inst: MDLInstance, version_space: Sequence[int]) -> Fraction:
 
 
 def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: float,
-                     cfg: SolverConfig, d: int | None = None) -> ActiveRunResult:
+                     cfg: SolverConfig, d: int) -> RunResult:
     """Epoch-halving disagreement-based active learner.
 
     Each epoch solves a passive problem over the version-space-imputed
@@ -106,15 +88,12 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
     max-disagreement 2 eps_n of the returned mixture.  Intended regime: the
     target error dominates the optimal error; outside it the run proceeds but
     is flagged, and an emptied version space is reported as a failure, not a
-    crash.
+    crash.  The output's index in the class is `metadata["output_index"]`.
     """
     if not (0 < delta < 1) or eps <= 0:
         raise ContractViolation("eps must be positive and delta in (0,1)")
     cls = inst.hypothesis_class
     k = inst.k
-    if d is None:
-        from .complexity import vc_dimension
-        d = vc_dimension(cls).value
     nu = float(inst.nu_exact())
     warnings = []
     if eps < REGIME_FACTOR * nu:
@@ -139,11 +118,9 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
         if not V_new:
             tr_row = (n, eps_n, 0, float("nan"), res.total_draws, labels_epoch)
             trace.append(tr_row)
-            out = _result(oracles, output=None, output_index=None, trace=trace,
-                          failure_mode="version_space_collapse",
-                          metadata={"collapse_epoch": n, "warnings": warnings,
-                                    "schedule_n0": sched.n0})
-            return out
+            return RunResult(None, "version_space_collapse", trace,
+                             {"collapse_epoch": n, "warnings": warnings,
+                              "schedule_n0": sched.n0})
         dis_now = set(int(x) for x in disagreement_region(cls, V_new))
         if prev_dis is not None and not dis_now <= prev_dis:
             raise ContractViolation(f"epoch {n} disagreement region grew")
@@ -153,14 +130,14 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
         trace.append((n, eps_n, len(V), float(_max_dis_mass(inst, V)),
                       res.total_draws, labels_epoch))
     out_idx = V[0]
-    return _result(oracles, output=cls[out_idx], output_index=out_idx, trace=trace,
-                   metadata={"warnings": warnings, "schedule_n0": sched.n0,
-                             "version_spaces": version_spaces,
-                             "final_version_space": tuple(V)})
+    return RunResult(cls[out_idx], None, trace,
+                     {"warnings": warnings, "schedule_n0": sched.n0,
+                      "output_index": out_idx, "version_spaces": version_spaces,
+                      "final_version_space": tuple(V)})
 
 
 def active_small_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: float,
-                     nu: float, cfg: SolverConfig, d: int | None = None) -> ActiveRunResult:
+                     nu: float, cfg: SolverConfig, d: int) -> RunResult:
     """Two-stage learner for the noise-dominated regime.
 
     Stage one localizes a version space around a coarse hypothesis (target
@@ -173,9 +150,6 @@ def active_small_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
         raise ContractViolation("the small-eps stage requires a positive supplied nu")
     cls = inst.hypothesis_class
     k = inst.k
-    if d is None:
-        from .complexity import vc_dimension
-        d = vc_dimension(cls).value
     warnings = []
     if eps >= REGIME_FACTOR * nu:
         warnings.append(f"regime: eps={eps} >= {REGIME_FACTOR}*nu={REGIME_FACTOR * nu}")
@@ -187,7 +161,7 @@ def active_small_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
             stage1.metadata["failed_stage"] = 1
             stage1.metadata.setdefault("warnings", []).extend(warnings)
             return stage1
-        h_prime_idx = stage1.output_index
+        h_prime_idx = stage1.metadata["output_index"]
         trace = list(stage1.trace)
     else:
         # excess-error target above 1 is vacuous; stage one degenerates
@@ -216,17 +190,17 @@ def active_small_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
     stage2_labels = oracles.ledger.label_total - labels_before
     trace.append(("stage2", eps / 2.0, len(V0), float(_max_dis_mass(inst, V0)),
                   res.total_draws, stage2_labels))
-    return _result(
-        oracles, output=res.hypothesis, output_index=None, trace=trace,
-        metadata={"warnings": warnings, "v0_size": len(V0), "n0_agreement": n0,
-                  "agreement_label_cost": agreement_labels_cost,
-                  "expected_agreement_cost": k * n0 - len(degenerate) * n0,
-                  "degenerate_agreement": degenerate,
-                  "stage1_target": eps_p})
+    return RunResult(
+        res.hypothesis, None, trace,
+        {"warnings": warnings, "v0_size": len(V0), "n0_agreement": n0,
+         "agreement_label_cost": agreement_labels_cost,
+         "expected_agreement_cost": k * n0 - len(degenerate) * n0,
+         "degenerate_agreement": degenerate,
+         "stage1_target": eps_p})
 
 
 def regime_dispatch(inst: MDLInstance, oracles: OracleSet, eps: float, delta: float,
-                    cfg: SolverConfig, d: int | None = None) -> ActiveRunResult:
+                    cfg: SolverConfig, d: int) -> RunResult:
     """Route on eps >= 100 nu with nu computed exactly; records the branch."""
     nu = float(inst.nu_exact())
     if eps >= REGIME_FACTOR * nu:
@@ -237,10 +211,3 @@ def regime_dispatch(inst: MDLInstance, oracles: OracleSet, eps: float, delta: fl
         out.metadata["dispatch"] = "small"
     return out
 
-
-def write_epoch_trace(result: ActiveRunResult, path: str) -> None:
-    """Per-epoch CSV: epoch, eps_n, |V_n|, max DIS mass, passive samples, labels."""
-    with open(path, "w") as fh:
-        fh.write("epoch,eps_n,version_space,max_dis_mass,passive_samples,labels_this_epoch\n")
-        for row in result.trace:
-            fh.write(",".join(str(v) for v in row) + "\n")

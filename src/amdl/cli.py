@@ -83,8 +83,7 @@ def _cmd_run(args) -> int:
                     trials=args.trials, base_seed=args.seed,
                     profile=args.profile, knobs=_parse_knobs(args.knob),
                     instance_path=args.instance, trace=args.trace,
-                    transcript_path=transcript,
-                    timing=args.timing, workers=args.workers)
+                    transcript_path=transcript, workers=args.workers)
     records = run_trials(cfg)
     text = records_to_csv(records, timing=args.timing)
     if args.out:

@@ -14,10 +14,11 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .active import active_large_eps, active_small_eps, regime_dispatch
+from .active import RunResult, active_large_eps, active_small_eps, regime_dispatch
 from .complexity import star_number_unqualified, vc_dimension
 from .core import ContractViolation, MDLInstance, load_instance, worst_loss
 from .hedge import SolverConfig, mdl_hedge_vc, naive_erm_baseline
@@ -29,9 +30,6 @@ SUCCESS_TOL = 1e-12
 RUN_CSV_HEADER = ("instance_id,family,alg,eps,delta,seed,labels_total,"
                   "labels_per_dist,unlabeled,achieved_err,nu,success,"
                   "failure_mode,wall_ms")
-
-ALGORITHMS = ("active-dd-large", "active-dd-small", "active-dd-auto",
-              "active-df", "passive-hedge", "passive-naive")
 
 # Named knob presets.  `fidelity` keeps the literal schedule constants (far too
 # many rounds to execute at desk scale, kept for reference); `desk` preserves
@@ -59,7 +57,6 @@ class RunConfig:
     instance: MDLInstance | None = None
     trace: bool = False
     transcript_path: str | None = None
-    timing: bool = False
     workers: int = 1
 
     def __post_init__(self):
@@ -123,49 +120,51 @@ def _instance_stats(inst: MDLInstance, alg: str) -> dict:
     return stats
 
 
+def _passive_hedge(inst, oracles, cfg, solver_cfg, stats) -> RunResult:
+    # the solver's nu parameter is the exact optimum, so its guarantee
+    # precondition (supplied nu >= min-max loss) holds by construction
+    cls = inst.hypothesis_class
+    res = mdl_hedge_vc(cls, cls.full_version_space(), plain_family(oracles), solver_cfg,
+                       inst.k, stats["d"])
+    return RunResult(res.hypothesis, metadata={"solver": res})
+
+
+def _passive_naive(inst, oracles, cfg, solver_cfg, stats) -> RunResult:
+    h, n_per = naive_erm_baseline(inst, oracles, cfg.eps, cfg.delta, stats["d"], solver_cfg)
+    return RunResult(h, metadata={"samples_per_dist": n_per})
+
+
+# Every runner takes (inst, oracles, cfg, solver_cfg, stats) and looks its
+# learner up as a global of this module when it runs, so a wrapper set on the
+# module (bench/layers.py sets them) sees every trial.
+RUNNERS: dict[str, Callable[..., RunResult]] = {
+    "active-dd-large": lambda inst, oracles, cfg, solver_cfg, stats: active_large_eps(
+        inst, oracles, cfg.eps, cfg.delta, solver_cfg, d=stats["d"]),
+    "active-dd-small": lambda inst, oracles, cfg, solver_cfg, stats: active_small_eps(
+        inst, oracles, cfg.eps, cfg.delta, stats["nu"], solver_cfg, d=stats["d"]),
+    "active-dd-auto": lambda inst, oracles, cfg, solver_cfg, stats: regime_dispatch(
+        inst, oracles, cfg.eps, cfg.delta, solver_cfg, d=stats["d"]),
+    "active-df": lambda inst, oracles, cfg, solver_cfg, stats: active_dist_free(
+        inst, oracles, cfg.eps, cfg.delta, stats["s"], stats["d"], solver_cfg),
+    "passive-hedge": _passive_hedge,
+    "passive-naive": _passive_naive,
+}
+
+ALGORITHMS = tuple(RUNNERS)
+
+
 def run_single_trial(inst: MDLInstance, cfg: RunConfig, seed: int,
-                     stats: dict) -> tuple[TrialRecord, object, OracleSet]:
-    """Execute one seeded trial; returns the record, the raw run result and
+                     stats: dict) -> tuple[TrialRecord, RunResult, OracleSet]:
+    """Execute one seeded trial; returns the record, the algorithm's result and
     the trial's oracle set (its ledger holds the label transcript)."""
-    nu, d = stats["nu"], stats["d"]
+    nu = stats["nu"]
     oracles = OracleSet(inst, seed, log_transcript=cfg.trace)
-    knobs = cfg.solver_knobs()
-    solver_cfg = SolverConfig(eps=cfg.eps, delta=cfg.delta, nu=nu, **knobs)
+    solver_cfg = SolverConfig(eps=cfg.eps, delta=cfg.delta, nu=nu, **cfg.solver_knobs())
     t0 = time.perf_counter()
-    failure = ""
-    output = None
-    if cfg.alg == "active-dd-large":
-        res = active_large_eps(inst, oracles, cfg.eps, cfg.delta, solver_cfg, d=d)
-        output, failure = res.output, res.failure_mode or ""
-    elif cfg.alg == "active-dd-small":
-        res = active_small_eps(inst, oracles, cfg.eps, cfg.delta, nu, solver_cfg, d=d)
-        output, failure = res.output, res.failure_mode or ""
-    elif cfg.alg == "active-dd-auto":
-        res = regime_dispatch(inst, oracles, cfg.eps, cfg.delta, solver_cfg, d=d)
-        output, failure = res.output, res.failure_mode or ""
-    elif cfg.alg == "active-df":
-        res = active_dist_free(inst, oracles, cfg.eps, cfg.delta, stats["s"], d,
-                               solver_cfg)
-        output, failure = res.output, res.failure_mode or ""
-    elif cfg.alg == "passive-hedge":
-        # the solver's nu parameter is the exact optimum, so its guarantee
-        # precondition (supplied nu >= min-max loss) holds by construction
-        hres = mdl_hedge_vc(inst.hypothesis_class,
-                            inst.hypothesis_class.full_version_space(),
-                            plain_family(oracles), solver_cfg, inst.k, d)
-        res = hres
-        output = hres.hypothesis
-    else:  # passive-naive
-        h, n_per = naive_erm_baseline(inst, oracles, cfg.eps, cfg.delta, d, solver_cfg)
-        res = (h, n_per)
-        output = h
+    res = RUNNERS[cfg.alg](inst, oracles, cfg, solver_cfg, stats)
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
-    if output is not None:
-        achieved = worst_loss(output, inst)
-    else:
-        achieved = float("nan")
-    success = (not failure) and output is not None \
-        and achieved <= nu + cfg.eps + SUCCESS_TOL
+    achieved = worst_loss(res.output, inst) if res.output is not None else float("nan")
+    success = res.ok and achieved <= nu + cfg.eps + SUCCESS_TOL
     ledger = oracles.ledger
     rec = TrialRecord(
         instance_id=str(inst.metadata.get("instance_id", "instance")),
@@ -174,8 +173,8 @@ def run_single_trial(inst: MDLInstance, cfg: RunConfig, seed: int,
         labels_total=ledger.label_total,
         labels_per_dist=tuple(int(v) for v in ledger.label_queries),
         unlabeled=ledger.unlabeled_total,
-        achieved_err=achieved, nu=nu, success=success, failure_mode=failure,
-        wall_ms=wall_ms)
+        achieved_err=achieved, nu=nu, success=success,
+        failure_mode=res.failure_mode or "", wall_ms=wall_ms)
     if rec.labels_total != sum(rec.labels_per_dist):
         raise ContractViolation("ledger total disagrees with its per-distribution counts")
     return rec, res, oracles

@@ -311,20 +311,12 @@ class OracleSet:
         self._check_index(i)
         return self._imputing_pairs(self._vs_view(version_space), i, n)
 
-    def sample_induced(self, i: int, version_space: Sequence[int]) -> tuple[int, int]:
-        xs, ys = self.sample_induced_batch(i, version_space, 1)
-        return int(xs[0]), int(ys[0])
-
     def sample_imputed_batch(self, i: int, outputs: np.ndarray,
                              n: int) -> tuple[np.ndarray, np.ndarray]:
         """Abstaining-classifier-imputed sampling: query only where the
         classifier abstains."""
         self._check_index(i)
         return self._imputing_pairs(_imputed_view(outputs), i, n)
-
-    def sample_imputed(self, i: int, outputs: np.ndarray) -> tuple[int, int]:
-        xs, ys = self.sample_imputed_batch(i, outputs, 1)
-        return int(xs[0]), int(ys[0])
 
     def sample_surrogate_batch(self, i: int, version_space: Sequence[int],
                                sample: tuple[np.ndarray, np.ndarray],
@@ -335,11 +327,6 @@ class OracleSet:
         _check_surrogate_sample(sample)
         dis_mask, _ = self._vs_view(version_space)
         return self._surrogate_pairs(dis_mask, sample, i, n)
-
-    def sample_surrogate(self, i: int, version_space: Sequence[int],
-                         sample: tuple[np.ndarray, np.ndarray]) -> tuple[int, int]:
-        xs, ys = self.sample_surrogate_batch(i, version_space, sample, 1)
-        return int(xs[0]), int(ys[0])
 
     def sample_conditional_agreement(self, i: int, version_space: Sequence[int],
                                      n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -403,14 +390,12 @@ class SamplerFamily:
     against the ledger.
     """
 
-    def __init__(self, sources: Sequence[PairSource], rounds: Sequence[RoundSource],
-                 kind: str):
+    def __init__(self, sources: Sequence[PairSource], rounds: Sequence[RoundSource]):
         if len(rounds) != len(sources):
             raise ContractViolation("a family needs one round source per pair source")
         self.k = len(sources)
         self._sources = tuple(sources)
         self._rounds = tuple(rounds)
-        self.kind = kind
         self.calls = np.zeros(self.k, dtype=np.int64)
 
     def draw(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -438,24 +423,22 @@ class SamplerFamily:
 def plain_family(oracles: OracleSet) -> SamplerFamily:
     ks = range(oracles.instance.k)
     return SamplerFamily([partial(oracles._plain_pairs, i) for i in ks],
-                         [partial(oracles._plain_errors, i) for i in ks], "plain")
+                         [partial(oracles._plain_errors, i) for i in ks])
 
 
-def _imputing_family(oracles: OracleSet, view: tuple[np.ndarray, np.ndarray],
-                     kind: str) -> SamplerFamily:
+def _imputing_family(oracles: OracleSet, view: tuple[np.ndarray, np.ndarray]) -> SamplerFamily:
     dis, labels = view[0].tolist(), view[1].tolist()
     ks = range(oracles.instance.k)
     return SamplerFamily([partial(oracles._imputing_pairs, view, i) for i in ks],
-                         [partial(oracles._imputing_errors, dis, labels, i) for i in ks],
-                         kind)
+                         [partial(oracles._imputing_errors, dis, labels, i) for i in ks])
 
 
 def induced_family(oracles: OracleSet, version_space: Sequence[int]) -> SamplerFamily:
-    return _imputing_family(oracles, oracles._vs_view(version_space), "induced")
+    return _imputing_family(oracles, oracles._vs_view(version_space))
 
 
 def imputed_family(oracles: OracleSet, outputs: np.ndarray) -> SamplerFamily:
-    return _imputing_family(oracles, _imputed_view(outputs), "imputed")
+    return _imputing_family(oracles, _imputed_view(outputs))
 
 
 def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
@@ -478,4 +461,4 @@ def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
             # ints without copying
             pairs = (memoryview(sample[0]), memoryview(sample[1]))
             rounds.append(partial(oracles._surrogate_errors, dis, pairs, i))
-    return SamplerFamily(sources, rounds, "surrogate")
+    return SamplerFamily(sources, rounds)

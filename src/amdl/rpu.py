@@ -18,7 +18,7 @@ import numpy as np
 from .core import ContractViolation, HypothesisClass, MDLInstance
 from .hedge import SolverConfig, mdl_hedge_vc
 from .oracles import OracleSet, SamplerFamily, imputed_family
-from .active import ActiveRunResult, _result
+from .active import RunResult
 
 
 class AbstainingClassifier:
@@ -189,16 +189,15 @@ def passive_rpu_mdl(cls: HypothesisClass, family: SamplerFamily, oracles: Oracle
 
 
 def active_dist_free(inst: MDLInstance, oracles: OracleSet, eps: float, delta: float,
-                     s_star: int, d: int, cfg: SolverConfig,
-                     final_target_eps_n: bool = False) -> ActiveRunResult:
+                     s_star: int, d: int, cfg: SolverConfig) -> RunResult:
     """Distribution-free active learner.
 
     Epochs refine an abstaining classifier whose abstention mass halves every
     round under every distribution, querying labels only where the previous
     classifier abstains; the last epoch converts to a plain classifier with
     one passive solve over the imputed distributions.  The final passive call
-    targets the overall eps (the accounting reading); pass
-    `final_target_eps_n=True` for the literal schedule value 2^-n0.
+    targets the overall eps (the accounting reading), not the schedule value
+    2^-n0.
     """
     if eps <= 0 or not (0 < delta < 1):
         raise ContractViolation("eps must be positive and delta in (0,1)")
@@ -236,42 +235,32 @@ def active_dist_free(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
             labels_epoch = oracles.ledger.label_total - labels_before
             if pr.failure_mode is not None:
                 trace.append((n, eps_n, float("nan"), pr.rounds, labels_epoch))
-                return _result(oracles, output=None, output_index=None, trace=trace,
-                               failure_mode=pr.failure_mode,
-                               metadata={"failed_epoch": n, "warnings": warnings,
-                                         "schedule_n0": n0})
+                return RunResult(None, pr.failure_mode, trace,
+                                 {"failed_epoch": n, "warnings": warnings,
+                                  "schedule_n0": n0})
             f = pr.classifier
             classifiers.append(f.outputs.copy())
             abst = max(float(abstain_mass_of(i, f)) for i in range(k))
             trace.append((n, eps_n, abst, pr.rounds, labels_epoch))
         else:
-            target = eps_n if final_target_eps_n else eps
-            final_cfg = replace(cfg, eps=target, delta=delta_n, nu=nu)
+            final_cfg = replace(cfg, eps=eps, delta=delta_n, nu=nu)
             labels_final_before = oracles.ledger.label_queries.copy()
             res = mdl_hedge_vc(cls, cls.full_version_space(), fam, final_cfg, k, d)
             labels_epoch = oracles.ledger.label_total - labels_before
             abst = max(float(abstain_mass_of(i, f)) for i in range(k))
             trace.append((n, eps_n, abst, 0, labels_epoch))
-            return _result(oracles, output=res.hypothesis, output_index=None,
-                           trace=trace,
-                           metadata={"warnings": warnings, "schedule_n0": n0,
-                                     "final_target": target,
-                                     "final_passive_draws": res.total_draws,
-                                     "final_draws_per_dist":
-                                         (res.reward_draws + res.store_draws).tolist(),
-                                     "final_labels_per_dist":
-                                         (oracles.ledger.label_queries
-                                          - labels_final_before).tolist(),
-                                     "final_abstain_per_dist":
-                                         [float(abstain_mass_of(i, f)) for i in range(k)],
-                                     "final_abstain_mass": abst,
-                                     "classifiers": classifiers})
+            return RunResult(res.hypothesis, None, trace,
+                             {"warnings": warnings, "schedule_n0": n0,
+                              "final_target": eps,
+                              "final_passive_draws": res.total_draws,
+                              "final_draws_per_dist":
+                                  (res.reward_draws + res.store_draws).tolist(),
+                              "final_labels_per_dist":
+                                  (oracles.ledger.label_queries
+                                   - labels_final_before).tolist(),
+                              "final_abstain_per_dist":
+                                  [float(abstain_mass_of(i, f)) for i in range(k)],
+                              "final_abstain_mass": abst,
+                              "classifiers": classifiers})
     raise ContractViolation("unreachable: schedule always ends in a passive epoch")
 
-
-def write_df_trace(result: ActiveRunResult, path: str) -> None:
-    """Epoch CSV: epoch, eps_n, max abstention mass, pruning rounds, labels."""
-    with open(path, "w") as fh:
-        fh.write("epoch,eps_n,abstain_mass_max,rounds_used,labels_this_epoch\n")
-        for row in result.trace:
-            fh.write(",".join(str(v) for v in row) + "\n")

@@ -15,7 +15,7 @@ from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
                   RandomizedHypothesis, SolverConfig)
 from amdl import active
 from amdl.active import (EpochSchedule, _within_radius, active_large_eps,
-                         active_small_eps, regime_dispatch, write_epoch_trace)
+                         active_small_eps, regime_dispatch)
 from amdl.core import disagreement_exact
 from amdl.families import FamilySpec
 from amdl.harness import PROFILES
@@ -46,7 +46,7 @@ def test_one_point_realizable_run(desk_knobs):
         assert amdl.worst_loss(res.output, inst) == 0.0
         # the run localizes after the first epoch; label cost stays near the
         # per-epoch constant times the number of live epochs
-        assert res.labels_total <= 60 * res.metadata["schedule_n0"]
+        assert o.ledger.label_total <= 60 * res.metadata["schedule_n0"]
 
 
 def test_vacuous_target_returns_immediately(desk_knobs):
@@ -54,8 +54,8 @@ def test_vacuous_target_returns_immediately(desk_knobs):
     cfg = SolverConfig(eps=0.9, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
     res = active_large_eps(inst, o, 1.5, 0.1, cfg, d=1)
-    assert res.ok and res.output_index == 0
-    assert res.labels_total == 0 and res.metadata["schedule_n0"] == 0
+    assert res.ok and res.metadata["output_index"] == 0
+    assert o.ledger.label_total == 0 and res.metadata["schedule_n0"] == 0
 
 
 def test_version_spaces_nested_and_radius_bound(desk_knobs):
@@ -168,7 +168,7 @@ def test_version_space_collapse_reported(desk_knobs):
     assert res.failure_mode == "version_space_collapse"
     assert res.output is None and not res.ok
     assert res.metadata["collapse_epoch"] == 4
-    assert res.labels_total > 0  # ledger preserved for analysis
+    assert o.ledger.label_total > 0  # ledger preserved for analysis
     assert any(w.startswith("regime:") for w in res.metadata["warnings"])
     # a neighbouring seed completes and reports no failure
     o2 = OracleSet(inst, seed=0)
@@ -200,7 +200,7 @@ def test_small_eps_agreement_label_accounting(desk_knobs):
     assert res.metadata["agreement_label_cost"] == inst.k * n0
     assert res.metadata["degenerate_agreement"] == []
     # remaining labels were spent inside the solver's disagreement queries
-    assert res.labels_total >= inst.k * n0
+    assert o.ledger.label_total >= inst.k * n0
 
 
 def test_small_eps_degenerate_agreement_flagged(desk_knobs):
@@ -249,15 +249,3 @@ def test_regime_dispatch_small_branch(desk_knobs):
     assert res.metadata["dispatch"] == "small"
     assert res.ok
 
-
-def test_epoch_trace_csv(tmp_path, desk_knobs):
-    inst = amdl.gen_star_lb(2, 4, 1, 1)
-    cfg = SolverConfig(eps=0.2, delta=0.1, nu=0.0, **desk_knobs)
-    o = OracleSet(inst, seed=0)
-    res = active_large_eps(inst, o, 0.2, 0.1, cfg, d=1)
-    path = tmp_path / "trace.csv"
-    write_epoch_trace(res, str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == ("epoch,eps_n,version_space,max_dis_mass,"
-                        "passive_samples,labels_this_epoch")
-    assert len(lines) == 1 + len(res.trace)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import amdl
-from amdl import ContractViolation, RunConfig
+from amdl import ContractViolation, RunConfig, harness
 from amdl.cli import main as cli_main
 from amdl.harness import (RUN_CSV_HEADER, SWEEP_CSV_HEADER, records_to_csv,
                           report, run_trials, sweep, sweep_from_csv,
@@ -58,14 +58,31 @@ def test_run_config_refuses_workers_below_one(workers):
         RunConfig(alg="passive-naive", eps=0.1, delta=0.1, workers=workers)
 
 
-def test_all_algorithms_produce_records():
+# the harness global each algorithm's runner calls
+LEARNERS = {"active-dd-large": "active_large_eps", "active-dd-small": "active_small_eps",
+            "active-dd-auto": "regime_dispatch", "active-df": "active_dist_free",
+            "passive-hedge": "mdl_hedge_vc", "passive-naive": "naive_erm_baseline"}
+
+
+@pytest.mark.parametrize("alg", amdl.ALGORITHMS)
+def test_all_algorithms_produce_records(alg, monkeypatch):
+    # a runner must look its learner up at call time, so that a wrapper set
+    # on the harness module (as the benchmark's tracer does) sees the trial
+    name = LEARNERS[alg]
+    learner = getattr(harness, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return learner(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counting)
     inst = amdl.gen_agnostic_lb(2, 0.4, 0.05)
-    for alg in ("active-dd-large", "active-dd-small", "active-dd-auto",
-                "active-df", "passive-hedge", "passive-naive"):
-        cfg = RunConfig(alg=alg, eps=0.1, delta=0.1, trials=1, instance=inst)
-        rec = run_trials(cfg)[0]
-        assert rec.alg == alg
-        assert rec.labels_total >= 0
+    cfg = RunConfig(alg=alg, eps=0.1, delta=0.1, trials=1, instance=inst)
+    rec = run_trials(cfg)[0]
+    assert rec.alg == alg
+    assert rec.labels_total >= 0
+    assert calls == [name]
 
 
 def test_sweep_empty_grid_header_only():

@@ -12,8 +12,7 @@ from amdl import (AbstainingClassifier, ContractViolation, OracleSet,
                   SolverConfig)
 from amdl.oracles import imputed_family
 from amdl.rpu import (active_dist_free, batch_size, passive_rpu_mdl,
-                      robust_rpu_learn, rpu_report, threshold_majority,
-                      write_df_trace)
+                      robust_rpu_learn, rpu_report, threshold_majority)
 
 from closed_forms import imputed_distribution
 from conftest import empirical_tv
@@ -248,20 +247,4 @@ def test_active_dist_free_final_target_switch(desk_knobs):
     o = OracleSet(inst, seed=0)
     res = active_dist_free(inst, o, 0.1, 0.1, s_star=8, d=1, cfg=cfg)
     assert res.metadata["final_target"] == 0.1
-    o2 = OracleSet(inst, seed=0)
-    res2 = active_dist_free(inst, o2, 0.1, 0.1, s_star=8, d=1, cfg=cfg,
-                            final_target_eps_n=True)
-    n0 = res2.metadata["schedule_n0"]
-    assert res2.metadata["final_target"] == 2.0 ** -n0
 
-
-def test_df_trace_csv(tmp_path, desk_knobs):
-    inst = amdl.gen_star_lb(2, 4, 1, 1)
-    cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **desk_knobs)
-    o = OracleSet(inst, seed=0)
-    res = active_dist_free(inst, o, 0.1, 0.1, s_star=8, d=1, cfg=cfg)
-    path = tmp_path / "df.csv"
-    write_df_trace(res, str(path))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "epoch,eps_n,abstain_mass_max,rounds_used,labels_this_epoch"
-    assert len(lines) == 1 + len(res.trace)
