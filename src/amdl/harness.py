@@ -64,6 +64,8 @@ class RunConfig:
             raise ContractViolation(f"unknown algorithm tag {self.alg!r}")
         if self.trials < 1:
             raise ContractViolation("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ContractViolation(f"base_seed must be >= 0, got {self.base_seed}")
         if self.profile not in PROFILES:
             raise ContractViolation(f"unknown profile {self.profile!r}")
         if self.workers < 1:

@@ -52,6 +52,24 @@ def test_run_config_validation():
         RunConfig(alg="passive-naive", eps=0.1, delta=0.1, profile="warp")
 
 
+@pytest.mark.parametrize("base_seed", [-1, -100])
+def test_run_config_refuses_negative_base_seed(base_seed):
+    # SeedSequence takes no negative entropy; the config refuses it before
+    # any trial runs
+    with pytest.raises(ContractViolation, match="base_seed"):
+        RunConfig(alg="passive-naive", eps=0.1, delta=0.1, base_seed=base_seed)
+
+
+def test_sweep_negative_base_seed_gives_skipped_rows():
+    rows = sweep({
+        "trials": 1, "delta": 0.1, "base_seed": -1,
+        "families": [{"family": "prop1", "params": {"k": 2, "eps": 0.2}}],
+        "algs": ["passive-naive", "passive-hedge"], "eps_grid": [0.2],
+    })
+    assert len(rows) == 2
+    assert all(r["skipped"] == 1 and "base_seed must be >= 0" in r["reason"] for r in rows)
+
+
 @pytest.mark.parametrize("workers", [0, -1, -8])
 def test_run_config_refuses_workers_below_one(workers):
     with pytest.raises(ContractViolation, match="workers"):
