@@ -174,13 +174,12 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     eps1, eta, T, T1 = hyperparams(cfg, k, d)
     state = HedgeState(k)
     store = PooledStore(cls.labels[V], k)
-    rows = store.labels.tolist()
     play_counts: dict[int, int] = {}
     reward_draws = [0] * k
     doubled = [0.0] * k        # 2 * w_hat, the doubling thresholds
     trace = [] if collect_trace else None
 
-    for _ in range(T):
+    for t in range(T):
         # hedge_step leaves state.w normalized and checks its sum
         w = state.w
         if any(a >= b for a, b in zip(w, doubled)):
@@ -199,7 +198,7 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
         # reward: the played hypothesis' empirical loss on ceil(k * w_bar_i)
         # fresh draws from each distribution, unbiased for the sampled one
         counts = [math.ceil(k * v) for v in state.w_bar]
-        r = sampler.round_losses(rows[local], counts)
+        r = sampler.round_losses(store.labels, local, counts, T - t)
         reward_draws = [a + b for a, b in zip(reward_draws, counts)]
         if trace is not None:
             trace.append((state.t + 1, state.w_arr, float(np.sum(state.w_bar)),

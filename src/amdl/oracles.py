@@ -7,9 +7,9 @@ abstain-imputed, surrogate, and conditional-agreement sampling.
 
 RNG layout (documented split order): SeedSequence(seed).spawn(k + 1); child i
 < k is distribution i's stream, child k is the auxiliary stream used only for
-mixture-component selection.  All draws pull blocks from a buffered uniform
-source per stream, so identical seed + identical call sequence gives an
-identical transcript.
+mixture-component selection.  All draws read a buffered uniform source per
+stream, so identical seed + identical call sequence gives an identical
+transcript.
 
 Consumption order (the contract every sampler keeps): a request for n pairs
 from distribution i takes, from stream i,
@@ -23,19 +23,26 @@ A request reads no other stream, so a solver round may serve its k requests
 in one call (`SamplerFamily.round_losses`) and consume exactly what k
 separate `draw` calls in index order would.
 
-Two paths keep that order.  `draw`, store growth and the public `*_batch`
-samplers work on numpy arrays.  A solver round is a handful of pairs, so
-`round_losses` runs on Python scalars instead: each family has a scalar
-round source that reads the same variates through the stream's float view,
-finds a point by `bisect_right` on the cdf (as `searchsorted(side="right")`
-does), labels it +1 when `u < eta_plus[x]`, and picks surrogate element
-`min(int(u * size), size - 1)`.  Both paths give the same pairs, ledger
-counts and transcript lines.
+One numpy kernel per family draws the pairs.  `kernel(c, rounds)` reads
+ahead, without consuming, the variates of `rounds` successive requests of c
+pairs each: a plain or surrogate request takes 2c variates, an imputing one
+c plus its queried points, so each imputing request starts at a running sum
+over prefix sums of dis[x].  `draw`, store growth and the `*_batch` samplers
+make one request.  A solver round's request from distribution i does not
+depend on the played hypothesis, and its size c_i seldom changes, so the
+family serves it from a block of requests kept per distribution; serving
+only consumes the request's variates and meters its draws and queries, as
+the request made alone would.  A block is rebuilt when c_i changes, when
+stream i was read elsewhere since it was built (store growth, agreement
+sampling, `query_label`), or when its requests run out.  It holds no more
+requests than the caller still plays, and no more variates than one buffer
+block unless a single request needs more.  Reading ahead changes no variate:
+a stream that holds too few appends the generator's next variates behind its
+unread tail.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -45,68 +52,57 @@ import numpy as np
 
 from .core import ContractViolation, MDLInstance, agreement_labels
 
+BLOCK = 4096    # variates a stream draws from its generator at a time, at least
+
 
 class DegenerateAgreementRegion(RuntimeError):
     """Conditional-agreement sampling was asked for a zero-mass agreement region."""
 
 
 class _Uniforms:
-    """Buffered uniform(0,1) source over one Generator; deterministic blocks.
+    """Buffered uniform(0,1) source over one Generator.
 
-    `take` serves arrays and `floats` Python floats from one position, so
-    any mix of requests reads the generator's variates in order.  `floats`
-    reads a list mirror of at most `block` buffered values, never of a whole
-    oversized refill."""
+    `buf[pos:]` holds variates drawn from the generator but not yet consumed,
+    and `buf[0]` is variate number `start` of the generator's sequence, so
+    `start + pos` variates have been consumed.  `ahead` shows the next
+    variates without consuming them; a buffer that holds too few takes the
+    generator's next variates (at least `block` of them) behind its unread
+    tail, so every reader sees the generator's sequence in order, whatever
+    the request sizes."""
 
-    __slots__ = ("rng", "buf", "pos", "block", "_mirror", "_mirror_pos")
+    __slots__ = ("rng", "buf", "pos", "start", "block")
 
-    def __init__(self, rng: np.random.Generator, block: int = 4096):
+    def __init__(self, rng: np.random.Generator, block: int = BLOCK):
         self.rng = rng
         self.block = block
-        self.refill(block)
-
-    def refill(self, size: int) -> None:
-        """Replace the buffer with the generator's next `size` variates."""
-        self.buf = self.rng.random(size)
+        self.buf = rng.random(block)
         self.pos = 0
-        self._mirror: list[float] = []
-        self._mirror_pos = 0     # buffer position of _mirror[0]
+        self.start = 0
 
-    def floats(self, n: int) -> list[float]:
-        """The next n variates as Python floats: the values `take(n)` would
-        return."""
+    @property
+    def consumed(self) -> int:
+        return self.start + self.pos
+
+    def ahead(self, n: int) -> np.ndarray:
+        """The next n variates, not consumed: a view of the buffer (not to be
+        written into)."""
         pos = self.pos
-        off = pos - self._mirror_pos
-        end = off + n
-        if end > len(self._mirror):
-            if n > self.block or pos + n > self.buf.size:
-                return self.take(n).tolist()
-            self._mirror = self.buf[pos:pos + self.block].tolist()
-            self._mirror_pos = pos
-            off, end = 0, n
-        self.pos = pos + n
-        return self._mirror[off:end]
+        short = pos + n - self.buf.size
+        if short > 0:
+            tail = self.buf.size - pos
+            buf = np.empty(tail + max(self.block, short))
+            buf[:tail] = self.buf[pos:]
+            self.rng.random(out=buf[tail:])
+            self.buf = buf
+            self.start += pos
+            self.pos = pos = 0
+        return self.buf[pos:pos + n]
 
     def take(self, n: int) -> np.ndarray:
-        """The next n variates: a view of the buffer when it holds them (not
-        to be written into), a fresh array only across a refill."""
-        pos = self.pos
-        end = pos + n
-        if end <= self.buf.size:
-            self.pos = end
-            return self.buf[pos:end]
-        out = np.empty(n)
-        got = 0
-        while got < n:
-            avail = self.buf.size - self.pos
-            if avail == 0:
-                self.refill(max(self.block, n - got))
-                avail = self.buf.size
-            use = min(avail, n - got)
-            out[got:got + use] = self.buf[self.pos:self.pos + use]
-            self.pos += use
-            got += use
-        return out
+        """The next n variates, consumed."""
+        u = self.ahead(n)
+        self.pos += n
+        return u
 
 
 @dataclass
@@ -147,6 +143,75 @@ def _check_surrogate_sample(sample: tuple[np.ndarray, np.ndarray]) -> None:
         raise ContractViolation("surrogate sampling needs a non-empty pre-labeled sample")
 
 
+def _check_count(n: int) -> None:
+    if n < 0:
+        raise ContractViolation(f"cannot draw a negative number of samples ({n})")
+
+
+class _Rounds:
+    """Successive requests of c pairs each that a family kernel drew ahead
+    from stream i.
+
+    Request b's pairs are `xs[b]`, `ys[b]`, `need[b]` marks the points it
+    queries, and it takes the stream's variates from `ends[b]` up to
+    `ends[b + 1]`, counted from the generator's first variate.  Requests
+    happen in order: `settle` makes request `b` happen, consuming its
+    variates and metering its draws and queries."""
+
+    __slots__ = ("stream", "ledger", "drawn", "asked", "i", "c", "xs", "ys", "need", "ends",
+                 "queries", "b", "_mistakes")
+
+    def __init__(self, oracles: OracleSet, i: int, xs: np.ndarray, ys: np.ndarray,
+                 need: np.ndarray, ends: list[int], queries: list[int]):
+        self.stream = oracles._streams[i]
+        self.ledger = oracles.ledger
+        self.drawn, self.asked = oracles._metered
+        self.i = i
+        self.c = xs.shape[1]
+        self.xs, self.ys, self.need = xs, ys, need
+        self.ends = ends
+        self.queries = queries
+        self.b = 0
+        self._mistakes: dict[int, list[int]] = {}
+
+    def next_on_stream(self) -> bool:
+        """Whether a request is left and the stream stands where it starts,
+        untouched by any other reader since the last one."""
+        b = self.b
+        stream = self.stream
+        return b < len(self.queries) and self.ends[b] == stream.start + stream.pos
+
+    def mistakes(self, labels: np.ndarray, j: int) -> list[int]:
+        """Per request, the mistakes of row j of `labels`; computed on first use."""
+        got = self._mistakes.get(j)
+        if got is None:
+            got = self._mistakes[j] = np.count_nonzero(labels[j][self.xs] != self.ys,
+                                                       axis=1).tolist()
+        return got
+
+    def settle(self) -> None:
+        b = self.b
+        stream = self.stream
+        stream.pos = self.ends[b + 1] - stream.start
+        self.b = b + 1
+        i, q = self.i, self.queries[b]
+        self.drawn[i] += self.c
+        if q:
+            self.asked[i] += q
+            ledger = self.ledger
+            if ledger.log_transcript:
+                sel = self.need[b]
+                cum = int(ledger.label_queries.sum())
+                ledger.transcript.extend(zip(repeat(i, q), self.xs[b][sel].tolist(),
+                                             self.ys[b][sel].tolist(),
+                                             range(cum - q + 1, cum + 1)))
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Settle the first request and return its pairs."""
+        self.settle()
+        return self.xs[0], self.ys[0]
+
+
 class OracleSet:
     """Sampling access to one instance for one run, with a shared ledger."""
 
@@ -159,16 +224,18 @@ class OracleSet:
         self._aux = _Uniforms(np.random.default_rng(children[k]))
         self._cdf = [d.cdf for d in instance.distributions]
         self._eta = [d.eta_f for d in instance.distributions]
-        self._cdf_list = [c.tolist() for c in self._cdf]
-        self._eta_list = [e.tolist() for e in self._eta]
         self.ledger = QueryLedger(k, log_transcript)
+        # the ledger's counts as memoryviews: a served round meters Python ints
+        self._metered = (memoryview(self.ledger.unlabeled_draws),
+                         memoryview(self.ledger.label_queries))
         self._view_cache: dict = {}
 
     # -- raw oracles --------------------------------------------------------
 
-    def _check_index(self, i: int) -> None:
+    def _check(self, i: int, n: int = 0) -> None:
         if not 0 <= i < self.instance.k:
             raise ContractViolation(f"distribution index {i} out of range")
+        _check_count(n)
 
     def _points(self, i: int, n: int) -> np.ndarray:
         """The example oracle: n points from n point variates of stream i."""
@@ -177,7 +244,7 @@ class OracleSet:
         return xs
 
     def draw_unlabeled_batch(self, i: int, n: int) -> np.ndarray:
-        self._check_index(i)
+        self._check(i, n)
         return self._points(i, n)
 
     def draw_unlabeled(self, i: int) -> int:
@@ -197,97 +264,77 @@ class OracleSet:
         return ys
 
     def query_label(self, i: int, x: int) -> int:
-        self._check_index(i)
+        self._check(i)
+        if not 0 <= x < self.instance.m:
+            raise ContractViolation(f"point {x} is outside the domain")
         return int(self._labels_for(i, np.array([x]))[0])
 
-    # -- per-family pair primitives: n pairs from stream i, in the documented
-    # consumption order; the batch samplers and the sampler families share them
+    # -- per-family kernels: `rounds` requests of c pairs from stream i, read
+    # ahead in the documented consumption order; every sampler and the
+    # sampler families draw through them
 
-    def _plain_pairs(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        xs = self._points(i, n)
-        return xs, self._labels_for(i, xs)
+    def _plain_rounds(self, i: int, c: int, rounds: int) -> _Rounds:
+        stream = self._streams[i]
+        base = stream.consumed
+        u = stream.ahead(2 * c * rounds).reshape(rounds, 2, c)
+        xs = self._cdf[i].searchsorted(u[:, 0], side="right")
+        ys = _SIGN[(u[:, 1] < self._eta[i][xs]).view(np.int8)]
+        return _Rounds(self, i, xs, ys, np.ones(xs.shape, dtype=bool),
+                       [base + 2 * c * b for b in range(rounds + 1)], [c] * rounds)
 
-    def _imputing_pairs(self, view: tuple[np.ndarray, np.ndarray], i: int,
-                        n: int) -> tuple[np.ndarray, np.ndarray]:
+    def _imputing_rounds(self, view: tuple[np.ndarray, np.ndarray], i: int, c: int,
+                         rounds: int) -> _Rounds:
         """Induced and imputed sampling: a label query where `dis_mask[x]`,
         the imputed label `labels[x]` elsewhere."""
         dis_mask, labels = view
-        xs = self._points(i, n)
-        ys = labels[xs]
-        need = dis_mask[xs]
-        if need.any():
-            ys[need] = self._labels_for(i, xs[need])
-        return xs, ys
+        stream = self._streams[i]
+        base = stream.consumed
+        # request b starts at most 2cb variates in and takes at most 2c, so
+        # every point lies below (2 rounds - 1) c
+        u = stream.ahead(2 * c * rounds)
+        pts = self._cdf[i].searchsorted(u[:(2 * rounds - 1) * c], side="right")
+        dis = dis_mask[pts]
+        before = np.zeros(pts.size + 1, dtype=np.int64)     # queried points before p
+        np.add.accumulate(dis, dtype=np.int64, out=before[1:])
+        # a request starting at variate s ends c points and their queries later
+        queried = memoryview(before)
+        starts, queries = [], []
+        s = 0
+        for _ in range(rounds):
+            q = queried[s + c] - queried[s]
+            starts.append(s)
+            queries.append(q)
+            s += c + q
+        at = np.array(starts)[:, None] + np.arange(c)
+        xs, need = pts[at], dis[at]
+        label_at = at[:, :1] + c - 1 + np.add.accumulate(need, axis=1, dtype=np.int64)
+        fresh = _SIGN[(u[label_at] < self._eta[i][xs]).view(np.int8)]
+        return _Rounds(self, i, xs, np.where(need, fresh, labels[xs]), need,
+                       [base + v for v in starts] + [base + s], queries)
 
-    def _surrogate_pairs(self, dis_mask: np.ndarray, sample: tuple[np.ndarray, np.ndarray],
-                         i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def _surrogate_rounds(self, dis_mask: np.ndarray, sample: tuple[np.ndarray, np.ndarray],
+                          i: int, c: int, rounds: int) -> _Rounds:
         sx, sy = sample
-        xs = self._points(i, n)
-        ys = np.empty(n, dtype=np.int8)
-        need = dis_mask[xs]
-        if need.any():
-            ys[need] = self._labels_for(i, xs[need])
-        resample = ~need
-        cnt = np.count_nonzero(resample)
-        if cnt:
-            u = self._streams[i].take(cnt)
-            idx = np.minimum((u * sx.size).astype(np.int64), sx.size - 1)
-            xs[resample] = sx[idx]
-            ys[resample] = sy[idx]
-        return xs, ys
-
-    # -- per-family scalar round sources: the mistakes of the label row `row`
-    # on the pairs the primitive above would draw, on Python scalars
-
-    def _point_list(self, i: int, n: int) -> list[int]:
-        cdf = self._cdf_list[i]
-        xs = [bisect_right(cdf, u) for u in self._streams[i].floats(n)]
-        self.ledger.unlabeled_draws[i] += n
-        return xs
-
-    def _label_list(self, i: int, xs: list[int]) -> list[int]:
-        n = len(xs)
-        eta = self._eta_list[i]
-        ys = [1 if u < eta[x] else -1 for x, u in zip(xs, self._streams[i].floats(n))]
-        ledger = self.ledger
-        ledger.label_queries[i] += n
-        if ledger.log_transcript:
-            cum = int(ledger.label_queries.sum())
-            ledger.transcript.extend(zip(repeat(i, n), xs, ys, range(cum - n + 1, cum + 1)))
-        return ys
-
-    def _plain_errors(self, i: int, row: Sequence[int], n: int) -> int:
-        xs = self._point_list(i, n)
-        return sum(row[x] != y for x, y in zip(xs, self._label_list(i, xs)))
-
-    def _imputing_errors(self, dis: list[bool], labels: list[int], i: int,
-                         row: Sequence[int], n: int) -> int:
-        xs = self._point_list(i, n)
-        need = [x for x in xs if dis[x]]
-        errors = sum(row[x] != labels[x] for x in xs if not dis[x])
-        if need:
-            errors += sum(row[x] != y for x, y in zip(need, self._label_list(i, need)))
-        return errors
-
-    def _surrogate_errors(self, dis: list[bool], sample: tuple[memoryview, memoryview],
-                          i: int, row: Sequence[int], n: int) -> int:
-        sx, sy = sample
-        xs = self._point_list(i, n)
-        need = [x for x in xs if dis[x]]
-        errors = 0
-        if need:
-            errors = sum(row[x] != y for x, y in zip(need, self._label_list(i, need)))
-        if len(need) < n:
-            size = len(sx)
-            for u in self._streams[i].floats(n - len(need)):
-                j = min(int(u * size), size - 1)
-                errors += row[sx[j]] != sy[j]
-        return errors
+        stream = self._streams[i]
+        base = stream.consumed
+        u = stream.ahead(2 * c * rounds).reshape(rounds, 2 * c)
+        pts = self._cdf[i].searchsorted(u[:, :c], side="right")
+        need = dis_mask[pts]
+        queried = np.cumsum(need, axis=1)
+        q = need.sum(axis=1)
+        # after the points: a label variate per queried point, then a pick
+        # variate per other point, each in draw order
+        col = np.where(need, c - 1 + queried, c + q[:, None] + np.arange(c) - queried)
+        v = np.take_along_axis(u, col, axis=1)
+        pick = np.minimum((v * sx.size).astype(np.int64), sx.size - 1)
+        fresh = _SIGN[(v < self._eta[i][pts]).view(np.int8)]
+        return _Rounds(self, i, np.where(need, pts, sx[pick]), np.where(need, fresh, sy[pick]),
+                       need, [base + 2 * c * b for b in range(rounds + 1)], q.tolist())
 
     def draw_labeled_batch(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Plain labeled sampling: every pair costs one label query."""
-        self._check_index(i)
-        return self._plain_pairs(i, n)
+        self._check(i, n)
+        return self._plain_rounds(i, n, 1).pairs()
 
     # -- version-space / classifier views ------------------------------------
 
@@ -308,32 +355,32 @@ class OracleSet:
                              n: int) -> tuple[np.ndarray, np.ndarray]:
         """Version-space-imputed sampling: query only inside DIS(V), impute the
         unanimous label outside."""
-        self._check_index(i)
-        return self._imputing_pairs(self._vs_view(version_space), i, n)
+        self._check(i, n)
+        return self._imputing_rounds(self._vs_view(version_space), i, n, 1).pairs()
 
     def sample_imputed_batch(self, i: int, outputs: np.ndarray,
                              n: int) -> tuple[np.ndarray, np.ndarray]:
         """Abstaining-classifier-imputed sampling: query only where the
         classifier abstains."""
-        self._check_index(i)
-        return self._imputing_pairs(_imputed_view(outputs), i, n)
+        self._check(i, n)
+        return self._imputing_rounds(_imputed_view(outputs), i, n, 1).pairs()
 
     def sample_surrogate_batch(self, i: int, version_space: Sequence[int],
                                sample: tuple[np.ndarray, np.ndarray],
                                n: int) -> tuple[np.ndarray, np.ndarray]:
         """Surrogate sampling: fresh labeled draws inside DIS(V0); outside,
         discard the draw and return a uniform element of the pre-labeled S_i."""
-        self._check_index(i)
+        self._check(i, n)
         _check_surrogate_sample(sample)
         dis_mask, _ = self._vs_view(version_space)
-        return self._surrogate_pairs(dis_mask, sample, i, n)
+        return self._surrogate_rounds(dis_mask, sample, i, n, 1).pairs()
 
     def sample_conditional_agreement(self, i: int, version_space: Sequence[int],
                                      n: int) -> tuple[np.ndarray, np.ndarray]:
         """n iid labeled pairs from D_i conditioned on the agreement region, by
         rejection; costs exactly n label queries, rejections count as unlabeled
         draws only (exactly the geometric number, no overshoot)."""
-        self._check_index(i)
+        self._check(i, n)
         dis_mask, _ = self._vs_view(version_space)
         d = self.instance.distributions[i]
         agr_pts = [x for x in range(d.m) if not dis_mask[x]]
@@ -344,75 +391,88 @@ class OracleSet:
         out = np.empty(n, dtype=np.int64)
         got = 0
         while got < n:
-            if stream.pos == stream.buf.size:
-                stream.refill(max(stream.block, 2 * (n - got)))
-            block = stream.buf[stream.pos:]
-            xs = np.searchsorted(d.cdf, block, side="right").astype(np.int64)
+            u = stream.ahead(max(stream.block, 2 * (n - got)))
+            xs = d.cdf.searchsorted(u, side="right")
             acc = ~dis_mask[xs]
             cum = np.cumsum(acc)
             need = n - got
-            if cum.size and cum[-1] >= need:
+            if cum[-1] >= need:
                 cut = int(np.searchsorted(cum, need)) + 1
-                sel = xs[:cut][acc[:cut]]
-                out[got:got + need] = sel
-                stream.pos += cut
-                self.ledger.unlabeled_draws[i] += cut
+                out[got:] = xs[:cut][acc[:cut]]
                 got = n
             else:
-                cnt = int(cum[-1]) if cum.size else 0
-                if cnt:
-                    out[got:got + cnt] = xs[acc]
-                    got += cnt
-                self.ledger.unlabeled_draws[i] += xs.size
-                stream.pos = stream.buf.size
+                cut = u.size
+                cnt = int(cum[-1])
+                out[got:got + cnt] = xs[acc]
+                got += cnt
+            stream.pos += cut
+            self.ledger.unlabeled_draws[i] += cut
         ys = self._labels_for(i, out)
         return out, ys
 
     def aux_choice_batch(self, n: int, size: int) -> np.ndarray:
         """n uniform picks from range(size) on the auxiliary stream."""
+        _check_count(n)
+        if size < 1:
+            raise ContractViolation(f"cannot pick from an empty range (size {size})")
         u = self._aux.take(n)
         return np.minimum((u * size).astype(np.int64), size - 1)
 
 
 # -- sampler families ---------------------------------------------------------
 
-PairSource = Callable[[int], tuple[np.ndarray, np.ndarray]]
-RoundSource = Callable[[Sequence[int], int], int]
+Kernel = Callable[[int, int], _Rounds]      # (c, rounds) -> requests drawn ahead
 
 
 class SamplerFamily:
     """A per-distribution (x, y) source injected into the solvers.
 
-    `draw(i, n)` returns n pairs from distribution i; `round_losses` serves a
-    whole solver round in one call, from `rounds[i]`, which counts the
-    mistakes of a label row on the pairs `sources[i]` would draw.  `calls[i]`
+    `kernels[i](c, rounds)` draws ahead `rounds` requests of c pairs from
+    distribution i.  `draw(i, n)` makes one request of n pairs;
+    `round_losses` serves a whole solver round, one request per
+    distribution, from a block of requests kept per distribution.  `calls[i]`
     counts pairs drawn, which lets the solvers reconcile their own accounting
     against the ledger.
     """
 
-    def __init__(self, sources: Sequence[PairSource], rounds: Sequence[RoundSource]):
-        if len(rounds) != len(sources):
-            raise ContractViolation("a family needs one round source per pair source")
-        self.k = len(sources)
-        self._sources = tuple(sources)
-        self._rounds = tuple(rounds)
+    def __init__(self, kernels: Sequence[Kernel]):
+        self.k = len(kernels)
+        self._kernels = tuple(kernels)
+        self._blocks: list[_Rounds | None] = [None] * self.k
+        self._labels: np.ndarray | None = None
         self.calls = np.zeros(self.k, dtype=np.int64)
+        self._calls = memoryview(self.calls)
 
     def draw(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         if not 0 <= i < self.k:
             raise ContractViolation(f"distribution index {i} out of range")
+        _check_count(n)
         self.calls[i] += n
-        return self._sources[i](n)
+        return self._kernels[i](n, 1).pairs()
 
-    def round_losses(self, row: Sequence[int], counts: Sequence[int]) -> list[float]:
-        """Empirical loss of the label row `row` (a list of +-1 per point) on
-        counts[i] fresh pairs from each distribution i, unbiased for the
+    def round_losses(self, labels: np.ndarray, j: int, counts: Sequence[int],
+                     rounds_left: int) -> list[float]:
+        """Empirical loss of candidate j, row j of the label matrix `labels`,
+        on counts[i] fresh pairs from each distribution i, unbiased for the
         sampled distribution.  The pairs are exactly those of
-        `draw(i, counts[i])` for i = 0..k-1 in turn."""
-        if len(counts) != self.k or min(counts) < 1:
+        `draw(i, counts[i])` for i = 0..k-1 in turn.  `rounds_left` counts
+        this round and the later rounds the caller plays against `labels`; no
+        block draws further ahead."""
+        if len(counts) != self.k or min(counts) < 1 or rounds_left < 1:
             raise ContractViolation("a round needs at least one draw from every distribution")
-        losses = [errors(row, n) / n for errors, n in zip(self._rounds, counts)]
-        self.calls += counts
+        if labels is not self._labels:
+            # a new candidate matrix: the blocks' mistake counts index the old rows
+            self._labels = labels
+            self._blocks = [None] * self.k
+        blocks, calls = self._blocks, self._calls
+        losses = []
+        for i, c in enumerate(counts):
+            blk = blocks[i]
+            if blk is None or blk.c != c or not blk.next_on_stream():
+                blk = blocks[i] = self._kernels[i](c, min(rounds_left, max(1, BLOCK // (2 * c))))
+            losses.append(blk.mistakes(labels, j)[blk.b] / c)
+            blk.settle()
+            calls[i] += c
         return losses
 
     @property
@@ -421,16 +481,12 @@ class SamplerFamily:
 
 
 def plain_family(oracles: OracleSet) -> SamplerFamily:
-    ks = range(oracles.instance.k)
-    return SamplerFamily([partial(oracles._plain_pairs, i) for i in ks],
-                         [partial(oracles._plain_errors, i) for i in ks])
+    return SamplerFamily([partial(oracles._plain_rounds, i) for i in range(oracles.instance.k)])
 
 
 def _imputing_family(oracles: OracleSet, view: tuple[np.ndarray, np.ndarray]) -> SamplerFamily:
-    dis, labels = view[0].tolist(), view[1].tolist()
-    ks = range(oracles.instance.k)
-    return SamplerFamily([partial(oracles._imputing_pairs, view, i) for i in ks],
-                         [partial(oracles._imputing_errors, dis, labels, i) for i in ks])
+    return SamplerFamily([partial(oracles._imputing_rounds, view, i)
+                          for i in range(oracles.instance.k)])
 
 
 def induced_family(oracles: OracleSet, version_space: Sequence[int]) -> SamplerFamily:
@@ -447,18 +503,11 @@ def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
     region has zero mass there, in which case the surrogate equals the raw
     distribution and fresh labeled draws are used (flagged by the caller)."""
     dis_mask, _ = oracles._vs_view(version_space)
-    dis = dis_mask.tolist()
-    sources, rounds = [], []
+    kernels = []
     for i, sample in enumerate(samples):
         if sample is None:
-            sources.append(partial(oracles._plain_pairs, i))
-            rounds.append(partial(oracles._plain_errors, i))
+            kernels.append(partial(oracles._plain_rounds, i))
         else:
             _check_surrogate_sample(sample)
-            sources.append(partial(oracles._surrogate_pairs, dis_mask, sample, i))
-            # S_i may hold hundreds of thousands of pairs and a round picks a
-            # few: index the arrays through memoryviews, which yield Python
-            # ints without copying
-            pairs = (memoryview(sample[0]), memoryview(sample[1]))
-            rounds.append(partial(oracles._surrogate_errors, dis, pairs, i))
-    return SamplerFamily(sources, rounds)
+            kernels.append(partial(oracles._surrogate_rounds, dis_mask, sample, i))
+    return SamplerFamily(kernels)

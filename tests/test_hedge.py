@@ -167,7 +167,7 @@ def test_round_losses_realizable_is_zero():
     inst = one_point_instance()
     o = OracleSet(inst, seed=0)
     fam = plain_family(o)
-    r = fam.round_losses(inst.hypothesis_class.labels[0].tolist(), [1])
+    r = fam.round_losses(inst.hypothesis_class.labels, 0, [1], 1)
     assert r == [0.0]
     assert fam.calls.tolist() == [1] and o.ledger.label_total == 1
 
@@ -180,8 +180,8 @@ def test_round_losses_sample_count_and_noise_rate():
     fam = plain_family(o)
     counts = [math.ceil(5 * 0.6)]  # the solver's ceil(k * w_bar_i)
     total, rounds = 0.0, 3000
-    for _ in range(rounds):
-        total += fam.round_losses(cls.labels[0].tolist(), counts)[0]
+    for t in range(rounds):
+        total += fam.round_losses(cls.labels, 0, counts, rounds - t)[0]
     assert o.ledger.label_total == fam.total_calls == 3 * rounds
     assert abs(total / rounds - 0.5) < 0.02
 
@@ -190,7 +190,9 @@ def test_round_losses_refuses_an_empty_count():
     inst = amdl.gen_prop1(3, 0.2)
     fam = plain_family(OracleSet(inst, seed=0))
     with pytest.raises(ContractViolation):
-        fam.round_losses(inst.hypothesis_class.labels[0].tolist(), [1, 0, 1])
+        fam.round_losses(inst.hypothesis_class.labels, 0, [1, 0, 1], 5)
+    with pytest.raises(ContractViolation):
+        fam.round_losses(inst.hypothesis_class.labels, 0, [1, 1, 1], 0)
 
 
 def _alternation_instance(gamma: Fraction) -> MDLInstance:

@@ -1,6 +1,9 @@
 """Runtime invariants must survive `python -O`, which strips `assert`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,39 @@ def test_module_raises_contract_violation_not_assertion_error(name):
              if isinstance(node, ast.Raise) and node.exc is not None
              and _raises_assertion_error(node)]
     assert not lines, f"{name} raises AssertionError at lines {lines}"
+
+
+_UNDER_O = """
+import math
+import amdl
+from amdl import ContractViolation, OracleSet, plain_family
+from amdl.hedge import HedgeState, hedge_step
+
+assert False, "python -O keeps assert statements"   # stripped under -O
+inst = amdl.gen_prop1(3, 0.2)
+fam = plain_family(OracleSet(inst, seed=0))
+checks = {
+    "nan reward": lambda: hedge_step(HedgeState(2), [math.nan, 0.5], 0.1),
+    "negative draw": lambda: fam.draw(0, -1),
+    "zero round count": lambda: fam.round_losses(inst.hypothesis_class.labels, 0,
+                                                 [1, 0, 1], 5),
+}
+for name, check in checks.items():
+    try:
+        check()
+    except ContractViolation:
+        print("refused:", name)
+"""
+
+
+def test_runtime_checks_hold_under_python_O():
+    # the invariants are checked by raises, so they survive -O, which drops
+    # assert statements (the script's own assert False does not fire)
+    src = str(Path(amdl.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env, text=True,
+                         capture_output=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["refused: nan reward", "refused: negative draw",
+                                       "refused: zero round count"]

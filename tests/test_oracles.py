@@ -14,6 +14,7 @@ from amdl import (ContractViolation, DegenerateAgreementRegion, FeatureSpace,
                   Hypothesis, HypothesisClass, LabeledDistribution, MDLInstance,
                   OracleSet)
 from amdl.core import loss_exact
+from amdl.hedge import SolverConfig, mdl_hedge_vc
 from amdl.harness import RunConfig, _instance_stats, run_single_trial, run_trials
 
 from closed_forms import (imputed_distribution, induced_distribution,
@@ -80,6 +81,52 @@ def test_index_out_of_range():
         o.draw_unlabeled(5)
     with pytest.raises(ContractViolation):
         o.query_label(2, 0)
+
+
+_S = (np.array([2, 3]), np.array([1, -1], dtype=np.int8))
+
+# every public sampler with a bad count or point, and the family entry points
+BAD_CALLS = {
+    "draw_unlabeled_batch": lambda o: o.draw_unlabeled_batch(0, -2),
+    "draw_labeled_batch": lambda o: o.draw_labeled_batch(0, -1),
+    "sample_induced_batch": lambda o: o.sample_induced_batch(0, (0, 1), -1),
+    "sample_imputed_batch": lambda o: o.sample_imputed_batch(
+        0, np.array([0, 1, 0, -1], dtype=np.int8), -5),
+    "sample_surrogate_batch": lambda o: o.sample_surrogate_batch(0, (0, 1), _S, -1),
+    "sample_conditional_agreement": lambda o: o.sample_conditional_agreement(0, (0, 1), -3),
+    "aux_choice_batch-count": lambda o: o.aux_choice_batch(-1, 3),
+    "aux_choice_batch-empty-range": lambda o: o.aux_choice_batch(4, 0),
+    "query_label-past-domain": lambda o: o.query_label(0, 4),
+    "query_label-negative-point": lambda o: o.query_label(0, -1),
+    "plain_family.draw": lambda o: amdl.plain_family(o).draw(0, -3),
+    "induced_family.draw": lambda o: amdl.induced_family(o, (0, 1)).draw(0, -1),
+    "surrogate_family.draw": lambda o: amdl.surrogate_family(o, (0, 1), [_S]).draw(0, -1),
+    "round_losses-zero-count": lambda o: amdl.plain_family(o).round_losses(
+        o.instance.hypothesis_class.labels, 0, [0], 3),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BAD_CALLS))
+def test_bad_counts_refused_before_any_state_moves(call):
+    o = OracleSet(_induced_fixture(), seed=0, log_transcript=True)
+    o.draw_labeled_batch(0, 5)
+    o.aux_choice_batch(2, 3)
+    streams = [s.consumed for s in (*o._streams, o._aux)]
+    ledger = (o.ledger.label_queries.tolist(), o.ledger.unlabeled_draws.tolist(),
+              list(o.ledger.transcript))
+    with pytest.raises(ContractViolation):
+        BAD_CALLS[call](o)
+    assert [s.consumed for s in (*o._streams, o._aux)] == streams
+    assert (o.ledger.label_queries.tolist(), o.ledger.unlabeled_draws.tolist(),
+            o.ledger.transcript) == ledger
+
+
+def test_family_calls_unmoved_by_a_refused_draw():
+    fam = amdl.plain_family(OracleSet(two_point_instance(), seed=0))
+    fam.draw(0, 4)
+    with pytest.raises(ContractViolation):
+        fam.draw(0, -3)
+    assert fam.calls.tolist() == [4]
 
 
 def _induced_fixture():
@@ -344,25 +391,112 @@ TWIN_INSTANCES = {
 }
 
 
-def _round_counts(k: int) -> list[tuple[int, ...]]:
-    """Per-round reward counts: a 5000 crosses a buffer refill within one
-    request; the 700s carry every stream's running total across the next
-    4096-variate boundaries in requests that each fit one block."""
+class _DrawnRounds:
+    """A family whose rounds are, by definition, k `draw` calls in index
+    order: the reference the block path must equal."""
+
+    def __init__(self, family):
+        self.family = family
+        self.k = family.k
+        self.calls = family.calls
+
+    def draw(self, i, n):
+        return self.family.draw(i, n)
+
+    def round_losses(self, labels, j, counts, rounds_left):
+        losses = []
+        for i, n in enumerate(counts):
+            xs, ys = self.family.draw(i, n)
+            losses.append(float((labels[j][xs] != ys).mean()))
+        return losses
+
+
+def _scripted_ops(k: int) -> list[tuple]:
+    """Solves of a few rounds each, with the events that must drop a block in
+    between.  Count changes hit one distribution in the middle of its block;
+    the 5000s cross a buffer refill within one request, the 700s carry each
+    stream across the next block boundaries two requests per block; store
+    growth, agreement sampling and single label queries read the streams
+    between rounds; each solve's horizon ends part-way into a buffer, and
+    one solve stops short of the horizon it announced."""
     small = [tuple((3 * t + i) % 4 + 1 for i in range(k)) for t in range(4)]
+    grow = tuple(v + (i == 1) for i, v in enumerate(small[0]))
     big = [tuple(5000 if i == t else 1 for i in range(k)) for t in range(2)]
-    return small + big + [(700,) * k] * 6 + small
+    return [
+        ("solve", 0, [small[0]] * 3 + [grow] * 2 + [small[1]] * 2),
+        ("draw", 1, 7), ("draw", k - 1, 1),
+        ("solve", 1, [small[2], small[2], small[3]]),
+        ("agree", 0, 25),
+        ("solve", 2, [small[3]] * 2 + big + [(700,) * k] * 5),
+        ("query", k - 1, 1),
+        ("solve", 0, [small[1]] * 6 + [small[0]] * 3),
+        ("draw", 0, 3000),
+        ("solve", 1, [grow, grow], 4),
+        ("solve", 0, [grow] * 3),
+    ]
+
+
+def _run_ops(o: OracleSet, family, ops: list[tuple]) -> list:
+    """Play `ops` on one oracle set; returns every round's losses."""
+    labels = o.instance.hypothesis_class.labels
+    out = []
+    for op in ops:
+        if op[0] == "solve":
+            # a solve plays one candidate matrix for len(rounds) rounds, after
+            # announcing `unplayed` more
+            _, first, rounds, *unplayed = op
+            cand = labels[first:]
+            for t, counts in enumerate(rounds):
+                out.append(family.round_losses(cand, t % len(cand), list(counts),
+                                               len(rounds) - t + sum(unplayed)))
+        elif op[0] == "draw":
+            out.append(family.draw(op[1], op[2]))
+        elif op[0] == "agree":
+            o.sample_conditional_agreement(op[1], (0, 1), op[2])
+        else:
+            o.query_label(op[1], op[2])
+    return out
+
+
+def _check_twin_ops(inst: MDLInstance, kind: str, log_transcript: bool, start: str,
+                    ops: list[tuple]) -> None:
+    fused_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
+    twin_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
+    _start_streams(fused_o, start)
+    _start_streams(twin_o, start)
+    fused = FAMILY_BUILDERS[kind](fused_o)
+    twin = _DrawnRounds(FAMILY_BUILDERS[kind](twin_o))
+    for got, want in zip(_run_ops(fused_o, fused, ops), _run_ops(twin_o, twin, ops),
+                         strict=True):
+        if isinstance(got, list):
+            assert got == want
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    assert fused.calls.tolist() == twin.calls.tolist()
+    assert fused_o.ledger.label_queries.tolist() == twin_o.ledger.label_queries.tolist()
+    assert fused_o.ledger.unlabeled_draws.tolist() == twin_o.ledger.unlabeled_draws.tolist()
+    assert fused_o.ledger.transcript == twin_o.ledger.transcript
+    assert len(fused_o.ledger.transcript) == (fused_o.ledger.label_total
+                                              if log_transcript else 0)
+    assert fused_o.ledger.label_total > 0
+    # the blocks' read-ahead moved no stream: both sides stand at the same
+    # variate and read the same ones next
+    for a, b in zip(fused_o._streams, twin_o._streams):
+        assert a.consumed == b.consumed
+        assert np.array_equal(a.take(9000), b.take(9000))
 
 
 def _start_streams(o: OracleSet, start: str) -> None:
     if start == "agreement":
-        # a long rejection run: each stream ends on an oversized refill
+        # a long rejection run: each stream ends on an oversized buffer
         for i in range(o.instance.k):
             o.sample_conditional_agreement(i, (0, 1), 20_000)
     elif start == "large-buffer":
         # part-way into an oversized buffer, as the rejection loop leaves a
-        # stream between its refill of 2 (n - got) variates and its cut
+        # stream between its read-ahead of 2 (n - got) variates and its cut
         for stream in o._streams:
-            stream.refill(3 * stream.block + 11)
+            stream.take(stream.block - 5)
+            stream.ahead(3 * stream.block + 11)
             stream.take(5)
 
 
@@ -371,41 +505,65 @@ def _start_streams(o: OracleSet, start: str) -> None:
 def test_round_losses_equals_k_draws_on_a_twin(kind, log_transcript):
     for name, start in itertools.product(sorted(TWIN_INSTANCES),
                                          ("fresh", "agreement", "large-buffer")):
-        _check_twin_rounds(TWIN_INSTANCES[name](), kind, log_transcript, start)
+        inst = TWIN_INSTANCES[name]()
+        _check_twin_ops(inst, kind, log_transcript, start, _scripted_ops(inst.k))
 
 
-def _check_twin_rounds(inst: MDLInstance, kind: str, log_transcript: bool,
-                       start: str) -> None:
-    labels = inst.hypothesis_class.labels
-    fused_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
-    twin_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
-    _start_streams(fused_o, start)
-    _start_streams(twin_o, start)
-    fused = FAMILY_BUILDERS[kind](fused_o)
-    twin = FAMILY_BUILDERS[kind](twin_o)
-    for t, counts in enumerate(_round_counts(inst.k)):
-        row = labels[t % len(labels)]
-        got = fused.round_losses(row.tolist(), list(counts))
-        want = []
-        for i, n in enumerate(counts):
-            xs, ys = twin.draw(i, n)
-            want.append(float((row[xs] != ys).mean()))
-        assert got == want
-        assert all(len(a._mirror) <= a.block for a in fused_o._streams)
+_OPS = st.one_of(
+    st.tuples(st.just("solve"), st.integers(0, 2),
+              st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 40)),
+                       min_size=1, max_size=30), st.integers(0, 3)),
+    st.tuples(st.just("draw"), st.integers(0, 2), st.integers(0, 900)),
+    st.tuples(st.just("agree"), st.integers(0, 2), st.integers(0, 300)),
+    st.tuples(st.just("query"), st.integers(0, 2), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(_OPS, min_size=1, max_size=8), st.sampled_from(sorted(FAMILY_BUILDERS)),
+       st.booleans())
+def test_round_losses_equals_k_draws_under_random_ops(ops, kind, log_transcript):
+    # counts drawn per solve round change in the middle of blocks; a horizon
+    # can end anywhere in a buffer, and a large count reaches past a refill
+    def solve_rounds(rounds):
+        return [tuple(c * (1 + 29 * (big == 40)) for c in (a, b, a + b - 1))
+                for a, b, big in rounds]
+    ops = [(op[0], op[1], solve_rounds(op[2]), op[3]) if op[0] == "solve" else op
+           for op in ops]
+    ops.append(("solve", 0, [(1, 1, 1)]))
+    _check_twin_ops(_three_distribution_fixture(), kind, log_transcript, "fresh", ops)
+
+
+def test_large_candidate_set_solve_equals_k_draws(desk_knobs):
+    inst = amdl.gen_random(10, 256, 4, seed=0)
+    cls = inst.hypothesis_class
+    cfg = SolverConfig(eps=0.05, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
+    fused_o, twin_o = OracleSet(inst, seed=5), OracleSet(inst, seed=5)
+    fused = amdl.plain_family(fused_o)
+    twin = _DrawnRounds(amdl.plain_family(twin_o))
+    V = cls.full_version_space()
+    got = mdl_hedge_vc(cls, V, fused, cfg, inst.k, 4)
+    want = mdl_hedge_vc(cls, V, twin, cfg, inst.k, 4)
+    assert got.rounds > 100 and len(got.play_counts) > 1
+    assert got.play_counts == want.play_counts
+    assert got.reward_draws.tolist() == want.reward_draws.tolist()
+    assert got.store_draws.tolist() == want.store_draws.tolist()
     assert fused.calls.tolist() == twin.calls.tolist()
     assert fused_o.ledger.label_queries.tolist() == twin_o.ledger.label_queries.tolist()
-    assert fused_o.ledger.unlabeled_draws.tolist() == twin_o.ledger.unlabeled_draws.tolist()
-    assert fused_o.ledger.transcript == twin_o.ledger.transcript
-    assert len(fused_o.ledger.transcript) == (fused_o.ledger.label_total
-                                              if log_transcript else 0)
-    assert fused_o.ledger.label_total > 0
-    for a, b in zip(fused_o._streams, twin_o._streams):
-        assert a.pos == b.pos and np.array_equal(a.buf, b.buf)
+
+
+def test_blocks_hold_no_more_requests_than_the_rounds_left():
+    o = OracleSet(_three_distribution_fixture(), seed=2)
+    fam = amdl.induced_family(o, (0, 1))
+    labels = o.instance.hypothesis_class.labels
+    for left in (3, 2, 1, 40, 39):
+        fam.round_losses(labels, 0, [1, 2, 1], left)
+        assert all(len(blk.queries) - blk.b < left for blk in fam._blocks)
 
 
 def test_uniform_take_matches_one_generator_run():
-    # views within a block and copies across refills give the generator's
-    # doubles in order, whatever the request sizes
+    # views within a buffer and copies across read-aheads give the
+    # generator's doubles in order, whatever the request sizes
     from amdl.oracles import _Uniforms
     src = _Uniforms(np.random.default_rng(5), block=8)
     got = np.concatenate([src.take(n).copy() for n in (3, 5, 0, 2, 20, 1, 7)])
@@ -413,39 +571,47 @@ def test_uniform_take_matches_one_generator_run():
     assert np.array_equal(got, want)
 
 
-def test_uniform_floats_match_take_and_mirror_at_most_one_block():
-    # floats and take interleaved on one source read what take alone reads
-    # on a twin, across refills and an oversized buffer; the float mirror
-    # never holds more than one block
+def test_uniform_ahead_leaves_take_matching_a_fresh_twin():
+    # read-ahead of any size, within the buffer or past it, shows the next
+    # variates and consumes none: take on the source returns what take
+    # returns on a fresh twin that never reads ahead
     from amdl.oracles import _Uniforms
     src = _Uniforms(np.random.default_rng(9), block=16)
     twin = _Uniforms(np.random.default_rng(9), block=16)
-    plan = [("f", 3), ("t", 2), ("f", 16), ("f", 1), ("refill", 200), ("f", 5),
-            ("f", 16), ("t", 7), ("f", 17), ("f", 0), ("f", 40), ("f", 150),
-            ("f", 4), ("f", 30), ("t", 9), ("f", 12)]
+    sequence = np.random.default_rng(9).random(2000)
+    plan = [("a", 3), ("t", 2), ("a", 16), ("t", 16), ("a", 200), ("t", 5), ("a", 1),
+            ("t", 17), ("a", 0), ("t", 0), ("a", 40), ("a", 150), ("t", 150), ("t", 4),
+            ("a", 30), ("t", 9), ("a", 700), ("t", 40)]
     for op, n in plan:
-        if op == "refill":
-            src.refill(n)
-            twin.refill(n)
-            continue
-        want = twin.take(n).tolist()
-        got = src.floats(n) if op == "f" else src.take(n).tolist()
-        assert got == want and all(type(v) is float for v in got)
-        assert len(src._mirror) <= src.block
-        assert src.pos == twin.pos and src.buf is not twin.buf
-        assert np.array_equal(src.buf, twin.buf)
+        at = src.consumed
+        if op == "a":
+            assert np.array_equal(src.ahead(n), sequence[at:at + n])
+            assert src.consumed == at
+        else:
+            assert np.array_equal(src.take(n), twin.take(n))
+            assert src.consumed == twin.consumed == at + n
 
 
-def test_float_mirror_stays_small_after_a_long_agreement_run():
+def test_stream_keeps_one_block_and_one_refill_after_a_long_agreement_run():
+    # after a rejection run leaves an oversized buffer, solver rounds hold a
+    # block of at most one buffer block of variates, and a stream that runs
+    # short keeps only its unread tail and one refill
     inst = _three_distribution_fixture()
     o = OracleSet(inst, seed=4)
     xs, _ = o.sample_conditional_agreement(2, (0, 1), 300_000)
     stream = o._streams[2]
     assert xs.size == 300_000 and stream.buf.size > 10 * stream.block
     fam = amdl.plain_family(o)
-    for _ in range(50):
-        fam.round_losses(inst.hypothesis_class.labels[0].tolist(), [1, 2, 3])
-        assert len(stream._mirror) <= stream.block
+    labels = inst.hypothesis_class.labels
+    for t in range(3000):
+        tail = stream.buf.size - stream.pos
+        buf = stream.buf
+        fam.round_losses(labels, t % 3, [1, 2, 3], 10_000)
+        blk = fam._blocks[2]
+        assert blk.xs.size * 2 <= stream.block
+        if stream.buf is not buf:
+            assert stream.buf.size <= tail + stream.block
+    assert stream.buf.size <= 2 * stream.block
 
 
 def test_sampler_family_refuses_bad_index():
