@@ -458,8 +458,10 @@ class SamplerFamily:
         `draw(i, counts[i])` for i = 0..k-1 in turn.  `rounds_left` counts
         this round and the later rounds the caller plays against `labels`; no
         block draws further ahead."""
-        if len(counts) != self.k or min(counts) < 1 or rounds_left < 1:
+        if len(counts) != self.k or min(counts) < 1:
             raise ContractViolation("a round needs at least one draw from every distribution")
+        if rounds_left < 1:
+            raise ContractViolation("a round needs a horizon of at least itself")
         if labels is not self._labels:
             # a new candidate matrix: the blocks' mistake counts index the old rows
             self._labels = labels
