@@ -34,7 +34,9 @@ family serves it from a block of requests kept per distribution; serving
 only consumes the request's variates and meters its draws and queries, as
 the request made alone would.  A block is rebuilt when c_i changes, when
 stream i was read elsewhere since it was built (store growth, agreement
-sampling, `query_label`), or when its requests run out.  It holds no more
+sampling, `query_label`), when its requests run out, or when the caller
+passes another candidate matrix, whose rows its mistake counts do not
+index.  It holds no more
 requests than the caller still plays, and no more variates than one buffer
 block unless a single request needs more.  Reading ahead changes no variate:
 a stream that holds too few appends the generator's next variates behind its
