@@ -1,8 +1,9 @@
 """Closed-form pmfs of the distributions the label-efficient samplers draw
-from: the version-space-imputed, abstain-imputed and surrogate laws.
+from: the version-space-imputed, abstain-imputed and surrogate laws, and the
+per-radius definition of the disagreement profile.
 
-The lab never needs them at run time; the tests compare empirical draws
-against them.
+The lab never needs them at run time; the tests compare empirical draws and
+the exact layer's fast paths against them.
 """
 
 from fractions import Fraction
@@ -10,8 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from amdl.core import (ContractViolation, HypothesisClass, LabeledDistribution,
-                       agreement_labels, disagreement_region)
+from amdl.core import (ContractViolation, Hypothesis, HypothesisClass,
+                       LabeledDistribution, agreement_labels, disagreement_region)
 
 
 def induced_distribution(dist: LabeledDistribution, cls: HypothesisClass,
@@ -60,3 +61,18 @@ def surrogate_joint_exact(dist: LabeledDistribution, cls: HypothesisClass,
         key = (int(x), int(y))
         out[key] = out.get(key, Fraction(0)) + agr_mass * Fraction(1, n)
     return out
+
+
+def disagreement_profile_reference(dist: LabeledDistribution, cls: HypothesisClass,
+                                   hstar: Hypothesis) -> tuple[list[Fraction], list[Fraction]]:
+    """Ball-mass profile by its definition: the distinct distances
+    rho(h, h*) = Pr[h != h*] of the members as radii, and for each radius r
+    the mass of DIS over the members within r, one Fraction sum per radius."""
+    rhos = [dist.mass_exact(int(x) for x in np.nonzero(h.labels != hstar.labels)[0])
+            for h in cls.hypotheses]
+    radii = sorted(set(rhos))
+    masses = []
+    for r in radii:
+        ball = [i for i, rho in enumerate(rhos) if rho <= r]
+        masses.append(dist.mass_exact(int(x) for x in disagreement_region(cls, ball)))
+    return radii, masses

@@ -1,5 +1,6 @@
 """Complexity measures against exhaustive-search oracles and stated bounds."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +15,7 @@ from amdl.complexity import (disagreement_coefficient_exact,
                              disagreement_profile, star_number,
                              star_number_unqualified, vc_dimension)
 
+from closed_forms import disagreement_profile_reference
 from conftest import brute_star, brute_vc
 
 
@@ -157,6 +159,23 @@ def test_profile_monotone_masses():
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.booleans())
+def test_profile_matches_per_radius_definition(seed, outside):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 8))
+    n = int(rng.integers(1, 13))
+    inst = amdl.gen_random(m, min(n, 2 ** m), 1, seed=seed)
+    cls = inst.hypothesis_class
+    if outside:  # any labeling, usually not a class member
+        ref = Hypothesis(rng.choice([-1, 1], size=m))
+    else:
+        ref = cls[int(rng.integers(len(cls)))]
+    prof = disagreement_profile(inst.distributions[0], cls, ref)
+    radii, masses = disagreement_profile_reference(inst.distributions[0], cls, ref)
+    assert prof == amdl.complexity.DisagreementProfile(tuple(radii), tuple(masses))
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_vc_and_star_match_oracles(seed):
     rng = np.random.default_rng(seed)
@@ -216,6 +235,72 @@ def test_star_values_pinned(gen, star, unqualified):
     ref = amdl.best_nu(inst)[0]
     assert _pair(star_number(cls, ref)) == star
     assert _pair(star_number_unqualified(cls)) == unqualified
+
+
+def test_star_unqualified_larger_cube_pinned():
+    cls = amdl.gen_random(14, 256, 1, seed=1).hypothesis_class
+    assert _pair(star_number_unqualified(cls)) == (9, False)
+
+
+# sha256 over the distributions of each STAR_PINS instance, one line
+# "r:mass r:mass ..." per distribution, and the exact theta at r0 = 1/20 per
+# distribution, both around the best hypothesis; values of the per-radius
+# Fraction profile
+PROFILE_PINS = [
+    ("501ed937e29432a4647a360b77fab5fb0c208bd2d5af1fea8906e72e342bd746",
+     ["23/6", "37/10", "29/9", "15/4"]),
+    ("617e16684f69a7185532fdbd080719556dacb09325bffff9dc46b981406aaae9",
+     ["29/8", "4", "38/9", "37/8"]),
+    ("04a4c7f06014981856afc95a0bee1c7d6c9991cd68eba6d4c867a04744be487a",
+     ["52/15", "20/7", "4", "33/8"]),
+    ("9adaf3bc3179ba8117216139cbbe4819be2853d0426de4a04683ef9f8b18441d",
+     ["48/11", "4", "50/13", "24/7"]),
+    ("65b61296dde2ef396be889faf6e2cb77a155c78f4ecd8d3ddddc02924dbc4141",
+     ["31/8", "19/5", "48/13", "35/9"]),
+    ("cdaeafb3f4f33f8cb3a269cb9ca0da34d9743d975719f87e58c8db5e9287d8d1",
+     ["1"] * 4),
+    ("cd566388195203d607b43de147c549df6f6d10b0f2131882d920783088c69c6a",
+     ["1"] * 8),
+    ("05371dbd68055dca385532666895acb10c04e752317b80427a68fba5563342c0",
+     ["1", "1"]),
+    ("05371dbd68055dca385532666895acb10c04e752317b80427a68fba5563342c0",
+     ["1", "1"]),
+    ("7667d955cbbdd17870a4057af2eee88398b3a8fee96aff6c31002abfebdbdebd",
+     ["2", "4"]),
+    ("7667d955cbbdd17870a4057af2eee88398b3a8fee96aff6c31002abfebdbdebd",
+     ["2", "4"]),
+    ("6865977e3fbd829e6c510cfc98e4dec940f99ea9e644a350bfe1975ada51ebcc",
+     ["4", "8"]),
+    ("c9fe0f23d7933fd53ae322ada5640bfe77f9fff50b1f750a6354ec383b6c5447",
+     ["1"] * 4),
+    ("23bf4b37d1c6ba1b445b6f63de0c0b98993982ddd5d93f68aca18a4be7ac53d2",
+     ["1"] * 3),
+]
+
+
+@pytest.mark.parametrize("gen,pin", [(g, p) for (g, _, _), p in zip(STAR_PINS, PROFILE_PINS)])
+def test_profile_and_theta_pinned(gen, pin):
+    inst = gen()
+    cls = inst.hypothesis_class
+    ref = amdl.best_nu(inst)[0]
+    h = hashlib.sha256()
+    thetas = []
+    for d in inst.distributions:
+        prof = disagreement_profile(d, cls, ref)
+        h.update((" ".join(f"{r}:{m}" for r, m in zip(prof.radii, prof.masses))
+                  + "\n").encode())
+        thetas.append(str(disagreement_coefficient_exact(d, cls, ref, Fraction(1, 20))))
+    assert (h.hexdigest(), thetas) == pin
+
+
+@pytest.mark.parametrize("n_hyp,seed,exact", [
+    (128, 1, 5), (128, 2, 5), (128, 7_000_000, 5), (256, 1, 6), (256, 7_000_002, 6),
+])
+def test_vc_cap_values_pinned(n_hyp, seed, exact):
+    # the instance-scale generators; a cap the search reaches is flagged
+    cls = _random(n_hyp, seed).hypothesis_class
+    got = [_pair(vc_dimension(cls, cap=cap)) for cap in (0, 1, 2, 3, 12)]
+    assert got == [(0, True), (1, True), (2, True), (3, True), (exact, False)]
 
 
 @pytest.mark.parametrize("n_hyp,cap,star,unqualified", [
