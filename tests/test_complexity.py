@@ -13,7 +13,8 @@ import amdl
 from amdl import ContractViolation, Hypothesis, HypothesisClass
 from amdl.complexity import (disagreement_coefficient_exact,
                              disagreement_profile, star_number,
-                             star_number_unqualified, vc_dimension)
+                             star_number_unqualified, theta_max_exact,
+                             vc_dimension)
 
 from closed_forms import disagreement_profile_reference
 from conftest import brute_star, brute_vc
@@ -42,6 +43,15 @@ def test_vc_cap_reports_lower_bound():
     cls = HypothesisClass([Hypothesis(bits) for bits in product((-1, 1), repeat=4)])
     got = vc_dimension(cls, cap=2)
     assert got.value == 2 and got.lower_bound_only
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_vc_one_parent_per_slab(monkeypatch, seed):
+    # a level extended one parent at a time, most slabs keeping no child
+    monkeypatch.setattr(amdl.complexity, "_VC_SLAB", 1)
+    cls = amdl.gen_random(7, 60, 1, seed=seed).hypothesis_class
+    assert vc_dimension(cls).value == brute_vc(cls.labels)
+    assert _pair(vc_dimension(_random(256, 1).hypothesis_class)) == (6, False)
 
 
 def test_star_lb_family_reaches_k_theta():
@@ -101,6 +111,42 @@ def test_theta_requires_positive_radius():
         amdl.disagreement_coefficient(inst.distributions[0],
                                       inst.hypothesis_class,
                                       inst.hypothesis_class[0], 0.0)
+
+
+def test_exact_layer_refuses_negative_cap():
+    cls = amdl.gen_star_lb(2, 4, 1, 0).hypothesis_class
+    for call in (lambda: vc_dimension(cls, cap=-1),
+                 lambda: star_number(cls, cls[0], cap=-1),
+                 lambda: star_number_unqualified(cls, cap=-1)):
+        with pytest.raises(ContractViolation, match="cap"):
+            call()
+
+
+@pytest.mark.parametrize("m", [5, 7])
+def test_exact_layer_refuses_mismatched_points(m):
+    inst = amdl.gen_random(6, 10, 2, seed=3)
+    cls, d = inst.hypothesis_class, inst.distributions[0]
+    ref = Hypothesis([1] * m)
+    other = amdl.gen_random(m, 4, 1, seed=3).distributions[0]
+    calls = [lambda: star_number(cls, ref),
+             lambda: disagreement_profile(d, cls, ref),
+             lambda: disagreement_profile(other, cls, cls[0]),
+             lambda: disagreement_coefficient_exact(d, cls, ref, 0.1),
+             lambda: amdl.disagreement_coefficient(d, cls, ref, 0.1),
+             lambda: amdl.disagreement_coefficient(other, cls, cls[0], 0.1),
+             lambda: theta_max_exact(inst, ref, 0.1),
+             lambda: amdl.theta_max(inst, ref, 0.1)]
+    for call in calls:
+        with pytest.raises(ContractViolation, match="points"):
+            call()
+
+
+@pytest.mark.parametrize("r0", [float("nan"), float("inf"), -float("inf")])
+def test_theta_refuses_non_finite_radius(r0):
+    inst = amdl.gen_prop1(2, 0.1)
+    with pytest.raises(ContractViolation, match="finite"):
+        amdl.disagreement_coefficient(inst.distributions[0], inst.hypothesis_class,
+                                      inst.hypothesis_class[0], r0)
 
 
 def test_theta_max_prop1_and_star_bound():
