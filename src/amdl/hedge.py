@@ -178,6 +178,8 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     reward_draws = [0] * k
     doubled = [0.0] * k        # 2 * w_hat, the doubling thresholds
     trace = [] if collect_trace else None
+    # hedge_step folds every later round's weights into w_bar as it makes them
+    state.w_bar = _fold_max(state.w_bar, state.w)
 
     for t in range(T):
         # hedge_step leaves state.w normalized and checks its sum
@@ -194,7 +196,6 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
         local = store.erm(state.w_arr)
         h_index = V[local]
         play_counts[h_index] = play_counts.get(h_index, 0) + 1
-        state.w_bar = _fold_max(state.w_bar, w)
         # reward: the played hypothesis' empirical loss on ceil(k * w_bar_i)
         # fresh draws from each distribution, unbiased for the sampled one
         counts = [math.ceil(k * v) for v in state.w_bar]
