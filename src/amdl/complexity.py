@@ -1,9 +1,9 @@
 """Exact combinatorial/metric complexity measures of an instance.
 
 VC dimension and star number are exhaustive searches capped at desk scale.
-The VC search extends a whole level of shattered sets at once in numpy: each
-set gives every member a pattern id, and a child set is shattered iff its
-ids take all values.  The star search runs on member bitmasks: for each point,
+The VC search extends a level of shattered sets at a time in numpy: each set
+gives every member a pattern id, and a child set is shattered iff its ids
+take all values.  The star search runs on member bitmasks: for each point,
 the int whose bit i says whether member i agrees with the reference there.
 The disagreement coefficient is evaluated exactly over the finite candidate
 radius set (the ball-mass function is piecewise constant on finite supports,
@@ -25,7 +25,7 @@ from .core import (ContractViolation, Hypothesis, HypothesisClass,
 DEFAULT_VC_CAP = 12
 DEFAULT_STAR_CAP = 64
 _STAR_NODE_BUDGET = 2_000_000
-_VC_SLAB = 1 << 20      # child pattern ids built at once while extending a level
+_VC_SLAB = 1 << 18      # bounds the child pattern ids built at once for a level
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,11 @@ def _star_search(plus: list[int], ref: np.ndarray, n: int, cap: int,
         if size >= cap:
             budget_hit = budget_hit or size == cap  # cap can truncate the search
             return
+        # one filter per live set, stopped once too few candidates remain
         cands = [y for y in pool if diff[y] & A]
         for w in live:
             if size + len(cands) <= best:
-                return
+                break
             cands = [y for y in cands if w & agree[y]]
         if size + len(cands) <= best:
             return
