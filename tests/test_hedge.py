@@ -113,6 +113,32 @@ def test_hedge_step_folds_the_running_maxima():
     assert state.w_bar[1] == max(state.w[1], 1 - first)
 
 
+
+def _list_normalized(log_w: list[float]) -> np.ndarray:
+    # the reference: np.exp over the shifted list, divided by its numpy sum
+    top = max(log_w)
+    e = np.exp([v - top for v in log_w])
+    return e / e.sum()
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 9, 17])
+def test_hedge_step_weights_equal_the_list_formula_bit_for_bit(k):
+    # k >= 8 takes numpy's pairwise sum; spreads up to 1e3 underflow some weights
+    rng = np.random.default_rng(k)
+    for spread in (1e-3, 1.0, 40.0, 1e3):
+        state = HedgeState(k)
+        state.log_w = (rng.standard_normal(k) * spread).tolist()
+        for t in range(50):
+            r = rng.random(k).tolist()
+            eta = float(rng.uniform(0.0, 3.0))
+            want_log = [v + eta * x for v, x in zip(state.log_w, r)]
+            hedge_step(state, r, eta)
+            want = _list_normalized(want_log)
+            assert state.log_w == want_log
+            assert state.w_arr.tobytes() == want.tobytes()
+            assert state.w == want.tolist()
+
+
 # the solver's weighted ERM: PooledStore keeps mistake counts as the store grows
 
 def _store(cls: HypothesisClass, samples) -> PooledStore:
@@ -161,6 +187,29 @@ def test_weighted_erm_requires_samples_for_weighted_dist():
         _store(cls, [([], [])]).erm(np.array([1.0]))
     with pytest.raises(ContractViolation):
         _store(cls, [([0], [1]), ([], [])]).erm(np.array([0.5, 0.5]))
+
+
+
+def test_weighted_erm_equals_the_int64_formula_on_random_stores():
+    # the reference keeps n and the mistake counts as int64, as they are drawn
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        k, m = int(rng.integers(1, 10)), int(rng.integers(1, 12))
+        labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=(int(rng.integers(1, 40)), m))
+        labels = labels[rng.integers(0, len(labels), size=len(labels) + 5)]  # tied rows
+        store = PooledStore(labels, k)
+        n = np.zeros(k, dtype=np.int64)
+        err = np.zeros((k, len(labels)), dtype=np.int64)
+        for i in range(k):
+            for _ in range(int(rng.integers(1, 4))):
+                xs = rng.integers(0, m, size=int(rng.integers(1, 400)))
+                ys = rng.choice(np.array([-1, 1], dtype=np.int8), size=xs.size)
+                store.add(i, xs, ys)
+                err[i] += (labels[:, xs] != ys).sum(axis=1)
+                n[i] += xs.size
+        assert store.n.dtype == np.int64 and store.n.tolist() == n.tolist()
+        for w in [rng.dirichlet(np.ones(k)) for _ in range(20)] + [np.full(k, 1.0 / k)]:
+            assert store.erm(w) == int(((w / n) @ err).argmin())
 
 
 def test_round_losses_realizable_is_zero():

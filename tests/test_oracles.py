@@ -1,5 +1,6 @@
 """Metered oracles and label-efficient samplers."""
 
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -620,3 +621,67 @@ def test_sampler_family_refuses_bad_index():
         fam.draw(1, 3)
     with pytest.raises(ContractViolation):
         fam.draw(-1, 3)
+
+
+# -- single requests ---------------------------------------------------------------
+
+# sizes of the scripted single requests: empty, one pair, a few pairs, a
+# block's worth and one request larger than a whole buffer block
+DRAW_SIZES = (0, 1, 7, 240, 3000)
+
+# sha256 of (pairs, ledger and stream positions; transcript lines) of
+# `_scripted_draws` on both twin instances, taken before the single-request
+# route of the family kernels existed
+DRAW_DIGESTS = {
+    "plain": ("c9522dafdfcf6055c63d1bdbd6d8baab3eed15f756f3fe94a37083a12d0cef58",
+             "cb783f311873eafb1591cca67eae986ff4fd5bd132626ffaf21b267e95ec9b4f"),
+    "induced": ("958819f56081c7cc3e8b6d69ebb514e4fdaa63172102e9fed8de1bc33e2acacb",
+               "fa4ba940a39eb716c32c9e03b491eeb0a7807cb55ec85b4d60a331377c472a01"),
+    "imputed": ("d70a4b86f50e429ec247f89ed775d4b8c7a088d3efeeb98b3ce888eee2e11e35",
+               "a1365a1513449db62c9105b120fc5d5f522b0d35be01583ace6ee1f95619e125"),
+    "surrogate": ("555e98944377e5558d16ecd214f45af54e8d4b1ce828f781b5c8db0ef9872a3c",
+                 "86be775b96672a12a8a254c307f035f325fee4abbeb286700d67e0a7e730b234"),
+    "surrogate-none": ("93e8409cd02c018ae953f06217a6867798d83aa35b1f1614bf4276cfcdd1709a",
+                      "4e99128923f805e2984e8577fa47a2cbd3308e592580cd875fb6e5a17dc741ce"),
+}
+
+
+def _scripted_draws(kind: str, log_transcript: bool) -> tuple[str, str]:
+    """Every size of DRAW_SIZES from each distribution in turn, then three
+    1500-pair requests from distribution 0, one of which crosses a buffer
+    refill; digests each request's pairs with the ledger and every stream's
+    consumed position after it, and separately the transcript."""
+    pairs, lines = hashlib.sha256(), hashlib.sha256()
+    crossed = 0
+    for name in sorted(TWIN_INSTANCES):
+        o = OracleSet(TWIN_INSTANCES[name](), seed=13, log_transcript=log_transcript)
+        fam = FAMILY_BUILDERS[kind](o)
+        ops = [(i, n) for n in DRAW_SIZES for i in range(o.instance.k)] + [(0, 1500)] * 3
+        for i, n in ops:
+            stream = o._streams[i]
+            start, end = stream.start, stream.start + stream.buf.size
+            xs, ys = fam.draw(i, n)
+            assert xs.size == ys.size == n
+            crossed += n > 0 and stream.start != start and stream.consumed > end
+            pairs.update(repr((xs.dtype.str, xs.tolist(), ys.dtype.str, ys.tolist(),
+                               o.ledger.label_queries.tolist(),
+                               o.ledger.unlabeled_draws.tolist(),
+                               [s.consumed for s in (*o._streams, o._aux)])).encode())
+        assert fam.calls.tolist() == [sum(n for j, n in ops if j == i)
+                                      for i in range(o.instance.k)]
+        assert len(o.ledger.transcript) == (o.ledger.label_total if log_transcript else 0)
+        lines.update(repr(o.ledger.transcript).encode())
+    assert crossed
+    return pairs.hexdigest(), lines.hexdigest()
+
+
+@pytest.mark.parametrize("log_transcript", [False, True])
+@pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
+def test_single_requests_match_their_pins(kind, log_transcript):
+    got_pairs, got_lines = _scripted_draws(kind, log_transcript)
+    want_pairs, want_lines = DRAW_DIGESTS[kind]
+    assert got_pairs == want_pairs
+    if log_transcript:
+        assert got_lines == want_lines
+    else:
+        assert got_lines == hashlib.sha256(b"[]" * len(TWIN_INSTANCES)).hexdigest()
