@@ -7,6 +7,13 @@ the weight vector, and the output is the uniform mixture of the played
 hypotheses.  The same solver, fed with different injected samplers, serves as
 the passive subroutine of every active algorithm in this package.
 
+A round of `mdl_hedge_vc`: grow the store when some weight reaches twice its
+threshold, play the weighted ERM over the store's float64 mistake counts,
+estimate the rewards from ceil(k * w_bar_i) fresh pairs per distribution
+(one `SamplerFamily.round_losses` call), and update the weights with
+`hedge_step`.  The running maxima w_bar seldom grow, so the counts are
+recomputed, and the reward draws totalled, only when they do.
+
 Hyperparameters follow the schedule
     eps1 = c_eps1 * eps / 100
     eta  = c_eta * eps1 / (100 (eps1 + nu))
@@ -70,8 +77,13 @@ def hyperparams(cfg: SolverConfig, k: int, d: int) -> tuple[float, float, int, i
 
 
 def _fold_max(acc: list[float], w: list[float]) -> list[float]:
-    """Elementwise max, as np.maximum gives it for non-NaN floats."""
-    return [a if a >= b else b for a, b in zip(acc, w)]
+    """Elementwise max, as np.maximum gives it for non-NaN floats; `acc`
+    itself when no weight exceeds it, so callers can tell a growth by
+    identity.  A NaN weight never exceeds: the weight-sum check refuses it."""
+    for a, b in zip(acc, w):
+        if b > a:
+            return [a if a >= b else b for a, b in zip(acc, w)]
+    return acc
 
 
 @dataclass
@@ -97,10 +109,13 @@ class HedgeState:
         self.w_bar = [0.0] * self.k
 
     def normalized(self) -> np.ndarray:
-        # np.exp and the (pairwise, for k >= 8) np.sum fix the rounding
+        # np.exp and the (pairwise, for k >= 8) add.reduce of e.sum() fix
+        # the rounding; the in-place divide is the same elementwise quotient
         top = max(self.log_w)
-        e = np.exp([v - top for v in self.log_w])
-        return e / e.sum()
+        e = np.array([v - top for v in self.log_w])
+        np.exp(e, out=e)
+        e /= np.add.reduce(e)
+        return e
 
 
 def hedge_step(state: HedgeState, r_hat: Sequence[float], eta: float) -> HedgeState:
@@ -128,7 +143,9 @@ class PooledStore:
     def __init__(self, labels: np.ndarray, k: int):
         self.labels = labels                  # candidates x points
         self.n = np.zeros(k, dtype=np.int64)
-        self.err = np.zeros((k, len(labels)), dtype=np.int64)
+        # the counts as float64, exact below 2**53, so the ERM casts nothing
+        self._n = np.zeros(k)
+        self.err = np.zeros((k, len(labels)))
         self._empty = k                       # distributions with no samples
 
     def add(self, i: int, xs: np.ndarray, ys: np.ndarray) -> None:
@@ -136,6 +153,7 @@ class PooledStore:
             self._empty -= 1
         self.err[i] += (self.labels[:, xs] != ys).sum(axis=1)
         self.n[i] += xs.size
+        self._n[i] = self.n[i]
 
     def erm(self, w: np.ndarray) -> int:
         """argmin over candidates j of sum_i (w_i / n_i) err[i, j], ties to the
@@ -143,7 +161,7 @@ class PooledStore:
         must hold samples."""
         if self._empty:
             raise ContractViolation("a distribution has positive weight but no samples")
-        return int(((w / self.n) @ self.err).argmin())
+        return int(((w / self._n) @ self.err).argmin())
 
 
 @dataclass
@@ -180,6 +198,10 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     trace = [] if collect_trace else None
     # hedge_step folds every later round's weights into w_bar as it makes them
     state.w_bar = _fold_max(state.w_bar, state.w)
+    # the reward counts ceil(k * w_bar_i) change only when w_bar grows, which
+    # _fold_max shows by handing back a new list; the draws of a run of
+    # rounds on one w_bar are added when the run ends
+    bar, counts, since = None, [0] * k, 0
 
     for t in range(T):
         # hedge_step leaves state.w normalized and checks its sum
@@ -198,14 +220,17 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
         play_counts[h_index] = play_counts.get(h_index, 0) + 1
         # reward: the played hypothesis' empirical loss on ceil(k * w_bar_i)
         # fresh draws from each distribution, unbiased for the sampled one
-        counts = [math.ceil(k * v) for v in state.w_bar]
+        if state.w_bar is not bar:
+            reward_draws = [a + (t - since) * b for a, b in zip(reward_draws, counts)]
+            bar, since = state.w_bar, t
+            counts = [math.ceil(k * v) for v in bar]
         r = sampler.round_losses(store.labels, local, counts, T - t)
-        reward_draws = [a + b for a, b in zip(reward_draws, counts)]
         if trace is not None:
             trace.append((state.t + 1, state.w_arr, float(np.sum(state.w_bar)),
                           int(store.n.sum())))
         hedge_step(state, r, eta)
 
+    reward_draws = [a + (T - since) * b for a, b in zip(reward_draws, counts)]
     support: list[int] = []
     for idx, cnt in sorted(play_counts.items()):
         support.extend([idx] * cnt)

@@ -28,11 +28,16 @@ ahead, without consuming, the variates of `rounds` successive requests of c
 pairs each: a plain or surrogate request takes 2c variates, an imputing one
 c plus its queried points, so each imputing request starts at a running sum
 over prefix sums of dis[x].  `draw`, store growth and the `*_batch` samplers
-make one request.  A solver round's request from distribution i does not
-depend on the played hypothesis, and its size c_i seldom changes, so the
-family serves it from a block of requests kept per distribution; serving
-only consumes the request's variates and meters its draws and queries, as
-the request made alone would.  A block is rebuilt when c_i changes, when
+make one request (`rounds` = 1); the imputing kernel draws a single request
+directly, as its c points and then one label variate per queried point,
+without the chase of request starts or the (rounds, c) index arrays.  A
+solver round's request from distribution i does not depend on the played
+hypothesis, and its size c_i seldom changes, so the family serves it from a
+block of requests kept per distribution.  Serving is one pass per
+distribution: check the block, read the played candidate's loss (computed
+once per block and candidate, for all its requests) and settle the request,
+which consumes its variates and meters its draws and queries as the
+request made alone would.  A block is rebuilt when c_i changes, when
 stream i was read elsewhere since it was built (store growth, agreement
 sampling, `query_label`), when its requests run out, or when the caller
 passes another candidate matrix, whose rows its mistake counts do not
@@ -157,11 +162,13 @@ class _Rounds:
     Request b's pairs are `xs[b]`, `ys[b]`, `need[b]` marks the points it
     queries, and it takes the stream's variates from `ends[b]` up to
     `ends[b + 1]`, counted from the generator's first variate.  Requests
-    happen in order: `settle` makes request `b` happen, consuming its
-    variates and metering its draws and queries."""
+    happen in order, `b` being the next: `pairs` (for a single request) or
+    `SamplerFamily.round_losses` makes it happen, consuming its variates and
+    metering its draws and queries.  `losses[j]` holds row j's empirical
+    loss on every request, for each candidate row j served so far."""
 
     __slots__ = ("stream", "ledger", "drawn", "asked", "i", "c", "xs", "ys", "need", "ends",
-                 "queries", "b", "_mistakes")
+                 "queries", "b", "losses")
 
     def __init__(self, oracles: OracleSet, i: int, xs: np.ndarray, ys: np.ndarray,
                  need: np.ndarray, ends: list[int], queries: list[int]):
@@ -174,43 +181,26 @@ class _Rounds:
         self.ends = ends
         self.queries = queries
         self.b = 0
-        self._mistakes: dict[int, list[int]] = {}
+        self.losses: dict[int, list[float]] = {}
 
-    def next_on_stream(self) -> bool:
-        """Whether a request is left and the stream stands where it starts,
-        untouched by any other reader since the last one."""
-        b = self.b
-        stream = self.stream
-        return b < len(self.queries) and self.ends[b] == stream.start + stream.pos
+    def log(self, b: int, q: int) -> None:
+        """Transcript lines of request b's q metered queries."""
+        ledger, sel = self.ledger, self.need[b]
+        cum = int(ledger.label_queries.sum())
+        ledger.transcript.extend(zip(repeat(self.i, q), self.xs[b][sel].tolist(),
+                                     self.ys[b][sel].tolist(), range(cum - q + 1, cum + 1)))
 
-    def mistakes(self, labels: np.ndarray, j: int) -> list[int]:
-        """Per request, the mistakes of row j of `labels`; computed on first use."""
-        got = self._mistakes.get(j)
-        if got is None:
-            got = self._mistakes[j] = np.count_nonzero(labels[j][self.xs] != self.ys,
-                                                       axis=1).tolist()
-        return got
-
-    def settle(self) -> None:
-        b = self.b
-        stream = self.stream
-        stream.pos = self.ends[b + 1] - stream.start
-        self.b = b + 1
-        i, q = self.i, self.queries[b]
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Make the first request happen, as `SamplerFamily.round_losses`
+        settles a request, and return its pairs."""
+        stream, i, q = self.stream, self.i, self.queries[0]
+        stream.pos = self.ends[1] - stream.start
+        self.b = 1
         self.drawn[i] += self.c
         if q:
             self.asked[i] += q
-            ledger = self.ledger
-            if ledger.log_transcript:
-                sel = self.need[b]
-                cum = int(ledger.label_queries.sum())
-                ledger.transcript.extend(zip(repeat(i, q), self.xs[b][sel].tolist(),
-                                             self.ys[b][sel].tolist(),
-                                             range(cum - q + 1, cum + 1)))
-
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Settle the first request and return its pairs."""
-        self.settle()
+            if self.ledger.log_transcript:
+                self.log(0, q)
         return self.xs[0], self.ys[0]
 
 
@@ -291,9 +281,18 @@ class OracleSet:
         dis_mask, labels = view
         stream = self._streams[i]
         base = stream.consumed
+        u = stream.ahead(2 * c * rounds)
+        if rounds == 1:
+            # one request: its c points, then a label variate per queried point
+            xs = self._cdf[i].searchsorted(u[:c], side="right")
+            need = dis_mask[xs]
+            ys = labels[xs]
+            q = int(np.count_nonzero(need))
+            if q:
+                ys[need] = _SIGN[(u[c:c + q] < self._eta[i][xs[need]]).view(np.int8)]
+            return _Rounds(self, i, xs[None], ys[None], need[None], [base, base + c + q], [q])
         # request b starts at most 2cb variates in and takes at most 2c, so
         # every point lies below (2 rounds - 1) c
-        u = stream.ahead(2 * c * rounds)
         pts = self._cdf[i].searchsorted(u[:(2 * rounds - 1) * c], side="right")
         dis = dis_mask[pts]
         before = np.zeros(pts.size + 1, dtype=np.int64)     # queried points before p
@@ -472,10 +471,28 @@ class SamplerFamily:
         losses = []
         for i, c in enumerate(counts):
             blk = blocks[i]
-            if blk is None or blk.c != c or not blk.next_on_stream():
+            # a block serves while its size holds, a request is left and the
+            # stream stands where that request starts, untouched since
+            if (blk is None or blk.c != c or blk.b == len(blk.queries)
+                    or blk.ends[blk.b] != blk.stream.start + blk.stream.pos):
                 blk = blocks[i] = self._kernels[i](c, min(rounds_left, max(1, BLOCK // (2 * c))))
-            losses.append(blk.mistakes(labels, j)[blk.b] / c)
-            blk.settle()
+            got = blk.losses.get(j)
+            if got is None:
+                # count / c in numpy is the correctly rounded quotient, as in Python
+                got = blk.losses[j] = (np.count_nonzero(labels[j][blk.xs] != blk.ys, axis=1)
+                                       / c).tolist()
+            b = blk.b
+            losses.append(got[b])
+            # settle request b: consume its variates, meter its draws and queries
+            stream = blk.stream
+            stream.pos = blk.ends[b + 1] - stream.start
+            blk.b = b + 1
+            blk.drawn[i] += c
+            q = blk.queries[b]
+            if q:
+                blk.asked[i] += q
+                if blk.ledger.log_transcript:
+                    blk.log(b, q)
             calls[i] += c
         return losses
 
