@@ -21,7 +21,7 @@ import numpy as np
 from .active import RunResult, active_large_eps, active_small_eps, regime_dispatch
 from .complexity import star_number_unqualified, vc_dimension
 from .core import ContractViolation, MDLInstance, load_instance, worst_loss
-from .hedge import SolverConfig, mdl_hedge_vc, naive_erm_baseline
+from .hedge import KNOBS, SolverConfig, mdl_hedge_vc, naive_erm_baseline
 from .oracles import OracleSet, plain_family
 from .rpu import active_dist_free
 
@@ -70,6 +70,9 @@ class RunConfig:
             raise ContractViolation(f"unknown profile {self.profile!r}")
         if self.workers < 1:
             raise ContractViolation(f"workers must be >= 1, got {self.workers}")
+        unknown = sorted(set(self.knobs) - set(KNOBS))
+        if unknown:
+            raise ContractViolation(f"unknown solver knobs {unknown}; known: {list(KNOBS)}")
 
     def load(self) -> MDLInstance:
         if self.instance is None:
@@ -243,6 +246,9 @@ def sweep(config: dict) -> list[dict]:
     """
     from .families import FamilySpec
 
+    missing = [key for key in ("families", "algs", "eps_grid") if key not in config]
+    if missing:
+        raise ContractViolation(f"sweep config is missing {missing}")
     profile = config.get("profile", "desk")
     delta = float(config.get("delta", 0.1))
     trials = int(config.get("trials", 50))

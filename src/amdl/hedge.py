@@ -37,6 +37,7 @@ from .core import (ContractViolation, Hypothesis, HypothesisClass, MDLInstance,
 from .oracles import OracleSet, SamplerFamily, plain_family
 
 WEIGHT_SUM_TOL = 1e-12
+KNOBS = ("c_t", "c_t1", "c_eta", "c_eps1", "c_n", "c_naive")   # SolverConfig's scale knobs
 
 
 @dataclass
@@ -58,22 +59,23 @@ class SolverConfig:
             raise ContractViolation("eps and delta must lie in (0,1)")
         if not 0 <= self.nu < 1:
             raise ContractViolation("nu must lie in [0,1)")
-        if min(self.c_t, self.c_t1, self.c_eta, self.c_eps1, self.c_n, self.c_naive) <= 0:
-            raise ContractViolation("scale knobs must be positive")
+        if not all(0 < getattr(self, name) < math.inf for name in KNOBS):   # refuses NaN
+            raise ContractViolation("scale knobs must be positive and finite")
 
 
 def hyperparams(cfg: SolverConfig, k: int, d: int) -> tuple[float, float, int, int]:
-    """(eps1, eta, T, T1) from the stated schedule; errors on nonpositive results."""
+    """(eps1, eta, T, T1) from the stated schedule; errors on nonpositive or
+    overflowing results."""
     eps1 = cfg.c_eps1 * cfg.eps / 100.0
     eta = cfg.c_eta * eps1 / (100.0 * (eps1 + cfg.nu))
     load = 1.0 / eps1 + cfg.nu / eps1 ** 2
-    T = math.ceil(cfg.c_t * 20000.0 * load * math.log(k / (cfg.delta * cfg.eps)))
+    t = cfg.c_t * 20000.0 * load * math.log(k / (cfg.delta * cfg.eps))
     cover = k * math.log(k / cfg.eps) + (d * math.log(k * d / cfg.eps) if d > 0 else 0.0) \
         + math.log(1.0 / cfg.delta)
-    T1 = math.ceil(cfg.c_t1 * 4000.0 * load * cover)
-    if eps1 <= 0 or eta <= 0 or T <= 0 or T1 <= 0:
-        raise ContractViolation("hyperparameter schedule produced a nonpositive value")
-    return eps1, eta, T, T1
+    t1 = cfg.c_t1 * 4000.0 * load * cover
+    if not (eps1 > 0 and eta > 0 and 0 < t < math.inf and 0 < t1 < math.inf):
+        raise ContractViolation("hyperparameter schedule produced a nonpositive or infinite value")
+    return eps1, eta, math.ceil(t), math.ceil(t1)
 
 
 def _fold_max(acc: list[float], w: list[float]) -> list[float]:

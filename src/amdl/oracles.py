@@ -208,6 +208,8 @@ class OracleSet:
     """Sampling access to one instance for one run, with a shared ledger."""
 
     def __init__(self, instance: MDLInstance, seed: int, log_transcript: bool = False):
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ContractViolation(f"seed must be an integer >= 0, got {seed!r}")
         self.instance = instance
         self.seed = seed
         k = instance.k

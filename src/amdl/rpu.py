@@ -74,6 +74,10 @@ def batch_size(s_star: int, xi: float, c_n: float = 1.0) -> int:
     """
     if not 0 < xi <= 1:
         raise ContractViolation("target reliability must lie in (0, 1]")
+    if s_star < 0:
+        raise ContractViolation(f"star number must be >= 0, got {s_star}")
+    if not 0 < c_n < math.inf:
+        raise ContractViolation("batch-size knob must be positive and finite")
 
     def load(n: int) -> float:
         dis = 10.0 * s_star * max(1.0, math.log(math.e * n / s_star)) \

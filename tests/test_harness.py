@@ -70,6 +70,33 @@ def test_sweep_negative_base_seed_gives_skipped_rows():
     assert all(r["skipped"] == 1 and "base_seed must be >= 0" in r["reason"] for r in rows)
 
 
+def test_run_config_refuses_unknown_knobs():
+    with pytest.raises(ContractViolation, match="c_tt"):
+        RunConfig(alg="passive-hedge", eps=0.1, delta=0.1, knobs={"c_tt": 1})
+    RunConfig(alg="passive-hedge", eps=0.1, delta=0.1, knobs={"c_t": 1e-5, "c_naive": 2.0})
+
+
+@pytest.mark.parametrize("knobs", [{"c_tt": 1.0}, {"c_t": float("nan")}])
+def test_sweep_bad_knob_gives_skipped_rows(knobs):
+    # a misspelt or non-finite knob skips every cell instead of aborting the sweep
+    rows = sweep({
+        "trials": 1, "delta": 0.1, "knobs": knobs,
+        "families": [{"family": "prop1", "params": {"k": 2, "eps": 0.2}}],
+        "algs": ["passive-naive", "passive-hedge"], "eps_grid": [0.2],
+    })
+    assert len(rows) == 2 and all(r["skipped"] == 1 for r in rows)
+
+
+@pytest.mark.parametrize("missing", ["families", "algs", "eps_grid"])
+def test_sweep_refuses_a_config_without_its_grid(missing):
+    config = {"families": [], "algs": [], "eps_grid": [], "trials": 1}
+    del config[missing]
+    with pytest.raises(ContractViolation, match=missing):
+        sweep(config)
+    with pytest.raises(ContractViolation):
+        sweep({})
+
+
 @pytest.mark.parametrize("workers", [0, -1, -8])
 def test_run_config_refuses_workers_below_one(workers):
     with pytest.raises(ContractViolation, match="workers"):

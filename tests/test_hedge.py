@@ -60,6 +60,21 @@ def test_solver_config_validation():
         SolverConfig(eps=0.1, delta=0.1, nu=0.0, c_t=0.0)
 
 
+@pytest.mark.parametrize("knob", ["c_t", "c_t1", "c_eta", "c_eps1", "c_n", "c_naive"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+def test_solver_config_refuses_non_finite_knobs(knob, value):
+    # NaN passes a `<= 0` test, and hyperparams then failed in math.ceil
+    with pytest.raises(ContractViolation, match="positive and finite"):
+        SolverConfig(eps=0.1, delta=0.1, nu=0.0, **{knob: value})
+
+
+def test_hyperparams_refuse_an_overflowing_schedule():
+    # finite knobs whose schedule overflows to inf, which math.ceil refuses
+    cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, c_t=1e305, c_t1=1e305)
+    with pytest.raises(ContractViolation, match="infinite"):
+        hyperparams(cfg, 2, 1)
+
+
 def test_hedge_step_zero_rewards_keep_weights():
     state = HedgeState(3)
     w_before = state.normalized().copy()

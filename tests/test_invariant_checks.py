@@ -45,7 +45,7 @@ _UNDER_O = """
 import math
 import amdl
 from amdl import ContractViolation, OracleSet, plain_family
-from amdl.hedge import HedgeState, hedge_step
+from amdl.hedge import HedgeState, SolverConfig, hedge_step
 
 assert False, "python -O keeps assert statements"   # stripped under -O
 inst = amdl.gen_prop1(3, 0.2)
@@ -55,6 +55,7 @@ checks = {
     "negative draw": lambda: fam.draw(0, -1),
     "zero round count": lambda: fam.round_losses(inst.hypothesis_class.labels, 0,
                                                  [1, 0, 1], 5),
+    "nan knob": lambda: SolverConfig(eps=0.1, delta=0.1, nu=0.0, c_t=math.nan),
 }
 for name, check in checks.items():
     try:
@@ -74,4 +75,4 @@ def test_runtime_checks_hold_under_python_O():
                          capture_output=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["refused: nan reward", "refused: negative draw",
-                                       "refused: zero round count"]
+                                       "refused: zero round count", "refused: nan knob"]

@@ -75,6 +75,13 @@ def test_query_label_zero_mass_point_still_answered():
     assert o.query_label(0, 1) == 1
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_oracle_set_refuses_a_bad_seed(seed):
+    with pytest.raises(ContractViolation, match="seed"):
+        OracleSet(two_point_instance(), seed)
+    OracleSet(two_point_instance(), np.int64(3))
+
+
 def test_index_out_of_range():
     inst = two_point_instance()
     o = OracleSet(inst, seed=0)

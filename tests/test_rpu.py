@@ -66,6 +66,13 @@ def test_batch_size_satisfies_bound_and_scales():
         batch_size(4, 0.0)
 
 
+@pytest.mark.parametrize("s_star, c_n", [(-1, 1.0), (-5, 1.0), (4, 0.0), (4, -1.0),
+                                         (4, math.nan), (4, math.inf)])
+def test_batch_size_refuses_a_negative_star_number_or_bad_knob(s_star, c_n):
+    with pytest.raises(ContractViolation):
+        batch_size(s_star, 0.5, c_n)
+
+
 def _noiseless_setup(seed, k=2):
     inst = amdl.gen_star_lb(k, 4, 1, 2)
     target = amdl.best_nu(inst)[0]
