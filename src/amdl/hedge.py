@@ -111,8 +111,8 @@ class HedgeState:
         self.w_bar = [0.0] * self.k
 
     def normalized(self) -> np.ndarray:
-        # np.exp and the (pairwise, for k >= 8) add.reduce of e.sum() fix
-        # the rounding; the in-place divide is the same elementwise quotient
+        # np.exp and numpy's add.reduce (what e.sum() runs; pairwise for
+        # k >= 8) fix the rounding; dividing in place gives the same quotients
         top = max(self.log_w)
         e = np.array([v - top for v in self.log_w])
         np.exp(e, out=e)
