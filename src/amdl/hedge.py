@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import ge
 from typing import Sequence
 
 import numpy as np
@@ -208,7 +209,7 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     for t in range(T):
         # hedge_step leaves state.w normalized and checks its sum
         w = state.w
-        if any(a >= b for a, b in zip(w, doubled)):
+        if any(map(ge, w, doubled)):
             state.w_hat = _fold_max(state.w_hat, w)
             for i, v in enumerate(state.w_hat):
                 grow = math.ceil(T1 * v) - int(store.n[i])
