@@ -40,10 +40,9 @@ which consumes its variates and meters its draws and queries as the
 request made alone would.  A block is rebuilt when c_i changes, when
 stream i was read elsewhere since it was built (store growth, agreement
 sampling, `query_label`), when its requests run out, or when the caller
-passes another candidate matrix, whose rows its mistake counts do not
-index.  It holds no more
-requests than the caller still plays, and no more variates than one buffer
-block unless a single request needs more.  Reading ahead changes no variate:
+passes another candidate matrix, whose rows its losses do not index.  It
+holds no more requests than the caller still plays, and no more variates
+than one buffer block unless a single request needs more.  Reading ahead changes no variate:
 a stream that holds too few appends the generator's next variates behind its
 unread tail.
 """
@@ -466,7 +465,7 @@ class SamplerFamily:
         if rounds_left < 1:
             raise ContractViolation("a round needs a horizon of at least itself")
         if labels is not self._labels:
-            # a new candidate matrix: the blocks' mistake counts index the old rows
+            # a new candidate matrix: the blocks' losses index the old rows
             self._labels = labels
             self._blocks = [None] * self.k
         blocks, calls = self._blocks, self._calls
