@@ -128,7 +128,6 @@ def test_hedge_step_folds_the_running_maxima():
     assert state.w_bar[1] == max(state.w[1], 1 - first)
 
 
-
 def _list_normalized(log_w: list[float]) -> np.ndarray:
     # the reference: np.exp over the shifted list, divided by its numpy sum
     top = max(log_w)
@@ -202,7 +201,6 @@ def test_weighted_erm_requires_samples_for_weighted_dist():
         _store(cls, [([], [])]).erm(np.array([1.0]))
     with pytest.raises(ContractViolation):
         _store(cls, [([0], [1]), ([], [])]).erm(np.array([0.5, 0.5]))
-
 
 
 def test_weighted_erm_equals_the_int64_formula_on_random_stores():
