@@ -288,6 +288,27 @@ def test_star_unqualified_larger_cube_pinned():
     assert _pair(star_number_unqualified(cls)) == (9, False)
 
 
+def _plus_point(cls):
+    """`cls` with one more point, labelled +1 by member 0 only."""
+    col = -np.ones((len(cls), 1), dtype=np.int8)
+    col[0] = 1
+    return HypothesisClass([Hypothesis(row) for row in np.hstack([cls.labels, col])])
+
+
+@pytest.mark.parametrize("gen,unqualified", [
+    # the star number is the number of non-constant points
+    (lambda: amdl.gen_star_lb(2, 16, 1, 3).hypothesis_class, (32, False)),
+    (lambda: amdl.gen_prop1(32, 0.02).hypothesis_class, (32, False)),
+    # one short of it
+    (lambda: _plus_point(amdl.gen_star_lb(2, 16, 1, 3).hypothesis_class), (32, False)),
+    # far below it
+    (lambda: amdl.gen_random(20, 64, 1, seed=1).hypothesis_class, (8, False)),
+    (lambda: amdl.gen_random(12, 1024, 1, seed=1).hypothesis_class, (11, False)),
+])
+def test_star_unqualified_wide_classes_pinned(gen, unqualified):
+    assert _pair(star_number_unqualified(gen())) == unqualified
+
+
 # sha256 over the distributions of each STAR_PINS instance, one line
 # "r:mass r:mass ..." per distribution, and the exact theta at r0 = 1/20 per
 # distribution, both around the best hypothesis; values of the per-radius
@@ -385,9 +406,11 @@ def test_star_unqualified_matches_brute_force(seed):
     m = int(rng.integers(1, 7))
     n = int(rng.integers(1, 13))
     cls = amdl.gen_random(m, min(n, 2 ** m), 1, seed=seed).hypothesis_class
-    got = star_number_unqualified(cls)
-    assert not got.lower_bound_only
-    assert got.value == max(brute_star(cls.labels, h.labels) for h in cls.hypotheses)
+    exact = max(brute_star(cls.labels, h.labels) for h in cls.hypotheses)
+    assert _pair(star_number_unqualified(cls)) == (exact, False)
+    # a cap at or below the value is what the search returns, flagged
+    cap = int(rng.integers(0, m + 2))
+    assert _pair(star_number_unqualified(cls, cap=cap)) == (min(exact, cap), exact >= cap)
 
 
 def test_star_unqualified_cap_flags_lower_bound():

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 import amdl
 from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, RandomizedHypothesis)
-from amdl.core import disagreement_exact, loss_exact, max_disagreement_exact
+from amdl.core import (best_nu_index, disagreement_exact, loss_exact,
+                       max_disagreement_exact)
 
 from conftest import brute_best_nu, brute_loss, two_point_instance
+from test_complexity import STAR_PINS
 
 
 def test_loss_prop1_reference_hypothesis():
@@ -146,6 +148,21 @@ def test_best_nu_matches_brute_force_small_random():
     h, nu = amdl.best_nu(inst)
     assert inst.hypothesis_class.index_of(h) == idx
     assert Fraction(nu) == Fraction(float(val))
+
+
+@pytest.mark.parametrize("n_hyp", [16, 128, 256])
+def test_best_nu_matches_brute_force_seeded(n_hyp):
+    # 102 instances in all; their distributions have different denominators
+    # and some have several minimizers, of which the first must win
+    for seed in range(34):
+        inst = amdl.gen_random(10, n_hyp, 4, seed=seed)
+        assert (best_nu_index(inst), inst.nu_exact()) == brute_best_nu(inst)
+
+
+@pytest.mark.parametrize("gen", [gen for gen, _, _ in STAR_PINS])
+def test_best_nu_matches_brute_force_on_pinned_families(gen):
+    inst = gen()
+    assert (best_nu_index(inst), inst.nu_exact()) == brute_best_nu(inst)
 
 
 @settings(max_examples=30, deadline=None)
