@@ -1,10 +1,13 @@
 """Exact combinatorial/metric complexity measures of an instance.
 
-VC dimension and star number are exhaustive searches capped at desk scale.
-The VC search extends a level of shattered sets at a time in numpy: each set
-gives every member a pattern id, and a child set is shattered iff its ids
-take all values.  The star search runs on member bitmasks: for each point,
-the int whose bit i says whether member i agrees with the reference there.
+VC dimension and the unqualified star number are exhaustive searches capped
+at desk scale, by one level search in numpy over the non-constant points:
+each set gives every member a pattern id, and a child set is kept iff its
+ids take all values (shattered) or hold a pattern and all its one-point
+flips (a star set around some member); both properties are downward closed.
+The star number around a fixed reference is a branch-and-bound on member
+bitmasks: for each point, the int whose bit i says whether member i agrees
+with the reference there.
 The disagreement coefficient is evaluated exactly over the finite candidate
 radius set (the ball-mass function is piecewise constant on finite supports,
 so the sup over r >= r0 is attained at a candidate radius); its profile takes
@@ -25,7 +28,8 @@ from .core import (ContractViolation, Hypothesis, HypothesisClass,
 DEFAULT_VC_CAP = 12
 DEFAULT_STAR_CAP = 64
 _STAR_NODE_BUDGET = 2_000_000
-_VC_SLAB = 1 << 18      # bounds the child pattern ids built at once for a level
+_STAR_CELL_BUDGET = 1 << 26   # seen-table cells one unqualified star search may build
+_VC_SLAB = 1 << 18      # bounds the cells built at once for a level
 
 
 @dataclass(frozen=True)
@@ -45,21 +49,40 @@ def _check_cap(cap: int) -> None:
         raise ContractViolation("cap must be non-negative")
 
 
-def _shattered_children(bits: np.ndarray, last: np.ndarray, ids: np.ndarray,
-                        size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The shattered extensions, by a point after its last one, of each
-    shattered set of `size` points given as its last point and its members'
-    pattern ids (`bits` is points x members, 0/1): the children's last points
-    and pattern ids."""
-    width = bits.shape[0] - 1 - last
+def _varying_bits(cls: HypothesisClass) -> np.ndarray:
+    """Points x members, 0/1 for the label +1, where both labels appear."""
+    bits = (cls.labels.T > 0).astype(np.intp)
+    plus = bits.sum(axis=1)
+    return bits[(plus > 0) & (plus < len(cls))]
+
+
+def _holds_star(seen: np.ndarray, size: int) -> np.ndarray:
+    """Rows holding some pattern and all `size` of its one-bit flips."""
+    ok = seen.copy()
+    for j in range(size):
+        flipped = ok.reshape(len(ok), -1, 2, 1 << j)
+        flipped &= seen.reshape(len(seen), -1, 2, 1 << j)[:, :, ::-1]
+    return ok.any(axis=1)
+
+
+def _children(bits: np.ndarray, last: np.ndarray, ids: np.ndarray, size: int,
+              width: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
+    """The extensions of each set of `size` points (its last point and its
+    members' pattern ids; `bits` is points x members, 0/1) by one of the
+    `width` points after its last one whose seen ids `keep` passes, built in
+    slabs of bounded cells: the kept children's last points and ids."""
     parent = np.repeat(np.arange(last.size), width)
     point = np.arange(parent.size) + np.repeat(last + 1 - (np.cumsum(width) - width), width)
-    child = ids[parent] | bits[point] << size
     patterns = 2 << size
-    seen = np.zeros(parent.size * patterns, dtype=bool)
-    seen[(child + (np.arange(parent.size) * patterns)[:, None]).ravel()] = True
-    keep = seen.reshape(parent.size, patterns).all(axis=1)
-    return point[keep], child[keep]
+    step = max(1, _VC_SLAB // (patterns + bits.shape[1]))
+    kept = np.zeros(parent.size, dtype=bool)
+    for i in range(0, parent.size, step):
+        child = ids[parent[i:i + step]] | bits[point[i:i + step]] << size
+        seen = np.zeros((len(child), patterns), dtype=bool)
+        seen[np.arange(len(child))[:, None], child] = True
+        kept[i:i + step] = keep(seen, size + 1)
+    point = point[kept]
+    return point, ids[parent[kept]] | bits[point] << size
 
 
 def vc_dimension(cls: HypothesisClass, cap: int = DEFAULT_VC_CAP) -> ComplexityValue:
@@ -67,44 +90,46 @@ def vc_dimension(cls: HypothesisClass, cap: int = DEFAULT_VC_CAP) -> ComplexityV
 
     Grows shattered sets a level at a time (every subset of a shattered set
     is shattered), so the work is bounded by the number of shattered sets
-    rather than all subsets.  A set is kept as its last point and the pattern
-    id of each member on it; a child set is shattered iff its ids take all
-    values.  A level is extended in slabs of parents, so its children's ids
-    take bounded memory.
+    rather than all subsets.
     """
     _check_cap(cap)
-    bits = (cls.labels.T > 0).astype(np.intp)
-    # no point is shattered unless both labels appear there
-    plus = bits.sum(axis=1)
-    last = np.flatnonzero((plus > 0) & (plus < len(cls)))
-    ids = bits[last]
-    if not last.size:
+    bits = _varying_bits(cls)
+    if not len(bits):
         return ComplexityValue(0, lower_bound_only=False)
-    step = max(1, _VC_SLAB // bits.size)
-    size = 1
+    last, ids, size = np.arange(len(bits)), bits, 1
     while size < cap:
-        slabs = [_shattered_children(bits, last[i:i + step], ids[i:i + step], size)
-                 for i in range(0, last.size, step)]
-        last, ids = (np.concatenate(col) for col in zip(*slabs))
+        last, ids = _children(bits, last, ids, size, len(bits) - 1 - last,
+                              lambda seen, size: seen.all(axis=1))
         if not last.size:
             return ComplexityValue(size, lower_bound_only=False)
         size += 1
     return ComplexityValue(cap, lower_bound_only=True)
 
 
-def _member_masks(labels: np.ndarray) -> list[int]:
-    """For each point, the members labelling it +1 as an int bitmask (bit i
-    is member i)."""
-    cols = np.packbits(labels.T > 0, axis=1, bitorder="little")
+def _column_masks(a: np.ndarray) -> list[int]:
+    """Each column of `a` as an int whose bit i is set where row i is > 0."""
+    cols = np.packbits(a.T > 0, axis=1, bitorder="little")
     return [int.from_bytes(col.tobytes(), "little") for col in cols]
 
 
-def _star_search(plus: list[int], ref: np.ndarray, n: int, cap: int,
-                 floor: int = 0) -> ComplexityValue:
+def _greedy_star(plus: list[int], ref: np.ndarray, n: int, cap: int) -> int:
+    """Size of the star set around `ref` taken greedily in point order, up to
+    `cap` points, among the `n` members whose +1 masks are `plus`."""
+    A = full = (1 << n) - 1
+    live = []
+    for p, r in zip(plus, ref.tolist()):
+        a = p if r > 0 else full ^ p
+        if len(live) >= cap:
+            break
+        if (full ^ a) & A and all(w & a for w in live):
+            A, live = A & a, [w & a for w in live] + [(full ^ a) & A]
+    return len(live)
+
+
+def _star_search(plus: list[int], ref: np.ndarray, n: int, cap: int) -> ComplexityValue:
     """Branch-and-bound for the largest star set around the labeling `ref`
-    of the `n` members whose +1 masks are `plus`, pruning branches that
-    cannot exceed `floor`; a search cut by the cap or the node budget returns
-    its greedy completion as a lower bound.
+    of the `n` members whose +1 masks are `plus`; a search cut by the cap or
+    the node budget returns its greedy completion as a lower bound.
 
     `agree[x]` and `diff[x]` are the members that agree and disagree with
     `ref` at x.  A node is a star set S carried as `A`, the members agreeing
@@ -117,7 +142,7 @@ def _star_search(plus: list[int], ref: np.ndarray, n: int, cap: int,
     agree = [p if r > 0 else full ^ p for p, r in zip(plus, ref.tolist())]
     diff = [full ^ a for a in agree]
     points = [x for x, d in enumerate(diff) if d]
-    best = floor
+    best = 0
     nodes = 0
     budget_hit = False
 
@@ -153,14 +178,7 @@ def _star_search(plus: list[int], ref: np.ndarray, n: int, cap: int,
     if not budget_hit:
         return ComplexityValue(best)
     # greedy completion as an explicit lower bound
-    A, live = full, []
-    for y in points:
-        if len(live) >= cap:
-            break
-        a = agree[y]
-        if diff[y] & A and all(w & a for w in live):
-            A, live = A & a, [w & a for w in live] + [diff[y] & A]
-    return ComplexityValue(max(best, len(live)), lower_bound_only=True)
+    return ComplexityValue(max(best, _greedy_star(plus, ref, n, cap)), lower_bound_only=True)
 
 
 def star_number(cls: HypothesisClass, hstar: Hypothesis,
@@ -175,27 +193,48 @@ def star_number(cls: HypothesisClass, hstar: Hypothesis,
     _check_cap(cap)
     if len(hstar) != cls.m:
         raise ContractViolation("reference must label the class's points")
-    return _star_search(_member_masks(cls.labels), hstar.labels, len(cls), cap)
+    return _star_search(_column_masks(cls.labels), hstar.labels, len(cls), cap)
 
 
 def star_number_unqualified(cls: HypothesisClass, cap: int = DEFAULT_STAR_CAP) -> ComplexityValue:
     """Max of the reference-based star number over references in the class.
 
-    The unqualified star number is reported this way and flagged as such; the
-    reference-based variant is the primitive.  All references share one set
-    of member bitmasks.  Each reference's search only looks for star sets
-    larger than the best found so far, and the value is flagged whenever a
-    search was cut by the cap or the node budget.
+    A set is a star set around some member iff the class's projection on it
+    holds a pattern and all its one-point flips.  Over the n points where
+    the class is not constant, targets t run down from min(cap, n) until a
+    star set of t points is found.  t = n is checked on the members; a
+    smaller t by the level search, dropping a set that cannot reach t points
+    with the points after its last one.  A value equal to `cap` is flagged.
+
+    The search's tables count against one cell budget.  If it runs out at
+    target t, the value is the largest greedy completion over the
+    references; it is exact when that reaches t (no larger target held a
+    star set) and flagged otherwise.
     """
     _check_cap(cap)
-    plus = _member_masks(cls.labels)
-    best, exact = 0, True
-    for ref in cls.labels:
-        v = _star_search(plus, ref, len(cls), cap, floor=best)
-        best, exact = v.value, exact and not v.lower_bound_only
-        if best >= cap:
+    bits = _varying_bits(cls)
+    n = len(bits)
+    cells = 0
+    for t in range(min(cap, n), 0, -1):
+        if t == n:
+            pats = set(_column_masks(bits))
+            if any(all(p ^ (1 << j) in pats for j in range(n)) for p in pats):
+                break
+            continue
+        last, ids = np.arange(n - t + 1), bits[:n - t + 1]
+        for size in range(1, t):
+            width = n - t + size - last
+            cells += int(width.sum()) << (size + 1)
+            if cells > _STAR_CELL_BUDGET:
+                plus = _column_masks(cls.labels)
+                greedy = max(_greedy_star(plus, ref, len(cls), cap) for ref in cls.labels)
+                return ComplexityValue(greedy, lower_bound_only=greedy < t or greedy == cap)
+            last, ids = _children(bits, last, ids, size, width, _holds_star)
+        if last.size:
             break
-    return ComplexityValue(best, lower_bound_only=not exact)
+    else:
+        t = 0
+    return ComplexityValue(t, lower_bound_only=t == cap)
 
 
 @dataclass(frozen=True)

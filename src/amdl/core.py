@@ -302,13 +302,22 @@ class MDLInstance:
         return max(self.loss_vector_exact(h))
 
     def _best_pair(self) -> tuple[int, Fraction]:
+        """The first member of least worst-case loss, and that loss.  Member
+        j's loss numerator over `mden * eden` is the all-minus numerator plus
+        `mnum[x] (eden - 2 enum[x])` for each point x that j labels +1; the
+        numerators are Python ints scaled to the common denominator."""
         if self._best is None:
-            best_idx, best_val = 0, None
-            for idx, h in enumerate(self.hypothesis_class.hypotheses):
-                val = self.worst_loss_exact(h)
-                if best_val is None or val < best_val:
-                    best_idx, best_val = idx, val
-            self._best = (best_idx, best_val)
+            plus = self.hypothesis_class.labels > 0
+            den = math.lcm(*(d._mden * d._eden for d in self.distributions))
+            worst = 0
+            for d in self.distributions:
+                w = np.array([mx * (d._eden - 2 * ex) for mx, ex in zip(d._mnum, d._enum)],
+                             dtype=object)
+                base = sum(mx * ex for mx, ex in zip(d._mnum, d._enum))
+                worst = np.maximum(worst, (plus @ w + base) * (den // (d._mden * d._eden)))
+            worst = worst.tolist()
+            idx = min(range(len(worst)), key=worst.__getitem__)
+            self._best = (idx, Fraction(worst[idx], den))
         return self._best
 
     def nu_exact(self) -> Fraction:

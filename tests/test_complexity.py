@@ -309,6 +309,21 @@ def test_star_unqualified_wide_classes_pinned(gen, unqualified):
     assert _pair(star_number_unqualified(gen())) == unqualified
 
 
+def test_star_unqualified_cell_budget_falls_back_to_greedy(monkeypatch):
+    # the level search gives up at its first target below the point count;
+    # the greedy completion over the references answers, exact only where
+    # it reaches that target
+    monkeypatch.setattr(amdl.complexity, "_STAR_CELL_BUDGET", 4096)
+    cls = _random(128, 1).hypothesis_class
+    got = star_number_unqualified(cls)
+    assert got.lower_bound_only and got.value <= 8
+    assert _pair(got) == (7, True)
+    # a greedy value that reaches a target equal to the cap is still flagged
+    assert _pair(star_number_unqualified(cls, cap=7)) == (7, True)
+    wide = _plus_point(amdl.gen_star_lb(2, 16, 1, 3).hypothesis_class)
+    assert _pair(star_number_unqualified(wide)) == (32, False)
+
+
 # sha256 over the distributions of each STAR_PINS instance, one line
 # "r:mass r:mass ..." per distribution, and the exact theta at r0 = 1/20 per
 # distribution, both around the best hypothesis; values of the per-radius
