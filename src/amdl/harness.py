@@ -249,6 +249,8 @@ def sweep(config: dict) -> list[dict]:
     missing = [key for key in ("families", "algs", "eps_grid") if key not in config]
     if missing:
         raise ContractViolation(f"sweep config is missing {missing}")
+    if any(not isinstance(fam, dict) or "family" not in fam for fam in config["families"]):
+        raise ContractViolation("every sweep families entry needs a 'family' key")
     profile = config.get("profile", "desk")
     delta = float(config.get("delta", 0.1))
     trials = int(config.get("trials", 50))

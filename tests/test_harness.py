@@ -97,6 +97,15 @@ def test_sweep_refuses_a_config_without_its_grid(missing):
         sweep({})
 
 
+@pytest.mark.parametrize("entry", [{"params": {"k": 2}}, "prop1"])
+def test_sweep_refuses_a_families_entry_without_its_family(entry):
+    # refused at entry, before any cell runs, instead of a KeyError mid-sweep
+    config = {"families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}, entry],
+              "algs": ["passive-naive"], "eps_grid": [0.2], "trials": 1}
+    with pytest.raises(ContractViolation, match="family"):
+        sweep(config)
+
+
 @pytest.mark.parametrize("workers", [0, -1, -8])
 def test_run_config_refuses_workers_below_one(workers):
     with pytest.raises(ContractViolation, match="workers"):
