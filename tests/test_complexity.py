@@ -47,7 +47,7 @@ def test_vc_cap_reports_lower_bound():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_vc_one_parent_per_slab(monkeypatch, seed):
-    # a level extended one parent at a time, most slabs keeping no child
+    # a level extended one child at a time, most slabs keeping none
     monkeypatch.setattr(amdl.complexity, "_VC_SLAB", 1)
     cls = amdl.gen_random(7, 60, 1, seed=seed).hypothesis_class
     assert vc_dimension(cls).value == brute_vc(cls.labels)
