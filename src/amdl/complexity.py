@@ -118,11 +118,12 @@ def _greedy_star(plus: list[int], ref: np.ndarray, n: int, cap: int) -> int:
     A = full = (1 << n) - 1
     live = []
     for p, r in zip(plus, ref.tolist()):
-        a = p if r > 0 else full ^ p
         if len(live) >= cap:
             break
-        if (full ^ a) & A and all(w & a for w in live):
-            A, live = A & a, [w & a for w in live] + [(full ^ a) & A]
+        a = p if r > 0 else full ^ p
+        witnesses = (full ^ a) & A
+        if witnesses and all(w & a for w in live):
+            A, live = A & a, [w & a for w in live] + [witnesses]
     return len(live)
 
 
@@ -177,7 +178,6 @@ def _star_search(plus: list[int], ref: np.ndarray, n: int, cap: int) -> Complexi
     extend(full, [], points)
     if not budget_hit:
         return ComplexityValue(best)
-    # greedy completion as an explicit lower bound
     return ComplexityValue(max(best, _greedy_star(plus, ref, n, cap)), lower_bound_only=True)
 
 
