@@ -622,6 +622,40 @@ def test_stream_keeps_one_block_and_one_refill_after_a_long_agreement_run():
     assert stream.buf.size <= 2 * stream.block
 
 
+def test_oracle_set_samplers_equal_their_family_draws():
+    # each OracleSet sampler and the family `draw` the learners run give the
+    # same pairs, ledger, transcript and stream positions, request by request
+    inst = amdl.gen_agnostic_lb(4, 0.4, 0.05)
+    V = (0, 1)
+    f = np.array([0, 1, 0, -1, 1, 0], dtype=np.int8)
+    S = OracleSet(inst, seed=3).sample_conditional_agreement(2, V, 40)
+    pairs = {
+        "induced": (lambda o, i, n: o.sample_induced_batch(i, V, n),
+                    lambda o: amdl.induced_family(o, V)),
+        "imputed": (lambda o, i, n: o.sample_imputed_batch(i, f, n),
+                    lambda o: amdl.imputed_family(o, f)),
+        "surrogate": (lambda o, i, n: o.sample_surrogate_batch(i, V, S, n),
+                      lambda o: amdl.surrogate_family(o, V, [S] * inst.k)),
+        # a singleton version space imputes every label: points only
+        "unlabeled": (lambda o, i, n: (o.draw_unlabeled_batch(i, n),),
+                      lambda o: amdl.induced_family(o, (0,))),
+    }
+    sizes = [(i, n) for n in (0, 1, 7, 240, 3000) for i in range(inst.k)] + [(1, 5000)] * 2
+    for name, (old, family) in pairs.items():
+        a = OracleSet(inst, seed=17, log_transcript=True)
+        b = OracleSet(inst, seed=17, log_transcript=True)
+        fam = family(b)
+        for i, n in sizes:
+            got, want = old(a, i, n), fam.draw(i, n)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want)), name
+            assert a.ledger.label_queries.tolist() == b.ledger.label_queries.tolist()
+            assert a.ledger.unlabeled_draws.tolist() == b.ledger.unlabeled_draws.tolist()
+            assert [s.consumed for s in (*a._streams, a._aux)] == \
+                [s.consumed for s in (*b._streams, b._aux)]
+        assert a.ledger.transcript == b.ledger.transcript
+        assert name == "unlabeled" or a.ledger.label_total > 0
+
+
 def test_sampler_family_refuses_bad_index():
     fam = amdl.plain_family(OracleSet(two_point_instance(), seed=0))
     with pytest.raises(ContractViolation):
