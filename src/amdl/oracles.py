@@ -1,9 +1,11 @@
 """Metered sampling access: free unlabeled draws, counted label queries.
 
 Interaction model: per distribution i there is an example oracle (unlabeled
-draws, free but counted) and a labeling oracle (the metered resource).  On top
-of the raw oracles sit the label-efficient samplers: version-space-imputed,
-abstain-imputed, surrogate, and conditional-agreement sampling.
+draws, free but counted) and a labeling oracle (the metered resource).  The
+learners sample through the sampler families: plain (`plain_family`),
+version-space-imputed (`induced_family`), abstain-imputed (`imputed_family`)
+and surrogate (`surrogate_family`).  `OracleSet` itself adds
+conditional-agreement sampling and the auxiliary stream's picks.
 
 RNG layout (documented split order): SeedSequence(seed).spawn(k + 1); child i
 < k is distribution i's stream, child k is the auxiliary stream used only for
@@ -27,7 +29,7 @@ One numpy kernel per family draws the pairs.  `kernel(c, rounds)` reads
 ahead, without consuming, the variates of `rounds` successive requests of c
 pairs each: a plain or surrogate request takes 2c variates, an imputing one
 c plus its queried points, so each imputing request starts at a running sum
-over prefix sums of dis[x].  `draw`, store growth and the `*_batch` samplers
+over prefix sums of dis[x].  `draw`, store growth and `draw_labeled_batch`
 make one request (`rounds` = 1); the imputing kernel draws a single request
 directly, as its c points and then one label variate per queried point,
 without the chase of request starts or the (rounds, c) index arrays.  A
@@ -39,12 +41,12 @@ once per block and candidate, for all its requests) and settle the request,
 which consumes its variates and meters its draws and queries as the
 request made alone would.  A block is rebuilt when c_i changes, when
 stream i was read elsewhere since it was built (store growth, agreement
-sampling, `query_label`), when its requests run out, or when the caller
+sampling, `draw_labeled_batch`), when its requests run out, or when the caller
 passes another candidate matrix, whose rows its losses do not index.  It
 holds no more requests than the caller still plays, and no more variates
-than one buffer block unless a single request needs more.  Reading ahead changes no variate:
-a stream that holds too few appends the generator's next variates behind its
-unread tail.
+than one buffer block unless a single request needs more.  Reading ahead
+changes no variate: a stream that holds too few appends the generator's next
+variates behind its unread tail.
 """
 
 from __future__ import annotations
@@ -144,11 +146,6 @@ def _imputed_view(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return outs == 0, outs
 
 
-def _check_surrogate_sample(sample: tuple[np.ndarray, np.ndarray]) -> None:
-    if sample[0].size == 0:
-        raise ContractViolation("surrogate sampling needs a non-empty pre-labeled sample")
-
-
 def _check_count(n: int) -> None:
     if n < 0:
         raise ContractViolation(f"cannot draw a negative number of samples ({n})")
@@ -225,23 +222,10 @@ class OracleSet:
 
     # -- raw oracles --------------------------------------------------------
 
-    def _check(self, i: int, n: int = 0) -> None:
+    def _check(self, i: int, n: int) -> None:
         if not 0 <= i < self.instance.k:
             raise ContractViolation(f"distribution index {i} out of range")
         _check_count(n)
-
-    def _points(self, i: int, n: int) -> np.ndarray:
-        """The example oracle: n points from n point variates of stream i."""
-        xs = self._cdf[i].searchsorted(self._streams[i].take(n), side="right")
-        self.ledger.unlabeled_draws[i] += n
-        return xs
-
-    def draw_unlabeled_batch(self, i: int, n: int) -> np.ndarray:
-        self._check(i, n)
-        return self._points(i, n)
-
-    def draw_unlabeled(self, i: int) -> int:
-        return int(self.draw_unlabeled_batch(i, 1)[0])
 
     def _labels_for(self, i: int, xs: np.ndarray) -> np.ndarray:
         """The labeling oracle: y = +1 with probability eta_plus[x]."""
@@ -256,15 +240,9 @@ class OracleSet:
                                          range(cum - n + 1, cum + 1)))
         return ys
 
-    def query_label(self, i: int, x: int) -> int:
-        self._check(i)
-        if not 0 <= x < self.instance.m:
-            raise ContractViolation(f"point {x} is outside the domain")
-        return int(self._labels_for(i, np.array([x]))[0])
-
     # -- per-family kernels: `rounds` requests of c pairs from stream i, read
-    # ahead in the documented consumption order; every sampler and the
-    # sampler families draw through them
+    # ahead in the documented consumption order; the sampler families and
+    # `draw_labeled_batch` draw through them
 
     def _plain_rounds(self, i: int, c: int, rounds: int) -> _Rounds:
         stream = self._streams[i]
@@ -334,7 +312,8 @@ class OracleSet:
                        need, [base + 2 * c * b for b in range(rounds + 1)], q.tolist())
 
     def draw_labeled_batch(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Plain labeled sampling: every pair costs one label query."""
+        """Plain labeled sampling, one label query per pair; kept as the bulk
+        sampler that `bench/layers.py` times."""
         self._check(i, n)
         return self._plain_rounds(i, n, 1).pairs()
 
@@ -352,30 +331,6 @@ class OracleSet:
         return got
 
     # -- label-efficient samplers --------------------------------------------
-
-    def sample_induced_batch(self, i: int, version_space: Sequence[int],
-                             n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Version-space-imputed sampling: query only inside DIS(V), impute the
-        unanimous label outside."""
-        self._check(i, n)
-        return self._imputing_rounds(self._vs_view(version_space), i, n, 1).pairs()
-
-    def sample_imputed_batch(self, i: int, outputs: np.ndarray,
-                             n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Abstaining-classifier-imputed sampling: query only where the
-        classifier abstains."""
-        self._check(i, n)
-        return self._imputing_rounds(_imputed_view(outputs), i, n, 1).pairs()
-
-    def sample_surrogate_batch(self, i: int, version_space: Sequence[int],
-                               sample: tuple[np.ndarray, np.ndarray],
-                               n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Surrogate sampling: fresh labeled draws inside DIS(V0); outside,
-        discard the draw and return a uniform element of the pre-labeled S_i."""
-        self._check(i, n)
-        _check_surrogate_sample(sample)
-        dis_mask, _ = self._vs_view(version_space)
-        return self._surrogate_rounds(dis_mask, sample, i, n, 1).pairs()
 
     def sample_conditional_agreement(self, i: int, version_space: Sequence[int],
                                      n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -497,10 +452,6 @@ class SamplerFamily:
             calls[i] += c
         return losses
 
-    @property
-    def total_calls(self) -> int:
-        return int(self.calls.sum())
-
 
 def plain_family(oracles: OracleSet) -> SamplerFamily:
     return SamplerFamily([partial(oracles._plain_rounds, i) for i in range(oracles.instance.k)])
@@ -530,6 +481,8 @@ def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
         if sample is None:
             kernels.append(partial(oracles._plain_rounds, i))
         else:
-            _check_surrogate_sample(sample)
+            if sample[0].size == 0:
+                raise ContractViolation(
+                    "surrogate sampling needs a non-empty pre-labeled sample")
             kernels.append(partial(oracles._surrogate_rounds, dis_mask, sample, i))
     return SamplerFamily(kernels)

@@ -35,10 +35,6 @@ class AbstainingClassifier:
     def __call__(self, x: int) -> int:
         return int(self.outputs[x])
 
-    @property
-    def abstain_mask(self) -> np.ndarray:
-        return self.outputs == 0
-
     @staticmethod
     def always_abstain(m: int) -> "AbstainingClassifier":
         return AbstainingClassifier(np.zeros(m, dtype=np.int8))

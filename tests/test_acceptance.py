@@ -97,7 +97,7 @@ def test_criterion_3_sampler_distributions():
     details = []
 
     o = OracleSet(inst, seed=101)
-    xs, ys = o.sample_induced_batch(0, V, n)
+    xs, ys = amdl.induced_family(o, V).draw(0, n)
     tv_ind = empirical_tv(Counter(zip(xs.tolist(), ys.tolist())),
                           induced_distribution(inst.distributions[0],
                                                inst.hypothesis_class, V).joint_exact(), n)
@@ -107,7 +107,7 @@ def test_criterion_3_sampler_distributions():
 
     o = OracleSet(inst, seed=102)
     f = np.array([0, 1, 1, 0], dtype=np.int8)
-    xs, ys = o.sample_imputed_batch(0, f, n)
+    xs, ys = imputed_family(o, f).draw(0, n)
     tv_imp = empirical_tv(Counter(zip(xs.tolist(), ys.tolist())),
                           imputed_distribution(inst.distributions[0], f).joint_exact(), n)
     details.append(f"imputed tv={tv_imp:.4f}")
@@ -115,7 +115,7 @@ def test_criterion_3_sampler_distributions():
     o = OracleSet(inst, seed=103)
     S = o.sample_conditional_agreement(0, V, 50)
     o2 = OracleSet(inst, seed=104)
-    xs, ys = o2.sample_surrogate_batch(0, V, S, n)
+    xs, ys = amdl.surrogate_family(o2, V, [S]).draw(0, n)
     tv_sur = empirical_tv(Counter(zip(xs.tolist(), ys.tolist())),
                           surrogate_joint_exact(inst.distributions[0],
                                                 inst.hypothesis_class, V, S), n)

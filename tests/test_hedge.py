@@ -244,7 +244,7 @@ def test_round_losses_sample_count_and_noise_rate():
     total, rounds = 0.0, 3000
     for t in range(rounds):
         total += fam.round_losses(cls.labels, 0, counts, rounds - t)[0]
-    assert o.ledger.label_total == fam.total_calls == 3 * rounds
+    assert o.ledger.label_total == int(fam.calls.sum()) == 3 * rounds
     assert abs(total / rounds - 0.5) < 0.02
 
 
@@ -302,7 +302,7 @@ def test_mdl_hedge_vc_accounting_reconciles(desk_knobs):
     fam = plain_family(o)
     res = mdl_hedge_vc(inst.hypothesis_class, (0, 1), fam, cfg, 3, 1, collect_trace=True)
     # every sampler call is one labeled pair: ledger equals the solver's counts
-    assert res.total_draws == fam.total_calls == o.ledger.label_total
+    assert res.total_draws == int(fam.calls.sum()) == o.ledger.label_total
     assert np.array_equal(res.reward_draws + res.store_draws, fam.calls)
     assert sum(res.play_counts.values()) == res.rounds
     # trace monotonicity of the running maxima l1 norm

@@ -28,7 +28,8 @@ def test_draw_unlabeled_point_mass():
     dist = LabeledDistribution([0.0, 1.0], [0.5, 0.5])
     inst = MDLInstance(FeatureSpace(2), cls, [dist])
     o = OracleSet(inst, seed=0)
-    xs = o.draw_unlabeled_batch(0, 1000)
+    # a singleton version space imputes every label: the draw queries none
+    xs, _ = amdl.induced_family(o, (0,)).draw(0, 1000)
     assert np.all(xs == 1)
     assert o.ledger.unlabeled_draws[0] == 1000
     assert o.ledger.label_total == 0
@@ -37,7 +38,7 @@ def test_draw_unlabeled_point_mass():
 def test_draw_unlabeled_uniform_frequencies():
     inst = two_point_instance()
     o = OracleSet(inst, seed=1)
-    xs = o.draw_unlabeled_batch(0, 100_000)
+    xs, _ = amdl.induced_family(o, (0,)).draw(0, 100_000)
     assert abs(np.mean(xs == 0) - 0.5) < 0.01
 
 
@@ -55,8 +56,9 @@ def test_query_label_deterministic_eta():
     dist = LabeledDistribution([0.5, 0.5], [1.0, 0.0])
     inst = MDLInstance(FeatureSpace(2), cls, [dist])
     o = OracleSet(inst, seed=0)
-    assert all(o.query_label(0, 0) == 1 for _ in range(50))
-    assert all(o.query_label(0, 1) == -1 for _ in range(50))
+    xs, ys = amdl.plain_family(o).draw(0, 100)
+    assert set(xs.tolist()) == {0, 1}
+    assert np.array_equal(ys, np.where(xs == 0, 1, -1))
     assert o.ledger.label_queries[0] == 100
 
 
@@ -72,7 +74,7 @@ def test_query_label_zero_mass_point_still_answered():
     dist = LabeledDistribution([1.0, 0.0], [0.5, 1.0])
     inst = MDLInstance(FeatureSpace(2), cls, [dist])
     o = OracleSet(inst, seed=0)
-    assert o.query_label(0, 1) == 1
+    assert o._labels_for(0, np.array([1])).tolist() == [1]
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
@@ -86,28 +88,23 @@ def test_index_out_of_range():
     inst = two_point_instance()
     o = OracleSet(inst, seed=0)
     with pytest.raises(ContractViolation):
-        o.draw_unlabeled(5)
+        o.draw_labeled_batch(5, 1)
     with pytest.raises(ContractViolation):
-        o.query_label(2, 0)
+        o.sample_conditional_agreement(2, (0,), 1)
 
 
 _S = (np.array([2, 3]), np.array([1, -1], dtype=np.int8))
 
-# every public sampler with a bad count or point, and the family entry points
+# every public sampler with a bad count, and the family entry points
 BAD_CALLS = {
-    "draw_unlabeled_batch": lambda o: o.draw_unlabeled_batch(0, -2),
     "draw_labeled_batch": lambda o: o.draw_labeled_batch(0, -1),
-    "sample_induced_batch": lambda o: o.sample_induced_batch(0, (0, 1), -1),
-    "sample_imputed_batch": lambda o: o.sample_imputed_batch(
-        0, np.array([0, 1, 0, -1], dtype=np.int8), -5),
-    "sample_surrogate_batch": lambda o: o.sample_surrogate_batch(0, (0, 1), _S, -1),
     "sample_conditional_agreement": lambda o: o.sample_conditional_agreement(0, (0, 1), -3),
     "aux_choice_batch-count": lambda o: o.aux_choice_batch(-1, 3),
     "aux_choice_batch-empty-range": lambda o: o.aux_choice_batch(4, 0),
-    "query_label-past-domain": lambda o: o.query_label(0, 4),
-    "query_label-negative-point": lambda o: o.query_label(0, -1),
     "plain_family.draw": lambda o: amdl.plain_family(o).draw(0, -3),
     "induced_family.draw": lambda o: amdl.induced_family(o, (0, 1)).draw(0, -1),
+    "imputed_family.draw": lambda o: amdl.imputed_family(
+        o, np.array([0, 1, 0, -1], dtype=np.int8)).draw(0, -5),
     "surrogate_family.draw": lambda o: amdl.surrogate_family(o, (0, 1), [_S]).draw(0, -1),
     "round_losses-zero-count": lambda o: amdl.plain_family(o).round_losses(
         o.instance.hypothesis_class.labels, 0, [0], 3),
@@ -155,14 +152,14 @@ def test_sample_induced_total_disagreement_costs_every_call():
     inst = two_point_instance()
     o = OracleSet(inst, seed=0)
     V = (0, 1)  # complements: DIS = X
-    o.sample_induced_batch(0, V, 200)
+    amdl.induced_family(o, V).draw(0, 200)
     assert o.ledger.label_queries[0] == 200
 
 
 def test_sample_induced_singleton_version_space_free():
     inst = _induced_fixture()
     o = OracleSet(inst, seed=0)
-    xs, ys = o.sample_induced_batch(0, (0,), 500)
+    xs, ys = amdl.induced_family(o, (0,)).draw(0, 500)
     assert o.ledger.label_total == 0
     assert np.array_equal(ys, inst.hypothesis_class.labels[0][xs])
 
@@ -172,7 +169,7 @@ def test_sample_induced_label_cost_law():
     inst = _induced_fixture()
     o = OracleSet(inst, seed=5)
     n = 100_000
-    o.sample_induced_batch(0, (0, 1), n)
+    amdl.induced_family(o, (0, 1)).draw(0, n)
     p = 0.5
     sd = (n * p * (1 - p)) ** 0.5
     assert abs(o.ledger.label_total - n * p) <= 3 * sd
@@ -183,7 +180,7 @@ def test_sample_induced_matches_closed_form_pmf():
     V = (0, 1)
     o = OracleSet(inst, seed=9)
     n = 100_000
-    xs, ys = o.sample_induced_batch(0, V, n)
+    xs, ys = amdl.induced_family(o, V).draw(0, n)
     counts = Counter(zip(xs.tolist(), ys.tolist()))
     exact = induced_distribution(inst.distributions[0], inst.hypothesis_class,
                                  V).joint_exact()
@@ -195,8 +192,8 @@ def test_sample_imputed_matches_plain_when_always_abstaining():
     a = OracleSet(inst, seed=4)
     b = OracleSet(inst, seed=4)
     f0 = np.zeros(2, dtype=np.int8)
-    xa, ya = a.sample_imputed_batch(0, f0, 300)
-    xb, yb = b.draw_labeled_batch(0, 300)
+    xa, ya = amdl.imputed_family(a, f0).draw(0, 300)
+    xb, yb = amdl.plain_family(b).draw(0, 300)
     assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
     assert a.ledger.label_total == b.ledger.label_total == 300
 
@@ -205,7 +202,7 @@ def test_sample_imputed_total_classifier_free():
     inst = two_point_instance()
     o = OracleSet(inst, seed=4)
     f = np.array([1, -1], dtype=np.int8)
-    xs, ys = o.sample_imputed_batch(0, f, 400)
+    xs, ys = amdl.imputed_family(o, f).draw(0, 400)
     assert o.ledger.label_total == 0
     assert np.array_equal(ys, f[xs])
 
@@ -217,7 +214,7 @@ def test_sample_imputed_label_rate_matches_abstention_mass():
     o = OracleSet(inst, seed=8)
     f = np.array([1, 0], dtype=np.int8)  # abstains on mass 0.1
     n = 100_000
-    o.sample_imputed_batch(0, f, n)
+    amdl.imputed_family(o, f).draw(0, n)
     assert abs(o.ledger.label_total / n - 0.1) < 0.01
 
 
@@ -226,7 +223,7 @@ def test_sample_imputed_matches_closed_form_pmf():
     o = OracleSet(inst, seed=10)
     f = np.array([0, 1, 1, 0], dtype=np.int8)
     n = 100_000
-    xs, ys = o.sample_imputed_batch(0, f, n)
+    xs, ys = amdl.imputed_family(o, f).draw(0, n)
     counts = Counter(zip(xs.tolist(), ys.tolist()))
     exact = imputed_distribution(inst.distributions[0], f).joint_exact()
     assert empirical_tv(counts, exact, n) <= 0.02
@@ -237,8 +234,8 @@ def test_sample_surrogate_reduces_to_fresh_sampling_when_dis_is_everything():
     a = OracleSet(inst, seed=12)
     b = OracleSet(inst, seed=12)
     S = (np.array([0]), np.array([1], dtype=np.int8))
-    xa, ya = a.sample_surrogate_batch(0, (0, 1), S, 250)
-    xb, yb = b.draw_labeled_batch(0, 250)
+    xa, ya = amdl.surrogate_family(a, (0, 1), [S]).draw(0, 250)
+    xb, yb = amdl.plain_family(b).draw(0, 250)
     assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
 
 
@@ -246,7 +243,7 @@ def test_sample_surrogate_zero_cost_when_dis_empty():
     inst = _induced_fixture()
     o = OracleSet(inst, seed=12)
     S = (np.array([2, 3]), np.array([1, -1], dtype=np.int8))
-    xs, ys = o.sample_surrogate_batch(0, (0,), S, 400)
+    xs, ys = amdl.surrogate_family(o, (0,), [S]).draw(0, 400)
     assert o.ledger.label_total == 0
     # every returned pair is an element of S
     assert set(zip(xs.tolist(), ys.tolist())) <= {(2, 1), (3, -1)}
@@ -259,7 +256,7 @@ def test_sample_surrogate_matches_closed_form_pmf():
     S = o.sample_conditional_agreement(0, V, 40)
     o2 = OracleSet(inst, seed=14)
     n = 100_000
-    xs, ys = o2.sample_surrogate_batch(0, V, S, n)
+    xs, ys = amdl.surrogate_family(o2, V, [S]).draw(0, n)
     counts = Counter(zip(xs.tolist(), ys.tolist()))
     exact = surrogate_joint_exact(inst.distributions[0], inst.hypothesis_class, V, S)
     assert empirical_tv(counts, exact, n) <= 0.02
@@ -270,8 +267,8 @@ def test_sample_surrogate_needs_nonempty_sample():
     inst = _induced_fixture()
     o = OracleSet(inst, seed=1)
     with pytest.raises(ContractViolation):
-        o.sample_surrogate_batch(0, (0, 1),
-                                 (np.empty(0, dtype=int), np.empty(0, dtype=np.int8)), 5)
+        amdl.surrogate_family(o, (0, 1),
+                              [(np.empty(0, dtype=int), np.empty(0, dtype=np.int8))])
 
 
 def test_conditional_agreement_plain_when_agreement_is_everything():
@@ -344,7 +341,7 @@ def test_transcript_records_every_label_query(tmp_path):
     inst = two_point_instance()
     o = OracleSet(inst, seed=0, log_transcript=True)
     o.draw_labeled_batch(0, 25)
-    o.sample_induced_batch(0, (0, 1), 25)
+    amdl.induced_family(o, (0, 1)).draw(0, 25)
     assert len(o.ledger.transcript) == o.ledger.label_total == 50
     assert [rec[3] for rec in o.ledger.transcript] == list(range(1, 51))
     # the harness writes each trial's ledger transcript, one line per label
@@ -424,7 +421,7 @@ def _scripted_ops(k: int) -> list[tuple]:
     between.  Count changes hit one distribution in the middle of its block;
     the 5000s cross a buffer refill within one request, the 700s carry each
     stream across the next block boundaries two requests per block; store
-    growth, agreement sampling and single label queries read the streams
+    growth, agreement sampling and plain labeled draws read the streams
     between rounds; each solve's horizon ends part-way into a buffer, and
     one solve stops short of the horizon it announced."""
     small = [tuple((3 * t + i) % 4 + 1 for i in range(k)) for t in range(4)]
@@ -436,7 +433,7 @@ def _scripted_ops(k: int) -> list[tuple]:
         ("solve", 1, [small[2], small[2], small[3]]),
         ("agree", 0, 25),
         ("solve", 2, [small[3]] * 2 + big + [(700,) * k] * 5),
-        ("query", k - 1, 1),
+        ("labeled", k - 1, 1),
         ("solve", 0, [small[1]] * 6 + [small[0]] * 3),
         ("draw", 0, 3000),
         ("solve", 1, [grow, grow], 4),
@@ -462,7 +459,7 @@ def _run_ops(o: OracleSet, family, ops: list[tuple]) -> list:
         elif op[0] == "agree":
             o.sample_conditional_agreement(op[1], (0, 1), op[2])
         else:
-            o.query_label(op[1], op[2])
+            o.draw_labeled_batch(op[1], op[2])
     return out
 
 
@@ -523,7 +520,7 @@ _OPS = st.one_of(
                        min_size=1, max_size=30), st.integers(0, 3)),
     st.tuples(st.just("draw"), st.integers(0, 2), st.integers(0, 900)),
     st.tuples(st.just("agree"), st.integers(0, 2), st.integers(0, 300)),
-    st.tuples(st.just("query"), st.integers(0, 2), st.integers(0, 3)),
+    st.tuples(st.just("labeled"), st.integers(0, 2), st.integers(0, 3)),
 )
 
 
@@ -620,40 +617,6 @@ def test_stream_keeps_one_block_and_one_refill_after_a_long_agreement_run():
         if stream.buf is not buf:
             assert stream.buf.size <= tail + stream.block
     assert stream.buf.size <= 2 * stream.block
-
-
-def test_oracle_set_samplers_equal_their_family_draws():
-    # each OracleSet sampler and the family `draw` the learners run give the
-    # same pairs, ledger, transcript and stream positions, request by request
-    inst = amdl.gen_agnostic_lb(4, 0.4, 0.05)
-    V = (0, 1)
-    f = np.array([0, 1, 0, -1, 1, 0], dtype=np.int8)
-    S = OracleSet(inst, seed=3).sample_conditional_agreement(2, V, 40)
-    pairs = {
-        "induced": (lambda o, i, n: o.sample_induced_batch(i, V, n),
-                    lambda o: amdl.induced_family(o, V)),
-        "imputed": (lambda o, i, n: o.sample_imputed_batch(i, f, n),
-                    lambda o: amdl.imputed_family(o, f)),
-        "surrogate": (lambda o, i, n: o.sample_surrogate_batch(i, V, S, n),
-                      lambda o: amdl.surrogate_family(o, V, [S] * inst.k)),
-        # a singleton version space imputes every label: points only
-        "unlabeled": (lambda o, i, n: (o.draw_unlabeled_batch(i, n),),
-                      lambda o: amdl.induced_family(o, (0,))),
-    }
-    sizes = [(i, n) for n in (0, 1, 7, 240, 3000) for i in range(inst.k)] + [(1, 5000)] * 2
-    for name, (old, family) in pairs.items():
-        a = OracleSet(inst, seed=17, log_transcript=True)
-        b = OracleSet(inst, seed=17, log_transcript=True)
-        fam = family(b)
-        for i, n in sizes:
-            got, want = old(a, i, n), fam.draw(i, n)
-            assert all(np.array_equal(x, y) for x, y in zip(got, want)), name
-            assert a.ledger.label_queries.tolist() == b.ledger.label_queries.tolist()
-            assert a.ledger.unlabeled_draws.tolist() == b.ledger.unlabeled_draws.tolist()
-            assert [s.consumed for s in (*a._streams, a._aux)] == \
-                [s.consumed for s in (*b._streams, b._aux)]
-        assert a.ledger.transcript == b.ledger.transcript
-        assert name == "unlabeled" or a.ledger.label_total > 0
 
 
 def test_sampler_family_refuses_bad_index():

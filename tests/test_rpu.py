@@ -174,7 +174,7 @@ def test_imputed_distribution_consistency(desk_knobs):
     f = np.array([1, -1, 0, 0, -1, 0, 1, 0], dtype=np.int8)
     o = OracleSet(inst, seed=5)
     n = 100_000
-    xs, ys = o.sample_imputed_batch(0, f, n)
+    xs, ys = imputed_family(o, f).draw(0, n)
     counts = Counter(zip(xs.tolist(), ys.tolist()))
     exact = imputed_distribution(inst.distributions[0], f).joint_exact()
     assert empirical_tv(counts, exact, n) <= 0.02
