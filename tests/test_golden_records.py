@@ -7,7 +7,9 @@ to how a loss is rounded changes a digest; a pure speed-up must not.
 
 The `active-dd-large` cells of `configs/sweep_scaling.json` are pinned as
 well, with the version spaces and epoch trace each run keeps, so the exact
-radius test that prunes them cannot drift, ties at the bound included.
+radius test that prunes them cannot drift, ties at the bound included.  The
+labels, draws and transcripts of every `active-dd-large` cell are also pinned
+apart from its records.
 
 The solver's own outputs that no record shows (reward and store draws,
 store sizes, play counts, traced weight rows, ledger and transcript) are
@@ -18,6 +20,7 @@ where numpy sums the weights pairwise.
 import hashlib
 import json
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +178,51 @@ def test_sweep_large_eps_version_spaces(name, eps):
                      res.trace))
     digest = _sha256(repr(kept).encode())
     assert digest == SWEEP_VERSION_SPACE_SHA256[f"{name}/{eps}"]
+
+
+# Labels, draws and transcripts of every active-dd-large cell, pinned apart
+# from the records: the output rule moves only achieved_err and success.
+LARGE_EPS_CELLS = {
+    "prop1(4,0.1)/0.1": (lambda: amdl.gen_prop1(4, 0.1), 0.1),
+    **{f"{name}/{eps}": (partial(_sweep_instance, name), eps) for name, eps in SWEEP_CELLS},
+}
+
+LARGE_EPS_LEDGER_SHA256 = {
+    "prop1(4,0.1)/0.1":
+        ("e9eab5f4dbe3e4930c4f6b9570a4aba6b404957c1de80f7db1441d2c792fff75",
+         "29e1a942e141247d3c3f0ec1d8417d8b6ad2a34018d69a082e920d411ce13338"),
+    "prop1(8,0.05)/0.05":
+        ("de8250a322453eb51cac0f372fb3aebd5fa615be078a54db8144e047a09d321a",
+         "8137c56d0697e95ec154c0e84da7ca02415e8b32072d6cec9f247192e9d0fc9e"),
+    "prop1(8,0.05)/0.1":
+        ("81b22860a103d30e7e23f19abd1c43f4ffb9e36a86656d05c9f73929b317ae1c",
+         "711e3ee93d5a7870433ea25eac63276ea4816ca874ae8e139c3fbc91099d41ec"),
+    "prop1(8,0.05)/0.2":
+        ("5c0671f1730b424934dfb066e98f63565cabb95a17aa52dbaa21b749489ac4b4",
+         "b5073384f029fa1c13dbba043fa6ea493ad57ea3e423ab5b0c986a95b7403395"),
+    "star-lb(2,8,1,3)/0.05":
+        ("588954fd9c3b6c406a2c3d757b138298567bef5f84156b421a0387c40a6042cd",
+         "c9a99f1e248a8218b84905dd00730549e377563c6449fbb0dec65b23da69d3e8"),
+    "star-lb(2,8,1,3)/0.1":
+        ("e51f867628b95523f5b562bd54108891168946197a1111292d19d9012d14152c",
+         "d58c83f4c64da3c4e3fcdb748fcbc7c7e153b5d99badc6d2c04546095f9a5b04"),
+    "star-lb(2,8,1,3)/0.2":
+        ("652acb00de61dba87a336895641f06d2f19b7552b3473ffb35223b355644614b",
+         "3eb2823a0cb68433f1e69c9a491de2ff30b6842f9e60bd419aab8c2d7948a386"),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(LARGE_EPS_CELLS))
+def test_large_eps_labels_draws_and_transcripts(cell, tmp_path):
+    gen, eps = LARGE_EPS_CELLS[cell]
+    path = tmp_path / "transcript.csv"
+    recs = run_trials(RunConfig(alg="active-dd-large", eps=eps, delta=DELTA,
+                                trials=len(SEEDS), base_seed=SEEDS[0], profile="desk",
+                                instance=gen(), trace=True, transcript_path=str(path)))
+    ledger = [(r.seed, r.labels_total, r.labels_per_dist, r.unlabeled, r.failure_mode)
+              for r in recs]
+    got = (_sha256(repr(ledger).encode()), _sha256(path.read_bytes()))
+    assert got == LARGE_EPS_LEDGER_SHA256[cell]
 
 
 def test_sweep_large_eps_keeps_hypotheses_at_the_radius(monkeypatch):
