@@ -88,7 +88,20 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
     max-disagreement 2 eps_n of the returned mixture.  Intended regime: the
     target error dominates the optimal error; outside it the run proceeds but
     is flagged, and an emptied version space is reported as a failure, not a
-    crash.  The output's index in the class is `metadata["output_index"]`.
+    crash.
+
+    The output is the last epoch's mixture h_n0 (any member when no epoch
+    runs, since then eps >= 1).  Let h* be a nu minimizer that every filter
+    keeps, and L~_i the loss under the imputed distribution i.  Imputing
+    h*'s own label on the agreement region only raises a hypothesis'
+    excess over h*, so L_i(h) - L_i(h*) <= L~_i(h) - L~_i(h*), mixtures
+    included.  When the last solve meets its target, max_i L~_i(h_n0) <=
+    max_i L~_i(h*) + eps_n0 <= nu + eps_n0, and L_i(h*) - L~_i(h*) <= nu,
+    so L_i(h_n0) <= 2 nu + eps_n0: at most eps_n0 <= eps on a realizable
+    instance.  A survivor gets no such bound, because the filter keeps
+    members up to 2 eps_n0 from h_n0.  `metadata["center_index"]` is the
+    lowest-index survivor, the single hypothesis `active_small_eps` centres
+    its stage-two version space on.
     """
     if not (0 < delta < 1) or eps <= 0:
         raise ContractViolation("eps must be positive and delta in (0,1)")
@@ -103,6 +116,7 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
     trace = []
     version_spaces = []
     prev_dis: set[int] | None = None
+    out = cls[V[0]]
     for n in range(1, sched.n0 + 1):
         eps_n, delta_n = sched.eps_n[n - 1], sched.delta_n[n - 1]
         labels_before = oracles.ledger.label_total
@@ -125,14 +139,13 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
         if prev_dis is not None and not dis_now <= prev_dis:
             raise ContractViolation(f"epoch {n} disagreement region grew")
         prev_dis = dis_now
-        V = V_new
+        V, out = V_new, h_n
         version_spaces.append(tuple(V))
         trace.append((n, eps_n, len(V), float(_max_dis_mass(inst, V)),
                       res.total_draws, labels_epoch))
-    out_idx = V[0]
-    return RunResult(cls[out_idx], None, trace,
+    return RunResult(out, None, trace,
                      {"warnings": warnings, "schedule_n0": sched.n0,
-                      "output_index": out_idx, "version_spaces": version_spaces,
+                      "center_index": V[0], "version_spaces": version_spaces,
                       "final_version_space": tuple(V)})
 
 
@@ -141,7 +154,8 @@ def active_small_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
     """Two-stage learner for the noise-dominated regime.
 
     Stage one localizes a version space around a coarse hypothesis (target
-    excess capped at 1).  Stage two estimates the agreement-region error of
+    excess capped at 1): V0 holds every member within 2 eps_p of stage one's
+    lowest-index survivor, or of member 0 when stage one is skipped.  Stage two estimates the agreement-region error of
     every survivor from conditional labeled samples, then solves the passive
     problem over the surrogate distributions, querying fresh labels only in
     the disagreement region.
@@ -161,7 +175,7 @@ def active_small_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
             stage1.metadata["failed_stage"] = 1
             stage1.metadata.setdefault("warnings", []).extend(warnings)
             return stage1
-        h_prime_idx = stage1.metadata["output_index"]
+        h_prime_idx = stage1.metadata["center_index"]
         trace = list(stage1.trace)
     else:
         # excess-error target above 1 is vacuous; stage one degenerates

@@ -54,7 +54,8 @@ def test_vacuous_target_returns_immediately(desk_knobs):
     cfg = SolverConfig(eps=0.9, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
     res = active_large_eps(inst, o, 1.5, 0.1, cfg, d=1)
-    assert res.ok and res.metadata["output_index"] == 0
+    assert res.ok and res.output is inst.hypothesis_class[0]
+    assert res.metadata["center_index"] == 0
     assert o.ledger.label_total == 0 and res.metadata["schedule_n0"] == 0
 
 
