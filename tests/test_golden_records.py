@@ -111,9 +111,9 @@ SWEEP_CELLS = [(name, eps) for name in SWEEP_FAMILIES for eps in SWEEP["eps_grid
 
 SWEEP_RECORD_SHA256 = {
     "star-lb(2,8,1,3)/0.2":
-        "b4c278235ce8b8af2f79039c75a04243243f84730abbb240fe63aa2247e665ce",
+        "ca9de6ce7e0f7167ab5c023ab2ffae586a90ad96e77e5377bc0001b1bbb3ac8d",
     "star-lb(2,8,1,3)/0.1":
-        "1220277c2b01fd56cede9d48bbb7effc6a502c740090b98ee22e56e27209cc0f",
+        "48e035e0a6845ff0e6e81c215bdafc729b507996566000ee1b7b87c2b1e1d4ca",
     "star-lb(2,8,1,3)/0.05":
         "1d15e3fab4815b8e4e5a033de6ae0c0730c8fddd13edb08abb727bc1bf4cd844",
     "prop1(8,0.05)/0.2":
