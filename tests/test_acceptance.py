@@ -11,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import amdl
 from amdl import (OracleSet, RunConfig, SolverConfig, best_nu,
@@ -151,6 +152,15 @@ def test_criterion_4_pac_suites():
     conclude(4, "PAC success suites", ok,
              " ".join(f"{k}={v:.2f}" for k, v in rates.items())
              + f" (floor {floor:.2f}, 100 trials each)")
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1, 0.05])
+def test_star_lb_large_eps_pac_cells(eps):
+    # the scaling sweep's star-lb cells of the epoch-halving learner, at
+    # criterion 4's floor: a survivor of the last version space can sit at
+    # 2 eps_n0 from the target, so the output must not be one
+    rate = _pac_rate(amdl.gen_star_lb(2, 8, 1, 3), "active-dd-large", eps)
+    assert rate >= 1.0 - DELTA - 0.05, rate
 
 
 # -- 5: deterministic epoch invariants and realizable survival -----------------
