@@ -20,7 +20,15 @@ from scipy.integrate import quad
 from .core import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
                    LabeledDistribution, MDLInstance, _frac)
 
-FAMILIES = ("prop1", "star-lb", "agnostic-lb", "example1", "random")
+# each family's required parameters, in its generator's argument order
+REQUIRED_PARAMS = {
+    "prop1": ("k", "eps"),
+    "star-lb": ("k", "theta", "i", "j"),
+    "agnostic-lb": ("k", "nu", "eps"),
+    "example1": ("nu_prime", "eps", "case"),
+    "random": ("m", "n_hyp", "k", "seed"),
+}
+FAMILIES = tuple(REQUIRED_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,9 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ContractViolation(f"unknown family {self.family!r}")
+        missing = [name for name in REQUIRED_PARAMS[self.family] if name not in self.params]
+        if missing:
+            raise ContractViolation(f"family {self.family!r} needs params {missing}")
 
     def generate(self) -> MDLInstance:
         p = self.params

@@ -6,7 +6,7 @@ import pytest
 
 import amdl
 from amdl import ContractViolation, FamilySpec
-from amdl.families import (kl_bernoulli, kl_bernoulli_integral,
+from amdl.families import (REQUIRED_PARAMS, kl_bernoulli, kl_bernoulli_integral,
                            verify_separation)
 
 
@@ -124,6 +124,16 @@ def test_family_spec_generate_and_validation():
     assert inst.metadata["family"] == "prop1"
     with pytest.raises(ContractViolation):
         FamilySpec("unknown", {})
+
+
+@pytest.mark.parametrize("family,params", [
+    ("prop1", {"k": 3}), ("star-lb", {"k": 2, "theta": 4, "i": 1}),
+    ("agnostic-lb", {"k": 4, "eps": 0.05}), ("example1", {"nu_prime": 0.2, "eps": 0.05}),
+    ("random", {"m": 4, "n_hyp": 3, "k": 2})])
+def test_family_spec_names_a_missing_param(family, params):
+    missing = (set(REQUIRED_PARAMS[family]) - set(params)).pop()
+    with pytest.raises(ContractViolation, match=missing):
+        FamilySpec(family, params)
 
 
 def test_generators_pass_instance_validation_and_round_trip(tmp_path):

@@ -106,6 +106,24 @@ def test_sweep_refuses_a_families_entry_without_its_family(entry):
         sweep(config)
 
 
+def test_sweep_family_without_a_required_param_gives_skipped_rows():
+    # prop1 without eps: one skipped row per cell naming the missing param,
+    # and the other family's cells still run
+    rows = sweep({"families": [{"family": "prop1", "params": {"k": 2}},
+                               {"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
+                  "algs": ["passive-naive"], "eps_grid": [0.2, 0.1], "trials": 1})
+    assert [r["skipped"] for r in rows] == [1, 1, 0, 0]
+    assert all("eps" in r["reason"] for r in rows[:2])
+
+
+@pytest.mark.parametrize("grid", [["x"], 0.2, [0.2, None], [True], "0.2"])
+def test_sweep_refuses_a_non_numeric_eps_grid(grid):
+    config = {"families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
+              "algs": ["passive-naive"], "eps_grid": grid, "trials": 1}
+    with pytest.raises(ContractViolation, match="eps_grid"):
+        sweep(config)
+
+
 @pytest.mark.parametrize("workers", [0, -1, -8])
 def test_run_config_refuses_workers_below_one(workers):
     with pytest.raises(ContractViolation, match="workers"):
