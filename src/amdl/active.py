@@ -155,10 +155,11 @@ def active_small_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
 
     Stage one localizes a version space around a coarse hypothesis (target
     excess capped at 1): V0 holds every member within 2 eps_p of stage one's
-    lowest-index survivor, or of member 0 when stage one is skipped.  Stage two estimates the agreement-region error of
-    every survivor from conditional labeled samples, then solves the passive
-    problem over the surrogate distributions, querying fresh labels only in
-    the disagreement region.
+    lowest-index survivor, or of member 0 when stage one is skipped.  Stage
+    two estimates the agreement-region error of every survivor from
+    conditional labeled samples, then solves the passive problem over the
+    surrogate distributions, querying fresh labels only in the disagreement
+    region.
     """
     if nu <= 0:
         raise ContractViolation("the small-eps stage requires a positive supplied nu")

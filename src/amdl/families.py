@@ -33,7 +33,8 @@ FAMILIES = tuple(REQUIRED_PARAMS)
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family tag plus its parameters; validated against the family's ranges."""
+    """A family tag plus its parameters; validated against the family's
+    required parameter names and its ranges."""
 
     family: str
     params: dict = field(default_factory=dict)

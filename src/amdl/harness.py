@@ -252,8 +252,8 @@ def sweep(config: dict) -> list[dict]:
     if any(not isinstance(fam, dict) or "family" not in fam for fam in config["families"]):
         raise ContractViolation("every sweep families entry needs a 'family' key")
     grid = config["eps_grid"]
-    if not isinstance(grid, list) or any(isinstance(eps, bool) or not isinstance(eps, (int, float))
-                                         for eps in grid):
+    if not isinstance(grid, list) or not all(
+            isinstance(eps, (int, float)) and not isinstance(eps, bool) for eps in grid):
         raise ContractViolation(f"sweep eps_grid must be a list of numbers, got {grid!r}")
     profile = config.get("profile", "desk")
     delta = float(config.get("delta", 0.1))

@@ -330,7 +330,7 @@ class OracleSet:
             self._view_cache[key] = got
         return got
 
-    # -- label-efficient samplers --------------------------------------------
+    # -- conditional-agreement and auxiliary sampling ------------------------
 
     def sample_conditional_agreement(self, i: int, version_space: Sequence[int],
                                      n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -480,9 +480,8 @@ def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
     for i, sample in enumerate(samples):
         if sample is None:
             kernels.append(partial(oracles._plain_rounds, i))
+        elif sample[0].size == 0:
+            raise ContractViolation("surrogate sampling needs a non-empty pre-labeled sample")
         else:
-            if sample[0].size == 0:
-                raise ContractViolation(
-                    "surrogate sampling needs a non-empty pre-labeled sample")
             kernels.append(partial(oracles._surrogate_rounds, dis_mask, sample, i))
     return SamplerFamily(kernels)

@@ -116,7 +116,7 @@ def test_sweep_family_without_a_required_param_gives_skipped_rows():
     assert all("eps" in r["reason"] for r in rows[:2])
 
 
-@pytest.mark.parametrize("grid", [["x"], 0.2, [0.2, None], [True], "0.2"])
+@pytest.mark.parametrize("grid", [["x"], 0.2, [0.2, None], [True]])
 def test_sweep_refuses_a_non_numeric_eps_grid(grid):
     config = {"families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
               "algs": ["passive-naive"], "eps_grid": grid, "trials": 1}
