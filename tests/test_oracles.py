@@ -108,6 +108,11 @@ BAD_CALLS = {
     "surrogate_family.draw": lambda o: amdl.surrogate_family(o, (0, 1), [_S]).draw(0, -1),
     "round_losses-zero-count": lambda o: amdl.plain_family(o).round_losses(
         o.instance.hypothesis_class.labels, 0, [0], 3),
+    # the induced and surrogate samplers' batches: the round path the solvers run
+    "sample_induced_batch": lambda o: amdl.induced_family(o, (0, 1)).round_losses(
+        o.instance.hypothesis_class.labels, 0, [-1], 3),
+    "sample_surrogate_batch": lambda o: amdl.surrogate_family(o, (0, 1), [_S]).round_losses(
+        o.instance.hypothesis_class.labels, 0, [-1], 3),
 }
 
 
