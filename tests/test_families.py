@@ -1,5 +1,7 @@
 """Benchmark families: exact construction tables, separation, KL utility."""
 
+import hashlib
+import itertools
 import math
 
 import pytest
@@ -152,6 +154,26 @@ def test_generators_pass_instance_validation_and_round_trip(tmp_path):
         for da, db in zip(inst.distributions, back.distributions):
             assert [float(v) for v in da.marginal] == [float(v) for v in db.marginal]
             assert [float(v) for v in da.eta_plus] == [float(v) for v in db.eta_plus]
+
+
+# (m, n_hyp, k) shapes for the gen_random pin: small classes, near-saturated
+# ones (n_hyp close to 2^m, many rejected duplicates) and the benchmark's
+RANDOM_SHAPES = ((1, 2, 1), (2, 1, 3), (3, 8, 1), (4, 16, 2), (5, 30, 3), (5, 32, 1),
+                 (6, 10, 3), (7, 60, 2), (10, 128, 4), (10, 256, 4))
+# sha256 of every hypothesis' labels, marginal and eta_plus over RANDOM_SHAPES,
+# seeds 0..5, realizable off and on; taken with one rng.choice call per row
+RANDOM_INSTANCES_SHA256 = "4302789633c831923e84f4bbbf2722de6228b057795499da8e26dde31bde61b4"
+
+
+def test_gen_random_instances_match_their_pin():
+    digest = hashlib.sha256()
+    for (m, n_hyp, k), seed, realizable in itertools.product(RANDOM_SHAPES, range(6),
+                                                             (False, True)):
+        inst = amdl.gen_random(m, n_hyp, k, seed, realizable=realizable)
+        digest.update(repr((inst.hypothesis_class.labels.tolist(),
+                            [[str(v) for v in d.marginal] for d in inst.distributions],
+                            [[str(v) for v in d.eta_plus] for d in inst.distributions])).encode())
+    assert digest.hexdigest() == RANDOM_INSTANCES_SHA256
 
 
 def test_verify_separation_exhaustive():
