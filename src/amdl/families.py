@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.integrate import quad
@@ -29,12 +30,17 @@ REQUIRED_PARAMS = {
     "random": ("m", "n_hyp", "k", "seed"),
 }
 FAMILIES = tuple(REQUIRED_PARAMS)
+# the type of each required parameter; a bool counts as neither number
+PARAM_TYPES = {"k": Integral, "theta": Integral, "i": Integral, "j": Integral,
+               "m": Integral, "n_hyp": Integral, "seed": Integral,
+               "eps": Real, "nu": Real, "nu_prime": Real, "case": str}
+_KIND_NAMES = {Integral: "an integer", Real: "a finite real number", str: "a string"}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family tag plus its parameters; validated against the family's
-    required parameter names and its ranges."""
+    """A family tag plus its parameters (copied); validated against the
+    family's required parameter names and types, and its ranges."""
 
     family: str
     params: dict = field(default_factory=dict)
@@ -42,9 +48,19 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ContractViolation(f"unknown family {self.family!r}")
+        if not isinstance(self.params, dict):
+            raise ContractViolation(f"family {self.family!r} params must be a mapping of "
+                                    f"names to values, got {self.params!r}")
+        object.__setattr__(self, "params", dict(self.params))
         missing = [name for name in REQUIRED_PARAMS[self.family] if name not in self.params]
         if missing:
             raise ContractViolation(f"family {self.family!r} needs params {missing}")
+        for name in REQUIRED_PARAMS[self.family]:
+            value, kind = self.params[name], PARAM_TYPES[name]
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or kind is Real and not math.isfinite(value)):
+                raise ContractViolation(f"family {self.family!r} param {name!r} must be "
+                                        f"{_KIND_NAMES[kind]}, got {value!r}")
 
     def generate(self) -> MDLInstance:
         p = self.params
@@ -230,11 +246,13 @@ def gen_random(m: int, n_hyp: int, k: int, seed: int,
     seen = set()
     hyps = []
     while len(hyps) < n_hyp:
-        lab = rng.choice([-1, 1], size=m).astype(np.int8)
-        key = lab.tobytes()
-        if key not in seen:
-            seen.add(key)
-            hyps.append(Hypothesis(lab))
+        # one call for the missing rows draws what one call per row would,
+        # and no more, so duplicates are dropped in the same draw order
+        for lab in rng.choice([-1, 1], size=(n_hyp - len(hyps), m)).astype(np.int8):
+            key = lab.tobytes()
+            if key not in seen:
+                seen.add(key)
+                hyps.append(Hypothesis(lab))
     cls = HypothesisClass(hyps)
     grid = [Fraction(j, 8) for j in range(9)]
     target = hyps[int(rng.integers(n_hyp))] if realizable else None

@@ -273,7 +273,7 @@ def sweep(config: dict) -> list[dict]:
                     "trials": trials, "skipped": 0, "reason": "",
                 }
                 try:
-                    inst = FamilySpec(fam["family"], dict(fam.get("params", {}))).generate()
+                    inst = FamilySpec(fam["family"], fam.get("params", {})).generate()
                     cfg = RunConfig(alg=alg, eps=float(eps), delta=delta,
                                     trials=trials, base_seed=base_seed,
                                     profile=profile, knobs=knobs, instance=inst)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import amdl
@@ -136,6 +137,34 @@ def test_family_spec_names_a_missing_param(family, params):
     missing = (set(REQUIRED_PARAMS[family]) - set(params)).pop()
     with pytest.raises(ContractViolation, match=missing):
         FamilySpec(family, params)
+
+
+# params of the wrong type, each with the field its refusal must name
+WRONG_TYPED_PARAMS = {
+    "k-string": ("prop1", {"k": "2", "eps": 0.1}, "'k'"),
+    "eps-string": ("prop1", {"k": 2, "eps": "x"}, "'eps'"),
+    "k-fractional": ("prop1", {"k": 2.5, "eps": 0.1}, "'k'"),
+    "k-bool": ("prop1", {"k": True, "eps": 0.1}, "'k'"),
+    "eps-nan": ("prop1", {"k": 2, "eps": float("nan")}, "'eps'"),
+    "case-number": ("example1", {"nu_prime": 0.2, "eps": 0.05, "case": 1}, "'case'"),
+    "params-list": ("prop1", [1, 2], "params"),
+    "params-pairs": ("prop1", [("k", 2), ("eps", 0.1)], "params"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPED_PARAMS))
+def test_family_spec_names_a_wrong_typed_param(case):
+    family, params, field = WRONG_TYPED_PARAMS[case]
+    with pytest.raises(ContractViolation, match=field):
+        FamilySpec(family, params)
+
+
+def test_family_spec_takes_numpy_numbers_and_copies_its_params():
+    params = {"m": np.int64(4), "n_hyp": 3, "k": 2, "seed": np.uint8(1)}
+    spec = FamilySpec("random", params)
+    params["m"] = "changed"
+    assert spec.generate().m == 4
+    assert FamilySpec("prop1", {"k": 2, "eps": np.float64(0.1)}).generate().k == 2
 
 
 def test_generators_pass_instance_validation_and_round_trip(tmp_path):

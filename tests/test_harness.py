@@ -116,6 +116,19 @@ def test_sweep_family_without_a_required_param_gives_skipped_rows():
     assert all("eps" in r["reason"] for r in rows[:2])
 
 
+@pytest.mark.parametrize("params,field", [
+    ({"k": "2", "eps": 0.1}, "'k'"), ({"k": 2, "eps": "x"}, "'eps'"), ([1, 2], "params"),
+    ({"k": 2.5, "eps": 0.1}, "'k'"), ({"k": True, "eps": 0.1}, "'k'"),
+    ([["k", 2], ["eps", 0.1]], "params")])
+def test_sweep_family_with_a_wrong_typed_param_gives_skipped_rows(params, field):
+    # each bad entry skips its own cells, naming the field, and the sweep goes on
+    rows = sweep({"families": [{"family": "prop1", "params": params},
+                               {"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
+                  "algs": ["passive-naive"], "eps_grid": [0.2], "trials": 1})
+    assert [r["skipped"] for r in rows] == [1, 0]
+    assert field in rows[0]["reason"]
+
+
 @pytest.mark.parametrize("grid", [["x"], 0.2, [0.2, None], [True]])
 def test_sweep_refuses_a_non_numeric_eps_grid(grid):
     config = {"families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
