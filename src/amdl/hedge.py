@@ -206,32 +206,37 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     # rounds on one w_bar are added when the run ends
     bar, counts, since = None, [0] * k, 0
 
-    for t in range(T):
-        # hedge_step leaves state.w normalized and checks its sum
-        w = state.w
-        if any(map(ge, w, doubled)):
-            state.w_hat = _fold_max(state.w_hat, w)
-            for i, v in enumerate(state.w_hat):
-                grow = math.ceil(T1 * v) - int(store.n[i])
-                if grow > 0:
-                    store.add(i, *sampler.draw(i, grow))
-            doubled = [2.0 * v for v in state.w_hat]
-            if not all(a < b + 1e-15 for a, b in zip(w, doubled)):
-                raise ContractViolation("doubling rule left a weight above twice its threshold")
-        local = store.erm(state.w_arr)
-        h_index = V[local]
-        play_counts[h_index] = play_counts.get(h_index, 0) + 1
-        # reward: the played hypothesis' empirical loss on ceil(k * w_bar_i)
-        # fresh draws from each distribution, unbiased for the sampled one
-        if state.w_bar is not bar:
-            reward_draws = [a + (t - since) * b for a, b in zip(reward_draws, counts)]
-            bar, since = state.w_bar, t
-            counts = [math.ceil(k * v) for v in bar]
-        r = sampler.round_losses(store.labels, local, counts, T - t)
-        if trace is not None:
-            trace.append((state.t + 1, state.w_arr, float(np.sum(state.w_bar)),
-                          int(store.n.sum())))
-        hedge_step(state, r, eta)
+    try:
+        for t in range(T):
+            # hedge_step leaves state.w normalized and checks its sum
+            w = state.w
+            if any(map(ge, w, doubled)):
+                state.w_hat = _fold_max(state.w_hat, w)
+                for i, v in enumerate(state.w_hat):
+                    grow = math.ceil(T1 * v) - int(store.n[i])
+                    if grow > 0:
+                        store.add(i, *sampler.draw(i, grow))
+                doubled = [2.0 * v for v in state.w_hat]
+                if not all(a < b + 1e-15 for a, b in zip(w, doubled)):
+                    raise ContractViolation(
+                        "doubling rule left a weight above twice its threshold")
+            local = store.erm(state.w_arr)
+            h_index = V[local]
+            play_counts[h_index] = play_counts.get(h_index, 0) + 1
+            # reward: the played hypothesis' empirical loss on ceil(k * w_bar_i)
+            # fresh draws from each distribution, unbiased for the sampled one
+            if state.w_bar is not bar:
+                reward_draws = [a + (t - since) * b for a, b in zip(reward_draws, counts)]
+                bar, since = state.w_bar, t
+                counts = [math.ceil(k * v) for v in bar]
+            r = sampler.round_losses(store.labels, local, counts, T - t)
+            if trace is not None:
+                trace.append((state.t + 1, state.w_arr, float(np.sum(state.w_bar)),
+                              int(store.n.sum())))
+            hedge_step(state, r, eta)
+    finally:
+        # meter the rounds served since the last settle, also on an error
+        sampler.settle()
 
     reward_draws = [a + (T - since) * b for a, b in zip(reward_draws, counts)]
     support: list[int] = []

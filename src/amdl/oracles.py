@@ -32,26 +32,34 @@ c plus its queried points, so each imputing request starts at a running sum
 over prefix sums of dis[x].  `draw`, store growth and `draw_labeled_batch`
 make one request (`rounds` = 1); the imputing kernel draws a single request
 directly, as its c points and then one label variate per queried point,
-without the chase of request starts or the (rounds, c) index arrays.  A
-solver round's request from distribution i does not depend on the played
-hypothesis, and its size c_i seldom changes, so the family serves it from a
-block of requests kept per distribution.  Serving is one pass per
-distribution: check the block, read the played candidate's loss (computed
-once per block and candidate, for all its requests) and settle the request,
-which consumes its variates and meters its draws and queries as the
-request made alone would.  A block is rebuilt when c_i changes, when
-stream i was read elsewhere since it was built (store growth, agreement
-sampling, `draw_labeled_batch`), when its requests run out, or when the caller
-passes another candidate matrix, whose rows its losses do not index.  It
-holds no more requests than the caller still plays, and no more variates
+without the chase of request starts or the (rounds, c) index arrays.
+
+A solver round's request from distribution i does not depend on the played
+hypothesis, and its size c_i seldom changes, so the family serves rounds
+from a block of requests kept per distribution, in runs.  A run is a stretch
+of rounds on one candidate matrix with unchanged counts, in which no block
+is rebuilt and nothing else reads a stream; it ends at the latest when one
+of its blocks runs out.  Within a run the rewards of candidate j are a
+table, one row of k losses per round, built on j's first play with one
+numpy pass over each block's requests in the run; a round is one lookup and
+a counter step.  The served requests are settled in bulk: their variates
+are consumed and their draws, queries, `calls` and transcript lines
+metered, in round order and then distribution order, just as requests made
+one at a time would.  They are settled when the run ends: when a block is
+rebuilt, `draw` runs, or new counts or a new candidate matrix arrive; when
+any other reader of a stream runs (the kernels, `_labels_for`, agreement
+sampling, `draw_labeled_batch`), each of which settles the ledger's
+`pending` family first; when the ledger or `calls` is read; and when the
+solve ends.  A block is rebuilt when c_i changes, when stream i was read
+elsewhere since it was built, or when its requests run out.  It is built
+with no more requests than the caller still plays, and no more variates
 than one buffer block unless a single request needs more.  Reading ahead
-changes no variate: a stream that holds too few appends the generator's next
-variates behind its unread tail.
+changes no variate: a stream that holds too few appends the generator's
+next variates behind its unread tail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
 from typing import Callable, Sequence
@@ -113,20 +121,41 @@ class _Uniforms:
         return u
 
 
-@dataclass
 class QueryLedger:
-    """Per-run counters of label queries and unlabeled draws, per distribution."""
+    """Per-run counters of label queries and unlabeled draws, per
+    distribution, and the transcript of label queries when `log_transcript`.
 
-    k: int
-    log_transcript: bool = False
-    label_queries: np.ndarray = field(init=False)
-    unlabeled_draws: np.ndarray = field(init=False)
-    transcript: list = field(init=False)
+    A sampler family that has served requests without metering them is
+    `pending`.  Reading a count or the transcript settles it first, as does
+    every reader of a stream, so each read sees what requests made one at a
+    time would have left."""
 
-    def __post_init__(self):
-        self.label_queries = np.zeros(self.k, dtype=np.int64)
-        self.unlabeled_draws = np.zeros(self.k, dtype=np.int64)
-        self.transcript = []
+    def __init__(self, k: int, log_transcript: bool = False):
+        self.k = k
+        self.log_transcript = log_transcript
+        self._queries = np.zeros(k, dtype=np.int64)
+        self._draws = np.zeros(k, dtype=np.int64)
+        self._transcript: list = []
+        self.pending: SamplerFamily | None = None
+
+    def settle(self) -> None:
+        if self.pending is not None:
+            self.pending.settle()
+
+    @property
+    def label_queries(self) -> np.ndarray:
+        self.settle()
+        return self._queries
+
+    @property
+    def unlabeled_draws(self) -> np.ndarray:
+        self.settle()
+        return self._draws
+
+    @property
+    def transcript(self) -> list:
+        self.settle()
+        return self._transcript
 
     @property
     def label_total(self) -> int:
@@ -158,46 +187,20 @@ class _Rounds:
     Request b's pairs are `xs[b]`, `ys[b]`, `need[b]` marks the points it
     queries, and it takes the stream's variates from `ends[b]` up to
     `ends[b + 1]`, counted from the generator's first variate.  Requests
-    happen in order, `b` being the next: `pairs` (for a single request) or
-    `SamplerFamily.round_losses` makes it happen, consuming its variates and
-    metering its draws and queries.  `losses[j]` holds row j's empirical
-    loss on every request, for each candidate row j served so far."""
+    happen in order: the first `b` have consumed their variates and been
+    metered, and `OracleSet._settle` makes the next ones happen."""
 
-    __slots__ = ("stream", "ledger", "drawn", "asked", "i", "c", "xs", "ys", "need", "ends",
-                 "queries", "b", "losses")
+    __slots__ = ("stream", "i", "c", "xs", "ys", "need", "ends", "queries", "b")
 
     def __init__(self, oracles: OracleSet, i: int, xs: np.ndarray, ys: np.ndarray,
                  need: np.ndarray, ends: list[int], queries: list[int]):
         self.stream = oracles._streams[i]
-        self.ledger = oracles.ledger
-        self.drawn, self.asked = oracles._metered
         self.i = i
         self.c = xs.shape[1]
         self.xs, self.ys, self.need = xs, ys, need
         self.ends = ends
         self.queries = queries
         self.b = 0
-        self.losses: dict[int, list[float]] = {}
-
-    def log(self, b: int, q: int) -> None:
-        """Transcript lines of request b's q metered queries."""
-        ledger, sel = self.ledger, self.need[b]
-        cum = int(ledger.label_queries.sum())
-        ledger.transcript.extend(zip(repeat(self.i, q), self.xs[b][sel].tolist(),
-                                     self.ys[b][sel].tolist(), range(cum - q + 1, cum + 1)))
-
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Make the first request happen, as `SamplerFamily.round_losses`
-        settles a request, and return its pairs."""
-        stream, i, q = self.stream, self.i, self.queries[0]
-        stream.pos = self.ends[1] - stream.start
-        self.b = 1
-        self.drawn[i] += self.c
-        if q:
-            self.asked[i] += q
-            if self.ledger.log_transcript:
-                self.log(0, q)
-        return self.xs[0], self.ys[0]
 
 
 class OracleSet:
@@ -215,9 +218,6 @@ class OracleSet:
         self._cdf = [d.cdf for d in instance.distributions]
         self._eta = [d.eta_f for d in instance.distributions]
         self.ledger = QueryLedger(k, log_transcript)
-        # the ledger's counts as memoryviews: a served round meters Python ints
-        self._metered = (memoryview(self.ledger.unlabeled_draws),
-                         memoryview(self.ledger.label_queries))
         self._view_cache: dict = {}
 
     # -- raw oracles --------------------------------------------------------
@@ -229,22 +229,53 @@ class OracleSet:
 
     def _labels_for(self, i: int, xs: np.ndarray) -> np.ndarray:
         """The labeling oracle: y = +1 with probability eta_plus[x]."""
+        ledger = self.ledger
+        ledger.settle()
         n = xs.size
         u = self._streams[i].take(n)
         ys = _SIGN[(u < self._eta[i][xs]).view(np.int8)]
-        ledger = self.ledger
-        ledger.label_queries[i] += n
+        ledger._queries[i] += n
         if ledger.log_transcript:
-            cum = int(ledger.label_queries.sum())
-            ledger.transcript.extend(zip(repeat(i, n), xs.tolist(), ys.tolist(),
-                                         range(cum - n + 1, cum + 1)))
+            cum = int(ledger._queries.sum())
+            ledger._transcript.extend(zip(repeat(i, n), xs.tolist(), ys.tolist(),
+                                          range(cum - n + 1, cum + 1)))
         return ys
+
+    def _settle(self, blocks: Sequence[_Rounds], r: int) -> None:
+        """Make the next r requests of each block happen, as r rounds of one
+        request per block made one at a time would: consume their variates
+        and meter their draws, queries and transcript lines, in round order
+        and then block order.  Refused, before anything moves, if a stream
+        no longer stands where its block's next request starts."""
+        for blk in blocks:
+            if blk.ends[blk.b] != blk.stream.consumed:
+                raise ContractViolation(f"stream {blk.i} moved under {r} served requests")
+        ledger = self.ledger
+        if ledger.log_transcript:
+            cum = int(ledger._queries.sum())
+            for t in range(r):
+                for blk in blocks:
+                    b = blk.b + t
+                    q = blk.queries[b]
+                    if q:
+                        sel = blk.need[b]
+                        ledger._transcript.extend(zip(repeat(blk.i, q), blk.xs[b][sel].tolist(),
+                                                      blk.ys[b][sel].tolist(),
+                                                      range(cum + 1, cum + q + 1)))
+                        cum += q
+        for blk in blocks:
+            stream, b = blk.stream, blk.b + r
+            stream.pos = blk.ends[b] - stream.start
+            ledger._draws[blk.i] += blk.c * r
+            ledger._queries[blk.i] += sum(blk.queries[blk.b:b])
+            blk.b = b
 
     # -- per-family kernels: `rounds` requests of c pairs from stream i, read
     # ahead in the documented consumption order; the sampler families and
     # `draw_labeled_batch` draw through them
 
     def _plain_rounds(self, i: int, c: int, rounds: int) -> _Rounds:
+        self.ledger.settle()
         stream = self._streams[i]
         base = stream.consumed
         u = stream.ahead(2 * c * rounds).reshape(rounds, 2, c)
@@ -258,6 +289,7 @@ class OracleSet:
         """Induced and imputed sampling: a label query where `dis_mask[x]`,
         the imputed label `labels[x]` elsewhere."""
         dis_mask, labels = view
+        self.ledger.settle()
         stream = self._streams[i]
         base = stream.consumed
         u = stream.ahead(2 * c * rounds)
@@ -295,6 +327,7 @@ class OracleSet:
     def _surrogate_rounds(self, dis_mask: np.ndarray, sample: tuple[np.ndarray, np.ndarray],
                           i: int, c: int, rounds: int) -> _Rounds:
         sx, sy = sample
+        self.ledger.settle()
         stream = self._streams[i]
         base = stream.consumed
         u = stream.ahead(2 * c * rounds).reshape(rounds, 2 * c)
@@ -315,7 +348,9 @@ class OracleSet:
         """Plain labeled sampling, one label query per pair; kept as the bulk
         sampler that `bench/layers.py` times."""
         self._check(i, n)
-        return self._plain_rounds(i, n, 1).pairs()
+        blk = self._plain_rounds(i, n, 1)
+        self._settle([blk], 1)
+        return blk.xs[0], blk.ys[0]
 
     # -- version-space / classifier views ------------------------------------
 
@@ -344,6 +379,7 @@ class OracleSet:
         if d.mass_exact(agr_pts) == 0:
             raise DegenerateAgreementRegion(
                 f"distribution {i} puts zero mass on the agreement region")
+        self.ledger.settle()
         stream = self._streams[i]
         out = np.empty(n, dtype=np.int64)
         got = 0
@@ -363,7 +399,7 @@ class OracleSet:
                 out[got:got + cnt] = xs[acc]
                 got += cnt
             stream.pos += cut
-            self.ledger.unlabeled_draws[i] += cut
+            self.ledger._draws[i] += cut
         ys = self._labels_for(i, out)
         return out, ys
 
@@ -387,25 +423,40 @@ class SamplerFamily:
     `kernels[i](c, rounds)` draws ahead `rounds` requests of c pairs from
     distribution i.  `draw(i, n)` makes one request of n pairs;
     `round_losses` serves a whole solver round, one request per
-    distribution, from a block of requests kept per distribution.  `calls[i]`
-    counts pairs drawn, which lets the solvers reconcile their own accounting
-    against the ledger.
+    distribution, from blocks of requests kept per distribution, a run of
+    rounds at a time, and `settle` makes the served requests happen (see the
+    module docstring).  `calls[i]` counts pairs drawn, which lets the solvers
+    reconcile their own accounting against the ledger.
     """
 
-    def __init__(self, kernels: Sequence[Kernel]):
+    def __init__(self, oracles: OracleSet, kernels: Sequence[Kernel]):
         self.k = len(kernels)
+        self._ledger = oracles.ledger
+        self._settle = oracles._settle
         self._kernels = tuple(kernels)
         self._blocks: list[_Rounds | None] = [None] * self.k
         self._labels: np.ndarray | None = None
-        self.calls = np.zeros(self.k, dtype=np.int64)
-        self._calls = memoryview(self.calls)
+        self._calls = np.zeros(self.k, dtype=np.int64)
+        # the open run: its counts (None when none is open), its length in
+        # rounds, the rounds served, and the loss table of each candidate
+        # played, one row per round of the run
+        self._counts: list[int] | None = None
+        self._length = self._served = 0
+        self._tables: dict[int, np.ndarray] = {}
+
+    @property
+    def calls(self) -> np.ndarray:
+        self._ledger.settle()
+        return self._calls
 
     def draw(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         if not 0 <= i < self.k:
             raise ContractViolation(f"distribution index {i} out of range")
         _check_count(n)
-        self.calls[i] += n
-        return self._kernels[i](n, 1).pairs()
+        blk = self._kernels[i](n, 1)        # the kernel settles served rounds first
+        self._settle([blk], 1)
+        self._calls[i] += n
+        return blk.xs[0], blk.ys[0]
 
     def round_losses(self, labels: np.ndarray, j: int, counts: Sequence[int],
                      rounds_left: int) -> list[float]:
@@ -415,51 +466,69 @@ class SamplerFamily:
         `draw(i, counts[i])` for i = 0..k-1 in turn.  `rounds_left` counts
         this round and the later rounds the caller plays against `labels`; no
         block draws further ahead."""
+        r = self._served
+        if (labels is not self._labels or counts != self._counts or r == self._length
+                or rounds_left < 1):
+            self._open_run(labels, counts, rounds_left)
+            r = 0
+        table = self._tables.get(j)
+        if table is None:
+            table = self._tables[j] = self._table(j)
+        self._served = r + 1
+        return table[r].tolist()
+
+    def _open_run(self, labels: np.ndarray, counts: Sequence[int], rounds_left: int) -> None:
+        """Settle what is served and open a run at this round, rebuilding the
+        blocks that cannot serve it."""
         if len(counts) != self.k or min(counts) < 1:
             raise ContractViolation("a round needs at least one draw from every distribution")
         if rounds_left < 1:
             raise ContractViolation("a round needs a horizon of at least itself")
-        if labels is not self._labels:
-            # a new candidate matrix: the blocks' losses index the old rows
-            self._labels = labels
-            self._blocks = [None] * self.k
-        blocks, calls = self._blocks, self._calls
-        losses = []
+        self._ledger.settle()
+        blocks = self._blocks
         for i, c in enumerate(counts):
             blk = blocks[i]
             # a block serves while its size holds, a request is left and the
             # stream stands where that request starts, untouched since
             if (blk is None or blk.c != c or blk.b == len(blk.queries)
-                    or blk.ends[blk.b] != blk.stream.start + blk.stream.pos):
-                blk = blocks[i] = self._kernels[i](c, min(rounds_left, max(1, BLOCK // (2 * c))))
-            got = blk.losses.get(j)
-            if got is None:
-                # count / c in numpy is the correctly rounded quotient, as in Python
-                got = blk.losses[j] = (np.count_nonzero(labels[j][blk.xs] != blk.ys, axis=1)
-                                       / c).tolist()
-            b = blk.b
-            losses.append(got[b])
-            # settle request b: consume its variates, meter its draws and queries
-            stream = blk.stream
-            stream.pos = blk.ends[b + 1] - stream.start
-            blk.b = b + 1
-            blk.drawn[i] += c
-            q = blk.queries[b]
-            if q:
-                blk.asked[i] += q
-                if blk.ledger.log_transcript:
-                    blk.log(b, q)
-            calls[i] += c
-        return losses
+                    or blk.ends[blk.b] != blk.stream.consumed):
+                blocks[i] = self._kernels[i](c, min(rounds_left, max(1, BLOCK // (2 * c))))
+        self._labels, self._counts = labels, list(counts)
+        self._length = min(len(blk.queries) - blk.b for blk in blocks)
+        self._ledger.pending = self
+
+    def _table(self, j: int) -> np.ndarray:
+        """Candidate j's losses in each round of the open run, a row per round."""
+        row, length = self._labels[j], self._length
+        table = np.empty((length, self.k))
+        for i, blk in enumerate(self._blocks):
+            run = slice(blk.b, blk.b + length)
+            # count / c in numpy is the correctly rounded quotient, as in Python
+            np.divide(np.count_nonzero(row[blk.xs[run]] != blk.ys[run], axis=1), blk.c,
+                      out=table[:, i])
+        return table
+
+    def settle(self) -> None:
+        """Make the rounds served in the open run happen, and close it."""
+        r = self._served
+        if r:
+            self._settle(self._blocks, r)
+            for i, c in enumerate(self._counts):
+                self._calls[i] += c * r
+        self._served = self._length = 0
+        self._counts, self._tables = None, {}
+        if self._ledger.pending is self:
+            self._ledger.pending = None
 
 
 def plain_family(oracles: OracleSet) -> SamplerFamily:
-    return SamplerFamily([partial(oracles._plain_rounds, i) for i in range(oracles.instance.k)])
+    return SamplerFamily(oracles, [partial(oracles._plain_rounds, i)
+                                   for i in range(oracles.instance.k)])
 
 
 def _imputing_family(oracles: OracleSet, view: tuple[np.ndarray, np.ndarray]) -> SamplerFamily:
-    return SamplerFamily([partial(oracles._imputing_rounds, view, i)
-                          for i in range(oracles.instance.k)])
+    return SamplerFamily(oracles, [partial(oracles._imputing_rounds, view, i)
+                                   for i in range(oracles.instance.k)])
 
 
 def induced_family(oracles: OracleSet, version_space: Sequence[int]) -> SamplerFamily:
@@ -484,4 +553,4 @@ def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
             raise ContractViolation("surrogate sampling needs a non-empty pre-labeled sample")
         else:
             kernels.append(partial(oracles._surrogate_rounds, dis_mask, sample, i))
-    return SamplerFamily(kernels)
+    return SamplerFamily(oracles, kernels)

@@ -50,12 +50,17 @@ from amdl.hedge import HedgeState, SolverConfig, hedge_step
 assert False, "python -O keeps assert statements"   # stripped under -O
 inst = amdl.gen_prop1(3, 0.2)
 fam = plain_family(OracleSet(inst, seed=0))
+moved = OracleSet(inst, seed=0)
+served = plain_family(moved)
+served.round_losses(inst.hypothesis_class.labels, 0, [1, 2, 1], 5)
+moved._streams[1].take(1)     # a reader that skipped the settle hook
 checks = {
     "nan reward": lambda: hedge_step(HedgeState(2), [math.nan, 0.5], 0.1),
     "negative draw": lambda: fam.draw(0, -1),
     "zero round count": lambda: fam.round_losses(inst.hypothesis_class.labels, 0,
                                                  [1, 0, 1], 5),
     "nan knob": lambda: SolverConfig(eps=0.1, delta=0.1, nu=0.0, c_t=math.nan),
+    "moved stream": served.settle,
 }
 for name, check in checks.items():
     try:
@@ -75,4 +80,5 @@ def test_runtime_checks_hold_under_python_O():
                          capture_output=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["refused: nan reward", "refused: negative draw",
-                                       "refused: zero round count", "refused: nan knob"]
+                                       "refused: zero round count", "refused: nan knob",
+                                       "refused: moved stream"]

@@ -420,6 +420,10 @@ class _DrawnRounds:
             losses.append(float((labels[j][xs] != ys).mean()))
         return losses
 
+    def settle(self):
+        # every draw is settled as it is made
+        self.family.settle()
+
 
 def _scripted_ops(k: int) -> list[tuple]:
     """Solves of a few rounds each, with the events that must drop a block in
@@ -446,10 +450,10 @@ def _scripted_ops(k: int) -> list[tuple]:
     ]
 
 
-def _run_ops(o: OracleSet, family, ops: list[tuple]) -> list:
-    """Play `ops` on one oracle set; returns every round's losses."""
+def _run_ops(o: OracleSet, family, ops: list[tuple]):
+    """Play `ops` on one oracle set, yielding what every round and every
+    other op returns as it happens."""
     labels = o.instance.hypothesis_class.labels
-    out = []
     for op in ops:
         if op[0] == "solve":
             # a solve plays one candidate matrix for len(rounds) rounds, after
@@ -457,19 +461,29 @@ def _run_ops(o: OracleSet, family, ops: list[tuple]) -> list:
             _, first, rounds, *unplayed = op
             cand = labels[first:]
             for t, counts in enumerate(rounds):
-                out.append(family.round_losses(cand, t % len(cand), list(counts),
-                                               len(rounds) - t + sum(unplayed)))
+                yield family.round_losses(cand, t % len(cand), list(counts),
+                                          len(rounds) - t + sum(unplayed))
         elif op[0] == "draw":
-            out.append(family.draw(op[1], op[2]))
+            yield family.draw(op[1], op[2])
         elif op[0] == "agree":
-            o.sample_conditional_agreement(op[1], (0, 1), op[2])
+            yield o.sample_conditional_agreement(op[1], (0, 1), op[2])
         else:
-            o.draw_labeled_batch(op[1], op[2])
-    return out
+            yield o.draw_labeled_batch(op[1], op[2])
+
+
+def _metered(o: OracleSet, family) -> tuple:
+    """What the ledger and the family's `calls` show when read."""
+    ledger = o.ledger
+    return (ledger.label_queries.tolist(), ledger.unlabeled_draws.tolist(),
+            list(ledger.transcript), family.calls.tolist())
 
 
 def _check_twin_ops(inst: MDLInstance, kind: str, log_transcript: bool, start: str,
-                    ops: list[tuple]) -> None:
+                    ops: list[tuple], read_every_step: bool = False) -> None:
+    """Play `ops` on the block path and on its twin, which draws each round's
+    requests one at a time, and require equal results.  With
+    `read_every_step` the ledger and `calls` are read and compared after
+    every round and every other op, which settles the served rounds there."""
     fused_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
     twin_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
     _start_streams(fused_o, start)
@@ -482,10 +496,9 @@ def _check_twin_ops(inst: MDLInstance, kind: str, log_transcript: bool, start: s
             assert got == want
         else:
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-    assert fused.calls.tolist() == twin.calls.tolist()
-    assert fused_o.ledger.label_queries.tolist() == twin_o.ledger.label_queries.tolist()
-    assert fused_o.ledger.unlabeled_draws.tolist() == twin_o.ledger.unlabeled_draws.tolist()
-    assert fused_o.ledger.transcript == twin_o.ledger.transcript
+        if read_every_step:
+            assert _metered(fused_o, fused) == _metered(twin_o, twin)
+    assert _metered(fused_o, fused) == _metered(twin_o, twin)
     assert len(fused_o.ledger.transcript) == (fused_o.ledger.label_total
                                               if log_transcript else 0)
     assert fused_o.ledger.label_total > 0
@@ -513,10 +526,13 @@ def _start_streams(o: OracleSet, start: str) -> None:
 @pytest.mark.parametrize("log_transcript", [False, True])
 @pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
 def test_round_losses_equals_k_draws_on_a_twin(kind, log_transcript):
-    for name, start in itertools.product(sorted(TWIN_INSTANCES),
-                                         ("fresh", "agreement", "large-buffer")):
+    # read at the end only, the ledger settles whole runs of served rounds;
+    # read after every step, it must be current there too
+    for name, start, reads in itertools.product(sorted(TWIN_INSTANCES),
+                                                ("fresh", "agreement", "large-buffer"),
+                                                (False, True)):
         inst = TWIN_INSTANCES[name]()
-        _check_twin_ops(inst, kind, log_transcript, start, _scripted_ops(inst.k))
+        _check_twin_ops(inst, kind, log_transcript, start, _scripted_ops(inst.k), reads)
 
 
 _OPS = st.one_of(
@@ -541,7 +557,78 @@ def test_round_losses_equals_k_draws_under_random_ops(ops, kind, log_transcript)
     ops = [(op[0], op[1], solve_rounds(op[2]), op[3]) if op[0] == "solve" else op
            for op in ops]
     ops.append(("solve", 0, [(1, 1, 1)]))
-    _check_twin_ops(_three_distribution_fixture(), kind, log_transcript, "fresh", ops)
+    for reads in (False, True):
+        _check_twin_ops(_three_distribution_fixture(), kind, log_transcript, "fresh", ops,
+                        reads)
+
+
+@pytest.mark.parametrize("log_transcript", [False, True])
+@pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
+def test_a_solve_refused_part_way_leaves_the_served_rounds_metered(kind, log_transcript):
+    # rounds served from blocks, then a round with a zero count: the refusal
+    # leaves the ledger, `calls` and the streams as the served rounds made
+    # one at a time leave them, and the family serves on afterwards
+    inst = _three_distribution_fixture()
+    fused_o = OracleSet(inst, seed=8, log_transcript=log_transcript)
+    twin_o = OracleSet(inst, seed=8, log_transcript=log_transcript)
+    fused = FAMILY_BUILDERS[kind](fused_o)
+    twin = _DrawnRounds(FAMILY_BUILDERS[kind](twin_o))
+    labels = inst.hypothesis_class.labels
+    served = [(2, 1, 3)] * 5 + [(2, 2, 3)] * 4
+    for t, counts in enumerate(served):
+        for fam in (fused, twin):
+            fam.round_losses(labels, t % 3, list(counts), 40 - t)
+    with pytest.raises(ContractViolation):
+        fused.round_losses(labels, 0, [2, 0, 3], 40 - len(served))
+    assert _metered(fused_o, fused) == _metered(twin_o, twin)
+    assert [s.consumed for s in fused_o._streams] == [s.consumed for s in twin_o._streams]
+    ops = [("solve", 1, [(1, 2, 1)] * 6), ("draw", 2, 5), ("solve", 0, [(3, 1, 2)] * 3)]
+    for got, want in zip(_run_ops(fused_o, fused, ops), _run_ops(twin_o, twin, ops),
+                         strict=True):
+        if isinstance(got, list):
+            assert got == want
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    assert _metered(fused_o, fused) == _metered(twin_o, twin)
+
+
+def test_a_solve_that_raises_leaves_no_rounds_unsettled(desk_knobs):
+    # the solver settles its served rounds on the way out of an error, so the
+    # ledger is whole without being read
+    inst = amdl.gen_agnostic_lb(3, 0.4, 0.05)
+    cfg = SolverConfig(eps=0.1, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
+    o = OracleSet(inst, seed=3)
+    fam = amdl.plain_family(o)
+    played = 0
+    serve = fam.round_losses
+
+    def round_losses(labels, j, counts, rounds_left):
+        nonlocal played
+        played += 1
+        if played == 50:
+            raise ContractViolation("stop part-way")
+        return serve(labels, j, counts, rounds_left)
+
+    fam.round_losses = round_losses
+    with pytest.raises(ContractViolation, match="part-way"):
+        mdl_hedge_vc(inst.hypothesis_class, (0, 1), fam, cfg, inst.k, 1)
+    assert o.ledger.pending is None
+    assert o.ledger.label_total == int(fam.calls.sum()) > 0
+
+
+def test_settle_refuses_a_stream_moved_under_served_rounds():
+    # a reader that skipped the ledger's settle hook moved stream 1: settling
+    # must refuse rather than consume variates that were read already
+    o = OracleSet(_three_distribution_fixture(), seed=1)
+    fam = amdl.plain_family(o)
+    labels = o.instance.hypothesis_class.labels
+    for t in range(3):
+        fam.round_losses(labels, t % 3, [1, 2, 1], 10)
+    o._streams[1].take(1)
+    with pytest.raises(ContractViolation, match="moved"):
+        fam.settle()
+    with pytest.raises(ContractViolation, match="moved"):
+        o.ledger.label_total
 
 
 def test_large_candidate_set_solve_equals_k_draws(desk_knobs):
@@ -568,7 +655,8 @@ def test_blocks_hold_no_more_requests_than_the_rounds_left():
     labels = o.instance.hypothesis_class.labels
     for left in (3, 2, 1, 40, 39):
         fam.round_losses(labels, 0, [1, 2, 1], left)
-        assert all(len(blk.queries) - blk.b < left for blk in fam._blocks)
+        # a block's first b requests are settled, the open run's next ones served
+        assert all(len(blk.queries) - blk.b - fam._served < left for blk in fam._blocks)
 
 
 def test_uniform_take_matches_one_generator_run():
