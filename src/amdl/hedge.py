@@ -12,7 +12,9 @@ threshold, play the weighted ERM over the store's float64 mistake counts,
 estimate the rewards from ceil(k * w_bar_i) fresh pairs per distribution
 (one `SamplerFamily.round_losses` call), and update the weights with
 `hedge_step`.  The running maxima w_bar seldom grow, so the counts are
-recomputed, and the reward draws totalled, only when they do.
+recomputed, and the reward draws totalled, only when they do.  The sampler
+meters served rounds in bulk; the solve settles the last of them as it
+ends, on an error too.
 
 Hyperparameters follow the schedule
     eps1 = c_eps1 * eps / 100

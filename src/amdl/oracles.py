@@ -431,8 +431,7 @@ class SamplerFamily:
 
     def __init__(self, oracles: OracleSet, kernels: Sequence[Kernel]):
         self.k = len(kernels)
-        self._ledger = oracles.ledger
-        self._settle = oracles._settle
+        self._oracles = oracles
         self._kernels = tuple(kernels)
         self._blocks: list[_Rounds | None] = [None] * self.k
         self._labels: np.ndarray | None = None
@@ -446,7 +445,7 @@ class SamplerFamily:
 
     @property
     def calls(self) -> np.ndarray:
-        self._ledger.settle()
+        self._oracles.ledger.settle()
         return self._calls
 
     def draw(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -454,7 +453,7 @@ class SamplerFamily:
             raise ContractViolation(f"distribution index {i} out of range")
         _check_count(n)
         blk = self._kernels[i](n, 1)        # the kernel settles served rounds first
-        self._settle([blk], 1)
+        self._oracles._settle([blk], 1)
         self._calls[i] += n
         return blk.xs[0], blk.ys[0]
 
@@ -484,7 +483,7 @@ class SamplerFamily:
             raise ContractViolation("a round needs at least one draw from every distribution")
         if rounds_left < 1:
             raise ContractViolation("a round needs a horizon of at least itself")
-        self._ledger.settle()
+        self._oracles.ledger.settle()
         blocks = self._blocks
         for i, c in enumerate(counts):
             blk = blocks[i]
@@ -495,7 +494,7 @@ class SamplerFamily:
                 blocks[i] = self._kernels[i](c, min(rounds_left, max(1, BLOCK // (2 * c))))
         self._labels, self._counts = labels, list(counts)
         self._length = min(len(blk.queries) - blk.b for blk in blocks)
-        self._ledger.pending = self
+        self._oracles.ledger.pending = self
 
     def _table(self, j: int) -> np.ndarray:
         """Candidate j's losses in each round of the open run, a row per round."""
@@ -512,13 +511,13 @@ class SamplerFamily:
         """Make the rounds served in the open run happen, and close it."""
         r = self._served
         if r:
-            self._settle(self._blocks, r)
+            self._oracles._settle(self._blocks, r)
             for i, c in enumerate(self._counts):
                 self._calls[i] += c * r
         self._served = self._length = 0
         self._counts, self._tables = None, {}
-        if self._ledger.pending is self:
-            self._ledger.pending = None
+        if self._oracles.ledger.pending is self:
+            self._oracles.ledger.pending = None
 
 
 def plain_family(oracles: OracleSet) -> SamplerFamily:
