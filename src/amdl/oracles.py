@@ -503,7 +503,7 @@ class SamplerFamily:
         for i, blk in enumerate(self._blocks):
             run = slice(blk.b, blk.b + length)
             # count / c in numpy is the correctly rounded quotient, as in Python
-            np.divide(np.count_nonzero(row[blk.xs[run]] != blk.ys[run], axis=1), blk.c,
+            np.divide(np.add.reduce(row[blk.xs[run]] != blk.ys[run], axis=1), blk.c,
                       out=table[:, i])
         return table
 
