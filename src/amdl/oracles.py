@@ -135,6 +135,8 @@ class QueryLedger:
         self.log_transcript = log_transcript
         self._queries = np.zeros(k, dtype=np.int64)
         self._draws = np.zeros(k, dtype=np.int64)
+        # the counts as memoryviews: metering adds Python ints
+        self._asked, self._drawn = memoryview(self._queries), memoryview(self._draws)
         self._transcript: list = []
         self.pending: SamplerFamily | None = None
 
@@ -266,8 +268,8 @@ class OracleSet:
         for blk in blocks:
             stream, b = blk.stream, blk.b + r
             stream.pos = blk.ends[b] - stream.start
-            ledger._draws[blk.i] += blk.c * r
-            ledger._queries[blk.i] += sum(blk.queries[blk.b:b])
+            ledger._drawn[blk.i] += blk.c * r
+            ledger._asked[blk.i] += sum(blk.queries[blk.b:b])
             blk.b = b
 
     # -- per-family kernels: `rounds` requests of c pairs from stream i, read
@@ -436,6 +438,7 @@ class SamplerFamily:
         self._blocks: list[_Rounds | None] = [None] * self.k
         self._labels: np.ndarray | None = None
         self._calls = np.zeros(self.k, dtype=np.int64)
+        self._tally = memoryview(self._calls)
         # the open run: its counts (None when none is open), its length in
         # rounds, the rounds served, and the loss table of each candidate
         # played, one row per round of the run
@@ -454,7 +457,7 @@ class SamplerFamily:
         _check_count(n)
         blk = self._kernels[i](n, 1)        # the kernel settles served rounds first
         self._oracles._settle([blk], 1)
-        self._calls[i] += n
+        self._tally[i] += n
         return blk.xs[0], blk.ys[0]
 
     def round_losses(self, labels: np.ndarray, j: int, counts: Sequence[int],
@@ -513,7 +516,7 @@ class SamplerFamily:
         if r:
             self._oracles._settle(self._blocks, r)
             for i, c in enumerate(self._counts):
-                self._calls[i] += c * r
+                self._tally[i] += c * r
         self._served = self._length = 0
         self._counts, self._tables = None, {}
         if self._oracles.ledger.pending is self:
