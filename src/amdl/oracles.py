@@ -141,6 +141,7 @@ class QueryLedger:
         self.pending: SamplerFamily | None = None
 
     def settle(self) -> None:
+        """Meter the requests the pending family has served, if any."""
         if self.pending is not None:
             self.pending.settle()
 
