@@ -135,8 +135,6 @@ class QueryLedger:
         self.log_transcript = log_transcript
         self._queries = np.zeros(k, dtype=np.int64)
         self._draws = np.zeros(k, dtype=np.int64)
-        # the counts as memoryviews: metering adds Python ints
-        self._asked, self._drawn = memoryview(self._queries), memoryview(self._draws)
         self._transcript: list = []
         self.pending: SamplerFamily | None = None
 
@@ -221,6 +219,9 @@ class OracleSet:
         self._cdf = [d.cdf for d in instance.distributions]
         self._eta = [d.eta_f for d in instance.distributions]
         self.ledger = QueryLedger(k, log_transcript)
+        # the ledger's counts as memoryviews: metering adds Python ints
+        self._asked = memoryview(self.ledger._queries)
+        self._drawn = memoryview(self.ledger._draws)
         self._view_cache: dict = {}
 
     # -- raw oracles --------------------------------------------------------
@@ -237,7 +238,7 @@ class OracleSet:
         n = xs.size
         u = self._streams[i].take(n)
         ys = _SIGN[(u < self._eta[i][xs]).view(np.int8)]
-        ledger._queries[i] += n
+        self._asked[i] += n
         if ledger.log_transcript:
             cum = int(ledger._queries.sum())
             ledger._transcript.extend(zip(repeat(i, n), xs.tolist(), ys.tolist(),
@@ -269,8 +270,8 @@ class OracleSet:
         for blk in blocks:
             stream, b = blk.stream, blk.b + r
             stream.pos = blk.ends[b] - stream.start
-            ledger._drawn[blk.i] += blk.c * r
-            ledger._asked[blk.i] += sum(blk.queries[blk.b:b])
+            self._drawn[blk.i] += blk.c * r
+            self._asked[blk.i] += sum(blk.queries[blk.b:b])
             blk.b = b
 
     # -- per-family kernels: `rounds` requests of c pairs from stream i, read
@@ -402,7 +403,7 @@ class OracleSet:
                 out[got:got + cnt] = xs[acc]
                 got += cnt
             stream.pos += cut
-            self.ledger._draws[i] += cut
+            self._drawn[i] += cut
         ys = self._labels_for(i, out)
         return out, ys
 
