@@ -1,6 +1,7 @@
 """Closed-form pmfs of the distributions the label-efficient samplers draw
-from: the version-space-imputed, abstain-imputed and surrogate laws, and the
-per-radius definition of the disagreement profile.
+from: the version-space-imputed, abstain-imputed and surrogate laws, the
+per-radius definition of the disagreement profile, and the exact loss, mass
+and disagreement by their definitions as `Fraction` sums.
 
 The lab never needs them at run time; the tests compare empirical draws and
 the exact layer's fast paths against them.
@@ -11,8 +12,44 @@ from typing import Sequence
 
 import numpy as np
 
-from amdl.core import (ContractViolation, Hypothesis, HypothesisClass,
+from amdl.core import (ContractViolation, Hypothesis, HypothesisClass, HypothesisLike,
                        LabeledDistribution, agreement_labels, disagreement_region)
+
+
+def mass_reference(points, dist: LabeledDistribution) -> Fraction:
+    """Mass of a set of points: the sum of their marginals, point by point."""
+    return sum((dist.marginal[x] for x in points), Fraction(0))
+
+
+def _members(h: HypothesisLike) -> list[Hypothesis]:
+    """The support of h as a list, a mixture's members repeated by count."""
+    if isinstance(h, Hypothesis):
+        return [h]
+    return [h.cls[i] for i, c in h.counts for _ in range(c)]
+
+
+def loss_reference(h: HypothesisLike, dist: LabeledDistribution) -> Fraction:
+    """0-1 loss by its definition: per member of the support and per point,
+    the marginal times the probability of the label the member does not
+    give, averaged over the support."""
+    members = _members(h)
+    total = Fraction(0)
+    for g in members:
+        for x in range(dist.m):
+            total += dist.marginal[x] * (dist.eta_plus[x] if g(x) < 0 else 1 - dist.eta_plus[x])
+    return total / len(members)
+
+
+def disagreement_reference(h1: HypothesisLike, h2: HypothesisLike,
+                           dist: LabeledDistribution) -> Fraction:
+    """rho(h1, h2) by its definition: the support double sum, over every pair
+    of members, of the mass where the pair disagrees, averaged over pairs."""
+    a, b = _members(h1), _members(h2)
+    total = Fraction(0)
+    for f in a:
+        for g in b:
+            total += mass_reference([x for x in range(dist.m) if f(x) != g(x)], dist)
+    return total / (len(a) * len(b))
 
 
 def induced_distribution(dist: LabeledDistribution, cls: HypothesisClass,
@@ -68,11 +105,10 @@ def disagreement_profile_reference(dist: LabeledDistribution, cls: HypothesisCla
     """Ball-mass profile by its definition: the distinct distances
     rho(h, h*) = Pr[h != h*] of the members as radii, and for each radius r
     the mass of DIS over the members within r, one Fraction sum per radius."""
-    rhos = [dist.mass_exact(int(x) for x in np.nonzero(h.labels != hstar.labels)[0])
-            for h in cls.hypotheses]
+    rhos = [disagreement_reference(h, hstar, dist) for h in cls.hypotheses]
     radii = sorted(set(rhos))
     masses = []
     for r in radii:
         ball = [i for i, rho in enumerate(rhos) if rho <= r]
-        masses.append(dist.mass_exact(int(x) for x in disagreement_region(cls, ball)))
+        masses.append(mass_reference(disagreement_region(cls, ball), dist))
     return radii, masses

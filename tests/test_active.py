@@ -20,6 +20,7 @@ from amdl.core import disagreement_exact
 from amdl.families import FamilySpec
 from amdl.harness import PROFILES
 
+from closed_forms import disagreement_reference
 from conftest import one_point_instance
 
 
@@ -90,12 +91,12 @@ def test_radius_predicate_matches_fraction_arithmetic(seed, data):
         for b in range(n):
             for i, D in enumerate(inst.distributions):
                 assert inst.pair_disagreement_exact(a, b, i) == \
-                    disagreement_exact(cls[a], cls[b], D)
+                    disagreement_reference(cls[a], cls[b], D)
     support = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
     mix = RandomizedHypothesis(cls, support)
     tiny = Fraction(1, 10 ** 12)
     for h in range(n):
-        rhos = [disagreement_exact(cls[h], mix, D) for D in inst.distributions]
+        rhos = [disagreement_reference(cls[h], mix, D) for D in inst.distributions]
         rho = max(rhos)
         # every rho_i, so the bound meets the max exactly and falls below it;
         # just off the max on either side; and the epoch radii 2 * 2^-n

@@ -14,6 +14,7 @@ from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
 from amdl.core import (best_nu_index, disagreement_exact, loss_exact,
                        max_disagreement_exact)
 
+from closed_forms import disagreement_reference, loss_reference, mass_reference
 from conftest import brute_best_nu, brute_loss, two_point_instance
 from test_complexity import STAR_PINS
 
@@ -289,3 +290,45 @@ def test_exact_loss_matches_independent_fraction_sum():
     for h in inst.hypothesis_class.hypotheses:
         for d in inst.distributions:
             assert loss_exact(h, d) == brute_loss(h, d)
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 2, 0), (6, 10, 3, 1), (8, 40, 2, 2),
+                                   (10, 256, 3, 3)], ids=str)
+def test_exact_metrics_match_their_definitions(shape):
+    """Every public exact loss, mass and disagreement against its definition
+    in closed_forms, on members, mixtures with repeated members, the empty
+    point set and zero-mass points."""
+    m, n_hyp, k, seed = shape
+    inst = amdl.gen_random(m, n_hyp, k, seed=seed)
+    cls, dists = inst.hypothesis_class, inst.distributions
+    assert any(p == 0 for d in dists for p in d.marginal)
+    rng = np.random.default_rng(seed)
+    members = sorted({0, n_hyp - 1, *rng.choice(n_hyp, size=min(n_hyp, 6), replace=False)})
+    mixes = [RandomizedHypothesis(cls, rng.integers(0, n_hyp, size=size)) for size in (1, 3, 12)]
+    mixes.append(RandomizedHypothesis(cls, [members[0]] * 3 + [members[-1]]))
+    hs = [cls[j] for j in members] + mixes
+    for d in dists:
+        zero = [x for x in range(m) if d.marginal[x] == 0]
+        for pts in ([], zero, [x for x in range(m) if x % 2], list(range(m)), [m - 1]):
+            assert d.mass_exact(pts) == mass_reference(pts, d)
+            assert d.mass_exact(iter(pts)) == mass_reference(pts, d)
+    for h in hs:
+        losses = [loss_reference(h, d) for d in dists]
+        if isinstance(h, Hypothesis):
+            assert [loss_exact(h, d) for d in dists] == losses
+        assert inst.worst_loss_exact(h) == max(losses)
+        assert amdl.worst_loss(h, inst) == float(max(losses))
+        for g in hs:
+            rhos = [disagreement_reference(h, g, d) for d in dists]
+            assert [disagreement_exact(h, g, d) for d in dists] == rhos
+            assert max_disagreement_exact(h, g, inst) == max(rhos)
+    for a in members:
+        for b in members:
+            for i, d in enumerate(dists):
+                assert inst.pair_disagreement_exact(a, b, i) == \
+                    disagreement_reference(cls[a], cls[b], d)
+    worst = [max(loss_reference(h, d) for d in dists) for h in cls.hypotheses]
+    nu = min(worst)
+    assert inst.nu_exact() == nu
+    assert best_nu_index(inst) == worst.index(nu)
+    assert amdl.best_nu(inst) == (cls[worst.index(nu)], float(nu))
