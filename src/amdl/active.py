@@ -6,8 +6,8 @@ Version-space updates compare exact disagreement masses against the epoch
 radius, so the deterministic invariants (nested version spaces, retained
 hypotheses within radius) hold bit-for-bit.  Nesting and the shrinking
 disagreement region are checked every epoch; the radius holds by
-construction of the filter, and the tests check it with `Fraction`
-arithmetic apart from the integer predicate.
+construction of the filter, and the tests check it against `Fraction` sums
+by definition, apart from the integer kernel.
 """
 
 from __future__ import annotations
@@ -17,8 +17,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (ContractViolation, Hypothesis, MDLInstance,
-                   RandomizedHypothesis, disagreement_region)
+import numpy as np
+
+from .core import (ContractViolation, Hypothesis, HypothesisLike, MDLInstance,
+                   RandomizedHypothesis, _plus_counts, agreement_labels,
+                   disagreement_region)
 from .hedge import HedgeResult, SolverConfig, mdl_hedge_vc
 from .oracles import (DegenerateAgreementRegion, OracleSet, induced_family,
                       surrogate_family)
@@ -60,23 +63,24 @@ class RunResult:
         return self.failure_mode is None and self.output is not None
 
 
-def _within_radius(inst: MDLInstance, h_idx: int, mix: RandomizedHypothesis,
-                   bound: Fraction) -> bool:
-    """Exact test of max_i rho_i(h, mix) <= bound, where rho_i is the
-    support-count-weighted mean disagreement under distribution i.  rho_i is
-    an integer over mix.total * _mden of distribution i, so the test
-    cross-multiplies Python ints and builds no Fraction."""
-    for i, dist in enumerate(inst.distributions):
-        acc = sum(cnt * inst.pair_disagreement_num(h_idx, idx, i)
-                  for idx, cnt in mix.counts)
-        if acc * bound.denominator > bound.numerator * mix.total * dist._mden:
-            return False
-    return True
+def _within_radius(inst: MDLInstance, version_space: Sequence[int], mix: HypothesisLike,
+                   bound: Fraction) -> list[int]:
+    """The members h of the version space, in order, with max_i rho_i(h, mix)
+    <= bound, rho_i the mean disagreement under distribution i.  h's weight
+    at a point is mix's count on the other label, so one kernel call per
+    distribution gives every rho_i over mix.total * _mden as a Python int."""
+    plus, total = _plus_counts(mix, inst.m)
+    V = list(version_space)
+    weights = np.where(inst.hypothesis_class.labels[V] > 0, total - plus, plus)
+    keep = np.ones(len(V), dtype=bool)
+    for dist in inst.distributions:
+        keep &= dist._weigh(weights) * bound.denominator <= bound.numerator * total * dist._mden
+    return [h for h, kept in zip(V, keep.tolist()) if kept]
 
 
 def _max_dis_mass(inst: MDLInstance, version_space: Sequence[int]) -> Fraction:
-    pts = [int(x) for x in disagreement_region(inst.hypothesis_class, version_space)]
-    return max(d.mass_exact(pts) for d in inst.distributions)
+    dis = agreement_labels(inst.hypothesis_class, version_space) == 0
+    return max(Fraction(d._weigh(dis), d._mden) for d in inst.distributions)
 
 
 def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: float,
@@ -125,7 +129,7 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
         res: HedgeResult = mdl_hedge_vc(cls, V, fam, inner, k, d)
         h_n = res.hypothesis
         bound = Fraction(2) * Fraction(eps_n)
-        V_new = [h for h in V if _within_radius(inst, h, h_n, bound)]
+        V_new = _within_radius(inst, V, h_n, bound)
         if not set(V_new) <= set(V):
             raise ContractViolation(f"epoch {n} version space is not nested")
         labels_epoch = oracles.ledger.label_total - labels_before
@@ -184,9 +188,7 @@ def active_small_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
         trace = []
         warnings.append("stage1 skipped: 100*nu >= 1, V0 = full class")
     bound = Fraction(2) * Fraction(eps_p)
-    V0 = [h for h in range(len(cls))
-          if max(inst.pair_disagreement_exact(h, h_prime_idx, i)
-                 for i in range(k)) <= bound]
+    V0 = _within_radius(inst, cls.full_version_space(), cls[h_prime_idx], bound)
     n0 = math.ceil(REGIME_FACTOR * (eps + nu) / eps ** 2 * math.log(k / delta_p))
     samples: list = []
     degenerate = []

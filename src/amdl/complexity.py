@@ -257,8 +257,7 @@ def disagreement_profile(dist: LabeledDistribution, cls: HypothesisClass,
     are integer numerators over `dist._mden` until the output."""
     if len(hstar) != cls.m or dist.m != cls.m:
         raise ContractViolation("reference and distribution must cover the class's points")
-    mnum = np.array(dist._mnum, dtype=object)
-    rho = ((cls.labels != hstar.labels) @ mnum).tolist()
+    rho = dist._weigh(cls.labels != hstar.labels).tolist()
     order = sorted(range(len(rho)), key=rho.__getitem__)
     rows = cls.labels[order]
     grown = np.minimum.accumulate(rows) != np.maximum.accumulate(rows)
@@ -266,7 +265,7 @@ def disagreement_profile(dist: LabeledDistribution, cls: HypothesisClass,
     ends.append(len(order) - 1)
     den = dist._mden
     radii = tuple(Fraction(rho[order[j]], den) for j in ends)
-    masses = tuple(Fraction(v, den) for v in (grown[ends] @ mnum).tolist())
+    masses = tuple(Fraction(v, den) for v in dist._weigh(grown[ends]).tolist())
     if any(a > b for a, b in zip(masses, masses[1:])):
         raise ContractViolation("disagreement masses must not decrease in the radius")
     return DisagreementProfile(radii, masses)
@@ -274,10 +273,7 @@ def disagreement_profile(dist: LabeledDistribution, cls: HypothesisClass,
 
 def disagreement_coefficient_exact(dist: LabeledDistribution, cls: HypothesisClass,
                                    hstar: Hypothesis, r0) -> Fraction:
-    try:
-        r0 = _frac(r0)
-    except (ValueError, OverflowError) as exc:
-        raise ContractViolation(f"r0 must be a finite number, got {r0!r}") from exc
+    r0 = _frac(r0)
     if r0 <= 0:
         raise ContractViolation("r0 must be positive")
     prof = disagreement_profile(dist, cls, hstar)

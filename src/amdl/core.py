@@ -5,6 +5,8 @@ Probabilities are carried as exact rationals internally (integer numerators
 over a shared per-array denominator), so loss tables, disagreement masses and
 coefficient ratios computed from generator-built instances are exact, and
 repeated evaluation is bit-identical.  Float views are derived for sampling.
+Every exact loss, mass and disagreement is one call of the kernel
+`LabeledDistribution._weigh` on integer per-point weights.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -29,21 +32,27 @@ Number = Union[int, float, Fraction, str]
 
 
 def _frac(x: Number) -> Fraction:
-    """Exact conversion; floats map to their exact binary value."""
+    """Exact conversion; floats map to their exact binary value and strings
+    are read as `Fraction` reads them.  Bools, NaN, infinities and anything
+    else that is not a number are refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
+    if not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ContractViolation(f"expected a finite number, got {x!r}")
 
 
-def _integerize(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """Common-denominator form (numerators, denominator) of a rational vector."""
+def _integerize(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """Common-denominator form of a rational vector: the numerators as an
+    object array of Python ints, and the denominator."""
     den = 1
     for v in values:
         den = den * v.denominator // math.gcd(den, v.denominator)
-    nums = tuple(int(v.numerator * (den // v.denominator)) for v in values)
-    return nums, den
+    nums = [int(v.numerator * (den // v.denominator)) for v in values]
+    return np.array(nums, dtype=object), den
 
 
 @dataclass(frozen=True)
@@ -63,11 +72,12 @@ class Hypothesis:
     __slots__ = ("labels", "_key")
 
     def __init__(self, labels: Iterable[int]):
-        arr = np.asarray(list(labels) if not isinstance(labels, np.ndarray) else labels, dtype=np.int8)
+        arr = labels if isinstance(labels, np.ndarray) else np.asarray(list(labels))
         if arr.ndim != 1 or arr.size == 0:
             raise ContractViolation("hypothesis labels must be a non-empty 1-d vector")
-        if not np.all(np.abs(arr) == 1):
-            raise ContractViolation("hypothesis labels must be +1/-1")
+        if arr.dtype.kind not in "iu" or not np.all(np.abs(arr) == 1):
+            raise ContractViolation(f"hypothesis labels must be integers +1/-1, got {arr.tolist()}")
+        arr = arr.astype(np.int8, copy=False)
         object.__setattr__(self, "labels", arr)
         object.__setattr__(self, "_key", arr.tobytes())
 
@@ -147,15 +157,8 @@ class LabeledDistribution:
         self.m = len(marg)
         self._mnum, self._mden = _integerize(self.marginal)
         self._enum, self._eden = _integerize(self.eta_plus)
-        self._marginal_f: np.ndarray | None = None
         self._eta_f: np.ndarray | None = None
         self._cdf: np.ndarray | None = None
-
-    @property
-    def marginal_f(self) -> np.ndarray:
-        if self._marginal_f is None:
-            self._marginal_f = np.array([float(v) for v in self.marginal])
-        return self._marginal_f
 
     @property
     def eta_f(self) -> np.ndarray:
@@ -166,17 +169,22 @@ class LabeledDistribution:
     @property
     def cdf(self) -> np.ndarray:
         if self._cdf is None:
-            c = np.cumsum(self.marginal_f)
+            c = np.cumsum([float(v) for v in self.marginal])
             c[-1] = 1.0
             self._cdf = c
         return self._cdf
 
-    def mass_exact(self, points: Iterable[int]) -> Fraction:
-        num = sum(self._mnum[x] for x in points)
-        return Fraction(num, self._mden)
+    def _weigh(self, weights: np.ndarray):
+        """The exact kernel: integer per-point `weights` (one row per
+        hypothesis or point set, the last axis the points) summed against the
+        marginal, as Python-int numerators over `_mden`."""
+        return weights @ self._mnum
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.m) if self._mnum[x] > 0)
+    def mass_exact(self, points: Iterable[int]) -> Fraction:
+        """Mass of a set of points, given as any iterable of indices."""
+        indicator = np.zeros(self.m, dtype=np.int8)
+        indicator[np.fromiter(points, dtype=np.intp)] = 1
+        return Fraction(self._weigh(indicator), self._mden)
 
     def joint_exact(self) -> dict[tuple[int, int], Fraction]:
         """Joint pmf over (point, label) pairs, labels in {-1,+1}."""
@@ -227,37 +235,35 @@ class RandomizedHypothesis:
 HypothesisLike = Union[Hypothesis, RandomizedHypothesis]
 
 
-def _check_dims(h: Hypothesis, dist: LabeledDistribution) -> None:
-    if len(h) != dist.m:
-        raise ContractViolation(f"dimension mismatch: hypothesis has {len(h)} points, distribution {dist.m}")
+def _plus_counts(h: HypothesisLike, m: int) -> tuple[np.ndarray, int]:
+    """How many of h's support members say +1 at each of the `m` points, and
+    the support's size; a member is a support of one."""
+    if isinstance(h, Hypothesis):
+        plus, total = (h.labels > 0).astype(np.int64), 1
+    else:
+        idx, cnt = zip(*h.counts)
+        plus, total = np.array(cnt) @ (h.cls.labels[list(idx)] > 0), h.total
+    if plus.size != m:
+        raise ContractViolation(f"dimension mismatch: hypothesis has {plus.size} points, distribution {m}")
+    return plus, total
 
 
-def loss_exact(h: Hypothesis, dist: LabeledDistribution) -> Fraction:
-    """Exact 0-1 loss: sum_x marginal[x] * Pr[y != h(x) | x]."""
-    _check_dims(h, dist)
-    mnum, enum, eden = dist._mnum, dist._enum, dist._eden
-    lab = h.labels
-    acc = 0
-    for x in range(dist.m):
-        mx = mnum[x]
-        if mx == 0:
-            continue
-        acc += mx * (enum[x] if lab[x] < 0 else eden - enum[x])
-    return Fraction(acc, dist._mden * eden)
+def _loss_rows(dist: LabeledDistribution, plus: np.ndarray, total: int) -> np.ndarray:
+    """Loss weights over `total * _eden`, the support counts times its members'
+    rows (Pr[y = -1] where a member says +1, Pr[y = +1] elsewhere): Pr[y = +1]
+    per member plus Pr[y = -1] - Pr[y = +1] per +1 vote."""
+    return total * dist._enum + plus * (dist._eden - 2 * dist._enum)
+
+
+def loss_exact(h: HypothesisLike, dist: LabeledDistribution) -> Fraction:
+    """Exact 0-1 loss sum_x marginal[x] Pr[y != h(x) | x]; the mean over the
+    support for a mixture."""
+    plus, total = _plus_counts(h, dist.m)
+    return Fraction(dist._weigh(_loss_rows(dist, plus, total)), total * dist._mden * dist._eden)
 
 
 def loss(h: Hypothesis, dist: LabeledDistribution) -> float:
     return float(loss_exact(h, dist))
-
-
-def _as_weighted(h: HypothesisLike) -> list[tuple[Hypothesis, Fraction]]:
-    if isinstance(h, Hypothesis):
-        return [(h, Fraction(1))]
-    return [(h.cls[i], Fraction(c, h.total)) for i, c in h.counts]
-
-
-def _mean_exact(h: HypothesisLike, fn) -> Fraction:
-    return sum((w * fn(g) for g, w in _as_weighted(h)), Fraction(0))
 
 
 @dataclass
@@ -269,7 +275,6 @@ class MDLInstance:
     distributions: list[LabeledDistribution]
     declared_nu: float | None = None
     metadata: dict = field(default_factory=dict)
-    _pair_num_cache: dict = field(default_factory=dict, repr=False, init=False)
     _best: tuple[int, Fraction] | None = field(default=None, repr=False, init=False)
 
     def __post_init__(self):
@@ -295,26 +300,20 @@ class MDLInstance:
     def m(self) -> int:
         return self.feature_space.size
 
-    def loss_vector_exact(self, h: HypothesisLike) -> list[Fraction]:
-        return [_mean_exact(h, lambda g, d=d: loss_exact(g, d)) for d in self.distributions]
-
     def worst_loss_exact(self, h: HypothesisLike) -> Fraction:
-        return max(self.loss_vector_exact(h))
+        return max(loss_exact(h, d) for d in self.distributions)
 
     def _best_pair(self) -> tuple[int, Fraction]:
-        """The first member of least worst-case loss, and that loss.  Member
-        j's loss numerator over `mden * eden` is the all-minus numerator plus
-        `mnum[x] (eden - 2 enum[x])` for each point x that j labels +1; the
-        numerators are Python ints scaled to the common denominator."""
+        """The first member of least worst-case loss, and that loss: every
+        member's loss row in one kernel call per distribution, the numerators
+        scaled to the common denominator."""
         if self._best is None:
-            plus = self.hypothesis_class.labels > 0
+            plus = (self.hypothesis_class.labels > 0).astype(np.int64)
             den = math.lcm(*(d._mden * d._eden for d in self.distributions))
             worst = 0
             for d in self.distributions:
-                w = np.array([mx * (d._eden - 2 * ex) for mx, ex in zip(d._mnum, d._enum)],
-                             dtype=object)
-                base = sum(mx * ex for mx, ex in zip(d._mnum, d._enum))
-                worst = np.maximum(worst, (plus @ w + base) * (den // (d._mden * d._eden)))
+                num = d._weigh(_loss_rows(d, plus, 1))
+                worst = np.maximum(worst, num * (den // (d._mden * d._eden)))
             worst = worst.tolist()
             idx = min(range(len(worst)), key=worst.__getitem__)
             self._best = (idx, Fraction(worst[idx], den))
@@ -323,24 +322,10 @@ class MDLInstance:
     def nu_exact(self) -> Fraction:
         return self._best_pair()[1]
 
-    def pair_disagreement_num(self, ia: int, ib: int, i: int) -> int:
-        """Numerator of the exact rho_i between class members ia, ib over
-        distribution i's common marginal denominator `_mden` (cached)."""
-        if ia == ib:
-            return 0
-        key = (min(ia, ib), max(ia, ib), i)
-        got = self._pair_num_cache.get(key)
-        if got is None:
-            la = self.hypothesis_class.labels[ia]
-            lb = self.hypothesis_class.labels[ib]
-            mnum = self.distributions[i]._mnum
-            got = sum(mnum[x] for x in np.nonzero(la != lb)[0].tolist())
-            self._pair_num_cache[key] = got
-        return got
-
     def pair_disagreement_exact(self, ia: int, ib: int, i: int) -> Fraction:
         """Exact rho_i between class members ia, ib."""
-        return Fraction(self.pair_disagreement_num(ia, ib, i), self.distributions[i]._mden)
+        cls = self.hypothesis_class
+        return disagreement_exact(cls[ia], cls[ib], self.distributions[i])
 
 
 def worst_loss(h: HypothesisLike, inst: MDLInstance) -> float:
@@ -349,14 +334,12 @@ def worst_loss(h: HypothesisLike, inst: MDLInstance) -> float:
 
 
 def disagreement_exact(h1: HypothesisLike, h2: HypothesisLike, dist: LabeledDistribution) -> Fraction:
-    acc = Fraction(0)
-    for a, wa in _as_weighted(h1):
-        for b, wb in _as_weighted(h2):
-            _check_dims(a, dist)
-            _check_dims(b, dist)
-            pts = np.nonzero(a.labels != b.labels)[0]
-            acc += wa * wb * dist.mass_exact(int(x) for x in pts)
-    return acc
+    """The mean over support pairs of the mass where the pair disagrees.  At
+    a point the pairs that disagree number p1 m2 + m1 p2, where p and m are a
+    support's counts on +1 and on -1."""
+    (p1, total1), (p2, total2) = _plus_counts(h1, dist.m), _plus_counts(h2, dist.m)
+    return Fraction(dist._weigh(p1 * (total2 - p2) + (total1 - p1) * p2),
+                    total1 * total2 * dist._mden)
 
 
 def disagreement(h1: HypothesisLike, h2: HypothesisLike, dist: LabeledDistribution) -> float:
@@ -372,24 +355,19 @@ def max_disagreement(h1: HypothesisLike, h2: HypothesisLike, inst: MDLInstance) 
     return float(max_disagreement_exact(h1, h2, inst))
 
 
-def disagreement_region(cls: HypothesisClass, version_space: Sequence[int]) -> np.ndarray:
-    """Points where some pair in the version space disagrees."""
-    V = list(version_space)
-    if not V:
-        raise ContractViolation("version space must be non-empty")
-    sub = cls.labels[V]
-    return np.nonzero(sub.min(axis=0) != sub.max(axis=0))[0]
-
-
 def agreement_labels(cls: HypothesisClass, version_space: Sequence[int]) -> np.ndarray:
     """Unanimous label V(x) on the agreement region, 0 on the disagreement region."""
-    V = list(version_space)
-    if not V:
+    V = np.asarray(version_space, dtype=np.intp)
+    if not V.size:
         raise ContractViolation("version space must be non-empty")
     sub = cls.labels[V]
     lo, hi = sub.min(axis=0), sub.max(axis=0)
-    out = np.where(lo == hi, lo, 0).astype(np.int8)
-    return out
+    return np.where(lo == hi, lo, 0).astype(np.int8)
+
+
+def disagreement_region(cls: HypothesisClass, version_space: Sequence[int]) -> np.ndarray:
+    """Points where some pair in the version space disagrees."""
+    return np.nonzero(agreement_labels(cls, version_space) == 0)[0]
 
 
 def best_nu(inst: MDLInstance) -> tuple[Hypothesis, float]:
@@ -452,13 +430,36 @@ def instance_to_dict(inst: MDLInstance) -> dict:
     return doc
 
 
+def _field(doc: dict, key: str, kind: type, where: str = "instance", required: bool = True):
+    """doc[key], refused by name if doc is no mapping, if required and
+    missing, or if not of type `kind` (a real must be finite, and no bool)."""
+    if not isinstance(doc, dict):
+        raise ContractViolation(f"{where} must be a mapping, got {doc!r}")
+    if key not in doc:
+        if required:
+            raise ContractViolation(f"{where} is missing {key!r}")
+        return None
+    value = doc[key]
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or kind is Real and not math.isfinite(value)):
+        raise ContractViolation(f"{where} field {key!r} must be of type {kind.__name__}, "
+                                f"got {value!r}")
+    return value
+
+
 def instance_from_dict(doc: dict) -> MDLInstance:
-    fs = FeatureSpace(int(doc["m"]))
-    cls = HypothesisClass([Hypothesis(v) for v in doc["hypotheses"]])
-    dists = [LabeledDistribution(d["marginal"], d["eta_plus"]) for d in doc["distributions"]]
-    return MDLInstance(fs, cls, dists,
-                       declared_nu=doc.get("nu"),
-                       metadata=doc.get("metadata", {}))
+    """The instance a file document describes; a missing field or one of the
+    wrong type is refused by name."""
+    m, hyps = _field(doc, "m", int), _field(doc, "hypotheses", list)
+    dists = [(_field(d, "marginal", list, f"instance distributions[{i}]"),
+              _field(d, "eta_plus", list, f"instance distributions[{i}]"))
+             for i, d in enumerate(_field(doc, "distributions", list))]
+    if not all(isinstance(v, list) and all(type(y) is int for y in v) for v in hyps):
+        raise ContractViolation("instance field 'hypotheses' must hold lists of integer labels")
+    return MDLInstance(FeatureSpace(m), HypothesisClass([Hypothesis(v) for v in hyps]),
+                       [LabeledDistribution(marg, eta) for marg, eta in dists],
+                       declared_nu=_field(doc, "nu", Real, required=False),
+                       metadata=_field(doc, "metadata", dict, required=False) or {})
 
 
 def save_instance(inst: MDLInstance, path: str) -> None:
@@ -469,4 +470,8 @@ def save_instance(inst: MDLInstance, path: str) -> None:
 
 def load_instance(path: str) -> MDLInstance:
     with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ContractViolation(f"instance file {path} is not valid JSON: {exc}") from exc
+    return instance_from_dict(doc)

@@ -30,17 +30,22 @@ REQUIRED_PARAMS = {
     "random": ("m", "n_hyp", "k", "seed"),
 }
 FAMILIES = tuple(REQUIRED_PARAMS)
-# the type of each required parameter; a bool counts as neither number
+# the parameters a family's generator also takes, when given
+OPTIONAL_PARAMS = {"agnostic-lb": ("flipped_index",), "random": ("realizable",)}
+# the type of each parameter; a bool counts as neither number
 PARAM_TYPES = {"k": Integral, "theta": Integral, "i": Integral, "j": Integral,
                "m": Integral, "n_hyp": Integral, "seed": Integral,
-               "eps": Real, "nu": Real, "nu_prime": Real, "case": str}
-_KIND_NAMES = {Integral: "an integer", Real: "a finite real number", str: "a string"}
+               "flipped_index": Integral, "eps": Real, "nu": Real, "nu_prime": Real,
+               "case": str, "realizable": bool}
+_KIND_NAMES = {Integral: "an integer", Real: "a finite real number", str: "a string",
+               bool: "a bool"}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """A family tag plus its parameters (copied); validated against the
-    family's required parameter names and types, and its ranges."""
+    family's required parameter names, the types of the parameters it has,
+    and its ranges."""
 
     family: str
     params: dict = field(default_factory=dict)
@@ -55,9 +60,10 @@ class FamilySpec:
         missing = [name for name in REQUIRED_PARAMS[self.family] if name not in self.params]
         if missing:
             raise ContractViolation(f"family {self.family!r} needs params {missing}")
-        for name in REQUIRED_PARAMS[self.family]:
+        optional = [name for name in OPTIONAL_PARAMS.get(self.family, ()) if name in self.params]
+        for name in REQUIRED_PARAMS[self.family] + tuple(optional):
             value, kind = self.params[name], PARAM_TYPES[name]
-            if (isinstance(value, bool) or not isinstance(value, kind)
+            if (isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)
                     or kind is Real and not math.isfinite(value)):
                 raise ContractViolation(f"family {self.family!r} param {name!r} must be "
                                         f"{_KIND_NAMES[kind]}, got {value!r}")
@@ -76,15 +82,12 @@ class FamilySpec:
                           realizable=p.get("realizable", False))
 
 
-def _single_flip_class(m: int) -> HypothesisClass:
-    """All-minus base hypothesis plus the m single-point flips, in point order."""
+def _single_flip_class(m: int, flippable) -> HypothesisClass:
+    """All-minus base hypothesis on m points plus the single-point flip of
+    each flippable point, in the order given."""
     base = -np.ones(m, dtype=np.int8)
-    hyps = [Hypothesis(base)]
-    for x in range(m):
-        lab = base.copy()
-        lab[x] = 1
-        hyps.append(Hypothesis(lab))
-    return HypothesisClass(hyps)
+    flips = [np.where(np.arange(m) == x, 1, base) for x in flippable]
+    return HypothesisClass([Hypothesis(lab) for lab in [base, *flips]])
 
 
 def gen_prop1(k: int, eps) -> MDLInstance:
@@ -99,13 +102,7 @@ def gen_prop1(k: int, eps) -> MDLInstance:
     m = k + 1
     # index 0: all-minus; index l >= 1: flip of point l (the anchor point 0 is
     # never flippable in this class)
-    base = -np.ones(m, dtype=np.int8)
-    hyps = [Hypothesis(base)]
-    for x in range(1, m):
-        lab = base.copy()
-        lab[x] = 1
-        hyps.append(Hypothesis(lab))
-    cls = HypothesisClass(hyps)
+    cls = _single_flip_class(m, range(1, m))
     # point 0 is the anchor; distribution i puts 1-eps there and eps on point i
     eta = [Fraction(0)] + [Fraction(1)] * k
     dists = []
@@ -132,7 +129,7 @@ def gen_star_lb(k: int, theta: int, i: int, j: int) -> MDLInstance:
     if not (1 <= i <= k) or not (0 <= j <= theta):
         raise ContractViolation("need i in [1..k], j in [0..theta]")
     m = k * theta
-    cls = _single_flip_class(m)
+    cls = _single_flip_class(m, range(m))
     flip_point = (i - 1) * theta + (j - 1) if j >= 1 else None
     dists = []
     for block in range(1, k + 1):

@@ -259,7 +259,9 @@ def sweep(config: dict) -> list[dict]:
     delta = float(config.get("delta", 0.1))
     trials = int(config.get("trials", 50))
     base_seed = int(config.get("base_seed", 0))
-    knobs = dict(config.get("knobs", {}))
+    knobs = config.get("knobs", {})
+    if not isinstance(knobs, dict):
+        raise ContractViolation(f"sweep knobs must be a mapping, got {knobs!r}")
     rows = []
     cell_index = 0
     for fam in config["families"]:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from operator import ge
 from typing import Sequence
 
@@ -62,8 +63,10 @@ class SolverConfig:
             raise ContractViolation("eps and delta must lie in (0,1)")
         if not 0 <= self.nu < 1:
             raise ContractViolation("nu must lie in [0,1)")
-        if not all(0 < getattr(self, name) < math.inf for name in KNOBS):   # refuses NaN
-            raise ContractViolation("scale knobs must be positive and finite")
+        for name in KNOBS:   # refuses NaN, bools and non-numbers
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Real) or not 0 < v < math.inf:
+                raise ContractViolation(f"scale knob {name} must be positive and finite, got {v!r}")
 
 
 def hyperparams(cfg: SolverConfig, k: int, d: int) -> tuple[float, float, int, int]:

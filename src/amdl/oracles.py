@@ -379,8 +379,7 @@ class OracleSet:
         self._check(i, n)
         dis_mask, _ = self._vs_view(version_space)
         d = self.instance.distributions[i]
-        agr_pts = [x for x in range(d.m) if not dis_mask[x]]
-        if d.mass_exact(agr_pts) == 0:
+        if d._weigh(~dis_mask) == 0:
             raise DegenerateAgreementRegion(
                 f"distribution {i} puts zero mass on the agreement region")
         self.ledger.settle()

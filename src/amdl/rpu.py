@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, HypothesisClass, MDLInstance
+from .core import ContractViolation, HypothesisClass, MDLInstance, agreement_labels
 from .hedge import SolverConfig, mdl_hedge_vc
 from .oracles import OracleSet, SamplerFamily, imputed_family
 from .active import RunResult
@@ -51,14 +51,9 @@ class RpuReport:
 
 def rpu_report(inst: MDLInstance, f: AbstainingClassifier, hstar_labels: np.ndarray,
                labels_used: int = 0) -> RpuReport:
-    viol, abst = [], []
-    committed_wrong = [x for x in range(inst.m)
-                       if f.outputs[x] != 0 and f.outputs[x] != hstar_labels[x]]
-    abstain = [x for x in range(inst.m) if f.outputs[x] == 0]
-    for d in inst.distributions:
-        viol.append(float(d.mass_exact(committed_wrong)))
-        abst.append(float(d.mass_exact(abstain)))
-    return RpuReport(tuple(viol), tuple(abst), labels_used)
+    rows = np.stack([(f.outputs != 0) & (f.outputs != hstar_labels), f.outputs == 0])
+    viol, abst = zip(*(d._weigh(rows) / d._mden for d in inst.distributions))
+    return RpuReport(tuple(map(float, viol)), tuple(map(float, abst)), labels_used)
 
 
 def batch_size(s_star: int, xi: float, c_n: float = 1.0) -> int:
@@ -122,9 +117,7 @@ def robust_rpu_learn(cls: HypothesisClass, draw: Callable[[int], tuple[np.ndarra
         consistent = np.all(cls.labels[:, xs] == ys, axis=1)
         if not consistent.any():
             continue  # corrupted batch: votes nothing
-        sub = cls.labels[consistent]
-        lo, hi_ = sub.min(axis=0), sub.max(axis=0)
-        f_i = np.where(lo == hi_, lo, 0)
+        f_i = agreement_labels(cls, np.flatnonzero(consistent))
         votes_nonzero += f_i != 0
         votes_sum += f_i
     return AbstainingClassifier(threshold_majority(votes_nonzero, votes_sum, N))
@@ -216,8 +209,8 @@ def active_dist_free(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
     classifiers: list[np.ndarray] = []
 
     def abstain_mass_of(i: int, g: AbstainingClassifier) -> Fraction:
-        return inst.distributions[i].mass_exact(
-            [x for x in range(inst.m) if g.outputs[x] == 0])
+        d = inst.distributions[i]
+        return Fraction(d._weigh(g.outputs == 0), d._mden)
     for n in range(1, n0 + 1):
         eps_n = 2.0 ** -n
         delta_n = delta / (2.0 * n * n)

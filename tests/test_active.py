@@ -94,16 +94,20 @@ def test_radius_predicate_matches_fraction_arithmetic(seed, data):
                     disagreement_reference(cls[a], cls[b], D)
     support = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
     mix = RandomizedHypothesis(cls, support)
+    version_space = sorted(set(data.draw(st.lists(st.integers(0, n - 1), min_size=1))))
     tiny = Fraction(1, 10 ** 12)
+    rho = []
+    bounds = {2 * Fraction(2) ** -e for e in range(1, 7)}   # the epoch radii 2 * 2^-n
     for h in range(n):
         rhos = [disagreement_reference(cls[h], mix, D) for D in inst.distributions]
-        rho = max(rhos)
+        rho.append(max(rhos))
         # every rho_i, so the bound meets the max exactly and falls below it;
-        # just off the max on either side; and the epoch radii 2 * 2^-n
-        bounds = set(rhos) | {rho - tiny, rho + tiny}
-        bounds |= {2 * Fraction(2) ** -e for e in range(1, 7)}
-        for bound in bounds:
-            assert _within_radius(inst, h, mix, bound) == (rho <= bound), (h, bound)
+        # and just off the max on either side
+        bounds |= set(rhos) | {rho[h] - tiny, rho[h] + tiny}
+    for bound in bounds:
+        for V in (range(n), version_space):
+            assert _within_radius(inst, V, mix, bound) == \
+                [h for h in V if rho[h] <= bound], (list(V), bound)
 
 
 SWEEP = json.loads((Path(__file__).resolve().parents[1] / "configs"

@@ -277,6 +277,52 @@ def test_instance_file_round_trip(tmp_path):
     assert path.read_text() == path2.read_text()
 
 
+def _instance_text(edit) -> str:
+    doc = {"m": 2, "hypotheses": [[1, 1], [-1, -1]],
+           "distributions": [{"marginal": [0.5, 0.5], "eta_plus": [0.25, 0.75]}]}
+    edit(doc)
+    return json.dumps(doc)
+
+
+# malformed instance files, each with what its refusal must name
+MALFORMED_INSTANCE_FILES = {
+    "nan-marginal": (_instance_text(lambda d: d["distributions"][0].update(
+        marginal=[float("nan"), 0.5])), "nan"),
+    "infinite-marginal": (_instance_text(lambda d: d["distributions"][0].update(
+        marginal=[float("inf"), 0.5])), "inf"),
+    "string-eta": (_instance_text(lambda d: d["distributions"][0].update(
+        eta_plus=["abc", 0.5])), "abc"),
+    "missing-eta": (_instance_text(lambda d: d["distributions"][0].pop("eta_plus")),
+                    "eta_plus"),
+    "string-nu": (_instance_text(lambda d: d.update(nu="0.1")), "'nu'"),
+    "nan-nu": (_instance_text(lambda d: d.update(nu=float("nan"))), "'nu'"),
+    "dict-hypotheses": (_instance_text(lambda d: d.update(hypotheses={"h": [1, 1]})),
+                        "hypotheses"),
+    "int-distributions": (_instance_text(lambda d: d.update(distributions=3)),
+                          "distributions"),
+    "missing-m": (_instance_text(lambda d: d.pop("m")), "'m'"),
+    "string-m": (_instance_text(lambda d: d.update(m="2")), "'m'"),
+    "fractional-label": (_instance_text(lambda d: d.update(hypotheses=[[1.5, 1], [-1, -1]])),
+                         "hypotheses"),
+    "ragged-label-rows": (_instance_text(lambda d: d.update(hypotheses=[[[1], [1, -1]]])),
+                          "hypotheses"),
+    "list-metadata": (_instance_text(lambda d: d.update(metadata=[1])), "metadata"),
+    "top-level-list": ("[1, 2]", "mapping"),
+    "broken-json": ('{"m": 2,', "JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INSTANCE_FILES))
+def test_malformed_instance_file_raises_contract_violation(tmp_path, case):
+    text, field = MALFORMED_INSTANCE_FILES[case]
+    path = tmp_path / "inst.json"
+    path.write_text(_instance_text(lambda d: None))
+    assert amdl.load_instance(str(path)).k == 1
+    path.write_text(text)
+    with pytest.raises(ContractViolation, match=field):
+        amdl.load_instance(str(path))
+
+
 def test_mixture_distribution_prop1_average():
     inst = amdl.gen_prop1(4, 0.2)
     bar = amdl.mixture_distribution(inst.distributions)

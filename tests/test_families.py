@@ -149,6 +149,14 @@ WRONG_TYPED_PARAMS = {
     "case-number": ("example1", {"nu_prime": 0.2, "eps": 0.05, "case": 1}, "'case'"),
     "params-list": ("prop1", [1, 2], "params"),
     "params-pairs": ("prop1", [("k", 2), ("eps", 0.1)], "params"),
+    "flipped-index-string": ("agnostic-lb", {"k": 4, "nu": 0.4, "eps": 0.05,
+                                             "flipped_index": "2"}, "'flipped_index'"),
+    "flipped-index-fractional": ("agnostic-lb", {"k": 4, "nu": 0.4, "eps": 0.05,
+                                                 "flipped_index": 2.5}, "'flipped_index'"),
+    "realizable-string": ("random", {"m": 4, "n_hyp": 3, "k": 2, "seed": 0,
+                                     "realizable": "no"}, "'realizable'"),
+    "realizable-int": ("random", {"m": 4, "n_hyp": 3, "k": 2, "seed": 0,
+                                  "realizable": 1}, "'realizable'"),
 }
 
 

@@ -13,6 +13,8 @@ from amdl.harness import (RUN_CSV_HEADER, SWEEP_CSV_HEADER, records_to_csv,
                           report, run_trials, sweep, sweep_from_csv,
                           sweep_to_csv)
 
+from test_families import WRONG_TYPED_PARAMS
+
 
 def _prop1_cfg(trials=2, **kw):
     return RunConfig(alg="passive-naive", eps=0.1, delta=0.1, trials=trials,
@@ -76,15 +78,25 @@ def test_run_config_refuses_unknown_knobs():
     RunConfig(alg="passive-hedge", eps=0.1, delta=0.1, knobs={"c_t": 1e-5, "c_naive": 2.0})
 
 
-@pytest.mark.parametrize("knobs", [{"c_tt": 1.0}, {"c_t": float("nan")}])
+@pytest.mark.parametrize("knobs", [{"c_tt": 1.0}, {"c_t": float("nan")}, {"c_t": "x"},
+                                   {"c_t": None}, {"c_t": True}])
 def test_sweep_bad_knob_gives_skipped_rows(knobs):
-    # a misspelt or non-finite knob skips every cell instead of aborting the sweep
+    # a misspelt, non-finite or non-numeric knob skips every cell instead of
+    # aborting the sweep
     rows = sweep({
         "trials": 1, "delta": 0.1, "knobs": knobs,
         "families": [{"family": "prop1", "params": {"k": 2, "eps": 0.2}}],
         "algs": ["passive-naive", "passive-hedge"], "eps_grid": [0.2],
     })
     assert len(rows) == 2 and all(r["skipped"] == 1 for r in rows)
+
+
+@pytest.mark.parametrize("knobs", [[1, 2], "abc", None])
+def test_sweep_refuses_knobs_that_are_not_a_mapping(knobs):
+    config = {"families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
+              "algs": ["passive-naive"], "eps_grid": [0.2], "trials": 1, "knobs": knobs}
+    with pytest.raises(ContractViolation, match="knobs"):
+        sweep(config)
 
 
 @pytest.mark.parametrize("missing", ["families", "algs", "eps_grid"])
@@ -120,13 +132,20 @@ def test_sweep_family_without_a_required_param_gives_skipped_rows():
     ({"k": "2", "eps": 0.1}, "'k'"), ({"k": 2, "eps": "x"}, "'eps'"), ([1, 2], "params"),
     ({"k": 2.5, "eps": 0.1}, "'k'"), ({"k": True, "eps": 0.1}, "'k'"),
     ([["k", 2], ["eps", 0.1]], "params")])
-def test_sweep_family_with_a_wrong_typed_param_gives_skipped_rows(params, field):
+def test_sweep_family_with_a_wrong_typed_param_gives_skipped_rows(params, field, family="prop1"):
     # each bad entry skips its own cells, naming the field, and the sweep goes on
-    rows = sweep({"families": [{"family": "prop1", "params": params},
+    rows = sweep({"families": [{"family": family, "params": params},
                                {"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
                   "algs": ["passive-naive"], "eps_grid": [0.2], "trials": 1})
     assert [r["skipped"] for r in rows] == [1, 0]
     assert field in rows[0]["reason"]
+
+
+@pytest.mark.parametrize("case", ["flipped-index-string", "flipped-index-fractional",
+                                  "realizable-string", "realizable-int"])
+def test_sweep_family_with_a_wrong_typed_optional_param_gives_skipped_rows(case):
+    family, params, field = WRONG_TYPED_PARAMS[case]
+    test_sweep_family_with_a_wrong_typed_param_gives_skipped_rows(params, field, family)
 
 
 @pytest.mark.parametrize("grid", [["x"], 0.2, [0.2, None], [True]])

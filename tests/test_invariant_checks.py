@@ -45,6 +45,7 @@ _UNDER_O = """
 import math
 import amdl
 from amdl import ContractViolation, OracleSet, plain_family
+from amdl.core import instance_from_dict
 from amdl.hedge import HedgeState, SolverConfig, hedge_step
 
 assert False, "python -O keeps assert statements"   # stripped under -O
@@ -61,6 +62,8 @@ checks = {
                                                  [1, 0, 1], 5),
     "nan knob": lambda: SolverConfig(eps=0.1, delta=0.1, nu=0.0, c_t=math.nan),
     "moved stream": served.settle,
+    "fractional label": lambda: instance_from_dict(
+        {"m": 1, "hypotheses": [[1.5]], "distributions": [{"marginal": [1], "eta_plus": [1]}]}),
 }
 for name, check in checks.items():
     try:
@@ -81,4 +84,4 @@ def test_runtime_checks_hold_under_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["refused: nan reward", "refused: negative draw",
                                        "refused: zero round count", "refused: nan knob",
-                                       "refused: moved stream"]
+                                       "refused: moved stream", "refused: fractional label"]
