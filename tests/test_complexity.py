@@ -283,6 +283,26 @@ def test_star_values_pinned(gen, star, unqualified):
     assert _pair(star_number_unqualified(cls)) == unqualified
 
 
+def _fresh(cls):
+    """An equal class built anew, holding no earlier result."""
+    return HypothesisClass([Hypothesis(row) for row in cls.labels])
+
+
+@pytest.mark.parametrize("gen", [gen for gen, _, _ in STAR_PINS] + [
+    lambda: amdl.gen_random(6, 20, 1, seed=3),
+    lambda: amdl.gen_random(9, 100, 2, seed=5),
+    lambda: amdl.gen_random(12, 300, 1, seed=2),
+])
+def test_repeated_measures_equal_fresh_ones(gen):
+    # a repeated call, under each cap in turn and back, gives what a fresh
+    # class gives; caps 2 and 3 cut most searches (lower_bound_only)
+    cls = gen().hypothesis_class
+    for measure in (vc_dimension, star_number_unqualified):
+        for kw in ({}, {"cap": 2}, {"cap": 0}, {"cap": 3}, {}):
+            assert measure(cls, **kw) == measure(cls, **kw) == measure(_fresh(cls), **kw)
+    assert vc_dimension(cls, cap=2).lower_bound_only == (vc_dimension(cls).value >= 2)
+
+
 def test_star_unqualified_larger_cube_pinned():
     cls = amdl.gen_random(14, 256, 1, seed=1).hypothesis_class
     assert _pair(star_number_unqualified(cls)) == (9, False)

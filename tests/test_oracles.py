@@ -712,6 +712,52 @@ def test_stream_keeps_one_block_and_one_refill_after_a_long_agreement_run():
     assert stream.buf.size <= 2 * stream.block
 
 
+# reads of each size on every stream of a fresh oracle set, in order: peeks
+# and takes, across the generator's block size and within it
+STREAM_READS = [("ahead", 0), ("take", 1), ("ahead", 5), ("take", 3), ("take", 4095),
+                ("ahead", 2), ("ahead", 6000), ("take", 6000), ("take", 0), ("take", 9000),
+                ("ahead", 1)]
+
+
+def test_fresh_streams_read_the_generators_sequence():
+    # each stream reads its generator's variates in order, whatever the read
+    # sizes, and only a take consumes them
+    inst = _three_distribution_fixture()
+    o = OracleSet(inst, seed=9)
+    children = np.random.SeedSequence(9).spawn(inst.k + 1)
+    ref = [np.random.default_rng(c).random(25_000) for c in children]
+    for how, n in STREAM_READS:
+        for stream, want in zip((*o._streams, o._aux), ref):
+            at = stream.consumed
+            assert np.array_equal(getattr(stream, how)(n), want[at:at + n])
+            assert stream.consumed == at + (n if how == "take" else 0)
+
+
+# the variates each stream (the auxiliary one last) has consumed after one
+# seed-3 trial, taken while every stream filled a buffer block at construction
+TRIAL_CONSUMED = {
+    "prop1(4,0.1)/passive-hedge": (lambda: amdl.gen_prop1(4, 0.1), 0.1,
+                                   [366, 370, 228, 360, 0]),
+    "prop1(4,0.1)/active-dd-large": (lambda: amdl.gen_prop1(4, 0.1), 0.1,
+                                     [371, 417, 359, 381, 0]),
+    "star-lb(2,4,1,1)/active-df": (lambda: amdl.gen_star_lb(2, 4, 1, 1), 0.1,
+                                   [146760, 146784, 146700]),
+    "agnostic-lb(4,0.4,0.05)/passive-naive": (lambda: amdl.gen_agnostic_lb(4, 0.4, 0.05),
+                                              0.05, [1872, 1872, 1872, 1872, 0]),
+    "random(6,12,3,4)/active-dd-auto": (lambda: amdl.gen_random(6, 12, 3, seed=4), 0.2,
+                                        [1474, 1470, 1442, 0]),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(TRIAL_CONSUMED))
+def test_trial_leaves_pinned_stream_positions(cell):
+    gen, eps, consumed = TRIAL_CONSUMED[cell]
+    inst, alg = gen(), cell.split("/")[1]
+    cfg = RunConfig(alg=alg, eps=eps, delta=0.1, instance=inst)
+    _, _, o = run_single_trial(inst, cfg, 3, _instance_stats(inst, alg))
+    assert [s.consumed for s in (*o._streams, o._aux)] == consumed
+
+
 def test_sampler_family_refuses_bad_index():
     fam = amdl.plain_family(OracleSet(two_point_instance(), seed=0))
     with pytest.raises(ContractViolation):
