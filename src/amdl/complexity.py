@@ -5,6 +5,7 @@ at desk scale, by one level search in numpy over the non-constant points:
 each set gives every member a pattern id, and a child set is kept iff its
 ids take all values (shattered) or hold a pattern and all its one-point
 flips (a star set around some member); both properties are downward closed.
+Both values are computed once per class and cap, and kept on the class.
 The star number around a fixed reference is a branch-and-bound on member
 bitmasks: for each point, the int whose bit i says whether member i agrees
 with the reference there.
@@ -19,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 
 import numpy as np
 
@@ -47,6 +49,19 @@ class ComplexityValue:
 def _check_cap(cap: int) -> None:
     if cap < 0:
         raise ContractViolation("cap must be non-negative")
+
+
+def _memoized(search):
+    """`search(cls, cap)` computed once per class and cap, and kept on the
+    class; its label matrix is read-only, so the value cannot go stale."""
+    @wraps(search)
+    def measure(cls: HypothesisClass, cap: int = search.__defaults__[0]) -> ComplexityValue:
+        _check_cap(cap)
+        key = (search.__name__, cap)
+        if key not in cls._measures:
+            cls._measures[key] = search(cls, cap)
+        return cls._measures[key]
+    return measure
 
 
 def _varying_bits(cls: HypothesisClass) -> np.ndarray:
@@ -85,6 +100,7 @@ def _children(bits: np.ndarray, last: np.ndarray, ids: np.ndarray, size: int,
     return point, ids[parent[kept]] | bits[point] << size
 
 
+@_memoized
 def vc_dimension(cls: HypothesisClass, cap: int = DEFAULT_VC_CAP) -> ComplexityValue:
     """Largest size of a shattered point subset, exhaustively, up to `cap`.
 
@@ -92,7 +108,6 @@ def vc_dimension(cls: HypothesisClass, cap: int = DEFAULT_VC_CAP) -> ComplexityV
     is shattered), so the work is bounded by the number of shattered sets
     rather than all subsets.
     """
-    _check_cap(cap)
     bits = _varying_bits(cls)
     if not len(bits):
         return ComplexityValue(0, lower_bound_only=False)
@@ -196,6 +211,7 @@ def star_number(cls: HypothesisClass, hstar: Hypothesis,
     return _star_search(_column_masks(cls.labels), hstar.labels, len(cls), cap)
 
 
+@_memoized
 def star_number_unqualified(cls: HypothesisClass, cap: int = DEFAULT_STAR_CAP) -> ComplexityValue:
     """Max of the reference-based star number over references in the class.
 
@@ -211,7 +227,6 @@ def star_number_unqualified(cls: HypothesisClass, cap: int = DEFAULT_STAR_CAP) -
     references; it is exact when that reaches t (no larger target held a
     star set) and flagged otherwise.
     """
-    _check_cap(cap)
     bits = _varying_bits(cls)
     n = len(bits)
     cells = 0

@@ -66,20 +66,39 @@ class FeatureSpace:
             raise ContractViolation(f"feature space size must be >= 1, got {self.size}")
 
 
+def _label_rows(labels, ndim: int) -> np.ndarray:
+    """`labels` (an array, or labels or hypotheses as rows) as a read-only
+    int8 copy with `ndim` axes, refused unless rectangular, non-empty and
+    made of the integers +1 and -1 only."""
+    try:
+        arr = np.array(labels if isinstance(labels, np.ndarray)
+                       else [getattr(v, "labels", v) for v in labels])
+    except ValueError as exc:
+        raise ContractViolation(f"hypothesis labels must form equal-length rows: {exc}") from exc
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ContractViolation(f"hypothesis labels must be a non-empty {ndim}-d array, got {arr.shape}")
+    if arr.dtype.kind not in "iu" or not np.all(np.abs(arr) == 1):
+        raise ContractViolation(f"hypothesis labels must be integers +1/-1, got {arr.tolist()}")
+    arr = arr.astype(np.int8)
+    arr.flags.writeable = False
+    return arr
+
+
 class Hypothesis:
-    """A total labeling of the feature space into {-1, +1}."""
+    """A total labeling of the feature space into {-1, +1}, read-only."""
 
     __slots__ = ("labels", "_key")
 
     def __init__(self, labels: Iterable[int]):
-        arr = labels if isinstance(labels, np.ndarray) else np.asarray(list(labels))
-        if arr.ndim != 1 or arr.size == 0:
-            raise ContractViolation("hypothesis labels must be a non-empty 1-d vector")
-        if arr.dtype.kind not in "iu" or not np.all(np.abs(arr) == 1):
-            raise ContractViolation(f"hypothesis labels must be integers +1/-1, got {arr.tolist()}")
-        arr = arr.astype(np.int8, copy=False)
-        object.__setattr__(self, "labels", arr)
-        object.__setattr__(self, "_key", arr.tobytes())
+        self.labels = _label_rows(labels, 1)
+        self._key = self.labels.tobytes()
+
+    @classmethod
+    def _of(cls, row: np.ndarray) -> Hypothesis:
+        """A member on an already checked read-only int8 row."""
+        h = object.__new__(cls)
+        h.labels, h._key = row, row.tobytes()
+        return h
 
     def __call__(self, x: int) -> int:
         return int(self.labels[x])
@@ -98,23 +117,18 @@ class Hypothesis:
 
 
 class HypothesisClass:
-    """Ordered list of distinct hypotheses; the order is the canonical tie-break order."""
+    """Ordered list of distinct hypotheses; the order is the canonical tie-break order.
 
-    def __init__(self, hypotheses: Sequence[Hypothesis]):
-        hyps = list(hypotheses)
-        if not hyps:
-            raise ContractViolation("hypothesis class must be non-empty")
-        m = len(hyps[0])
-        seen = set()
-        for h in hyps:
-            if len(h) != m:
-                raise ContractViolation("all hypotheses must share the feature space")
-            if h._key in seen:
-                raise ContractViolation("duplicate hypothesis label vector")
-            seen.add(h._key)
-        self.hypotheses: list[Hypothesis] = hyps
-        self.labels: np.ndarray = np.stack([h.labels for h in hyps])  # (n, m) int8
-        self.m = m
+    Built from one (n, m) label matrix or its rows, checked once.  The matrix
+    is read-only, so `complexity` keeps its measures of the class in `_measures`."""
+
+    def __init__(self, hypotheses: Sequence[Hypothesis] | np.ndarray):
+        self.labels: np.ndarray = _label_rows(hypotheses, 2)   # (n, m) int8
+        self.hypotheses: list[Hypothesis] = [Hypothesis._of(row) for row in self.labels]
+        if len(set(self.hypotheses)) < len(self.hypotheses):
+            raise ContractViolation("duplicate hypothesis label vector")
+        self.m = self.labels.shape[1]
+        self._measures: dict = {}
 
     def __len__(self) -> int:
         return len(self.hypotheses)
@@ -456,7 +470,7 @@ def instance_from_dict(doc: dict) -> MDLInstance:
              for i, d in enumerate(_field(doc, "distributions", list))]
     if not all(isinstance(v, list) and all(type(y) is int for y in v) for v in hyps):
         raise ContractViolation("instance field 'hypotheses' must hold lists of integer labels")
-    return MDLInstance(FeatureSpace(m), HypothesisClass([Hypothesis(v) for v in hyps]),
+    return MDLInstance(FeatureSpace(m), HypothesisClass(hyps),
                        [LabeledDistribution(marg, eta) for marg, eta in dists],
                        declared_nu=_field(doc, "nu", Real, required=False),
                        metadata=_field(doc, "metadata", dict, required=False) or {})

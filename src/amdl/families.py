@@ -87,7 +87,7 @@ def _single_flip_class(m: int, flippable) -> HypothesisClass:
     each flippable point, in the order given."""
     base = -np.ones(m, dtype=np.int8)
     flips = [np.where(np.arange(m) == x, 1, base) for x in flippable]
-    return HypothesisClass([Hypothesis(lab) for lab in [base, *flips]])
+    return HypothesisClass([base, *flips])
 
 
 def gen_prop1(k: int, eps) -> MDLInstance:
@@ -240,19 +240,15 @@ def gen_random(m: int, n_hyp: int, k: int, seed: int,
     if n_hyp > 2 ** m:
         raise ContractViolation("cannot have more distinct hypotheses than labelings")
     rng = np.random.default_rng(seed)
-    seen = set()
-    hyps = []
-    while len(hyps) < n_hyp:
+    rows: dict[bytes, np.ndarray] = {}
+    while len(rows) < n_hyp:
         # one call for the missing rows draws what one call per row would,
         # and no more, so duplicates are dropped in the same draw order
-        for lab in rng.choice([-1, 1], size=(n_hyp - len(hyps), m)).astype(np.int8):
-            key = lab.tobytes()
-            if key not in seen:
-                seen.add(key)
-                hyps.append(Hypothesis(lab))
-    cls = HypothesisClass(hyps)
+        for lab in rng.choice([-1, 1], size=(n_hyp - len(rows), m)).astype(np.int8):
+            rows.setdefault(lab.tobytes(), lab)
+    cls = HypothesisClass(list(rows.values()))
     grid = [Fraction(j, 8) for j in range(9)]
-    target = hyps[int(rng.integers(n_hyp))] if realizable else None
+    target = cls[int(rng.integers(n_hyp))] if realizable else None
     dists = []
     for _ in range(k):
         weights = rng.integers(0, 9, size=m)

@@ -69,6 +69,7 @@ import numpy as np
 from .core import ContractViolation, MDLInstance, agreement_labels
 
 BLOCK = 4096    # variates a stream draws from its generator at a time, at least
+_NO_VARIATES = np.empty(0)
 
 
 class DegenerateAgreementRegion(RuntimeError):
@@ -82,16 +83,18 @@ class _Uniforms:
     and `buf[0]` is variate number `start` of the generator's sequence, so
     `start + pos` variates have been consumed.  `ahead` shows the next
     variates without consuming them; a buffer that holds too few takes the
-    generator's next variates (at least `block` of them) behind its unread
+    generator's next variates (at least `fill` of them) behind its unread
     tail, so every reader sees the generator's sequence in order, whatever
-    the request sizes."""
+    the request sizes.  Nothing is drawn before the first read, and `fill`
+    doubles from the first read's size up to `block`."""
 
-    __slots__ = ("rng", "buf", "pos", "start", "block")
+    __slots__ = ("rng", "buf", "pos", "start", "block", "fill")
 
     def __init__(self, rng: np.random.Generator, block: int = BLOCK):
         self.rng = rng
         self.block = block
-        self.buf = rng.random(block)
+        self.fill = 0
+        self.buf = _NO_VARIATES
         self.pos = 0
         self.start = 0
 
@@ -106,7 +109,8 @@ class _Uniforms:
         short = pos + n - self.buf.size
         if short > 0:
             tail = self.buf.size - pos
-            buf = np.empty(tail + max(self.block, short))
+            buf = np.empty(tail + max(self.fill, short))
+            self.fill = min(self.block, 2 * max(self.fill, short))
             buf[:tail] = self.buf[pos:]
             self.rng.random(out=buf[tail:])
             self.buf = buf

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amdl
+from amdl import complexity
 from amdl import ContractViolation, Hypothesis, HypothesisClass
 from amdl.complexity import (disagreement_coefficient_exact,
                              disagreement_profile, star_number,
@@ -301,6 +302,21 @@ def test_repeated_measures_equal_fresh_ones(gen):
         for kw in ({}, {"cap": 2}, {"cap": 0}, {"cap": 3}, {}):
             assert measure(cls, **kw) == measure(cls, **kw) == measure(_fresh(cls), **kw)
     assert vc_dimension(cls, cap=2).lower_bound_only == (vc_dimension(cls).value >= 2)
+
+
+def test_a_repeated_measure_runs_no_search(monkeypatch):
+    searches = []
+    varying_bits = complexity._varying_bits
+    monkeypatch.setattr(complexity, "_varying_bits",
+                        lambda cls: searches.append(cls) or varying_bits(cls))
+    cls = amdl.gen_random(10, 128, 4, seed=1).hypothesis_class
+    for measure in (vc_dimension, star_number_unqualified):
+        first = measure(cls)
+        runs = len(searches)
+        assert runs and measure(cls) is first and measure(cls, cap=first.value + 40) is not first
+        assert len(searches) == runs + 1
+        assert measure(cls, cap=first.value + 40) == first and len(searches) == runs + 1
+        assert measure(_fresh(cls)) == first and len(searches) == runs + 2
 
 
 def test_star_unqualified_larger_cube_pinned():

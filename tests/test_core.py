@@ -323,6 +323,45 @@ def test_malformed_instance_file_raises_contract_violation(tmp_path, case):
         amdl.load_instance(str(path))
 
 
+# label input from the Python API, refused by the one check that
+# `Hypothesis` and `HypothesisClass` share
+MALFORMED_LABELS = {
+    "ragged-hypothesis": lambda: Hypothesis([[1], [1, -1]]),
+    "nested-hypothesis": lambda: Hypothesis([[1, -1]]),
+    "empty-hypothesis": lambda: Hypothesis([]),
+    "ragged-class-rows": lambda: HypothesisClass([[1, -1], [1]]),
+    "ragged-class-members": lambda: HypothesisClass([Hypothesis([1, -1]), Hypothesis([1])]),
+    "empty-class-row": lambda: HypothesisClass([[]]),
+    "empty-class": lambda: HypothesisClass(np.empty((0, 3), dtype=np.int8)),
+    "flat-class-matrix": lambda: HypothesisClass(np.array([1, -1])),
+    "zero-label-row": lambda: HypothesisClass(np.array([[1, 0]])),
+    "fractional-label-row": lambda: HypothesisClass([[1.0, -1.0]]),
+    "bool-label-row": lambda: HypothesisClass([[True, False]]),
+    "duplicate-matrix-rows": lambda: HypothesisClass(np.array([[1, -1], [-1, 1], [1, -1]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LABELS))
+def test_malformed_labels_raise_contract_violation(case):
+    with pytest.raises(ContractViolation):
+        MALFORMED_LABELS[case]()
+
+
+def test_class_matrix_and_member_labels_are_read_only():
+    rows = np.array([[1, -1, 1], [-1, -1, 1]], dtype=np.int8)
+    cls = HypothesisClass(rows)
+    assert cls.hypotheses == [Hypothesis([1, -1, 1]), Hypothesis([-1, -1, 1])]
+    assert np.array_equal(HypothesisClass(list(cls.hypotheses)).labels, rows)
+    rows[0, 0] = -1                 # the class keeps its own copy
+    assert cls[0] == Hypothesis([1, -1, 1])
+    for labels in (cls.labels, cls[0].labels, Hypothesis(rows[1]).labels):
+        with pytest.raises(ValueError, match="read-only"):
+            labels[0] = -labels[0]
+        with pytest.raises(ValueError, match="read-only"):
+            labels *= -1
+    assert cls.labels.tolist() == [[1, -1, 1], [-1, -1, 1]]
+
+
 def test_mixture_distribution_prop1_average():
     inst = amdl.gen_prop1(4, 0.2)
     bar = amdl.mixture_distribution(inst.distributions)

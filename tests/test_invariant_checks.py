@@ -64,6 +64,8 @@ checks = {
     "moved stream": served.settle,
     "fractional label": lambda: instance_from_dict(
         {"m": 1, "hypotheses": [[1.5]], "distributions": [{"marginal": [1], "eta_plus": [1]}]}),
+    "ragged hypothesis": lambda: amdl.Hypothesis([[1], [1, -1]]),
+    "ragged class row": lambda: amdl.HypothesisClass([[1, -1], [1]]),
 }
 for name, check in checks.items():
     try:
@@ -84,4 +86,5 @@ def test_runtime_checks_hold_under_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == ["refused: nan reward", "refused: negative draw",
                                        "refused: zero round count", "refused: nan knob",
-                                       "refused: moved stream", "refused: fractional label"]
+                                       "refused: moved stream", "refused: fractional label",
+                                       "refused: ragged hypothesis", "refused: ragged class row"]
