@@ -307,12 +307,52 @@ def sweep_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+# the statistics a live sweep row holds and a skipped row leaves empty
+_SWEEP_STATS = ("mean_labels", "median_labels", "ci_lo", "ci_hi", "success_rate")
+
+
+def _check_sweep_row(n: int, row: dict) -> None:
+    """Refuse, naming data row `n` and the field, a row with too few or too
+    many fields, a `skipped` flag other than 0 or 1, `params` that are not
+    JSON (on a live row, an object whose `k`, if any, is an integer), or a
+    non-numeric eps, delta, trials or, on a live row, statistic."""
+    def refuse(name: str, what: str):
+        raise ContractViolation(f"sweep CSV row {n} field {name!r} must be {what}, "
+                                f"got {row[name]!r}")
+    if None in row:
+        raise ContractViolation(f"sweep CSV row {n} has extra fields {row[None]!r}")
+    missing = [name for name in SWEEP_CSV_HEADER if row[name] is None]
+    if missing:
+        raise ContractViolation(f"sweep CSV row {n} is missing fields {missing}")
+    if row["skipped"] not in ("0", "1"):
+        refuse("skipped", "0 or 1")
+    live = row["skipped"] == "0"
+    try:
+        params = json.loads(row["params"])
+    except ValueError:
+        refuse("params", "JSON")
+    if live and not (isinstance(params, dict) and type(params.get("k", 0)) is int):
+        refuse("params", "a JSON object with an integer k, if any, on a live row")
+    for name in ("eps", "delta", "trials") + (_SWEEP_STATS if live else ()):
+        try:
+            (int if name == "trials" else float)(row[name])
+        except ValueError:
+            refuse(name, "an integer" if name == "trials" else "a number")
+
+
 def sweep_from_csv(text: str) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != SWEEP_CSV_HEADER:
-        raise ContractViolation(
-            f"sweep CSV schema mismatch: {reader.fieldnames} != {SWEEP_CSV_HEADER}")
-    return list(reader)
+    """The rows of a sweep CSV, each checked by `_check_sweep_row`."""
+    try:
+        reader = csv.DictReader(io.StringIO(text))
+        if reader.fieldnames != SWEEP_CSV_HEADER:
+            raise ContractViolation(
+                f"sweep CSV schema mismatch: {reader.fieldnames} != {SWEEP_CSV_HEADER}")
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ContractViolation(f"sweep CSV is not readable CSV: {exc}") from exc
+    for n, row in enumerate(rows, 1):
+        _check_sweep_row(n, row)
+    return rows
 
 
 def report(rows: list[dict]) -> dict[str, str]:

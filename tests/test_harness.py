@@ -247,6 +247,58 @@ def test_report_schema_mismatch():
         report([{"family": "prop1"}])
 
 
+# one live and one skipped row as `sweep_to_csv` writes them
+SWEEP_ROWS = [
+    {"family": "prop1", "params": '{"eps": 0.1, "k": 2}', "alg": "passive-naive",
+     "eps": "0.1", "delta": "0.1", "trials": "2", "mean_labels": "240.0",
+     "median_labels": "240.0", "ci_lo": "240.0", "ci_hi": "240.0", "success_rate": "1.0",
+     "skipped": "0", "reason": ""},
+    {"family": "prop1", "params": "[1]", "alg": "passive-naive", "eps": "0.1",
+     "delta": "0.1", "trials": "2", "mean_labels": "", "median_labels": "", "ci_lo": "",
+     "ci_hi": "", "success_rate": "", "skipped": "1", "reason": "params must be a mapping"},
+]
+
+
+def _sweep_text(row: int = 0, edit=lambda line: line, **fields) -> str:
+    """SWEEP_ROWS as a sweep CSV, then a copy of row `row` with `fields`
+    set and its line passed through `edit`."""
+    lines = sweep_to_csv(SWEEP_ROWS + [{**SWEEP_ROWS[row], **fields}]).splitlines()
+    return "\n".join(lines[:-1] + [edit(lines[-1])]) + "\n"
+
+
+# each sweep CSV that `sweep_from_csv` refuses, and what the refusal names;
+# the bad row is data row 3
+MALFORMED_SWEEP_CSVS = {
+    "truncated-row": (_sweep_text(edit=lambda line: line.rsplit(",", 3)[0]),
+                      r"row 3 is missing fields \['success_rate', 'skipped', 'reason'\]"),
+    "extra-field": (_sweep_text(edit=lambda line: line + ",x"), "row 3 has extra fields"),
+    "params-not-json": (_sweep_text(params="{k: 2"), "row 3 field 'params' must be JSON"),
+    "live-params-not-object": (_sweep_text(params="[2]"), "row 3 field 'params'"),
+    "live-params-string-k": (_sweep_text(params='{"k": "2"}'), "row 3 field 'params'"),
+    "skipped-params-not-json": (_sweep_text(row=1, params="{"), "row 3 field 'params'"),
+    "eps-not-number": (_sweep_text(eps="abc"), "row 3 field 'eps'"),
+    "skipped-eps-not-number": (_sweep_text(row=1, eps=""), "row 3 field 'eps'"),
+    "delta-not-number": (_sweep_text(delta="0.1x"), "row 3 field 'delta'"),
+    "trials-not-integer": (_sweep_text(trials="2.5"), "row 3 field 'trials'"),
+    "skipped-not-a-flag": (_sweep_text(skipped="2"), "row 3 field 'skipped'"),
+    "skipped-empty": (_sweep_text(skipped=""), "row 3 field 'skipped'"),
+    "live-statistic-empty": (_sweep_text(mean_labels=""), "row 3 field 'mean_labels'"),
+    "live-statistic-not-number": (_sweep_text(ci_hi="high"), "row 3 field 'ci_hi'"),
+    "bare-carriage-return": (_sweep_text(edit=lambda line: line.replace("prop1", "pr\rop1", 1)),
+                             "not readable CSV"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SWEEP_CSVS))
+def test_malformed_sweep_csv_raises_contract_violation(case):
+    text, match = MALFORMED_SWEEP_CSVS[case]
+    good = sweep_from_csv(_sweep_text())
+    assert good == SWEEP_ROWS + SWEEP_ROWS[:1]
+    assert report(good)["labels_vs_k.csv"].count("\n") == 3
+    with pytest.raises(ContractViolation, match=match):
+        sweep_from_csv(text)
+
+
 def test_sweep_csv_deterministic():
     cfg = {
         "trials": 2, "delta": 0.1,
