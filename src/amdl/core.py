@@ -40,7 +40,7 @@ def _frac(x: Number) -> Fraction:
     if not isinstance(x, bool):
         try:
             return Fraction(x)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             pass
     raise ContractViolation(f"expected a finite number, got {x!r}")
 
@@ -162,8 +162,8 @@ class LabeledDistribution:
         if any(v < 0 for v in marg):
             raise ContractViolation("marginal entries must be non-negative")
         total = sum(marg)
-        if abs(float(total) - 1.0) > PMF_TOL:
-            raise ContractViolation(f"marginal must sum to 1 within {PMF_TOL}, got {float(total)}")
+        if abs(total - 1) > PMF_TOL:
+            raise ContractViolation(f"marginal must sum to 1 within {PMF_TOL}, got {total}")
         if any(v < 0 or v > 1 for v in eta):
             raise ContractViolation("eta_plus entries must lie in [0, 1]")
         self.marginal: tuple[Fraction, ...] = tuple(marg)
@@ -301,10 +301,10 @@ class MDLInstance:
             if d.m != m:
                 raise ContractViolation("distribution does not match feature space size")
         if self.declared_nu is not None:
-            computed = float(self.nu_exact())
-            if abs(computed - self.declared_nu) > NU_DECLARED_TOL:
-                raise ContractViolation(
-                    f"declared nu {self.declared_nu} != computed {computed} (tol {NU_DECLARED_TOL})")
+            computed = self.nu_exact()
+            if abs(computed - _frac(self.declared_nu)) > NU_DECLARED_TOL:
+                raise ContractViolation(f"declared nu {self.declared_nu} != computed "
+                                        f"{float(computed)} (tol {NU_DECLARED_TOL})")
 
     @property
     def k(self) -> int:
@@ -455,7 +455,7 @@ def _field(doc: dict, key: str, kind: type, where: str = "instance", required: b
         return None
     value = doc[key]
     if (isinstance(value, bool) or not isinstance(value, kind)
-            or kind is Real and not math.isfinite(value)):
+            or isinstance(value, float) and not math.isfinite(value)):
         raise ContractViolation(f"{where} field {key!r} must be of type {kind.__name__}, "
                                 f"got {value!r}")
     return value

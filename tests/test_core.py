@@ -2,6 +2,8 @@
 
 import json
 from fractions import Fraction
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 import amdl
 from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, RandomizedHypothesis)
-from amdl.core import (best_nu_index, disagreement_exact, loss_exact,
-                       max_disagreement_exact)
+from amdl.core import (best_nu_index, disagreement_exact, instance_from_dict,
+                       instance_to_dict, loss_exact, max_disagreement_exact)
 
 from closed_forms import disagreement_reference, loss_reference, mass_reference
 from conftest import brute_best_nu, brute_loss, two_point_instance
@@ -292,10 +294,15 @@ MALFORMED_INSTANCE_FILES = {
         marginal=[float("inf"), 0.5])), "inf"),
     "string-eta": (_instance_text(lambda d: d["distributions"][0].update(
         eta_plus=["abc", 0.5])), "abc"),
+    "zero-denominator-eta": (_instance_text(lambda d: d["distributions"][0].update(
+        eta_plus=["1/0", 0.5])), "1/0"),
+    "float-overflowing-marginal": (_instance_text(lambda d: d["distributions"][0].update(
+        marginal=["1e999", 0.5])), "sum to 1"),
     "missing-eta": (_instance_text(lambda d: d["distributions"][0].pop("eta_plus")),
                     "eta_plus"),
     "string-nu": (_instance_text(lambda d: d.update(nu="0.1")), "'nu'"),
     "nan-nu": (_instance_text(lambda d: d.update(nu=float("nan"))), "'nu'"),
+    "float-overflowing-nu": (_instance_text(lambda d: d.update(nu=10 ** 400)), "declared nu"),
     "dict-hypotheses": (_instance_text(lambda d: d.update(hypotheses={"h": [1, 1]})),
                         "hypotheses"),
     "int-distributions": (_instance_text(lambda d: d.update(distributions=3)),
@@ -321,6 +328,84 @@ def test_malformed_instance_file_raises_contract_violation(tmp_path, case):
     path.write_text(text)
     with pytest.raises(ContractViolation, match=field):
         amdl.load_instance(str(path))
+
+
+# -- fuzzed instance documents: each loads or is refused with ContractViolation
+
+# JSON leaves that sit near the valid ones, including strings `Fraction`
+# reads and numbers no float holds
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 3) | st.integers()
+               | st.floats() | st.text(max_size=4)
+               | st.sampled_from(["1/0", "0.5", "1/2", "nan", "1e999", "-0", "+1"]))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda kids: st.lists(kids, max_size=4)
+                           | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+                           max_leaves=10)
+
+
+@st.composite
+def instance_docs(draw):
+    """A valid instance document: at most 5 points, 6 hypotheses and 3
+    distributions, with `nu` and `metadata` or without."""
+    m = draw(st.integers(1, 5))
+    hyps = draw(st.lists(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m),
+                         min_size=1, max_size=6, unique_by=tuple))
+    dists = []
+    for _ in range(draw(st.integers(1, 3))):
+        weights = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any))
+        dists.append({"marginal": [w / sum(weights) for w in weights],
+                      "eta_plus": draw(st.lists(st.floats(0, 1), min_size=m, max_size=m))})
+    doc = {"m": m, "hypotheses": hyps, "distributions": dists}
+    if draw(st.booleans()):
+        doc["nu"] = float(instance_from_dict(doc).nu_exact())
+    if draw(st.booleans()):
+        doc["metadata"] = draw(st.dictionaries(st.text(max_size=4), st.integers() | st.text(),
+                                               min_size=1, max_size=3))
+    return doc
+
+
+def _paths(value, path=()):
+    """The path of every node of the JSON `value`, the root's included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _mutated(doc, data):
+    """A copy of the JSON `doc` in which one or two nodes, each chosen
+    uniformly, are replaced by arbitrary JSON values or, if mapping entries,
+    dropped."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            return data.draw(JSON_VALUES)
+        parent = reduce(getitem, path[:-1], doc)
+        if isinstance(parent, dict) and data.draw(st.integers(0, 3)) == 0:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance_docs())
+def test_valid_instance_document_round_trips(doc):
+    assert instance_to_dict(instance_from_dict(json.loads(json.dumps(doc)))) == doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance_docs(), st.data())
+def test_fuzzed_instance_document_loads_or_is_refused(doc, data):
+    doc = _mutated(doc, data)
+    try:
+        inst = instance_from_dict(doc)
+    except ContractViolation:
+        return
+    out = json.dumps(instance_to_dict(inst), sort_keys=True)
+    assert json.dumps(instance_to_dict(instance_from_dict(json.loads(out))),
+                      sort_keys=True) == out
 
 
 # label input from the Python API, refused by the one check that

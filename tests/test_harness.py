@@ -1,10 +1,14 @@
 """Experiment runner, CSV schemas, sweeps, report pivots, and the CLI."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amdl
 from amdl import ContractViolation, RunConfig, harness
@@ -297,6 +301,43 @@ def test_malformed_sweep_csv_raises_contract_violation(case):
     assert report(good)["labels_vs_k.csv"].count("\n") == 3
     with pytest.raises(ContractViolation, match=match):
         sweep_from_csv(text)
+
+
+# sweep CSV cells near the valid ones, and short arbitrary text
+CSV_CELLS = (st.sampled_from(["0", "1", "2", "", "0.1", "nan", "1e999", "{}", "[1]",
+                              '{"k": 2}', '{"k": "2"}', '{"k": 2.5}', "{k}", "null"])
+             | st.text(max_size=6))
+
+
+@st.composite
+def sweep_csv_texts(draw):
+    """Up to four rows, each a SWEEP_ROWS row with some cells replaced and
+    cells cut or added, under the sweep header; or, now and then, the header
+    and arbitrary text."""
+    if draw(st.integers(0, 4)) == 0:
+        return ",".join(SWEEP_CSV_HEADER) + "\n" + draw(st.text(max_size=80))
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        cells = list(draw(st.sampled_from(SWEEP_ROWS)).values())
+        for j in draw(st.lists(st.integers(0, len(cells) - 1), max_size=3)):
+            cells[j] = draw(CSV_CELLS)
+        cut = len(cells) + draw(st.sampled_from([0, 0, 0, 0, 0, -1, -2, 1]))
+        lines.append(cells[:cut] + [draw(CSV_CELLS) for _ in range(cut - len(cells))])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([SWEEP_CSV_HEADER] + lines)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_csv_texts())
+def test_fuzzed_sweep_csv_loads_or_is_refused(text):
+    # a CSV that loads can be reported, and written and read back unchanged
+    try:
+        rows = sweep_from_csv(text)
+    except ContractViolation:
+        return
+    report(rows)
+    assert sweep_from_csv(sweep_to_csv(rows)) == rows
 
 
 def test_sweep_csv_deterministic():
