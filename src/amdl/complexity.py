@@ -5,7 +5,6 @@ at desk scale, by one level search in numpy over the non-constant points:
 each set gives every member a pattern id, and a child set is kept iff its
 ids take all values (shattered) or hold a pattern and all its one-point
 flips (a star set around some member); both properties are downward closed.
-Both values are computed once per class and cap, and kept on the class.
 The star number around a fixed reference is a branch-and-bound on member
 bitmasks: for each point, the int whose bit i says whether member i agrees
 with the reference there.

@@ -117,10 +117,9 @@ class Hypothesis:
 
 
 class HypothesisClass:
-    """Ordered list of distinct hypotheses; the order is the canonical tie-break order.
-
-    Built from one (n, m) label matrix or its rows, checked once.  The matrix
-    is read-only, so `complexity` keeps its measures of the class in `_measures`."""
+    """Ordered list of distinct hypotheses, in canonical tie-break order, built
+    from one (n, m) label matrix or its rows, checked once.  The matrix is
+    read-only (in copies too), so `complexity` keeps its measures in `_measures`."""
 
     def __init__(self, hypotheses: Sequence[Hypothesis] | np.ndarray):
         self.labels: np.ndarray = _label_rows(hypotheses, 2)   # (n, m) int8
@@ -129,6 +128,9 @@ class HypothesisClass:
             raise ContractViolation("duplicate hypothesis label vector")
         self.m = self.labels.shape[1]
         self._measures: dict = {}
+
+    def __reduce__(self):
+        return HypothesisClass, (self.labels,)
 
     def __len__(self) -> int:
         return len(self.hypotheses)
@@ -486,6 +488,6 @@ def load_instance(path: str) -> MDLInstance:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ContractViolation(f"instance file {path} is not valid JSON: {exc}") from exc
     return instance_from_dict(doc)

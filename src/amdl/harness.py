@@ -329,7 +329,7 @@ def _check_sweep_row(n: int, row: dict) -> None:
     live = row["skipped"] == "0"
     try:
         params = json.loads(row["params"])
-    except ValueError:
+    except (ValueError, RecursionError):
         refuse("params", "JSON")
     if live and not (isinstance(params, dict) and type(params.get("k", 0)) is int):
         refuse("params", "a JSON object with an integer k, if any, on a live row")

@@ -1,6 +1,7 @@
 """Domain types and exact metrics."""
 
 import json
+import pickle
 from fractions import Fraction
 from functools import reduce
 from operator import getitem
@@ -316,6 +317,7 @@ MALFORMED_INSTANCE_FILES = {
     "list-metadata": (_instance_text(lambda d: d.update(metadata=[1])), "metadata"),
     "top-level-list": ("[1, 2]", "mapping"),
     "broken-json": ('{"m": 2,', "JSON"),
+    "deeply-nested-json": ("[" * 100_000, "JSON"),
 }
 
 
@@ -439,7 +441,10 @@ def test_class_matrix_and_member_labels_are_read_only():
     assert np.array_equal(HypothesisClass(list(cls.hypotheses)).labels, rows)
     rows[0, 0] = -1                 # the class keeps its own copy
     assert cls[0] == Hypothesis([1, -1, 1])
-    for labels in (cls.labels, cls[0].labels, Hypothesis(rows[1]).labels):
+    copy = pickle.loads(pickle.dumps(cls))      # as a trial worker receives it
+    assert copy.hypotheses == cls.hypotheses
+    for labels in (cls.labels, cls[0].labels, Hypothesis(rows[1]).labels,
+                   copy.labels, copy[1].labels):
         with pytest.raises(ValueError, match="read-only"):
             labels[0] = -labels[0]
         with pytest.raises(ValueError, match="read-only"):

@@ -280,6 +280,8 @@ MALFORMED_SWEEP_CSVS = {
     "live-params-not-object": (_sweep_text(params="[2]"), "row 3 field 'params'"),
     "live-params-string-k": (_sweep_text(params='{"k": "2"}'), "row 3 field 'params'"),
     "skipped-params-not-json": (_sweep_text(row=1, params="{"), "row 3 field 'params'"),
+    "params-nested-too-deep": (_sweep_text(row=1, params="[" * 100_000),
+                               "row 3 field 'params' must be JSON"),
     "eps-not-number": (_sweep_text(eps="abc"), "row 3 field 'eps'"),
     "skipped-eps-not-number": (_sweep_text(row=1, eps=""), "row 3 field 'eps'"),
     "delta-not-number": (_sweep_text(delta="0.1x"), "row 3 field 'delta'"),
