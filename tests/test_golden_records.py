@@ -1,7 +1,9 @@
 """Byte identity of run records and label transcripts for fixed seeds.
 
 The digests pin the exact bytes the lab emits for the six criterion-4 cells
-at two seeds each, and the label transcripts of two of them.  Any change to
+at two seeds each, and the label transcripts of two of them.  The two cells
+whose solves hold two candidates are pinned over twenty seeds as well,
+records and transcripts.  Any change to
 the order in which a sampler consumes its random stream, to the ledger, or
 to how a loss is rounded changes a digest; a pure speed-up must not.
 
@@ -100,6 +102,31 @@ def test_transcript_bytes(cell, tmp_path):
     assert _sha256(records_to_csv(recs).encode()) == RECORD_SHA256[cell]
     assert _sha256(data) == TRANSCRIPT_SHA256[cell]
 
+
+# Records and transcripts of the two cells whose solves hold two candidates,
+# over a grid of twenty seeds
+SEED_GRID = tuple(range(20))
+
+SEED_GRID_SHA256 = {
+    "agnostic-lb(4,0.4,0.05)/passive-hedge":
+        ("b55d19e1343ab98e71ed1be0638419cda7ac1090e675d3869ad8189ee46242b1",
+         "6c221df4e73d9bbdca615e147d03f5764499e176993873dfa5d885661d610635"),
+    "example1(0.2,0.05,a)/active-dd-small":
+        ("ca62f7af132e8f37401926efd287a3414ff9e0dcbb5be69c38efd00a32b15d00",
+         "742e9f7ed543737d14621f1bac94c7ada5a0dd51d19160fa08139f0ba0d49ab3"),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(SEED_GRID_SHA256))
+def test_seed_grid_records_and_transcripts(cell, tmp_path):
+    gen, alg, eps = CELLS[cell]
+    path = tmp_path / "transcript.csv"
+    recs = run_trials(RunConfig(alg=alg, eps=eps, delta=DELTA, trials=len(SEED_GRID),
+                                base_seed=SEED_GRID[0], profile="desk", instance=gen(),
+                                trace=True, transcript_path=str(path)))
+    assert [r.seed for r in recs] == list(SEED_GRID)
+    got = (_sha256(records_to_csv(recs).encode()), _sha256(path.read_bytes()))
+    assert got == SEED_GRID_SHA256[cell]
 
 # -- active-dd-large cells of the scaling sweep ---------------------------------
 

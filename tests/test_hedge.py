@@ -333,3 +333,62 @@ def test_naive_baseline_realizable_and_label_count(desk_knobs):
     h, n_per = naive_erm_baseline(inst, o, 0.1, 0.1, d=1, cfg=cfg)
     assert amdl.worst_loss(h, inst) == 0.0
     assert o.ledger.label_total == inst.k * n_per
+
+
+# the whole-chunk formulas a solve may use in place of its per-round ones:
+# each must give the per-round result bit for bit, row by row
+
+CHUNK_KS = (2, 4, 8, 9, 17)
+CHUNK_CANDIDATES = (1, 2, 3, 9, 128)
+
+
+def _chunk_rows(rng, k: int, rows: int) -> np.ndarray:
+    # spreads up to 1e3 underflow some weights, as in the hedge_step pin
+    return rng.standard_normal((rows, k)) * float(rng.choice([1e-3, 1.0, 40.0, 1e3]))
+
+
+@pytest.mark.parametrize("k", CHUNK_KS)
+def test_stacked_erm_scores_equal_the_per_round_scores_bit_for_bit(k):
+    # plain 2-D `(W / n) @ err` takes the gemm path and differs; the stacked
+    # product runs one vector-matrix product per row, as a round does
+    rng = np.random.default_rng(100 + k)
+    for size in CHUNK_CANDIDATES:
+        for rows in range(1, 65):
+            w = rng.dirichlet(np.ones(k), size=rows)
+            n = rng.integers(1, 5000, size=k).astype(float)
+            err = np.floor(rng.random((k, size)) * n[:, None])
+            got = np.matmul((w / n)[:, None, :], err)[:, 0, :]
+            for s in range(rows):
+                assert got[s].tobytes() == ((w[s] / n) @ err).tobytes(), (size, rows, s)
+
+
+@pytest.mark.parametrize("k", CHUNK_KS)
+def test_row_wise_normalize_equals_hedge_state_bit_for_bit(k):
+    rng = np.random.default_rng(200 + k)
+    for rows in range(1, 65):
+        log_w = _chunk_rows(rng, k, rows)
+        e = log_w - log_w.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        e /= np.add.reduce(e, axis=1)[:, None]
+        for s in range(rows):
+            state = HedgeState(k)
+            state.log_w = log_w[s].tolist()
+            assert e[s].tobytes() == state.normalized().tobytes(), (rows, s)
+
+
+@pytest.mark.parametrize("k", CHUNK_KS)
+def test_accumulated_log_weights_equal_repeated_updates_bit_for_bit(k):
+    rng = np.random.default_rng(300 + k)
+    for rows in range(1, 65):
+        start = _chunk_rows(rng, k, 1)[0]
+        rewards = rng.integers(0, 9, size=(rows, k)) / rng.integers(1, 9, size=k)
+        rewards = np.minimum(rewards, 1.0)
+        eta = float(rng.uniform(1e-5, 3.0))
+        steps = np.empty((rows + 1, k))
+        steps[0] = start
+        np.multiply(eta, rewards, out=steps[1:])
+        got = np.add.accumulate(steps, axis=0)
+        log_w = start.tolist()
+        for s in range(rows):
+            log_w = [v + eta * r for v, r in zip(log_w, rewards[s].tolist())]
+            assert got[s + 1].tobytes() == np.array(log_w).tobytes(), (rows, s)
