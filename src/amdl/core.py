@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
-from typing import Iterable, Sequence, Union
+from collections import Counter
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -222,23 +223,25 @@ class RandomizedHypothesis:
     """A uniform mixture over (a multiset of) class members.
 
     Losses and disagreements of a randomized hypothesis are arithmetic means
-    over its support; repeats carry proportional weight.
+    over its support; repeats carry proportional weight.  The support is
+    given as its members, repeats included, or as a mapping from each member
+    to its positive count.
     """
 
-    def __init__(self, cls: HypothesisClass, support: Iterable[int]):
-        counts: dict[int, int] = {}
-        total = 0
-        for idx in support:
-            idx = int(idx)
-            if not 0 <= idx < len(cls):
-                raise ContractViolation("support index out of class range")
-            counts[idx] = counts.get(idx, 0) + 1
-            total += 1
-        if total == 0:
+    def __init__(self, cls: HypothesisClass, support: Iterable[int] | Mapping[int, int]):
+        if isinstance(support, Mapping):
+            counts = {int(idx): int(n) for idx, n in support.items()}
+            if any(n < 1 for n in counts.values()):
+                raise ContractViolation("randomized hypothesis counts must be positive")
+        else:
+            counts = Counter(map(int, support))
+        if any(not 0 <= idx < len(cls) for idx in counts):
+            raise ContractViolation("support index out of class range")
+        if not counts:
             raise ContractViolation("randomized hypothesis support must be non-empty")
         self.cls = cls
         self.counts: tuple[tuple[int, int], ...] = tuple(sorted(counts.items()))
-        self.total = total
+        self.total = sum(counts.values())
 
     @property
     def support_indices(self) -> tuple[int, ...]:

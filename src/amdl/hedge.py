@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Real
-from operator import ge
+from operator import ge, mul
 from typing import Sequence
 
 import numpy as np
@@ -171,6 +171,98 @@ class PooledStore:
             raise ContractViolation("a distribution has positive weight but no samples")
         return int(((w / self._n) @ self.err).argmin())
 
+    def erm_rows(self, w: np.ndarray) -> np.ndarray:
+        """`erm` of each row of w, bit for bit: the stacked product runs one
+        vector-matrix product per row, as `erm` does (a 2-D product would
+        not round alike)."""
+        return np.matmul((w / self._n)[:, None, :], self.err)[:, 0, :].argmin(axis=1)
+
+
+def _predict_plays(state: HedgeState, store: PooledStore, tables: list[np.ndarray], local: int,
+                   counts: list[int], doubled: list[float], eta: float, span: int) -> list[int]:
+    """The plays of this round (`local`) and up to `span` - 1 next ones that
+    a shadow in Python floats predicts: it multiplies the weights by
+    exp(eta r) and plays candidate 1 where w . (err_0 - err_1) / n > 0, and
+    stops where it expects a doubling or new reward counts."""
+    k = state.k
+    factors: list[list] = [[], []]      # exp(eta r) rows, converted as reached
+    gap = ((store.err[:, 0] - store.err[:, -1]) / store._n).tolist()
+    w, w_bar, inv, j = state.w, state.w_bar, 1.0, local
+    # 1 / min(doubled_i, w_bar_i): a weight at or past it may double or lift w_bar
+    near = [1.0 / min(a, b) for a, b in zip(doubled, w_bar)]
+    plays = [local]
+    for s in range(span - 1):
+        f = factors[j]
+        if s >= len(f):
+            f += np.exp(eta * tables[j][len(f):2 * s + 1]).tolist()
+        w = [a * b * inv for a, b in zip(w, f[s])]
+        tot = sum(w)
+        inv = 1.0 / tot
+        if max(map(mul, w, near)) >= tot:
+            now = [v * inv for v in w]
+            w_bar = list(map(max, w_bar, now))
+            if any(map(ge, now, doubled)) or [math.ceil(k * v) for v in w_bar] != counts:
+                break
+            near = [1.0 / min(a, b) for a, b in zip(doubled, w_bar)]
+        j = 1 if sum(map(mul, w, gap)) > 0 else 0
+        plays.append(j)
+    return plays
+
+
+def _play_chunk(state: HedgeState, store: PooledStore, sampler: SamplerFamily, tally: list[int],
+                local: int, counts: list[int], doubled: list[float], eta: float,
+                rounds_left: int, trace: list | None) -> int:
+    """Play this round, whose ERM picked `local`, and the next ones of a
+    solve over at most two candidates in one numpy pass; return how many
+    rounds were played, 0 to leave this round to the caller.
+
+    `_predict_plays` predicts the plays up to the open run's end or T.  The
+    numpy pass computes each round as `hedge_step` and `erm` would, bit for
+    bit, and commits the longest prefix whose plays match and that crosses
+    no boundary or check, so a wrong prediction only shortens it."""
+    k = state.k
+    tables = [sampler.run_losses(store.labels, j, counts, rounds_left)
+              for j in range(len(store.labels))]
+    plays = _predict_plays(state, store, tables, local, counts, doubled, eta,
+                           min(len(tables[0]), rounds_left))
+    m = len(plays)
+    if m == 1:
+        return 0
+    p = np.array(plays)
+    r = np.where(p[:, None] == 1, tables[-1][:m], tables[0][:m])
+    steps = np.empty((m + 1, k))
+    steps[0] = state.log_w
+    np.multiply(eta, r, out=steps[1:])
+    log_w = np.add.accumulate(steps, axis=0)
+    w = log_w[1:] - log_w[1:].max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= np.add.reduce(w, axis=1)[:, None]
+    bars = np.maximum.accumulate(np.vstack([state.w_bar, w]), axis=0)   # w_bar at t + s
+    # a round ends the chunk if its reward or weights would fail a check (the
+    # sum within half the tolerance, far above numpy's error), if the weights
+    # it plays double or change the counts, or if its play was mispredicted
+    stop = ~(((r >= 0.0) & (r <= 1.0)).all(axis=1)
+             & (np.abs(np.add.reduce(w, axis=1) - 1.0) <= WEIGHT_SUM_TOL / 2))
+    stop[1:] |= ((w[:-1] >= doubled).any(axis=1) | (np.ceil(k * bars[1:m]) != counts).any(axis=1)
+                 | (store.erm_rows(w[:-1]) != p[1:]))
+    c = int(stop.argmax()) if stop.any() else m
+    if c:
+        sampler.serve(c)
+        other = int(np.count_nonzero(p[:c] != local))
+        tally[local] += c - other
+        tally[-1 - local] += other
+        if trace is not None:
+            stored = int(store.n.sum())
+            trace.extend((state.t + 1 + s, w_s, float(np.sum(bars[s])), stored)
+                         for s, w_s in enumerate([state.w_arr, *w[:c - 1]]))
+        state.log_w = log_w[c].tolist()
+        state.w_arr = w[c - 1]
+        state.w = state.w_arr.tolist()
+        if (bars[c] > bars[0]).any():
+            state.w_bar = bars[c].tolist()
+        state.t += c
+    return c
+
 
 @dataclass
 class HedgeResult:
@@ -200,7 +292,7 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     eps1, eta, T, T1 = hyperparams(cfg, k, d)
     state = HedgeState(k)
     store = PooledStore(cls.labels[V], k)
-    play_counts: dict[int, int] = {}
+    tally = [0] * len(V)       # plays of each candidate
     reward_draws = [0] * k
     doubled = [0.0] * k        # 2 * w_hat, the doubling thresholds
     trace = [] if collect_trace else None
@@ -210,9 +302,11 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     # _fold_max shows by handing back a new list; the draws of a run of
     # rounds on one w_bar are added when the run ends
     bar, counts, since = None, [0] * k, 0
+    chunked = len(V) <= 2      # see _play_chunk
+    t = 0
 
     try:
-        for t in range(T):
+        while t < T:
             # hedge_step leaves state.w normalized and checks its sum
             w = state.w
             if any(map(ge, w, doubled)):
@@ -226,30 +320,31 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
                     raise ContractViolation(
                         "doubling rule left a weight above twice its threshold")
             local = store.erm(state.w_arr)
-            h_index = V[local]
-            play_counts[h_index] = play_counts.get(h_index, 0) + 1
             # reward: the played hypothesis' empirical loss on ceil(k * w_bar_i)
             # fresh draws from each distribution, unbiased for the sampled one
             if state.w_bar is not bar:
                 reward_draws = [a + (t - since) * b for a, b in zip(reward_draws, counts)]
                 bar, since = state.w_bar, t
                 counts = [math.ceil(k * v) for v in bar]
-            r = sampler.round_losses(store.labels, local, counts, T - t)
-            if trace is not None:
-                trace.append((state.t + 1, state.w_arr, float(np.sum(state.w_bar)),
-                              int(store.n.sum())))
-            hedge_step(state, r, eta)
+            played = chunked and _play_chunk(state, store, sampler, tally, local, counts,
+                                             doubled, eta, T - t, trace)
+            if not played:
+                tally[local] += 1
+                r = sampler.round_losses(store.labels, local, counts, T - t)
+                if trace is not None:
+                    trace.append((state.t + 1, state.w_arr, float(np.sum(state.w_bar)),
+                                  int(store.n.sum())))
+                hedge_step(state, r, eta)
+                played = 1
+            t += played
     finally:
         # meter the rounds served since the last settle, also on an error
         sampler.settle()
 
     reward_draws = [a + (T - since) * b for a, b in zip(reward_draws, counts)]
-    support: list[int] = []
-    for idx, cnt in sorted(play_counts.items()):
-        support.extend([idx] * cnt)
-    final = RandomizedHypothesis(cls, support)
-    return HedgeResult(final, T, np.array(reward_draws, dtype=np.int64), store.n.copy(),
-                       play_counts, trace)
+    play_counts = {h: n for h, n in zip(V, tally) if n}
+    return HedgeResult(RandomizedHypothesis(cls, play_counts), T,
+                       np.array(reward_draws, dtype=np.int64), store.n.copy(), play_counts, trace)
 
 
 def naive_erm_baseline(inst: MDLInstance, oracles: OracleSet, eps: float, delta: float,

@@ -431,8 +431,9 @@ class SamplerFamily:
     distribution i.  `draw(i, n)` makes one request of n pairs;
     `round_losses` serves a whole solver round, one request per
     distribution, from blocks of requests kept per distribution, a run of
-    rounds at a time, and `settle` makes the served requests happen (see the
-    module docstring).  `calls[i]` counts pairs drawn, which lets the solvers
+    rounds at a time; `run_losses` and `serve` read a candidate's rows of
+    the run and serve several rounds at once.  `settle` makes the served
+    requests happen (see the module docstring).  `calls[i]` counts pairs drawn, which lets the solvers
     reconcile their own accounting against the ledger.
     """
 
@@ -473,6 +474,16 @@ class SamplerFamily:
         `draw(i, counts[i])` for i = 0..k-1 in turn.  `rounds_left` counts
         this round and the later rounds the caller plays against `labels`; no
         block draws further ahead."""
+        rows = self.run_losses(labels, j, counts, rounds_left)
+        self._served += 1
+        return rows[0].tolist()
+
+    def run_losses(self, labels: np.ndarray, j: int, counts: Sequence[int],
+                   rounds_left: int) -> np.ndarray:
+        """Candidate j's losses in this round and the open run's later rounds,
+        a row per round, each what `round_losses` would return for it; a run
+        is opened first as `round_losses` opens one.  No round is served:
+        `serve` marks them."""
         r = self._served
         if (labels is not self._labels or counts != self._counts or r == self._length
                 or rounds_left < 1):
@@ -481,8 +492,14 @@ class SamplerFamily:
         table = self._tables.get(j)
         if table is None:
             table = self._tables[j] = self._table(j)
-        self._served = r + 1
-        return table[r].tolist()
+        return table[r:]
+
+    def serve(self, m: int) -> None:
+        """Mark the next m rounds of the open run served, as m `round_losses`
+        calls would."""
+        if not 0 < m <= self._length - self._served:
+            raise ContractViolation(f"cannot serve {m} rounds of the open run")
+        self._served += m
 
     def _open_run(self, labels: np.ndarray, counts: Sequence[int], rounds_left: int) -> None:
         """Settle what is served and open a run at this round, rebuilding the

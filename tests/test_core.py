@@ -234,6 +234,23 @@ def test_randomized_hypothesis_validation():
         RandomizedHypothesis(inst.hypothesis_class, [])
     with pytest.raises(ContractViolation):
         RandomizedHypothesis(inst.hypothesis_class, [5])
+    for counts in ({}, {5: 1}, {-1: 2}, {0: 0}, {0: 2, 1: -1}):
+        with pytest.raises(ContractViolation):
+            RandomizedHypothesis(inst.hypothesis_class, counts)
+
+
+def test_randomized_hypothesis_from_counts_equals_the_expanded_support():
+    cls = amdl.gen_random(6, 8, 3, seed=11).hypothesis_class
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        members = rng.choice(len(cls), size=int(rng.integers(1, len(cls) + 1)), replace=False)
+        counts = {int(h): int(rng.integers(1, 400)) for h in members}
+        support = [h for h, n in counts.items() for _ in range(n)]
+        rng.shuffle(support)
+        want = RandomizedHypothesis(cls, support)
+        got = RandomizedHypothesis(cls, counts)
+        assert (got.counts, got.total) == (want.counts, want.total)
+        assert got.total == sum(counts.values()) and got.counts == tuple(sorted(counts.items()))
 
 
 def test_hypothesis_class_validation():

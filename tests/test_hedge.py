@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import amdl
+from amdl import hedge
 from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, OracleSet, SolverConfig)
 from amdl.hedge import (HedgeState, PooledStore, hedge_step, hyperparams, mdl_hedge_vc,
@@ -223,6 +224,8 @@ def test_weighted_erm_equals_the_int64_formula_on_random_stores():
         assert store.n.dtype == np.int64 and store.n.tolist() == n.tolist()
         for w in [rng.dirichlet(np.ones(k)) for _ in range(20)] + [np.full(k, 1.0 / k)]:
             assert store.erm(w) == int(((w / n) @ err).argmin())
+        rows = rng.dirichlet(np.ones(k), size=int(rng.integers(1, 65)))
+        assert store.erm_rows(rows).tolist() == [store.erm(w) for w in rows]
 
 
 def test_round_losses_realizable_is_zero():
@@ -392,3 +395,55 @@ def test_accumulated_log_weights_equal_repeated_updates_bit_for_bit(k):
         for s in range(rows):
             log_w = [v + eta * r for v, r in zip(log_w, rewards[s].tolist())]
             assert got[s + 1].tobytes() == np.array(log_w).tobytes(), (rows, s)
+
+
+# the chunked rounds of a solve over at most two candidates
+
+def _traced_solve(inst, V, seed: int, desk_knobs: dict, eps: float) -> tuple:
+    """Every HedgeResult field of one traced solve, with the ledger and
+    transcript it left."""
+    cfg = SolverConfig(eps=eps, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
+    o = OracleSet(inst, seed, log_transcript=True)
+    res = mdl_hedge_vc(inst.hypothesis_class, V, plain_family(o), cfg, inst.k, 1,
+                       collect_trace=True)
+    trace = [(t, w.tobytes(), l1, n) for t, w, l1, n in res.trace]
+    return (res.rounds, res.reward_draws.tolist(), res.store_draws.tolist(),
+            res.play_counts, res.hypothesis.counts, res.hypothesis.total, trace,
+            o.ledger.label_queries.tolist(), o.ledger.unlabeled_draws.tolist(),
+            o.ledger.transcript)
+
+
+@pytest.mark.parametrize("make,V,eps", [
+    (lambda: amdl.gen_agnostic_lb(4, 0.4, 0.05), (0, 1), 0.05),
+    (lambda: amdl.gen_example1(0.2, 0.05, "a"), (0, 1), 0.05),
+    (lambda: amdl.gen_prop1(3, 0.2), (2,), 0.2),
+], ids=["agnostic-lb", "example1", "one-candidate"])
+def test_a_mispredicted_play_changes_nothing(monkeypatch, desk_knobs, make, V, eps):
+    inst = make()
+    chunks = []
+    play_chunk = hedge._play_chunk
+
+    def counted(*args):
+        chunks.append(play_chunk(*args))
+        return chunks[-1]
+
+    monkeypatch.setattr(hedge, "_play_chunk", counted)
+    want = [_traced_solve(inst, V, seed, desk_knobs, eps) for seed in range(3)]
+    unforced = list(chunks)
+    predict = hedge._predict_plays
+    flips = []
+
+    def flipped(*args):
+        plays = predict(*args)
+        if len(plays) > 2:        # one play mid-chunk goes to the other candidate
+            mid = len(plays) // 2
+            plays[mid] = len(V) - 1 - plays[mid] if len(V) == 2 else 1
+            flips.append(mid)
+        return plays
+
+    monkeypatch.setattr(hedge, "_predict_plays", flipped)
+    chunks.clear()
+    got = [_traced_solve(inst, V, seed, desk_knobs, eps) for seed in range(3)]
+    assert sum(unforced) > 0.9 * sum(w[0] for w in want)    # most rounds ran in chunks
+    assert flips and len(chunks) > len(unforced)
+    assert got == want

@@ -41,7 +41,30 @@ def test_module_raises_contract_violation_not_assertion_error(name):
     assert not lines, f"{name} raises AssertionError at lines {lines}"
 
 
-_UNDER_O = """
+# a solve over two candidates, which plays its rounds in chunks: every
+# HedgeResult field and the ledger it leaves, as one line
+_CHUNKED_SOLVE = """
+import hashlib, json
+import amdl
+from amdl import OracleSet, plain_family
+from amdl.harness import PROFILES
+from amdl.hedge import SolverConfig, mdl_hedge_vc
+
+lb = amdl.gen_agnostic_lb(4, 0.4, 0.05)
+lb_oracles = OracleSet(lb, seed=3, log_transcript=True)
+res = mdl_hedge_vc(lb.hypothesis_class, (0, 1), plain_family(lb_oracles),
+                   SolverConfig(eps=0.05, delta=0.1, nu=float(lb.nu_exact()), **PROFILES["desk"]),
+                   lb.k, 1, collect_trace=True)
+trace = [(t, w.tolist(), l1, n) for t, w, l1, n in res.trace]
+SOLVE_LINE = "solve: " + json.dumps([
+    res.rounds, res.reward_draws.tolist(), res.store_draws.tolist(),
+    sorted(res.play_counts.items()), res.hypothesis.counts, res.hypothesis.total,
+    hashlib.sha256(repr(trace).encode()).hexdigest(),
+    lb_oracles.ledger.label_queries.tolist(), len(lb_oracles.ledger.transcript)])
+"""
+
+_UNDER_O = _CHUNKED_SOLVE + """
+print(SOLVE_LINE)
 import math
 import amdl
 from amdl import ContractViolation, OracleSet, plain_family
@@ -66,6 +89,7 @@ checks = {
         {"m": 1, "hypotheses": [[1.5]], "distributions": [{"marginal": [1], "eta_plus": [1]}]}),
     "ragged hypothesis": lambda: amdl.Hypothesis([[1], [1, -1]]),
     "ragged class row": lambda: amdl.HypothesisClass([[1, -1], [1]]),
+    "overserved run": lambda: served.serve(5),
 }
 for name, check in checks.items():
     try:
@@ -84,7 +108,11 @@ def test_runtime_checks_hold_under_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env, text=True,
                          capture_output=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["refused: nan reward", "refused: negative draw",
+    here: dict = {}
+    exec(_CHUNKED_SOLVE, here)
+    assert out.stdout.splitlines() == [here["SOLVE_LINE"],
+                                       "refused: nan reward", "refused: negative draw",
                                        "refused: zero round count", "refused: nan knob",
                                        "refused: moved stream", "refused: fractional label",
-                                       "refused: ragged hypothesis", "refused: ragged class row"]
+                                       "refused: ragged hypothesis", "refused: ragged class row",
+                                       "refused: overserved run"]

@@ -15,7 +15,7 @@ from amdl import (ContractViolation, DegenerateAgreementRegion, FeatureSpace,
                   Hypothesis, HypothesisClass, LabeledDistribution, MDLInstance,
                   OracleSet)
 from amdl.core import loss_exact
-from amdl.hedge import SolverConfig, mdl_hedge_vc
+from amdl.hedge import SolverConfig, hyperparams, mdl_hedge_vc
 from amdl.harness import RunConfig, _instance_stats, run_single_trial, run_trials
 
 from closed_forms import (imputed_distribution, induced_distribution,
@@ -599,17 +599,16 @@ def test_a_solve_that_raises_leaves_no_rounds_unsettled(desk_knobs):
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
     o = OracleSet(inst, seed=3)
     fam = amdl.plain_family(o)
-    played = 0
-    serve = fam.round_losses
+    T = hyperparams(cfg, inst.k, 1)[2]
+    read = fam.run_losses
 
-    def round_losses(labels, j, counts, rounds_left):
-        nonlocal played
-        played += 1
-        if played == 50:
+    def run_losses(labels, j, counts, rounds_left):
+        # every round reads its losses here, alone or in a chunk of rounds
+        if T - rounds_left >= 49:
             raise ContractViolation("stop part-way")
-        return serve(labels, j, counts, rounds_left)
+        return read(labels, j, counts, rounds_left)
 
-    fam.round_losses = round_losses
+    fam.run_losses = run_losses
     with pytest.raises(ContractViolation, match="part-way"):
         mdl_hedge_vc(inst.hypothesis_class, (0, 1), fam, cfg, inst.k, 1)
     assert o.ledger.pending is None
