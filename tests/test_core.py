@@ -477,6 +477,15 @@ def test_mixture_distribution_prop1_average():
     assert bar.eta_plus[1] == 1
 
 
+@pytest.mark.parametrize("weights", [["1e999", 0], [0, "1e999"], ["1e999", "-1e999"],
+                                     [0.5, 0.6], [0.5, "nan"], [1.5, -0.5], [1]], ids=str)
+def test_mixture_distribution_refuses_bad_weights(weights):
+    # a weight sum beyond the float range is compared exactly, not overflowed
+    dists = amdl.gen_prop1(2, 0.1).distributions
+    with pytest.raises(ContractViolation):
+        amdl.mixture_distribution(dists, weights)
+
+
 def test_exact_loss_matches_independent_fraction_sum():
     inst = amdl.gen_random(7, 6, 2, seed=3)
     for h in inst.hypothesis_class.hypotheses:
