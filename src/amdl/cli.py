@@ -9,7 +9,7 @@ import sys
 
 from .complexity import (disagreement_coefficient, star_number,
                          star_number_unqualified, vc_dimension)
-from .core import best_nu, load_instance, save_instance
+from .core import ContractViolation, best_nu, load_instance, save_instance
 from .families import FAMILIES, FamilySpec
 from .harness import (ALGORITHMS, PROFILES, RunConfig, records_to_csv, report,
                       run_trials, sweep, sweep_from_csv, sweep_to_csv)
@@ -18,10 +18,13 @@ from .harness import (ALGORITHMS, PROFILES, RunConfig, records_to_csv, report,
 def _parse_knobs(pairs: list[str]) -> dict:
     out = {}
     for p in pairs or []:
-        key, _, val = p.partition("=")
-        if not _:
-            raise SystemExit(f"--knob expects key=value, got {p!r}")
-        out[key] = float(val)
+        key, eq, val = p.partition("=")
+        try:
+            if not eq:
+                raise ValueError
+            out[key] = float(val)
+        except ValueError:
+            raise ContractViolation(f"--knob expects key=number, got {p!r}") from None
     return out
 
 
@@ -51,6 +54,8 @@ def _cmd_measure(args) -> int:
     cls = inst.hypothesis_class
     h_best, nu = best_nu(inst)
     ref_idx = args.hstar if args.hstar is not None else cls.index_of(h_best)
+    if not 0 <= ref_idx < len(cls):
+        raise ContractViolation(f"--hstar must index the class (size {len(cls)}), got {ref_idx}")
     ref = cls[ref_idx]
     vc = vc_dimension(cls, cap=args.cap)
     st = star_number(cls, ref)
@@ -96,7 +101,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ContractViolation(f"sweep config {args.config} is not valid JSON: {exc}") from exc
     rows = sweep(config)
     text = sweep_to_csv(rows)
     if args.out:

@@ -66,7 +66,7 @@ class RunConfig:
             raise ContractViolation("trials must be >= 1")
         if self.base_seed < 0:
             raise ContractViolation(f"base_seed must be >= 0, got {self.base_seed}")
-        if self.profile not in PROFILES:
+        if not isinstance(self.profile, str) or self.profile not in PROFILES:
             raise ContractViolation(f"unknown profile {self.profile!r}")
         if self.workers < 1:
             raise ContractViolation(f"workers must be >= 1, got {self.workers}")
@@ -246,9 +246,14 @@ def sweep(config: dict) -> list[dict]:
     """
     from .families import FamilySpec
 
+    if not isinstance(config, dict):
+        raise ContractViolation(f"sweep config must be a mapping, got {config!r}")
     missing = [key for key in ("families", "algs", "eps_grid") if key not in config]
     if missing:
         raise ContractViolation(f"sweep config is missing {missing}")
+    for key in ("families", "algs"):
+        if not isinstance(config[key], list):
+            raise ContractViolation(f"sweep {key} must be a list, got {config[key]!r}")
     if any(not isinstance(fam, dict) or "family" not in fam for fam in config["families"]):
         raise ContractViolation("every sweep families entry needs a 'family' key")
     grid = config["eps_grid"]
@@ -256,9 +261,12 @@ def sweep(config: dict) -> list[dict]:
             isinstance(eps, (int, float)) and not isinstance(eps, bool) for eps in grid):
         raise ContractViolation(f"sweep eps_grid must be a list of numbers, got {grid!r}")
     profile = config.get("profile", "desk")
-    delta = float(config.get("delta", 0.1))
-    trials = int(config.get("trials", 50))
-    base_seed = int(config.get("base_seed", 0))
+    try:
+        delta = float(config.get("delta", 0.1))
+        trials = int(config.get("trials", 50))
+        base_seed = int(config.get("base_seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractViolation(f"sweep delta, trials and base_seed must be numbers: {exc}") from exc
     knobs = config.get("knobs", {})
     if not isinstance(knobs, dict):
         raise ContractViolation(f"sweep knobs must be a mapping, got {knobs!r}")

@@ -1,8 +1,10 @@
 """Experiment runner, CSV schemas, sweeps, report pivots, and the CLI."""
 
+import copy
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -16,6 +18,7 @@ from amdl.cli import main as cli_main
 from amdl.harness import (RUN_CSV_HEADER, SWEEP_CSV_HEADER, records_to_csv,
                           report, run_trials, sweep, sweep_from_csv,
                           sweep_to_csv)
+from amdl.families import FAMILIES
 
 from test_families import WRONG_TYPED_PARAMS
 
@@ -111,6 +114,29 @@ def test_sweep_refuses_a_config_without_its_grid(missing):
         sweep(config)
     with pytest.raises(ContractViolation):
         sweep({})
+
+
+@pytest.mark.parametrize("change", [
+    None, [], "families=3", "algs=passive-naive", "trials=x", "trials=None", "delta={}",
+    "base_seed=[]", "base_seed=inf"], ids=str)
+def test_sweep_refuses_a_config_of_the_wrong_shape(change):
+    # each raised TypeError or ValueError before the entry checks
+    config = {"families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
+              "algs": ["passive-naive"], "eps_grid": [0.2], "trials": 1}
+    if isinstance(change, str):
+        key, value = change.split("=")
+        config[key] = {"x": "x", "None": None, "{}": {}, "[]": [], "inf": math.inf,
+                       "3": 3}.get(value, value)
+    else:
+        config = change
+    with pytest.raises(ContractViolation):
+        sweep(config)
+
+
+def test_sweep_unhashable_profile_gives_skipped_rows():
+    rows = sweep({"families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
+                  "algs": ["passive-naive"], "eps_grid": [0.2], "trials": 1, "profile": []})
+    assert len(rows) == 1 and rows[0]["skipped"] == 1 and "profile" in rows[0]["reason"]
 
 
 @pytest.mark.parametrize("entry", [{"params": {"k": 2}}, "prop1"])
@@ -342,6 +368,143 @@ def test_fuzzed_sweep_csv_loads_or_is_refused(text):
     assert sweep_from_csv(sweep_to_csv(rows)) == rows
 
 
+# sweep configs near small valid ones: a field dropped or replaced by a value
+# of the wrong kind, range or type; eps stays at 0.9 or invalid, trials at
+# most 2 and instances tiny, so every config runs in milliseconds
+JUNK = st.sampled_from([None, True, -1, 0, 2, 0.0, 1.0, 1.5, -0.5, math.nan, math.inf, "",
+                        "x", "0.5", [], [0.9], {}, {"k": 2}])
+FUZZ_FAMILIES = [
+    {"family": "prop1", "params": {"k": 2, "eps": 0.1}},
+    {"family": "agnostic-lb", "params": {"k": 2, "nu": 0.4, "eps": 0.05}},
+    {"family": "example1", "params": {"nu_prime": 0.2, "eps": 0.1, "case": "a"}},
+    {"family": "star-lb", "params": {"k": 2, "theta": 2, "i": 1, "j": 1}},
+    {"family": "random", "params": {"m": 3, "n_hyp": 3, "k": 2, "seed": 0}},
+]
+
+
+@st.composite
+def sweep_configs(draw):
+    """At most one family entry, one or two algs and eps values, and one
+    top-level field dropped or replaced; now and then the whole config or
+    entry is replaced."""
+    families = []
+    if draw(st.integers(0, 3)):
+        fam = copy.deepcopy(draw(st.sampled_from(FUZZ_FAMILIES)))
+        names = sorted(fam["params"]) + ["flipped_index", "realizable", "zz"]
+        for name in draw(st.lists(st.sampled_from(names), max_size=1)):
+            fam["params"][name] = draw(JUNK | st.integers(-1, 3))
+            if draw(st.booleans()):
+                del fam["params"][name]
+        for key in draw(st.lists(st.sampled_from(["family", "params"]), max_size=1)):
+            fam[key] = draw(JUNK | st.sampled_from(FAMILIES))
+            if draw(st.booleans()):
+                del fam[key]
+        families.append(fam if draw(st.integers(0, 5)) else draw(JUNK))
+    config = {"profile": "desk", "delta": 0.1, "trials": 1, "base_seed": 0, "knobs": {},
+              "families": families,
+              "algs": draw(st.lists(st.sampled_from(amdl.ALGORITHMS) | JUNK,
+                                    min_size=1, max_size=2)),
+              "eps_grid": draw(st.lists(st.just(0.9) | JUNK, min_size=1, max_size=2))}
+    for key in draw(st.lists(st.sampled_from(sorted(config)), max_size=1)):
+        config[key] = draw(JUNK | st.dictionaries(st.sampled_from(harness.KNOBS + ("zz",)),
+                                                  JUNK | st.just(0.5), max_size=2))
+        if draw(st.integers(0, 2)) == 0:
+            del config[key]
+    return config if draw(st.integers(0, 9)) else draw(JUNK)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_configs())
+def test_fuzzed_sweep_config_gives_rows_or_is_refused(config):
+    # every row a sweep returns, live or skipped, writes and loads back
+    try:
+        rows = sweep(config)
+    except ContractViolation:
+        return
+    assert all(row["skipped"] in (0, 1) for row in rows)
+    assert len(sweep_from_csv(sweep_to_csv(rows))) == len(rows)
+
+
+# `amdl` argv near valid command lines: each subcommand with its required
+# options (now and then one dropped), some optional ones, and values drawn
+# from small valid and invalid sets.  Paths are existing files, valid or
+# malformed, and outputs go to a temporary directory.  The value sets keep
+# every run to a few trials of a tiny instance at the desk profile.
+CLI_COMMANDS = {
+    "gen": (["--family", "--out"], ["--k", "--eps", "--nu", "--theta", "--i", "--j", "--m",
+                                     "--flipped-index", "--nu-prime", "--case", "--n-hyp",
+                                     "--seed", "--realizable"]),
+    "measure": (["--instance"], ["--hstar", "--r0", "--cap", "--out"]),
+    "run": (["--instance", "--alg", "--eps"], ["--delta", "--trials", "--seed", "--profile",
+                                               "--knob", "--trace", "--timing", "--workers",
+                                               "--out"]),
+    "sweep": (["--config"], ["--out"]),
+    "report": (["--sweep", "--outdir"], []),
+}
+CLI_VALUES = {
+    "--family": [*FAMILIES, "zz"], "--alg": [*amdl.ALGORITHMS, "zz"],
+    "--profile": ["desk", "zz"], "--case": ["a", "b", "c"],
+    "--k": ["2", "3", "0", "-1", "x"], "--theta": ["2", "0", "-1"], "--i": ["1", "0", "-1"],
+    "--j": ["1", "2", "-1"], "--flipped-index": ["0", "-1", "9"], "--m": ["3", "0", "-1"],
+    "--n-hyp": ["3", "0", "1"], "--seed": ["0", "3", "-1", "x"],
+    "--eps": ["0.9", "0.5", "0.1", "0", "1", "-0.1", "nan", "inf", "x"],
+    "--nu": ["0.4", "0", "0.6", "-1", "nan"], "--nu-prime": ["0.2", "0", "0.5", "x"],
+    "--delta": ["0.1", "0.5", "0", "1", "nan", "x"], "--trials": ["1", "2", "0", "-1", "x"],
+    "--workers": ["1", "0", "-1", "x"], "--r0": ["0.1", "0", "-1", "2", "nan", "x"],
+    "--cap": ["12", "0", "-1", "x"], "--hstar": ["0", "1", "-1", "99", "x"],
+    "--knob": ["c_t=0.5", "c_t=x", "c_t", "zz=1", "c_naive=nan", "c_eta=-1", "=1"],
+}
+CLI_FILES = ("instance.json", "broken.json", "list.json", "sweep.json", "sweep.csv", "bad.csv")
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """The input files the argv fuzz reads, and where it writes."""
+    root = tmp_path_factory.mktemp("cli")
+    amdl.save_instance(amdl.gen_prop1(2, 0.1), str(root / "instance.json"))
+    (root / "broken.json").write_text('{"m": 2, "hypotheses": [[1, 1]')
+    (root / "list.json").write_text("[1, 2]")
+    config = {"trials": 1, "families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
+              "algs": ["passive-naive"], "eps_grid": [0.9]}
+    (root / "sweep.json").write_text(json.dumps(config))
+    (root / "sweep.csv").write_text(sweep_to_csv(sweep(config)))
+    (root / "bad.csv").write_text("family,params\nprop1,{\n")
+    paths = [str(root / name) for name in CLI_FILES]
+    return {"--instance": paths, "--config": paths, "--sweep": paths,
+            "--out": [str(root / "out.csv"), str(root / "out")],
+            "--outdir": [str(root / "series")]}
+
+
+@st.composite
+def cli_argvs(draw, files):
+    command = draw(st.sampled_from([*CLI_COMMANDS, "zz"]))
+    required, optional = CLI_COMMANDS.get(command, ([], []))
+    flags = [flag for flag in required if draw(st.integers(0, 9))]
+    flags += [flag for flag in optional if draw(st.integers(0, 2)) == 0]
+    flags += draw(st.lists(st.sampled_from(["--zz", "-x", "--trace", "--timing"]), max_size=1))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        pool = CLI_VALUES.get(flag) or files.get(flag)
+        if pool and draw(st.integers(0, 19)):
+            argv.append(draw(st.sampled_from(pool[:1]) | st.sampled_from(pool)))
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, 1)), draw(st.sampled_from(["-", "--", "x", "1"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_cli_argv_runs_or_is_refused(cli_files, data):
+    argv = data.draw(cli_argvs(cli_files))
+    try:
+        assert cli_main(argv) == 0
+    except ContractViolation:
+        pass
+    except SystemExit as exc:     # argparse's usage error
+        assert exc.code == 2, argv
+
+
 def test_sweep_csv_deterministic():
     cfg = {
         "trials": 2, "delta": 0.1,
@@ -427,6 +590,23 @@ def test_cli_sweep_and_report(tmp_path):
     assert (outdir / "labels_vs_eps.csv").exists()
     assert (outdir / "labels_vs_k.csv").exists()
     assert (outdir / "success_vs_eps.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["knob-without-value", "knob-not-number", "hstar-too-big",
+                                  "hstar-negative", "config-not-json"])
+def test_cli_refuses_bad_arguments(case, tmp_path):
+    inst_path = tmp_path / "p.json"
+    amdl.save_instance(amdl.gen_prop1(2, 0.1), str(inst_path))
+    bad_config = tmp_path / "sweep.json"
+    bad_config.write_text("{not json")
+    run = ["run", "--instance", str(inst_path), "--alg", "passive-naive", "--eps", "0.2"]
+    argv = {"knob-without-value": run + ["--knob", "c_naive"],
+            "knob-not-number": run + ["--knob", "c_naive=x"],
+            "hstar-too-big": ["measure", "--instance", str(inst_path), "--hstar", "3"],
+            "hstar-negative": ["measure", "--instance", str(inst_path), "--hstar", "-1"],
+            "config-not-json": ["sweep", "--config", str(bad_config)]}[case]
+    with pytest.raises(ContractViolation):
+        cli_main(argv)
 
 
 def test_cli_choices_are_the_registries():
