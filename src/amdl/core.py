@@ -410,7 +410,7 @@ def mixture_distribution(dists: Sequence[LabeledDistribution],
     else:
         w = [_frac(v) for v in weights]
         tot = sum(w)
-        if len(w) != k or any(v < 0 for v in w) or abs(tot - 1) > PMF_TOL:   # exact
+        if len(w) != k or any(v < 0 for v in w) or abs(tot - 1) > PMF_TOL:
             raise ContractViolation("mixture weights must be a probability vector over the distributions")
         w = [v / tot for v in w]
     m = dists[0].m

@@ -14,7 +14,8 @@ estimate the rewards from ceil(k * w_bar_i) fresh pairs per distribution
 `hedge_step`.  The running maxima w_bar seldom grow, so the counts are
 recomputed, and the reward draws totalled, only when they do.  The sampler
 meters served rounds in bulk; the solve settles the last of them as it
-ends, on an error too.
+ends, on an error too.  A solve over at most two candidates plays stretches
+of rounds at once, each round verified bit for bit (`_play_chunk`).
 
 Hyperparameters follow the schedule
     eps1 = c_eps1 * eps / 100
@@ -171,20 +172,12 @@ class PooledStore:
             raise ContractViolation("a distribution has positive weight but no samples")
         return int(((w / self._n) @ self.err).argmin())
 
-    def erm_rows(self, w: np.ndarray) -> np.ndarray:
-        """`erm` of each row of w, bit for bit: the stacked product runs one
-        vector-matrix product per row, as `erm` does (a 2-D product would
-        not round alike)."""
-        return np.matmul((w / self._n)[:, None, :], self.err)[:, 0, :].argmin(axis=1)
-
 
 def _predict_plays(state: HedgeState, store: PooledStore, tables: list[np.ndarray], local: int,
                    counts: list[int], doubled: list[float], eta: float, span: int) -> list[int]:
-    """The plays of this round (`local`) and up to `span` - 1 next ones that
-    a shadow in Python floats predicts: it multiplies the weights by
-    exp(eta r) and plays candidate 1 where w . (err_0 - err_1) / n > 0, and
-    stops where it expects a doubling or new reward counts."""
-    k = state.k
+    """This round's play (`local`) and up to `span` - 1 next ones as a shadow
+    in Python floats predicts them: weights times exp(eta r), candidate 1
+    where w . (err_0 - err_1) / n > 0, up to an expected doubling or count change."""
     factors: list[list] = [[], []]      # exp(eta r) rows, converted as reached
     gap = ((store.err[:, 0] - store.err[:, -1]) / store._n).tolist()
     w, w_bar, inv, j = state.w, state.w_bar, 1.0, local
@@ -192,16 +185,15 @@ def _predict_plays(state: HedgeState, store: PooledStore, tables: list[np.ndarra
     near = [1.0 / min(a, b) for a, b in zip(doubled, w_bar)]
     plays = [local]
     for s in range(span - 1):
-        f = factors[j]
-        if s >= len(f):
-            f += np.exp(eta * tables[j][len(f):2 * s + 1]).tolist()
-        w = [a * b * inv for a, b in zip(w, f[s])]
+        if s >= len(factors[j]):
+            factors[j] += np.exp(eta * tables[j][len(factors[j]):2 * s + 1]).tolist()
+        w = [a * b * inv for a, b in zip(w, factors[j][s])]
         tot = sum(w)
         inv = 1.0 / tot
         if max(map(mul, w, near)) >= tot:
             now = [v * inv for v in w]
             w_bar = list(map(max, w_bar, now))
-            if any(map(ge, now, doubled)) or [math.ceil(k * v) for v in w_bar] != counts:
+            if any(map(ge, now, doubled)) or [math.ceil(state.k * v) for v in w_bar] != counts:
                 break
             near = [1.0 / min(a, b) for a, b in zip(doubled, w_bar)]
         j = 1 if sum(map(mul, w, gap)) > 0 else 0
@@ -212,54 +204,44 @@ def _predict_plays(state: HedgeState, store: PooledStore, tables: list[np.ndarra
 def _play_chunk(state: HedgeState, store: PooledStore, sampler: SamplerFamily, tally: list[int],
                 local: int, counts: list[int], doubled: list[float], eta: float,
                 rounds_left: int, trace: list | None) -> int:
-    """Play this round, whose ERM picked `local`, and the next ones of a
-    solve over at most two candidates in one numpy pass; return how many
-    rounds were played, 0 to leave this round to the caller.
-
-    `_predict_plays` predicts the plays up to the open run's end or T.  The
-    numpy pass computes each round as `hedge_step` and `erm` would, bit for
-    bit, and commits the longest prefix whose plays match and that crosses
-    no boundary or check, so a wrong prediction only shortens it."""
-    k = state.k
-    tables = [sampler.run_losses(store.labels, j, counts, rounds_left)
-              for j in range(len(store.labels))]
-    plays = _predict_plays(state, store, tables, local, counts, doubled, eta,
-                           min(len(tables[0]), rounds_left))
-    m = len(plays)
+    """Play this round (ERM pick `local`) and the next ones of a solve over at
+    most two candidates as `_predict_plays` predicts them, up to the run's
+    end or T, in one numpy pass that computes each round as `hedge_step` and
+    `erm` would, bit for bit.  The longest prefix whose plays match and that
+    crosses no boundary or check is played and its length returned."""
+    tables = [table[r:] for table, r in (sampler.run_table(store.labels, j, counts, rounds_left)
+                                         for j in range(len(store.labels)))]
+    p = np.array(_predict_plays(state, store, tables, local, counts, doubled, eta,
+                                min(len(tables[0]), rounds_left)))
+    m = len(p)
     if m == 1:
         return 0
-    p = np.array(plays)
     r = np.where(p[:, None] == 1, tables[-1][:m], tables[0][:m])
-    steps = np.empty((m + 1, k))
-    steps[0] = state.log_w
-    np.multiply(eta, r, out=steps[1:])
-    log_w = np.add.accumulate(steps, axis=0)
-    w = log_w[1:] - log_w[1:].max(axis=1, keepdims=True)
-    np.exp(w, out=w)
+    log_w = np.add.accumulate(np.vstack([state.log_w, eta * r]), axis=0)
+    w = np.exp(log_w[1:] - log_w[1:].max(axis=1, keepdims=True))
     w /= np.add.reduce(w, axis=1)[:, None]
     bars = np.maximum.accumulate(np.vstack([state.w_bar, w]), axis=0)   # w_bar at t + s
-    # a round ends the chunk if its reward or weights would fail a check (the
-    # sum within half the tolerance, far above numpy's error), if the weights
-    # it plays double or change the counts, or if its play was mispredicted
+    # `erm` of each row: one vector-matrix product per row (a 2-D product rounds
+    # otherwise).  A round ends the chunk if its reward or weights would fail a
+    # check (the sum within half the tolerance, far above numpy's error), if the
+    # weights it plays double or change the counts, or if its play was mispredicted
+    erm = np.matmul((w[:-1] / store._n)[:, None, :], store.err)[:, 0, :].argmin(axis=1)
     stop = ~(((r >= 0.0) & (r <= 1.0)).all(axis=1)
              & (np.abs(np.add.reduce(w, axis=1) - 1.0) <= WEIGHT_SUM_TOL / 2))
-    stop[1:] |= ((w[:-1] >= doubled).any(axis=1) | (np.ceil(k * bars[1:m]) != counts).any(axis=1)
-                 | (store.erm_rows(w[:-1]) != p[1:]))
+    stop[1:] |= ((w[:-1] >= doubled).any(axis=1) | (erm != p[1:])
+                 | (np.ceil(state.k * bars[1:m]) != counts).any(axis=1))
     c = int(stop.argmax()) if stop.any() else m
     if c:
         sampler.serve(c)
-        other = int(np.count_nonzero(p[:c] != local))
-        tally[local] += c - other
-        tally[-1 - local] += other
+        for j, n in enumerate(np.bincount(p[:c]).tolist()):
+            tally[j] += n
         if trace is not None:
-            stored = int(store.n.sum())
-            trace.extend((state.t + 1 + s, w_s, float(np.sum(bars[s])), stored)
+            trace.extend((state.t + 1 + s, w_s, float(np.sum(bars[s])), int(store.n.sum()))
                          for s, w_s in enumerate([state.w_arr, *w[:c - 1]]))
         state.log_w = log_w[c].tolist()
         state.w_arr = w[c - 1]
         state.w = state.w_arr.tolist()
-        if (bars[c] > bars[0]).any():
-            state.w_bar = bars[c].tolist()
+        state.w_bar = bars[c].tolist()      # a new list: the caller recounts
         state.t += c
     return c
 
@@ -302,8 +284,7 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     # _fold_max shows by handing back a new list; the draws of a run of
     # rounds on one w_bar are added when the run ends
     bar, counts, since = None, [0] * k, 0
-    chunked = len(V) <= 2      # see _play_chunk
-    t = 0
+    chunked, t = len(V) <= 2, 0      # see _play_chunk
 
     try:
         while t < T:
@@ -326,17 +307,17 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
                 reward_draws = [a + (t - since) * b for a, b in zip(reward_draws, counts)]
                 bar, since = state.w_bar, t
                 counts = [math.ceil(k * v) for v in bar]
-            played = chunked and _play_chunk(state, store, sampler, tally, local, counts,
-                                             doubled, eta, T - t, trace)
-            if not played:
-                tally[local] += 1
-                r = sampler.round_losses(store.labels, local, counts, T - t)
-                if trace is not None:
-                    trace.append((state.t + 1, state.w_arr, float(np.sum(state.w_bar)),
-                                  int(store.n.sum())))
-                hedge_step(state, r, eta)
-                played = 1
-            t += played
+            if chunked and (played := _play_chunk(state, store, sampler, tally, local, counts,
+                                                  doubled, eta, T - t, trace)):
+                t += played
+                continue
+            tally[local] += 1
+            r = sampler.round_losses(store.labels, local, counts, T - t)
+            if trace is not None:
+                trace.append((state.t + 1, state.w_arr, float(np.sum(state.w_bar)),
+                              int(store.n.sum())))
+            hedge_step(state, r, eta)
+            t += 1
     finally:
         # meter the rounds served since the last settle, also on an error
         sampler.settle()

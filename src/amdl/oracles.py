@@ -431,10 +431,10 @@ class SamplerFamily:
     distribution i.  `draw(i, n)` makes one request of n pairs;
     `round_losses` serves a whole solver round, one request per
     distribution, from blocks of requests kept per distribution, a run of
-    rounds at a time; `run_losses` and `serve` read a candidate's rows of
-    the run and serve several rounds at once.  `settle` makes the served
-    requests happen (see the module docstring).  `calls[i]` counts pairs drawn, which lets the solvers
-    reconcile their own accounting against the ledger.
+    rounds at a time (`run_table` and `serve` serve several), and `settle`
+    makes the served requests happen (see the module docstring).  `calls[i]`
+    counts pairs drawn, which lets the solvers reconcile their own accounting
+    against the ledger.
     """
 
     def __init__(self, oracles: OracleSet, kernels: Sequence[Kernel]):
@@ -474,16 +474,14 @@ class SamplerFamily:
         `draw(i, counts[i])` for i = 0..k-1 in turn.  `rounds_left` counts
         this round and the later rounds the caller plays against `labels`; no
         block draws further ahead."""
-        rows = self.run_losses(labels, j, counts, rounds_left)
-        self._served += 1
-        return rows[0].tolist()
+        table, r = self.run_table(labels, j, counts, rounds_left)
+        self._served = r + 1
+        return table[r].tolist()
 
-    def run_losses(self, labels: np.ndarray, j: int, counts: Sequence[int],
-                   rounds_left: int) -> np.ndarray:
-        """Candidate j's losses in this round and the open run's later rounds,
-        a row per round, each what `round_losses` would return for it; a run
-        is opened first as `round_losses` opens one.  No round is served:
-        `serve` marks them."""
+    def run_table(self, labels: np.ndarray, j: int, counts: Sequence[int],
+                  rounds_left: int) -> tuple[np.ndarray, int]:
+        """Candidate j's loss table in the run that serves this round, opened
+        if need be, and this round's row in it; `serve` marks rounds served."""
         r = self._served
         if (labels is not self._labels or counts != self._counts or r == self._length
                 or rounds_left < 1):
@@ -492,11 +490,10 @@ class SamplerFamily:
         table = self._tables.get(j)
         if table is None:
             table = self._tables[j] = self._table(j)
-        return table[r:]
+        return table, r
 
     def serve(self, m: int) -> None:
-        """Mark the next m rounds of the open run served, as m `round_losses`
-        calls would."""
+        """Serve the open run's next m rounds, as m `round_losses` calls would."""
         if not 0 < m <= self._length - self._served:
             raise ContractViolation(f"cannot serve {m} rounds of the open run")
         self._served += m

@@ -224,8 +224,6 @@ def test_weighted_erm_equals_the_int64_formula_on_random_stores():
         assert store.n.dtype == np.int64 and store.n.tolist() == n.tolist()
         for w in [rng.dirichlet(np.ones(k)) for _ in range(20)] + [np.full(k, 1.0 / k)]:
             assert store.erm(w) == int(((w / n) @ err).argmin())
-        rows = rng.dirichlet(np.ones(k), size=int(rng.integers(1, 65)))
-        assert store.erm_rows(rows).tolist() == [store.erm(w) for w in rows]
 
 
 def test_round_losses_realizable_is_zero():
@@ -370,8 +368,7 @@ def test_row_wise_normalize_equals_hedge_state_bit_for_bit(k):
     rng = np.random.default_rng(200 + k)
     for rows in range(1, 65):
         log_w = _chunk_rows(rng, k, rows)
-        e = log_w - log_w.max(axis=1, keepdims=True)
-        np.exp(e, out=e)
+        e = np.exp(log_w - log_w.max(axis=1, keepdims=True))
         e /= np.add.reduce(e, axis=1)[:, None]
         for s in range(rows):
             state = HedgeState(k)
@@ -387,10 +384,7 @@ def test_accumulated_log_weights_equal_repeated_updates_bit_for_bit(k):
         rewards = rng.integers(0, 9, size=(rows, k)) / rng.integers(1, 9, size=k)
         rewards = np.minimum(rewards, 1.0)
         eta = float(rng.uniform(1e-5, 3.0))
-        steps = np.empty((rows + 1, k))
-        steps[0] = start
-        np.multiply(eta, rewards, out=steps[1:])
-        got = np.add.accumulate(steps, axis=0)
+        got = np.add.accumulate(np.vstack([start, eta * rewards]), axis=0)
         log_w = start.tolist()
         for s in range(rows):
             log_w = [v + eta * r for v, r in zip(log_w, rewards[s].tolist())]

@@ -600,15 +600,15 @@ def test_a_solve_that_raises_leaves_no_rounds_unsettled(desk_knobs):
     o = OracleSet(inst, seed=3)
     fam = amdl.plain_family(o)
     T = hyperparams(cfg, inst.k, 1)[2]
-    read = fam.run_losses
+    read = fam.run_table
 
-    def run_losses(labels, j, counts, rounds_left):
+    def run_table(labels, j, counts, rounds_left):
         # every round reads its losses here, alone or in a chunk of rounds
         if T - rounds_left >= 49:
             raise ContractViolation("stop part-way")
         return read(labels, j, counts, rounds_left)
 
-    fam.run_losses = run_losses
+    fam.run_table = run_table
     with pytest.raises(ContractViolation, match="part-way"):
         mdl_hedge_vc(inst.hypothesis_class, (0, 1), fam, cfg, inst.k, 1)
     assert o.ledger.pending is None
