@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
-from collections import Counter
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np

@@ -186,9 +186,12 @@ def _predict_plays(state: HedgeState, store: PooledStore, tables: list[np.ndarra
     plays = [local]
     for s in range(span - 1):
         if s >= len(factors[j]):
-            factors[j] += np.exp(eta * tables[j][len(factors[j]):2 * s + 1]).tolist()
+            with np.errstate(over="ignore"):        # an overflow only ends the shadow
+                factors[j] += np.exp(eta * tables[j][len(factors[j]):2 * s + 1]).tolist()
         w = [a * b * inv for a, b in zip(w, factors[j][s])]
         tot = sum(w)
+        if not 0.0 < tot < math.inf:
+            break
         inv = 1.0 / tot
         if max(map(mul, w, near)) >= tot:
             now = [v * inv for v in w]

@@ -441,3 +441,20 @@ def test_a_mispredicted_play_changes_nothing(monkeypatch, desk_knobs, make, V, e
     assert sum(unforced) > 0.9 * sum(w[0] for w in want)    # most rounds ran in chunks
     assert flips and len(chunks) > len(unforced)
     assert got == want
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c_eta", [50.0, 1e6], ids=["desk", "huge-eta"])
+def test_chunked_solves_equal_one_round_at_a_time(monkeypatch, desk_knobs, c_eta):
+    # a huge eta overflows the shadow's exp(eta r), which only ends its
+    # predictions, without a warning
+    knobs = dict(desk_knobs, c_eta=c_eta)
+    cases = [(amdl.gen_agnostic_lb(4, 0.4, 0.05), (0, 1), 0.05),
+             (amdl.gen_example1(0.2, 0.05, "b"), (0, 1), 0.05),
+             (amdl.gen_prop1(4, 0.1), (1, 3), 0.1)]
+    chunked = [_traced_solve(inst, V, seed, knobs, eps) for inst, V, eps in cases
+               for seed in range(2)]
+    monkeypatch.setattr(hedge, "_play_chunk", lambda *args: 0)
+    alone = [_traced_solve(inst, V, seed, knobs, eps) for inst, V, eps in cases
+             for seed in range(2)]
+    assert chunked == alone
