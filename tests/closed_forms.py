@@ -1,14 +1,16 @@
 """Closed-form pmfs of the distributions the label-efficient samplers draw
 from: the version-space-imputed, abstain-imputed and surrogate laws, the
-per-radius definition of the disagreement profile, and the exact loss, mass
-and disagreement by their definitions as `Fraction` sums.
+per-radius definition of the disagreement profile, the exact loss, mass
+and disagreement by their definitions as `Fraction` sums, and rejection
+sampling from the agreement region one variate at a time.
 
 The lab never needs them at run time; the tests compare empirical draws and
 the exact layer's fast paths against them.
 """
 
+import bisect
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -112,3 +114,26 @@ def disagreement_profile_reference(dist: LabeledDistribution, cls: HypothesisCla
         ball = [i for i, rho in enumerate(rhos) if rho <= r]
         masses.append(mass_reference(disagreement_region(cls, ball), dist))
     return radii, masses
+
+
+def conditional_agreement_reference(dist: LabeledDistribution, cls: HypothesisClass,
+                                    version_space: Sequence[int], uniforms: Iterator[float],
+                                    n: int) -> tuple[list[int], list[int], list[int]]:
+    """Rejection sampling from `dist` conditioned on the agreement region of
+    the version space, one variate at a time: each variate draws a point
+    (the first whose cdf exceeds it), kept if the version space agrees on it,
+    until n are kept; then one label variate per kept point, in order.
+    Returns the kept points, their labels and the draw index of each kept
+    point, so the points drew `accepted_at[-1] + 1` variates in all."""
+    agree = agreement_labels(cls, version_space) != 0
+    cdf = dist.cdf.tolist()
+    xs, accepted_at = [], []
+    drawn = 0
+    while len(xs) < n:
+        x = bisect.bisect_right(cdf, next(uniforms))
+        if agree[x]:
+            xs.append(x)
+            accepted_at.append(drawn)
+        drawn += 1
+    ys = [1 if next(uniforms) < dist.eta_f[x] else -1 for x in xs]
+    return xs, ys, accepted_at

@@ -1,9 +1,10 @@
 """Byte identity of run records and label transcripts for fixed seeds.
 
 The digests pin the exact bytes the lab emits for the six criterion-4 cells
-at two seeds each, and the label transcripts of two of them.  The two cells
-whose solves hold two candidates are pinned over twenty seeds as well,
-records and transcripts.  Any change to
+at two seeds each, and the label transcripts of five of them: all but
+`example1(0.2,0.05,a)/active-dd-small`, whose transcripts the seed grid
+pins.  The two cells whose solves hold two candidates are pinned over twenty
+seeds as well, records and transcripts.  Any change to
 the order in which a sampler consumes its random stream, to the ledger, or
 to how a loss is rounded changes a digest; a pure speed-up must not.
 
@@ -70,8 +71,14 @@ RECORD_SHA256 = {
 TRANSCRIPT_SHA256 = {
     "prop1(4,0.1)/active-dd-large":
         "29e1a942e141247d3c3f0ec1d8417d8b6ad2a34018d69a082e920d411ce13338",
+    "example1(0.2,0.05,b)/active-dd-small":
+        "fb96908da6b1745dc64f8a21b83bd9863859baacbf83d8c6b3c6928918c1b719",
+    "star-lb(2,4,1,1)/active-df":
+        "46fd83ff021881f82d17206d9a5e101d1432965b554dd3b27836cfa3ed765a78",
     "agnostic-lb(4,0.4,0.05)/passive-hedge":
         "2faf4e06ad02846349430a53820ba4b1dcb5cf7d5e6f5890b46decf4e22bc8e0",
+    "agnostic-lb(4,0.4,0.05)/active-dd-small":
+        "97b83217b26933d24af4f20692fcdb5ee3e818695e07c7a55e22d1666557aa01",
 }
 
 

@@ -1,5 +1,6 @@
 """Metered oracles and label-efficient samplers."""
 
+import bisect
 import hashlib
 import itertools
 from collections import Counter
@@ -14,12 +15,13 @@ import amdl
 from amdl import (ContractViolation, DegenerateAgreementRegion, FeatureSpace,
                   Hypothesis, HypothesisClass, LabeledDistribution, MDLInstance,
                   OracleSet)
+from amdl import oracles
 from amdl.core import loss_exact
 from amdl.hedge import SolverConfig, hyperparams, mdl_hedge_vc
 from amdl.harness import RunConfig, _instance_stats, run_single_trial, run_trials
 
-from closed_forms import (imputed_distribution, induced_distribution,
-                          surrogate_joint_exact)
+from closed_forms import (conditional_agreement_reference, imputed_distribution,
+                          induced_distribution, surrogate_joint_exact)
 from conftest import empirical_tv, two_point_instance
 
 
@@ -312,6 +314,59 @@ def test_conditional_agreement_degenerate_region():
         o.sample_conditional_agreement(0, (0, 1), 10)
 
 
+def _agreement_mass_instance(mass: Fraction) -> MDLInstance:
+    # two hypotheses that disagree on point 1 only, which carries 1 - mass
+    cls = HypothesisClass([Hypothesis([1, 1, -1]), Hypothesis([1, -1, -1])])
+    dist = LabeledDistribution([mass / 2, 1 - mass, mass / 2],
+                               [Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)])
+    return MDLInstance(FeatureSpace(3), cls, [dist])
+
+
+def _generator_sequence(seed: int, i: int, k: int):
+    """Stream i's variates of an oracle set with this seed, one at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(k + 1)[i])
+    while True:
+        yield from rng.random(1024).tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, 37, 1500, 5000])
+@pytest.mark.parametrize("mass", [Fraction(999, 1000), Fraction(3, 5), Fraction(1, 2),
+                                  Fraction(1, 100)], ids=str)
+def test_conditional_agreement_equals_one_variate_at_a_time(monkeypatch, mass, n):
+    # the points, labels, ledger and stream position of the one-at-a-time
+    # rejection loop; no read ahead while rejecting takes more than a buffer
+    # block or twice the points still needed
+    inst = _agreement_mass_instance(mass)
+    o = OracleSet(inst, seed=8)
+    stream = o._streams[0]
+    stream.take(5)
+    reads = []
+    ahead = oracles._Uniforms.ahead
+
+    def logged(self, size):
+        reads.append((self.consumed - 5, size))
+        return ahead(self, size)
+
+    monkeypatch.setattr(oracles._Uniforms, "ahead", logged)
+    xs, ys = o.sample_conditional_agreement(0, (0, 1), n)
+    monkeypatch.undo()
+    uniforms = _generator_sequence(8, 0, inst.k)
+    for _ in range(5):
+        next(uniforms)
+    want_xs, want_ys, accepted_at = conditional_agreement_reference(
+        inst.distributions[0], inst.hypothesis_class, (0, 1), uniforms, n)
+    draws = accepted_at[-1] + 1 if n else 0
+    assert xs.tolist() == want_xs and ys.tolist() == want_ys
+    assert o.ledger.label_queries.tolist() == [n]
+    assert o.ledger.unlabeled_draws.tolist() == [draws]
+    assert stream.consumed == 5 + draws + n
+    rejecting = [(at, size) for at, size in reads if at < draws]
+    assert bool(rejecting) == bool(n)
+    for at, size in rejecting:
+        need = n - bisect.bisect_left(accepted_at, at)
+        assert size <= max(oracles.BLOCK, 2 * need), (at, size, need)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_favorable_bias_exact(seed):
@@ -557,6 +612,30 @@ def test_round_losses_equals_k_draws_under_random_ops(ops, kind, log_transcript)
     ops = [(op[0], op[1], solve_rounds(op[2]), op[3]) if op[0] == "solve" else op
            for op in ops]
     ops.append(("solve", 0, [(1, 1, 1)]))
+    for reads in (False, True):
+        _check_twin_ops(_three_distribution_fixture(), kind, log_transcript, "fresh", ops,
+                        reads)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
+def test_zero_size_requests_draw_nothing(kind):
+    o = OracleSet(_three_distribution_fixture(), seed=5, log_transcript=True)
+    fam = FAMILY_BUILDERS[kind](o)
+    for i in range(o.instance.k):
+        for xs, ys in (fam.draw(i, 0), o.draw_labeled_batch(i, 0)):
+            assert xs.size == ys.size == 0
+    assert [s.consumed for s in o._streams] == [0] * o.instance.k
+    assert _metered(o, fam) == ([0] * 3, [0] * 3, [], [0] * 3)
+
+
+@pytest.mark.parametrize("log_transcript", [False, True])
+@pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
+def test_zero_size_requests_equal_k_draws_on_a_twin(kind, log_transcript):
+    # the random-ops fuzz found ('labeled', 0, 0) once; each zero-size
+    # request is played here between and after served rounds
+    ops = [("labeled", 0, 0), ("draw", 1, 0), ("solve", 0, [(1, 2, 1)] * 3),
+           ("labeled", 2, 0), ("draw", 0, 0), ("agree", 1, 0), ("solve", 1, [(2, 1, 1)] * 2),
+           ("labeled", 0, 0)]
     for reads in (False, True):
         _check_twin_ops(_three_distribution_fixture(), kind, log_transcript, "fresh", ops,
                         reads)
