@@ -15,7 +15,8 @@ estimate the rewards from ceil(k * w_bar_i) fresh pairs per distribution
 recomputed, and the reward draws totalled, only when they do.  The sampler
 meters served rounds in bulk; the solve settles the last of them as it
 ends, on an error too.  A solve over at most two candidates plays stretches
-of rounds at once, each round verified bit for bit (`_play_chunk`).
+of rounds at once, as a shadow in Python floats predicts them a block of
+rounds at a time, each round verified bit for bit (`_play_chunk`).
 
 Hyperparameters follow the schedule
     eps1 = c_eps1 * eps / 100
@@ -42,6 +43,7 @@ from .core import (ContractViolation, Hypothesis, HypothesisClass, MDLInstance,
 from .oracles import OracleSet, SamplerFamily, plain_family
 
 WEIGHT_SUM_TOL = 1e-12
+SHADOW_BLOCK = 16      # rounds `_predict_plays` predicts between its boundary tests
 KNOBS = ("c_t", "c_t1", "c_eta", "c_eps1", "c_n", "c_naive")   # SolverConfig's scale knobs
 
 
@@ -71,9 +73,11 @@ class SolverConfig:
 
 
 def hyperparams(cfg: SolverConfig, k: int, d: int) -> tuple[float, float, int, int]:
-    """(eps1, eta, T, T1) from the stated schedule; errors on nonpositive or
-    overflowing results."""
+    """(eps1, eta, T, T1) from the stated schedule; errors on nonpositive,
+    underflowing or overflowing results."""
     eps1 = cfg.c_eps1 * cfg.eps / 100.0
+    if not eps1 ** 2 > 0:
+        raise ContractViolation(f"eps1 = {eps1!r} underflows when squared")
     eta = cfg.c_eta * eps1 / (100.0 * (eps1 + cfg.nu))
     load = 1.0 / eps1 + cfg.nu / eps1 ** 2
     t = cfg.c_t * 20000.0 * load * math.log(k / (cfg.delta * cfg.eps))
@@ -177,30 +181,28 @@ def _predict_plays(state: HedgeState, store: PooledStore, tables: list[np.ndarra
                    counts: list[int], doubled: list[float], eta: float, span: int) -> list[int]:
     """This round's play (`local`) and up to `span` - 1 next ones as a shadow
     in Python floats predicts them: weights times exp(eta r), candidate 1
-    where w . (err_0 - err_1) / n > 0, up to an expected doubling or count change."""
-    factors: list[list] = [[], []]      # exp(eta r) rows, converted as reached
+    where w . (err_0 - err_1) / n > 0.  Blocks of SHADOW_BLOCK rounds at a
+    time carry unnormalized weights; it stops after a block that ends on a
+    non-finite sum, an expected doubling or count change, so it may overshoot
+    a boundary by up to a block, which `_play_chunk` cuts."""
     gap = ((store.err[:, 0] - store.err[:, -1]) / store._n).tolist()
-    w, w_bar, inv, j = state.w, state.w_bar, 1.0, local
-    # 1 / min(doubled_i, w_bar_i): a weight at or past it may double or lift w_bar
-    near = [1.0 / min(a, b) for a, b in zip(doubled, w_bar)]
+    w, w_bar, j = state.w, state.w_bar, local
     plays = [local]
-    for s in range(span - 1):
-        if s >= len(factors[j]):
-            with np.errstate(over="ignore"):        # an overflow only ends the shadow
-                factors[j] += np.exp(eta * tables[j][len(factors[j]):2 * s + 1]).tolist()
-        w = [a * b * inv for a, b in zip(w, factors[j][s])]
+    for s in range(0, span - 1, SHADOW_BLOCK):
+        with np.errstate(over="ignore"):        # an overflow only ends the shadow
+            f0, f1 = [np.exp(eta * t[s:min(s + SHADOW_BLOCK, span - 1)]).tolist()
+                      for t in (tables[0], tables[-1])]
+        for q in range(len(f0)):
+            w = list(map(mul, w, f1[q] if j else f0[q]))
+            j = 1 if sum(map(mul, w, gap)) > 0 else 0
+            plays.append(j)
         tot = sum(w)
         if not 0.0 < tot < math.inf:
             break
-        inv = 1.0 / tot
-        if max(map(mul, w, near)) >= tot:
-            now = [v * inv for v in w]
-            w_bar = list(map(max, w_bar, now))
-            if any(map(ge, now, doubled)) or [math.ceil(state.k * v) for v in w_bar] != counts:
-                break
-            near = [1.0 / min(a, b) for a, b in zip(doubled, w_bar)]
-        j = 1 if sum(map(mul, w, gap)) > 0 else 0
-        plays.append(j)
+        w = [v / tot for v in w]
+        w_bar = list(map(max, w_bar, w))
+        if any(map(ge, w, doubled)) or [math.ceil(state.k * v) for v in w_bar] != counts:
+            break
     return plays
 
 

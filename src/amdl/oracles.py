@@ -5,7 +5,8 @@ draws, free but counted) and a labeling oracle (the metered resource).  The
 learners sample through the sampler families: plain (`plain_family`),
 version-space-imputed (`induced_family`), abstain-imputed (`imputed_family`)
 and surrogate (`surrogate_family`).  `OracleSet` itself adds
-conditional-agreement sampling and the auxiliary stream's picks.
+conditional-agreement sampling, by rejection on variates read ahead in
+reads sized by the region's mass, and the auxiliary stream's picks.
 
 RNG layout (documented split order): SeedSequence(seed).spawn(k + 1); child i
 < k is distribution i's stream, child k is the auxiliary stream used only for
@@ -60,6 +61,7 @@ next variates behind its unread tail.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from itertools import repeat
 from typing import Callable, Sequence
@@ -180,6 +182,11 @@ def _imputed_view(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return outs == 0, outs
 
 
+def _even_ends(base: int, step: int, rounds: int) -> Sequence[int]:
+    """Where `rounds` requests of `step` variates each end, from `base` on."""
+    return range(base, base + step * rounds + 1, step) if step else [base] * (rounds + 1)
+
+
 def _check_count(n: int) -> None:
     if n < 0:
         raise ContractViolation(f"cannot draw a negative number of samples ({n})")
@@ -198,7 +205,7 @@ class _Rounds:
     __slots__ = ("stream", "i", "c", "xs", "ys", "need", "ends", "queries", "b")
 
     def __init__(self, oracles: OracleSet, i: int, xs: np.ndarray, ys: np.ndarray,
-                 need: np.ndarray, ends: list[int], queries: list[int]):
+                 need: np.ndarray, ends: Sequence[int], queries: list[int]):
         self.stream = oracles._streams[i]
         self.i = i
         self.c = xs.shape[1]
@@ -290,7 +297,7 @@ class OracleSet:
         xs = self._cdf[i].searchsorted(u[:, 0], side="right")
         ys = _SIGN[(u[:, 1] < self._eta[i][xs]).view(np.int8)]
         return _Rounds(self, i, xs, ys, np.ones(xs.shape, dtype=bool),
-                       [base + 2 * c * b for b in range(rounds + 1)], [c] * rounds)
+                       _even_ends(base, 2 * c, rounds), [c] * rounds)
 
     def _imputing_rounds(self, view: tuple[np.ndarray, np.ndarray], i: int, c: int,
                          rounds: int) -> _Rounds:
@@ -350,7 +357,7 @@ class OracleSet:
         pick = np.minimum((v * sx.size).astype(np.int64), sx.size - 1)
         fresh = _SIGN[(v < self._eta[i][pts]).view(np.int8)]
         return _Rounds(self, i, np.where(need, pts, sx[pick]), np.where(need, fresh, sy[pick]),
-                       need, [base + 2 * c * b for b in range(rounds + 1)], q.tolist())
+                       need, _even_ends(base, 2 * c, rounds), q.tolist())
 
     def draw_labeled_batch(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Plain labeled sampling, one label query per pair; kept as the bulk
@@ -383,28 +390,26 @@ class OracleSet:
         self._check(i, n)
         dis_mask, _ = self._vs_view(version_space)
         d = self.instance.distributions[i]
-        if d._weigh(~dis_mask) == 0:
+        agree = ~dis_mask
+        weight = d._weigh(agree)
+        if weight == 0:
             raise DegenerateAgreementRegion(
                 f"distribution {i} puts zero mass on the agreement region")
+        # each read-ahead: 5% over the draws expected to hold the points still
+        # needed, at most twice as many draws (as any mass below 0.525 gives)
+        mass = max(weight / d._mden, 0.5)
         self.ledger.settle()
         stream = self._streams[i]
         out = np.empty(n, dtype=np.int64)
         got = 0
         while got < n:
-            u = stream.ahead(max(stream.block, 2 * (n - got)))
-            xs = d.cdf.searchsorted(u, side="right")
-            acc = ~dis_mask[xs]
-            cum = np.cumsum(acc)
             need = n - got
-            if cum[-1] >= need:
-                cut = int(np.searchsorted(cum, need)) + 1
-                out[got:] = xs[:cut][acc[:cut]]
-                got = n
-            else:
-                cut = u.size
-                cnt = int(cum[-1])
-                out[got:got + cnt] = xs[acc]
-                got += cnt
+            u = stream.ahead(max(stream.block, min(2 * need, math.ceil(1.05 * need / mass) + 64)))
+            xs = d.cdf.searchsorted(u, side="right")
+            idx = np.flatnonzero(agree[xs])[:need]
+            out[got:got + idx.size] = xs[idx]
+            got += idx.size
+            cut = int(idx[-1]) + 1 if got == n else u.size
             stream.pos += cut
             self._drawn[i] += cut
         ys = self._labels_for(i, out)

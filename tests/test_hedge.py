@@ -75,6 +75,14 @@ def test_hyperparams_refuse_an_overflowing_schedule():
         hyperparams(cfg, 2, 1)
 
 
+@pytest.mark.parametrize("eps", [1e-300, 5e-324])
+def test_hyperparams_refuse_an_underflowing_eps(desk_knobs, eps):
+    # eps1 ** 2 underflows to zero, and nu / eps1 ** 2 divided by it
+    cfg = SolverConfig(eps=eps, delta=0.1, nu=0.0, **desk_knobs)
+    with pytest.raises(ContractViolation, match="underflows"):
+        hyperparams(cfg, 2, 1)
+
+
 def test_hedge_step_zero_rewards_keep_weights():
     state = HedgeState(3)
     w_before = state.normalized().copy()
@@ -457,3 +465,39 @@ def test_chunked_solves_equal_one_round_at_a_time(monkeypatch, desk_knobs, c_eta
     alone = [_traced_solve(inst, V, seed, knobs, eps) for inst, V, eps in cases
              for seed in range(2)]
     assert chunked == alone
+
+
+@pytest.mark.parametrize("shadow", ["alternating", "blind"])
+def test_overshooting_predictions_equal_one_round_at_a_time(monkeypatch, desk_knobs, shadow):
+    # the shadow's plays padded to the whole span with alternating plays, and
+    # a shadow that never sees a doubling or count change: the verifier, not
+    # the shadow, stops a chunk at a boundary
+    class Unchanged(list):
+        def __eq__(self, other):
+            return True
+
+        def __ne__(self, other):
+            return False
+
+    predict = hedge._predict_plays
+
+    def padded(state, store, tables, local, counts, doubled, eta, span):
+        if shadow == "blind":
+            counts, doubled = Unchanged(counts), [math.inf] * state.k
+        plays = predict(state, store, tables, local, counts, doubled, eta, span)
+        return plays + [(len(plays) + q) % 2 for q in range(span - len(plays))]
+
+    # at c_eta = 300 a weight of prop1(5, 0.1) doubles mid-chunk with no
+    # count change, so only the verifier's doubling test stops the chunk
+    fast = dict(desk_knobs, c_eta=300.0)
+    cases = [(amdl.gen_agnostic_lb(4, 0.4, 0.05), (0, 1), 0.05, desk_knobs),
+             (amdl.gen_example1(0.2, 0.05, "b"), (0, 1), 0.05, desk_knobs),
+             (amdl.gen_prop1(4, 0.1), (1, 3), 0.1, desk_knobs),
+             (amdl.gen_prop1(5, 0.1), (0, 1), 0.1, fast)]
+    monkeypatch.setattr(hedge, "_predict_plays", padded)
+    overshot = [_traced_solve(inst, V, seed, knobs, eps) for inst, V, eps, knobs in cases
+                for seed in range(2)]
+    monkeypatch.setattr(hedge, "_play_chunk", lambda *args: 0)
+    alone = [_traced_solve(inst, V, seed, knobs, eps) for inst, V, eps, knobs in cases
+             for seed in range(2)]
+    assert overshot == alone

@@ -69,7 +69,7 @@ import math
 import amdl
 from amdl import ContractViolation, OracleSet, plain_family
 from amdl.core import instance_from_dict
-from amdl.hedge import HedgeState, SolverConfig, hedge_step
+from amdl.hedge import HedgeState, SolverConfig, hedge_step, hyperparams
 
 assert False, "python -O keeps assert statements"   # stripped under -O
 inst = amdl.gen_prop1(3, 0.2)
@@ -90,6 +90,8 @@ checks = {
     "ragged hypothesis": lambda: amdl.Hypothesis([[1], [1, -1]]),
     "ragged class row": lambda: amdl.HypothesisClass([[1, -1], [1]]),
     "overserved run": lambda: served.serve(5),
+    "underflowed eps": lambda: hyperparams(
+        SolverConfig(eps=1e-300, delta=0.1, nu=0.0, **PROFILES["desk"]), 2, 1),
 }
 for name, check in checks.items():
     try:
@@ -115,4 +117,4 @@ def test_runtime_checks_hold_under_python_O():
                                        "refused: zero round count", "refused: nan knob",
                                        "refused: moved stream", "refused: fractional label",
                                        "refused: ragged hypothesis", "refused: ragged class row",
-                                       "refused: overserved run"]
+                                       "refused: overserved run", "refused: underflowed eps"]
