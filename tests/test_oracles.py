@@ -631,8 +631,9 @@ def test_zero_size_requests_draw_nothing(kind):
 @pytest.mark.parametrize("log_transcript", [False, True])
 @pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
 def test_zero_size_requests_equal_k_draws_on_a_twin(kind, log_transcript):
-    # the random-ops fuzz found ('labeled', 0, 0) once; each zero-size
-    # request is played here between and after served rounds
+    # request ends of zero-size requests cannot step as a range; each kind is
+    # played here between and after served rounds, so the case does not rest
+    # on the random-ops fuzz drawing it
     ops = [("labeled", 0, 0), ("draw", 1, 0), ("solve", 0, [(1, 2, 1)] * 3),
            ("labeled", 2, 0), ("draw", 0, 0), ("agree", 1, 0), ("solve", 1, [(2, 1, 1)] * 2),
            ("labeled", 0, 0)]
