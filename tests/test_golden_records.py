@@ -4,7 +4,9 @@ The digests pin the exact bytes the lab emits for the six criterion-4 cells
 at two seeds each, and the label transcripts of five of them: all but
 `example1(0.2,0.05,a)/active-dd-small`, whose transcripts the seed grid
 pins.  The two cells whose solves hold two candidates are pinned over twenty
-seeds as well, records and transcripts.  Any change to
+seeds as well, records and transcripts, and so are two `active-df` cells
+whose robust learner runs more than once: over eight pruning rounds on
+shrinking member sets, and in two epochs.  Any change to
 the order in which a sampler consumes its random stream, to the ledger, or
 to how a loss is rounded changes a digest; a pure speed-up must not.
 
@@ -134,6 +136,40 @@ def test_seed_grid_records_and_transcripts(cell, tmp_path):
     assert [r.seed for r in recs] == list(SEED_GRID)
     got = (_sha256(records_to_csv(recs).encode()), _sha256(path.read_bytes()))
     assert got == SEED_GRID_SHA256[cell]
+
+# active-df cells whose robust learner runs more than once, records and
+# transcripts: prop1(2,0.1) at eps 0.2 prunes over eight rounds on shrinking
+# member sets and stalls; star-lb(2,4,1,1) at eps 0.05 learns in two epochs,
+# the second over a view that commits everywhere, so it draws but queries
+# nothing
+RPU_CELLS = {
+    "prop1(2,0.1)/active-df/0.2": (lambda: amdl.gen_prop1(2, 0.1), 0.2),
+    "star-lb(2,4,1,1)/active-df/0.05": (lambda: amdl.gen_star_lb(2, 4, 1, 1), 0.05),
+}
+
+RPU_SHA256 = {
+    "prop1(2,0.1)/active-df/0.2":
+        ("9ee5264b1cc3e3c36eba25ddd73b28b55eaea278f621f197b2ebfd787346aac1",
+         "ac1c2d0b5fcd21090296e48b626b99d6cff1a3286fce1ac410519b388afb4a21"),
+    "star-lb(2,4,1,1)/active-df/0.05":
+        ("bad9c5776af22860266981573b9e781d4def9582c6445215fef3e0f802b88958",
+         "46fd83ff021881f82d17206d9a5e101d1432965b554dd3b27836cfa3ed765a78"),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(RPU_CELLS))
+def test_rpu_cell_records_and_transcripts(cell, tmp_path):
+    gen, eps = RPU_CELLS[cell]
+    path = tmp_path / "transcript.csv"
+    config = partial(RunConfig, alg="active-df", eps=eps, delta=DELTA, trials=len(SEEDS),
+                     base_seed=SEEDS[0], profile="desk", instance=gen())
+    plain = run_trials(config())
+    traced = run_trials(config(trace=True, transcript_path=str(path)))
+    record, transcript = RPU_SHA256[cell]
+    assert _sha256(records_to_csv(plain).encode()) == record
+    assert _sha256(records_to_csv(traced).encode()) == record
+    assert _sha256(path.read_bytes()) == transcript
+
 
 # -- active-dd-large cells of the scaling sweep ---------------------------------
 
