@@ -4,8 +4,7 @@ from .core import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
                    LabeledDistribution, MDLInstance, RandomizedHypothesis,
                    agreement_labels, best_nu, disagreement, disagreement_region,
                    instance_from_dict, instance_to_dict, load_instance, loss,
-                   max_disagreement, mixture_distribution, save_instance,
-                   worst_loss)
+                   mixture_distribution, save_instance, worst_loss)
 from .complexity import (ComplexityValue, DisagreementProfile,
                          disagreement_coefficient, disagreement_profile,
                          star_number, star_number_unqualified, theta_max,

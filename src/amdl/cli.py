@@ -189,7 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:      # a file named on the command line: refuse it by name
+        if exc.filename is None:
+            raise
+        raise ContractViolation(f"cannot open {exc.filename}: {exc.strerror}") from exc
 
 
 if __name__ == "__main__":

@@ -197,27 +197,6 @@ class LabeledDistribution:
         marginal, as Python-int numerators over `_mden`."""
         return weights @ self._mnum
 
-    def mass_exact(self, points: Iterable[int]) -> Fraction:
-        """Mass of a set of points, given as any iterable of indices."""
-        indicator = np.zeros(self.m, dtype=np.int8)
-        indicator[np.fromiter(points, dtype=np.intp)] = 1
-        return Fraction(self._weigh(indicator), self._mden)
-
-    def joint_exact(self) -> dict[tuple[int, int], Fraction]:
-        """Joint pmf over (point, label) pairs, labels in {-1,+1}."""
-        out: dict[tuple[int, int], Fraction] = {}
-        den = self._mden * self._eden
-        for x in range(self.m):
-            if self._mnum[x] == 0:
-                continue
-            plus = Fraction(self._mnum[x] * self._enum[x], den)
-            minus = Fraction(self._mnum[x] * (self._eden - self._enum[x]), den)
-            if plus:
-                out[(x, 1)] = plus
-            if minus:
-                out[(x, -1)] = minus
-        return out
-
 
 class RandomizedHypothesis:
     """A uniform mixture over (a multiset of) class members.
@@ -242,10 +221,6 @@ class RandomizedHypothesis:
         self.cls = cls
         self.counts: tuple[tuple[int, int], ...] = tuple(sorted(counts.items()))
         self.total = sum(counts.values())
-
-    @property
-    def support_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.counts)
 
     def __repr__(self) -> str:
         return f"RandomizedHypothesis(total={self.total}, support={dict(self.counts)})"
@@ -366,14 +341,6 @@ def disagreement(h1: HypothesisLike, h2: HypothesisLike, dist: LabeledDistributi
     return float(disagreement_exact(h1, h2, dist))
 
 
-def max_disagreement_exact(h1: HypothesisLike, h2: HypothesisLike, inst: MDLInstance) -> Fraction:
-    return max(disagreement_exact(h1, h2, d) for d in inst.distributions)
-
-
-def max_disagreement(h1: HypothesisLike, h2: HypothesisLike, inst: MDLInstance) -> float:
-    return float(max_disagreement_exact(h1, h2, inst))
-
-
 def agreement_labels(cls: HypothesisClass, version_space: Sequence[int]) -> np.ndarray:
     """Unanimous label V(x) on the agreement region, 0 on the disagreement region."""
     V = np.asarray(version_space, dtype=np.intp)
@@ -393,10 +360,6 @@ def best_nu(inst: MDLInstance) -> tuple[Hypothesis, float]:
     """Exact minimizer of the worst-case loss; ties broken by lowest class index."""
     idx, val = inst._best_pair()
     return inst.hypothesis_class[idx], float(val)
-
-
-def best_nu_index(inst: MDLInstance) -> int:
-    return inst._best_pair()[0]
 
 
 def mixture_distribution(dists: Sequence[LabeledDistribution],

@@ -30,10 +30,10 @@ One numpy kernel per family draws the pairs.  `kernel(c, rounds)` reads
 ahead, without consuming, the variates of `rounds` successive requests of c
 pairs each: a plain or surrogate request takes 2c variates, an imputing one
 c plus its queried points, so each imputing request starts at a running sum
-over prefix sums of dis[x].  `draw`, store growth and `draw_labeled_batch`
-make one request (`rounds` = 1); the imputing kernel draws a single request
-directly, as its c points and then one label variate per queried point,
-without the chase of request starts or the (rounds, c) index arrays.
+over prefix sums of dis[x].  The imputing kernel also takes c as an array of
+unequal request sizes, zeros included (`SamplerFamily.draw_requests`, which
+draws the robust RPU learner's batches), and draws one request of an int
+size (`draw`, store growth) directly, without the chase of request starts.
 
 A solver round's request from distribution i does not depend on the played
 hypothesis, and its size c_i seldom changes, so the family serves rounds
@@ -193,26 +193,23 @@ def _check_count(n: int) -> None:
 
 
 class _Rounds:
-    """Successive requests of c pairs each that a family kernel drew ahead
-    from stream i.
+    """Successive requests of c pairs each (or of the sizes in the array c)
+    that a family kernel drew ahead from stream i.
 
     Request b's pairs are `xs[b]`, `ys[b]`, `need[b]` marks the points it
-    queries, and it takes the stream's variates from `ends[b]` up to
-    `ends[b + 1]`, counted from the generator's first variate.  Requests
-    happen in order: the first `b` have consumed their variates and been
-    metered, and `OracleSet._settle` makes the next ones happen."""
+    queries (flat arrays sliced at `at[b]:at[b + 1]` when sizes differ), and
+    it takes the stream's variates from `ends[b]` up to `ends[b + 1]`,
+    counted from the generator's first variate.  Requests happen in order:
+    the first `b` have consumed their variates and been metered, and
+    `OracleSet._settle` makes the next ones happen."""
 
-    __slots__ = ("stream", "i", "c", "xs", "ys", "need", "ends", "queries", "b")
+    __slots__ = ("stream", "i", "c", "xs", "ys", "need", "ends", "queries", "at", "b")
 
-    def __init__(self, oracles: OracleSet, i: int, xs: np.ndarray, ys: np.ndarray,
-                 need: np.ndarray, ends: Sequence[int], queries: list[int]):
-        self.stream = oracles._streams[i]
-        self.i = i
-        self.c = xs.shape[1]
-        self.xs, self.ys, self.need = xs, ys, need
-        self.ends = ends
-        self.queries = queries
-        self.b = 0
+    def __init__(self, oracles: OracleSet, i: int, c, xs: np.ndarray, ys: np.ndarray,
+                 need: np.ndarray, ends: Sequence[int], queries: list[int], at=None):
+        self.stream, self.i, self.c = oracles._streams[i], i, c
+        self.xs, self.ys, self.need, self.at = xs, ys, need, at
+        self.ends, self.queries, self.b = ends, queries, 0
 
 
 class OracleSet:
@@ -273,15 +270,16 @@ class OracleSet:
                     b = blk.b + t
                     q = blk.queries[b]
                     if q:
-                        sel = blk.need[b]
-                        ledger._transcript.extend(zip(repeat(blk.i, q), blk.xs[b][sel].tolist(),
-                                                      blk.ys[b][sel].tolist(),
+                        pairs = b if blk.at is None else slice(blk.at[b], blk.at[b + 1])
+                        sel = blk.need[pairs]
+                        ledger._transcript.extend(zip(repeat(blk.i, q), blk.xs[pairs][sel].tolist(),
+                                                      blk.ys[pairs][sel].tolist(),
                                                       range(cum + 1, cum + q + 1)))
                         cum += q
         for blk in blocks:
             stream, b = blk.stream, blk.b + r
             stream.pos = blk.ends[b] - stream.start
-            self._drawn[blk.i] += blk.c * r
+            self._drawn[blk.i] += blk.c * r if blk.at is None else blk.at[b] - blk.at[blk.b]
             self._asked[blk.i] += sum(blk.queries[blk.b:b])
             blk.b = b
 
@@ -296,48 +294,55 @@ class OracleSet:
         u = stream.ahead(2 * c * rounds).reshape(rounds, 2, c)
         xs = self._cdf[i].searchsorted(u[:, 0], side="right")
         ys = _SIGN[(u[:, 1] < self._eta[i][xs]).view(np.int8)]
-        return _Rounds(self, i, xs, ys, np.ones(xs.shape, dtype=bool),
+        return _Rounds(self, i, c, xs, ys, np.ones(xs.shape, dtype=bool),
                        _even_ends(base, 2 * c, rounds), [c] * rounds)
 
-    def _imputing_rounds(self, view: tuple[np.ndarray, np.ndarray], i: int, c: int,
+    def _imputing_rounds(self, view: tuple[np.ndarray, np.ndarray], i: int, c,
                          rounds: int) -> _Rounds:
         """Induced and imputed sampling: a label query where `dis_mask[x]`,
-        the imputed label `labels[x]` elsewhere."""
+        the imputed label `labels[x]` elsewhere; c may be an array of sizes."""
         dis_mask, labels = view
         self.ledger.settle()
         stream = self._streams[i]
         base = stream.consumed
-        u = stream.ahead(2 * c * rounds)
-        if rounds == 1:
+        ragged = isinstance(c, np.ndarray)
+        if rounds == 1 and not ragged:
             # one request: its c points, then a label variate per queried point
+            u = stream.ahead(2 * c)
             xs = self._cdf[i].searchsorted(u[:c], side="right")
             need = dis_mask[xs]
             ys = labels[xs]
             q = int(np.count_nonzero(need))
             if q:
                 ys[need] = _SIGN[(u[c:c + q] < self._eta[i][xs[need]]).view(np.int8)]
-            return _Rounds(self, i, xs[None], ys[None], need[None], [base, base + c + q], [q])
-        # request b starts at most 2cb variates in and takes at most 2c, so
-        # every point lies below (2 rounds - 1) c
-        pts = self._cdf[i].searchsorted(u[:(2 * rounds - 1) * c], side="right")
+            return _Rounds(self, i, c, xs[None], ys[None], need[None], [base, base + c + q], [q])
+        at = np.concatenate(([0], np.add.accumulate(c))) if ragged else None  # pairs before b
+        total, last = (int(at[-1]), int(c[-1])) if ragged else (c * rounds, c)
+        u = stream.ahead(2 * total)
+        # request b starts by variate 2 at[b], so every point lies below 2 total - last
+        pts = self._cdf[i].searchsorted(u[:2 * total - last], side="right")
         dis = dis_mask[pts]
         before = np.zeros(pts.size + 1, dtype=np.int64)     # queried points before p
         np.add.accumulate(dis, dtype=np.int64, out=before[1:])
-        # a request starting at variate s ends c points and their queries later
+        # a request starting at variate s ends its points and their queries later
         queried = memoryview(before)
         starts, queries = [], []
         s = 0
-        for _ in range(rounds):
-            q = queried[s + c] - queried[s]
+        for n in c.tolist() if ragged else repeat(c, rounds):
+            q = queried[s + n] - queried[s]
             starts.append(s)
             queries.append(q)
-            s += c + q
-        at = np.array(starts)[:, None] + np.arange(c)
-        xs, need = pts[at], dis[at]
-        label_at = at[:, :1] + c - 1 + np.add.accumulate(need, axis=1, dtype=np.int64)
+            s += n + q
+        first = np.array(starts)
+        # each pair's point variate; a queried pair's label variate follows its request's points
+        pos = (np.repeat(first - at[:-1], c) + np.arange(total) if ragged
+               else first[:, None] + np.arange(c))
+        xs, need = pts[pos], dis[pos]
+        label_at = (np.repeat(first + c - before[first], c) + before[pos] if ragged
+                    else pos[:, :1] + c - 1 + np.add.accumulate(need, axis=1, dtype=np.int64))
         fresh = _SIGN[(u[label_at] < self._eta[i][xs]).view(np.int8)]
-        return _Rounds(self, i, xs, np.where(need, fresh, labels[xs]), need,
-                       [base + v for v in starts] + [base + s], queries)
+        return _Rounds(self, i, c, xs, np.where(need, fresh, labels[xs]), need,
+                       [base + v for v in starts] + [base + s], queries, at)
 
     def _surrogate_rounds(self, dis_mask: np.ndarray, sample: tuple[np.ndarray, np.ndarray],
                           i: int, c: int, rounds: int) -> _Rounds:
@@ -356,7 +361,7 @@ class OracleSet:
         v = np.take_along_axis(u, col, axis=1)
         pick = np.minimum((v * sx.size).astype(np.int64), sx.size - 1)
         fresh = _SIGN[(v < self._eta[i][pts]).view(np.int8)]
-        return _Rounds(self, i, np.where(need, pts, sx[pick]), np.where(need, fresh, sy[pick]),
+        return _Rounds(self, i, c, np.where(need, pts, sx[pick]), np.where(need, fresh, sy[pick]),
                        need, _even_ends(base, 2 * c, rounds), q.tolist())
 
     def draw_labeled_batch(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -433,13 +438,13 @@ class SamplerFamily:
     """A per-distribution (x, y) source injected into the solvers.
 
     `kernels[i](c, rounds)` draws ahead `rounds` requests of c pairs from
-    distribution i.  `draw(i, n)` makes one request of n pairs;
-    `round_losses` serves a whole solver round, one request per
-    distribution, from blocks of requests kept per distribution, a run of
-    rounds at a time (`run_table` and `serve` serve several), and `settle`
-    makes the served requests happen (see the module docstring).  `calls[i]`
-    counts pairs drawn, which lets the solvers reconcile their own accounting
-    against the ledger.
+    distribution i.  `draw(i, n)` makes one request of n pairs, and
+    `draw_requests` rows of requests of unequal sizes; `round_losses` serves
+    a whole solver round, one request per distribution, from blocks of
+    requests kept per distribution, a run of rounds at a time (`run_table`
+    and `serve` serve several), and `settle` makes the served requests
+    happen (see the module docstring).  `calls[i]` counts pairs drawn, which
+    lets the solvers reconcile their own accounting against the ledger.
     """
 
     def __init__(self, oracles: OracleSet, kernels: Sequence[Kernel]):
@@ -470,6 +475,21 @@ class SamplerFamily:
         self._oracles._settle([blk], 1)
         self._tally[i] += n
         return blk.xs[0], blk.ys[0]
+
+    def draw_requests(self, members: Sequence[int],
+                      sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Request r of member j draws `sizes[j, r]` pairs from distribution
+        `members[j]`; the pairs, ledger, transcript and `calls` are those of
+        `draw` called for every r and, within r, every j in turn.  The pairs
+        come back member by member, each member's in request order.
+        Imputing families only: their kernels take unequal sizes."""
+        rows = sizes.shape[1]
+        blocks = [self._kernels[i](sizes[j], rows) for j, i in enumerate(members)]
+        self._oracles._settle(blocks, rows)
+        for blk in blocks:
+            self._tally[blk.i] += blk.at[-1]
+        return (np.concatenate([blk.xs for blk in blocks]),
+                np.concatenate([blk.ys for blk in blocks]))
 
     def round_losses(self, labels: np.ndarray, j: int, counts: Sequence[int],
                      rounds_left: int) -> list[float]:

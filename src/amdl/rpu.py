@@ -4,6 +4,8 @@ A noise-robust single-distribution learner builds many per-batch consistent
 version spaces and combines them by a thresholded majority vote; a pruning
 loop lifts it to k distributions; an epoch loop halves the abstention mass and
 finishes with one passive solve over the abstain-imputed distributions.
+The learner draws its batches together, in the order of drawing them one at
+a time, and votes with integer counts.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, HypothesisClass, MDLInstance, agreement_labels
+from .core import ContractViolation, HypothesisClass, MDLInstance
 from .hedge import SolverConfig, mdl_hedge_vc
-from .oracles import OracleSet, SamplerFamily, imputed_family
+from .oracles import BLOCK, OracleSet, SamplerFamily, imputed_family
 from .active import RunResult
 
 
@@ -96,31 +98,55 @@ def threshold_majority(votes_nonzero: np.ndarray, votes_sum: np.ndarray,
     return np.where(commit, np.sign(votes_sum), 0).astype(np.int8)
 
 
-def robust_rpu_learn(cls: HypothesisClass, draw: Callable[[int], tuple[np.ndarray, np.ndarray]],
-                     xi: float, delta: float, s_star: int,
+Batches = Callable[[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def robust_rpu_learn(cls: HypothesisClass, draw: Batches, xi: float, delta: float, s_star: int,
                      cfg: SolverConfig) -> AbstainingClassifier:
     """Noise-tolerant reliable learner for a single distribution.
 
     Builds N = 60 ceil(ln 1/delta) per-batch consistent version spaces (an
     inconsistent batch is treated as corrupted and votes nothing) and returns
     the thresholded majority of their abstain-or-predict classifiers.
+    `draw(b, n)` gives the next b batches of n pairs, as b draws of a batch
+    in turn would, as flat arrays of each pair's batch, point and label; it
+    is called for slabs of at most `BLOCK` pairs (or one batch).
     """
     if not 0 < xi <= 1:
         raise ContractViolation("target reliability must lie in (0, 1]")
     N = 60 * max(1, math.ceil(math.log(1.0 / delta)))
     n = batch_size(s_star, xi, cfg.c_n)
     m = cls.m
-    votes_nonzero = np.zeros(m, dtype=np.int64)
-    votes_sum = np.zeros(m, dtype=np.int64)
-    for _ in range(N):
-        xs, ys = draw(n)
-        consistent = np.all(cls.labels[:, xs] == ys, axis=1)
-        if not consistent.any():
-            continue  # corrupted batch: votes nothing
-        f_i = agreement_labels(cls, np.flatnonzero(consistent))
-        votes_nonzero += f_i != 0
-        votes_sum += f_i
+    labels = cls.labels.astype(np.int64)
+    # row 2x + (y > 0): the members that do not give label y at x
+    wrong = np.stack([labels.T > 0, labels.T < 0], axis=1).reshape(2 * m, -1).astype(np.int64)
+    votes_nonzero, votes_sum = np.zeros((2, m), dtype=np.int64)
+    slab = max(1, BLOCK // n)
+    for done in range(0, N, slab):
+        b = min(slab, N - done)
+        batch, xs, ys = draw(b, n)
+        seen = np.bincount((batch * m + xs) * 2 + (ys > 0), minlength=2 * m * b).reshape(b, 2 * m)
+        consistent = (seen @ wrong == 0).astype(np.int64)
+        # a batch's classifier: the sign of its consistent members' label sum
+        # where they are unanimous; a corrupted batch has none and votes nothing
+        sums = consistent @ labels
+        f = np.where(np.abs(sums) == consistent.sum(axis=1, keepdims=True), np.sign(sums), 0)
+        votes_nonzero += np.count_nonzero(f, axis=0)
+        votes_sum += f.sum(axis=0)
     return AbstainingClassifier(threshold_majority(votes_nonzero, votes_sum, N))
+
+
+def mixture_draw(family: SamplerFamily, oracles: OracleSet, members: Sequence[int]) -> Batches:
+    """`draw(b, n)` for `robust_rpu_learn` over the uniform mixture of
+    `members`: each batch picks its pairs' members on the auxiliary stream,
+    then draws each member's share of it in member order."""
+    def draw(b: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        k = len(members)
+        picks = oracles.aux_choice_batch(b * n, k).reshape(b, n) * b + np.arange(b)[:, None]
+        sizes = np.bincount(picks.ravel(), minlength=k * b)     # member-major
+        xs, ys = family.draw_requests(members, sizes.reshape(k, b))
+        return np.repeat(np.arange(k * b) % b, sizes), xs, ys
+    return draw
 
 
 @dataclass
@@ -155,26 +181,13 @@ def passive_rpu_mdl(cls: HypothesisClass, family: SamplerFamily, oracles: Oracle
     while remaining:
         if len(learned) >= cap:
             return PruneResult(None, len(learned), "pruning_stalled", per_round_abstain)
-
-        def draw_mixture(n: int, members=tuple(remaining)) -> tuple[np.ndarray, np.ndarray]:
-            picks = oracles.aux_choice_batch(n, len(members))
-            xs = np.empty(n, dtype=np.int64)
-            ys = np.empty(n, dtype=np.int8)
-            for j, i in enumerate(members):
-                sel = picks == j
-                cnt = int(sel.sum())
-                if cnt:
-                    xs[sel], ys[sel] = family.draw(i, cnt)
-            return xs, ys
-
-        f_r = robust_rpu_learn(cls, draw_mixture, xi / 2.0, delta_call, s_star, cfg)
+        f_r = robust_rpu_learn(cls, mixture_draw(family, oracles, tuple(remaining)), xi / 2.0,
+                               delta_call, s_star, cfg)
         learned.append(f_r)
         masses = {i: abstain_mass(i, f_r) for i in remaining}
         per_round_abstain.append({i: float(v) for i, v in masses.items()})
-        pruned = [i for i in remaining if masses[i] <= Fraction(xi)]
-        remaining = [i for i in remaining if i not in pruned]
-    m = cls.m
-    out = np.zeros(m, dtype=np.int8)
+        remaining = [i for i in remaining if masses[i] > Fraction(xi)]   # the rest are pruned
+    out = np.zeros(cls.m, dtype=np.int8)
     for f_r in learned:
         fill = (out == 0) & (f_r.outputs != 0)
         out[fill] = f_r.outputs[fill]

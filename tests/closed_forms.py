@@ -1,26 +1,75 @@
 """Closed-form pmfs of the distributions the label-efficient samplers draw
 from: the version-space-imputed, abstain-imputed and surrogate laws, the
 per-radius definition of the disagreement profile, the exact loss, mass
-and disagreement by their definitions as `Fraction` sums, and rejection
-sampling from the agreement region one variate at a time.
+and disagreement by their definitions as `Fraction` sums, rejection
+sampling from the agreement region one variate at a time, and the robust
+RPU learner one batch at a time.  Also the exact helpers that only the tests
+call: a point set's mass and the joint pmf on the exact kernel, the worst
+disagreement over the distributions, the minimax member's index and a
+mixture's support.
 
 The lab never needs them at run time; the tests compare empirical draws and
 the exact layer's fast paths against them.
 """
 
 import bisect
+import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from amdl.core import (ContractViolation, Hypothesis, HypothesisClass, HypothesisLike,
-                       LabeledDistribution, agreement_labels, disagreement_region)
+                       LabeledDistribution, MDLInstance, RandomizedHypothesis,
+                       agreement_labels, disagreement_exact, disagreement_region)
 
 
 def mass_reference(points, dist: LabeledDistribution) -> Fraction:
     """Mass of a set of points: the sum of their marginals, point by point."""
     return sum((dist.marginal[x] for x in points), Fraction(0))
+
+
+def mass_exact(dist: LabeledDistribution, points) -> Fraction:
+    """Mass of a set of points, given as any iterable of indices, on the
+    exact kernel."""
+    indicator = np.zeros(dist.m, dtype=np.int8)
+    indicator[np.fromiter(points, dtype=np.intp)] = 1
+    return Fraction(dist._weigh(indicator), dist._mden)
+
+
+def joint_exact(dist: LabeledDistribution) -> dict[tuple[int, int], Fraction]:
+    """Joint pmf over (point, label) pairs of positive mass, labels in {-1,+1}."""
+    out: dict[tuple[int, int], Fraction] = {}
+    den = dist._mden * dist._eden
+    for x in range(dist.m):
+        if dist._mnum[x] == 0:
+            continue
+        plus = Fraction(dist._mnum[x] * dist._enum[x], den)
+        minus = Fraction(dist._mnum[x] * (dist._eden - dist._enum[x]), den)
+        if plus:
+            out[(x, 1)] = plus
+        if minus:
+            out[(x, -1)] = minus
+    return out
+
+
+def max_disagreement_exact(h1: HypothesisLike, h2: HypothesisLike, inst: MDLInstance) -> Fraction:
+    """The largest exact disagreement of h1 and h2 over the distributions."""
+    return max(disagreement_exact(h1, h2, d) for d in inst.distributions)
+
+
+def max_disagreement(h1: HypothesisLike, h2: HypothesisLike, inst: MDLInstance) -> float:
+    return float(max_disagreement_exact(h1, h2, inst))
+
+
+def best_nu_index(inst: MDLInstance) -> int:
+    """Class index of the exact minimax member, ties to the lowest index."""
+    return inst._best_pair()[0]
+
+
+def support_indices(h: RandomizedHypothesis) -> tuple[int, ...]:
+    """The distinct members of a mixture's support, in index order."""
+    return tuple(i for i, _ in h.counts)
 
 
 def _members(h: HypothesisLike) -> list[Hypothesis]:
@@ -89,11 +138,11 @@ def surrogate_joint_exact(dist: LabeledDistribution, cls: HypothesisClass,
     distribution of S_i."""
     dis = set(int(x) for x in disagreement_region(cls, version_space))
     out: dict[tuple[int, int], Fraction] = {}
-    joint = dist.joint_exact()
+    joint = joint_exact(dist)
     for (x, y), p in joint.items():
         if x in dis:
             out[(x, y)] = out.get((x, y), Fraction(0)) + p
-    agr_mass = 1 - dist.mass_exact(dis)
+    agr_mass = 1 - mass_exact(dist, dis)
     sx, sy = sample
     n = sx.size
     for x, y in zip(sx, sy):
@@ -137,3 +186,42 @@ def conditional_agreement_reference(dist: LabeledDistribution, cls: HypothesisCl
         drawn += 1
     ys = [1 if next(uniforms) < dist.eta_f[x] else -1 for x in xs]
     return xs, ys, accepted_at
+
+
+def mixture_draw_reference(family, oracles, members: Sequence[int]):
+    """One batch of n pairs from the uniform mixture of `members`: n picks on
+    the auxiliary stream, then one `draw` per member with a pick, in member
+    order, each filling its picks' places."""
+    def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
+        picks = oracles.aux_choice_batch(n, len(members))
+        xs = np.empty(n, dtype=np.int64)
+        ys = np.empty(n, dtype=np.int8)
+        for j, i in enumerate(members):
+            sel = picks == j
+            cnt = int(sel.sum())
+            if cnt:
+                xs[sel], ys[sel] = family.draw(i, cnt)
+        return xs, ys
+    return draw
+
+
+def robust_rpu_reference(cls: HypothesisClass, draw, xi: float, delta: float, s_star: int,
+                         cfg) -> np.ndarray:
+    """The robust RPU learner one batch at a time: each of N = 60
+    ceil(ln 1/delta) batches `draw(n)` keeps the members consistent with all
+    of its pairs and, if any, votes their unanimous labels; the outputs are
+    the thresholded majority of the votes."""
+    from amdl.rpu import batch_size, threshold_majority
+    N = 60 * max(1, math.ceil(math.log(1.0 / delta)))
+    n = batch_size(s_star, xi, cfg.c_n)
+    votes_nonzero = np.zeros(cls.m, dtype=np.int64)
+    votes_sum = np.zeros(cls.m, dtype=np.int64)
+    for _ in range(N):
+        xs, ys = draw(n)
+        consistent = np.all(cls.labels[:, xs] == ys, axis=1)
+        if not consistent.any():
+            continue  # corrupted batch: votes nothing
+        f_i = agreement_labels(cls, np.flatnonzero(consistent))
+        votes_nonzero += f_i != 0
+        votes_sum += f_i
+    return threshold_majority(votes_nonzero, votes_sum, N)

@@ -21,10 +21,10 @@ from amdl.active import active_large_eps
 from amdl.families import (kl_bernoulli, kl_bernoulli_integral,
                            verify_separation)
 from amdl.harness import PROFILES, run_trials
-from amdl.rpu import rpu_report, robust_rpu_learn
+from amdl.rpu import mixture_draw, rpu_report, robust_rpu_learn
 from amdl.oracles import imputed_family
 
-from closed_forms import (imputed_distribution, induced_distribution,
+from closed_forms import (imputed_distribution, induced_distribution, joint_exact,
                           surrogate_joint_exact)
 from conftest import brute_best_nu, brute_star, brute_vc, empirical_tv
 
@@ -100,8 +100,8 @@ def test_criterion_3_sampler_distributions():
     o = OracleSet(inst, seed=101)
     xs, ys = amdl.induced_family(o, V).draw(0, n)
     tv_ind = empirical_tv(Counter(zip(xs.tolist(), ys.tolist())),
-                          induced_distribution(inst.distributions[0],
-                                               inst.hypothesis_class, V).joint_exact(), n)
+                          joint_exact(induced_distribution(inst.distributions[0],
+                                                           inst.hypothesis_class, V)), n)
     cost, p = o.ledger.label_total, 0.5
     cost_ok = abs(cost - n * p) <= 3 * math.sqrt(n * p * (1 - p))
     details.append(f"induced tv={tv_ind:.4f} cost|{cost}-{int(n*p)}| within 3sd")
@@ -110,7 +110,7 @@ def test_criterion_3_sampler_distributions():
     f = np.array([0, 1, 1, 0], dtype=np.int8)
     xs, ys = imputed_family(o, f).draw(0, n)
     tv_imp = empirical_tv(Counter(zip(xs.tolist(), ys.tolist())),
-                          imputed_distribution(inst.distributions[0], f).joint_exact(), n)
+                          joint_exact(imputed_distribution(inst.distributions[0], f)), n)
     details.append(f"imputed tv={tv_imp:.4f}")
 
     o = OracleSet(inst, seed=103)
@@ -202,7 +202,7 @@ def test_criterion_6_rpu_reliability():
     for seed in range(trials):
         o = OracleSet(inst, seed)
         fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
-        f = robust_rpu_learn(inst.hypothesis_class, lambda n: fam.draw(0, n),
+        f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, o, (0,)),
                              xi=xi, delta=DELTA, s_star=8, cfg=cfg)
         rep = rpu_report(inst, f, target.labels)
         violations += any(v > 0 for v in rep.violation_mass)

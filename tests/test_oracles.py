@@ -20,8 +20,8 @@ from amdl.core import loss_exact
 from amdl.hedge import SolverConfig, hyperparams, mdl_hedge_vc
 from amdl.harness import RunConfig, _instance_stats, run_single_trial, run_trials
 
-from closed_forms import (conditional_agreement_reference, imputed_distribution,
-                          induced_distribution, surrogate_joint_exact)
+from closed_forms import (best_nu_index, conditional_agreement_reference, imputed_distribution,
+                          induced_distribution, joint_exact, surrogate_joint_exact)
 from conftest import empirical_tv, two_point_instance
 
 
@@ -189,8 +189,7 @@ def test_sample_induced_matches_closed_form_pmf():
     n = 100_000
     xs, ys = amdl.induced_family(o, V).draw(0, n)
     counts = Counter(zip(xs.tolist(), ys.tolist()))
-    exact = induced_distribution(inst.distributions[0], inst.hypothesis_class,
-                                 V).joint_exact()
+    exact = joint_exact(induced_distribution(inst.distributions[0], inst.hypothesis_class, V))
     assert empirical_tv(counts, exact, n) <= 0.02
 
 
@@ -232,7 +231,7 @@ def test_sample_imputed_matches_closed_form_pmf():
     n = 100_000
     xs, ys = amdl.imputed_family(o, f).draw(0, n)
     counts = Counter(zip(xs.tolist(), ys.tolist()))
-    exact = imputed_distribution(inst.distributions[0], f).joint_exact()
+    exact = joint_exact(imputed_distribution(inst.distributions[0], f))
     assert empirical_tv(counts, exact, n) <= 0.02
 
 
@@ -374,7 +373,7 @@ def test_favorable_bias_exact(seed):
     # region, excess losses can only grow under the imputed distribution
     inst = amdl.gen_random(5, 6, 2, seed=seed, realizable=True)
     cls = inst.hypothesis_class
-    hstar_idx = amdl.core.best_nu_index(inst)
+    hstar_idx = best_nu_index(inst)
     assert inst.nu_exact() == 0
     rng = np.random.default_rng(seed)
     size = int(rng.integers(1, len(cls) + 1))

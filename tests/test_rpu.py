@@ -11,10 +11,11 @@ import amdl
 from amdl import (AbstainingClassifier, ContractViolation, OracleSet,
                   SolverConfig)
 from amdl.oracles import imputed_family
-from amdl.rpu import (active_dist_free, batch_size, passive_rpu_mdl,
+from amdl.rpu import (active_dist_free, batch_size, mixture_draw, passive_rpu_mdl,
                       robust_rpu_learn, rpu_report, threshold_majority)
 
-from closed_forms import imputed_distribution
+from closed_forms import (imputed_distribution, joint_exact, mass_exact, mixture_draw_reference,
+                          robust_rpu_reference)
 from conftest import empirical_tv
 
 
@@ -88,7 +89,7 @@ def test_robust_rpu_learn_noiseless_reliable(desk_knobs):
     for seed in range(trials):
         inst, target, o = _noiseless_setup(seed)
         fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
-        f = robust_rpu_learn(inst.hypothesis_class, lambda n: fam.draw(0, n),
+        f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, o, (0,)),
                              xi=0.25, delta=0.1,
                              s_star=8, cfg=cfg)
         rep = rpu_report(inst, f, target.labels, labels_used=o.ledger.label_total)
@@ -105,9 +106,62 @@ def test_robust_rpu_learn_tolerates_corrupted_batches(desk_knobs):
     o = OracleSet(inst, seed=0)
     fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.3, **desk_knobs)
-    f = robust_rpu_learn(inst.hypothesis_class, lambda n: fam.draw(0, n),
+    f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, o, (0,)),
                          xi=0.5, delta=0.2, s_star=2, cfg=cfg)
     assert set(np.unique(f.outputs)) <= {-1, 0, 1}
+
+
+def _half_abstaining(inst):
+    # the first member's labels, abstaining on every other point
+    out = inst.hypothesis_class.labels[0].copy()
+    out[1::2] = 0
+    return out
+
+
+# (instance, view, members, star number, xi, delta, c_n): batches of 4886
+# pairs (more than a slab), 7 pairs (about one batch in seven leaves a member
+# of four without a pair), 183 pairs (slabs of 22 batches, the last one short),
+# label noise that corrupts batches, and a view that queries no point
+RPU_BATCH_CASES = {
+    "star-lb/abstain/large": (lambda: amdl.gen_star_lb(2, 4, 1, 1), None, (0, 1), 8, 0.25, 0.5,
+                              1.0),
+    "prop1/half/one": (lambda: amdl.gen_prop1(4, 0.1), _half_abstaining, (2,), 2, 0.5, 0.1, 0.3),
+    "prop1/half/tiny": (lambda: amdl.gen_prop1(4, 0.1), _half_abstaining, (3, 0, 2, 1), 2, 0.5,
+                        0.1, 0.01),
+    "prop1/half/slabs": (lambda: amdl.gen_prop1(4, 0.1), _half_abstaining, (1, 3), 2, 0.5, 0.1,
+                         0.3),
+    "agnostic-lb/abstain": (lambda: amdl.gen_agnostic_lb(4, 0.4, 0.05), None, (0, 1, 2), 2, 0.5,
+                            0.2, 0.3),
+    "star-lb/commit": (lambda: amdl.gen_star_lb(2, 4, 1, 1),
+                       lambda inst: amdl.best_nu(inst)[0].labels.copy(), (1, 0), 8, 0.5, 0.2,
+                       0.3),
+}
+
+
+@pytest.mark.parametrize("log", [False, True])
+@pytest.mark.parametrize("case", sorted(RPU_BATCH_CASES))
+def test_batched_learner_equals_one_batch_at_a_time(case, log, desk_knobs):
+    gen, view, members, s_star, xi, delta, c_n = RPU_BATCH_CASES[case]
+    inst = gen()
+    outputs = np.zeros(inst.m, dtype=np.int8) if view is None else view(inst)
+    cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **dict(desk_knobs, c_n=c_n))
+    seen = []
+    for batched in (True, False):
+        o = OracleSet(inst, seed=7, log_transcript=log)
+        fam = imputed_family(o, outputs)
+        if batched:
+            f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, o, members), xi, delta,
+                                 s_star, cfg).outputs
+        else:
+            f = robust_rpu_reference(inst.hypothesis_class,
+                                     mixture_draw_reference(fam, o, members), xi, delta,
+                                     s_star, cfg)
+        seen.append((f.tolist(), o.ledger.label_queries.tolist(),
+                     o.ledger.unlabeled_draws.tolist(), fam.calls.tolist(),
+                     [stream.consumed for stream in o._streams], o._aux.consumed,
+                     o.ledger.transcript))
+    assert seen[0] == seen[1]
+    assert len(seen[0][6]) == (sum(seen[0][1]) if log else 0)
 
 
 def test_passive_rpu_mdl_single_distribution_equals_robust(desk_knobs):
@@ -116,11 +170,11 @@ def test_passive_rpu_mdl_single_distribution_equals_robust(desk_knobs):
     fam1 = imputed_family(o1, np.zeros(inst.m, dtype=np.int8))
     pr = passive_rpu_mdl(inst.hypothesis_class, fam1, o1, range(1), xi=0.25,
                          delta=0.1, s_star=8, cfg=cfg,
-                         abstain_mass=lambda i, g: inst.distributions[i].mass_exact(
-                             [x for x in range(inst.m) if g.outputs[x] == 0]))
+                         abstain_mass=lambda i, g: mass_exact(
+                             inst.distributions[i], np.flatnonzero(g.outputs == 0)))
     inst2, _, o2 = _noiseless_setup(3, k=1)
     fam2 = imputed_family(o2, np.zeros(inst2.m, dtype=np.int8))
-    f2 = robust_rpu_learn(inst2.hypothesis_class, lambda n: fam2.draw(0, n),
+    f2 = robust_rpu_learn(inst2.hypothesis_class, mixture_draw(fam2, o2, (0,)),
                           xi=0.125, delta=0.05, s_star=8, cfg=cfg)
     assert pr.failure_mode is None and pr.rounds == 1
     assert np.array_equal(pr.classifier.outputs, f2.outputs)
@@ -136,9 +190,8 @@ def test_passive_rpu_mdl_prunes_by_halving(desk_knobs):
                              delta=0.1, s_star=amdl.star_number_unqualified(
                                  inst.hypothesis_class).value,
                              cfg=cfg,
-                             abstain_mass=lambda i, g, inst=inst:
-                             inst.distributions[i].mass_exact(
-                                 [x for x in range(inst.m) if g.outputs[x] == 0]))
+                             abstain_mass=lambda i, g, inst=inst: mass_exact(
+                                 inst.distributions[i], np.flatnonzero(g.outputs == 0)))
         assert pr.failure_mode is None
         survivors = [4]
         for masses in pr.per_round_abstain:
@@ -161,8 +214,8 @@ def test_passive_rpu_mdl_stall_reported(desk_knobs):
     fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
     pr = passive_rpu_mdl(inst.hypothesis_class, fam, o, range(2), xi=0.01,
                          delta=0.1, s_star=2, cfg=cfg,
-                         abstain_mass=lambda i, g: inst.distributions[i].mass_exact(
-                             [x for x in range(inst.m) if g.outputs[x] == 0]))
+                         abstain_mass=lambda i, g: mass_exact(
+                             inst.distributions[i], np.flatnonzero(g.outputs == 0)))
     assert pr.failure_mode == "pruning_stalled"
     assert pr.classifier is None
     assert pr.rounds == 4 * math.ceil(math.log2(2)) + 4
@@ -176,7 +229,7 @@ def test_imputed_distribution_consistency(desk_knobs):
     n = 100_000
     xs, ys = imputed_family(o, f).draw(0, n)
     counts = Counter(zip(xs.tolist(), ys.tolist()))
-    exact = imputed_distribution(inst.distributions[0], f).joint_exact()
+    exact = joint_exact(imputed_distribution(inst.distributions[0], f))
     assert empirical_tv(counts, exact, n) <= 0.02
 
 
