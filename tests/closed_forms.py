@@ -22,6 +22,7 @@ import numpy as np
 from amdl.core import (ContractViolation, Hypothesis, HypothesisClass, HypothesisLike,
                        LabeledDistribution, MDLInstance, RandomizedHypothesis,
                        agreement_labels, disagreement_exact, disagreement_region)
+from amdl.rpu import batch_size, threshold_majority
 
 
 def mass_reference(points, dist: LabeledDistribution) -> Fraction:
@@ -211,7 +212,6 @@ def robust_rpu_reference(cls: HypothesisClass, draw, xi: float, delta: float, s_
     ceil(ln 1/delta) batches `draw(n)` keeps the members consistent with all
     of its pairs and, if any, votes their unanimous labels; the outputs are
     the thresholded majority of the votes."""
-    from amdl.rpu import batch_size, threshold_majority
     N = 60 * max(1, math.ceil(math.log(1.0 / delta)))
     n = batch_size(s_star, xi, cfg.c_n)
     votes_nonzero = np.zeros(cls.m, dtype=np.int64)
