@@ -119,8 +119,8 @@ def _half_abstaining(inst):
 
 
 # (instance, view, members, star number, xi, delta, c_n): batches of 4886
-# pairs (more than a slab), 7 pairs (about one batch in seven leaves a member
-# of four without a pair), 183 pairs (slabs of 22 batches, the last one short),
+# pairs (more than a slab), 7 pairs (each of four members draws none in about
+# one batch in seven), 183 pairs (slabs of 22 batches, the last one short),
 # label noise that corrupts batches, and a view that queries no point
 RPU_BATCH_CASES = {
     "star-lb/abstain/large": (lambda: amdl.gen_star_lb(2, 4, 1, 1), None, (0, 1), 8, 0.25, 0.5,
