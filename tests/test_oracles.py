@@ -906,3 +906,116 @@ def test_single_requests_match_their_pins(kind, log_transcript):
         assert got_lines == want_lines
     else:
         assert got_lines == hashlib.sha256(b"[]" * len(TWIN_INSTANCES)).hexdigest()
+
+
+# -- block-kernel requests -----------------------------------------------------------
+
+def _point_map_instances() -> dict:
+    """Instances whose cdfs stress how variates map to points: zero-mass
+    points (leading, interior and trailing, with one marginal whose float
+    cumsum reaches 1 before its last, zero-mass entries and one that passes 1
+    there), dyadic cdf entries that fall on bucket edges, and m = 1,000
+    points, so that most buckets of the map hold a cdf entry."""
+    def build(marginals, seed):
+        m = len(marginals[0])
+        rng = np.random.default_rng(seed)
+        rows = [[1] * m, [1 if x % 2 == 0 else -1 for x in range(m)],
+                rng.choice([-1, 1], size=m).tolist()]
+        etas = [[Fraction(int(v), 8) for v in rng.integers(0, 9, size=m)] for _ in marginals]
+        return MDLInstance(FeatureSpace(m), HypothesisClass([Hypothesis(r) for r in rows]),
+                           [LabeledDistribution(p, e) for p, e in zip(marginals, etas)])
+
+    f = Fraction
+    zero_mass = [
+        [0, f(1, 4), 0, 0, f(1, 8), f(1, 8), 0, f(1, 2), 0, 0, 0, 0],
+        [f(1, 3)] * 3 + [0] * 9,
+        [f(1, 10)] * 10 + [0] * 2,
+        [f(1, 4), f(1, 4) + f(1, 10 ** 13), f(1, 2), 0] + [0] * 8,
+    ]
+    dyadic = [
+        [f(1, 8), f(1, 4), f(1, 16), f(1, 16), f(1, 64), f(3, 64), f(1, 4), f(3, 16)],
+        [f(1, 8)] * 8,
+    ]
+    weights = np.random.default_rng(11).integers(1, 1000, size=(2, 1000))
+    many = [[f(int(v), int(row.sum())) for v in row] for row in weights]
+    return {"zero-mass": build(zero_mass, 1), "dyadic": build(dyadic, 2),
+            "m1000": build(many, 3)}
+
+
+POINT_MAP_INSTANCES = _point_map_instances()
+
+# (c, rounds) of each block-kernel call, settled in turn: point-variate spans
+# below and above 1,024, one pair a request and a request larger than a
+# buffer block; the imputing kernels also draw a block of unequal sizes
+KERNEL_SHAPES = ((1, 1), (1, 300), (1, 700), (2, 200), (3, 600), (7, 40), (240, 1),
+                 (600, 1), (1500, 2), (5000, 1))
+RAGGED_SIZES = np.array([0, 3, 1, 0, 700, 2, 513, 1])
+
+# sha256 of every kernel call's pairs, queries and variate ends, then the
+# ledger and stream positions, on each family of `FAMILY_BUILDERS`; and of
+# conditional-agreement samples on version space (0, 1) ("agreement")
+BLOCK_DIGESTS = {
+    "zero-mass": {
+        "imputed": "1ecd31b35f04434669cb7b968ae01ef7824880c1ff906b7e7e9ee7291aa5e97a",
+        "induced": "a4f1a07f89fe0b2026857edc8a8056026590e5ec7533c65f77eb2a8da962e87e",
+        "plain": "eb94fa67df5d8c7895da70af1a4d6fae2ab63ef53e758cfd2cd89eff0fd2cf3c",
+        "surrogate": "fcced0f28759c581f58bc5048f5a1338b8369612bf335e4bf6dae2228358d232",
+        "surrogate-none": "6c15242ad4894db271b1de07f14a98edd57e1fc5178e57cb928bc0e3a73b7d2b",
+        "agreement": "314ca8a6c48de56a14dbb3abe29532c87d619ff27a6c8d5cd5252251a1ac994c",
+    },
+    "dyadic": {
+        "imputed": "4fb0357131e16ee41cfbc3fc74d37cf87c0493b4299a4cb8490af05794973975",
+        "induced": "b6b1d049277f1d96a8da2958ec5db1efb3a038661884a12caefc45fab3604a99",
+        "plain": "8a60351de6fc0cfc965a87fef2f0db28d62c8bd2a93dcf8ba9169042c5991cd6",
+        "surrogate": "9e2ce6be033d4e22669561d16e889f56e04f372d6891855a6dc69d9b8e4339f2",
+        "surrogate-none": "4c8e85d082a825ea61e6571d2a8368a2b5629d0090637227ef986a35545ab53e",
+        "agreement": "174ba5c528e6e2da337f05edd17620621c1823091613edfb5b0f82ab9bd16ecc",
+    },
+    "m1000": {
+        "imputed": "1d6c91023cc13d25fbe7b5464b6b407b56e6c2cc942e61ab093a7581d2466aa9",
+        "induced": "b2279bb52e3053481632104c68c859f621f63c9637f249f21b220da3ec8356c4",
+        "plain": "8ac444e12f79d124a4c922e12191746bd72643d784bd065a16bde9ff343b9b84",
+        "surrogate": "5ccee638bfaccd6c7810ef234a215cf2b8ef939d70cb47b05aafba5f80189d72",
+        "surrogate-none": "6d50459d48cedd6d91314c9586f9a73b4c4475028904e771ef02574ce171d4ad",
+        "agreement": "d446d4da7e513f1d77a1cb4c9b9b0a204546df353a41c7bc3b9f908043f719f2",
+    },
+}
+
+
+def _kernel_digests(inst: MDLInstance) -> dict:
+    got = {}
+    for kind in sorted(FAMILY_BUILDERS):
+        o = OracleSet(inst, seed=29, log_transcript=True)
+        fam = FAMILY_BUILDERS[kind](o)
+        h = hashlib.sha256()
+        for i in range(inst.k):
+            o._streams[i].take(i)
+            for c, rounds in KERNEL_SHAPES:
+                blk = fam._kernels[i](c, rounds)
+                o._settle([blk], rounds)
+                h.update(repr((blk.xs.tolist(), blk.ys.tolist(), blk.need.tolist(),
+                               list(blk.ends), list(blk.queries))).encode())
+            if kind in ("induced", "imputed"):
+                blk = fam._kernels[i](RAGGED_SIZES, RAGGED_SIZES.size)
+                o._settle([blk], RAGGED_SIZES.size)
+                h.update(repr((blk.xs.tolist(), blk.ys.tolist(), blk.need.tolist(),
+                               list(blk.ends), list(blk.queries), blk.at.tolist())).encode())
+        h.update(repr((o.ledger.label_queries.tolist(), o.ledger.unlabeled_draws.tolist(),
+                       [s.consumed for s in (*o._streams, o._aux)],
+                       o.ledger.transcript)).encode())
+        got[kind] = h.hexdigest()
+    o = OracleSet(inst, seed=31, log_transcript=True)
+    h = hashlib.sha256()
+    for i in range(inst.k):
+        for n in (1, 300, 5000):
+            xs, ys = o.sample_conditional_agreement(i, (0, 1), n)
+            h.update(repr((xs.tolist(), ys.tolist())).encode())
+    h.update(repr((o.ledger.label_queries.tolist(), o.ledger.unlabeled_draws.tolist(),
+                   [s.consumed for s in o._streams], o.ledger.transcript)).encode())
+    got["agreement"] = h.hexdigest()
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(POINT_MAP_INSTANCES))
+def test_block_kernels_match_their_pins(name):
+    assert _kernel_digests(POINT_MAP_INSTANCES[name]) == BLOCK_DIGESTS[name]
