@@ -176,6 +176,7 @@ class LabeledDistribution:
         self._enum, self._eden = _integerize(self.eta_plus)
         self._eta_f: np.ndarray | None = None
         self._cdf: np.ndarray | None = None
+        self._buckets: np.ndarray | None = None
 
     @property
     def eta_f(self) -> np.ndarray:
@@ -190,6 +191,27 @@ class LabeledDistribution:
             c[-1] = 1.0
             self._cdf = c
         return self._cdf
+
+    def points(self, u: np.ndarray) -> np.ndarray:
+        """The point each variate u in [0, 1) draws: `cdf.searchsorted(u, side="right")`
+        element for element.  From 4,096 / bit_length(m) variates (the measured
+        crossover: 2,048 at m = 3, 1,000 at m = 8, 400 at m = 1,000) it reads a table
+        of G = 2^j >= 8 m buckets [g/G, (g+1)/G): entry floor(u G) (exact) is u's
+        point, or -1 if a cdf entry lies inside the bucket; only then is u searched."""
+        if u.size * self.m.bit_length() < 4096:
+            return self.cdf.searchsorted(u, side="right")
+        table = self._buckets
+        if table is None:
+            size = 1 << (8 * self.m - 1).bit_length()
+            edges = np.arange(size + 1) / size
+            first = self.cdf.searchsorted(edges, side="right")
+            table = np.where(self.cdf.searchsorted(edges[1:]) > first[:-1], -1, first[:-1])
+            self._buckets = table
+        x = (u * table.size).reshape(-1)        # exact, so x / G is u again
+        xs = table.take(x.astype(np.intp))
+        miss = (xs < 0).nonzero()[0]
+        xs[miss] = self.cdf.searchsorted(x[miss] / table.size, side="right")
+        return xs.reshape(u.shape)
 
     def _weigh(self, weights: np.ndarray):
         """The exact kernel: integer per-point `weights` (one row per
@@ -341,12 +363,18 @@ def disagreement(h1: HypothesisLike, h2: HypothesisLike, dist: LabeledDistributi
     return float(disagreement_exact(h1, h2, dist))
 
 
+def check_members(cls: HypothesisClass, version_space: Sequence[int]) -> list[int]:
+    """The version space's members as ints, each an integer index of the class."""
+    V = list(version_space)
+    if not V or any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                    or not 0 <= v < len(cls) for v in V):
+        raise ContractViolation(f"version space members {V!r} must index the {len(cls)}-member class")
+    return [int(v) for v in V]
+
+
 def agreement_labels(cls: HypothesisClass, version_space: Sequence[int]) -> np.ndarray:
     """Unanimous label V(x) on the agreement region, 0 on the disagreement region."""
-    V = np.asarray(version_space, dtype=np.intp)
-    if not V.size:
-        raise ContractViolation("version space must be non-empty")
-    sub = cls.labels[V]
+    sub = cls.labels[check_members(cls, version_space)]
     lo, hi = sub.min(axis=0), sub.max(axis=0)
     return np.where(lo == hi, lo, 0).astype(np.int8)
 

@@ -62,6 +62,9 @@ class RunConfig:
     def __post_init__(self):
         if self.alg not in ALGORITHMS:
             raise ContractViolation(f"unknown algorithm tag {self.alg!r}")
+        counts = (self.trials, self.base_seed, self.workers)
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in counts):
+            raise ContractViolation(f"trials, base_seed and workers must be integers, got {counts}")
         if self.trials < 1:
             raise ContractViolation("trials must be >= 1")
         if self.base_seed < 0:
@@ -263,10 +266,13 @@ def sweep(config: dict) -> list[dict]:
     profile = config.get("profile", "desk")
     try:
         delta = float(config.get("delta", 0.1))
-        trials = int(config.get("trials", 50))
-        base_seed = int(config.get("base_seed", 0))
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ContractViolation(f"sweep delta, trials and base_seed must be numbers: {exc}") from exc
+        raise ContractViolation(f"sweep delta must be a number: {exc}") from exc
+    trials, base_seed = config.get("trials", 50), config.get("base_seed", 0)
+    if any(isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer())
+           for v in (trials, base_seed)):
+        raise ContractViolation(f"sweep trials and base_seed must be integers, got {trials!r}, {base_seed!r}")
+    trials, base_seed = int(trials), int(base_seed)
     knobs = config.get("knobs", {})
     if not isinstance(knobs, dict):
         raise ContractViolation(f"sweep knobs must be a mapping, got {knobs!r}")

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from numbers import Real
 from operator import ge, mul
 from typing import Sequence
@@ -39,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (ContractViolation, Hypothesis, HypothesisClass, MDLInstance,
-                   RandomizedHypothesis)
+                   RandomizedHypothesis, check_members)
 from .oracles import OracleSet, SamplerFamily, plain_family
 
 WEIGHT_SUM_TOL = 1e-12
@@ -206,6 +207,19 @@ def _predict_plays(state: HedgeState, store: PooledStore, tables: list[np.ndarra
     return plays
 
 
+def _chunk_stops(r: np.ndarray, w: np.ndarray, bars: np.ndarray, erm: np.ndarray, p: np.ndarray,
+                 doubled: list[float], counts: list[int]) -> np.ndarray:
+    """Row s ends a chunk if its reward or weights fail a check (a product sums
+    them within k ulp of fsum, far inside half the tolerance) or, past row 0, if
+    its weights double, its w_bar (bars[s]) changes the counts or it mispredicts."""
+    fail = ~((r >= 0.0) & (r <= 1.0))
+    fail[1:] |= (w[:-1] >= doubled) | (np.ceil(len(counts) * bars[1:]) != counts)
+    ones = np.ones(len(counts))
+    stop = (fail @ ones > 0) | ~(np.abs(w @ ones - 1.0) <= WEIGHT_SUM_TOL / 2)
+    stop[1:] |= erm != p[1:]
+    return stop
+
+
 def _play_chunk(state: HedgeState, store: PooledStore, sampler: SamplerFamily, tally: list[int],
                 local: int, counts: list[int], doubled: list[float], eta: float,
                 rounds_left: int, trace: list | None) -> int:
@@ -223,18 +237,13 @@ def _play_chunk(state: HedgeState, store: PooledStore, sampler: SamplerFamily, t
         return 0
     r = np.where(p[:, None] == 1, tables[-1][:m], tables[0][:m])
     log_w = np.add.accumulate(np.vstack([state.log_w, eta * r]), axis=0)
-    w = np.exp(log_w[1:] - log_w[1:].max(axis=1, keepdims=True))
+    w = np.exp(log_w[1:] - reduce(np.maximum, log_w[1:].T)[:, None])  # row maxima by columns
     w /= np.add.reduce(w, axis=1)[:, None]
     bars = np.maximum.accumulate(np.vstack([state.w_bar, w]), axis=0)   # w_bar at t + s
     # `erm` of each row: one vector-matrix product per row (a 2-D product rounds
-    # otherwise).  A round ends the chunk if its reward or weights would fail a
-    # check (the sum within half the tolerance, far above numpy's error), if the
-    # weights it plays double or change the counts, or if its play was mispredicted
+    # otherwise); `_chunk_stops` tells which rows end the chunk
     erm = np.matmul((w[:-1] / store._n)[:, None, :], store.err)[:, 0, :].argmin(axis=1)
-    stop = ~(((r >= 0.0) & (r <= 1.0)).all(axis=1)
-             & (np.abs(np.add.reduce(w, axis=1) - 1.0) <= WEIGHT_SUM_TOL / 2))
-    stop[1:] |= ((w[:-1] >= doubled).any(axis=1) | (erm != p[1:])
-                 | (np.ceil(state.k * bars[1:m]) != counts).any(axis=1))
+    stop = _chunk_stops(r, w, bars[:m], erm, p, doubled, counts)
     c = int(stop.argmax()) if stop.any() else m
     if c:
         sampler.serve(c)
@@ -273,9 +282,7 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     The doubling rule necessarily fires at t=1 (thresholds start at zero), so
     every distribution holds at least one sample before the first ERM.
     """
-    V = sorted(version_space)
-    if not V:
-        raise ContractViolation("solver needs a non-empty candidate set")
+    V = sorted(check_members(cls, version_space))
     eps1, eta, T, T1 = hyperparams(cfg, k, d)
     state = HedgeState(k)
     store = PooledStore(cls.labels[V], k)

@@ -68,7 +68,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, MDLInstance, agreement_labels
+from .core import ContractViolation, MDLInstance, agreement_labels, check_members
 
 BLOCK = 4096    # variates a stream draws from its generator at a time, at least
 _NO_VARIATES = np.empty(0)
@@ -216,7 +216,7 @@ class OracleSet:
     """Sampling access to one instance for one run, with a shared ledger."""
 
     def __init__(self, instance: MDLInstance, seed: int, log_transcript: bool = False):
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ContractViolation(f"seed must be an integer >= 0, got {seed!r}")
         self.instance = instance
         self.seed = seed
@@ -224,7 +224,7 @@ class OracleSet:
         children = np.random.SeedSequence(seed).spawn(k + 1)
         self._streams = [_Uniforms(np.random.default_rng(c)) for c in children[:k]]
         self._aux = _Uniforms(np.random.default_rng(children[k]))
-        self._cdf = [d.cdf for d in instance.distributions]
+        self._points = [d.points for d in instance.distributions]
         self._eta = [d.eta_f for d in instance.distributions]
         self.ledger = QueryLedger(k, log_transcript)
         # the ledger's counts as memoryviews: metering adds Python ints
@@ -292,7 +292,7 @@ class OracleSet:
         stream = self._streams[i]
         base = stream.consumed
         u = stream.ahead(2 * c * rounds).reshape(rounds, 2, c)
-        xs = self._cdf[i].searchsorted(u[:, 0], side="right")
+        xs = self._points[i](u[:, 0])
         ys = _SIGN[(u[:, 1] < self._eta[i][xs]).view(np.int8)]
         return _Rounds(self, i, c, xs, ys, np.ones(xs.shape, dtype=bool),
                        _even_ends(base, 2 * c, rounds), [c] * rounds)
@@ -309,7 +309,7 @@ class OracleSet:
         if rounds == 1 and not ragged:
             # one request: its c points, then a label variate per queried point
             u = stream.ahead(2 * c)
-            xs = self._cdf[i].searchsorted(u[:c], side="right")
+            xs = self._points[i](u[:c])
             need = dis_mask[xs]
             ys = labels[xs]
             q = int(np.count_nonzero(need))
@@ -320,7 +320,7 @@ class OracleSet:
         total, last = (int(at[-1]), int(c[-1])) if ragged else (c * rounds, c)
         u = stream.ahead(2 * total)
         # request b starts by variate 2 at[b], so every point lies below 2 total - last
-        pts = self._cdf[i].searchsorted(u[:2 * total - last], side="right")
+        pts = self._points[i](u[:2 * total - last])
         dis = dis_mask[pts]
         before = np.zeros(pts.size + 1, dtype=np.int64)     # queried points before p
         np.add.accumulate(dis, dtype=np.int64, out=before[1:])
@@ -338,8 +338,8 @@ class OracleSet:
         pos = (np.repeat(first - at[:-1], c) + np.arange(total) if ragged
                else first[:, None] + np.arange(c))
         xs, need = pts[pos], dis[pos]
-        label_at = (np.repeat(first + c - before[first], c) + before[pos] if ragged
-                    else pos[:, :1] + c - 1 + np.add.accumulate(need, axis=1, dtype=np.int64))
+        row = first + c - before[first]     # plus the queries before a pair: its label variate
+        label_at = (np.repeat(row, c) if ragged else row[:, None]) + before[pos]
         fresh = _SIGN[(u[label_at] < self._eta[i][xs]).view(np.int8)]
         return _Rounds(self, i, c, xs, np.where(need, fresh, labels[xs]), need,
                        [base + v for v in starts] + [base + s], queries, at)
@@ -351,14 +351,16 @@ class OracleSet:
         stream = self._streams[i]
         base = stream.consumed
         u = stream.ahead(2 * c * rounds).reshape(rounds, 2 * c)
-        pts = self._cdf[i].searchsorted(u[:, :c], side="right")
+        pts = self._points[i](u[:, :c])
         need = dis_mask[pts]
-        queried = np.cumsum(need, axis=1)
-        q = need.sum(axis=1)
-        # after the points: a label variate per queried point, then a pick
-        # variate per other point, each in draw order
-        col = np.where(need, c - 1 + queried, c + q[:, None] + np.arange(c) - queried)
-        v = np.take_along_axis(u, col, axis=1)
+        # queried points to each pair (flat prefix sums) and request (a product); after the
+        # points, a label variate per queried point, a pick per other point, in draw order
+        queried = np.add.accumulate(need.reshape(-1), dtype=np.int64).reshape(rounds, c)
+        q = (need @ np.ones(c)).astype(np.int64)
+        ends = np.add.accumulate(q)                     # queried points to each request's end
+        after = 2 * c * np.arange(rounds) + c           # each request's variate after its points
+        v = u.reshape(-1).take(np.where(need, (after - 1 - ends + q)[:, None] + queried,
+                                        (after + ends)[:, None] + (np.arange(c) - queried)))
         pick = np.minimum((v * sx.size).astype(np.int64), sx.size - 1)
         fresh = _SIGN[(v < self._eta[i][pts]).view(np.int8)]
         return _Rounds(self, i, c, np.where(need, pts, sx[pick]), np.where(need, fresh, sy[pick]),
@@ -375,14 +377,12 @@ class OracleSet:
     # -- version-space / classifier views ------------------------------------
 
     def _vs_view(self, version_space: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        key = tuple(version_space)
+        cls = self.instance.hypothesis_class
+        key = tuple(check_members(cls, version_space))    # before the cache: True == 1
         got = self._view_cache.get(key)
         if got is None:
-            cls = self.instance.hypothesis_class
             agr = agreement_labels(cls, key)
-            dis_mask = agr == 0
-            got = (dis_mask, agr)
-            self._view_cache[key] = got
+            got = self._view_cache[key] = (agr == 0, agr)
         return got
 
     # -- conditional-agreement and auxiliary sampling ------------------------
@@ -410,7 +410,7 @@ class OracleSet:
         while got < n:
             need = n - got
             u = stream.ahead(max(stream.block, min(2 * need, math.ceil(1.05 * need / mass) + 64)))
-            xs = d.cdf.searchsorted(u, side="right")
+            xs = d.points(u)
             idx = np.flatnonzero(agree[xs])[:need]
             out[got:got + idx.size] = xs[idx]
             got += idx.size
@@ -550,8 +550,7 @@ class SamplerFamily:
         for i, blk in enumerate(self._blocks):
             run = slice(blk.b, blk.b + length)
             # count / c in numpy is the correctly rounded quotient, as in Python
-            np.divide(np.add.reduce(row[blk.xs[run]] != blk.ys[run], axis=1), blk.c,
-                      out=table[:, i])
+            np.divide((row[blk.xs[run]] != blk.ys[run]) @ np.ones(blk.c), blk.c, out=table[:, i])
         return table
 
     def settle(self) -> None:

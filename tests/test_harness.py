@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,28 @@ def test_run_config_validation():
         RunConfig(alg="passive-naive", eps=0.1, delta=0.1, trials=0)
     with pytest.raises(ContractViolation):
         RunConfig(alg="passive-naive", eps=0.1, delta=0.1, profile="warp")
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None], ids=repr)
+@pytest.mark.parametrize("name", ["trials", "base_seed", "workers"])
+def test_run_config_refuses_a_run_count_that_is_not_an_integer(name, value):
+    # trials=1.5 raised TypeError inside run_trials, workers=2.5 was accepted
+    with pytest.raises(ContractViolation, match=name):
+        RunConfig(alg="passive-naive", eps=0.1, delta=0.1, **{name: value})
+    RunConfig(alg="passive-naive", eps=0.1, delta=0.1, **{name: np.int64(2)})
+
+
+@pytest.mark.parametrize("change", [("trials", 1.5), ("trials", True), ("base_seed", 0.5),
+                                    ("base_seed", False)], ids=repr)
+def test_sweep_refuses_a_run_count_that_is_not_integral(change):
+    # int() made 1 trial of trials 1.5 and of trials true
+    config = {"families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
+              "algs": ["passive-naive"], "eps_grid": [0.2], "trials": 2, change[0]: change[1]}
+    with pytest.raises(ContractViolation, match="integer"):
+        sweep(config)
+    # an integral float is a count
+    rows = sweep({**config, change[0]: 2.0})
+    assert [(row["skipped"], row["trials"]) for row in rows] == [(0, 2)]
 
 
 @pytest.mark.parametrize("base_seed", [-1, -100])
@@ -423,6 +446,10 @@ def test_fuzzed_sweep_config_gives_rows_or_is_refused(config):
     except ContractViolation:
         return
     assert all(row["skipped"] in (0, 1) for row in rows)
+    # a live row ran exactly the trials the config asked for
+    trials = config.get("trials", 50)
+    assert all(row["trials"] == trials and type(row["trials"]) is int
+               for row in rows if not row["skipped"])
     assert len(sweep_from_csv(sweep_to_csv(rows))) == len(rows)
 
 

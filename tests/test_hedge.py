@@ -502,3 +502,64 @@ def test_overshooting_predictions_equal_one_round_at_a_time(monkeypatch, desk_kn
     alone = [_traced_solve(inst, V, seed, knobs, eps) for inst, V, eps, knobs in cases
              for seed in range(2)]
     assert overshot == alone
+
+
+def _stops_before_products(r, w, bars, erm, p, doubled, counts):
+    """The chunk stop tests as row reductions, as `_play_chunk` computed them
+    before `_chunk_stops`."""
+    stop = ~(((r >= 0.0) & (r <= 1.0)).all(axis=1)
+             & (np.abs(np.add.reduce(w, axis=1) - 1.0) <= hedge.WEIGHT_SUM_TOL / 2))
+    stop[1:] |= ((w[:-1] >= doubled).any(axis=1) | (erm != p[1:])
+                 | (np.ceil(len(counts) * bars[1:]) != counts).any(axis=1))
+    return stop
+
+
+def _trip(case, s, r, w, bars, erm):
+    """Make row s fail one stop test (or, for the `inside` cases, come near one)."""
+    if case == "nan reward":
+        r[s, 1] = math.nan
+    elif case == "negative reward":
+        r[s, 0] = -1e-300
+    elif case == "reward above one":
+        r[s, 2] = np.nextafter(1.0, 2.0)
+    elif case == "nan weight":
+        w[s, 1] = math.nan
+    elif case == "weight sum above":
+        w[s] *= 1 + 1e-12
+    elif case == "weight sum below":
+        w[s] *= 1 - 1e-12
+    elif case == "weight sum inside":
+        w[s] *= 1 + 1e-13
+    elif case == "doubling":
+        w[s - 1] = [0.25, 0.5, 0.25]
+    elif case == "doubling inside":
+        w[s - 1] = [0.25, np.nextafter(0.5, 0.0), 0.25]
+    elif case == "count change":
+        bars[s, 0] = 0.34
+    elif case == "mispredicted":
+        erm[s - 1] ^= 1
+
+
+STOP_CASES = ("nan reward", "negative reward", "reward above one", "nan weight",
+              "weight sum above", "weight sum below", "weight sum inside", "doubling",
+              "doubling inside", "count change", "mispredicted")
+
+
+@pytest.mark.parametrize("case", STOP_CASES)
+def test_chunk_stops_equal_the_row_reductions(case):
+    # rows that pass every test, then one row built to trip (or just miss) each
+    # test, at each row a test applies to; the chunk stops at the same rows
+    m, k = 7, 3
+    rng = np.random.default_rng(STOP_CASES.index(case))
+    p = np.array([0, 1, 1, 0, 1, 0, 0])
+    doubled, counts = [0.5, 0.5, 0.9], [1, 1, 2]
+    for s in range(m):
+        if s == 0 and case in ("doubling", "doubling inside", "count change", "mispredicted"):
+            continue
+        r = rng.random((m, k))
+        w = np.tile([0.2, 0.3, 0.5], (m, 1))
+        bars, erm = w.copy(), p[1:].copy()
+        _trip(case, s, r, w, bars, erm)
+        got = hedge._chunk_stops(r, w, bars, erm, p, doubled, counts)
+        assert np.array_equal(got, _stops_before_products(r, w, bars, erm, p, doubled, counts))
+        assert got.tolist() == [t == s and "inside" not in case for t in range(m)]

@@ -92,6 +92,7 @@ checks = {
     "overserved run": lambda: served.serve(5),
     "underflowed eps": lambda: hyperparams(
         SolverConfig(eps=1e-300, delta=0.1, nu=0.0, **PROFILES["desk"]), 2, 1),
+    "negative member": lambda: amdl.agreement_labels(inst.hypothesis_class, [-1]),
 }
 for name, check in checks.items():
     try:
@@ -117,4 +118,5 @@ def test_runtime_checks_hold_under_python_O():
                                        "refused: zero round count", "refused: nan knob",
                                        "refused: moved stream", "refused: fractional label",
                                        "refused: ragged hypothesis", "refused: ragged class row",
-                                       "refused: overserved run", "refused: underflowed eps"]
+                                       "refused: overserved run", "refused: underflowed eps",
+                                       "refused: negative member"]

@@ -18,7 +18,7 @@ from amdl import (ContractViolation, DegenerateAgreementRegion, FeatureSpace,
 from amdl import oracles
 from amdl.core import loss_exact
 from amdl.hedge import SolverConfig, hyperparams, mdl_hedge_vc
-from amdl.harness import RunConfig, _instance_stats, run_single_trial, run_trials
+from amdl.harness import PROFILES, RunConfig, _instance_stats, run_single_trial, run_trials
 
 from closed_forms import (best_nu_index, conditional_agreement_reference, imputed_distribution,
                           induced_distribution, joint_exact, surrogate_joint_exact)
@@ -79,7 +79,7 @@ def test_query_label_zero_mass_point_still_answered():
     assert o._labels_for(0, np.array([1])).tolist() == [1]
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
 def test_oracle_set_refuses_a_bad_seed(seed):
     with pytest.raises(ContractViolation, match="seed"):
         OracleSet(two_point_instance(), seed)
@@ -131,6 +131,34 @@ def test_bad_counts_refused_before_any_state_moves(call):
     assert [s.consumed for s in (*o._streams, o._aux)] == streams
     assert (o.ledger.label_queries.tolist(), o.ledger.unlabeled_draws.tolist(),
             o.ledger.transcript) == ledger
+
+
+# every entry point that takes version-space members, with a member that is
+# negative, out of the 3-member class's range, a float, a bool or a numpy float
+BAD_MEMBERS = ([-1], [3], [1.0], [True], [0, np.float64(1)])
+MEMBER_CALLS = {
+    "agreement_labels": lambda o, V: amdl.agreement_labels(o.instance.hypothesis_class, V),
+    "disagreement_region": lambda o, V: amdl.disagreement_region(o.instance.hypothesis_class, V),
+    "induced_family": lambda o, V: amdl.induced_family(o, V).draw(0, 3),
+    "surrogate_family": lambda o, V: amdl.surrogate_family(o, V, [_S]).draw(0, 3),
+    "sample_conditional_agreement": lambda o, V: o.sample_conditional_agreement(0, V, 2),
+    "mdl_hedge_vc": lambda o, V: mdl_hedge_vc(
+        o.instance.hypothesis_class, V, amdl.plain_family(o),
+        SolverConfig(eps=0.1, delta=0.1, nu=0.0, **PROFILES["desk"]), 1, 1),
+}
+
+
+@pytest.mark.parametrize("members", BAD_MEMBERS, ids=repr)
+@pytest.mark.parametrize("call", sorted(MEMBER_CALLS))
+def test_bad_version_space_members_refused_before_any_draw(call, members):
+    o = OracleSet(_induced_fixture(), seed=0, log_transcript=True)
+    MEMBER_CALLS[call](o, (0, 1))           # a valid space is served
+    streams = [s.consumed for s in (*o._streams, o._aux)]
+    ledger = (o.ledger.label_queries.tolist(), o.ledger.unlabeled_draws.tolist())
+    with pytest.raises(ContractViolation, match="member"):
+        MEMBER_CALLS[call](o, members)
+    assert [s.consumed for s in (*o._streams, o._aux)] == streams
+    assert (o.ledger.label_queries.tolist(), o.ledger.unlabeled_draws.tolist()) == ledger
 
 
 def test_family_calls_unmoved_by_a_refused_draw():
@@ -1019,3 +1047,46 @@ def _kernel_digests(inst: MDLInstance) -> dict:
 @pytest.mark.parametrize("name", sorted(POINT_MAP_INSTANCES))
 def test_block_kernels_match_their_pins(name):
     assert _kernel_digests(POINT_MAP_INSTANCES[name]) == BLOCK_DIGESTS[name]
+
+
+# -- the point map ---------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 2000), seed=st.integers(0, 2 ** 32 - 1), zeros=st.sampled_from([0, 0.5, 0.9]),
+       dyadic=st.booleans(), n=st.integers(0, 6000), c=st.integers(1, 5),
+       shape=st.sampled_from(["flat", "plain", "surrogate"]))
+def test_point_map_equals_searchsorted(m, seed, zeros, dyadic, n, c, shape):
+    # marginals with zero-mass points, or with every cdf entry on a bucket
+    # edge; variates at 0, just below 1, on bucket edges and cdf entries and
+    # just below them, in flat arrays and in the strided views the plain and
+    # surrogate kernels map; sizes on both sides of the table's crossover
+    rng = np.random.default_rng(seed)
+    size = 1 << (8 * m - 1).bit_length()
+    if dyadic:
+        cuts = np.sort(rng.integers(0, size + 1, size=m - 1))
+        marginal = [Fraction(int(v), size) for v in np.diff(cuts, prepend=0, append=size)]
+    else:
+        w = rng.integers(1, 1000, size=m) * (rng.random(m) >= zeros)
+        w[rng.integers(m)] += 1
+        marginal = [Fraction(int(v), int(w.sum())) for v in w]
+    d = LabeledDistribution(marginal, [Fraction(1, 2)] * m)
+    u = rng.random(2 * c * (n // (2 * c) + 1))
+    cdf = d.cdf[d.cdf < 1]
+    special = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], rng.integers(0, size, 8) / size,
+                              cdf, np.nextafter(cdf, 0.0)))
+    at = rng.integers(0, u.size, size=special.size)
+    u[at] = special
+    v = {"flat": u, "plain": u.reshape(-1, 2, c)[:, 0],
+         "surrogate": u.reshape(-1, 2 * c)[:, :c]}[shape]
+    got, want = d.points(v), d.cdf.searchsorted(v, side="right")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_point_map_reads_its_table_from_the_crossover():
+    d = _point_map_instances()["m1000"].distributions[0]
+    u = np.random.default_rng(0).random(1000)
+    d.points(u[:409])
+    assert d._buckets is None
+    assert np.array_equal(d.points(u[:410]), d.cdf.searchsorted(u[:410], side="right"))
+    assert d._buckets.size == 8192 and (d._buckets < 0).sum() > 500
