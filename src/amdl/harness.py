@@ -269,9 +269,9 @@ def sweep(config: dict) -> list[dict]:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ContractViolation(f"sweep delta must be a number: {exc}") from exc
     trials, base_seed = config.get("trials", 50), config.get("base_seed", 0)
-    if any(isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer())
+    if any(isinstance(v, bool) or not isinstance(v, int) and not (isinstance(v, float) and v.is_integer())
            for v in (trials, base_seed)):
-        raise ContractViolation(f"sweep trials and base_seed must be integers, got {trials!r}, {base_seed!r}")
+        raise ContractViolation(f"sweep trials and base_seed must be integers: {trials!r}, {base_seed!r}")
     trials, base_seed = int(trials), int(base_seed)
     knobs = config.get("knobs", {})
     if not isinstance(knobs, dict):

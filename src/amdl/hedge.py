@@ -240,8 +240,7 @@ def _play_chunk(state: HedgeState, store: PooledStore, sampler: SamplerFamily, t
     w = np.exp(log_w[1:] - reduce(np.maximum, log_w[1:].T)[:, None])  # row maxima by columns
     w /= np.add.reduce(w, axis=1)[:, None]
     bars = np.maximum.accumulate(np.vstack([state.w_bar, w]), axis=0)   # w_bar at t + s
-    # `erm` of each row: one vector-matrix product per row (a 2-D product rounds
-    # otherwise); `_chunk_stops` tells which rows end the chunk
+    # `erm` of each row: one vector-matrix product per row (a 2-D product rounds otherwise)
     erm = np.matmul((w[:-1] / store._n)[:, None, :], store.err)[:, 0, :].argmin(axis=1)
     stop = _chunk_stops(r, w, bars[:m], erm, p, doubled, counts)
     c = int(stop.argmax()) if stop.any() else m

@@ -24,16 +24,18 @@ from distribution i takes, from stream i,
      order, choosing a uniform element of the pre-labeled sample S_i.
 A request reads no other stream, so a solver round may serve its k requests
 in one call (`SamplerFamily.round_losses`) and consume exactly what k
-separate `draw` calls in index order would.
+separate `draw` calls in index order would.  Every sampler maps point
+variates with `LabeledDistribution.points` (a bucket table for large maps).
 
 One numpy kernel per family draws the pairs.  `kernel(c, rounds)` reads
 ahead, without consuming, the variates of `rounds` successive requests of c
 pairs each: a plain or surrogate request takes 2c variates, an imputing one
 c plus its queried points, so each imputing request starts at a running sum
-over prefix sums of dis[x].  The imputing kernel also takes c as an array of
-unequal request sizes, zeros included (`SamplerFamily.draw_requests`, which
-draws the robust RPU learner's batches), and draws one request of an int
-size (`draw`, store growth) directly, without the chase of request starts.
+over prefix sums of dis[x]; products and flat prefix sums count per request,
+not reductions along a short axis.  The imputing kernel also takes c as an
+array of unequal request sizes, zeros included (`SamplerFamily.draw_requests`,
+which draws the robust RPU learner's batches), and draws one request of an
+int size (`draw`, store growth) directly, without the chase of request starts.
 
 A solver round's request from distribution i does not depend on the played
 hypothesis, and its size c_i seldom changes, so the family serves rounds
@@ -353,18 +355,18 @@ class OracleSet:
         u = stream.ahead(2 * c * rounds).reshape(rounds, 2 * c)
         pts = self._points[i](u[:, :c])
         need = dis_mask[pts]
-        # queried points to each pair (flat prefix sums) and request (a product); after the
-        # points, a label variate per queried point, a pick per other point, in draw order
-        queried = np.add.accumulate(need.reshape(-1), dtype=np.int64).reshape(rounds, c)
-        q = (need @ np.ones(c)).astype(np.int64)
-        ends = np.add.accumulate(q)                     # queried points to each request's end
-        after = 2 * c * np.arange(rounds) + c           # each request's variate after its points
-        v = u.reshape(-1).take(np.where(need, (after - 1 - ends + q)[:, None] + queried,
-                                        (after + ends)[:, None] + (np.arange(c) - queried)))
+        run = np.zeros(rounds * c + 1, dtype=np.int64)     # queried points before each pair
+        np.add.accumulate(need.reshape(-1), out=run[1:])
+        first = run[np.arange(rounds + 1) * c]             # and before each request
+        queried = run[1:].reshape(rounds, c)
+        # after the points: a label variate per queried point, then a pick per other point
+        after = 2 * c * np.arange(rounds) + c
+        v = u.reshape(-1).take(np.where(need, (after - 1 - first[:-1])[:, None] + queried,
+                                        (after + first[1:])[:, None] + (np.arange(c) - queried)))
         pick = np.minimum((v * sx.size).astype(np.int64), sx.size - 1)
         fresh = _SIGN[(v < self._eta[i][pts]).view(np.int8)]
         return _Rounds(self, i, c, np.where(need, pts, sx[pick]), np.where(need, fresh, sy[pick]),
-                       need, _even_ends(base, 2 * c, rounds), q.tolist())
+                       need, _even_ends(base, 2 * c, rounds), np.diff(first).tolist())
 
     def draw_labeled_batch(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Plain labeled sampling, one label query per pair; kept as the bulk
