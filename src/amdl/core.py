@@ -204,8 +204,7 @@ class LabeledDistribution:
             size = 1 << (8 * self.m - 1).bit_length()
             edges = np.arange(size + 1) / size
             first = self.cdf.searchsorted(edges, side="right")
-            table = np.where(self.cdf.searchsorted(edges[1:]) > first[:-1], -1, first[:-1])
-            self._buckets = table
+            table = self._buckets = np.where(self.cdf.searchsorted(edges[1:]) > first[:-1], -1, first[:-1])
         xs = np.multiply(u, table.size, out=np.empty(u.shape, np.intp), casting="unsafe").ravel()
         table.take(xs, out=xs, mode="clip")     # each bucket index floor(u G) becomes its entry
         miss = (xs < 0).nonzero()[0]
@@ -365,10 +364,11 @@ def disagreement(h1: HypothesisLike, h2: HypothesisLike, dist: LabeledDistributi
 def check_members(cls: HypothesisClass, version_space: Sequence[int]) -> list[int]:
     """The version space's members as ints, each an integer index of the class."""
     V = list(version_space)
-    if not V or any(isinstance(v, bool) or not isinstance(v, (int, np.integer))
-                    or not 0 <= v < len(cls) for v in V):
+    types = set(map(type, V))       # `t is int` refuses bools
+    if not V or not all(t is int or issubclass(t, np.integer) for t in types) \
+            or min(V) < 0 or max(V) >= len(cls):
         raise ContractViolation(f"version space members {V!r} must index a {len(cls)}-member class")
-    return [int(v) for v in V]
+    return V if types == {int} else [int(v) for v in V]
 
 
 def agreement_labels(cls: HypothesisClass, version_space: Sequence[int]) -> np.ndarray:
