@@ -268,11 +268,10 @@ def sweep(config: dict) -> list[dict]:
         delta = float(config.get("delta", 0.1))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ContractViolation(f"sweep delta must be a number: {exc}") from exc
-    trials, base_seed = config.get("trials", 50), config.get("base_seed", 0)
-    if any(isinstance(v, bool) or not isinstance(v, int) and not (isinstance(v, float) and v.is_integer())
-           for v in (trials, base_seed)):
-        raise ContractViolation(f"sweep trials and base_seed must be integers: {trials!r}, {base_seed!r}")
-    trials, base_seed = int(trials), int(base_seed)
+    counts = (config.get("trials", 50), config.get("base_seed", 0))
+    if any(type(v) not in (int, float) or isinstance(v, float) and not v.is_integer() for v in counts):
+        raise ContractViolation(f"sweep trials and base_seed must be integers, got {counts}")
+    trials, base_seed = map(int, counts)
     knobs = config.get("knobs", {})
     if not isinstance(knobs, dict):
         raise ContractViolation(f"sweep knobs must be a mapping, got {knobs!r}")

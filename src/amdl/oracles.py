@@ -549,10 +549,11 @@ class SamplerFamily:
         """Candidate j's losses in each round of the open run, a row per round."""
         row, length = self._labels[j], self._length
         table = np.empty((length, self.k))
+        ones = np.ones(max(self._counts))       # a request's mistakes: a product with ones
         for i, blk in enumerate(self._blocks):
             run = slice(blk.b, blk.b + length)
             # count / c in numpy is the correctly rounded quotient, as in Python
-            np.divide((row[blk.xs[run]] != blk.ys[run]) @ np.ones(blk.c), blk.c, out=table[:, i])
+            np.divide((row[blk.xs[run]] != blk.ys[run]) @ ones[:blk.c], blk.c, out=table[:, i])
         return table
 
     def settle(self) -> None:
