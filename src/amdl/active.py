@@ -29,6 +29,11 @@ from .oracles import (DegenerateAgreementRegion, OracleSet, induced_family,
 REGIME_FACTOR = 100.0
 
 
+def check_target(eps: float, delta: float) -> None:
+    if not (0 < eps < math.inf and 0 < delta < 1):   # refuses NaN
+        raise ContractViolation("eps must be positive and finite and delta in (0,1)")
+
+
 @dataclass(frozen=True)
 class EpochSchedule:
     """Halving schedule: n0 epochs, eps_n = 2^-n, delta_n = delta / (2 n^2)."""
@@ -107,8 +112,7 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
     lowest-index survivor, the single hypothesis `active_small_eps` centres
     its stage-two version space on.
     """
-    if not (0 < delta < 1) or eps <= 0:
-        raise ContractViolation("eps must be positive and delta in (0,1)")
+    check_target(eps, delta)
     cls = inst.hypothesis_class
     k = inst.k
     nu = float(inst.nu_exact())
@@ -165,8 +169,9 @@ def active_small_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
     surrogate distributions, querying fresh labels only in the disagreement
     region.
     """
-    if nu <= 0:
-        raise ContractViolation("the small-eps stage requires a positive supplied nu")
+    check_target(eps, delta)
+    if not 0 < nu < 1:
+        raise ContractViolation("the small-eps stage requires a supplied nu in (0,1)")
     cls = inst.hypothesis_class
     k = inst.k
     warnings = []

@@ -15,8 +15,10 @@ estimate the rewards from ceil(k * w_bar_i) fresh pairs per distribution
 recomputed, and the reward draws totalled, only when they do.  The sampler
 meters served rounds in bulk; the solve settles the last of them as it
 ends, on an error too.  A solve over at most two candidates plays stretches
-of rounds at once, as a shadow in Python floats predicts them a block of
-rounds at a time, each round verified bit for bit (`_play_chunk`).
+of rounds at once, as a shadow in Python floats predicts them, each round
+verified bit for bit (`_play_chunk`).  Over two distributions the shadow
+steps one log-weight ratio against fixed thresholds; otherwise it multiplies
+the weights a block of rounds at a time.
 
 Hyperparameters follow the schedule
     eps1 = c_eps1 * eps / 100
@@ -181,18 +183,56 @@ class PooledStore:
 def _predict_plays(state: HedgeState, store: PooledStore, tables: list[np.ndarray], local: int,
                    counts: list[int], doubled: list[float], eta: float, span: int) -> list[int]:
     """This round's play (`local`) and up to `span` - 1 next ones as a shadow
-    in Python floats predicts them: weights times exp(eta r), candidate 1
-    where w . (err_0 - err_1) / n > 0.  Blocks of SHADOW_BLOCK rounds at a
-    time carry unnormalized weights; it stops after a block that ends on a
-    non-finite sum, an expected doubling or count change, so it may overshoot
-    a boundary by up to a block, which `_play_chunk` cuts."""
+    in Python floats predicts them: candidate 1 where w . (err_0 - err_1) / n
+    > 0, until some w_i reaches lim_i = min(2 w_hat_i, counts_i / k), where
+    a doubling or count change is due.  `_play_chunk` cuts any overshoot."""
     gap = ((store.err[:, 0] - store.err[:, -1]) / store._n).tolist()
-    w, w_bar, j = state.w, state.w_bar, local
-    plays = [local]
+    lim = [min(a, c / state.k) for a, c in zip(doubled, counts)]
+    with np.errstate(over="ignore"):        # an overflow only ends the shadow
+        if state.k == 2:
+            return _threshold_plays(state.log_w, gap, lim, tables, local, eta, span)
+        return _product_plays(state.w, gap, lim, tables, local, eta, span)
+
+
+def _threshold_plays(log_w: list[float], gap: list[float], lim: list[float],
+                     tables: list[np.ndarray], j: int, eta: float, span: int) -> list[int]:
+    """The shadow at k = 2, where w is proportional to (1, e^D) with D =
+    log_w[1] - log_w[0]: a round adds eta (r_1 - r_0) to D, the play is 1 iff
+    a < D < b (g_0 + g_1 e^D > 0), and the shadow stops on the round D leaves
+    (lo, hi) (w_i < lim_i) or is NaN.  It reads rewards in windows that start
+    at SHADOW_BLOCK rows and double."""
+    (g0, g1), (l0, l1), plays = gap, lim, [j]
+    if not (l0 > 0.0 and l1 > 0.0):
+        return plays
+    lo = math.log((1.0 - l0) / l0) if l0 < 1.0 else -math.inf
+    hi = math.log(l1 / (1.0 - l1)) if l1 < 1.0 else math.inf
+    r = -g0 / g1 if g1 else 0.0
+    x = math.log(r) if r > 0.0 else -math.inf      # e^x = -g0 / g1
+    a, b = ((x, math.inf) if g1 > 0.0 else (-math.inf, x) if g1 < 0.0
+            else (-math.inf, math.inf) if g0 > 0.0 else (math.inf, -math.inf))
+    d, s, n = log_w[1] - log_w[0], 0, SHADOW_BLOCK
+    while s < span - 1:
+        e = min(s + n, span - 1)
+        for d0, d1 in zip(*[(eta * (t[s:e, 1] - t[s:e, 0])).tolist()
+                             for t in (tables[0], tables[-1])]):
+            d += d1 if j else d0
+            if not lo < d < hi:
+                return plays
+            j = 1 if a < d < b else 0
+            plays.append(j)
+        s, n = e, 2 * n
+    return plays
+
+
+def _product_plays(w: list[float], gap: list[float], lim: list[float],
+                   tables: list[np.ndarray], j: int, eta: float, span: int) -> list[int]:
+    """The shadow at any k: blocks of SHADOW_BLOCK rounds carry unnormalized
+    weights times exp(eta r); it stops after a block that ends on a non-finite
+    sum or a weight at its limit, so it may overshoot a boundary by a block."""
+    plays = [j]
     for s in range(0, span - 1, SHADOW_BLOCK):
-        with np.errstate(over="ignore"):        # an overflow only ends the shadow
-            f0, f1 = [np.exp(eta * t[s:min(s + SHADOW_BLOCK, span - 1)]).tolist()
-                      for t in (tables[0], tables[-1])]
+        f0, f1 = [np.exp(eta * t[s:min(s + SHADOW_BLOCK, span - 1)]).tolist()
+                  for t in (tables[0], tables[-1])]
         for q in range(len(f0)):
             w = list(map(mul, w, f1[q] if j else f0[q]))
             j = 1 if sum(map(mul, w, gap)) > 0 else 0
@@ -201,8 +241,7 @@ def _predict_plays(state: HedgeState, store: PooledStore, tables: list[np.ndarra
         if not 0.0 < tot < math.inf:
             break
         w = [v / tot for v in w]
-        w_bar = list(map(max, w_bar, w))
-        if any(map(ge, w, doubled)) or [math.ceil(state.k * v) for v in w_bar] != counts:
+        if any(map(ge, w, lim)):
             break
     return plays
 

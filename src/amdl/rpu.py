@@ -20,7 +20,7 @@ import numpy as np
 from .core import ContractViolation, HypothesisClass, MDLInstance
 from .hedge import SolverConfig, mdl_hedge_vc
 from .oracles import BLOCK, OracleSet, SamplerFamily, imputed_family
-from .active import RunResult
+from .active import RunResult, check_target
 
 
 class AbstainingClassifier:
@@ -205,8 +205,7 @@ def active_dist_free(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
     targets the overall eps (the accounting reading), not the schedule value
     2^-n0.
     """
-    if eps <= 0 or not (0 < delta < 1):
-        raise ContractViolation("eps must be positive and delta in (0,1)")
+    check_target(eps, delta)
     cls = inst.hypothesis_class
     k = inst.k
     nu = float(inst.nu_exact())

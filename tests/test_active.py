@@ -235,6 +235,34 @@ def test_small_eps_requires_positive_nu(desk_knobs):
         active_small_eps(inst, o, 0.05, 0.1, 0.0, cfg, d=1)
 
 
+BAD_TARGETS = [("large", dict(eps=math.nan)), ("large", dict(eps=math.inf)),
+               ("large", dict(delta=math.nan)), ("df", dict(eps=math.nan)),
+               ("df", dict(eps=math.inf)), ("df", dict(delta=1.0)),
+               ("small", dict(eps=0.0)), ("small", dict(delta=0.0)),
+               ("small", dict(eps=math.nan)), ("small", dict(nu=math.nan)),
+               ("small", dict(nu=math.inf)), ("small", dict(nu=1.0))]
+
+
+@pytest.mark.parametrize("learner,bad", BAD_TARGETS,
+                         ids=[f"{a}-{k}={v}" for a, b in BAD_TARGETS for k, v in b.items()])
+def test_learners_refuse_bad_targets_at_entry(desk_knobs, learner, bad):
+    # these raised ValueError, ZeroDivisionError or OverflowError from deep in
+    # a learner, ran (active_large_eps at eps = inf), or were refused only after
+    # stage two's sampling (nu = 1); now nothing is drawn before the refusal
+    inst = amdl.gen_example1(0.2, 0.05, "a")
+    t = {"eps": 0.05, "delta": 0.1, "nu": 0.2, **bad}
+    cfg = SolverConfig(eps=0.05, delta=0.1, nu=0.2, **desk_knobs)
+    o = OracleSet(inst, seed=0)
+    with pytest.raises(ContractViolation):
+        if learner == "large":
+            active_large_eps(inst, o, t["eps"], t["delta"], cfg, d=1)
+        elif learner == "small":
+            active_small_eps(inst, o, t["eps"], t["delta"], t["nu"], cfg, d=1)
+        else:
+            amdl.active_dist_free(inst, o, t["eps"], t["delta"], s_star=2, d=1, cfg=cfg)
+    assert o.ledger.label_total == 0 and o.ledger.unlabeled_total == 0
+
+
 def test_regime_dispatch_branches(desk_knobs):
     # realizable: always the large branch
     inst = amdl.gen_star_lb(2, 4, 1, 1)

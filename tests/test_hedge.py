@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import amdl
 from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
@@ -473,18 +475,11 @@ def test_overshooting_predictions_equal_one_round_at_a_time(monkeypatch, desk_kn
     # the shadow's plays padded to the whole span with alternating plays, and
     # a shadow that never sees a doubling or count change: the verifier, not
     # the shadow, stops a chunk at a boundary
-    class Unchanged(list):
-        def __eq__(self, other):
-            return True
-
-        def __ne__(self, other):
-            return False
-
     predict = hedge._predict_plays
 
     def padded(state, store, tables, local, counts, doubled, eta, span):
-        if shadow == "blind":
-            counts, doubled = Unchanged(counts), [math.inf] * state.k
+        if shadow == "blind":     # every limit min(doubled_i, counts_i / k) infinite
+            counts, doubled = [math.inf] * state.k, [math.inf] * state.k
         plays = predict(state, store, tables, local, counts, doubled, eta, span)
         return plays + [(len(plays) + q) % 2 for q in range(span - len(plays))]
 
@@ -502,6 +497,127 @@ def test_overshooting_predictions_equal_one_round_at_a_time(monkeypatch, desk_kn
     alone = [_traced_solve(inst, V, seed, knobs, eps) for inst, V, eps, knobs in cases
              for seed in range(2)]
     assert overshot == alone
+
+
+def _two_tables(rng, rows: int) -> list[np.ndarray]:
+    """Reward tables of two candidates over two distributions."""
+    return [rng.integers(0, 9, size=(rows, 2)) / 8.0 for _ in range(2)]
+
+
+def _weights(log_w) -> list[float]:
+    state = HedgeState(len(log_w))
+    state.log_w = list(log_w)
+    return state.normalized().tolist()
+
+
+def _plays_by_definition(log_w, gap, tables, j, eta, rounds) -> tuple[list[int], list[float]]:
+    """The plays of `rounds` rounds, candidate 1 iff w . gap > 0 with w the
+    normalized weights, and the smallest |w . gap| on the way."""
+    plays, margins, log_w = [j], [], list(log_w)
+    for s in range(rounds):
+        log_w = [v + eta * r for v, r in zip(log_w, tables[j][s].tolist())]
+        score = sum(a * b for a, b in zip(_weights(log_w), gap))
+        margins.append(abs(score))
+        j = 1 if score > 0 else 0
+        plays.append(j)
+    return plays, margins
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([[1.0, 1.0], [0.3, 0.8], [0.55, 0.6]]))
+def test_threshold_shadow_predicts_the_product_shadow_plays(seed, lim):
+    # k = 2 inputs whose margin |w . gap| stays above 1e-9: both forms predict
+    # the same plays; with limits at or above one neither stops before the span
+    rng = np.random.default_rng(seed)
+    span = int(rng.integers(1, 90))
+    tables = _two_tables(rng, span)
+    log_w = rng.uniform(-3, 3, size=2).tolist()
+    gap = (rng.integers(-6, 7, size=2) / rng.integers(1, 9, size=2)).tolist()
+    eta, local = float(rng.uniform(1e-3, 2.0)), int(rng.integers(0, 2))
+    want, margins = _plays_by_definition(log_w, gap, tables, local, eta, span - 1)
+    assume(min(margins, default=1.0) > 1e-9)
+    got = hedge._threshold_plays(log_w, gap, lim, tables, local, eta, span)
+    product = hedge._product_plays(_weights(log_w), gap, lim, tables, local, eta, span)
+    n = min(len(got), len(product))
+    assert got[:n] == product[:n] == want[:n]
+    if min(lim) >= 1.0:
+        assert got == product == want
+
+
+@pytest.mark.parametrize("gap", [(0.3, 0.2), (-0.3, 0.2), (0.0, 0.2), (0.3, -0.2), (-0.3, -0.2),
+                                 (0.0, -0.2), (0.3, 0.0), (-0.3, 0.0), (0.0, 0.0)])
+def test_threshold_shadow_sign_cases(gap):
+    # each sign case of (g0, g1): D moves in steps of 0.5 over [-2, 2], and
+    # the plays follow the sign of w . gap
+    steps = [1, 1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1, 1, 1, 1, 1]
+    tables = [np.array([[0.0, 1.0] if q > 0 else [1.0, 0.0] for q in steps])] * 2
+    want, margins = _plays_by_definition([0.0, 0.0], list(gap), tables, 0, 0.5, len(steps))
+    assert min(margins) > 1e-3 or gap[1] == 0.0
+    got = hedge._threshold_plays([0.0, 0.0], list(gap), [1.0, 1.0], tables, 0, 0.5,
+                                 len(steps) + 1)
+    assert got == want
+    if gap[1] == 0.0:
+        assert set(got[1:]) == {1 if gap[0] > 0 else 0}
+    elif gap[0] * gap[1] >= 0:       # never crosses: one play throughout
+        assert set(got[1:]) == {1 if gap[1] > 0 else 0}
+    else:
+        assert set(got[1:]) == {0, 1}
+
+
+@pytest.mark.parametrize("lim,plays", [([1.0, 1.0], 15), ([2.0, 1.0], 15), ([1.0, 0.9], 3),
+                                       ([0.9, 1.0], 9), ([0.0, 1.0], 1), ([1.0, -1.0], 1)])
+def test_threshold_shadow_limits(lim, plays):
+    # D climbs by 1 for three rounds, then falls by 1: a limit at or above one
+    # never stops the shadow, one at or below zero stops it at once, and
+    # otherwise it stops on the round w_1 reaches lim_1 (D = 3 > log 9) or w_0
+    # reaches lim_0 (D = -3 < log 1/9)
+    tables = [np.array([[0.0, 1.0]] * 3 + [[1.0, 0.0]] * 12)] * 2
+    got = hedge._threshold_plays([0.0, 0.0], [-0.5, 1.0], lim, tables, 0, 1.0, 15)
+    assert len(got) == plays
+
+
+@pytest.mark.filterwarnings("error")
+def test_threshold_shadow_stops_on_infinite_or_nan_ratio():
+    # a huge eta makes D infinite on the second round, and a NaN log weight a
+    # NaN D: the shadow stops there, without a warning
+    state, store = HedgeState(2), PooledStore(np.array([[1, -1], [-1, 1]]), 2)
+    for i in range(2):
+        store.add(i, np.array([0, 1]), np.array([1, 1]))
+    tables = [np.array([[0.0, 1.0]] * 8)] * 2
+    plays = hedge._predict_plays(state, store, tables, 0, [2, 2], [2.0, 2.0], 1e308, 8)
+    assert plays == [0, 0]
+    state.log_w = [0.0, math.nan]
+    assert hedge._predict_plays(state, store, tables, 0, [2, 2], [2.0, 2.0], 0.1, 8) == [0]
+
+
+@pytest.mark.parametrize("case", ["a", "b"])
+def test_two_distribution_shadow_stops_at_the_boundary(monkeypatch, case):
+    # on the example1 acceptance cell's solves the k = 2 shadow predicts at
+    # most one round past each chunk that `_play_chunk` keeps (a shadow that
+    # predicts one round plays it alone)
+    from amdl import harness
+    inst = amdl.gen_example1(0.2, 0.05, case)
+    assert inst.k == 2
+    predicted, kept = [], []
+    predict, play_chunk = hedge._predict_plays, hedge._play_chunk
+
+    def counted_predict(*args):
+        plays = predict(*args)
+        predicted.append(len(plays))
+        return plays
+
+    def counted_chunk(*args):
+        kept.append(play_chunk(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(hedge, "_predict_plays", counted_predict)
+    monkeypatch.setattr(hedge, "_play_chunk", counted_chunk)
+    cfg = harness.RunConfig(alg="active-dd-small", eps=0.05, delta=0.1)
+    stats = harness._instance_stats(inst, cfg.alg)
+    for seed in range(3):
+        harness.run_single_trial(inst, cfg, seed, stats)
+    assert len(predicted) == len(kept) and sum(kept) > 3 * 2000   # about 3,250 rounds a solve
+    assert all(m <= c + 1 for m, c in zip(predicted, kept))
 
 
 def _stops_before_products(r, w, bars, erm, p, doubled, counts):

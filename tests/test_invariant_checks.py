@@ -50,17 +50,22 @@ from amdl import OracleSet, plain_family
 from amdl.harness import PROFILES
 from amdl.hedge import SolverConfig, mdl_hedge_vc
 
-lb = amdl.gen_agnostic_lb(4, 0.4, 0.05)
-lb_oracles = OracleSet(lb, seed=3, log_transcript=True)
-res = mdl_hedge_vc(lb.hypothesis_class, (0, 1), plain_family(lb_oracles),
-                   SolverConfig(eps=0.05, delta=0.1, nu=float(lb.nu_exact()), **PROFILES["desk"]),
-                   lb.k, 1, collect_trace=True)
-trace = [(t, w.tolist(), l1, n) for t, w, l1, n in res.trace]
-SOLVE_LINE = "solve: " + json.dumps([
-    res.rounds, res.reward_draws.tolist(), res.store_draws.tolist(),
-    sorted(res.play_counts.items()), res.hypothesis.counts, res.hypothesis.total,
-    hashlib.sha256(repr(trace).encode()).hexdigest(),
-    lb_oracles.ledger.label_queries.tolist(), len(lb_oracles.ledger.transcript)])
+def solve(inst, seed):
+    # the k = 4 product shadow on agnostic-lb, the k = 2 threshold shadow on example1
+    oracles = OracleSet(inst, seed=seed, log_transcript=True)
+    res = mdl_hedge_vc(inst.hypothesis_class, (0, 1), plain_family(oracles),
+                       SolverConfig(eps=0.05, delta=0.1, nu=float(inst.nu_exact()),
+                                    **PROFILES["desk"]),
+                       inst.k, 1, collect_trace=True)
+    trace = [(t, w.tolist(), l1, n) for t, w, l1, n in res.trace]
+    return [res.rounds, res.reward_draws.tolist(), res.store_draws.tolist(),
+            sorted(res.play_counts.items()), res.hypothesis.counts, res.hypothesis.total,
+            hashlib.sha256(repr(trace).encode()).hexdigest(),
+            oracles.ledger.label_queries.tolist(), len(oracles.ledger.transcript)]
+
+
+SOLVE_LINE = "solve: " + json.dumps([solve(amdl.gen_agnostic_lb(4, 0.4, 0.05), 3),
+                                     solve(amdl.gen_example1(0.2, 0.05, "b"), 3)])
 """
 
 _UNDER_O = _CHUNKED_SOLVE + """
@@ -93,6 +98,9 @@ checks = {
     "underflowed eps": lambda: hyperparams(
         SolverConfig(eps=1e-300, delta=0.1, nu=0.0, **PROFILES["desk"]), 2, 1),
     "negative member": lambda: amdl.agreement_labels(inst.hypothesis_class, [-1]),
+    "nan target": lambda: amdl.active_large_eps(
+        inst, OracleSet(inst, seed=0), math.nan, 0.1,
+        SolverConfig(eps=0.1, delta=0.1, nu=0.0, **PROFILES["desk"]), d=1),
 }
 for name, check in checks.items():
     try:
@@ -119,4 +127,4 @@ def test_runtime_checks_hold_under_python_O():
                                        "refused: moved stream", "refused: fractional label",
                                        "refused: ragged hypothesis", "refused: ragged class row",
                                        "refused: overserved run", "refused: underflowed eps",
-                                       "refused: negative member"]
+                                       "refused: negative member", "refused: nan target"]
