@@ -499,11 +499,6 @@ def test_overshooting_predictions_equal_one_round_at_a_time(monkeypatch, desk_kn
     assert overshot == alone
 
 
-def _two_tables(rng, rows: int) -> list[np.ndarray]:
-    """Reward tables of two candidates over two distributions."""
-    return [rng.integers(0, 9, size=(rows, 2)) / 8.0 for _ in range(2)]
-
-
 def _weights(log_w) -> list[float]:
     state = HedgeState(len(log_w))
     state.log_w = list(log_w)
@@ -530,7 +525,7 @@ def test_threshold_shadow_predicts_the_product_shadow_plays(seed, lim):
     # the same plays; with limits at or above one neither stops before the span
     rng = np.random.default_rng(seed)
     span = int(rng.integers(1, 90))
-    tables = _two_tables(rng, span)
+    tables = [rng.integers(0, 9, size=(span, 2)) / 8.0 for _ in range(2)]
     log_w = rng.uniform(-3, 3, size=2).tolist()
     gap = (rng.integers(-6, 7, size=2) / rng.integers(1, 9, size=2)).tolist()
     eta, local = float(rng.uniform(1e-3, 2.0)), int(rng.integers(0, 2))
