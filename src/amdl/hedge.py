@@ -46,7 +46,7 @@ from .core import (ContractViolation, Hypothesis, HypothesisClass, MDLInstance,
 from .oracles import OracleSet, SamplerFamily, plain_family
 
 WEIGHT_SUM_TOL = 1e-12
-SHADOW_BLOCK = 16      # rounds `_predict_plays` predicts between its boundary tests
+SHADOW_BLOCK = 16      # product-shadow rounds per boundary test; first threshold-shadow window
 KNOBS = ("c_t", "c_t1", "c_eta", "c_eps1", "c_n", "c_naive")   # SolverConfig's scale knobs
 
 
