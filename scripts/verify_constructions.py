@@ -4,13 +4,21 @@
 Prints the closed-form quantities each family is built to realize: the
 agnostic family's loss table, the averaging family's coefficient ratio, the
 star family's realizability / coefficient cap / separation certificate, and
-the Bernoulli-KL closed form against quadrature.
+the Bernoulli-KL closed form against quadrature.  The quadrature reference is
+the tests' one (tests/closed_forms.py), so this script needs scipy, from the
+`test` extra.
 
 Usage: python scripts/verify_constructions.py
 """
 
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
 import amdl
-from amdl.families import kl_bernoulli, kl_bernoulli_integral, verify_separation
+from amdl.families import kl_bernoulli, verify_separation
+from closed_forms import kl_bernoulli_integral
 
 
 def main() -> int:

@@ -16,12 +16,11 @@ from .hedge import (HedgeResult, HedgeState, SolverConfig, hedge_step,
                     hyperparams, mdl_hedge_vc, naive_erm_baseline)
 from .active import (EpochSchedule, RunResult, active_large_eps,
                      active_small_eps, regime_dispatch)
-from .rpu import (AbstainingClassifier, RpuReport, active_dist_free, batch_size,
-                  passive_rpu_mdl, robust_rpu_learn, rpu_report,
-                  threshold_majority)
+from .rpu import (AbstainingClassifier, active_dist_free, batch_size,
+                  passive_rpu_mdl, robust_rpu_learn, threshold_majority)
 from .families import (FamilySpec, SeparationReport, gen_agnostic_lb,
                        gen_example1, gen_prop1, gen_random, gen_star_lb,
-                       kl_bernoulli, kl_bernoulli_integral, verify_separation)
+                       kl_bernoulli, verify_separation)
 from .harness import (ALGORITHMS, PROFILES, RunConfig, TrialRecord,
                       records_to_csv, report, run_trials, sweep, sweep_to_csv)
 

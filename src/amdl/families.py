@@ -16,7 +16,6 @@ from itertools import product
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
                    LabeledDistribution, MDLInstance, _frac)
@@ -345,11 +344,3 @@ def kl_bernoulli(p: float, q: float) -> float:
         raise ContractViolation("p and q must lie in the open interval (0,1)")
     return p * math.log(p / q) + (1 - p) * math.log((1 - p) / (1 - q))
 
-
-def kl_bernoulli_integral(p: float, q: float) -> float:
-    """The same divergence through its integral representation
-    int_p^q (x - p) / (x (1 - x)) dx, by adaptive quadrature (self-test)."""
-    if not (0 < p < 1 and 0 < q < 1):
-        raise ContractViolation("p and q must lie in the open interval (0,1)")
-    val, _ = quad(lambda x: (x - p) / (x * (1.0 - x)), p, q, epsabs=1e-13, epsrel=1e-13)
-    return val

@@ -42,22 +42,6 @@ class AbstainingClassifier:
         return AbstainingClassifier(np.zeros(m, dtype=np.int8))
 
 
-@dataclass(frozen=True)
-class RpuReport:
-    """Exact per-distribution reliability-violation and abstention masses."""
-
-    violation_mass: tuple[float, ...]
-    abstention_mass: tuple[float, ...]
-    labels_used: int
-
-
-def rpu_report(inst: MDLInstance, f: AbstainingClassifier, hstar_labels: np.ndarray,
-               labels_used: int = 0) -> RpuReport:
-    rows = np.stack([(f.outputs != 0) & (f.outputs != hstar_labels), f.outputs == 0])
-    viol, abst = zip(*(d._weigh(rows) / d._mden for d in inst.distributions))
-    return RpuReport(tuple(map(float, viol)), tuple(map(float, abst)), labels_used)
-
-
 def batch_size(s_star: int, xi: float, c_n: float = 1.0) -> int:
     """Smallest n with (10 s ln(en/s) + 4 ln 80)/n <= xi/2, scaled by the knob.
 

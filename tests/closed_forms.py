@@ -2,11 +2,12 @@
 from: the version-space-imputed, abstain-imputed and surrogate laws, the
 per-radius definition of the disagreement profile, the exact loss, mass
 and disagreement by their definitions as `Fraction` sums, rejection
-sampling from the agreement region one variate at a time, and the robust
-RPU learner one batch at a time.  Also the exact helpers that only the tests
-call: a point set's mass and the joint pmf on the exact kernel, the worst
-disagreement over the distributions, the minimax member's index and a
-mixture's support.
+sampling from the agreement region one variate at a time, the robust RPU
+learner one batch at a time, and the Bernoulli KL divergence by quadrature of
+its integral form.  Also the exact helpers that only the tests call: a point
+set's mass and the joint pmf on the exact kernel, the worst disagreement over
+the distributions, the minimax member's index, a mixture's support and an
+abstaining classifier's violation and abstention masses.
 
 The lab never needs them at run time; the tests compare empirical draws and
 the exact layer's fast paths against them.
@@ -14,15 +15,17 @@ the exact layer's fast paths against them.
 
 import bisect
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
+from scipy.integrate import quad
 
 from amdl.core import (ContractViolation, Hypothesis, HypothesisClass, HypothesisLike,
                        LabeledDistribution, MDLInstance, RandomizedHypothesis,
                        agreement_labels, disagreement_exact, disagreement_region)
-from amdl.rpu import batch_size, threshold_majority
+from amdl.rpu import AbstainingClassifier, batch_size, threshold_majority
 
 
 def mass_reference(points, dist: LabeledDistribution) -> Fraction:
@@ -225,3 +228,29 @@ def robust_rpu_reference(cls: HypothesisClass, draw, xi: float, delta: float, s_
         votes_nonzero += f_i != 0
         votes_sum += f_i
     return threshold_majority(votes_nonzero, votes_sum, N)
+
+
+@dataclass(frozen=True)
+class RpuReport:
+    """Exact per-distribution reliability-violation and abstention masses."""
+
+    violation_mass: tuple[float, ...]
+    abstention_mass: tuple[float, ...]
+    labels_used: int
+
+
+def rpu_report(inst: MDLInstance, f: AbstainingClassifier, hstar_labels: np.ndarray,
+               labels_used: int = 0) -> RpuReport:
+    rows = np.stack([(f.outputs != 0) & (f.outputs != hstar_labels), f.outputs == 0])
+    viol, abst = zip(*(d._weigh(rows) / d._mden for d in inst.distributions))
+    return RpuReport(tuple(map(float, viol)), tuple(map(float, abst)), labels_used)
+
+
+def kl_bernoulli_integral(p: float, q: float) -> float:
+    """The Bernoulli(p) || Bernoulli(q) divergence through its integral
+    representation int_p^q (x - p) / (x (1 - x)) dx, by adaptive quadrature:
+    the reference for `amdl.families.kl_bernoulli`'s closed form."""
+    if not (0 < p < 1 and 0 < q < 1):
+        raise ContractViolation("p and q must lie in the open interval (0,1)")
+    val, _ = quad(lambda x: (x - p) / (x * (1.0 - x)), p, q, epsabs=1e-13, epsrel=1e-13)
+    return val

@@ -18,14 +18,13 @@ from amdl import (OracleSet, RunConfig, SolverConfig, best_nu,
                   disagreement_coefficient, mixture_distribution, star_number,
                   vc_dimension)
 from amdl.active import active_large_eps
-from amdl.families import (kl_bernoulli, kl_bernoulli_integral,
-                           verify_separation)
+from amdl.families import kl_bernoulli, verify_separation
 from amdl.harness import PROFILES, run_trials
-from amdl.rpu import mixture_draw, rpu_report, robust_rpu_learn
+from amdl.rpu import mixture_draw, robust_rpu_learn
 from amdl.oracles import imputed_family
 
 from closed_forms import (imputed_distribution, induced_distribution, joint_exact,
-                          surrogate_joint_exact)
+                          kl_bernoulli_integral, rpu_report, surrogate_joint_exact)
 from conftest import brute_best_nu, brute_star, brute_vc, empirical_tv
 
 DESK = PROFILES["desk"]

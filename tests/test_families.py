@@ -9,8 +9,9 @@ import pytest
 
 import amdl
 from amdl import ContractViolation, FamilySpec
-from amdl.families import (REQUIRED_PARAMS, kl_bernoulli, kl_bernoulli_integral,
-                           verify_separation)
+from amdl.families import REQUIRED_PARAMS, kl_bernoulli, verify_separation
+
+from closed_forms import kl_bernoulli_integral
 
 
 def test_prop1_construction():

@@ -12,10 +12,10 @@ from amdl import (AbstainingClassifier, ContractViolation, OracleSet,
                   SolverConfig)
 from amdl.oracles import imputed_family
 from amdl.rpu import (active_dist_free, batch_size, mixture_draw, passive_rpu_mdl,
-                      robust_rpu_learn, rpu_report, threshold_majority)
+                      robust_rpu_learn, threshold_majority)
 
 from closed_forms import (imputed_distribution, joint_exact, mass_exact, mixture_draw_reference,
-                          robust_rpu_reference)
+                          robust_rpu_reference, rpu_report)
 from conftest import empirical_tv
 
 

@@ -33,3 +33,15 @@ def test_calibrate_profile_output(monkeypatch, capsys):
     script.main()
     out = re.sub(r" t/trial \S+", "", capsys.readouterr().out)
     assert out == CALIBRATE_TWO_TRIALS
+
+
+def test_verify_constructions_output(capsys):
+    script = _load_script("verify_constructions")
+    assert script.main() == 0
+    out = capsys.readouterr().out
+    tables = re.findall(r"L\(.*?\) = (\S+)\s+\(expect (\S+)\)", out)
+    assert len(tables) == 6 and all(float(got) == float(want) for got, want in tables)
+    separations = re.findall(r"separation \(theta=\d, eps=0\.1\): (.*)", out)
+    assert separations == ["exhaustive=True analytic=True consistent=True"] * 2
+    gap = re.search(r"closed form vs quadrature, worst abs gap = (\S+)", out)
+    assert float(gap.group(1)) < 1e-9
