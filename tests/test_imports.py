@@ -3,6 +3,7 @@ library only, and `pyproject.toml` declares exactly what `src/amdl` imports."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,9 +37,7 @@ def test_product_path_loads_no_test_dependency(args):
 
 
 def _requirement_name(spec: str) -> str:
-    for stop in "<>=!~;[ ":
-        spec = spec.split(stop, 1)[0]
-    return spec.strip().lower()
+    return re.match(r"[A-Za-z0-9._-]+", spec).group().lower()
 
 
 def test_declared_dependencies_are_what_the_package_imports():
