@@ -978,14 +978,23 @@ POINT_MAP_INSTANCES = _point_map_instances()
 KERNEL_SHAPES = ((1, 1), (1, 300), (1, 700), (2, 200), (3, 600), (7, 40), (240, 1),
                  (600, 1), (1500, 2), (5000, 1))
 RAGGED_SIZES = np.array([0, 3, 1, 0, 700, 2, 513, 1])
+# a two-member `draw_requests`: the last distribution, then the first, four
+# requests each, zero sizes included
+REQUEST_MEMBERS = (-1, 0)
+REQUEST_SIZES = np.array([[0, 5, 700, 0], [3, 0, 0, 1200]])
 
 # sha256 of every kernel call's pairs, queries and variate ends, then the
-# ledger and stream positions, on each family of `FAMILY_BUILDERS`; and of
-# conditional-agreement samples on version space (0, 1) ("agreement")
+# ledger and stream positions, on each family of `FAMILY_BUILDERS` and on the
+# always-abstaining imputed family ("imputed-abstain", which also draws
+# REQUEST_SIZES); of `draw_labeled_batch` called `rounds` times at each
+# shape ("labeled-batch"); and of conditional-agreement samples on version
+# space (0, 1) ("agreement")
 BLOCK_DIGESTS = {
     "zero-mass": {
         "imputed": "1ecd31b35f04434669cb7b968ae01ef7824880c1ff906b7e7e9ee7291aa5e97a",
+        "imputed-abstain": "0b012b27f669988a84201b93210c5522f1c4df70583f57147dd936aebbecc517",
         "induced": "a4f1a07f89fe0b2026857edc8a8056026590e5ec7533c65f77eb2a8da962e87e",
+        "labeled-batch": "d2e59b56de72aace9a886eed947a2f925615512b6be908b5c0ab34e0d8babac0",
         "plain": "eb94fa67df5d8c7895da70af1a4d6fae2ab63ef53e758cfd2cd89eff0fd2cf3c",
         "surrogate": "fcced0f28759c581f58bc5048f5a1338b8369612bf335e4bf6dae2228358d232",
         "surrogate-none": "6c15242ad4894db271b1de07f14a98edd57e1fc5178e57cb928bc0e3a73b7d2b",
@@ -993,7 +1002,9 @@ BLOCK_DIGESTS = {
     },
     "dyadic": {
         "imputed": "4fb0357131e16ee41cfbc3fc74d37cf87c0493b4299a4cb8490af05794973975",
+        "imputed-abstain": "be57a837df8f8cbcf38594d6ad4eeb561c5aa11de99c56778cb116377e99cd76",
         "induced": "b6b1d049277f1d96a8da2958ec5db1efb3a038661884a12caefc45fab3604a99",
+        "labeled-batch": "e0319f9adef076ac7e2b9d8dd430c15d7ab6a698aad6bb6de9fab08955d5bf9c",
         "plain": "8a60351de6fc0cfc965a87fef2f0db28d62c8bd2a93dcf8ba9169042c5991cd6",
         "surrogate": "9e2ce6be033d4e22669561d16e889f56e04f372d6891855a6dc69d9b8e4339f2",
         "surrogate-none": "4c8e85d082a825ea61e6571d2a8368a2b5629d0090637227ef986a35545ab53e",
@@ -1001,7 +1012,9 @@ BLOCK_DIGESTS = {
     },
     "m1000": {
         "imputed": "1d6c91023cc13d25fbe7b5464b6b407b56e6c2cc942e61ab093a7581d2466aa9",
+        "imputed-abstain": "e73594aa330b4bb4c033c22559b6b33d8001c91475c2d94bc6ddd52643a07c53",
         "induced": "b2279bb52e3053481632104c68c859f621f63c9637f249f21b220da3ec8356c4",
+        "labeled-batch": "1d7cd800f848f9cc376d29edea40bf5adb59e5dd0f18cb495e200caba6297914",
         "plain": "8ac444e12f79d124a4c922e12191746bd72643d784bd065a16bde9ff343b9b84",
         "surrogate": "5ccee638bfaccd6c7810ef234a215cf2b8ef939d70cb47b05aafba5f80189d72",
         "surrogate-none": "6d50459d48cedd6d91314c9586f9a73b4c4475028904e771ef02574ce171d4ad",
@@ -1010,28 +1023,54 @@ BLOCK_DIGESTS = {
 }
 
 
+def _always_abstaining(o: OracleSet):
+    return amdl.imputed_family(o, np.zeros(o.instance.m, dtype=np.int8))
+
+
+def _family_digest(inst: MDLInstance, build, ragged: bool, requests: bool) -> str:
+    o = OracleSet(inst, seed=29, log_transcript=True)
+    fam = build(o)
+    h = hashlib.sha256()
+    for i in range(inst.k):
+        o._streams[i].take(i)
+        for c, rounds in KERNEL_SHAPES:
+            blk = fam._kernels[i](c, rounds)
+            o._settle([blk], rounds)
+            h.update(repr((blk.xs.tolist(), blk.ys.tolist(), blk.need.tolist(),
+                           list(blk.ends), list(blk.queries))).encode())
+        if ragged:
+            blk = fam._kernels[i](RAGGED_SIZES, RAGGED_SIZES.size)
+            o._settle([blk], RAGGED_SIZES.size)
+            h.update(repr((blk.xs.tolist(), blk.ys.tolist(), blk.need.tolist(),
+                           list(blk.ends), list(blk.queries), blk.at.tolist())).encode())
+    if requests:
+        members = [j % inst.k for j in REQUEST_MEMBERS]
+        xs, ys = fam.draw_requests(members, REQUEST_SIZES)
+        h.update(repr((xs.dtype.str, xs.tolist(), ys.dtype.str, ys.tolist(),
+                       fam.calls.tolist())).encode())
+    h.update(repr((o.ledger.label_queries.tolist(), o.ledger.unlabeled_draws.tolist(),
+                   [s.consumed for s in (*o._streams, o._aux)],
+                   o.ledger.transcript)).encode())
+    return h.hexdigest()
+
+
 def _kernel_digests(inst: MDLInstance) -> dict:
-    got = {}
-    for kind in sorted(FAMILY_BUILDERS):
-        o = OracleSet(inst, seed=29, log_transcript=True)
-        fam = FAMILY_BUILDERS[kind](o)
-        h = hashlib.sha256()
-        for i in range(inst.k):
-            o._streams[i].take(i)
-            for c, rounds in KERNEL_SHAPES:
-                blk = fam._kernels[i](c, rounds)
-                o._settle([blk], rounds)
-                h.update(repr((blk.xs.tolist(), blk.ys.tolist(), blk.need.tolist(),
-                               list(blk.ends), list(blk.queries))).encode())
-            if kind in ("induced", "imputed"):
-                blk = fam._kernels[i](RAGGED_SIZES, RAGGED_SIZES.size)
-                o._settle([blk], RAGGED_SIZES.size)
-                h.update(repr((blk.xs.tolist(), blk.ys.tolist(), blk.need.tolist(),
-                               list(blk.ends), list(blk.queries), blk.at.tolist())).encode())
-        h.update(repr((o.ledger.label_queries.tolist(), o.ledger.unlabeled_draws.tolist(),
-                       [s.consumed for s in (*o._streams, o._aux)],
-                       o.ledger.transcript)).encode())
-        got[kind] = h.hexdigest()
+    got = {kind: _family_digest(inst, FAMILY_BUILDERS[kind], kind in ("induced", "imputed"),
+                                False)
+           for kind in sorted(FAMILY_BUILDERS)}
+    got["imputed-abstain"] = _family_digest(inst, _always_abstaining, True, True)
+    o = OracleSet(inst, seed=29, log_transcript=True)
+    h = hashlib.sha256()
+    for i in range(inst.k):
+        o._streams[i].take(i)
+        for c, rounds in KERNEL_SHAPES:
+            for _ in range(rounds):
+                xs, ys = o.draw_labeled_batch(i, c)
+                h.update(repr((xs.dtype.str, xs.tolist(), ys.dtype.str, ys.tolist())).encode())
+    h.update(repr((o.ledger.label_queries.tolist(), o.ledger.unlabeled_draws.tolist(),
+                   [s.consumed for s in (*o._streams, o._aux)],
+                   o.ledger.transcript)).encode())
+    got["labeled-batch"] = h.hexdigest()
     o = OracleSet(inst, seed=31, log_transcript=True)
     h = hashlib.sha256()
     for i in range(inst.k):
