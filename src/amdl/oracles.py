@@ -27,15 +27,21 @@ in one call (`SamplerFamily.round_losses`) and consume exactly what k
 separate `draw` calls in index order would.  Every sampler maps point
 variates with `LabeledDistribution.points` (a bucket table for large maps).
 
-One numpy kernel per family draws the pairs.  `kernel(c, rounds)` reads
-ahead, without consuming, the variates of `rounds` successive requests of c
-pairs each: a plain or surrogate request takes 2c variates, an imputing one
-c plus its queried points, so each imputing request starts at a running sum
-over prefix sums of dis[x]; products and flat prefix sums count per request,
-not reductions along a short axis.  The imputing kernel also takes c as an
-array of unequal request sizes, zeros included (`SamplerFamily.draw_requests`,
-which draws the robust RPU learner's batches), and draws one request of an
-int size (`draw`, store growth) directly, without the chase of request starts.
+Two numpy kernels draw the pairs: the imputing kernel, which serves plain,
+induced and imputed sampling, and the surrogate kernel.  Plain sampling is
+the imputing kernel over the view that queries every point.  `kernel(c,
+rounds)` reads ahead, without consuming, the variates of `rounds` successive
+requests of c pairs each.  A surrogate request takes 2c variates, and so
+does an imputing request over a view that queries every point (a flag the
+view carries from when it is made): c points, then c labels, so request b
+starts at variate 2 at[b], with at[b] the pairs before it, and no chase.  Any
+other imputing request takes c plus its queried points, so each one starts
+at a running sum over prefix sums of dis[x]; products and flat prefix sums
+count per request, not reductions along a short axis.  The imputing kernel
+also takes c as an array of unequal request sizes, zeros included
+(`SamplerFamily.draw_requests`, which draws the robust RPU learner's
+batches), and draws one request of an int size (`draw`, store growth)
+directly, without the chase of request starts.
 
 A solver round's request from distribution i does not depend on the played
 hypothesis, and its size c_i seldom changes, so the family serves rounds
@@ -176,12 +182,17 @@ class QueryLedger:
 
 
 _SIGN = np.array([-1, 1], dtype=np.int8)   # _SIGN[u < eta_plus[x]] is the label
+View = tuple[np.ndarray, np.ndarray, bool]  # (dis_mask, labels, queries every point)
 
 
-def _imputed_view(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An abstaining classifier's outputs as (abstains, labels)."""
-    outs = np.asarray(outputs, dtype=np.int8)
-    return outs == 0, outs
+def _imputed_view(outputs, m: int) -> View:
+    """An abstaining classifier's outputs over m points as (abstains,
+    labels, abstains everywhere)."""
+    outs = np.asarray(outputs)
+    if outs.shape != (m,) or not np.isin(outs, (-1, 0, 1)).all():
+        raise ContractViolation(f"outputs must be a vector of {m} values in {{-1, 0, +1}}")
+    outs = outs.astype(np.int8)
+    return outs == 0, outs, not outs.any()
 
 
 def _even_ends(base: int, step: int, rounds: int) -> Sequence[int]:
@@ -233,6 +244,7 @@ class OracleSet:
         self._asked = memoryview(self.ledger._queries)
         self._drawn = memoryview(self.ledger._draws)
         self._view_cache: dict = {}
+        self._every = _imputed_view(np.zeros(instance.m, dtype=np.int8), instance.m)
 
     # -- raw oracles --------------------------------------------------------
 
@@ -289,25 +301,29 @@ class OracleSet:
     # ahead in the documented consumption order; the sampler families and
     # `draw_labeled_batch` draw through them
 
-    def _plain_rounds(self, i: int, c: int, rounds: int) -> _Rounds:
-        self.ledger.settle()
-        stream = self._streams[i]
-        base = stream.consumed
-        u = stream.ahead(2 * c * rounds).reshape(rounds, 2, c)
-        xs = self._points[i](u[:, 0])
-        ys = _SIGN[(u[:, 1] < self._eta[i][xs]).view(np.int8)]
-        return _Rounds(self, i, c, xs, ys, np.ones(xs.shape, dtype=bool),
-                       _even_ends(base, 2 * c, rounds), [c] * rounds)
-
-    def _imputing_rounds(self, view: tuple[np.ndarray, np.ndarray], i: int, c,
-                         rounds: int) -> _Rounds:
-        """Induced and imputed sampling: a label query where `dis_mask[x]`,
-        the imputed label `labels[x]` elsewhere; c may be an array of sizes."""
-        dis_mask, labels = view
+    def _imputing_rounds(self, view: View, i: int, c, rounds: int) -> _Rounds:
+        """Plain, induced and imputed sampling: a label query where
+        `dis_mask[x]`, the imputed label `labels[x]` elsewhere; c may be an
+        array of sizes."""
+        dis_mask, labels, every = view
         self.ledger.settle()
         stream = self._streams[i]
         base = stream.consumed
         ragged = isinstance(c, np.ndarray)
+        at = np.concatenate(([0], np.add.accumulate(c))) if ragged else None  # pairs before b
+        if every:
+            # request b: c points from variate 2 at[b], then their c labels
+            if ragged:
+                pos = np.repeat(at[:-1], c) + np.arange(at[-1])
+                u = stream.ahead(2 * int(at[-1]))
+                pts, lbl, ends = u[pos], u[pos + np.repeat(c, c)], (2 * at + base).tolist()
+            else:
+                u = stream.ahead(2 * c * rounds).reshape(rounds, 2, c)
+                pts, lbl, ends = u[:, 0], u[:, 1], _even_ends(base, 2 * c, rounds)
+            xs = self._points[i](pts)
+            ys = _SIGN[(lbl < self._eta[i][xs]).view(np.int8)]
+            return _Rounds(self, i, c, xs, ys, np.ones(xs.shape, dtype=bool), ends,
+                           c.tolist() if ragged else [c] * rounds, at)
         if rounds == 1 and not ragged:
             # one request: its c points, then a label variate per queried point
             u = stream.ahead(2 * c)
@@ -318,7 +334,6 @@ class OracleSet:
             if q:
                 ys[need] = _SIGN[(u[c:c + q] < self._eta[i][xs[need]]).view(np.int8)]
             return _Rounds(self, i, c, xs[None], ys[None], need[None], [base, base + c + q], [q])
-        at = np.concatenate(([0], np.add.accumulate(c))) if ragged else None  # pairs before b
         total, last = (int(at[-1]), int(c[-1])) if ragged else (c * rounds, c)
         u = stream.ahead(2 * total)
         # request b starts by variate 2 at[b], so every point lies below 2 total - last
@@ -369,22 +384,24 @@ class OracleSet:
                        need, _even_ends(base, 2 * c, rounds), np.diff(first).tolist())
 
     def draw_labeled_batch(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Plain labeled sampling, one label query per pair; kept as the bulk
-        sampler that `bench/layers.py` times."""
+        """Plain labeled sampling, one label query per pair: one request of
+        the imputing kernel over the view that queries every point, which
+        takes n point variates, then n label variates, with no chase; kept
+        as the bulk sampler that `bench/layers.py` times."""
         self._check(i, n)
-        blk = self._plain_rounds(i, n, 1)
+        blk = self._imputing_rounds(self._every, i, n, 1)
         self._settle([blk], 1)
         return blk.xs[0], blk.ys[0]
 
     # -- version-space / classifier views ------------------------------------
 
-    def _vs_view(self, version_space: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    def _vs_view(self, version_space: Sequence[int]) -> View:
         cls = self.instance.hypothesis_class
         key = tuple(check_members(cls, version_space))    # before the cache: True == 1
         got = self._view_cache.get(key)
         if got is None:
             agr = agreement_labels(cls, key)
-            got = self._view_cache[key] = (agr == 0, agr)
+            got = self._view_cache[key] = (agr == 0, agr, not agr.any())
         return got
 
     # -- conditional-agreement and auxiliary sampling ------------------------
@@ -395,7 +412,7 @@ class OracleSet:
         rejection; costs exactly n label queries, rejections count as unlabeled
         draws only (exactly the geometric number, no overshoot)."""
         self._check(i, n)
-        dis_mask, _ = self._vs_view(version_space)
+        dis_mask = self._vs_view(version_space)[0]
         d = self.instance.distributions[i]
         agree = ~dis_mask
         weight = d._weigh(agree)
@@ -484,7 +501,17 @@ class SamplerFamily:
         `members[j]`; the pairs, ledger, transcript and `calls` are those of
         `draw` called for every r and, within r, every j in turn.  The pairs
         come back member by member, each member's in request order.
-        Imputing families only: their kernels take unequal sizes."""
+        Imputing families only (plain included): their kernels take unequal
+        sizes.  Members are distinct distribution indices and `sizes` an
+        integer matrix with a row per member, refused otherwise."""
+        sizes = np.asarray(sizes)
+        if (not all(type(i) is int or isinstance(i, np.integer) for i in members)
+                or not all(0 <= i < self.k for i in members) or len(set(members)) != len(members)
+                or sizes.ndim != 2 or sizes.dtype.kind not in "iu" or not sizes.size
+                or sizes.shape[0] != len(members) or sizes.min() < 0):
+            raise ContractViolation(
+                f"requests need distinct members of range({self.k}) and a non-empty matrix of "
+                f"sizes >= 0, a row per member; got {list(members)!r} and {sizes.dtype} {sizes.shape}")
         rows = sizes.shape[1]
         blocks = [self._kernels[i](sizes[j], rows) for j, i in enumerate(members)]
         self._oracles._settle(blocks, rows)
@@ -569,14 +596,13 @@ class SamplerFamily:
             self._oracles.ledger.pending = None
 
 
-def plain_family(oracles: OracleSet) -> SamplerFamily:
-    return SamplerFamily(oracles, [partial(oracles._plain_rounds, i)
-                                   for i in range(oracles.instance.k)])
-
-
-def _imputing_family(oracles: OracleSet, view: tuple[np.ndarray, np.ndarray]) -> SamplerFamily:
+def _imputing_family(oracles: OracleSet, view: View) -> SamplerFamily:
     return SamplerFamily(oracles, [partial(oracles._imputing_rounds, view, i)
                                    for i in range(oracles.instance.k)])
+
+
+def plain_family(oracles: OracleSet) -> SamplerFamily:
+    return _imputing_family(oracles, oracles._every)
 
 
 def induced_family(oracles: OracleSet, version_space: Sequence[int]) -> SamplerFamily:
@@ -584,7 +610,7 @@ def induced_family(oracles: OracleSet, version_space: Sequence[int]) -> SamplerF
 
 
 def imputed_family(oracles: OracleSet, outputs: np.ndarray) -> SamplerFamily:
-    return _imputing_family(oracles, _imputed_view(outputs))
+    return _imputing_family(oracles, _imputed_view(outputs, oracles.instance.m))
 
 
 def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
@@ -592,11 +618,11 @@ def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
     """Surrogate draws per distribution; a None sample means the agreement
     region has zero mass there, in which case the surrogate equals the raw
     distribution and fresh labeled draws are used (flagged by the caller)."""
-    dis_mask, _ = oracles._vs_view(version_space)
+    dis_mask = oracles._vs_view(version_space)[0]
     kernels = []
     for i, sample in enumerate(samples):
         if sample is None:
-            kernels.append(partial(oracles._plain_rounds, i))
+            kernels.append(partial(oracles._imputing_rounds, oracles._every, i))
         elif sample[0].size == 0:
             raise ContractViolation("surrogate sampling needs a non-empty pre-labeled sample")
         else:

@@ -71,6 +71,7 @@ SOLVE_LINE = "solve: " + json.dumps([solve(amdl.gen_agnostic_lb(4, 0.4, 0.05), 3
 _UNDER_O = _CHUNKED_SOLVE + """
 print(SOLVE_LINE)
 import math
+import numpy as np
 import amdl
 from amdl import ContractViolation, OracleSet, plain_family
 from amdl.core import instance_from_dict
@@ -101,6 +102,8 @@ checks = {
     "nan target": lambda: amdl.active_large_eps(
         inst, OracleSet(inst, seed=0), math.nan, 0.1,
         SolverConfig(eps=0.1, delta=0.1, nu=0.0, **PROFILES["desk"]), d=1),
+    "malformed requests": lambda: fam.draw_requests([0], np.array([[1], [1]])),
+    "bad outputs": lambda: amdl.imputed_family(OracleSet(inst, seed=0), np.full(inst.m, 7)),
 }
 for name, check in checks.items():
     try:
@@ -127,4 +130,5 @@ def test_runtime_checks_hold_under_python_O():
                                        "refused: moved stream", "refused: fractional label",
                                        "refused: ragged hypothesis", "refused: ragged class row",
                                        "refused: overserved run", "refused: underflowed eps",
-                                       "refused: negative member", "refused: nan target"]
+                                       "refused: negative member", "refused: nan target",
+                                       "refused: malformed requests", "refused: bad outputs"]

@@ -1088,6 +1088,117 @@ def test_block_kernels_match_their_pins(name):
     assert _kernel_digests(POINT_MAP_INSTANCES[name]) == BLOCK_DIGESTS[name]
 
 
+# -- requests of unequal sizes -------------------------------------------------------
+
+# the families whose kernels take unequal sizes: imputed over a classifier that
+# abstains everywhere and over one that abstains on part of the points,
+# induced and plain
+REQUEST_FAMILIES = {"imputed-abstain": _always_abstaining,
+                    **{kind: FAMILY_BUILDERS[kind] for kind in ("imputed", "induced", "plain")}}
+
+
+def _view_of(family) -> tuple:
+    return family._kernels[0].args[0]
+
+
+def test_views_flag_whether_they_query_every_point():
+    o = OracleSet(_three_distribution_fixture(), seed=0)
+    assert _view_of(amdl.plain_family(o))[2] and _view_of(_always_abstaining(o))[2]
+    assert not _view_of(FAMILY_BUILDERS["imputed"](o))[2]
+    assert not _view_of(FAMILY_BUILDERS["induced"](o))[2]
+    assert OracleSet(two_point_instance(), seed=0)._vs_view((0, 1))[2]    # complements
+
+
+_SIZE = st.one_of(st.just(0), st.integers(0, 9), st.integers(0, 3000))
+
+
+@pytest.mark.parametrize("log_transcript", [False, True])
+@pytest.mark.parametrize("kind", sorted(REQUEST_FAMILIES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_draw_requests_equals_draws_on_a_twin(kind, log_transcript, data):
+    # members in any order, sizes with zeros and requests that cross a buffer
+    # refill, streams started part-way into a buffer
+    inst = _three_distribution_fixture()
+    members = data.draw(st.lists(st.integers(0, inst.k - 1), min_size=1, max_size=inst.k,
+                                 unique=True))
+    rows = data.draw(st.integers(1, 6))
+    sizes = np.array(data.draw(st.lists(st.lists(_SIZE, min_size=rows, max_size=rows),
+                                        min_size=len(members), max_size=len(members))))
+    skip = data.draw(st.lists(st.integers(0, 5000), min_size=inst.k, max_size=inst.k))
+    fused_o, twin_o = (OracleSet(inst, seed=17, log_transcript=log_transcript) for _ in "ab")
+    for o in (fused_o, twin_o):
+        for stream, n in zip(o._streams, skip):
+            stream.take(n)
+    fused, twin = REQUEST_FAMILIES[kind](fused_o), REQUEST_FAMILIES[kind](twin_o)
+    xs, ys = fused.draw_requests(members, sizes)
+    drawn = [[] for _ in members]
+    for r in range(rows):
+        for j, i in enumerate(members):
+            drawn[j].append(twin.draw(i, int(sizes[j, r])))
+    want_xs, want_ys = (np.concatenate([pair[side] for per in drawn for pair in per])
+                        for side in (0, 1))
+    assert xs.dtype == want_xs.dtype and ys.dtype == want_ys.dtype
+    assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
+    assert _metered(fused_o, fused) == _metered(twin_o, twin)
+    assert len(fused_o.ledger.transcript) == (fused_o.ledger.label_total
+                                              if log_transcript else 0)
+    for a, b in zip(fused_o._streams, twin_o._streams):
+        assert a.consumed == b.consumed
+        assert np.array_equal(a.take(5000), b.take(5000))
+
+
+# malformed `draw_requests` calls on a 3-distribution family
+BAD_REQUESTS = {
+    "negative size": ([0], [[2, -1]]),
+    "member out of range": ([5], [[1]]),
+    "negative member": ([-1], [[1]]),
+    "bool member": ([True], [[1]]),
+    "float member": ([1.0], [[1]]),
+    "repeated member": ([1, 1], [[1], [2]]),
+    "one-dimensional sizes": ([0], [1, 2]),
+    "float sizes": ([0], [[1.0, 2.0]]),
+    "bool sizes": ([0], [[True]]),
+    "more rows than members": ([0], [[2, 2], [2, 2]]),
+    "fewer rows than members": ([0, 1], [[2, 2]]),
+    "no requests": ([0], np.zeros((1, 0), dtype=np.int64)),
+    "no members": ([], np.zeros((0, 2), dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REQUEST_FAMILIES))
+@pytest.mark.parametrize("case", sorted(BAD_REQUESTS))
+def test_malformed_requests_refused_before_any_draw(case, kind):
+    o = OracleSet(_three_distribution_fixture(), seed=0, log_transcript=True)
+    fam = REQUEST_FAMILIES[kind](o)
+    fam.draw_requests([2, 0], np.array([[3, 0], [1, 4]]))
+    streams = [s.consumed for s in (*o._streams, o._aux)]
+    metered = _metered(o, fam)
+    members, sizes = BAD_REQUESTS[case]
+    with pytest.raises(ContractViolation, match="requests need"):
+        fam.draw_requests(members, np.array(sizes))
+    assert [s.consumed for s in (*o._streams, o._aux)] == streams
+    assert _metered(o, fam) == metered
+
+
+BAD_OUTPUTS = {
+    "out of range": lambda m: np.full(m, 7),
+    "a two": lambda m: np.r_[np.zeros(m - 1, dtype=np.int64), 2],
+    "a fraction": lambda m: np.r_[np.zeros(m - 1), 0.5],
+    "too short": lambda m: np.zeros(m - 1, dtype=np.int8),
+    "too long": lambda m: np.zeros(m + 1, dtype=np.int8),
+    "a column": lambda m: np.zeros((m, 1), dtype=np.int8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OUTPUTS))
+def test_imputed_family_refuses_outputs_outside_its_contract(case):
+    o = OracleSet(_three_distribution_fixture(), seed=0)
+    with pytest.raises(ContractViolation, match="outputs"):
+        amdl.imputed_family(o, BAD_OUTPUTS[case](o.instance.m))
+    assert [s.consumed for s in o._streams] == [0] * o.instance.k
+
+
 # -- the point map ---------------------------------------------------------------------
 
 @settings(max_examples=80, deadline=None)
@@ -1097,8 +1208,8 @@ def test_block_kernels_match_their_pins(name):
 def test_point_map_equals_searchsorted(m, seed, zeros, dyadic, n, c, shape):
     # marginals with zero-mass points, or with every cdf entry on a bucket
     # edge; variates at 0, just below 1, on bucket edges and cdf entries and
-    # just below them, in flat arrays and in the strided views the plain and
-    # surrogate kernels map; sizes on both sides of the table's crossover
+    # just below them, in flat arrays and in the strided views that plain
+    # sampling and the surrogate kernel map; sizes on both sides of the table's crossover
     rng = np.random.default_rng(seed)
     size = 1 << (8 * m - 1).bit_length()
     if dyadic:
