@@ -244,7 +244,8 @@ class OracleSet:
         self._asked = memoryview(self.ledger._queries)
         self._drawn = memoryview(self.ledger._draws)
         self._view_cache: dict = {}
-        self._every = _imputed_view(np.zeros(instance.m, dtype=np.int8), instance.m)
+        m = instance.m
+        self._every = (np.ones(m, dtype=bool), np.zeros(m, dtype=np.int8), True)  # plain sampling
 
     # -- raw oracles --------------------------------------------------------
 
