@@ -511,8 +511,9 @@ class SamplerFamily:
                 or sizes.ndim != 2 or sizes.dtype.kind not in "iu" or not sizes.size
                 or sizes.shape[0] != len(members) or sizes.min() < 0):
             raise ContractViolation(
-                f"requests need distinct members of range({self.k}) and a non-empty matrix of "
-                f"sizes >= 0, a row per member; got {list(members)!r} and {sizes.dtype} {sizes.shape}")
+                f"requests need distinct members of range({self.k}) and a non-empty matrix "
+                f"of sizes >= 0, a row per member; got {list(members)!r} and "
+                f"{sizes.dtype} {sizes.shape}")
         rows = sizes.shape[1]
         blocks = [self._kernels[i](sizes[j], rows) for j, i in enumerate(members)]
         self._oracles._settle(blocks, rows)
