@@ -3,7 +3,10 @@
 The digests pin the exact bytes the lab emits for the six criterion-4 cells
 at two seeds each, and the label transcripts of five of them: all but
 `example1(0.2,0.05,a)/active-dd-small`, whose transcripts the seed grid
-pins.  The two cells whose solves hold two candidates are pinned over twenty
+pins.  Four more cells, records and transcripts, pin the routes no
+criterion-4 cell takes: stage one of `active-dd-small` (at eps 0.5 on
+`example1(0.004,0.002,a)`, where 100 nu = 0.6 < 1), both branches of
+`active-dd-auto`, and `passive-naive`.  The two cells whose solves hold two candidates are pinned over twenty
 seeds as well, records and transcripts, and so are two `active-df` cells
 whose robust learner runs more than once: over eight pruning rounds on
 shrinking member sets, and in two epochs.  Any change to
@@ -55,6 +58,14 @@ CELLS = {
         (lambda: amdl.gen_agnostic_lb(4, 0.4, 0.05), "passive-hedge", 0.05),
     "agnostic-lb(4,0.4,0.05)/active-dd-small":
         (lambda: amdl.gen_agnostic_lb(4, 0.4, 0.05), "active-dd-small", 0.05),
+    "example1(0.004,0.002,a)/active-dd-small/0.5":
+        (lambda: amdl.gen_example1(0.004, 0.002, "a"), "active-dd-small", 0.5),
+    "star-lb(2,4,1,1)/active-dd-auto/0.1":
+        (lambda: amdl.gen_star_lb(2, 4, 1, 1), "active-dd-auto", 0.1),
+    "example1(0.2,0.05,b)/active-dd-auto/0.05":
+        (lambda: amdl.gen_example1(0.2, 0.05, "b"), "active-dd-auto", 0.05),
+    "agnostic-lb(4,0.4,0.05)/passive-naive/0.05":
+        (lambda: amdl.gen_agnostic_lb(4, 0.4, 0.05), "passive-naive", 0.05),
 }
 
 RECORD_SHA256 = {
@@ -70,6 +81,14 @@ RECORD_SHA256 = {
         "6869be763f6afbf704e1b040e7022b11ee4aac741353aa8c9e350931ed3a1be9",
     "agnostic-lb(4,0.4,0.05)/active-dd-small":
         "54d55b439c3c59309202e33435f4a7a426acc2a5f5889459880a0fdcd2a4a09b",
+    "example1(0.004,0.002,a)/active-dd-small/0.5":
+        "5566d64f5333cc4378cf1210dad7c4df063dc69b545e5976d2b705fed668acfd",
+    "star-lb(2,4,1,1)/active-dd-auto/0.1":
+        "0fb2d8867fa46b2ca363ce72c4e1d67e413f99c7076051b59f8844900187938a",
+    "example1(0.2,0.05,b)/active-dd-auto/0.05":
+        "41bd4c44fedfd259280cadcca97182f84c7b21f674187a38f72f2fe06e7e174c",
+    "agnostic-lb(4,0.4,0.05)/passive-naive/0.05":
+        "02de5231875b9f986f583cc504109e16cd1e732f9de1ea5f21ad2e5d4febdef4",
 }
 
 TRANSCRIPT_SHA256 = {
@@ -83,6 +102,14 @@ TRANSCRIPT_SHA256 = {
         "2faf4e06ad02846349430a53820ba4b1dcb5cf7d5e6f5890b46decf4e22bc8e0",
     "agnostic-lb(4,0.4,0.05)/active-dd-small":
         "97b83217b26933d24af4f20692fcdb5ee3e818695e07c7a55e22d1666557aa01",
+    "example1(0.004,0.002,a)/active-dd-small/0.5":
+        "c3808ee87e114337f21522516672db2807d04cfe8cb25d4455169375eb976df6",
+    "star-lb(2,4,1,1)/active-dd-auto/0.1":
+        "408fd9237769bf6c0c91903c791327e26d50dddeaf8b83c16d332af3e60cbafa",
+    "example1(0.2,0.05,b)/active-dd-auto/0.05":
+        "fb96908da6b1745dc64f8a21b83bd9863859baacbf83d8c6b3c6928918c1b719",
+    "agnostic-lb(4,0.4,0.05)/passive-naive/0.05":
+        "97b5bea8ad0b9dfc7efe3f63b7568660026b0afcac992d15aff043f1a8dba9bd",
 }
 
 
