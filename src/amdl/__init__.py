@@ -14,8 +14,7 @@ from .oracles import (DegenerateAgreementRegion, OracleSet, QueryLedger,
                       plain_family, surrogate_family)
 from .hedge import (HedgeResult, HedgeState, SolverConfig, hedge_step,
                     hyperparams, mdl_hedge_vc, naive_erm_baseline)
-from .active import (EpochSchedule, RunResult, active_large_eps,
-                     active_small_eps, regime_dispatch)
+from .active import RunResult, active_large_eps, active_small_eps, regime_dispatch
 from .rpu import (AbstainingClassifier, active_dist_free, batch_size,
                   passive_rpu_mdl, robust_rpu_learn, threshold_majority)
 from .families import (FamilySpec, SeparationReport, gen_agnostic_lb,

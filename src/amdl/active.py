@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,27 +29,11 @@ from .oracles import (DegenerateAgreementRegion, OracleSet, induced_family,
 REGIME_FACTOR = 100.0
 
 
-def check_target(eps: float, delta: float) -> None:
-    if not (0 < eps < math.inf and 0 < delta < 1):   # refuses NaN
-        raise ContractViolation("eps must be positive and finite and delta in (0,1)")
-
-
-@dataclass(frozen=True)
-class EpochSchedule:
-    """Halving schedule: n0 epochs, eps_n = 2^-n, delta_n = delta / (2 n^2)."""
-
-    n0: int
-    eps_n: tuple[float, ...]
-    delta_n: tuple[float, ...]
-
-    @staticmethod
-    def for_target(eps: float, delta: float) -> "EpochSchedule":
-        if eps >= 1.0:
-            return EpochSchedule(0, (), ())
-        n0 = max(0, math.ceil(math.log2(1.0 / eps) - 1e-12))
-        eps_n = tuple(2.0 ** -n for n in range(1, n0 + 1))
-        delta_n = tuple(delta / (2.0 * n * n) for n in range(1, n0 + 1))
-        return EpochSchedule(n0, eps_n, delta_n)
+def halving(n0: int, delta: float) -> Iterator[tuple[int, float, float]]:
+    """The epoch schedule (n, eps_n, delta_n) for n = 1..n0: eps_n = 2^-n and
+    delta_n = delta / (2 n^2), so the epochs' confidences sum below delta."""
+    for n in range(1, n0 + 1):
+        yield n, 2.0 ** -n, delta / (2.0 * n * n)
 
 
 @dataclass
@@ -88,9 +72,10 @@ def _max_dis_mass(inst: MDLInstance, version_space: Sequence[int]) -> Fraction:
     return max(Fraction(d._weigh(dis), d._mden) for d in inst.distributions)
 
 
-def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: float,
-                     cfg: SolverConfig, d: int) -> RunResult:
-    """Epoch-halving disagreement-based active learner.
+def active_large_eps(inst: MDLInstance, oracles: OracleSet, cfg: SolverConfig,
+                     d: int) -> RunResult:
+    """Epoch-halving disagreement-based active learner, to target `cfg.eps`
+    at confidence `cfg.delta`; `cfg.nu` is the instance's optimal error.
 
     Each epoch solves a passive problem over the version-space-imputed
     distributions at target eps_n, then keeps only hypotheses within exact
@@ -99,12 +84,12 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
     is flagged, and an emptied version space is reported as a failure, not a
     crash.
 
-    The output is the last epoch's mixture h_n0 (any member when no epoch
-    runs, since then eps >= 1).  Let h* be a nu minimizer that every filter
-    keeps, and L~_i the loss under the imputed distribution i.  Imputing
-    h*'s own label on the agreement region only raises a hypothesis'
-    excess over h*, so L_i(h) - L_i(h*) <= L~_i(h) - L~_i(h*), mixtures
-    included.  When the last solve meets its target, max_i L~_i(h_n0) <=
+    The output is the last epoch's mixture h_n0 (the first member when
+    log2(1/eps) <= 1e-12, so no epoch runs).  Let h* be a nu minimizer that
+    every filter keeps, and L~_i the loss under the imputed distribution i.
+    Imputing h*'s own label on the agreement region only raises a
+    hypothesis' excess over h*, so L_i(h) - L_i(h*) <= L~_i(h) - L~_i(h*),
+    mixtures included.  When the last solve meets its target, max_i L~_i(h_n0) <=
     max_i L~_i(h*) + eps_n0 <= nu + eps_n0, and L_i(h*) - L~_i(h*) <= nu,
     so L_i(h_n0) <= 2 nu + eps_n0: at most eps_n0 <= eps on a realizable
     instance.  A survivor gets no such bound, because the filter keeps
@@ -112,21 +97,19 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
     lowest-index survivor, the single hypothesis `active_small_eps` centres
     its stage-two version space on.
     """
-    check_target(eps, delta)
     cls = inst.hypothesis_class
     k = inst.k
-    nu = float(inst.nu_exact())
+    eps, nu = cfg.eps, cfg.nu
     warnings = []
     if eps < REGIME_FACTOR * nu:
         warnings.append(f"regime: eps={eps} < {REGIME_FACTOR}*nu={REGIME_FACTOR * nu}")
-    sched = EpochSchedule.for_target(eps, delta)
+    n0 = math.ceil(math.log2(1.0 / eps) - 1e-12)
     V = list(cls.full_version_space())
     trace = []
     version_spaces = []
     prev_dis: set[int] | None = None
     out = cls[V[0]]
-    for n in range(1, sched.n0 + 1):
-        eps_n, delta_n = sched.eps_n[n - 1], sched.delta_n[n - 1]
+    for n, eps_n, delta_n in halving(n0, cfg.delta):
         labels_before = oracles.ledger.label_total
         fam = induced_family(oracles, V)
         inner = replace(cfg, eps=eps_n, delta=delta_n, nu=eps_n / REGIME_FACTOR)
@@ -142,7 +125,7 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
             trace.append(tr_row)
             return RunResult(None, "version_space_collapse", trace,
                              {"collapse_epoch": n, "warnings": warnings,
-                              "schedule_n0": sched.n0})
+                              "schedule_n0": n0})
         dis_now = set(int(x) for x in disagreement_region(cls, V_new))
         if prev_dis is not None and not dis_now <= prev_dis:
             raise ContractViolation(f"epoch {n} disagreement region grew")
@@ -152,14 +135,15 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
         trace.append((n, eps_n, len(V), float(_max_dis_mass(inst, V)),
                       res.total_draws, labels_epoch))
     return RunResult(out, None, trace,
-                     {"warnings": warnings, "schedule_n0": sched.n0,
+                     {"warnings": warnings, "schedule_n0": n0,
                       "center_index": V[0], "version_spaces": version_spaces,
                       "final_version_space": tuple(V)})
 
 
-def active_small_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: float,
-                     nu: float, cfg: SolverConfig, d: int) -> RunResult:
-    """Two-stage learner for the noise-dominated regime.
+def active_small_eps(inst: MDLInstance, oracles: OracleSet, cfg: SolverConfig,
+                     d: int) -> RunResult:
+    """Two-stage learner for the noise-dominated regime, to target `cfg.eps`
+    at confidence `cfg.delta`, given the optimal error `cfg.nu` > 0.
 
     Stage one localizes a version space around a coarse hypothesis (target
     excess capped at 1): V0 holds every member within 2 eps_p of stage one's
@@ -169,18 +153,18 @@ def active_small_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
     surrogate distributions, querying fresh labels only in the disagreement
     region.
     """
-    check_target(eps, delta)
-    if not 0 < nu < 1:
+    eps, nu = cfg.eps, cfg.nu
+    if not nu > 0:
         raise ContractViolation("the small-eps stage requires a supplied nu in (0,1)")
     cls = inst.hypothesis_class
     k = inst.k
     warnings = []
     if eps >= REGIME_FACTOR * nu:
         warnings.append(f"regime: eps={eps} >= {REGIME_FACTOR}*nu={REGIME_FACTOR * nu}")
-    delta_p = delta / 6.0
+    delta_p = cfg.delta / 6.0
     eps_p = min(REGIME_FACTOR * nu, 1.0)
     if eps_p < 1.0:
-        stage1 = active_large_eps(inst, oracles, eps_p, delta_p, cfg, d=d)
+        stage1 = active_large_eps(inst, oracles, replace(cfg, eps=eps_p, delta=delta_p), d=d)
         if not stage1.ok:
             stage1.metadata["failed_stage"] = 1
             stage1.metadata.setdefault("warnings", []).extend(warnings)
@@ -207,8 +191,7 @@ def active_small_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
             degenerate.append(i)
     agreement_labels_cost = oracles.ledger.label_total - labels_before
     fam = surrogate_family(oracles, V0, samples)
-    final_cfg = replace(cfg, eps=eps / 2.0, delta=delta / 6.0, nu=nu)
-    res = mdl_hedge_vc(cls, V0, fam, final_cfg, k, d)
+    res = mdl_hedge_vc(cls, V0, fam, replace(cfg, eps=eps / 2.0, delta=delta_p), k, d)
     stage2_labels = oracles.ledger.label_total - labels_before
     trace.append(("stage2", eps / 2.0, len(V0), float(_max_dis_mass(inst, V0)),
                   res.total_draws, stage2_labels))
@@ -221,15 +204,14 @@ def active_small_eps(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
          "stage1_target": eps_p})
 
 
-def regime_dispatch(inst: MDLInstance, oracles: OracleSet, eps: float, delta: float,
-                    cfg: SolverConfig, d: int) -> RunResult:
-    """Route on eps >= 100 nu with nu computed exactly; records the branch."""
-    nu = float(inst.nu_exact())
-    if eps >= REGIME_FACTOR * nu:
-        out = active_large_eps(inst, oracles, eps, delta, cfg, d=d)
+def regime_dispatch(inst: MDLInstance, oracles: OracleSet, cfg: SolverConfig,
+                    d: int) -> RunResult:
+    """Route on eps >= 100 nu, both read from `cfg`; records the branch."""
+    if cfg.eps >= REGIME_FACTOR * cfg.nu:
+        out = active_large_eps(inst, oracles, cfg, d=d)
         out.metadata["dispatch"] = "large"
     else:
-        out = active_small_eps(inst, oracles, eps, delta, nu, cfg, d=d)
+        out = active_small_eps(inst, oracles, cfg, d=d)
         out.metadata["dispatch"] = "small"
     return out
 

@@ -128,7 +128,7 @@ def _instance_stats(inst: MDLInstance, alg: str) -> dict:
     return stats
 
 
-def _passive_hedge(inst, oracles, cfg, solver_cfg, stats) -> RunResult:
+def _passive_hedge(inst, oracles, solver_cfg, stats) -> RunResult:
     # the solver's nu parameter is the exact optimum, so its guarantee
     # precondition (supplied nu >= min-max loss) holds by construction
     cls = inst.hypothesis_class
@@ -137,23 +137,24 @@ def _passive_hedge(inst, oracles, cfg, solver_cfg, stats) -> RunResult:
     return RunResult(res.hypothesis, metadata={"solver": res})
 
 
-def _passive_naive(inst, oracles, cfg, solver_cfg, stats) -> RunResult:
-    h, n_per = naive_erm_baseline(inst, oracles, cfg.eps, cfg.delta, stats["d"], solver_cfg)
+def _passive_naive(inst, oracles, solver_cfg, stats) -> RunResult:
+    h, n_per = naive_erm_baseline(inst, oracles, solver_cfg, stats["d"])
     return RunResult(h, metadata={"samples_per_dist": n_per})
 
 
-# Every runner takes (inst, oracles, cfg, solver_cfg, stats) and looks its
-# learner up as a global of this module when it runs, so a wrapper set on the
-# module (bench/layers.py sets them) sees every trial.
+# Every runner takes (inst, oracles, solver_cfg, stats), where solver_cfg
+# carries the run's eps and delta and the exact nu, and looks its learner up
+# as a global of this module when it runs, so a wrapper set on the module
+# (bench/layers.py sets them) sees every trial.
 RUNNERS: dict[str, Callable[..., RunResult]] = {
-    "active-dd-large": lambda inst, oracles, cfg, solver_cfg, stats: active_large_eps(
-        inst, oracles, cfg.eps, cfg.delta, solver_cfg, d=stats["d"]),
-    "active-dd-small": lambda inst, oracles, cfg, solver_cfg, stats: active_small_eps(
-        inst, oracles, cfg.eps, cfg.delta, stats["nu"], solver_cfg, d=stats["d"]),
-    "active-dd-auto": lambda inst, oracles, cfg, solver_cfg, stats: regime_dispatch(
-        inst, oracles, cfg.eps, cfg.delta, solver_cfg, d=stats["d"]),
-    "active-df": lambda inst, oracles, cfg, solver_cfg, stats: active_dist_free(
-        inst, oracles, cfg.eps, cfg.delta, stats["s"], stats["d"], solver_cfg),
+    "active-dd-large": lambda inst, oracles, solver_cfg, stats: active_large_eps(
+        inst, oracles, solver_cfg, d=stats["d"]),
+    "active-dd-small": lambda inst, oracles, solver_cfg, stats: active_small_eps(
+        inst, oracles, solver_cfg, d=stats["d"]),
+    "active-dd-auto": lambda inst, oracles, solver_cfg, stats: regime_dispatch(
+        inst, oracles, solver_cfg, d=stats["d"]),
+    "active-df": lambda inst, oracles, solver_cfg, stats: active_dist_free(
+        inst, oracles, solver_cfg, stats["s"], stats["d"]),
     "passive-hedge": _passive_hedge,
     "passive-naive": _passive_naive,
 }
@@ -169,7 +170,7 @@ def run_single_trial(inst: MDLInstance, cfg: RunConfig, seed: int,
     oracles = OracleSet(inst, seed, log_transcript=cfg.trace)
     solver_cfg = SolverConfig(eps=cfg.eps, delta=cfg.delta, nu=nu, **cfg.solver_knobs())
     t0 = time.perf_counter()
-    res = RUNNERS[cfg.alg](inst, oracles, cfg, solver_cfg, stats)
+    res = RUNNERS[cfg.alg](inst, oracles, solver_cfg, stats)
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
     achieved = worst_loss(res.output, inst) if res.output is not None else float("nan")
     success = res.ok and achieved <= nu + cfg.eps + SUCCESS_TOL

@@ -378,17 +378,17 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
                        np.array(reward_draws, dtype=np.int64), store.n.copy(), play_counts, trace)
 
 
-def naive_erm_baseline(inst: MDLInstance, oracles: OracleSet, eps: float, delta: float,
-                       d: int, cfg: SolverConfig) -> tuple[Hypothesis, int]:
+def naive_erm_baseline(inst: MDLInstance, oracles: OracleSet, cfg: SolverConfig,
+                       d: int) -> tuple[Hypothesis, int]:
     """Per-distribution sampling at the textbook passive rate, then minimax ERM.
 
     Draws ceil(c_naive * max(d,1) * (nu + eps) / eps^2 * ln(k/(delta eps)))
-    labeled pairs from each distribution and minimizes the worst empirical
-    error; a comparison baseline only.
+    labeled pairs from each distribution, with eps, delta and nu read from
+    `cfg`, and minimizes the worst empirical error; a comparison baseline only.
     """
-    nu = float(inst.nu_exact())
-    n = math.ceil(cfg.c_naive * max(d, 1) * (nu + eps) / eps ** 2
-                  * math.log(inst.k / (delta * eps)))
+    eps = cfg.eps
+    n = math.ceil(cfg.c_naive * max(d, 1) * (cfg.nu + eps) / eps ** 2
+                  * math.log(inst.k / (cfg.delta * eps)))
     n = max(n, 1)
     fam = plain_family(oracles)
     cls = inst.hypothesis_class

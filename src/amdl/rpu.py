@@ -20,7 +20,7 @@ import numpy as np
 from .core import ContractViolation, HypothesisClass, MDLInstance
 from .hedge import SolverConfig, mdl_hedge_vc
 from .oracles import BLOCK, OracleSet, SamplerFamily, imputed_family
-from .active import RunResult, check_target
+from .active import REGIME_FACTOR, RunResult, halving
 
 
 class AbstainingClassifier:
@@ -96,8 +96,6 @@ def robust_rpu_learn(cls: HypothesisClass, draw: Batches, xi: float, delta: floa
     in turn would, as flat arrays of each pair's batch, point and label; it
     is called for slabs of at most `BLOCK` pairs (or one batch).
     """
-    if not 0 < xi <= 1:
-        raise ContractViolation("target reliability must lie in (0, 1]")
     N = 60 * max(1, math.ceil(math.log(1.0 / delta)))
     n = batch_size(s_star, xi, cfg.c_n)
     m = cls.m
@@ -178,9 +176,10 @@ def passive_rpu_mdl(cls: HypothesisClass, family: SamplerFamily, oracles: Oracle
     return PruneResult(AbstainingClassifier(out), len(learned), None, per_round_abstain)
 
 
-def active_dist_free(inst: MDLInstance, oracles: OracleSet, eps: float, delta: float,
-                     s_star: int, d: int, cfg: SolverConfig) -> RunResult:
-    """Distribution-free active learner.
+def active_dist_free(inst: MDLInstance, oracles: OracleSet, cfg: SolverConfig,
+                     s_star: int, d: int) -> RunResult:
+    """Distribution-free active learner, to target `cfg.eps` at confidence
+    `cfg.delta`; `cfg.nu` is the instance's optimal error.
 
     Epochs refine an abstaining classifier whose abstention mass halves every
     round under every distribution, querying labels only where the previous
@@ -189,13 +188,13 @@ def active_dist_free(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
     targets the overall eps (the accounting reading), not the schedule value
     2^-n0.
     """
-    check_target(eps, delta)
     cls = inst.hypothesis_class
     k = inst.k
-    nu = float(inst.nu_exact())
+    eps, nu = cfg.eps, cfg.nu
     warnings = []
-    if eps < 100.0 * (k + d) * nu:
-        warnings.append(f"regime: eps={eps} < 100*(k+d)*nu={100.0 * (k + d) * nu}")
+    if eps < REGIME_FACTOR * (k + d) * nu:
+        warnings.append(
+            f"regime: eps={eps} < {REGIME_FACTOR:g}*(k+d)*nu={REGIME_FACTOR * (k + d) * nu}")
     if s_star > 0:
         n0 = max(1, math.ceil(math.log2((d + k) / (s_star * eps)) - 1e-12))
     else:
@@ -207,18 +206,16 @@ def active_dist_free(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
     def abstain_mass_of(i: int, g: AbstainingClassifier) -> Fraction:
         d = inst.distributions[i]
         return Fraction(d._weigh(g.outputs == 0), d._mden)
-    for n in range(1, n0 + 1):
-        eps_n = 2.0 ** -n
-        delta_n = delta / (2.0 * n * n)
+    for n, eps_n, delta_n in halving(n0, cfg.delta):
         labels_before = oracles.ledger.label_total
         fam = imputed_family(oracles, f.outputs)
         if n < n0:
             # the robust learner's guarantee needs its reliability target to
             # dominate the noise by a star-number factor; warn, don't enforce
-            if s_star > 0 and nu > 0 and eps_n < 100.0 * s_star * nu:
+            if s_star > 0 and nu > 0 and eps_n < REGIME_FACTOR * s_star * nu:
                 warnings.append(
-                    f"rpu regime: epoch {n} target {eps_n} < 100*s*nu="
-                    f"{100.0 * s_star * nu}")
+                    f"rpu regime: epoch {n} target {eps_n} < {REGIME_FACTOR:g}*s*nu="
+                    f"{REGIME_FACTOR * s_star * nu}")
             pr = passive_rpu_mdl(cls, fam, oracles, range(k), eps_n, delta_n,
                                  s_star, cfg, abstain_mass_of)
             labels_epoch = oracles.ledger.label_total - labels_before
@@ -232,9 +229,9 @@ def active_dist_free(inst: MDLInstance, oracles: OracleSet, eps: float, delta: f
             abst = max(float(abstain_mass_of(i, f)) for i in range(k))
             trace.append((n, eps_n, abst, pr.rounds, labels_epoch))
         else:
-            final_cfg = replace(cfg, eps=eps, delta=delta_n, nu=nu)
             labels_final_before = oracles.ledger.label_queries.copy()
-            res = mdl_hedge_vc(cls, cls.full_version_space(), fam, final_cfg, k, d)
+            res = mdl_hedge_vc(cls, cls.full_version_space(), fam, replace(cfg, delta=delta_n),
+                               k, d)
             labels_epoch = oracles.ledger.label_total - labels_before
             abst = max(float(abstain_mass_of(i, f)) for i in range(k))
             trace.append((n, eps_n, abst, 0, labels_epoch))

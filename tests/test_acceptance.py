@@ -174,7 +174,7 @@ def test_criterion_5_epoch_invariants():
     for seed in range(trials):
         o = OracleSet(inst, seed)
         # radius bound rho(h, h_n) <= 2 eps_n is asserted inside the update
-        res = active_large_eps(inst, o, 0.05, DELTA, cfg, d=1)
+        res = active_large_eps(inst, o, cfg, d=1)
         if not res.ok:
             continue
         spaces = res.metadata["version_spaces"]
@@ -212,7 +212,7 @@ def test_criterion_6_rpu_reliability():
     for seed in range(pipe_trials):
         o = OracleSet(inst, seed)
         from amdl.rpu import active_dist_free
-        res = active_dist_free(inst, o, 0.1, DELTA, s_star=8, d=1, cfg=cfg)
+        res = active_dist_free(inst, o, cfg, s_star=8, d=1)
         if not res.ok:
             continue
         completed += 1

@@ -14,8 +14,8 @@ from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, OracleSet,
                   RandomizedHypothesis, SolverConfig)
 from amdl import active
-from amdl.active import (EpochSchedule, _within_radius, active_large_eps,
-                         active_small_eps, regime_dispatch)
+from amdl.active import (_within_radius, active_large_eps, active_small_eps, halving,
+                         regime_dispatch)
 from amdl.core import disagreement_exact
 from amdl.families import FamilySpec
 from amdl.harness import PROFILES
@@ -24,17 +24,19 @@ from closed_forms import disagreement_reference
 from conftest import one_point_instance
 
 
-def test_epoch_schedule_brackets_target():
+def test_epoch_schedule_brackets_target(desk_knobs):
+    # the epochs run the halving schedule, whose last target eps_n0 brackets
+    # eps (eps_n0 <= eps < 2 eps_n0) and whose confidences sum below delta
+    inst = one_point_instance()
     for eps in (0.3, 0.25, 0.1, 0.07, 0.03):
-        sched = EpochSchedule.for_target(eps, 0.1)
-        last = sched.eps_n[-1]
+        cfg = SolverConfig(eps=eps, delta=0.1, nu=0.0, **desk_knobs)
+        res = active_large_eps(inst, OracleSet(inst, seed=0), cfg, d=1)
+        assert res.ok
+        schedule = list(halving(res.metadata["schedule_n0"], 0.1))
+        assert [row[:2] for row in res.trace] == [(n, eps_n) for n, eps_n, _ in schedule]
+        last = res.trace[-1][1]
         assert last <= eps < 2 * last
-        assert sum(sched.delta_n) <= 0.1
-
-
-def test_epoch_schedule_vacuous_target():
-    sched = EpochSchedule.for_target(1.0, 0.1)
-    assert sched.n0 == 0
+        assert sum(delta_n for _, _, delta_n in schedule) <= 0.1
 
 
 def test_one_point_realizable_run(desk_knobs):
@@ -42,7 +44,7 @@ def test_one_point_realizable_run(desk_knobs):
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=0.0, **desk_knobs)
     for seed in range(5):
         o = OracleSet(inst, seed)
-        res = active_large_eps(inst, o, 0.05, 0.1, cfg, d=1)
+        res = active_large_eps(inst, o, cfg, d=1)
         assert res.ok
         assert amdl.worst_loss(res.output, inst) == 0.0
         # the run localizes after the first epoch; label cost stays near the
@@ -50,22 +52,11 @@ def test_one_point_realizable_run(desk_knobs):
         assert o.ledger.label_total <= 60 * res.metadata["schedule_n0"]
 
 
-def test_vacuous_target_returns_immediately(desk_knobs):
-    inst = one_point_instance()
-    cfg = SolverConfig(eps=0.9, delta=0.1, nu=0.0, **desk_knobs)
-    o = OracleSet(inst, seed=0)
-    res = active_large_eps(inst, o, 1.5, 0.1, cfg, d=1)
-    assert res.ok and res.output is inst.hypothesis_class[0]
-    assert res.metadata["center_index"] == 0
-    assert o.ledger.label_total == 0 and res.metadata["schedule_n0"] == 0
-
-
 def test_version_spaces_nested_and_radius_bound(desk_knobs):
     inst = amdl.gen_star_lb(2, 8, 1, 3)
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=3)
-    res = active_large_eps(inst, o, 0.05, 0.1, cfg,
-                           d=amdl.vc_dimension(inst.hypothesis_class).value)
+    res = active_large_eps(inst, o, cfg, d=amdl.vc_dimension(inst.hypothesis_class).value)
     assert res.ok
     spaces = res.metadata["version_spaces"]
     assert len(spaces) == res.metadata["schedule_n0"]
@@ -135,7 +126,7 @@ def test_kept_members_lie_within_the_epoch_radius(monkeypatch, family, eps):
             return res
 
         monkeypatch.setattr(active, "mdl_hedge_vc", capture)
-        run = active_large_eps(inst, OracleSet(inst, seed), eps, SWEEP["delta"], cfg, d=d)
+        run = active_large_eps(inst, OracleSet(inst, seed), cfg, d=d)
         monkeypatch.undo()
         # epoch n keeps what epoch n + 1 solves over; the last epoch keeps
         # the final version space, or nothing when the space collapsed
@@ -157,7 +148,7 @@ def test_realizable_labeling_hypothesis_survives(desk_knobs):
     survived = 0
     for seed in range(40):
         o = OracleSet(inst, seed)
-        res = active_large_eps(inst, o, 0.05, 0.1, cfg, d=1)
+        res = active_large_eps(inst, o, cfg, d=1)
         if res.ok and all(target_idx in V for V in res.metadata["version_spaces"]):
             survived += 1
     assert survived >= 36  # 1 - delta of trials at delta = 0.1
@@ -170,7 +161,7 @@ def test_version_space_collapse_reported(desk_knobs):
     inst = amdl.gen_prop1(4, 0.4)
     cfg = SolverConfig(eps=0.02, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
     o = OracleSet(inst, seed=9)
-    res = active_large_eps(inst, o, 0.02, 0.1, cfg, d=1)
+    res = active_large_eps(inst, o, cfg, d=1)
     assert res.failure_mode == "version_space_collapse"
     assert res.output is None and not res.ok
     assert res.metadata["collapse_epoch"] == 4
@@ -178,7 +169,7 @@ def test_version_space_collapse_reported(desk_knobs):
     assert any(w.startswith("regime:") for w in res.metadata["warnings"])
     # a neighbouring seed completes and reports no failure
     o2 = OracleSet(inst, seed=0)
-    res2 = active_large_eps(inst, o2, 0.02, 0.1, cfg, d=1)
+    res2 = active_large_eps(inst, o2, cfg, d=1)
     assert res2.failure_mode is None and res2.ok
 
 
@@ -188,7 +179,7 @@ def test_small_eps_stage_one_cap(desk_knobs):
     nu = float(inst.nu_exact())
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = active_small_eps(inst, o, 0.05, 0.1, nu, cfg, d=1)
+    res = active_small_eps(inst, o, cfg, d=1)
     assert res.ok
     assert res.metadata["stage1_target"] == 1.0
     assert res.metadata["v0_size"] == len(inst.hypothesis_class)
@@ -200,7 +191,7 @@ def test_small_eps_agreement_label_accounting(desk_knobs):
     nu = float(inst.nu_exact())
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **desk_knobs)
     o = OracleSet(inst, seed=1)
-    res = active_small_eps(inst, o, 0.05, 0.1, nu, cfg, d=1)
+    res = active_small_eps(inst, o, cfg, d=1)
     n0 = res.metadata["n0_agreement"]
     assert n0 == math.ceil(100 * (0.05 + nu) / 0.05 ** 2 * math.log(3 / (0.1 / 6)))
     assert res.metadata["agreement_label_cost"] == inst.k * n0
@@ -222,7 +213,7 @@ def test_small_eps_degenerate_agreement_flagged(desk_knobs):
     assert nu > 0
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = active_small_eps(inst, o, 0.05, 0.1, nu, cfg, d=1)
+    res = active_small_eps(inst, o, cfg, d=1)
     assert res.metadata["degenerate_agreement"] == [0, 1]
     assert res.ok
 
@@ -232,7 +223,7 @@ def test_small_eps_requires_positive_nu(desk_knobs):
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
     with pytest.raises(ContractViolation):
-        active_small_eps(inst, o, 0.05, 0.1, 0.0, cfg, d=1)
+        active_small_eps(inst, o, cfg, d=1)
 
 
 BAD_TARGETS = [("large", dict(eps=math.nan)), ("large", dict(eps=math.inf)),
@@ -246,20 +237,16 @@ BAD_TARGETS = [("large", dict(eps=math.nan)), ("large", dict(eps=math.inf)),
 @pytest.mark.parametrize("learner,bad", BAD_TARGETS,
                          ids=[f"{a}-{k}={v}" for a, b in BAD_TARGETS for k, v in b.items()])
 def test_learners_refuse_bad_targets_at_entry(desk_knobs, learner, bad):
-    # these raised ValueError, ZeroDivisionError or OverflowError from deep in
-    # a learner, ran (active_large_eps at eps = inf), or were refused only after
-    # stage two's sampling (nu = 1); now nothing is drawn before the refusal
+    # a learner reads its target from the SolverConfig it is given, and that
+    # config refuses a NaN, infinite or out-of-range eps, delta or nu, so no
+    # such target reaches a learner and nothing is drawn
     inst = amdl.gen_example1(0.2, 0.05, "a")
-    t = {"eps": 0.05, "delta": 0.1, "nu": 0.2, **bad}
-    cfg = SolverConfig(eps=0.05, delta=0.1, nu=0.2, **desk_knobs)
     o = OracleSet(inst, seed=0)
+    run = {"large": lambda cfg: active_large_eps(inst, o, cfg, d=1),
+           "small": lambda cfg: active_small_eps(inst, o, cfg, d=1),
+           "df": lambda cfg: amdl.active_dist_free(inst, o, cfg, s_star=2, d=1)}[learner]
     with pytest.raises(ContractViolation):
-        if learner == "large":
-            active_large_eps(inst, o, t["eps"], t["delta"], cfg, d=1)
-        elif learner == "small":
-            active_small_eps(inst, o, t["eps"], t["delta"], t["nu"], cfg, d=1)
-        else:
-            amdl.active_dist_free(inst, o, t["eps"], t["delta"], s_star=2, d=1, cfg=cfg)
+        run(SolverConfig(**{"eps": 0.05, "delta": 0.1, "nu": 0.2, **bad}, **desk_knobs))
     assert o.ledger.label_total == 0 and o.ledger.unlabeled_total == 0
 
 
@@ -268,7 +255,7 @@ def test_regime_dispatch_branches(desk_knobs):
     inst = amdl.gen_star_lb(2, 4, 1, 1)
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = regime_dispatch(inst, o, 0.1, 0.1, cfg, d=1)
+    res = regime_dispatch(inst, o, cfg, d=1)
     assert res.metadata["dispatch"] == "large"
     # threshold arithmetic both ways around eps = 0.5
     assert 0.5 >= 100 * 0.004 and not 0.5 >= 100 * 0.01
@@ -279,7 +266,7 @@ def test_regime_dispatch_small_branch(desk_knobs):
     nu = float(inst.nu_exact())
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = regime_dispatch(inst, o, 0.05, 0.1, cfg, d=1)
+    res = regime_dispatch(inst, o, cfg, d=1)
     assert res.metadata["dispatch"] == "small"
     assert res.ok
 

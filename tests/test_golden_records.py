@@ -249,7 +249,7 @@ def _large_eps_run(inst: amdl.MDLInstance, eps: float, seed: int):
     cfg = SolverConfig(eps=eps, delta=DELTA, nu=float(inst.nu_exact()),
                        **PROFILES[SWEEP["profile"]])
     d = amdl.vc_dimension(inst.hypothesis_class).value
-    return active.active_large_eps(inst, OracleSet(inst, seed), eps, DELTA, cfg, d=d)
+    return active.active_large_eps(inst, OracleSet(inst, seed), cfg, d=d)
 
 
 def test_sweep_cells_cover_the_config():

@@ -341,7 +341,7 @@ def test_naive_baseline_realizable_and_label_count(desk_knobs):
     inst = amdl.gen_star_lb(2, 3, 1, 1)
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    h, n_per = naive_erm_baseline(inst, o, 0.1, 0.1, d=1, cfg=cfg)
+    h, n_per = naive_erm_baseline(inst, o, cfg, d=1)
     assert amdl.worst_loss(h, inst) == 0.0
     assert o.ledger.label_total == inst.k * n_per
 

@@ -100,8 +100,8 @@ checks = {
         SolverConfig(eps=1e-300, delta=0.1, nu=0.0, **PROFILES["desk"]), 2, 1),
     "negative member": lambda: amdl.agreement_labels(inst.hypothesis_class, [-1]),
     "nan target": lambda: amdl.active_large_eps(
-        inst, OracleSet(inst, seed=0), math.nan, 0.1,
-        SolverConfig(eps=0.1, delta=0.1, nu=0.0, **PROFILES["desk"]), d=1),
+        inst, OracleSet(inst, seed=0),
+        SolverConfig(eps=math.nan, delta=0.1, nu=0.0, **PROFILES["desk"]), d=1),
     "malformed requests": lambda: fam.draw_requests([0], np.array([[1], [1]])),
     "bad outputs": lambda: amdl.imputed_family(OracleSet(inst, seed=0), np.full(inst.m, 7)),
 }

@@ -238,7 +238,7 @@ def test_active_dist_free_schedule_degeneracy(desk_knobs):
     inst = amdl.gen_star_lb(2, 4, 1, 1)
     cfg = SolverConfig(eps=0.5, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = active_dist_free(inst, o, 0.5, 0.1, s_star=8, d=1, cfg=cfg)
+    res = active_dist_free(inst, o, cfg, s_star=8, d=1)
     assert res.ok
     assert res.metadata["schedule_n0"] == 1
     assert len(res.trace) == 1
@@ -253,7 +253,7 @@ def test_active_dist_free_success_and_reliability(desk_knobs):
     trials = 25
     for seed in range(trials):
         o = OracleSet(inst, seed)
-        res = active_dist_free(inst, o, 0.1, 0.1, s_star=8, d=1, cfg=cfg)
+        res = active_dist_free(inst, o, cfg, s_star=8, d=1)
         if not res.ok:
             continue
         wl = amdl.worst_loss(res.output, inst)
@@ -286,7 +286,7 @@ def test_active_dist_free_final_label_cost_reconciles(desk_knobs):
     fractional = 0
     for seed in range(10):
         o = OracleSet(inst, seed)
-        res = active_dist_free(inst, o, 0.2, 0.1, s_star=3, d=1, cfg=cfg)
+        res = active_dist_free(inst, o, cfg, s_star=3, d=1)
         assert res.ok
         md = res.metadata
         draws = np.array(md["final_draws_per_dist"], dtype=float)
@@ -305,6 +305,6 @@ def test_active_dist_free_final_target_switch(desk_knobs):
     inst = amdl.gen_star_lb(2, 4, 1, 1)
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = active_dist_free(inst, o, 0.1, 0.1, s_star=8, d=1, cfg=cfg)
+    res = active_dist_free(inst, o, cfg, s_star=8, d=1)
     assert res.metadata["final_target"] == 0.1
 
