@@ -185,13 +185,21 @@ _SIGN = np.array([-1, 1], dtype=np.int8)   # _SIGN[u < eta_plus[x]] is the label
 View = tuple[np.ndarray, np.ndarray, bool]  # (dis_mask, labels, queries every point)
 
 
+def check_outputs(outputs, m: int | None = None) -> np.ndarray:
+    """An abstaining classifier's outputs as an int8 vector over {-1, 0, +1},
+    of m values when m is given.  The values are checked before the cast, so
+    255 or 0.5 is refused rather than wrapped to -1 or cut to 0."""
+    outs = np.asarray(outputs)
+    size = outs.size if m is None else m
+    if outs.shape != (size,) or not np.isin(outs, (-1, 0, 1)).all():
+        raise ContractViolation(f"outputs must be a vector of {size} values in {{-1, 0, +1}}")
+    return outs.astype(np.int8)
+
+
 def _imputed_view(outputs, m: int) -> View:
     """An abstaining classifier's outputs over m points as (abstains,
     labels, abstains everywhere)."""
-    outs = np.asarray(outputs)
-    if outs.shape != (m,) or not np.isin(outs, (-1, 0, 1)).all():
-        raise ContractViolation(f"outputs must be a vector of {m} values in {{-1, 0, +1}}")
-    outs = outs.astype(np.int8)
+    outs = check_outputs(outputs, m)
     return outs == 0, outs, not outs.any()
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import ContractViolation, HypothesisClass, MDLInstance
 from .hedge import SolverConfig, mdl_hedge_vc
-from .oracles import BLOCK, OracleSet, SamplerFamily, imputed_family
+from .oracles import BLOCK, OracleSet, SamplerFamily, check_outputs, imputed_family
 from .active import REGIME_FACTOR, RunResult, halving
 
 
@@ -29,10 +29,7 @@ class AbstainingClassifier:
     __slots__ = ("outputs",)
 
     def __init__(self, outputs):
-        arr = np.asarray(outputs, dtype=np.int8)
-        if arr.ndim != 1 or not np.all(np.isin(arr, (-1, 0, 1))):
-            raise ContractViolation("outputs must be a vector over {-1, 0, +1}")
-        self.outputs = arr
+        self.outputs = check_outputs(outputs)
 
     def __call__(self, x: int) -> int:
         return int(self.outputs[x])

@@ -104,6 +104,7 @@ checks = {
         SolverConfig(eps=math.nan, delta=0.1, nu=0.0, **PROFILES["desk"]), d=1),
     "malformed requests": lambda: fam.draw_requests([0], np.array([[1], [1]])),
     "bad outputs": lambda: amdl.imputed_family(OracleSet(inst, seed=0), np.full(inst.m, 7)),
+    "wrapped outputs": lambda: amdl.AbstainingClassifier(np.array([255, 0])),
 }
 for name, check in checks.items():
     try:
@@ -131,4 +132,5 @@ def test_runtime_checks_hold_under_python_O():
                                        "refused: ragged hypothesis", "refused: ragged class row",
                                        "refused: overserved run", "refused: underflowed eps",
                                        "refused: negative member", "refused: nan target",
-                                       "refused: malformed requests", "refused: bad outputs"]
+                                       "refused: malformed requests", "refused: bad outputs",
+                                       "refused: wrapped outputs"]
