@@ -372,6 +372,9 @@ class OracleSet:
 
     def _surrogate_rounds(self, dis_mask: np.ndarray, sample: tuple[np.ndarray, np.ndarray],
                           i: int, c: int, rounds: int) -> _Rounds:
+        if np.ndim(c):
+            raise ContractViolation("surrogate requests all take one size; "
+                                    "draw_requests needs an imputing family")
         sx, sy = sample
         self.ledger.settle()
         stream = self._streams[i]
@@ -511,8 +514,9 @@ class SamplerFamily:
         `draw` called for every r and, within r, every j in turn.  The pairs
         come back member by member, each member's in request order.
         Imputing families only (plain included): their kernels take unequal
-        sizes.  Members are distinct distribution indices and `sizes` an
-        integer matrix with a row per member, refused otherwise."""
+        sizes, and a surrogate kernel refuses them before any stream moves.
+        Members are distinct distribution indices and `sizes` an integer
+        matrix with a row per member, refused otherwise."""
         sizes = np.asarray(sizes)
         if (not all(type(i) is int or isinstance(i, np.integer) for i in members)
                 or not all(0 <= i < self.k for i in members) or len(set(members)) != len(members)

@@ -1181,6 +1181,23 @@ def test_malformed_requests_refused_before_any_draw(case):
     assert _metered(o, fam) == metered
 
 
+def test_surrogate_requests_refused_before_any_draw():
+    # a surrogate kernel draws requests of one size, so rows of sizes are
+    # refused by name (numpy's "truth value ... is ambiguous" ValueError
+    # escaped before) and no stream or count moves
+    inst = amdl.gen_prop1(2, 0.2)
+    o = OracleSet(inst, seed=0, log_transcript=True)
+    samples = [o.sample_conditional_agreement(i, (0, 1), 4) for i in range(inst.k)]
+    fam = amdl.surrogate_family(o, (0, 1), samples)
+    fam.draw(1, 3)
+    streams = [s.consumed for s in (*o._streams, o._aux)]
+    metered = _metered(o, fam)
+    with pytest.raises(ContractViolation, match="draw_requests needs an imputing family"):
+        fam.draw_requests([0], np.array([[2, 3]]))
+    assert [s.consumed for s in (*o._streams, o._aux)] == streams
+    assert _metered(o, fam) == metered
+
+
 BAD_OUTPUTS = {
     "out of range": lambda m: np.full(m, 7),
     "a two": lambda m: np.r_[np.zeros(m - 1, dtype=np.int64), 2],
