@@ -108,14 +108,18 @@ class TrialRecord:
     wall_ms: int
 
     def csv_row(self, timing: bool = False) -> str:
+        """The record as one CSV line, quoted only where a field holds a
+        comma, a quote or a line break (an instance id or family name can)."""
         per = "|".join(str(v) for v in self.labels_per_dist)
         wall = self.wall_ms if timing else 0
-        return ",".join([
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow([
             self.instance_id, self.family, self.alg, repr(self.eps),
             repr(self.delta), str(self.seed), str(self.labels_total), per,
             str(self.unlabeled), repr(self.achieved_err), repr(self.nu),
             "1" if self.success else "0", self.failure_mode, str(wall),
         ])
+        return buf.getvalue()
 
 
 def _instance_stats(inst: MDLInstance, alg: str) -> dict:

@@ -48,6 +48,20 @@ def test_run_trials_deterministic_bytes():
     assert all(line.endswith(",0") for line in a.strip().split("\n")[1:])
 
 
+def test_run_record_quotes_fields_that_need_it():
+    # an instance id or family holding a comma, a quote or a line break is
+    # quoted, so the record reads back as the 14 fields written
+    inst = amdl.gen_prop1(2, 0.1)
+    inst.metadata.update(instance_id='a,b\nc', family='say "hi"\r')
+    rec = run_trials(RunConfig(alg="passive-naive", eps=0.1, delta=0.1, instance=inst))[0]
+    text = records_to_csv([rec])
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == RUN_CSV_HEADER.split(",")
+    assert len(rows) == 2 and len(rows[1]) == 14
+    assert rows[1][:3] == ['a,b\nc', 'say "hi"\r', "passive-naive"]
+    assert rows[1][7] == "|".join(map(str, rec.labels_per_dist))
+
+
 def test_run_trials_workers_match_serial():
     serial = records_to_csv(run_trials(_prop1_cfg(trials=4)))
     parallel = records_to_csv(run_trials(_prop1_cfg(trials=4, workers=2)))
