@@ -83,7 +83,9 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    transcript = f"{args.out}.transcript" if (args.trace and args.out) else None
+    if args.trace and not args.out:
+        raise ContractViolation("--trace writes the transcript to <out>.transcript; give --out")
+    transcript = f"{args.out}.transcript" if args.trace else None
     cfg = RunConfig(alg=args.alg, eps=args.eps, delta=args.delta,
                     trials=args.trials, base_seed=args.seed,
                     profile=args.profile, knobs=_parse_knobs(args.knob),

@@ -220,7 +220,7 @@ def run_trials(cfg: RunConfig) -> list[TrialRecord]:
     outs.sort(key=lambda pair: pair[0].seed)
     if cfg.trace and cfg.transcript_path:
         with open(cfg.transcript_path, "w") as fh:
-            for trial, (rec, transcript) in enumerate(outs):
+            for rec, transcript in outs:
                 for (i, x, y, cum) in transcript:
                     fh.write(f"{rec.seed},{i},{x},{y},{cum}\n")
     return [rec for rec, _ in outs]

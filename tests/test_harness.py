@@ -700,9 +700,19 @@ def test_run_transcript_emission(tmp_path):
     recs = run_trials(cfg)
     lines = path.read_text().strip().split("\n")
     assert len(lines) == sum(r.labels_total for r in recs)
-    # columns: trial, i, x, y, cumulative_label_count
+    # columns: seed, i, x, y, cumulative_label_count
     first = lines[0].split(",")
     assert len(first) == 5 and first[0] == "0"
+
+
+def test_cli_run_trace_without_out_is_refused(tmp_path, capsys):
+    # the transcript goes to <out>.transcript; without --out it was dropped
+    inst_path = tmp_path / "p.json"
+    amdl.save_instance(amdl.gen_prop1(2, 0.1), str(inst_path))
+    with pytest.raises(ContractViolation, match="--out"):
+        cli_main(["run", "--instance", str(inst_path), "--alg", "passive-naive",
+                  "--eps", "0.2", "--trace"])
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_entry_point_subprocess(tmp_path):
