@@ -84,12 +84,12 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, cfg: SolverConfig,
     is flagged, and an emptied version space is reported as a failure, not a
     crash.
 
-    The output is the last epoch's mixture h_n0 (the first member when
-    log2(1/eps) <= 1e-12, so no epoch runs).  Let h* be a nu minimizer that
-    every filter keeps, and L~_i the loss under the imputed distribution i.
-    Imputing h*'s own label on the agreement region only raises a
-    hypothesis' excess over h*, so L_i(h) - L_i(h*) <= L~_i(h) - L~_i(h*),
-    mixtures included.  When the last solve meets its target, max_i L~_i(h_n0) <=
+    The output is the last epoch's mixture h_n0 (member 0 when no epoch
+    runs: eps within 1e-12 of 1).  Let h* be a nu minimizer that every filter
+    keeps, and L~_i the loss under the imputed distribution i.  Imputing
+    h*'s own label on the agreement region only raises a hypothesis'
+    excess over h*, so L_i(h) - L_i(h*) <= L~_i(h) - L~_i(h*), mixtures
+    included.  When the last solve meets its target, max_i L~_i(h_n0) <=
     max_i L~_i(h*) + eps_n0 <= nu + eps_n0, and L_i(h*) - L~_i(h*) <= nu,
     so L_i(h_n0) <= 2 nu + eps_n0: at most eps_n0 <= eps on a realizable
     instance.  A survivor gets no such bound, because the filter keeps

@@ -706,7 +706,7 @@ def test_run_transcript_emission(tmp_path):
 
 
 def test_cli_run_trace_without_out_is_refused(tmp_path, capsys):
-    # the transcript goes to <out>.transcript; without --out it was dropped
+    # the transcript goes to <out>.transcript, so --trace needs --out
     inst_path = tmp_path / "p.json"
     amdl.save_instance(amdl.gen_prop1(2, 0.1), str(inst_path))
     with pytest.raises(ContractViolation, match="--out"):

@@ -1183,8 +1183,7 @@ def test_malformed_requests_refused_before_any_draw(case):
 
 def test_surrogate_requests_refused_before_any_draw():
     # a surrogate kernel draws requests of one size, so rows of sizes are
-    # refused by name (numpy's "truth value ... is ambiguous" ValueError
-    # escaped before) and no stream or count moves
+    # refused, and no stream or count moves
     inst = amdl.gen_prop1(2, 0.2)
     o = OracleSet(inst, seed=0, log_transcript=True)
     samples = [o.sample_conditional_agreement(i, (0, 1), 4) for i in range(inst.k)]
