@@ -585,6 +585,42 @@ def test_threshold_shadow_stops_on_infinite_or_nan_ratio():
     assert hedge._predict_plays(state, store, tables, 0, [2, 2], [2.0, 2.0], 0.1, 8) == [0]
 
 
+def _product_shadow_cases():
+    """Seeded `_product_plays` inputs: k in {1, 3, 4, 5, 8, 9, 16}, spans 1 to
+    120, both local plays, limits from {0, 0.3, 0.9, 1, 2} (one value for all
+    k, or one each), eta from 1e-3 to 1e308, and one NaN weight per k."""
+    rng = np.random.default_rng(24)
+    for k in (1, 3, 4, 5, 8, 9, 16):
+        for n, (eta, local) in enumerate((e, j) for e in (1e-3, 0.05, 2.0, 1e308) for j in (0, 1)):
+            for case in range(4):
+                span = 1 if case == n == 0 else int(rng.integers(1, 121))
+                tables = [rng.integers(0, 9, size=(span, k)) / 8.0 for _ in range(2)]
+                w = rng.uniform(0.05, 1.0, size=k)
+                w = (w / w.sum()).tolist()
+                if case == 3 and n == 1:
+                    w[k // 2] = math.nan
+                gap = (rng.integers(-6, 7, size=k) / rng.integers(1, 9, size=k)).tolist()
+                limits = [0.0, 0.3, 0.9, 1.0, 2.0]
+                lim = (rng.choice(limits, size=k) if case % 2 else
+                       np.full(k, rng.choice(limits))).tolist()
+                yield w, gap, lim, tables, local, eta, span
+
+
+# sha256 of repr([plays of each _product_shadow_cases() input]), taken with
+# the list-based product shadow on CPython 3.11
+PRODUCT_SHADOW_SHA256 = "5fbd69c74f321094a7a2a02e3e4d3fd243a352126cdf3f4d93914236ad671cc2"
+
+
+def test_product_shadow_plays_match_their_pin():
+    import hashlib
+    with np.errstate(over="ignore"):        # as _predict_plays runs it
+        plays = [hedge._product_plays(*case) for case in _product_shadow_cases()]
+    assert len(plays) == 7 * 8 * 4
+    # some stop at once, some run for blocks
+    assert min(map(len, plays)) == 1 and max(map(len, plays)) > 6 * hedge.SHADOW_BLOCK
+    assert hashlib.sha256(repr(plays).encode()).hexdigest() == PRODUCT_SHADOW_SHA256
+
+
 @pytest.mark.parametrize("case", ["a", "b"])
 def test_two_distribution_shadow_stops_at_the_boundary(monkeypatch, case):
     # on the example1 acceptance cell's solves the k = 2 shadow predicts at
