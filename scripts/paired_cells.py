@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Time two source trees of amdl against each other, trial by trial, in one
+process.
+
+Loads `amdl` from A/src and from B/src, swapping `sys.modules` to the side
+that runs, and plays single trials of each pac-cells cell (the cell list of
+this repository's bench/workloads.py) at RunConfig(profile="desk",
+delta=0.1, trials=1), seeds 50000 on, alternating which side runs first.  It
+refuses to report if the two sides' records (`TrialRecord.csv_row()`, wall
+time left out) differ on any trial.  It prints each cell's median ms per
+side and the median of the per-trial B/A time ratios.
+
+Usage: python scripts/paired_cells.py A B [--trials 200]
+"""
+
+import argparse
+import ast
+import importlib
+import statistics
+import sys
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+BASE_SEED = 50_000
+DELTA = 0.1
+
+
+def pac_cells() -> list[tuple]:
+    """PAC_CELLS of bench/workloads.py, read without importing it: it
+    imports amdl, and each side needs its own."""
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PAC_CELLS"]:
+            return ast.literal_eval(node.value)
+    raise SystemExit(f"no PAC_CELLS in {WORKLOADS}")
+
+
+def _amdl_modules() -> dict:
+    return {n: m for n, m in sys.modules.items() if n == "amdl" or n.startswith("amdl.")}
+
+
+@contextmanager
+def _swapped(modules: dict):
+    """`modules` as the amdl in `sys.modules`, the caller's own put back after."""
+    saved = _amdl_modules()
+    for name in saved:
+        del sys.modules[name]
+    sys.modules.update(modules)
+    try:
+        yield
+    finally:
+        for name in _amdl_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def load_side(tree: Path) -> dict:
+    """The amdl modules of `tree`/src, imported afresh."""
+    src = str(tree.resolve() / "src")
+    sys.path.insert(0, src)
+    try:
+        with _swapped({}):
+            importlib.import_module("amdl.harness")
+            importlib.import_module("amdl.families")
+            modules = _amdl_modules()
+    finally:
+        sys.path.remove(src)
+    if not Path(modules["amdl"].__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"amdl did not load from {src}")
+    return modules
+
+
+class Side:
+    """One tree's amdl and the pac-cells instances it generated."""
+
+    def __init__(self, tree: Path, cells: list[tuple]):
+        self.modules = load_side(tree)
+        with _swapped(self.modules):
+            spec = self.modules["amdl.families"].FamilySpec
+            self.instances = [spec(family, dict(params)).generate()
+                              for _, family, params, _, _ in cells]
+
+    def trial(self, cell: tuple, inst, seed: int) -> tuple[float, str]:
+        """(ms, record) of one trial of `cell` at `seed`."""
+        _, _, _, alg, eps = cell
+        harness = self.modules["amdl.harness"]
+        cfg = harness.RunConfig(alg=alg, eps=eps, delta=DELTA, trials=1, base_seed=seed,
+                                profile="desk", instance=inst, workers=1)
+        with _swapped(self.modules):
+            t0 = time.perf_counter()
+            (rec,) = harness.run_trials(cfg)
+            ms = (time.perf_counter() - t0) * 1e3
+        return ms, rec.csv_row()
+
+
+def compare(a: Side, b: Side, cells: list[tuple], trials: int) -> dict:
+    """Per cell: the median ms of each side and the median B/A ratio."""
+    table = {}
+    for c, cell in enumerate(cells):
+        times = {"a": [], "b": []}
+        for t in range(trials):
+            seed = BASE_SEED + t
+            order = [("a", a), ("b", b)] if t % 2 == 0 else [("b", b), ("a", a)]
+            rows = {}
+            for key, side in order:
+                ms, rows[key] = side.trial(cell, side.instances[c], seed)
+                times[key].append(ms)
+            if rows["a"] != rows["b"]:
+                raise SystemExit(f"{cell[0]} seed {seed}: the records differ\n"
+                                 f"  A: {rows['a']}\n  B: {rows['b']}")
+        table[cell[0]] = {
+            "trials": trials,
+            "a_ms_median": statistics.median(times["a"]),
+            "b_ms_median": statistics.median(times["b"]),
+            "median_ratio": statistics.median(y / x for x, y in zip(times["a"], times["b"])),
+        }
+    return table
+
+
+def main(argv: list[str] | None = None) -> dict:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("a", type=Path, help="the reference tree (holds src/amdl)")
+    ap.add_argument("b", type=Path, help="the tree to time against it")
+    ap.add_argument("--trials", type=int, default=200, help="trials per cell (default 200)")
+    args = ap.parse_args(argv)
+    if args.trials < 1:
+        ap.error("--trials must be at least 1")
+    cells = pac_cells()
+    a, b = Side(args.a, cells), Side(args.b, cells)
+    table = compare(a, b, cells, args.trials)
+    print(f"{'cell':42s} {'trials':>6s} {'A ms':>9s} {'B ms':>9s} {'B/A':>7s}")
+    for name, row in table.items():
+        print(f"{name:42s} {row['trials']:6d} {row['a_ms_median']:9.3f} "
+              f"{row['b_ms_median']:9.3f} {row['median_ratio']:7.3f}")
+    print(f"records equal on all {len(cells) * args.trials} trials")
+    return table
+
+
+if __name__ == "__main__":
+    main()

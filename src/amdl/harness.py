@@ -205,8 +205,11 @@ def run_trials(cfg: RunConfig) -> list[TrialRecord]:
 
     With workers > 1 the trials run in a process pool; each trial owns its
     oracle set and records are re-sorted by seed, so aggregation is
-    order-independent.
+    order-independent.  A traced run needs a `transcript_path`: the records
+    it returns leave the transcript out.
     """
+    if cfg.trace and not cfg.transcript_path:
+        raise ContractViolation("trace=True needs a transcript_path to write the transcript to")
     inst = cfg.load()
     stats = _instance_stats(inst, cfg.alg)
     seeds = [cfg.base_seed + t for t in range(cfg.trials)]
@@ -218,7 +221,7 @@ def run_trials(cfg: RunConfig) -> list[TrialRecord]:
     else:
         outs = [_trial_worker((inst, cfg, s, stats)) for s in seeds]
     outs.sort(key=lambda pair: pair[0].seed)
-    if cfg.trace and cfg.transcript_path:
+    if cfg.trace:
         with open(cfg.transcript_path, "w") as fh:
             for rec, transcript in outs:
                 for (i, x, y, cum) in transcript:

@@ -3,8 +3,9 @@ from: the version-space-imputed, abstain-imputed and surrogate laws, the
 per-radius definition of the disagreement profile, the exact loss, mass
 and disagreement by their definitions as `Fraction` sums, rejection
 sampling from the agreement region one variate at a time, the robust RPU
-learner one batch at a time, and the Bernoulli KL divergence by quadrature of
-its integral form.  Also the exact helpers that only the tests call: a point
+learner one batch at a time, the Hedge solver's product play shadow as a
+loop over lists, and the Bernoulli KL divergence by quadrature of its
+integral form.  Also the exact helpers that only the tests call: a point
 set's mass and the joint pmf on the exact kernel, the worst disagreement over
 the distributions, the minimax member's index, a mixture's support and an
 abstaining classifier's violation and abstention masses.
@@ -17,6 +18,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge, mul
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -25,6 +27,7 @@ from scipy.integrate import quad
 from amdl.core import (ContractViolation, Hypothesis, HypothesisClass, HypothesisLike,
                        LabeledDistribution, MDLInstance, RandomizedHypothesis,
                        agreement_labels, disagreement_exact, disagreement_region)
+from amdl.hedge import SHADOW_BLOCK
 from amdl.rpu import AbstainingClassifier, batch_size, threshold_majority
 
 
@@ -237,6 +240,29 @@ class RpuReport:
     violation_mass: tuple[float, ...]
     abstention_mass: tuple[float, ...]
     labels_used: int
+
+
+def product_plays_reference(w: list[float], gap: list[float], lim: list[float],
+                            tables: list[np.ndarray], j: int, eta: float, span: int) -> list[int]:
+    """The product play shadow over lists, as `amdl.hedge._product_plays`
+    computes it with code built for each k: blocks of SHADOW_BLOCK rounds carry
+    unnormalized weights times exp(eta r); it stops after a block that ends on a
+    non-finite sum or a weight at its limit."""
+    plays = [j]
+    for s in range(0, span - 1, SHADOW_BLOCK):
+        f0, f1 = [np.exp(eta * t[s:min(s + SHADOW_BLOCK, span - 1)]).tolist()
+                  for t in (tables[0], tables[-1])]
+        for q in range(len(f0)):
+            w = list(map(mul, w, f1[q] if j else f0[q]))
+            j = 1 if sum(map(mul, w, gap)) > 0 else 0
+            plays.append(j)
+        tot = sum(w)
+        if not 0.0 < tot < math.inf:
+            break
+        w = [v / tot for v in w]
+        if any(map(ge, w, lim)):
+            break
+    return plays
 
 
 def rpu_report(inst: MDLInstance, f: AbstainingClassifier, hstar_labels: np.ndarray,

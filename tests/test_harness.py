@@ -705,6 +705,23 @@ def test_run_transcript_emission(tmp_path):
     assert len(first) == 5 and first[0] == "0"
 
 
+def test_run_trials_refuses_a_trace_with_nowhere_to_go(monkeypatch):
+    # run_trials returns records only, so a traced run without a
+    # transcript_path would log every label query for nothing; a single
+    # trial still takes trace=True, since it hands back its ledger
+    ran = []
+    monkeypatch.setattr(harness, "_trial_worker", lambda args: ran.append(args))
+    for path in (None, ""):
+        with pytest.raises(ContractViolation, match="transcript_path"):
+            run_trials(_prop1_cfg(trace=True, transcript_path=path))
+    assert ran == []
+    cfg = _prop1_cfg(trace=True)
+    inst = cfg.load()
+    rec, _, oracles = harness.run_single_trial(inst, cfg, 0,
+                                               harness._instance_stats(inst, cfg.alg))
+    assert len(oracles.ledger.transcript) == rec.labels_total > 0
+
+
 def test_cli_run_trace_without_out_is_refused(tmp_path, capsys):
     # the transcript goes to <out>.transcript, so --trace needs --out
     inst_path = tmp_path / "p.json"

@@ -15,7 +15,7 @@ from amdl.hedge import (HedgeState, PooledStore, hedge_step, hyperparams, mdl_he
                         naive_erm_baseline)
 from amdl.oracles import plain_family
 
-from closed_forms import support_indices
+from closed_forms import product_plays_reference, support_indices
 from conftest import one_point_instance
 
 
@@ -69,6 +69,23 @@ def test_solver_config_refuses_non_finite_knobs(knob, value):
     # NaN passes a `<= 0` test, and hyperparams then failed in math.ceil
     with pytest.raises(ContractViolation, match="positive and finite"):
         SolverConfig(eps=0.1, delta=0.1, nu=0.0, **{knob: value})
+
+
+@pytest.mark.parametrize("target,value", [("eps", "0.1"), ("eps", None), ("eps", [0.1]),
+                                          ("delta", "0.1"), ("delta", True), ("nu", "0.1"),
+                                          ("nu", False), ("nu", None), ("nu", 0.1j)])
+def test_solver_config_refuses_a_target_that_is_not_a_number(target, value):
+    # a str or None raised TypeError in the range comparisons, and nu=False
+    # passed as 0
+    with pytest.raises(ContractViolation, match=f"{target} must be a real number"):
+        SolverConfig(**dict(dict(eps=0.1, delta=0.1, nu=0.0), **{target: value}))
+
+
+def test_run_trials_refuses_a_target_that_is_not_a_number():
+    inst = amdl.gen_prop1(2, 0.1)
+    with pytest.raises(ContractViolation, match="eps must be a real number"):
+        amdl.run_trials(amdl.RunConfig(alg="passive-naive", eps="0.2", delta=0.1,
+                                       instance=inst))
 
 
 def test_hyperparams_refuse_an_overflowing_schedule():
@@ -619,6 +636,51 @@ def test_product_shadow_plays_match_their_pin():
     # some stop at once, some run for blocks
     assert min(map(len, plays)) == 1 and max(map(len, plays)) > 6 * hedge.SHADOW_BLOCK
     assert hashlib.sha256(repr(plays).encode()).hexdigest() == PRODUCT_SHADOW_SHA256
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 17), st.integers(0, 2 ** 32 - 1))
+def test_product_shadow_kernel_equals_the_list_reference(k, seed):
+    # inputs whose margin |w . gap| stays above 1e-9, so that a `sum` that
+    # compensates (CPython 3.12) leaves the reference's plays as they are;
+    # the second call reads the kernel that the first one built or found
+    rng = np.random.default_rng(seed)
+    span = int(rng.integers(1, 90))
+    tables = [rng.integers(0, 9, size=(span, k)) / 8.0 for _ in range(2)]
+    log_w = rng.uniform(-3, 3, size=k).tolist()
+    gap = (rng.integers(-6, 7, size=k) / rng.integers(1, 9, size=k)).tolist()
+    lim = (rng.choice([0.0, 0.3, 0.9, 1.0, 2.0], size=k) if rng.random() < 0.5
+           else np.full(k, 2.0)).tolist()
+    eta, local = float(rng.uniform(1e-3, 2.0)), int(rng.integers(0, 2))
+    _, margins = _plays_by_definition(log_w, gap, tables, local, eta, span - 1)
+    assume(min(margins, default=1.0) > 1e-9)
+    args = (_weights(log_w), gap, lim, tables, local, eta, span)
+    first = hedge._product_plays(*args)
+    kernel = hedge._PRODUCT_KERNELS[k]
+    assert hedge._product_plays(*args) == first == product_plays_reference(*args)
+    assert hedge._PRODUCT_KERNELS[k] is kernel
+
+
+@pytest.mark.parametrize("gap,play", [([0.0], 0), ([0.0, 0.0, 0.0], 0),
+                                      ([1.0, 2.0 ** 60, -2.0 ** 60], 0),
+                                      ([2.0 ** 60, -2.0 ** 60, 1.0], 1)])
+def test_product_shadow_adds_the_score_left_to_right(gap, play):
+    # equal weights that never move: a zero score plays 0, and w_0 g_0 + w_1
+    # g_1 + w_2 g_2 is added left to right, as sum(map(mul, w, gap)) adds it
+    # on CPython 3.11, so a weight times 1 is lost against 2^60 only before it
+    k = len(gap)
+    tables = [np.zeros((20, k))] * 2
+    plays = hedge._product_plays([1.0 / k] * k, gap, [2.0] * k, tables, 1 - play, 0.1, 20)
+    assert plays == [1 - play] + [play] * 19
+
+
+def test_product_shadow_adds_the_block_total_left_to_right():
+    # 1 + 2^-53 rounds to 1, and so does its sum with another 2^-53: w_0 / tot
+    # stays 1, reaches its limit of 1 and stops the shadow after one block
+    tables = [np.zeros((40, 3))] * 2
+    plays = hedge._product_plays([1.0, 2.0 ** -53, 2.0 ** -53], [0.0] * 3, [1.0, 2.0, 2.0],
+                                 tables, 0, 0.1, 40)
+    assert plays == [0] * (1 + hedge.SHADOW_BLOCK)
 
 
 @pytest.mark.parametrize("case", ["a", "b"])

@@ -5,6 +5,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # `calibrate_profile.py --trials 2` under the desk profile, less the
@@ -45,3 +47,23 @@ def test_verify_constructions_output(capsys):
     assert separations == ["exhaustive=True analytic=True consistent=True"] * 2
     gap = re.search(r"closed form vs quadrature, worst abs gap = (\S+)", out)
     assert float(gap.group(1)) < 1e-9
+
+
+def test_paired_cells_times_the_repo_against_itself(capsys):
+    # both sides load their own amdl, and the caller's amdl is back after
+    import amdl
+    script = _load_script("paired_cells")
+    table = script.main([str(SCRIPTS.parent), str(SCRIPTS.parent), "--trials", "2"])
+    assert sys.modules["amdl"] is amdl
+    assert list(table) == [cell[0] for cell in script.pac_cells()] and len(table) == 6
+    assert all(row["trials"] == 2 and row["median_ratio"] > 0 for row in table.values())
+    assert capsys.readouterr().out.endswith("records equal on all 12 trials\n")
+
+
+def test_paired_cells_refuses_to_report_unequal_records():
+    script = _load_script("paired_cells")
+    cells = script.pac_cells()[:1]
+    a, b = (script.Side(SCRIPTS.parent, cells) for _ in range(2))
+    b.trial = lambda cell, inst, seed: (1.0, "another record")
+    with pytest.raises(SystemExit, match="the records differ"):
+        script.compare(a, b, cells, 1)
