@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Measure success margins and runtime of every acceptance suite under a
-candidate knob profile; used to pin the `desk` preset."""
+candidate knob profile; used to pin the `desk` preset.  Each line ends with
+the run plan's label bound, split into its agreement, solve, RPU and naive
+parts, so each constant's share shows without spending the labels."""
 
 import argparse
 import time
@@ -22,9 +24,10 @@ SUITES = (
 
 
 def bench(name, inst, alg, eps, trials, knobs):
+    cfg = RunConfig(alg=alg, eps=eps, delta=0.1, trials=trials, knobs=knobs, instance=inst)
+    parts = cfg.plan().label_parts()
     t0 = time.perf_counter()
-    recs = run_trials(RunConfig(alg=alg, eps=eps, delta=0.1, trials=trials,
-                                knobs=knobs, instance=inst))
+    recs = run_trials(cfg)
     dt = (time.perf_counter() - t0) / trials
     bound = recs[0].nu + eps
     done = [r for r in recs if not r.failure_mode]
@@ -35,7 +38,8 @@ def bench(name, inst, alg, eps, trials, knobs):
     print(f"{name:24s} ok {ok}/{trials} fails {trials - len(done)} "
           f"worst_err {np.max(errs) if errs else float('nan'):.4f} "
           f"bound {bound:.4f} margin {margin:+.4f} "
-          f"labels {np.mean(labels) if labels else 0:.0f} t/trial {dt:.2f}s")
+          f"labels {np.mean(labels) if labels else 0:.0f} t/trial {dt:.2f}s "
+          f"plan {sum(parts.values())} = " + " + ".join(f"{k} {v}" for k, v in parts.items()))
 
 
 def main():

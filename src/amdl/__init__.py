@@ -15,8 +15,9 @@ from .oracles import (DegenerateAgreementRegion, OracleSet, QueryLedger,
 from .hedge import (HedgeResult, HedgeState, SolverConfig, hedge_step,
                     hyperparams, mdl_hedge_vc, naive_erm_baseline)
 from .active import RunResult, active_large_eps, active_small_eps, regime_dispatch
-from .rpu import (AbstainingClassifier, active_dist_free, batch_size,
-                  passive_rpu_mdl, robust_rpu_learn, threshold_majority)
+from .rpu import (AbstainingClassifier, active_dist_free, passive_rpu_mdl,
+                  robust_rpu_learn, threshold_majority)
+from .runplan import LABEL_CEILING, RunPlan, batch_size, plan
 from .families import (FamilySpec, SeparationReport, gen_agnostic_lb,
                        gen_example1, gen_prop1, gen_random, gen_star_lb,
                        kl_bernoulli, verify_separation)

@@ -18,12 +18,14 @@ from typing import Callable
 
 import numpy as np
 
+from . import runplan
 from .active import RunResult, active_large_eps, active_small_eps, regime_dispatch
 from .complexity import star_number_unqualified, vc_dimension
 from .core import ContractViolation, MDLInstance, load_instance, worst_loss
 from .hedge import KNOBS, SolverConfig, mdl_hedge_vc, naive_erm_baseline
 from .oracles import OracleSet, plain_family
 from .rpu import active_dist_free
+from .runplan import RunPlan
 
 SUCCESS_TOL = 1e-12
 
@@ -84,10 +86,21 @@ class RunConfig:
             self.instance = load_instance(self.instance_path)
         return self.instance
 
-    def solver_knobs(self) -> dict:
-        kn = dict(PROFILES[self.profile])
-        kn.update(self.knobs)
-        return kn
+    def plan(self) -> RunPlan:
+        """The run's plan from the exact nu, the VC dimension d and, for
+        active-df only (the one learner that reads it, and a costly search),
+        the star number s; refused when it may query more than LABEL_CEILING
+        labels."""
+        inst = self.load()
+        cls = inst.hypothesis_class
+        cfg = SolverConfig(eps=self.eps, delta=self.delta, nu=float(inst.nu_exact()),
+                           **{**PROFILES[self.profile], **self.knobs})
+        s = star_number_unqualified(cls).value if self.alg == "active-df" else None
+        p = runplan.plan(self.alg, cfg, inst.k, vc_dimension(cls).value, s)
+        if p.label_bound > runplan.LABEL_CEILING:
+            raise ContractViolation(f"{self.alg} at eps={self.eps!r} plans up to {p.label_bound:,}"
+                                    f" labels, over the {runplan.LABEL_CEILING:,} ceiling")
+        return p
 
 
 @dataclass
@@ -122,59 +135,41 @@ class TrialRecord:
         return buf.getvalue()
 
 
-def _instance_stats(inst: MDLInstance, alg: str) -> dict:
-    """The instance constants `alg` reads: nu and the VC dimension d for every
-    algorithm, the star number s only for active-df, the one that uses it."""
-    cls = inst.hypothesis_class
-    stats = {"nu": float(inst.nu_exact()), "d": vc_dimension(cls).value}
-    if alg == "active-df":
-        stats["s"] = star_number_unqualified(cls).value
-    return stats
-
-
-def _passive_hedge(inst, oracles, solver_cfg, stats) -> RunResult:
+def _passive_hedge(inst, oracles, p) -> RunResult:
     # the solver's nu parameter is the exact optimum, so its guarantee
     # precondition (supplied nu >= min-max loss) holds by construction
     cls = inst.hypothesis_class
-    res = mdl_hedge_vc(cls, cls.full_version_space(), plain_family(oracles), solver_cfg,
-                       inst.k, stats["d"])
-    return RunResult(res.hypothesis, metadata={"solver": res})
+    res = mdl_hedge_vc(cls, cls.full_version_space(), plain_family(oracles), p.solve.cfg,
+                       inst.k, p.d)
+    return RunResult(res.hypothesis, plan=p)
 
 
-def _passive_naive(inst, oracles, solver_cfg, stats) -> RunResult:
-    h, n_per = naive_erm_baseline(inst, oracles, solver_cfg, stats["d"])
-    return RunResult(h, metadata={"samples_per_dist": n_per})
-
-
-# Every runner takes (inst, oracles, solver_cfg, stats), where solver_cfg
-# carries the run's eps and delta and the exact nu, and looks its learner up
-# as a global of this module when it runs, so a wrapper set on the module
+# Every runner takes (inst, oracles, plan), where the plan carries the run's
+# eps and delta, the exact nu and every size, and looks its learner up as a
+# global of this module when it runs, so a wrapper set on the module
 # (bench/layers.py sets them) sees every trial.
 RUNNERS: dict[str, Callable[..., RunResult]] = {
-    "active-dd-large": lambda inst, oracles, solver_cfg, stats: active_large_eps(
-        inst, oracles, solver_cfg, d=stats["d"]),
-    "active-dd-small": lambda inst, oracles, solver_cfg, stats: active_small_eps(
-        inst, oracles, solver_cfg, d=stats["d"]),
-    "active-dd-auto": lambda inst, oracles, solver_cfg, stats: regime_dispatch(
-        inst, oracles, solver_cfg, d=stats["d"]),
-    "active-df": lambda inst, oracles, solver_cfg, stats: active_dist_free(
-        inst, oracles, solver_cfg, stats["s"], stats["d"]),
+    "active-dd-large": lambda inst, oracles, p: active_large_eps(inst, oracles, p),
+    "active-dd-small": lambda inst, oracles, p: active_small_eps(inst, oracles, p),
+    "active-dd-auto": lambda inst, oracles, p: regime_dispatch(inst, oracles, p),
+    "active-df": lambda inst, oracles, p: active_dist_free(inst, oracles, p),
     "passive-hedge": _passive_hedge,
-    "passive-naive": _passive_naive,
+    "passive-naive": lambda inst, oracles, p: RunResult(
+        naive_erm_baseline(inst, oracles, p.naive_n), plan=p),
 }
 
 ALGORITHMS = tuple(RUNNERS)
 
 
 def run_single_trial(inst: MDLInstance, cfg: RunConfig, seed: int,
-                     stats: dict) -> tuple[TrialRecord, RunResult, OracleSet]:
-    """Execute one seeded trial; returns the record, the algorithm's result and
-    the trial's oracle set (its ledger holds the label transcript)."""
-    nu = stats["nu"]
+                     p: RunPlan) -> tuple[TrialRecord, RunResult, OracleSet]:
+    """Execute one seeded trial of the plan `p` (`cfg.plan()`); returns the
+    record, the algorithm's result and the trial's oracle set (its ledger
+    holds the label transcript)."""
+    nu = p.cfg.nu
     oracles = OracleSet(inst, seed, log_transcript=cfg.trace)
-    solver_cfg = SolverConfig(eps=cfg.eps, delta=cfg.delta, nu=nu, **cfg.solver_knobs())
     t0 = time.perf_counter()
-    res = RUNNERS[cfg.alg](inst, oracles, solver_cfg, stats)
+    res = RUNNERS[cfg.alg](inst, oracles, p)
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
     achieved = worst_loss(res.output, inst) if res.output is not None else float("nan")
     success = res.ok and achieved <= nu + cfg.eps + SUCCESS_TOL
@@ -194,8 +189,8 @@ def run_single_trial(inst: MDLInstance, cfg: RunConfig, seed: int,
 
 
 def _trial_worker(args) -> tuple[TrialRecord, list[tuple[int, int, int, int]]]:
-    inst, cfg, seed, stats = args
-    rec, _, oracles = run_single_trial(inst, cfg, seed, stats)
+    inst, cfg, seed, p = args
+    rec, _, oracles = run_single_trial(inst, cfg, seed, p)
     transcript = list(oracles.ledger.transcript) if cfg.trace else []
     return rec, transcript
 
@@ -206,20 +201,21 @@ def run_trials(cfg: RunConfig) -> list[TrialRecord]:
     With workers > 1 the trials run in a process pool; each trial owns its
     oracle set and records are re-sorted by seed, so aggregation is
     order-independent.  A traced run needs a `transcript_path`: the records
-    it returns leave the transcript out.
+    it returns leave the transcript out.  The plan is built, and a run over
+    the label ceiling refused, before any trial draws.
     """
     if cfg.trace and not cfg.transcript_path:
         raise ContractViolation("trace=True needs a transcript_path to write the transcript to")
     inst = cfg.load()
-    stats = _instance_stats(inst, cfg.alg)
+    p = cfg.plan()
     seeds = [cfg.base_seed + t for t in range(cfg.trials)]
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outs = list(pool.map(_trial_worker,
-                                 [(inst, cfg, s, stats) for s in seeds]))
+                                 [(inst, cfg, s, p) for s in seeds]))
     else:
-        outs = [_trial_worker((inst, cfg, s, stats)) for s in seeds]
+        outs = [_trial_worker((inst, cfg, s, p)) for s in seeds]
     outs.sort(key=lambda pair: pair[0].seed)
     if cfg.trace:
         with open(cfg.transcript_path, "w") as fh:

@@ -22,14 +22,9 @@ the weights a block of rounds at a time, in straight-line code over k local
 floats built once per k (`_PRODUCT_SOURCE`): a round then makes no list and
 calls no map or sum, which halves the shadow's time per round.
 
-Hyperparameters follow the schedule
-    eps1 = c_eps1 * eps / 100
-    eta  = c_eta * eps1 / (100 (eps1 + nu))
-    T    = ceil(c_t * 20000 (1/eps1 + nu/eps1^2) ln(k / (delta eps)))
-    T1   = ceil(c_t1 * 4000 (1/eps1 + nu/eps1^2) (k ln(k/eps) + d ln(kd/eps) + ln(1/delta)))
-with all four scale knobs defaulting to 1 (fidelity).  The literal constants
-are analysis artifacts and impractical to run; the `desk` profile scales them
-down while preserving the algorithm's structure.
+`hyperparams` gives a solve its (eps1, eta, T, T1) schedule; README's
+"Knob profiles" table states it with the run plan's other sizes
+(`amdl.runplan`), and how the `desk` profile scales its literal constants.
 """
 
 from __future__ import annotations
@@ -410,18 +405,12 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
                        np.array(reward_draws, dtype=np.int64), store.n.copy(), play_counts, trace)
 
 
-def naive_erm_baseline(inst: MDLInstance, oracles: OracleSet, cfg: SolverConfig,
-                       d: int) -> tuple[Hypothesis, int]:
+def naive_erm_baseline(inst: MDLInstance, oracles: OracleSet, n: int) -> Hypothesis:
     """Per-distribution sampling at the textbook passive rate, then minimax ERM.
 
-    Draws ceil(c_naive * max(d,1) * (nu + eps) / eps^2 * ln(k/(delta eps)))
-    labeled pairs from each distribution, with eps, delta and nu read from
-    `cfg`, and minimizes the worst empirical error; a comparison baseline only.
+    Draws n labeled pairs from each distribution (the run plan's `naive_n`)
+    and minimizes the worst empirical error; a comparison baseline only.
     """
-    eps = cfg.eps
-    n = math.ceil(cfg.c_naive * max(d, 1) * (cfg.nu + eps) / eps ** 2
-                  * math.log(inst.k / (cfg.delta * eps)))
-    n = max(n, 1)
     fam = plain_family(oracles)
     cls = inst.hypothesis_class
     worst = np.zeros(len(cls))
@@ -429,4 +418,4 @@ def naive_erm_baseline(inst: MDLInstance, oracles: OracleSet, cfg: SolverConfig,
         xs, ys = fam.draw(i, n)
         err = (cls.labels[:, xs] != ys).mean(axis=1)
         worst = np.maximum(worst, err)
-    return cls[int(np.argmin(worst))], n
+    return cls[int(np.argmin(worst))]

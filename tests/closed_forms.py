@@ -28,7 +28,8 @@ from amdl.core import (ContractViolation, Hypothesis, HypothesisClass, Hypothesi
                        LabeledDistribution, MDLInstance, RandomizedHypothesis,
                        agreement_labels, disagreement_exact, disagreement_region)
 from amdl.hedge import SHADOW_BLOCK
-from amdl.rpu import AbstainingClassifier, batch_size, threshold_majority
+from amdl.rpu import AbstainingClassifier, threshold_majority
+from amdl.runplan import batch_size
 
 
 def mass_reference(points, dist: LabeledDistribution) -> Fraction:
@@ -212,14 +213,19 @@ def mixture_draw_reference(family, oracles, members: Sequence[int]):
     return draw
 
 
+def robust_sizes(xi: float, delta: float, s_star: int, c_n: float) -> tuple[int, int]:
+    """(N, n) of one robust learn at reliability xi and confidence delta:
+    N = 60 ceil(ln 1/delta) batches of `batch_size` pairs."""
+    return 60 * max(1, math.ceil(math.log(1.0 / delta))), batch_size(s_star, xi, c_n)
+
+
 def robust_rpu_reference(cls: HypothesisClass, draw, xi: float, delta: float, s_star: int,
                          cfg) -> np.ndarray:
-    """The robust RPU learner one batch at a time: each of N = 60
-    ceil(ln 1/delta) batches `draw(n)` keeps the members consistent with all
-    of its pairs and, if any, votes their unanimous labels; the outputs are
-    the thresholded majority of the votes."""
-    N = 60 * max(1, math.ceil(math.log(1.0 / delta)))
-    n = batch_size(s_star, xi, cfg.c_n)
+    """The robust RPU learner one batch at a time: each of the N batches
+    `draw(n)` of `robust_sizes` keeps the members consistent with all of its
+    pairs and, if any, votes their unanimous labels; the outputs are the
+    thresholded majority of the votes."""
+    N, n = robust_sizes(xi, delta, s_star, cfg.c_n)
     votes_nonzero = np.zeros(cls.m, dtype=np.int64)
     votes_sum = np.zeros(cls.m, dtype=np.int64)
     for _ in range(N):

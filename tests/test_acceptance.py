@@ -21,10 +21,12 @@ from amdl.active import active_large_eps
 from amdl.families import kl_bernoulli, verify_separation
 from amdl.harness import PROFILES, run_trials
 from amdl.rpu import mixture_draw, robust_rpu_learn
+from amdl.runplan import plan
 from amdl.oracles import imputed_family
 
 from closed_forms import (imputed_distribution, induced_distribution, joint_exact,
-                          kl_bernoulli_integral, rpu_report, surrogate_joint_exact)
+                          kl_bernoulli_integral, robust_sizes, rpu_report,
+                          surrogate_joint_exact)
 from conftest import brute_best_nu, brute_star, brute_vc, empirical_tv
 
 DESK = PROFILES["desk"]
@@ -174,7 +176,7 @@ def test_criterion_5_epoch_invariants():
     for seed in range(trials):
         o = OracleSet(inst, seed)
         # radius bound rho(h, h_n) <= 2 eps_n is asserted inside the update
-        res = active_large_eps(inst, o, cfg, d=1)
+        res = active_large_eps(inst, o, plan("active-dd-large", cfg, inst.k, 1))
         if not res.ok:
             continue
         spaces = res.metadata["version_spaces"]
@@ -202,7 +204,7 @@ def test_criterion_6_rpu_reliability():
         o = OracleSet(inst, seed)
         fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
         f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, o, (0,)),
-                             xi=xi, delta=DELTA, s_star=8, cfg=cfg)
+                             *robust_sizes(xi, DELTA, 8, cfg.c_n))
         rep = rpu_report(inst, f, target.labels)
         violations += any(v > 0 for v in rep.violation_mass)
         abst_ok += rep.abstention_mass[0] <= xi
@@ -212,7 +214,7 @@ def test_criterion_6_rpu_reliability():
     for seed in range(pipe_trials):
         o = OracleSet(inst, seed)
         from amdl.rpu import active_dist_free
-        res = active_dist_free(inst, o, cfg, s_star=8, d=1)
+        res = active_dist_free(inst, o, plan("active-df", cfg, inst.k, 1, 8))
         if not res.ok:
             continue
         completed += 1

@@ -14,8 +14,8 @@ from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, OracleSet,
                   RandomizedHypothesis, SolverConfig)
 from amdl import active
-from amdl.active import (_within_radius, active_large_eps, active_small_eps, halving,
-                         regime_dispatch)
+from amdl.active import _within_radius, active_large_eps, active_small_eps, regime_dispatch
+from amdl.runplan import halving, plan
 from amdl.core import disagreement_exact
 from amdl.families import FamilySpec
 from amdl.harness import PROFILES
@@ -30,9 +30,10 @@ def test_epoch_schedule_brackets_target(desk_knobs):
     inst = one_point_instance()
     for eps in (0.3, 0.25, 0.1, 0.07, 0.03):
         cfg = SolverConfig(eps=eps, delta=0.1, nu=0.0, **desk_knobs)
-        res = active_large_eps(inst, OracleSet(inst, seed=0), cfg, d=1)
+        p = plan("active-dd-large", cfg, inst.k, 1)
+        res = active_large_eps(inst, OracleSet(inst, seed=0), p)
         assert res.ok
-        schedule = list(halving(res.metadata["schedule_n0"], 0.1))
+        schedule = list(halving(len(res.plan.epochs), 0.1))
         assert [row[:2] for row in res.trace] == [(n, eps_n) for n, eps_n, _ in schedule]
         last = res.trace[-1][1]
         assert last <= eps < 2 * last
@@ -44,22 +45,23 @@ def test_one_point_realizable_run(desk_knobs):
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=0.0, **desk_knobs)
     for seed in range(5):
         o = OracleSet(inst, seed)
-        res = active_large_eps(inst, o, cfg, d=1)
+        res = active_large_eps(inst, o, plan("active-dd-large", cfg, inst.k, 1))
         assert res.ok
         assert amdl.worst_loss(res.output, inst) == 0.0
         # the run localizes after the first epoch; label cost stays near the
         # per-epoch constant times the number of live epochs
-        assert o.ledger.label_total <= 60 * res.metadata["schedule_n0"]
+        assert o.ledger.label_total <= 60 * len(res.plan.epochs)
 
 
 def test_version_spaces_nested_and_radius_bound(desk_knobs):
     inst = amdl.gen_star_lb(2, 8, 1, 3)
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=3)
-    res = active_large_eps(inst, o, cfg, d=amdl.vc_dimension(inst.hypothesis_class).value)
+    res = active_large_eps(inst, o, plan("active-dd-large", cfg, inst.k,
+                                         amdl.vc_dimension(inst.hypothesis_class).value))
     assert res.ok
     spaces = res.metadata["version_spaces"]
-    assert len(spaces) == res.metadata["schedule_n0"]
+    assert len(spaces) == len(res.plan.epochs)
     full = set(inst.hypothesis_class.full_version_space())
     prev = full
     for V in spaces:
@@ -126,7 +128,7 @@ def test_kept_members_lie_within_the_epoch_radius(monkeypatch, family, eps):
             return res
 
         monkeypatch.setattr(active, "mdl_hedge_vc", capture)
-        run = active_large_eps(inst, OracleSet(inst, seed), cfg, d=d)
+        run = active_large_eps(inst, OracleSet(inst, seed), plan("active-dd-large", cfg, inst.k, d))
         monkeypatch.undo()
         # epoch n keeps what epoch n + 1 solves over; the last epoch keeps
         # the final version space, or nothing when the space collapsed
@@ -148,7 +150,7 @@ def test_realizable_labeling_hypothesis_survives(desk_knobs):
     survived = 0
     for seed in range(40):
         o = OracleSet(inst, seed)
-        res = active_large_eps(inst, o, cfg, d=1)
+        res = active_large_eps(inst, o, plan("active-dd-large", cfg, inst.k, 1))
         if res.ok and all(target_idx in V for V in res.metadata["version_spaces"]):
             survived += 1
     assert survived >= 36  # 1 - delta of trials at delta = 0.1
@@ -161,15 +163,15 @@ def test_version_space_collapse_reported(desk_knobs):
     inst = amdl.gen_prop1(4, 0.4)
     cfg = SolverConfig(eps=0.02, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
     o = OracleSet(inst, seed=9)
-    res = active_large_eps(inst, o, cfg, d=1)
+    res = active_large_eps(inst, o, plan("active-dd-large", cfg, inst.k, 1))
     assert res.failure_mode == "version_space_collapse"
     assert res.output is None and not res.ok
     assert res.metadata["collapse_epoch"] == 4
     assert o.ledger.label_total > 0  # ledger preserved for analysis
-    assert any(w.startswith("regime:") for w in res.metadata["warnings"])
+    assert any(w.startswith("regime:") for w in res.plan.warnings)
     # a neighbouring seed completes and reports no failure
     o2 = OracleSet(inst, seed=0)
-    res2 = active_large_eps(inst, o2, cfg, d=1)
+    res2 = active_large_eps(inst, o2, res.plan)
     assert res2.failure_mode is None and res2.ok
 
 
@@ -179,11 +181,11 @@ def test_small_eps_stage_one_cap(desk_knobs):
     nu = float(inst.nu_exact())
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = active_small_eps(inst, o, cfg, d=1)
+    res = active_small_eps(inst, o, plan("active-dd-small", cfg, inst.k, 1))
     assert res.ok
-    assert res.metadata["stage1_target"] == 1.0
+    assert res.plan.eps_p == 1.0 and res.plan.stage1 is None
     assert res.metadata["v0_size"] == len(inst.hypothesis_class)
-    assert any("stage1 skipped" in w for w in res.metadata["warnings"])
+    assert any("stage1 skipped" in w for w in res.plan.warnings)
 
 
 def test_small_eps_agreement_label_accounting(desk_knobs):
@@ -191,9 +193,9 @@ def test_small_eps_agreement_label_accounting(desk_knobs):
     nu = float(inst.nu_exact())
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **desk_knobs)
     o = OracleSet(inst, seed=1)
-    res = active_small_eps(inst, o, cfg, d=1)
-    n0 = res.metadata["n0_agreement"]
-    assert n0 == math.ceil(100 * (0.05 + nu) / 0.05 ** 2 * math.log(3 / (0.1 / 6)))
+    res = active_small_eps(inst, o, plan("active-dd-small", cfg, inst.k, 1))
+    # tests/test_runplan.py checks n0 against its literal formula
+    n0 = res.plan.n0
     assert res.metadata["agreement_label_cost"] == inst.k * n0
     assert res.metadata["degenerate_agreement"] == []
     # remaining labels were spent inside the solver's disagreement queries
@@ -213,7 +215,7 @@ def test_small_eps_degenerate_agreement_flagged(desk_knobs):
     assert nu > 0
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = active_small_eps(inst, o, cfg, d=1)
+    res = active_small_eps(inst, o, plan("active-dd-small", cfg, inst.k, 1))
     assert res.metadata["degenerate_agreement"] == [0, 1]
     assert res.ok
 
@@ -223,7 +225,7 @@ def test_small_eps_requires_positive_nu(desk_knobs):
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
     with pytest.raises(ContractViolation):
-        active_small_eps(inst, o, cfg, d=1)
+        active_small_eps(inst, o, plan("active-dd-small", cfg, inst.k, 1))
 
 
 BAD_TARGETS = [("large", dict(eps=math.nan)), ("large", dict(eps=math.inf)),
@@ -242,9 +244,10 @@ def test_learners_refuse_bad_targets_at_entry(desk_knobs, learner, bad):
     # such target reaches a learner and nothing is drawn
     inst = amdl.gen_example1(0.2, 0.05, "a")
     o = OracleSet(inst, seed=0)
-    run = {"large": lambda cfg: active_large_eps(inst, o, cfg, d=1),
-           "small": lambda cfg: active_small_eps(inst, o, cfg, d=1),
-           "df": lambda cfg: amdl.active_dist_free(inst, o, cfg, s_star=2, d=1)}[learner]
+    run = {"large": lambda cfg: active_large_eps(inst, o, plan("active-dd-large", cfg, 2, 1)),
+           "small": lambda cfg: active_small_eps(inst, o, plan("active-dd-small", cfg, 2, 1)),
+           "df": lambda cfg: amdl.active_dist_free(inst, o, plan("active-df", cfg, 2, 1, 2)),
+           }[learner]
     with pytest.raises(ContractViolation):
         run(SolverConfig(**{"eps": 0.05, "delta": 0.1, "nu": 0.2, **bad}, **desk_knobs))
     assert o.ledger.label_total == 0 and o.ledger.unlabeled_total == 0
@@ -255,8 +258,8 @@ def test_regime_dispatch_branches(desk_knobs):
     inst = amdl.gen_star_lb(2, 4, 1, 1)
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = regime_dispatch(inst, o, cfg, d=1)
-    assert res.metadata["dispatch"] == "large"
+    res = regime_dispatch(inst, o, plan("active-dd-auto", cfg, inst.k, 1))
+    assert res.plan.branch == "large"
     # threshold arithmetic both ways around eps = 0.5
     assert 0.5 >= 100 * 0.004 and not 0.5 >= 100 * 0.01
 
@@ -266,7 +269,7 @@ def test_regime_dispatch_small_branch(desk_knobs):
     nu = float(inst.nu_exact())
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = regime_dispatch(inst, o, cfg, d=1)
-    assert res.metadata["dispatch"] == "small"
+    res = regime_dispatch(inst, o, plan("active-dd-auto", cfg, inst.k, 1))
+    assert res.plan.branch == "small"
     assert res.ok
 

@@ -407,8 +407,9 @@ def test_fuzzed_sweep_csv_loads_or_is_refused(text):
 
 
 # sweep configs near small valid ones: a field dropped or replaced by a value
-# of the wrong kind, range or type; eps stays at 0.9 or invalid, trials at
-# most 2 and instances tiny, so every config runs in milliseconds
+# of the wrong kind, range or type; eps is 0.9, invalid, or so small (1e-6,
+# 1e-300) that the label ceiling refuses the plan, trials at most 2 and
+# instances tiny, so every config runs in milliseconds
 JUNK = st.sampled_from([None, True, -1, 0, 2, 0.0, 1.0, 1.5, -0.5, math.nan, math.inf, "",
                         "x", "0.5", [], [0.9], {}, {"k": 2}])
 FUZZ_FAMILIES = [
@@ -442,7 +443,8 @@ def sweep_configs(draw):
               "families": families,
               "algs": draw(st.lists(st.sampled_from(amdl.ALGORITHMS) | JUNK,
                                     min_size=1, max_size=2)),
-              "eps_grid": draw(st.lists(st.just(0.9) | JUNK, min_size=1, max_size=2))}
+              "eps_grid": draw(st.lists(st.sampled_from([0.9, 1e-6, 1e-300]) | JUNK,
+                                        min_size=1, max_size=2))}
     for key in draw(st.lists(st.sampled_from(sorted(config)), max_size=1)):
         config[key] = draw(JUNK | st.dictionaries(st.sampled_from(harness.KNOBS + ("zz",)),
                                                   JUNK | st.just(0.5), max_size=2))
@@ -472,7 +474,9 @@ def test_fuzzed_sweep_config_gives_rows_or_is_refused(config):
 # from small valid and invalid sets.  Input paths are existing files, valid
 # or malformed, or a missing one; outputs go to a temporary directory or
 # under a regular file, where they cannot be opened.  The value sets keep
-# every run to a few trials of a tiny instance at the desk profile.
+# every run to a few trials of a tiny instance: the label ceiling refuses the
+# plan at an eps of 1e-6 or 1e-300, and under the fidelity profile for every
+# algorithm but passive-naive, which that profile sizes as desk does.
 CLI_COMMANDS = {
     "gen": (["--family", "--out"], ["--k", "--eps", "--nu", "--theta", "--i", "--j", "--m",
                                      "--flipped-index", "--nu-prime", "--case", "--n-hyp",
@@ -486,11 +490,11 @@ CLI_COMMANDS = {
 }
 CLI_VALUES = {
     "--family": [*FAMILIES, "zz"], "--alg": [*amdl.ALGORITHMS, "zz"],
-    "--profile": ["desk", "zz"], "--case": ["a", "b", "c"],
+    "--profile": ["desk", "fidelity", "zz"], "--case": ["a", "b", "c"],
     "--k": ["2", "3", "0", "-1", "x"], "--theta": ["2", "0", "-1"], "--i": ["1", "0", "-1"],
     "--j": ["1", "2", "-1"], "--flipped-index": ["0", "-1", "9"], "--m": ["3", "0", "-1"],
     "--n-hyp": ["3", "0", "1"], "--seed": ["0", "3", "-1", "x"],
-    "--eps": ["0.9", "0.5", "0.1", "0", "1", "-0.1", "nan", "inf", "x"],
+    "--eps": ["0.9", "0.5", "0.1", "1e-6", "1e-300", "0", "1", "-0.1", "nan", "inf", "x"],
     "--nu": ["0.4", "0", "0.6", "-1", "nan"], "--nu-prime": ["0.2", "0", "0.5", "x"],
     "--delta": ["0.1", "0.5", "0", "1", "nan", "x"], "--trials": ["1", "2", "0", "-1", "x"],
     "--workers": ["1", "0", "-1", "x"], "--r0": ["0.1", "0", "-1", "2", "nan", "x"],
@@ -717,8 +721,7 @@ def test_run_trials_refuses_a_trace_with_nowhere_to_go(monkeypatch):
     assert ran == []
     cfg = _prop1_cfg(trace=True)
     inst = cfg.load()
-    rec, _, oracles = harness.run_single_trial(inst, cfg, 0,
-                                               harness._instance_stats(inst, cfg.alg))
+    rec, _, oracles = harness.run_single_trial(inst, cfg, 0, cfg.plan())
     assert len(oracles.ledger.transcript) == rec.labels_total > 0
 
 

@@ -358,7 +358,8 @@ def test_naive_baseline_realizable_and_label_count(desk_knobs):
     inst = amdl.gen_star_lb(2, 3, 1, 1)
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    h, n_per = naive_erm_baseline(inst, o, cfg, d=1)
+    n_per = amdl.plan("passive-naive", cfg, inst.k, 1).naive_n
+    h = naive_erm_baseline(inst, o, n_per)
     assert amdl.worst_loss(h, inst) == 0.0
     assert o.ledger.label_total == inst.k * n_per
 
@@ -705,10 +706,10 @@ def test_two_distribution_shadow_stops_at_the_boundary(monkeypatch, case):
 
     monkeypatch.setattr(hedge, "_predict_plays", counted_predict)
     monkeypatch.setattr(hedge, "_play_chunk", counted_chunk)
-    cfg = harness.RunConfig(alg="active-dd-small", eps=0.05, delta=0.1)
-    stats = harness._instance_stats(inst, cfg.alg)
+    cfg = harness.RunConfig(alg="active-dd-small", eps=0.05, delta=0.1, instance=inst)
+    p = cfg.plan()
     for seed in range(3):
-        harness.run_single_trial(inst, cfg, seed, stats)
+        harness.run_single_trial(inst, cfg, seed, p)
     assert len(predicted) == len(kept) and sum(kept) > 3 * 2000   # about 3,250 rounds a solve
     assert all(m <= c + 1 for m, c in zip(predicted, kept))
 

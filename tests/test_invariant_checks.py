@@ -105,6 +105,8 @@ checks = {
     "malformed requests": lambda: fam.draw_requests([0], np.array([[1], [1]])),
     "bad outputs": lambda: amdl.imputed_family(OracleSet(inst, seed=0), np.full(inst.m, 7)),
     "wrapped outputs": lambda: amdl.AbstainingClassifier(np.array([255, 0])),
+    "plan ceiling": lambda: amdl.run_trials(
+        amdl.RunConfig(alg="passive-naive", eps=1e-6, delta=0.1, instance=inst)),
 }
 for name, check in checks.items():
     try:
@@ -133,4 +135,4 @@ def test_runtime_checks_hold_under_python_O():
                                        "refused: overserved run", "refused: underflowed eps",
                                        "refused: negative member", "refused: nan target",
                                        "refused: malformed requests", "refused: bad outputs",
-                                       "refused: wrapped outputs"]
+                                       "refused: wrapped outputs", "refused: plan ceiling"]

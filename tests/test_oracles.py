@@ -18,7 +18,7 @@ from amdl import (ContractViolation, DegenerateAgreementRegion, FeatureSpace,
 from amdl import oracles
 from amdl.core import loss_exact
 from amdl.hedge import SolverConfig, hyperparams, mdl_hedge_vc
-from amdl.harness import PROFILES, RunConfig, _instance_stats, run_single_trial, run_trials
+from amdl.harness import PROFILES, RunConfig, run_single_trial, run_trials
 
 from closed_forms import (best_nu_index, conditional_agreement_reference, imputed_distribution,
                           induced_distribution, joint_exact, surrogate_joint_exact)
@@ -437,10 +437,10 @@ def test_transcript_records_every_label_query(tmp_path):
     cfg = RunConfig(alg="passive-naive", eps=0.2, delta=0.1, trials=2, base_seed=3,
                     instance=inst, trace=True, transcript_path=str(path))
     recs = run_trials(cfg)
-    stats = _instance_stats(inst, cfg.alg)
+    p = cfg.plan()
     want = []
     for rec in recs:
-        _, _, trial = run_single_trial(inst, cfg, rec.seed, stats)
+        _, _, trial = run_single_trial(inst, cfg, rec.seed, p)
         assert len(trial.ledger.transcript) == rec.labels_total > 0
         want.extend(f"{rec.seed},{i},{x},{y},{cum}"
                     for i, x, y, cum in trial.ledger.transcript)
@@ -860,7 +860,7 @@ def test_trial_leaves_pinned_stream_positions(cell):
     gen, eps, consumed = TRIAL_CONSUMED[cell]
     inst, alg = gen(), cell.split("/")[1]
     cfg = RunConfig(alg=alg, eps=eps, delta=0.1, instance=inst)
-    _, _, o = run_single_trial(inst, cfg, 3, _instance_stats(inst, alg))
+    _, _, o = run_single_trial(inst, cfg, 3, cfg.plan())
     assert [s.consumed for s in (*o._streams, o._aux)] == consumed
 
 

@@ -11,11 +11,12 @@ import amdl
 from amdl import (AbstainingClassifier, ContractViolation, OracleSet,
                   SolverConfig)
 from amdl.oracles import imputed_family
-from amdl.rpu import (active_dist_free, batch_size, mixture_draw, passive_rpu_mdl,
-                      robust_rpu_learn, threshold_majority)
+from amdl.rpu import (active_dist_free, mixture_draw, passive_rpu_mdl, robust_rpu_learn,
+                      threshold_majority)
+from amdl.runplan import batch_size, plan, robust
 
 from closed_forms import (imputed_distribution, joint_exact, mass_exact, mixture_draw_reference,
-                          robust_rpu_reference, rpu_report)
+                          robust_rpu_reference, robust_sizes, rpu_report)
 from conftest import empirical_tv
 
 
@@ -95,8 +96,7 @@ def test_robust_rpu_learn_noiseless_reliable(desk_knobs):
         inst, target, o = _noiseless_setup(seed)
         fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
         f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, o, (0,)),
-                             xi=0.25, delta=0.1,
-                             s_star=8, cfg=cfg)
+                             *robust_sizes(0.25, 0.1, 8, cfg.c_n))
         rep = rpu_report(inst, f, target.labels, labels_used=o.ledger.label_total)
         violations += any(v > 0 for v in rep.violation_mass)
         abstain_ok += rep.abstention_mass[0] <= 0.25
@@ -112,7 +112,7 @@ def test_robust_rpu_learn_tolerates_corrupted_batches(desk_knobs):
     fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.3, **desk_knobs)
     f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, o, (0,)),
-                         xi=0.5, delta=0.2, s_star=2, cfg=cfg)
+                         *robust_sizes(0.5, 0.2, 2, cfg.c_n))
     assert set(np.unique(f.outputs)) <= {-1, 0, 1}
 
 
@@ -155,8 +155,8 @@ def test_batched_learner_equals_one_batch_at_a_time(case, log, desk_knobs):
         o = OracleSet(inst, seed=7, log_transcript=log)
         fam = imputed_family(o, outputs)
         if batched:
-            f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, o, members), xi, delta,
-                                 s_star, cfg).outputs
+            f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, o, members),
+                                 *robust_sizes(xi, delta, s_star, c_n)).outputs
         else:
             f = robust_rpu_reference(inst.hypothesis_class,
                                      mixture_draw_reference(fam, o, members), xi, delta,
@@ -173,14 +173,14 @@ def test_passive_rpu_mdl_single_distribution_equals_robust(desk_knobs):
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **desk_knobs)
     inst, target, o1 = _noiseless_setup(3, k=1)
     fam1 = imputed_family(o1, np.zeros(inst.m, dtype=np.int8))
-    pr = passive_rpu_mdl(inst.hypothesis_class, fam1, o1, range(1), xi=0.25,
-                         delta=0.1, s_star=8, cfg=cfg,
+    pr = passive_rpu_mdl(inst.hypothesis_class, fam1, o1, range(1),
+                         robust(1, 0.25, 0.1, 8, cfg.c_n),
                          abstain_mass=lambda i, g: mass_exact(
                              inst.distributions[i], np.flatnonzero(g.outputs == 0)))
     inst2, _, o2 = _noiseless_setup(3, k=1)
     fam2 = imputed_family(o2, np.zeros(inst2.m, dtype=np.int8))
     f2 = robust_rpu_learn(inst2.hypothesis_class, mixture_draw(fam2, o2, (0,)),
-                          xi=0.125, delta=0.05, s_star=8, cfg=cfg)
+                          *robust_sizes(0.125, 0.05, 8, cfg.c_n))
     assert pr.failure_mode is None and pr.rounds == 1
     assert np.array_equal(pr.classifier.outputs, f2.outputs)
 
@@ -191,10 +191,9 @@ def test_passive_rpu_mdl_prunes_by_halving(desk_knobs):
     for seed in range(15):
         inst, target, o = _noiseless_setup(seed, k=4)
         fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
-        pr = passive_rpu_mdl(inst.hypothesis_class, fam, o, range(4), xi=0.25,
-                             delta=0.1, s_star=amdl.star_number_unqualified(
-                                 inst.hypothesis_class).value,
-                             cfg=cfg,
+        s_star = amdl.star_number_unqualified(inst.hypothesis_class).value
+        pr = passive_rpu_mdl(inst.hypothesis_class, fam, o, range(4),
+                             robust(4, 0.25, 0.1, s_star, cfg.c_n),
                              abstain_mass=lambda i, g, inst=inst: mass_exact(
                                  inst.distributions[i], np.flatnonzero(g.outputs == 0)))
         assert pr.failure_mode is None
@@ -217,8 +216,8 @@ def test_passive_rpu_mdl_stall_reported(desk_knobs):
     inst = amdl.gen_prop1(2, 0.1)
     o = OracleSet(inst, 0)
     fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
-    pr = passive_rpu_mdl(inst.hypothesis_class, fam, o, range(2), xi=0.01,
-                         delta=0.1, s_star=2, cfg=cfg,
+    pr = passive_rpu_mdl(inst.hypothesis_class, fam, o, range(2),
+                         robust(2, 0.01, 0.1, 2, cfg.c_n),
                          abstain_mass=lambda i, g: mass_exact(
                              inst.distributions[i], np.flatnonzero(g.outputs == 0)))
     assert pr.failure_mode == "pruning_stalled"
@@ -243,9 +242,9 @@ def test_active_dist_free_schedule_degeneracy(desk_knobs):
     inst = amdl.gen_star_lb(2, 4, 1, 1)
     cfg = SolverConfig(eps=0.5, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = active_dist_free(inst, o, cfg, s_star=8, d=1)
+    res = active_dist_free(inst, o, plan("active-df", cfg, inst.k, 1, 8))
     assert res.ok
-    assert res.metadata["schedule_n0"] == 1
+    assert len(res.plan.epochs) == 1
     assert len(res.trace) == 1
 
 
@@ -258,7 +257,7 @@ def test_active_dist_free_success_and_reliability(desk_knobs):
     trials = 25
     for seed in range(trials):
         o = OracleSet(inst, seed)
-        res = active_dist_free(inst, o, cfg, s_star=8, d=1)
+        res = active_dist_free(inst, o, plan("active-df", cfg, inst.k, 1, 8))
         if not res.ok:
             continue
         wl = amdl.worst_loss(res.output, inst)
@@ -291,7 +290,7 @@ def test_active_dist_free_final_label_cost_reconciles(desk_knobs):
     fractional = 0
     for seed in range(10):
         o = OracleSet(inst, seed)
-        res = active_dist_free(inst, o, cfg, s_star=3, d=1)
+        res = active_dist_free(inst, o, plan("active-df", cfg, inst.k, 1, 3))
         assert res.ok
         md = res.metadata
         draws = np.array(md["final_draws_per_dist"], dtype=float)
@@ -307,9 +306,9 @@ def test_active_dist_free_final_label_cost_reconciles(desk_knobs):
 
 
 def test_active_dist_free_final_target_switch(desk_knobs):
+    # the last epoch's passive solve targets the run's eps, not 2^-n0
     inst = amdl.gen_star_lb(2, 4, 1, 1)
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **desk_knobs)
-    o = OracleSet(inst, seed=0)
-    res = active_dist_free(inst, o, cfg, s_star=8, d=1)
-    assert res.metadata["final_target"] == 0.1
-
+    res = active_dist_free(inst, OracleSet(inst, seed=0), plan("active-df", cfg, inst.k, 1, 8))
+    final = res.plan.epochs[-1]
+    assert final.solve.cfg.eps == 0.1 and final.eps_n == 2.0 ** -len(res.plan.epochs) != 0.1

@@ -10,15 +10,15 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # `calibrate_profile.py --trials 2` under the desk profile, less the
-# machine-dependent t/trial column
+# machine-dependent t/trial column; each line ends with the plan's label bound
 CALIBRATE_TWO_TRIALS = """\
 knobs: {'c_t': 3e-05, 'c_t1': 0.0001, 'c_eta': 50.0, 'c_eps1': 100.0, 'c_n': 0.1, 'c_naive': 1.0}
-prop1 k=4 alg1           ok 2/2 fails 0 worst_err 0.1000 bound 0.2000 margin +0.1000 labels 132
-example1-a alg3          ok 2/2 fails 0 worst_err 0.2343 bound 0.4000 margin +0.1657 labels 156892
-example1-b alg3          ok 2/2 fails 0 worst_err 0.3054 bound 0.4500 margin +0.1446 labels 176540
-star-lb alg6             ok 2/2 fails 0 worst_err 0.0000 bound 0.1000 margin +0.1000 labels 146700
-agnostic alg5            ok 2/2 fails 0 worst_err 0.2107 bound 0.3500 margin +0.1393 labels 5588
-agnostic alg3            ok 2/2 fails 0 worst_err 0.2023 bound 0.3500 margin +0.1477 labels 313712
+prop1 k=4 alg1           ok 2/2 fails 0 worst_err 0.1000 bound 0.2000 margin +0.1000 labels 132 plan 3768 = agreement 0 + solve 3768 + rpu 0 + naive 0
+example1-a alg3          ok 2/2 fails 0 worst_err 0.2343 bound 0.4000 margin +0.1657 labels 156892 plan 173684 = agreement 153200 + solve 20484 + rpu 0 + naive 0
+example1-b alg3          ok 2/2 fails 0 worst_err 0.3054 bound 0.4500 margin +0.1446 labels 176540 plan 195566 = agreement 172350 + solve 23216 + rpu 0 + naive 0
+star-lb alg6             ok 2/2 fails 0 worst_err 0.0000 bound 0.1000 margin +0.1000 labels 146700 plan 1173888 = agreement 0 + solve 288 + rpu 1173600 + naive 0
+agnostic alg5            ok 2/2 fails 0 worst_err 0.2107 bound 0.3500 margin +0.1393 labels 5588 plan 14416 = agreement 0 + solve 14416 + rpu 0 + naive 0
+agnostic alg3            ok 2/2 fails 0 worst_err 0.2023 bound 0.3500 margin +0.1477 labels 313712 plan 377212 = agreement 306916 + solve 70296 + rpu 0 + naive 0
 """
 
 
