@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 import amdl
-from amdl.harness import PROFILES, RunConfig, run_trials
+from amdl.harness import PROFILES, RunConfig, run_single_trial
 
 # (row name, instance builder, algorithm tag, eps)
 SUITES = (
@@ -25,10 +25,11 @@ SUITES = (
 
 def bench(name, inst, alg, eps, trials, knobs):
     cfg = RunConfig(alg=alg, eps=eps, delta=0.1, trials=trials, knobs=knobs, instance=inst)
-    parts = cfg.plan().label_parts()
     t0 = time.perf_counter()
-    recs = run_trials(cfg)
+    p = cfg.plan()      # built once: run_trials(cfg) would build it again
+    recs = [run_single_trial(inst, cfg, seed, p)[0] for seed in range(trials)]
     dt = (time.perf_counter() - t0) / trials
+    parts = p.label_parts()
     bound = recs[0].nu + eps
     done = [r for r in recs if not r.failure_mode]
     errs = [r.achieved_err for r in done]

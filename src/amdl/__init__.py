@@ -14,7 +14,7 @@ from .oracles import (DegenerateAgreementRegion, OracleSet, QueryLedger,
                       plain_family, surrogate_family)
 from .hedge import (HedgeResult, HedgeState, SolverConfig, hedge_step,
                     hyperparams, mdl_hedge_vc, naive_erm_baseline)
-from .active import RunResult, active_large_eps, active_small_eps, regime_dispatch
+from .active import RunResult, active_large_eps, active_small_eps
 from .rpu import (AbstainingClassifier, active_dist_free, passive_rpu_mdl,
                   robust_rpu_learn, threshold_majority)
 from .runplan import LABEL_CEILING, RunPlan, batch_size, plan

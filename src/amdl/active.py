@@ -1,6 +1,6 @@
 """Distribution-dependent active learners: the epoch-halving disagreement
 algorithm (large target error) and the two-stage agreement-querying algorithm
-(small target error), plus the regime dispatcher.
+(small target error); `active-dd-auto` runs the one its plan chose.
 
 Version-space updates compare exact disagreement masses against the epoch
 radius, so the deterministic invariants (nested version spaces, retained
@@ -100,7 +100,7 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, p: RunPlan) -> RunRe
         n = ep.n
         labels_before = oracles.ledger.label_total
         fam = induced_family(oracles, V)
-        res: HedgeResult = mdl_hedge_vc(cls, V, fam, ep.solve.cfg, inst.k, p.d)
+        res: HedgeResult = mdl_hedge_vc(cls, V, fam, ep.solve, inst.k, p.d)
         h_n = res.hypothesis
         V_new = _within_radius(inst, V, h_n, Fraction(2) * Fraction(ep.eps_n))
         if not set(V_new) <= set(V):
@@ -160,16 +160,11 @@ def active_small_eps(inst: MDLInstance, oracles: OracleSet, p: RunPlan) -> RunRe
             degenerate.append(i)
     agreement_labels_cost = oracles.ledger.label_total - labels_before
     fam = surrogate_family(oracles, V0, samples)
-    res = mdl_hedge_vc(cls, V0, fam, p.solve.cfg, inst.k, p.d)
+    res = mdl_hedge_vc(cls, V0, fam, p.solve, inst.k, p.d)
     stage2_labels = oracles.ledger.label_total - labels_before
-    trace.append(("stage2", p.solve.cfg.eps, len(V0), float(_max_dis_mass(inst, V0)),
+    trace.append(("stage2", p.solve.eps, len(V0), float(_max_dis_mass(inst, V0)),
                   res.total_draws, stage2_labels))
     return RunResult(
         res.hypothesis, None, trace,
         {"v0_size": len(V0), "agreement_label_cost": agreement_labels_cost,
          "degenerate_agreement": degenerate}, p)
-
-
-def regime_dispatch(inst: MDLInstance, oracles: OracleSet, p: RunPlan) -> RunResult:
-    """Run the branch the plan chose on eps >= 100 nu (`p.branch`)."""
-    return (active_large_eps if p.branch == "large" else active_small_eps)(inst, oracles, p)

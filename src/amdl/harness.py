@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import runplan
-from .active import RunResult, active_large_eps, active_small_eps, regime_dispatch
+from .active import RunResult, active_large_eps, active_small_eps
 from .complexity import star_number_unqualified, vc_dimension
 from .core import ContractViolation, MDLInstance, load_instance, worst_loss
 from .hedge import KNOBS, SolverConfig, mdl_hedge_vc, naive_erm_baseline
@@ -93,14 +93,17 @@ class RunConfig:
         labels."""
         inst = self.load()
         cls = inst.hypothesis_class
-        cfg = SolverConfig(eps=self.eps, delta=self.delta, nu=float(inst.nu_exact()),
-                           **{**PROFILES[self.profile], **self.knobs})
         s = star_number_unqualified(cls).value if self.alg == "active-df" else None
-        p = runplan.plan(self.alg, cfg, inst.k, vc_dimension(cls).value, s)
+        p = runplan.plan(self.alg, self.solver_config(float(inst.nu_exact())), inst.k,
+                         vc_dimension(cls).value, s)
         if p.label_bound > runplan.LABEL_CEILING:
             raise ContractViolation(f"{self.alg} at eps={self.eps!r} plans up to {p.label_bound:,}"
                                     f" labels, over the {runplan.LABEL_CEILING:,} ceiling")
         return p
+
+    def solver_config(self, nu: float) -> SolverConfig:
+        return SolverConfig(eps=self.eps, delta=self.delta, nu=nu,
+                            **{**PROFILES[self.profile], **self.knobs})
 
 
 @dataclass
@@ -139,7 +142,7 @@ def _passive_hedge(inst, oracles, p) -> RunResult:
     # the solver's nu parameter is the exact optimum, so its guarantee
     # precondition (supplied nu >= min-max loss) holds by construction
     cls = inst.hypothesis_class
-    res = mdl_hedge_vc(cls, cls.full_version_space(), plain_family(oracles), p.solve.cfg,
+    res = mdl_hedge_vc(cls, cls.full_version_space(), plain_family(oracles), p.solve,
                        inst.k, p.d)
     return RunResult(res.hypothesis, plan=p)
 
@@ -151,7 +154,8 @@ def _passive_hedge(inst, oracles, p) -> RunResult:
 RUNNERS: dict[str, Callable[..., RunResult]] = {
     "active-dd-large": lambda inst, oracles, p: active_large_eps(inst, oracles, p),
     "active-dd-small": lambda inst, oracles, p: active_small_eps(inst, oracles, p),
-    "active-dd-auto": lambda inst, oracles, p: regime_dispatch(inst, oracles, p),
+    "active-dd-auto": lambda inst, oracles, p: (
+        active_large_eps if p.branch == "large" else active_small_eps)(inst, oracles, p),
     "active-df": lambda inst, oracles, p: active_dist_free(inst, oracles, p),
     "passive-hedge": _passive_hedge,
     "passive-naive": lambda inst, oracles, p: RunResult(
@@ -163,10 +167,13 @@ ALGORITHMS = tuple(RUNNERS)
 
 def run_single_trial(inst: MDLInstance, cfg: RunConfig, seed: int,
                      p: RunPlan) -> tuple[TrialRecord, RunResult, OracleSet]:
-    """Execute one seeded trial of the plan `p` (`cfg.plan()`); returns the
-    record, the algorithm's result and the trial's oracle set (its ledger
-    holds the label transcript)."""
+    """Execute one seeded trial of the plan `p`, which must be `cfg.plan()`;
+    returns the record, the algorithm's result and the trial's oracle set
+    (its ledger holds the label transcript)."""
     nu = p.cfg.nu
+    if (p.alg, p.k) != (cfg.alg, inst.k) or p.cfg != cfg.solver_config(nu):
+        raise ContractViolation(f"the plan given is not the plan of {cfg.alg} at eps={cfg.eps!r}"
+                                " with this run config's delta and knobs")
     oracles = OracleSet(inst, seed, log_transcript=cfg.trace)
     t0 = time.perf_counter()
     res = RUNNERS[cfg.alg](inst, oracles, p)

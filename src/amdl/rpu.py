@@ -168,7 +168,7 @@ def active_dist_free(inst: MDLInstance, oracles: OracleSet, p: RunPlan) -> RunRe
         trace.append((ep.n, ep.eps_n, abst, pr.rounds, labels_epoch))
     before = oracles.ledger.label_queries.copy()
     res = mdl_hedge_vc(cls, cls.full_version_space(), imputed_family(oracles, f.outputs),
-                       final.solve.cfg, k, p.d)
+                       final.solve, k, p.d)
     labels = oracles.ledger.label_queries - before
     abstain = [float(abstain_mass_of(i, f)) for i in range(k)]
     trace.append((final.n, final.eps_n, max(abstain), 0, int(labels.sum())))

@@ -15,7 +15,7 @@ from .core import ContractViolation
 from .hedge import SolverConfig, hyperparams
 
 REGIME_FACTOR = 100.0
-LABEL_CEILING = 10 ** 7    # the harness refuses a run whose plan may query more labels
+LABEL_CEILING = 10 ** 8    # the harness refuses a run whose plan may query more labels
 
 
 def halving(n0: int, delta: float) -> Iterator[tuple[int, float, float]]:
@@ -57,35 +57,20 @@ def batch_size(s_star: int, xi: float, c_n: float = 1.0) -> int:
     return max(1, math.ceil(c_n * hi))
 
 
-@dataclass(frozen=True)
-class Solve:
-    """One Hedge solve: its config, its `hyperparams` schedule, and its label
-    bound k (k T + T1), as a round draws at most k pairs per distribution and
-    the store at most T1."""
-
-    cfg: SolverConfig
-    eps1: float
-    eta: float
-    T: int
-    T1: int
-    labels: int
-
-
-def _solve(cfg: SolverConfig, k: int, d: int) -> Solve:
-    eps1, eta, T, T1 = hyperparams(cfg, k, d)
-    return Solve(cfg, eps1, eta, T, T1, k * (k * T + T1))
+def _solve(cfg: SolverConfig, k: int, d: int) -> SolverConfig:
+    hyperparams(cfg, k, d)      # a schedule that is not finite is refused now, not mid-run
+    return cfg
 
 
 @dataclass(frozen=True)
 class Robust:
     """A pruning loop at reliability xi: at most `cap` rounds of N batches of
-    `batch` pairs each, so at most `labels` = cap N batch labels."""
+    `batch` pairs each."""
 
     xi: float
     cap: int
     N: int
     batch: int
-    labels: int
 
 
 def robust(k: int, xi: float, delta: float, s_star: int, c_n: float) -> Robust:
@@ -96,8 +81,7 @@ def robust(k: int, xi: float, delta: float, s_star: int, c_n: float) -> Robust:
     log2k = math.ceil(math.log2(k)) if k > 1 else 0
     cap, delta_call = 4 * log2k + 4, delta / (2 * log2k + 2)
     N = 60 * max(1, math.ceil(math.log(1.0 / delta_call)))
-    batch = batch_size(s_star, xi / 2.0, c_n)
-    return Robust(xi, cap, N, batch, cap * N * batch)
+    return Robust(xi, cap, N, batch_size(s_star, xi / 2.0, c_n))
 
 
 @dataclass(frozen=True)
@@ -108,7 +92,7 @@ class Epoch:
     n: int
     eps_n: float
     delta_n: float
-    solve: Solve | None = None
+    solve: SolverConfig | None = None
     robust: Robust | None = None
 
 
@@ -117,6 +101,7 @@ class RunPlan:
     """What a run does and may spend, in run order; an algorithm leaves the
     parts it lacks empty."""
 
+    alg: str
     cfg: SolverConfig            # the run's eps, delta, nu and knobs
     k: int
     d: int
@@ -126,21 +111,26 @@ class RunPlan:
     eps_p: float = 1.0           # its target: V0 keeps the members within 2 eps_p
     epochs: tuple[Epoch, ...] = ()
     n0: int = 0                  # agreement sample per distribution
-    solve: Solve | None = None   # passive-hedge's solve or active-dd-small's stage two
+    solve: SolverConfig | None = None   # passive-hedge's or active-dd-small's stage two
     naive_n: int = 0             # passive-naive's sample per distribution
     warnings: tuple[str, ...] = ()
 
-    def solves(self) -> list[Solve]:
+    def solves(self) -> list[SolverConfig]:
         """Every Hedge solve the run can make, in run order."""
         return [*(self.stage1.solves() if self.stage1 else ()),
                 *(e.solve for e in self.epochs if e.solve), *(s for s in (self.solve,) if s)]
 
     def label_parts(self) -> dict[str, int]:
         """Label bounds of the agreement sample, the solves, the pruning loops
-        and the naive sample."""
-        return {"agreement": self.k * self.n0, "solve": sum(s.labels for s in self.solves()),
-                "rpu": sum(e.robust.labels for e in self.epochs if e.robust),
-                "naive": self.k * self.naive_n}
+        and the naive sample.  A solve of `hyperparams` schedule (T, T1) makes
+        at most k (k T + T1) queries: a round draws at most k pairs per
+        distribution and the store at most T1; a pruning loop at most cap N
+        batch."""
+        k, d = self.k, self.d
+        rounds = (hyperparams(c, k, d)[2:] for c in self.solves())
+        return {"agreement": k * self.n0, "solve": sum(k * (k * T + T1) for T, T1 in rounds),
+                "rpu": sum(r.cap * r.N * r.batch for r in (e.robust for e in self.epochs) if r),
+                "naive": k * self.naive_n}
 
     @property
     def label_bound(self) -> int:
@@ -170,7 +160,8 @@ def _small(p: RunPlan) -> RunPlan:
     eps_p = min(REGIME_FACTOR * nu, 1.0)
     stage1 = None
     if eps_p < 1.0:
-        stage1 = _large(RunPlan(replace(p.cfg, eps=eps_p, delta=delta_p), p.k, p.d))
+        stage1 = _large(RunPlan("active-dd-large", replace(p.cfg, eps=eps_p, delta=delta_p),
+                                p.k, p.d))
     else:
         # an excess-error target of 1 is vacuous: stage one is skipped
         warnings.append("stage1 skipped: 100*nu >= 1, V0 = full class")
@@ -225,7 +216,7 @@ def plan(alg: str, cfg: SolverConfig, k: int, d: int, s: int | None = None) -> R
     VC dimension d and, for active-df, star number s.  A size that overflows,
     underflows or is not a number is refused with ContractViolation."""
     try:
-        return _PLANNERS[alg](RunPlan(cfg, k, d, s))
+        return _PLANNERS[alg](RunPlan(alg, cfg, k, d, s))
     except ContractViolation:
         raise
     except (ArithmeticError, ValueError) as exc:

@@ -13,8 +13,8 @@ import amdl
 from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, OracleSet,
                   RandomizedHypothesis, SolverConfig)
-from amdl import active
-from amdl.active import _within_radius, active_large_eps, active_small_eps, regime_dispatch
+from amdl import active, harness
+from amdl.active import _within_radius, active_large_eps, active_small_eps
 from amdl.runplan import halving, plan
 from amdl.core import disagreement_exact
 from amdl.families import FamilySpec
@@ -258,8 +258,8 @@ def test_regime_dispatch_branches(desk_knobs):
     inst = amdl.gen_star_lb(2, 4, 1, 1)
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = regime_dispatch(inst, o, plan("active-dd-auto", cfg, inst.k, 1))
-    assert res.plan.branch == "large"
+    res = harness.RUNNERS["active-dd-auto"](inst, o, plan("active-dd-auto", cfg, inst.k, 1))
+    assert res.plan.branch == "large" and "center_index" in res.metadata
     # threshold arithmetic both ways around eps = 0.5
     assert 0.5 >= 100 * 0.004 and not 0.5 >= 100 * 0.01
 
@@ -269,7 +269,7 @@ def test_regime_dispatch_small_branch(desk_knobs):
     nu = float(inst.nu_exact())
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = regime_dispatch(inst, o, plan("active-dd-auto", cfg, inst.k, 1))
-    assert res.plan.branch == "small"
+    res = harness.RUNNERS["active-dd-auto"](inst, o, plan("active-dd-auto", cfg, inst.k, 1))
+    assert res.plan.branch == "small" and "v0_size" in res.metadata
     assert res.ok
 

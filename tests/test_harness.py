@@ -232,7 +232,7 @@ def test_run_config_refuses_workers_below_one(workers):
 
 # the harness global each algorithm's runner calls
 LEARNERS = {"active-dd-large": "active_large_eps", "active-dd-small": "active_small_eps",
-            "active-dd-auto": "regime_dispatch", "active-df": "active_dist_free",
+            "active-dd-auto": "active_small_eps", "active-df": "active_dist_free",
             "passive-hedge": "mdl_hedge_vc", "passive-naive": "naive_erm_baseline"}
 
 
@@ -407,7 +407,7 @@ def test_fuzzed_sweep_csv_loads_or_is_refused(text):
 
 
 # sweep configs near small valid ones: a field dropped or replaced by a value
-# of the wrong kind, range or type; eps is 0.9, invalid, or so small (1e-6,
+# of the wrong kind, range or type; eps is 0.9, invalid, or so small (1e-8,
 # 1e-300) that the label ceiling refuses the plan, trials at most 2 and
 # instances tiny, so every config runs in milliseconds
 JUNK = st.sampled_from([None, True, -1, 0, 2, 0.0, 1.0, 1.5, -0.5, math.nan, math.inf, "",
@@ -443,7 +443,7 @@ def sweep_configs(draw):
               "families": families,
               "algs": draw(st.lists(st.sampled_from(amdl.ALGORITHMS) | JUNK,
                                     min_size=1, max_size=2)),
-              "eps_grid": draw(st.lists(st.sampled_from([0.9, 1e-6, 1e-300]) | JUNK,
+              "eps_grid": draw(st.lists(st.sampled_from([0.9, 1e-8, 1e-300]) | JUNK,
                                         min_size=1, max_size=2))}
     for key in draw(st.lists(st.sampled_from(sorted(config)), max_size=1)):
         config[key] = draw(JUNK | st.dictionaries(st.sampled_from(harness.KNOBS + ("zz",)),
@@ -476,7 +476,9 @@ def test_fuzzed_sweep_config_gives_rows_or_is_refused(config):
 # under a regular file, where they cannot be opened.  The value sets keep
 # every run to a few trials of a tiny instance: the label ceiling refuses the
 # plan at an eps of 1e-6 or 1e-300, and under the fidelity profile for every
-# algorithm but passive-naive, which that profile sizes as desk does.
+# algorithm but passive-naive, which that profile sizes as desk does; the
+# valid knob sets the learning rate, which leaves every size as the profile
+# sets it.
 CLI_COMMANDS = {
     "gen": (["--family", "--out"], ["--k", "--eps", "--nu", "--theta", "--i", "--j", "--m",
                                      "--flipped-index", "--nu-prime", "--case", "--n-hyp",
@@ -499,7 +501,7 @@ CLI_VALUES = {
     "--delta": ["0.1", "0.5", "0", "1", "nan", "x"], "--trials": ["1", "2", "0", "-1", "x"],
     "--workers": ["1", "0", "-1", "x"], "--r0": ["0.1", "0", "-1", "2", "nan", "x"],
     "--cap": ["12", "0", "-1", "x"], "--hstar": ["0", "1", "-1", "99", "x"],
-    "--knob": ["c_t=0.5", "c_t=x", "c_t", "zz=1", "c_naive=nan", "c_eta=-1", "=1"],
+    "--knob": ["c_eta=0.5", "c_t=x", "c_t", "zz=1", "c_naive=nan", "c_eta=-1", "=1"],
 }
 CLI_FILES = ("instance.json", "broken.json", "list.json", "sweep.json", "sweep.csv", "bad.csv",
              "missing.json")

@@ -107,6 +107,9 @@ checks = {
     "wrapped outputs": lambda: amdl.AbstainingClassifier(np.array([255, 0])),
     "plan ceiling": lambda: amdl.run_trials(
         amdl.RunConfig(alg="passive-naive", eps=1e-6, delta=0.1, instance=inst)),
+    "another run's plan": lambda: amdl.harness.run_single_trial(
+        inst, amdl.RunConfig(alg="passive-naive", eps=0.2, delta=0.1, instance=inst), 0,
+        amdl.RunConfig(alg="passive-naive", eps=0.3, delta=0.1, instance=inst).plan()),
 }
 for name, check in checks.items():
     try:
@@ -135,4 +138,5 @@ def test_runtime_checks_hold_under_python_O():
                                        "refused: overserved run", "refused: underflowed eps",
                                        "refused: negative member", "refused: nan target",
                                        "refused: malformed requests", "refused: bad outputs",
-                                       "refused: wrapped outputs", "refused: plan ceiling"]
+                                       "refused: wrapped outputs", "refused: plan ceiling",
+                                       "refused: another run's plan"]

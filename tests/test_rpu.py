@@ -311,4 +311,4 @@ def test_active_dist_free_final_target_switch(desk_knobs):
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **desk_knobs)
     res = active_dist_free(inst, OracleSet(inst, seed=0), plan("active-df", cfg, inst.k, 1, 8))
     final = res.plan.epochs[-1]
-    assert final.solve.cfg.eps == 0.1 and final.eps_n == 2.0 ** -len(res.plan.epochs) != 0.1
+    assert final.solve.eps == 0.1 and final.eps_n == 2.0 ** -len(res.plan.epochs) != 0.1

@@ -22,15 +22,14 @@ GRID = [(eps, nu, k, d, s, profile)
         for d in (1, 2) for s in (0, 3) for profile in ("desk", "fidelity")]
 
 
-def hedge_schedule(cfg, k, d):
-    """(eps1, eta, T, T1), written out."""
+def hedge_rounds(cfg, k, d):
+    """A solve's rounds T and store size T1, written out."""
     eps1 = cfg.c_eps1 * cfg.eps / 100.0
-    eta = cfg.c_eta * eps1 / (100.0 * (eps1 + cfg.nu))
     load = 1.0 / eps1 + cfg.nu / eps1 ** 2
     T = math.ceil(cfg.c_t * 20000.0 * load * math.log(k / (cfg.delta * cfg.eps)))
     cover = k * math.log(k / cfg.eps) + (d * math.log(k * d / cfg.eps) if d > 0 else 0.0) \
         + math.log(1.0 / cfg.delta)
-    return eps1, eta, T, math.ceil(cfg.c_t1 * 4000.0 * load * cover)
+    return T, math.ceil(cfg.c_t1 * 4000.0 * load * cover)
 
 
 @functools.lru_cache(maxsize=None)
@@ -51,7 +50,7 @@ def halving_epochs(eps, delta):
 def check_large(p, cfg, k, d):
     want = [(n, eps_n, delta_n, replace(cfg, eps=eps_n, delta=delta_n, nu=eps_n / 100))
             for n, eps_n, delta_n in halving_epochs(cfg.eps, cfg.delta)]
-    assert [(e.n, e.eps_n, e.delta_n, e.solve.cfg) for e in p.epochs] == want
+    assert [(e.n, e.eps_n, e.delta_n, e.solve) for e in p.epochs] == want
     assert p.warnings == ((f"regime: eps={cfg.eps} < 100.0*nu={100 * cfg.nu}",)
                           if cfg.eps < 100 * cfg.nu else ())
 
@@ -66,7 +65,7 @@ def check_small(p, cfg, k, d):
     else:
         assert p.stage1 is None
     assert p.n0 == math.ceil(100 * (eps + nu) / eps ** 2 * math.log(k / (delta / 6)))
-    assert p.solve.cfg == replace(cfg, eps=eps / 2, delta=delta / 6)
+    assert p.solve == replace(cfg, eps=eps / 2, delta=delta / 6)
     assert p.warnings == ((f"regime: eps={eps} >= 100.0*nu={100 * nu}",) * (eps >= 100 * nu)
                           + ("stage1 skipped: 100*nu >= 1, V0 = full class",) * (eps_p >= 1))
 
@@ -87,7 +86,7 @@ def check_dist_free(p, cfg, k, d, s):
             warnings.append(f"rpu regime: epoch {e.n} target {e.eps_n} < 100*s*nu="
                             f"{100 * s * cfg.nu}")
     final = p.epochs[-1]
-    assert final.robust is None and final.solve.cfg == replace(cfg, delta=final.delta_n)
+    assert final.robust is None and final.solve == replace(cfg, delta=final.delta_n)
     assert p.warnings == tuple(warnings)
 
 
@@ -111,13 +110,12 @@ def test_every_size_equals_its_formula(alg):
         elif branch == "active-df":
             check_dist_free(p, cfg, k, d, s)
         elif branch == "passive-hedge":
-            assert p.solve.cfg == cfg and not p.epochs
+            assert p.solve == cfg and not p.epochs
         else:
             assert p.naive_n == max(1, math.ceil(
                 cfg.c_naive * max(d, 1) * (nu + eps) / eps ** 2 * math.log(k / (0.1 * eps))))
-        for sv in p.solves():
-            assert (sv.eps1, sv.eta, sv.T, sv.T1) == hedge_schedule(sv.cfg, k, d)
-        assert p.label_bound == (sum(k * (k * sv.T + sv.T1) for sv in p.solves()) + k * p.n0
+        assert p.label_bound == (sum(k * (k * T + T1) for T, T1 in (
+                                     hedge_rounds(c, k, d) for c in p.solves())) + k * p.n0
                                  + sum(e.robust.cap * e.robust.N * e.robust.batch
                                        for e in p.epochs if e.robust) + k * p.naive_n)
 
@@ -151,7 +149,7 @@ def test_trials_keep_within_their_plan(cell, monkeypatch):
             solves.append((solver_cfg, res.rounds))
             return res
         monkeypatch.setattr(mod, "mdl_hedge_vc", counted)
-    planned = [(sv.cfg, sv.T) for sv in p.solves()]
+    planned = [(c, hedge_rounds(c, p.k, p.d)[0]) for c in p.solves()]
     for seed in SEEDS:
         solves.clear()
         rec, res, _ = harness.run_single_trial(cfg.instance, cfg, seed, p)
@@ -181,18 +179,17 @@ def test_a_plan_too_large_to_run_is_refused_before_any_draw(monkeypatch, alg, ep
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_fidelity_refuses_every_solver_run_on_the_shipped_instances(cell):
-    # T alone passes 2.5 million rounds under the literal constants, so only
-    # passive-naive, which fidelity sizes as desk does, fits under the ceiling
+    # at the cell's eps, the literal constants plan over 10^8 labels for
+    # every algorithm but passive-naive, which fidelity sizes as desk does
     gen, _, eps = CELLS[cell]
     inst = gen()
     for alg in amdl.ALGORITHMS:
-        for run_eps in (eps, 0.9):
-            cfg = RunConfig(alg=alg, eps=run_eps, delta=DELTA, profile="fidelity", instance=inst)
-            if alg == "passive-naive":
-                assert cfg.plan().label_bound <= amdl.LABEL_CEILING
-                continue
-            with pytest.raises(ContractViolation):
-                cfg.plan()
+        cfg = RunConfig(alg=alg, eps=eps, delta=DELTA, profile="fidelity", instance=inst)
+        if alg == "passive-naive":
+            assert cfg.plan().label_bound <= amdl.LABEL_CEILING
+            continue
+        with pytest.raises(ContractViolation):
+            cfg.plan()
 
 
 def test_sweep_records_a_refused_plan_as_a_skipped_row(tmp_path):
@@ -205,3 +202,27 @@ def test_sweep_records_a_refused_plan_as_a_skipped_row(tmp_path):
     rows = sweep_from_csv(out.read_text())
     assert [(r["eps"], r["skipped"]) for r in rows] == [("0.1", "0"), ("1e-06", "1")]
     assert rows[0]["success_rate"] == "1.0" and "ceiling" in rows[1]["reason"]
+
+
+@pytest.mark.parametrize("gen", [lambda: amdl.gen_prop1(8, 0.05),
+                                 lambda: amdl.gen_agnostic_lb(4, 0.4, 0.05)])
+def test_desk_active_df_plans_under_the_ceiling(gen):
+    # the plan charges every pruning loop its full round cap, so these bound
+    # about 28 and 17 million labels, where a trial spends under 3 million
+    cfg = RunConfig(alg="active-df", eps=0.1, delta=DELTA, instance=gen())
+    assert 10 ** 7 < cfg.plan().label_bound <= amdl.LABEL_CEILING
+
+
+def test_run_single_trial_refuses_another_runs_plan(monkeypatch):
+    inst = amdl.gen_prop1(2, 0.1)
+    cfg = RunConfig(alg="passive-hedge", eps=0.2, delta=DELTA, instance=inst)
+    others = [replace(cfg, eps=0.3), replace(cfg, delta=0.2), replace(cfg, alg="passive-naive"),
+              replace(cfg, knobs={"c_t": 1e-5}), replace(cfg, profile="fidelity", eps=0.9,
+                                                          alg="passive-naive"),
+              replace(cfg, instance=amdl.gen_prop1(3, 0.1))]
+    built = []
+    monkeypatch.setattr(harness, "OracleSet", lambda *args, **kw: built.append(args))
+    for other in others:
+        with pytest.raises(ContractViolation, match="not the plan"):
+            harness.run_single_trial(inst, cfg, 0, other.plan())
+    assert built == []
