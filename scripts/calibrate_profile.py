@@ -27,7 +27,7 @@ def bench(name, inst, alg, eps, trials, knobs):
     cfg = RunConfig(alg=alg, eps=eps, delta=0.1, trials=trials, knobs=knobs, instance=inst)
     t0 = time.perf_counter()
     p = cfg.plan()      # built once: run_trials(cfg) would build it again
-    recs = [run_single_trial(inst, cfg, seed, p)[0] for seed in range(trials)]
+    recs = [run_single_trial(inst, p, seed)[0] for seed in range(trials)]
     dt = (time.perf_counter() - t0) / trials
     parts = p.label_parts()
     bound = recs[0].nu + eps

@@ -8,9 +8,11 @@ this repository's bench/workloads.py) at RunConfig(profile="desk",
 delta=0.1, trials=1), seeds 50000 on, alternating which side runs first.  It
 refuses to report if the two sides' records (`TrialRecord.csv_row()`, wall
 time left out) differ on any trial.  It prints each cell's median ms per
-side and the median of the per-trial B/A time ratios.
+side and the median of the per-trial B/A time ratios.  `--cells SUBSTR`
+(repeatable) times only the cells whose names contain one of the given
+substrings; a substring that matches no cell is refused.
 
-Usage: python scripts/paired_cells.py A B [--trials 200]
+Usage: python scripts/paired_cells.py A B [--trials 200] [--cells SUBSTR ...]
 """
 
 import argparse
@@ -123,10 +125,17 @@ def main(argv: list[str] | None = None) -> dict:
     ap.add_argument("a", type=Path, help="the reference tree (holds src/amdl)")
     ap.add_argument("b", type=Path, help="the tree to time against it")
     ap.add_argument("--trials", type=int, default=200, help="trials per cell (default 200)")
+    ap.add_argument("--cells", action="append", metavar="SUBSTR",
+                    help="time only the cells whose names contain SUBSTR (repeatable)")
     args = ap.parse_args(argv)
     if args.trials < 1:
         ap.error("--trials must be at least 1")
     cells = pac_cells()
+    for pattern in args.cells or ():
+        if not any(pattern in cell[0] for cell in cells):
+            ap.error(f"--cells {pattern!r} matches none of {[cell[0] for cell in cells]}")
+    if args.cells:
+        cells = [cell for cell in cells if any(pattern in cell[0] for pattern in args.cells)]
     a, b = Side(args.a, cells), Side(args.b, cells)
     table = compare(a, b, cells, args.trials)
     print(f"{'cell':42s} {'trials':>6s} {'A ms':>9s} {'B ms':>9s} {'B/A':>7s}")

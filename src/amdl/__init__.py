@@ -21,7 +21,7 @@ from .runplan import LABEL_CEILING, RunPlan, batch_size, plan
 from .families import (FamilySpec, SeparationReport, gen_agnostic_lb,
                        gen_example1, gen_prop1, gen_random, gen_star_lb,
                        kl_bernoulli, verify_separation)
-from .harness import (ALGORITHMS, PROFILES, RunConfig, TrialRecord,
+from .harness import (ALGORITHMS, PROFILES, RunConfig, TrialRecord, can_fail,
                       records_to_csv, report, run_trials, sweep, sweep_to_csv)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

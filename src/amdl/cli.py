@@ -28,13 +28,19 @@ def _parse_knobs(pairs: list[str]) -> dict:
     return out
 
 
+def _write(text: str, out: str | None) -> None:
+    """`text` to the file `out`, or to standard output without one."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_gen(args) -> int:
     params: dict = {}
-    for name in ("k", "theta", "i", "j", "m", "n_hyp", "seed", "flipped_index"):
-        val = getattr(args, name.replace("-", "_"), None)
-        if val is not None:
-            params[name] = val
-    for name in ("eps", "nu", "nu_prime"):
+    for name in ("k", "theta", "i", "j", "m", "n_hyp", "seed", "flipped_index",
+                 "eps", "nu", "nu_prime"):
         val = getattr(args, name, None)
         if val is not None:
             params[name] = val
@@ -73,12 +79,7 @@ def _cmd_measure(args) -> int:
     thetas = [disagreement_coefficient(d, cls, ref, args.r0) for d in inst.distributions]
     lines.extend(f"theta_{i}={theta!r}" for i, theta in enumerate(thetas))
     lines.append(f"theta_max={max(thetas)!r}")
-    out = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -89,15 +90,9 @@ def _cmd_run(args) -> int:
     cfg = RunConfig(alg=args.alg, eps=args.eps, delta=args.delta,
                     trials=args.trials, base_seed=args.seed,
                     profile=args.profile, knobs=_parse_knobs(args.knob),
-                    instance_path=args.instance, trace=args.trace,
+                    instance=load_instance(args.instance), trace=args.trace,
                     transcript_path=transcript, workers=args.workers)
-    records = run_trials(cfg)
-    text = records_to_csv(records, timing=args.timing)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(records_to_csv(run_trials(cfg), timing=args.timing), args.out)
     return 0
 
 
@@ -107,13 +102,7 @@ def _cmd_sweep(args) -> int:
             config = json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise ContractViolation(f"sweep config {args.config} is not valid JSON: {exc}") from exc
-    rows = sweep(config)
-    text = sweep_to_csv(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(sweep_to_csv(sweep(config)), args.out)
     return 0
 
 

@@ -5,8 +5,9 @@ Probabilities are carried as exact rationals internally (integer numerators
 over a shared per-array denominator), so loss tables, disagreement masses and
 coefficient ratios computed from generator-built instances are exact, and
 repeated evaluation is bit-identical.  Float views are derived for sampling.
-Every exact loss, mass and disagreement is one call of the kernel
-`LabeledDistribution._weigh` on integer per-point weights.
+Every exact mass and disagreement is one call of the kernel
+`LabeledDistribution._weigh` on integer per-point weights, and every exact
+loss one `total * _A + plus @ _B` on a support's +1 vote counts.
 """
 
 from __future__ import annotations
@@ -174,6 +175,10 @@ class LabeledDistribution:
         self.m = len(marg)
         self._mnum, self._mden = _integerize(self.marginal)
         self._enum, self._eden = _integerize(self.eta_plus)
+        # a loss numerator over total * _mden * _eden is total * _A + plus @ _B: Pr[y = +1]
+        # per support member and Pr[y = -1] - Pr[y = +1] per +1 vote (`_plus_counts`)
+        self._A = self._mnum @ self._enum
+        self._B = self._mnum * (self._eden - 2 * self._enum)
         self._eta_f: np.ndarray | None = None
         self._cdf: np.ndarray | None = None
         self._buckets: np.ndarray | None = None
@@ -262,18 +267,14 @@ def _plus_counts(h: HypothesisLike, m: int) -> tuple[np.ndarray, int]:
     return plus, total
 
 
-def _loss_rows(dist: LabeledDistribution, plus: np.ndarray, total: int) -> np.ndarray:
-    """Loss weights over `total * _eden`, the support counts times its members'
-    rows (Pr[y = -1] where a member says +1, Pr[y = +1] elsewhere): Pr[y = +1]
-    per member plus Pr[y = -1] - Pr[y = +1] per +1 vote."""
-    return total * dist._enum + plus * (dist._eden - 2 * dist._enum)
+def _loss(dist: LabeledDistribution, plus: np.ndarray, total: int) -> Fraction:
+    return Fraction(total * dist._A + plus @ dist._B, total * dist._mden * dist._eden)
 
 
 def loss_exact(h: HypothesisLike, dist: LabeledDistribution) -> Fraction:
     """Exact 0-1 loss sum_x marginal[x] Pr[y != h(x) | x]; the mean over the
     support for a mixture."""
-    plus, total = _plus_counts(h, dist.m)
-    return Fraction(dist._weigh(_loss_rows(dist, plus, total)), total * dist._mden * dist._eden)
+    return _loss(dist, *_plus_counts(h, dist.m))
 
 
 def loss(h: Hypothesis, dist: LabeledDistribution) -> float:
@@ -289,7 +290,8 @@ class MDLInstance:
     distributions: list[LabeledDistribution]
     declared_nu: float | None = None
     metadata: dict = field(default_factory=dict)
-    _best: tuple[int, Fraction] | None = field(default=None, repr=False, init=False)
+    # the minimax member, nu, and every member's worst-loss numerator over one denominator
+    _best: tuple[int, Fraction, list[int], int] | None = field(default=None, repr=False, init=False)
 
     def __post_init__(self):
         m = self.feature_space.size
@@ -315,23 +317,28 @@ class MDLInstance:
         return self.feature_space.size
 
     def worst_loss_exact(self, h: HypothesisLike) -> Fraction:
-        return max(loss_exact(h, d) for d in self.distributions)
+        plus, total = _plus_counts(h, self.m)
+        return max(_loss(d, plus, total) for d in self.distributions)
 
     def _best_pair(self) -> tuple[int, Fraction]:
         """The first member of least worst-case loss, and that loss: every
-        member's loss row in one kernel call per distribution, the numerators
-        scaled to the common denominator."""
+        member's loss in one product per distribution, the numerators scaled
+        to the common denominator and kept for `worst_member_loss`."""
         if self._best is None:
             plus = (self.hypothesis_class.labels > 0).astype(np.int64)
             den = math.lcm(*(d._mden * d._eden for d in self.distributions))
             worst = 0
             for d in self.distributions:
-                num = d._weigh(_loss_rows(d, plus, 1))
-                worst = np.maximum(worst, num * (den // (d._mden * d._eden)))
+                worst = np.maximum(worst, (d._A + plus @ d._B) * (den // (d._mden * d._eden)))
             worst = worst.tolist()
             idx = min(range(len(worst)), key=worst.__getitem__)
-            self._best = (idx, Fraction(worst[idx], den))
-        return self._best
+            self._best = (idx, Fraction(worst[idx], den), worst, den)
+        return self._best[:2]
+
+    def worst_member_loss(self) -> Fraction:
+        """The largest worst-case loss of a member; no output (a member or mixture) exceeds it."""
+        self._best_pair()
+        return Fraction(max(self._best[2]), self._best[3])
 
     def nu_exact(self) -> Fraction:
         return self._best_pair()[1]

@@ -14,6 +14,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import runplan
 from .active import RunResult, active_large_eps, active_small_eps
 from .complexity import star_number_unqualified, vc_dimension
-from .core import ContractViolation, MDLInstance, load_instance, worst_loss
+from .core import ContractViolation, MDLInstance, worst_loss
 from .hedge import KNOBS, SolverConfig, mdl_hedge_vc, naive_erm_baseline
 from .oracles import OracleSet, plain_family
 from .rpu import active_dist_free
@@ -55,7 +56,6 @@ class RunConfig:
     base_seed: int = 0
     profile: str = "desk"
     knobs: dict = field(default_factory=dict)
-    instance_path: str | None = None
     instance: MDLInstance | None = None
     trace: bool = False
     transcript_path: str | None = None
@@ -79,31 +79,23 @@ class RunConfig:
         if unknown:
             raise ContractViolation(f"unknown solver knobs {unknown}; known: {list(KNOBS)}")
 
-    def load(self) -> MDLInstance:
-        if self.instance is None:
-            if self.instance_path is None:
-                raise ContractViolation("run config needs an instance or a path")
-            self.instance = load_instance(self.instance_path)
-        return self.instance
-
     def plan(self) -> RunPlan:
         """The run's plan from the exact nu, the VC dimension d and, for
         active-df only (the one learner that reads it, and a costly search),
         the star number s; refused when it may query more than LABEL_CEILING
         labels."""
-        inst = self.load()
+        inst = self.instance
+        if inst is None:
+            raise ContractViolation("run config needs an instance")
         cls = inst.hypothesis_class
         s = star_number_unqualified(cls).value if self.alg == "active-df" else None
-        p = runplan.plan(self.alg, self.solver_config(float(inst.nu_exact())), inst.k,
-                         vc_dimension(cls).value, s)
+        cfg = SolverConfig(eps=self.eps, delta=self.delta, nu=float(inst.nu_exact()),
+                           **{**PROFILES[self.profile], **self.knobs})
+        p = runplan.plan(self.alg, cfg, inst.k, vc_dimension(cls).value, s)
         if p.label_bound > runplan.LABEL_CEILING:
             raise ContractViolation(f"{self.alg} at eps={self.eps!r} plans up to {p.label_bound:,}"
                                     f" labels, over the {runplan.LABEL_CEILING:,} ceiling")
         return p
-
-    def solver_config(self, nu: float) -> SolverConfig:
-        return SolverConfig(eps=self.eps, delta=self.delta, nu=nu,
-                            **{**PROFILES[self.profile], **self.knobs})
 
 
 @dataclass
@@ -165,30 +157,36 @@ RUNNERS: dict[str, Callable[..., RunResult]] = {
 ALGORITHMS = tuple(RUNNERS)
 
 
-def run_single_trial(inst: MDLInstance, cfg: RunConfig, seed: int,
-                     p: RunPlan) -> tuple[TrialRecord, RunResult, OracleSet]:
-    """Execute one seeded trial of the plan `p`, which must be `cfg.plan()`;
-    returns the record, the algorithm's result and the trial's oracle set
-    (its ledger holds the label transcript)."""
-    nu = p.cfg.nu
-    if (p.alg, p.k) != (cfg.alg, inst.k) or p.cfg != cfg.solver_config(nu):
-        raise ContractViolation(f"the plan given is not the plan of {cfg.alg} at eps={cfg.eps!r}"
-                                " with this run config's delta and knobs")
-    oracles = OracleSet(inst, seed, log_transcript=cfg.trace)
+def can_fail(inst: MDLInstance, eps: float) -> bool:
+    """Whether some member's worst-case loss fails `run_single_trial`'s success test."""
+    return not float(inst.worst_member_loss()) <= float(inst.nu_exact()) + eps + SUCCESS_TOL
+
+
+def run_single_trial(inst: MDLInstance, p: RunPlan, seed: int,
+                     trace: bool = False) -> tuple[TrialRecord, RunResult, OracleSet]:
+    """Execute one seeded trial of the plan `p` on `inst`, whose k and nu it
+    must have been planned for; returns the record, the algorithm's result
+    and the trial's oracle set (its ledger holds the label transcript when
+    `trace` is set)."""
+    cfg = p.cfg
+    if p.k != inst.k or cfg.nu != float(inst.nu_exact()):
+        raise ContractViolation(f"a plan for k={p.k}, nu={cfg.nu!r} is not a plan for this "
+                                f"instance (k={inst.k}, nu={float(inst.nu_exact())!r})")
+    oracles = OracleSet(inst, seed, log_transcript=trace)
     t0 = time.perf_counter()
-    res = RUNNERS[cfg.alg](inst, oracles, p)
+    res = RUNNERS[p.alg](inst, oracles, p)
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
     achieved = worst_loss(res.output, inst) if res.output is not None else float("nan")
-    success = res.ok and achieved <= nu + cfg.eps + SUCCESS_TOL
+    success = res.ok and achieved <= cfg.nu + cfg.eps + SUCCESS_TOL
     ledger = oracles.ledger
     rec = TrialRecord(
         instance_id=str(inst.metadata.get("instance_id", "instance")),
         family=str(inst.metadata.get("family", "unknown")),
-        alg=cfg.alg, eps=cfg.eps, delta=cfg.delta, seed=seed,
+        alg=p.alg, eps=cfg.eps, delta=cfg.delta, seed=seed,
         labels_total=ledger.label_total,
         labels_per_dist=tuple(int(v) for v in ledger.label_queries),
         unlabeled=ledger.unlabeled_total,
-        achieved_err=achieved, nu=nu, success=success,
+        achieved_err=achieved, nu=cfg.nu, success=success,
         failure_mode=res.failure_mode or "", wall_ms=wall_ms)
     if rec.labels_total != sum(rec.labels_per_dist):
         raise ContractViolation("ledger total disagrees with its per-distribution counts")
@@ -196,10 +194,9 @@ def run_single_trial(inst: MDLInstance, cfg: RunConfig, seed: int,
 
 
 def _trial_worker(args) -> tuple[TrialRecord, list[tuple[int, int, int, int]]]:
-    inst, cfg, seed, p = args
-    rec, _, oracles = run_single_trial(inst, cfg, seed, p)
-    transcript = list(oracles.ledger.transcript) if cfg.trace else []
-    return rec, transcript
+    inst, p, seed, trace = args
+    rec, _, oracles = run_single_trial(inst, p, seed, trace)
+    return rec, list(oracles.ledger.transcript) if trace else []
 
 
 def run_trials(cfg: RunConfig) -> list[TrialRecord]:
@@ -213,16 +210,14 @@ def run_trials(cfg: RunConfig) -> list[TrialRecord]:
     """
     if cfg.trace and not cfg.transcript_path:
         raise ContractViolation("trace=True needs a transcript_path to write the transcript to")
-    inst = cfg.load()
     p = cfg.plan()
-    seeds = [cfg.base_seed + t for t in range(cfg.trials)]
+    args = [(cfg.instance, p, cfg.base_seed + t, cfg.trace) for t in range(cfg.trials)]
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outs = list(pool.map(_trial_worker,
-                                 [(inst, cfg, s, p) for s in seeds]))
+            outs = list(pool.map(_trial_worker, args))
     else:
-        outs = [_trial_worker((inst, cfg, s, p)) for s in seeds]
+        outs = [_trial_worker(a) for a in args]
     outs.sort(key=lambda pair: pair[0].seed)
     if cfg.trace:
         with open(cfg.transcript_path, "w") as fh:
@@ -287,38 +282,26 @@ def sweep(config: dict) -> list[dict]:
     if not isinstance(knobs, dict):
         raise ContractViolation(f"sweep knobs must be a mapping, got {knobs!r}")
     rows = []
-    cell_index = 0
-    for fam in config["families"]:
-        for alg in config["algs"]:
-            for eps in config["eps_grid"]:
-                cell_index += 1
-                params_json = json.dumps(fam.get("params", {}), sort_keys=True)
-                base_row = {
-                    "family": fam["family"], "params": params_json, "alg": alg,
-                    "eps": repr(float(eps)), "delta": repr(delta),
-                    "trials": trials, "skipped": 0, "reason": "",
-                }
-                try:
-                    inst = FamilySpec(fam["family"], fam.get("params", {})).generate()
-                    cfg = RunConfig(alg=alg, eps=float(eps), delta=delta,
-                                    trials=trials, base_seed=base_seed,
-                                    profile=profile, knobs=knobs, instance=inst)
-                    recs = run_trials(cfg)
-                except ContractViolation as exc:
-                    base_row.update({"mean_labels": "", "median_labels": "",
-                                     "ci_lo": "", "ci_hi": "", "success_rate": "",
-                                     "skipped": 1, "reason": str(exc)})
-                    rows.append(base_row)
-                    continue
-                labels = np.array([r.labels_total for r in recs], dtype=float)
-                lo, hi = _bootstrap_ci(labels, base_seed + cell_index)
-                base_row.update({
-                    "mean_labels": repr(float(labels.mean())),
+    cells = product(config["families"], config["algs"], config["eps_grid"])
+    for cell_index, (fam, alg, eps) in enumerate(cells, 1):
+        row = {"family": fam["family"], "params": json.dumps(fam.get("params", {}), sort_keys=True),
+               "alg": alg, "eps": repr(float(eps)), "delta": repr(delta),
+               "trials": trials, "skipped": 0, "reason": ""}
+        rows.append(row)
+        try:
+            inst = FamilySpec(fam["family"], fam.get("params", {})).generate()
+            recs = run_trials(RunConfig(alg=alg, eps=float(eps), delta=delta, trials=trials,
+                                        base_seed=base_seed, profile=profile, knobs=knobs,
+                                        instance=inst))
+        except ContractViolation as exc:
+            row.update(dict.fromkeys(_SWEEP_STATS, ""), skipped=1, reason=str(exc))
+            continue
+        labels = np.array([r.labels_total for r in recs], dtype=float)
+        lo, hi = _bootstrap_ci(labels, base_seed + cell_index)
+        row.update({"mean_labels": repr(float(labels.mean())),
                     "median_labels": repr(float(np.median(labels))),
                     "ci_lo": repr(lo), "ci_hi": repr(hi),
-                    "success_rate": repr(float(np.mean([r.success for r in recs]))),
-                })
-                rows.append(base_row)
+                    "success_rate": repr(float(np.mean([r.success for r in recs])))})
     return rows
 
 

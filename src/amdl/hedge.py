@@ -293,7 +293,12 @@ def _play_chunk(state: HedgeState, store: PooledStore, sampler: SamplerFamily, t
     most two candidates as `_predict_plays` predicts them, up to the run's
     end or T, in one numpy pass that computes each round as `hedge_step` and
     `erm` would, bit for bit.  The longest prefix whose plays match and that
-    crosses no boundary or check is played and its length returned."""
+    crosses no boundary or check is played and its length returned.  None is
+    tried, and no table built, while a weight sits at its limit min(doubled_i,
+    counts_i / k), where the shadow stops (at 1/k in a solve's first round, or
+    over the k = 2 empty interval): it seldom plays past this round there."""
+    if any(w >= min(a, c / state.k) for w, a, c in zip(state.w, doubled, counts)):
+        return 0
     tables = [table[r:] for table, r in (sampler.run_table(store.labels, j, counts, rounds_left)
                                          for j in range(len(store.labels)))]
     p = np.array(_predict_plays(state, store, tables, local, counts, doubled, eta,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Iterator
 
 from .core import ContractViolation
@@ -213,8 +214,14 @@ _PLANNERS = {"active-dd-large": _large, "active-dd-small": _small, "active-dd-au
 
 def plan(alg: str, cfg: SolverConfig, k: int, d: int, s: int | None = None) -> RunPlan:
     """The plan of a run of `alg` to `cfg`'s target on k distributions, with
-    VC dimension d and, for active-df, star number s.  A size that overflows,
-    underflows or is not a number is refused with ContractViolation."""
+    VC dimension d and, for active-df, star number s.  An unknown alg, a k or d
+    that is not an int >= 1 or >= 0, and a size that overflows, underflows or
+    is not a number are refused with ContractViolation."""
+    if alg not in _PLANNERS:
+        raise ContractViolation(f"unknown algorithm {alg!r}; known: {list(_PLANNERS)}")
+    for name, v, least in (("k", k, 1), ("d", d, 0)):
+        if isinstance(v, bool) or not isinstance(v, Integral) or v < least:
+            raise ContractViolation(f"{name} must be an int >= {least}, got {v!r}")
     try:
         return _PLANNERS[alg](RunPlan(alg, cfg, k, d, s))
     except ContractViolation:

@@ -6,9 +6,11 @@ at desk scale; acceptance is by exact construction checks, statistical PAC
 success rates, and scaling shapes, as stated per criterion).
 """
 
+import ast
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +164,42 @@ def test_star_lb_large_eps_pac_cells(eps):
     # 2 eps_n0 from the target, so the output must not be one
     rate = _pac_rate(amdl.gen_star_lb(2, 8, 1, 3), "active-dd-large", eps)
     assert rate >= 1.0 - DELTA - 0.05, rate
+
+
+def _bench_pac_cells() -> tuple:
+    """PAC_CELLS of bench/workloads.py, read with ast as scripts/paired_cells.py
+    reads it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    (value,) = [node.value for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PAC_CELLS"]]
+    return ast.literal_eval(value)
+
+
+# (instance, run eps) -> whether some run can miss nu + eps: at prop1 and
+# example1 every member is within nu + eps, so no output can fail
+CAN_FAIL = {
+    ("prop1", (4, 0.1), 0.1): False,                     # criterion 4
+    ("example1", (0.2, 0.05, "a"), 0.05): False,
+    ("example1", (0.2, 0.05, "b"), 0.05): False,
+    ("star-lb", (2, 4, 1, 1), 0.1): True,
+    ("agnostic-lb", (4, 0.4, 0.05), 0.05): True,
+    ("prop1", (8, 0.05), 0.05): False,                   # criterion 7c
+    **{("star-lb", (2, 8, 1, 3), eps): True for eps in (0.2, 0.1, 0.05)},   # large eps
+}
+
+
+def test_which_cells_can_fail():
+    # a cell can fail only if some member's worst loss misses nu + eps
+    # under run_single_trial's own test; every acceptance and pac-cells
+    # cell is stated here, so a new cell that cannot fail is seen
+    gen = {"prop1": amdl.gen_prop1, "example1": amdl.gen_example1,
+           "star-lb": amdl.gen_star_lb, "agnostic-lb": amdl.gen_agnostic_lb}
+    for (family, params, eps), want in CAN_FAIL.items():
+        inst = gen[family](*params)
+        assert amdl.can_fail(inst, eps) is want, (family, params, eps)
+        assert inst.worst_member_loss() == max(map(inst.worst_loss_exact, inst.hypothesis_class))
+    assert {(family, tuple(params.values()), eps)
+            for _, family, params, _, eps in _bench_pac_cells()} <= set(CAN_FAIL)
 
 
 # -- 5: deterministic epoch invariants and realizable survival -----------------

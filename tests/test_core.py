@@ -532,3 +532,37 @@ def test_exact_metrics_match_their_definitions(shape):
     assert inst.nu_exact() == nu
     assert best_nu_index(inst) == worst.index(nu)
     assert amdl.best_nu(inst) == (cls[worst.index(nu)], float(nu))
+
+
+# every shipped family but `random`, whose classes the test below draws
+SHIPPED = {
+    "prop1": lambda: amdl.gen_prop1(3, 0.1),
+    "star-lb": lambda: amdl.gen_star_lb(2, 4, 1, 1),
+    "agnostic-lb": lambda: amdl.gen_agnostic_lb(3, 0.4, 0.05),
+    "agnostic-lb flipped": lambda: amdl.gen_agnostic_lb(3, 0.4, 0.05, flipped_index=2),
+    "example1": lambda: amdl.gen_example1(0.2, 0.05, "b"),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_exact_losses_equal_their_fraction_sums(data):
+    """loss_exact, worst_loss_exact, nu_exact and worst_member_loss against the
+    Fraction-sum definition, on a random mixture (repeats included) of a
+    shipped family's class or of a gen_random class."""
+    family = data.draw(st.sampled_from([*SHIPPED, "random"]))
+    if family == "random":
+        m = data.draw(st.integers(1, 6))
+        inst = amdl.gen_random(m, data.draw(st.integers(1, min(2 ** m, 12))),
+                               data.draw(st.integers(1, 3)), seed=data.draw(st.integers(0, 10 ** 6)))
+    else:
+        inst = SHIPPED[family]()
+    cls, dists = inst.hypothesis_class, inst.distributions
+    support = data.draw(st.lists(st.integers(0, len(cls) - 1), min_size=1, max_size=8))
+    for h in (RandomizedHypothesis(cls, support), cls[support[0]]):
+        losses = [loss_reference(h, d) for d in dists]
+        assert [loss_exact(h, d) for d in dists] == losses
+        assert inst.worst_loss_exact(h) == max(losses)
+    worst = [max(loss_reference(g, d) for d in dists) for g in cls]
+    assert inst.nu_exact() == min(worst)
+    assert inst.worst_member_loss() == max(worst)

@@ -722,8 +722,7 @@ def test_run_trials_refuses_a_trace_with_nowhere_to_go(monkeypatch):
             run_trials(_prop1_cfg(trace=True, transcript_path=path))
     assert ran == []
     cfg = _prop1_cfg(trace=True)
-    inst = cfg.load()
-    rec, _, oracles = harness.run_single_trial(inst, cfg, 0, cfg.plan())
+    rec, _, oracles = harness.run_single_trial(cfg.instance, cfg.plan(), 0, trace=True)
     assert len(oracles.ledger.transcript) == rec.labels_total > 0
 
 

@@ -688,11 +688,12 @@ def test_product_shadow_adds_the_block_total_left_to_right():
 def test_two_distribution_shadow_stops_at_the_boundary(monkeypatch, case):
     # on the example1 acceptance cell's solves the k = 2 shadow predicts at
     # most one round past each chunk that `_play_chunk` keeps (a shadow that
-    # predicts one round plays it alone)
+    # predicts one round plays it alone); each prediction is paired with the
+    # chunk that made it, since a chunk at a weight's limit predicts nothing
     from amdl import harness
     inst = amdl.gen_example1(0.2, 0.05, case)
     assert inst.k == 2
-    predicted, kept = [], []
+    predicted, pairs = [], []
     predict, play_chunk = hedge._predict_plays, hedge._play_chunk
 
     def counted_predict(*args):
@@ -701,17 +702,20 @@ def test_two_distribution_shadow_stops_at_the_boundary(monkeypatch, case):
         return plays
 
     def counted_chunk(*args):
-        kept.append(play_chunk(*args))
-        return kept[-1]
+        before = len(predicted)
+        kept = play_chunk(*args)
+        assert len(predicted) - before <= 1
+        pairs.extend((m, kept) for m in predicted[before:])
+        return kept
 
     monkeypatch.setattr(hedge, "_predict_plays", counted_predict)
     monkeypatch.setattr(hedge, "_play_chunk", counted_chunk)
     cfg = harness.RunConfig(alg="active-dd-small", eps=0.05, delta=0.1, instance=inst)
     p = cfg.plan()
     for seed in range(3):
-        harness.run_single_trial(inst, cfg, seed, p)
-    assert len(predicted) == len(kept) and sum(kept) > 3 * 2000   # about 3,250 rounds a solve
-    assert all(m <= c + 1 for m, c in zip(predicted, kept))
+        harness.run_single_trial(inst, p, seed)
+    assert len(pairs) == len(predicted) and sum(c for _, c in pairs) > 3 * 2000  # ~3,250 a solve
+    assert all(m <= c + 1 for m, c in pairs)
 
 
 def _stops_before_products(r, w, bars, erm, p, doubled, counts):

@@ -108,8 +108,8 @@ checks = {
     "plan ceiling": lambda: amdl.run_trials(
         amdl.RunConfig(alg="passive-naive", eps=1e-6, delta=0.1, instance=inst)),
     "another run's plan": lambda: amdl.harness.run_single_trial(
-        inst, amdl.RunConfig(alg="passive-naive", eps=0.2, delta=0.1, instance=inst), 0,
-        amdl.RunConfig(alg="passive-naive", eps=0.3, delta=0.1, instance=inst).plan()),
+        inst, amdl.RunConfig(alg="passive-naive", eps=0.2, delta=0.1,
+                             instance=amdl.gen_prop1(2, 0.1)).plan(), 0),
 }
 for name, check in checks.items():
     try:

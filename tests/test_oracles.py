@@ -440,7 +440,7 @@ def test_transcript_records_every_label_query(tmp_path):
     p = cfg.plan()
     want = []
     for rec in recs:
-        _, _, trial = run_single_trial(inst, cfg, rec.seed, p)
+        _, _, trial = run_single_trial(inst, p, rec.seed, trace=True)
         assert len(trial.ledger.transcript) == rec.labels_total > 0
         want.extend(f"{rec.seed},{i},{x},{y},{cum}"
                     for i, x, y, cum in trial.ledger.transcript)
@@ -860,7 +860,7 @@ def test_trial_leaves_pinned_stream_positions(cell):
     gen, eps, consumed = TRIAL_CONSUMED[cell]
     inst, alg = gen(), cell.split("/")[1]
     cfg = RunConfig(alg=alg, eps=eps, delta=0.1, instance=inst)
-    _, _, o = run_single_trial(inst, cfg, 3, cfg.plan())
+    _, _, o = run_single_trial(inst, cfg.plan(), 3)
     assert [s.consumed for s in (*o._streams, o._aux)] == consumed
 
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 
 import amdl
-from amdl import ContractViolation, RunConfig, SolverConfig, active, harness, rpu
+from amdl import ContractViolation, RunConfig, SolverConfig, active, harness, rpu, runplan
 from amdl.cli import main as cli_main
 from amdl.harness import PROFILES, run_trials, sweep_from_csv
 from amdl.runplan import plan
@@ -152,7 +152,7 @@ def test_trials_keep_within_their_plan(cell, monkeypatch):
     planned = [(c, hedge_rounds(c, p.k, p.d)[0]) for c in p.solves()]
     for seed in SEEDS:
         solves.clear()
-        rec, res, _ = harness.run_single_trial(cfg.instance, cfg, seed, p)
+        rec, res, _ = harness.run_single_trial(cfg.instance, p, seed)
         assert res.plan is p and (solves or alg == "passive-naive")
         assert solves == planned[:len(solves)] and (len(solves) == len(planned) or not res.ok)
         assert rec.labels_total <= p.label_bound
@@ -214,15 +214,43 @@ def test_desk_active_df_plans_under_the_ceiling(gen):
 
 
 def test_run_single_trial_refuses_another_runs_plan(monkeypatch):
+    # a trial takes its alg, targets and knobs from the plan alone, and
+    # refuses a plan made for another k or another nu before any draw
     inst = amdl.gen_prop1(2, 0.1)
-    cfg = RunConfig(alg="passive-hedge", eps=0.2, delta=DELTA, instance=inst)
-    others = [replace(cfg, eps=0.3), replace(cfg, delta=0.2), replace(cfg, alg="passive-naive"),
-              replace(cfg, knobs={"c_t": 1e-5}), replace(cfg, profile="fidelity", eps=0.9,
-                                                          alg="passive-naive"),
-              replace(cfg, instance=amdl.gen_prop1(3, 0.1))]
+    others = [amdl.gen_prop1(3, 0.1), amdl.gen_prop1(2, 0.2), amdl.gen_agnostic_lb(2, 0.4, 0.05)]
     built = []
     monkeypatch.setattr(harness, "OracleSet", lambda *args, **kw: built.append(args))
     for other in others:
-        with pytest.raises(ContractViolation, match="not the plan"):
-            harness.run_single_trial(inst, cfg, 0, other.plan())
+        p = RunConfig(alg="passive-hedge", eps=0.2, delta=DELTA, instance=other).plan()
+        with pytest.raises(ContractViolation, match="not a plan for this instance"):
+            harness.run_single_trial(inst, p, 0)
     assert built == []
+
+
+def test_a_trial_reads_alg_targets_and_knobs_from_its_plan():
+    inst = amdl.gen_prop1(2, 0.1)
+    for cfg in (RunConfig(alg="passive-naive", eps=0.3, delta=0.2, instance=inst),
+                RunConfig(alg="passive-hedge", eps=0.2, delta=DELTA, knobs={"c_t": 1e-5},
+                          instance=inst)):
+        p = cfg.plan()
+        rec = harness.run_single_trial(inst, p, 5)[0]
+        assert (rec.alg, rec.eps, rec.delta, rec.nu) == (cfg.alg, cfg.eps, cfg.delta, 0.1)
+        assert rec.csv_row() == run_trials(replace(cfg, base_seed=5))[0].csv_row()
+
+
+@pytest.mark.parametrize("args", [("nope", 2, 1), ("passive-hedge", 1.5, 1),
+                                  ("passive-hedge", "2", 1), ("passive-hedge", 0, 1),
+                                  ("passive-hedge", True, 1), ("passive-hedge", 2, None),
+                                  ("passive-hedge", 2, -1), ("active-df", 2, 1.0)], ids=str)
+def test_plan_refuses_bad_arguments_before_any_size(args, monkeypatch):
+    # an unknown tag, a k that is not an int >= 1 and a d that is not an
+    # int >= 0 are refused by name, before any size is computed
+    alg, k, d = args
+    sized = []
+    monkeypatch.setattr(runplan, "hyperparams", lambda *a: sized.append(a))
+    cfg = SolverConfig(eps=0.1, delta=DELTA, nu=0.0, **PROFILES["desk"])
+    with pytest.raises(ContractViolation, match="known: |k must be|d must be") as err:
+        plan(alg, cfg, k, d, 1)
+    assert sized == []
+    if alg == "nope":
+        assert all(repr(tag) in str(err.value) for tag in amdl.ALGORITHMS)

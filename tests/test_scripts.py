@@ -67,3 +67,19 @@ def test_paired_cells_refuses_to_report_unequal_records():
     b.trial = lambda cell, inst, seed: (1.0, "another record")
     with pytest.raises(SystemExit, match="the records differ"):
         script.compare(a, b, cells, 1)
+
+
+def test_paired_cells_times_only_the_cells_named(capsys):
+    script = _load_script("paired_cells")
+    table = script.main([str(SCRIPTS.parent), str(SCRIPTS.parent), "--trials", "1",
+                         "--cells", "prop1", "--cells", "star-lb"])
+    assert list(table) == ["prop1(4,0.1)/active-dd-large", "star-lb(2,4,1,1)/active-df"]
+    assert capsys.readouterr().out.endswith("records equal on all 2 trials\n")
+
+
+def test_paired_cells_refuses_a_pattern_that_matches_no_cell(capsys):
+    script = _load_script("paired_cells")
+    with pytest.raises(SystemExit):
+        script.main([str(SCRIPTS.parent), str(SCRIPTS.parent), "--cells", "prop1",
+                     "--cells", "no-such-cell"])
+    assert "'no-such-cell' matches none of" in capsys.readouterr().err
