@@ -7,10 +7,12 @@ that runs, and plays single trials of each pac-cells cell (the cell list of
 this repository's bench/workloads.py) at RunConfig(profile="desk",
 delta=0.1, trials=1), seeds 50000 on, alternating which side runs first.  It
 refuses to report if the two sides' records (`TrialRecord.csv_row()`, wall
-time left out) differ on any trial.  It prints each cell's median ms per
-side and the median of the per-trial B/A time ratios.  `--cells SUBSTR`
-(repeatable) times only the cells whose names contain one of the given
-substrings; a substring that matches no cell is refused.
+time left out) differ on any trial, or if their label transcripts (from one
+untimed traced trial per side) differ on any of a cell's first 3 seeds.  It
+prints each cell's median ms per side and the median of the per-trial B/A
+time ratios.  `--cells SUBSTR` (repeatable) times only the cells whose names
+contain one of the given substrings; a substring that matches no cell is
+refused.
 
 Usage: python scripts/paired_cells.py A B [--trials 200] [--cells SUBSTR ...]
 """
@@ -27,6 +29,7 @@ from pathlib import Path
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 BASE_SEED = 50_000
 DELTA = 0.1
+TRACED_SEEDS = 3        # the first seeds of each cell whose transcripts are compared
 
 
 def pac_cells() -> list[tuple]:
@@ -83,17 +86,29 @@ class Side:
             self.instances = [spec(family, dict(params)).generate()
                               for _, family, params, _, _ in cells]
 
+    def _config(self, cell: tuple, inst, seed: int):
+        _, _, _, alg, eps = cell
+        return self.modules["amdl.harness"].RunConfig(
+            alg=alg, eps=eps, delta=DELTA, trials=1, base_seed=seed, profile="desk",
+            instance=inst, workers=1)
+
     def trial(self, cell: tuple, inst, seed: int) -> tuple[float, str]:
         """(ms, record) of one trial of `cell` at `seed`."""
-        _, _, _, alg, eps = cell
         harness = self.modules["amdl.harness"]
-        cfg = harness.RunConfig(alg=alg, eps=eps, delta=DELTA, trials=1, base_seed=seed,
-                                profile="desk", instance=inst, workers=1)
+        cfg = self._config(cell, inst, seed)
         with _swapped(self.modules):
             t0 = time.perf_counter()
             (rec,) = harness.run_trials(cfg)
             ms = (time.perf_counter() - t0) * 1e3
         return ms, rec.csv_row()
+
+    def transcript(self, cell: tuple, inst, seed: int) -> list:
+        """The label transcript of one traced trial of `cell` at `seed`."""
+        cfg = self._config(cell, inst, seed)
+        with _swapped(self.modules):
+            _, _, oracles = self.modules["amdl.harness"].run_single_trial(
+                inst, cfg.plan(), seed, trace=True)
+        return list(oracles.ledger.transcript)
 
 
 def compare(a: Side, b: Side, cells: list[tuple], trials: int) -> dict:
@@ -111,6 +126,9 @@ def compare(a: Side, b: Side, cells: list[tuple], trials: int) -> dict:
             if rows["a"] != rows["b"]:
                 raise SystemExit(f"{cell[0]} seed {seed}: the records differ\n"
                                  f"  A: {rows['a']}\n  B: {rows['b']}")
+            if t < TRACED_SEEDS and (a.transcript(cell, a.instances[c], seed)
+                                     != b.transcript(cell, b.instances[c], seed)):
+                raise SystemExit(f"{cell[0]} seed {seed}: the label transcripts differ")
         table[cell[0]] = {
             "trials": trials,
             "a_ms_median": statistics.median(times["a"]),

@@ -1,10 +1,10 @@
 """amdl: a desk-scale simulation lab for active multi-distribution learning."""
 
-from .core import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
-                   LabeledDistribution, MDLInstance, RandomizedHypothesis,
-                   agreement_labels, best_nu, disagreement, disagreement_region,
-                   instance_from_dict, instance_to_dict, load_instance, loss,
-                   mixture_distribution, save_instance, worst_loss)
+from .core import (ContractViolation, Hypothesis, HypothesisClass, LabeledDistribution,
+                   MDLInstance, RandomizedHypothesis, agreement_labels, best_nu,
+                   disagreement, disagreement_region, instance_from_dict,
+                   instance_to_dict, load_instance, loss, mixture_distribution,
+                   save_instance, worst_loss)
 from .complexity import (ComplexityValue, DisagreementProfile,
                          disagreement_coefficient, disagreement_profile,
                          star_number, star_number_unqualified, theta_max,

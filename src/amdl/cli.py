@@ -10,7 +10,7 @@ import sys
 from .complexity import (disagreement_coefficient, star_number,
                          star_number_unqualified, vc_dimension)
 from .core import ContractViolation, best_nu, load_instance, save_instance
-from .families import FAMILIES, FamilySpec
+from .families import FAMILIES, PARAM_TYPES, FamilySpec
 from .harness import (ALGORITHMS, PROFILES, RunConfig, records_to_csv, report,
                       run_trials, sweep, sweep_from_csv, sweep_to_csv)
 
@@ -38,16 +38,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    params: dict = {}
-    for name in ("k", "theta", "i", "j", "m", "n_hyp", "seed", "flipped_index",
-                 "eps", "nu", "nu_prime"):
-        val = getattr(args, name, None)
-        if val is not None:
-            params[name] = val
-    if args.case is not None:
-        params["case"] = args.case
-    if args.realizable:
-        params["realizable"] = True
+    params = {name: getattr(args, name) for name in PARAM_TYPES
+              if getattr(args, name) is not None}
     inst = FamilySpec(args.family, params).generate()
     save_instance(inst, args.out)
     print(f"wrote {args.out} (family={args.family}, m={inst.m}, k={inst.k}, "
@@ -90,8 +82,8 @@ def _cmd_run(args) -> int:
     cfg = RunConfig(alg=args.alg, eps=args.eps, delta=args.delta,
                     trials=args.trials, base_seed=args.seed,
                     profile=args.profile, knobs=_parse_knobs(args.knob),
-                    instance=load_instance(args.instance), trace=args.trace,
-                    transcript_path=transcript, workers=args.workers)
+                    instance=load_instance(args.instance), transcript_path=transcript,
+                    workers=args.workers)
     _write(records_to_csv(run_trials(cfg), timing=args.timing), args.out)
     return 0
 
@@ -137,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--m", type=int)
     g.add_argument("--n-hyp", type=int, dest="n_hyp")
     g.add_argument("--seed", type=int)
-    g.add_argument("--realizable", action="store_true")
+    g.add_argument("--realizable", action="store_true", default=None)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=_cmd_gen)
 

@@ -57,17 +57,6 @@ def _integerize(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
     return np.array(nums, dtype=object), den
 
 
-@dataclass(frozen=True)
-class FeatureSpace:
-    """Finite feature space; points are the indices 0..size-1."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ContractViolation(f"feature space size must be >= 1, got {self.size}")
-
-
 def _label_rows(labels, ndim: int) -> np.ndarray:
     """`labels` (an array, or labels or hypotheses as rows) as a read-only
     int8 copy with `ndim` axes, refused unless rectangular, non-empty and
@@ -283,9 +272,8 @@ def loss(h: Hypothesis, dist: LabeledDistribution) -> float:
 
 @dataclass
 class MDLInstance:
-    """k labeled distributions over a shared feature space plus a hypothesis class."""
+    """k labeled distributions plus a hypothesis class, all on the class's m points."""
 
-    feature_space: FeatureSpace
     hypothesis_class: HypothesisClass
     distributions: list[LabeledDistribution]
     declared_nu: float | None = None
@@ -294,14 +282,11 @@ class MDLInstance:
     _best: tuple[int, Fraction, list[int], int] | None = field(default=None, repr=False, init=False)
 
     def __post_init__(self):
-        m = self.feature_space.size
-        if self.hypothesis_class.m != m:
-            raise ContractViolation("hypothesis class does not match feature space size")
         if not self.distributions:
             raise ContractViolation("instance must have k >= 1 distributions")
         for d in self.distributions:
-            if d.m != m:
-                raise ContractViolation("distribution does not match feature space size")
+            if d.m != self.m:
+                raise ContractViolation(f"a distribution has {d.m} points, the class {self.m}")
         if self.declared_nu is not None:
             computed = self.nu_exact()
             if abs(computed - _frac(self.declared_nu)) > NU_DECLARED_TOL:
@@ -314,7 +299,7 @@ class MDLInstance:
 
     @property
     def m(self) -> int:
-        return self.feature_space.size
+        return self.hypothesis_class.m
 
     def worst_loss_exact(self, h: HypothesisLike) -> Fraction:
         plus, total = _plus_counts(h, self.m)
@@ -464,15 +449,19 @@ def _field(doc: dict, key: str, kind: type, where: str = "instance", required: b
 
 
 def instance_from_dict(doc: dict) -> MDLInstance:
-    """The instance a file document describes; a missing field or one of the
-    wrong type is refused by name."""
+    """The instance a file document describes; a missing field, one of the
+    wrong type or an `m` that is not the hypotheses' length is refused by name."""
     m, hyps = _field(doc, "m", int), _field(doc, "hypotheses", list)
     dists = [(_field(d, "marginal", list, f"instance distributions[{i}]"),
               _field(d, "eta_plus", list, f"instance distributions[{i}]"))
              for i, d in enumerate(_field(doc, "distributions", list))]
     if not all(isinstance(v, list) and all(type(y) is int for y in v) for v in hyps):
         raise ContractViolation("instance field 'hypotheses' must hold lists of integer labels")
-    return MDLInstance(FeatureSpace(m), HypothesisClass(hyps),
+    cls = HypothesisClass(hyps)
+    if m != cls.m:
+        raise ContractViolation(f"instance field 'm' must be the hypotheses' length {cls.m}, "
+                                f"got {m}")
+    return MDLInstance(cls,
                        [LabeledDistribution(marg, eta) for marg, eta in dists],
                        declared_nu=_field(doc, "nu", Real, required=False),
                        metadata=_field(doc, "metadata", dict, required=False) or {})

@@ -17,8 +17,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .core import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
-                   LabeledDistribution, MDLInstance, _frac)
+from .core import (ContractViolation, Hypothesis, HypothesisClass, LabeledDistribution,
+                   MDLInstance, _frac)
 
 # each family's required parameters, in its generator's argument order
 REQUIRED_PARAMS = {
@@ -29,7 +29,7 @@ REQUIRED_PARAMS = {
     "random": ("m", "n_hyp", "k", "seed"),
 }
 FAMILIES = tuple(REQUIRED_PARAMS)
-# the parameters a family's generator also takes, when given
+# the parameters a family's generator also takes, when given, in argument order after those
 OPTIONAL_PARAMS = {"agnostic-lb": ("flipped_index",), "random": ("realizable",)}
 # the type of each parameter; a bool counts as neither number
 PARAM_TYPES = {"k": Integral, "theta": Integral, "i": Integral, "j": Integral,
@@ -68,17 +68,8 @@ class FamilySpec:
                                         f"{_KIND_NAMES[kind]}, got {value!r}")
 
     def generate(self) -> MDLInstance:
-        p = self.params
-        if self.family == "prop1":
-            return gen_prop1(p["k"], p["eps"])
-        if self.family == "star-lb":
-            return gen_star_lb(p["k"], p["theta"], p["i"], p["j"])
-        if self.family == "agnostic-lb":
-            return gen_agnostic_lb(p["k"], p["nu"], p["eps"], p.get("flipped_index"))
-        if self.family == "example1":
-            return gen_example1(p["nu_prime"], p["eps"], p["case"])
-        return gen_random(p["m"], p["n_hyp"], p["k"], p["seed"],
-                          realizable=p.get("realizable", False))
+        names = REQUIRED_PARAMS[self.family] + OPTIONAL_PARAMS.get(self.family, ())
+        return GENERATORS[self.family](*(self.params[n] for n in names if n in self.params))
 
 
 def _single_flip_class(m: int, flippable) -> HypothesisClass:
@@ -113,7 +104,7 @@ def gen_prop1(k: int, eps) -> MDLInstance:
     # anchor-flip hypothesis h_1..h_k each err at mass eps on some other
     # distribution once k >= 2; the all-minus hypothesis errs at eps everywhere
     nu = float(epsF) if k >= 2 else 0.0
-    inst = MDLInstance(FeatureSpace(m), cls, dists, declared_nu=nu,
+    inst = MDLInstance(cls, dists, declared_nu=nu,
                        metadata={"family": "prop1", "k": k, "eps": float(epsF),
                                  "instance_id": f"prop1-k{k}-eps{float(epsF)}"})
     return inst
@@ -140,7 +131,7 @@ def gen_star_lb(k: int, theta: int, i: int, j: int) -> MDLInstance:
             eta[flip_point] = Fraction(1)
         dists.append(LabeledDistribution(marg, eta))
     return MDLInstance(
-        FeatureSpace(m), cls, dists, declared_nu=0.0,
+        cls, dists, declared_nu=0.0,
         metadata={"family": "star-lb", "k": k, "theta": theta, "i": i, "j": j,
                   "instance_id": f"star-lb-k{k}-t{theta}-i{i}-j{j}"})
 
@@ -184,7 +175,7 @@ def gen_agnostic_lb(k: int, nu, eps, flipped_index: int | None = None) -> MDLIns
         dists.append(LabeledDistribution(marg, eta))
     nu_star = float(nuF) if flipped_index is not None else float(nuF - 2 * epsF)
     return MDLInstance(
-        FeatureSpace(m), cls, dists, declared_nu=nu_star,
+        cls, dists, declared_nu=nu_star,
         metadata={"family": "agnostic-lb", "k": k, "nu": float(nuF),
                   "eps": float(epsF), "flipped_index": flipped_index,
                   "instance_id": f"agnostic-lb-k{k}-nu{float(nuF)}-eps{float(epsF)}"
@@ -213,7 +204,6 @@ def gen_example1(nu_prime, eps, case: str) -> MDLInstance:
     target = nF - eF if case == "a" else nF + eF
     if target > 1 - nF:
         raise ContractViolation("agreement-region error exceeds the region mass")
-    m = 3
     h1 = Hypothesis([1, 1, 1])
     h2 = Hypothesis([-1, -1, 1])
     cls = HypothesisClass([h1, h2])
@@ -224,7 +214,7 @@ def gen_example1(nu_prime, eps, case: str) -> MDLInstance:
                              [Fraction(1), Fraction(0), 1 - beta])
     nu_star = float(2 * nF - eF) if case == "a" else float(2 * nF)
     return MDLInstance(
-        FeatureSpace(m), cls, [d1, d2], declared_nu=nu_star,
+        cls, [d1, d2], declared_nu=nu_star,
         metadata={"family": "example1", "nu_prime": float(nF), "eps": float(eF),
                   "case": case,
                   "instance_id": f"example1-{case}-nup{float(nF)}-eps{float(eF)}"})
@@ -260,10 +250,15 @@ def gen_random(m: int, n_hyp: int, k: int, seed: int,
         else:
             eta = [grid[int(g)] for g in rng.integers(0, 9, size=m)]
         dists.append(LabeledDistribution(marg, eta))
-    return MDLInstance(FeatureSpace(m), cls, dists,
+    return MDLInstance(cls, dists,
                        metadata={"family": "random", "m": m, "n_hyp": n_hyp,
                                  "k": k, "seed": seed, "realizable": realizable,
                                  "instance_id": f"random-m{m}-h{n_hyp}-k{k}-s{seed}"})
+
+
+# each family's generator, called with its given parameters in the order above
+GENERATORS = {"prop1": gen_prop1, "star-lb": gen_star_lb, "agnostic-lb": gen_agnostic_lb,
+              "example1": gen_example1, "random": gen_random}
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,6 @@ class RunConfig:
     profile: str = "desk"
     knobs: dict = field(default_factory=dict)
     instance: MDLInstance | None = None
-    trace: bool = False
     transcript_path: str | None = None
     workers: int = 1
 
@@ -75,6 +74,8 @@ class RunConfig:
             raise ContractViolation(f"unknown profile {self.profile!r}")
         if self.workers < 1:
             raise ContractViolation(f"workers must be >= 1, got {self.workers}")
+        if self.transcript_path == "":
+            raise ContractViolation("transcript_path must name a file, got ''")
         unknown = sorted(set(self.knobs) - set(KNOBS))
         if unknown:
             raise ContractViolation(f"unknown solver knobs {unknown}; known: {list(KNOBS)}")
@@ -204,14 +205,13 @@ def run_trials(cfg: RunConfig) -> list[TrialRecord]:
 
     With workers > 1 the trials run in a process pool; each trial owns its
     oracle set and records are re-sorted by seed, so aggregation is
-    order-independent.  A traced run needs a `transcript_path`: the records
-    it returns leave the transcript out.  The plan is built, and a run over
-    the label ceiling refused, before any trial draws.
+    order-independent.  With a `transcript_path` the run writes the label
+    transcript there; the records it returns leave it out.  The plan is
+    built, and a run over the label ceiling refused, before any trial draws.
     """
-    if cfg.trace and not cfg.transcript_path:
-        raise ContractViolation("trace=True needs a transcript_path to write the transcript to")
     p = cfg.plan()
-    args = [(cfg.instance, p, cfg.base_seed + t, cfg.trace) for t in range(cfg.trials)]
+    trace = cfg.transcript_path is not None
+    args = [(cfg.instance, p, cfg.base_seed + t, trace) for t in range(cfg.trials)]
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -219,7 +219,7 @@ def run_trials(cfg: RunConfig) -> list[TrialRecord]:
     else:
         outs = [_trial_worker(a) for a in args]
     outs.sort(key=lambda pair: pair[0].seed)
-    if cfg.trace:
+    if trace:
         with open(cfg.transcript_path, "w") as fh:
             for rec, transcript in outs:
                 for (i, x, y, cum) in transcript:

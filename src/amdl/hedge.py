@@ -336,7 +336,6 @@ class HedgeResult:
     rounds: int
     reward_draws: np.ndarray
     store_draws: np.ndarray
-    play_counts: dict[int, int]
     trace: list | None = None
 
     @property
@@ -405,9 +404,8 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
         sampler.settle()
 
     reward_draws = [a + (T - since) * b for a, b in zip(reward_draws, counts)]
-    play_counts = {h: n for h, n in zip(V, tally) if n}
-    return HedgeResult(RandomizedHypothesis(cls, play_counts), T,
-                       np.array(reward_draws, dtype=np.int64), store.n.copy(), play_counts, trace)
+    return HedgeResult(RandomizedHypothesis(cls, {h: n for h, n in zip(V, tally) if n}), T,
+                       np.array(reward_draws, dtype=np.int64), store.n.copy(), trace)
 
 
 def naive_erm_baseline(inst: MDLInstance, oracles: OracleSet, n: int) -> Hypothesis:

@@ -240,7 +240,6 @@ class OracleSet:
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ContractViolation(f"seed must be an integer >= 0, got {seed!r}")
         self.instance = instance
-        self.seed = seed
         k = instance.k
         children = np.random.SeedSequence(seed).spawn(k + 1)
         self._streams = [_Uniforms(np.random.default_rng(c)) for c in children[:k]]
@@ -474,8 +473,9 @@ class SamplerFamily:
     a whole solver round, one request per distribution, from blocks of
     requests kept per distribution, a run of rounds at a time (`run_table`
     and `serve` serve several), and `settle` makes the served requests
-    happen (see the module docstring).  `calls[i]` counts pairs drawn, which
-    lets the solvers reconcile their own accounting against the ledger.
+    happen (see the module docstring).  `calls[i]` counts pairs drawn; no
+    solver reads it, but the tests reconcile it against the ledger and the
+    `HedgeResult` draws.
     """
 
     def __init__(self, oracles: OracleSet, kernels: Sequence[Kernel]):

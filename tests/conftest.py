@@ -11,8 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from amdl import (FeatureSpace, Hypothesis, HypothesisClass, LabeledDistribution,
-                  MDLInstance)
+from amdl import Hypothesis, HypothesisClass, LabeledDistribution, MDLInstance
 
 
 def brute_vc(labels: np.ndarray) -> int:
@@ -90,13 +89,12 @@ def two_point_instance() -> MDLInstance:
     cls = HypothesisClass([Hypothesis([1, 1]), Hypothesis([-1, -1])])
     dist = LabeledDistribution([Fraction(1, 2), Fraction(1, 2)],
                                [Fraction(1, 4), Fraction(3, 4)])
-    return MDLInstance(FeatureSpace(2), cls, [dist])
+    return MDLInstance(cls, [dist])
 
 
 def one_point_instance() -> MDLInstance:
     cls = HypothesisClass([Hypothesis([1]), Hypothesis([-1])])
-    return MDLInstance(FeatureSpace(1), cls,
-                       [LabeledDistribution([Fraction(1)], [Fraction(1)])])
+    return MDLInstance(cls, [LabeledDistribution([Fraction(1)], [Fraction(1)])])
 
 
 @pytest.fixture

@@ -81,8 +81,7 @@ def test_criterion_2_averaging_ratio():
 # -- 3: sampler distribution correctness ---------------------------------------
 
 def _tv_fixture():
-    from amdl import (FeatureSpace, Hypothesis, HypothesisClass,
-                      LabeledDistribution, MDLInstance)
+    from amdl import Hypothesis, HypothesisClass, LabeledDistribution, MDLInstance
     cls = HypothesisClass([
         Hypothesis([1, 1, 1, -1]),
         Hypothesis([-1, -1, 1, -1]),
@@ -91,7 +90,7 @@ def _tv_fixture():
     dist = LabeledDistribution(
         [Fraction(3, 10), Fraction(2, 10), Fraction(4, 10), Fraction(1, 10)],
         [Fraction(1, 2), Fraction(1, 4), Fraction(1), Fraction(0)])
-    return MDLInstance(FeatureSpace(4), cls, [dist])
+    return MDLInstance(cls, [dist])
 
 
 def test_criterion_3_sampler_distributions():
@@ -151,6 +150,13 @@ def test_criterion_4_pac_suites():
     agnostic = amdl.gen_agnostic_lb(4, 0.4, 0.05)
     rates["agnostic/alg5"] = _pac_rate(agnostic, "passive-hedge", 0.05)
     rates["agnostic/alg3"] = _pac_rate(agnostic, "active-dd-small", 0.05)
+    # example1 at half its own eps: the targets 0.375 and 0.425 lie below the
+    # worse member's 0.40 and 0.45, so these cells can fail
+    for case in "ab":
+        inst = amdl.gen_example1(0.2, 0.05, case)
+        for alg, tag in (("active-dd-small", "alg3"), ("passive-hedge", "alg5"),
+                         ("passive-naive", "naive")):
+            rates[f"example1{case}/{tag}@0.025"] = _pac_rate(inst, alg, 0.025)
     ok = all(v >= floor for v in rates.values())
     conclude(4, "PAC success suites", ok,
              " ".join(f"{k}={v:.2f}" for k, v in rates.items())
@@ -175,15 +181,20 @@ def _bench_pac_cells() -> tuple:
     return ast.literal_eval(value)
 
 
-# (instance, run eps) -> whether some run can miss nu + eps: at prop1 and
-# example1 every member is within nu + eps, so no output can fail
+# (instance, run eps) -> whether some run can miss nu + eps: at prop1, and
+# at example1 run at its own eps, every member is within nu + eps, so no
+# output can fail
 CAN_FAIL = {
     ("prop1", (4, 0.1), 0.1): False,                     # criterion 4
     ("example1", (0.2, 0.05, "a"), 0.05): False,
     ("example1", (0.2, 0.05, "b"), 0.05): False,
     ("star-lb", (2, 4, 1, 1), 0.1): True,
     ("agnostic-lb", (4, 0.4, 0.05), 0.05): True,
+    ("example1", (0.2, 0.05, "a"), 0.025): True,
+    ("example1", (0.2, 0.05, "b"), 0.025): True,
     ("prop1", (8, 0.05), 0.05): False,                   # criterion 7c
+    ("star-lb", (2, 8, 1, 3), 0.01): True,
+    ("star-lb", (2, 8, 1, 3), 0.003): True,
     **{("star-lb", (2, 8, 1, 3), eps): True for eps in (0.2, 0.1, 0.05)},   # large eps
 }
 
@@ -308,21 +319,23 @@ def test_criterion_7b_labels_at_most_linear_in_k():
 
 
 def test_criterion_7c_naive_exceeds_active():
-    inst = amdl.gen_prop1(8, 0.05)
-    trials = 100
-    naive = run_trials(RunConfig(alg="passive-naive", eps=0.05, delta=DELTA,
-                                 trials=trials, instance=inst, profile="desk"))
-    active = run_trials(RunConfig(alg="active-dd-large", eps=0.05, delta=DELTA,
-                                  trials=trials, instance=inst, profile="desk"))
-    naive_rate = float(np.mean([r.success for r in naive]))
-    active_rate = float(np.mean([r.success for r in active]))
-    naive_labels = float(np.mean([r.labels_total for r in naive]))
-    active_labels = float(np.mean([r.labels_total for r in active]))
-    ok = (naive_rate >= 0.9 and active_rate >= 0.9
-          and naive_labels > active_labels)
-    conclude(7, "naive baseline costlier (c)", ok,
-             f"naive {naive_labels:.0f}@{naive_rate:.2f} vs "
-             f"active {active_labels:.0f}@{active_rate:.2f} on k=8")
+    # prop1 cannot fail; star-lb at eps 0.01 and 0.003 can
+    cells = [(amdl.gen_prop1(8, 0.05), 0.05, 100)] + \
+            [(amdl.gen_star_lb(2, 8, 1, 3), eps, 20) for eps in (0.01, 0.003)]
+    ok, details = True, []
+    for inst, eps, trials in cells:
+        naive = run_trials(RunConfig(alg="passive-naive", eps=eps, delta=DELTA,
+                                     trials=trials, instance=inst, profile="desk"))
+        active = run_trials(RunConfig(alg="active-dd-large", eps=eps, delta=DELTA,
+                                      trials=trials, instance=inst, profile="desk"))
+        naive_rate = float(np.mean([r.success for r in naive]))
+        active_rate = float(np.mean([r.success for r in active]))
+        naive_labels = float(np.mean([r.labels_total for r in naive]))
+        active_labels = float(np.mean([r.labels_total for r in active]))
+        ok &= naive_rate >= 0.9 and active_rate >= 0.9 and naive_labels > active_labels
+        details.append(f"{inst.metadata['instance_id']}@{eps}: naive {naive_labels:.0f}"
+                       f"@{naive_rate:.2f} vs active {active_labels:.0f}@{active_rate:.2f}")
+    conclude(7, "naive baseline costlier (c)", ok, "; ".join(details))
 
 
 # -- 8: lower-bound construction verification ----------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amdl
-from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
+from amdl import (ContractViolation, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, OracleSet,
                   RandomizedHypothesis, SolverConfig)
 from amdl import active, harness
@@ -210,7 +210,7 @@ def test_small_eps_degenerate_agreement_flagged(desk_knobs):
                              [Fraction(9, 10), Fraction(1, 10)])
     d2 = LabeledDistribution([Fraction(1, 2), Fraction(1, 2)],
                              [Fraction(4, 5), Fraction(1, 5)])
-    inst = MDLInstance(FeatureSpace(2), cls, [d1, d2])
+    inst = MDLInstance(cls, [d1, d2])
     nu = float(inst.nu_exact())
     assert nu > 0
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **desk_knobs)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amdl
-from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
+from amdl import (ContractViolation, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, RandomizedHypothesis)
 from amdl.core import disagreement_exact, instance_from_dict, instance_to_dict, loss_exact
 
@@ -273,9 +273,18 @@ def test_distribution_validation():
 def test_declared_nu_checked():
     cls = HypothesisClass([Hypothesis([1])])
     dist = LabeledDistribution([1.0], [1.0])
-    MDLInstance(FeatureSpace(1), cls, [dist], declared_nu=0.0)
+    MDLInstance(cls, [dist], declared_nu=0.0)
     with pytest.raises(ContractViolation):
-        MDLInstance(FeatureSpace(1), cls, [dist], declared_nu=0.3)
+        MDLInstance(cls, [dist], declared_nu=0.3)
+
+
+def test_instance_refuses_a_distribution_of_another_size():
+    # the instance takes m from its class
+    cls = HypothesisClass([Hypothesis([1, -1])])
+    assert MDLInstance(cls, [LabeledDistribution([0.5, 0.5], [1.0, 0.0])]).m == 2
+    with pytest.raises(ContractViolation, match="3 points, the class 2"):
+        MDLInstance(cls, [LabeledDistribution([0.5, 0.5], [1.0, 0.0]),
+                          LabeledDistribution([0.5, 0.25, 0.25], [1.0, 0.0, 0.0])])
 
 
 def test_instance_file_round_trip(tmp_path):
@@ -326,6 +335,8 @@ MALFORMED_INSTANCE_FILES = {
                           "distributions"),
     "missing-m": (_instance_text(lambda d: d.pop("m")), "'m'"),
     "string-m": (_instance_text(lambda d: d.update(m="2")), "'m'"),
+    "m-not-the-hypotheses-length": (_instance_text(lambda d: d.update(m=3)), "'m'"),
+    "zero-m": (_instance_text(lambda d: d.update(m=0)), "'m'"),
     "fractional-label": (_instance_text(lambda d: d.update(hypotheses=[[1.5, 1], [-1, -1]])),
                          "hypotheses"),
     "ragged-label-rows": (_instance_text(lambda d: d.update(hypotheses=[[[1], [1, -1]]])),

@@ -133,7 +133,7 @@ def test_record_csv_bytes(cell):
 @pytest.mark.parametrize("cell", sorted(TRANSCRIPT_SHA256))
 def test_transcript_bytes(cell, tmp_path):
     path = tmp_path / "transcript.csv"
-    recs = run_trials(_config(cell, trace=True, transcript_path=str(path)))
+    recs = run_trials(_config(cell, transcript_path=str(path)))
     data = path.read_bytes()
     # one line per label query, so the transcript covers every record's labels
     assert data.count(b"\n") == sum(r.labels_total for r in recs)
@@ -161,7 +161,7 @@ def test_seed_grid_records_and_transcripts(cell, tmp_path):
     path = tmp_path / "transcript.csv"
     recs = run_trials(RunConfig(alg=alg, eps=eps, delta=DELTA, trials=len(SEED_GRID),
                                 base_seed=SEED_GRID[0], profile="desk", instance=gen(),
-                                trace=True, transcript_path=str(path)))
+                                transcript_path=str(path)))
     assert [r.seed for r in recs] == list(SEED_GRID)
     got = (_sha256(records_to_csv(recs).encode()), _sha256(path.read_bytes()))
     assert got == SEED_GRID_SHA256[cell]
@@ -193,7 +193,7 @@ def test_rpu_cell_records_and_transcripts(cell, tmp_path):
     config = partial(RunConfig, alg="active-df", eps=eps, delta=DELTA, trials=len(SEEDS),
                      base_seed=SEEDS[0], profile="desk", instance=gen())
     plain = run_trials(config())
-    traced = run_trials(config(trace=True, transcript_path=str(path)))
+    traced = run_trials(config(transcript_path=str(path)))
     record, transcript = RPU_SHA256[cell]
     assert _sha256(records_to_csv(plain).encode()) == record
     assert _sha256(records_to_csv(traced).encode()) == record
@@ -318,7 +318,7 @@ def test_large_eps_labels_draws_and_transcripts(cell, tmp_path):
     path = tmp_path / "transcript.csv"
     recs = run_trials(RunConfig(alg="active-dd-large", eps=eps, delta=DELTA,
                                 trials=len(SEEDS), base_seed=SEEDS[0], profile="desk",
-                                instance=gen(), trace=True, transcript_path=str(path)))
+                                instance=gen(), transcript_path=str(path)))
     ledger = [(r.seed, r.labels_total, r.labels_per_dist, r.unlabeled, r.failure_mode)
               for r in recs]
     got = (_sha256(repr(ledger).encode()), _sha256(path.read_bytes()))
@@ -418,7 +418,7 @@ def _hedge_fields(inst: amdl.MDLInstance, eps: float, kind: str, seed: int) -> d
         "rounds": res.rounds,
         "reward_draws": [int(v) for v in res.reward_draws],
         "store_draws": [int(v) for v in res.store_draws],
-        "play_counts": sorted(res.play_counts.items()),
+        "play_counts": list(res.hypothesis.counts),
         "support": list(support_indices(res.hypothesis)),
         "trace": [(int(t), [float(v) for v in w], float(l1), int(n))
                   for t, w, l1, n in res.trace],

@@ -702,7 +702,7 @@ def test_cli_choices_are_the_registries():
 
 def test_run_transcript_emission(tmp_path):
     path = tmp_path / "audit.log"
-    cfg = _prop1_cfg(trials=2, trace=True, transcript_path=str(path))
+    cfg = _prop1_cfg(trials=2, transcript_path=str(path))
     recs = run_trials(cfg)
     lines = path.read_text().strip().split("\n")
     assert len(lines) == sum(r.labels_total for r in recs)
@@ -712,16 +712,17 @@ def test_run_transcript_emission(tmp_path):
 
 
 def test_run_trials_refuses_a_trace_with_nowhere_to_go(monkeypatch):
-    # run_trials returns records only, so a traced run without a
-    # transcript_path would log every label query for nothing; a single
-    # trial still takes trace=True, since it hands back its ledger
-    ran = []
-    monkeypatch.setattr(harness, "_trial_worker", lambda args: ran.append(args))
-    for path in (None, ""):
-        with pytest.raises(ContractViolation, match="transcript_path"):
-            run_trials(_prop1_cfg(trace=True, transcript_path=path))
+    # a run traces exactly when it has a transcript_path, so an empty one is
+    # refused and a run without one logs no label query; a single trial
+    # still takes trace=True, since it hands back its ledger
+    ran, worker = [], harness._trial_worker
+    monkeypatch.setattr(harness, "_trial_worker", lambda args: ran.append(args) or worker(args))
+    with pytest.raises(ContractViolation, match="transcript_path"):
+        run_trials(_prop1_cfg(transcript_path=""))
     assert ran == []
-    cfg = _prop1_cfg(trace=True)
+    run_trials(_prop1_cfg(trials=1))
+    assert [traced for *_, traced in ran] == [False]
+    cfg = _prop1_cfg()
     rec, _, oracles = harness.run_single_trial(cfg.instance, cfg.plan(), 0, trace=True)
     assert len(oracles.ledger.transcript) == rec.labels_total > 0
 

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import amdl
-from amdl import (ContractViolation, FeatureSpace, Hypothesis, HypothesisClass,
+from amdl import (ContractViolation, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, OracleSet, SolverConfig, hedge)
 from amdl.hedge import (HedgeState, PooledStore, hedge_step, hyperparams, mdl_hedge_vc,
                         naive_erm_baseline)
@@ -265,7 +265,7 @@ def test_round_losses_realizable_is_zero():
 def test_round_losses_sample_count_and_noise_rate():
     cls = HypothesisClass([Hypothesis([1])])
     dist = LabeledDistribution([1.0], [0.5])
-    inst = MDLInstance(FeatureSpace(1), cls, [dist])
+    inst = MDLInstance(cls, [dist])
     o = OracleSet(inst, seed=0)
     fam = plain_family(o)
     counts = [math.ceil(5 * 0.6)]  # the solver's ceil(k * w_bar_i)
@@ -293,7 +293,7 @@ def _alternation_instance(gamma: Fraction) -> MDLInstance:
                              [Fraction(1), Fraction(1), Fraction(0)])
     d2 = LabeledDistribution([1 - 2 * gamma, Fraction(0), 2 * gamma],
                              [Fraction(1), Fraction(0), Fraction(1)])
-    return MDLInstance(FeatureSpace(3), cls, [d1, d2])
+    return MDLInstance(cls, [d1, d2])
 
 
 def test_mdl_hedge_vc_realizable_single_distribution(desk_knobs):
@@ -332,7 +332,7 @@ def test_mdl_hedge_vc_accounting_reconciles(desk_knobs):
     # every sampler call is one labeled pair: ledger equals the solver's counts
     assert res.total_draws == int(fam.calls.sum()) == o.ledger.label_total
     assert np.array_equal(res.reward_draws + res.store_draws, fam.calls)
-    assert sum(res.play_counts.values()) == res.rounds
+    assert res.hypothesis.total == res.rounds
     # trace monotonicity of the running maxima l1 norm
     l1 = [row[2] for row in res.trace]
     assert all(a <= b + 1e-15 for a, b in zip(l1, l1[1:]))
@@ -430,7 +430,7 @@ def _traced_solve(inst, V, seed: int, desk_knobs: dict, eps: float) -> tuple:
                        collect_trace=True)
     trace = [(t, w.tobytes(), l1, n) for t, w, l1, n in res.trace]
     return (res.rounds, res.reward_draws.tolist(), res.store_draws.tolist(),
-            res.play_counts, res.hypothesis.counts, res.hypothesis.total, trace,
+            res.hypothesis.counts, res.hypothesis.total, trace,
             o.ledger.label_queries.tolist(), o.ledger.unlabeled_draws.tolist(),
             o.ledger.transcript)
 

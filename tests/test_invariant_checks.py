@@ -59,7 +59,7 @@ def solve(inst, seed):
                        inst.k, 1, collect_trace=True)
     trace = [(t, w.tolist(), l1, n) for t, w, l1, n in res.trace]
     return [res.rounds, res.reward_draws.tolist(), res.store_draws.tolist(),
-            sorted(res.play_counts.items()), res.hypothesis.counts, res.hypothesis.total,
+            res.hypothesis.counts, res.hypothesis.total,
             hashlib.sha256(repr(trace).encode()).hexdigest(),
             oracles.ledger.label_queries.tolist(), len(oracles.ledger.transcript)]
 

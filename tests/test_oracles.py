@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amdl
-from amdl import (ContractViolation, DegenerateAgreementRegion, FeatureSpace,
-                  Hypothesis, HypothesisClass, LabeledDistribution, MDLInstance,
-                  OracleSet)
+from amdl import (ContractViolation, DegenerateAgreementRegion, Hypothesis,
+                  HypothesisClass, LabeledDistribution, MDLInstance, OracleSet)
 from amdl import oracles
 from amdl.core import loss_exact
 from amdl.hedge import SolverConfig, hyperparams, mdl_hedge_vc
@@ -28,7 +27,7 @@ from conftest import empirical_tv, two_point_instance
 def test_draw_unlabeled_point_mass():
     cls = HypothesisClass([Hypothesis([1, 1])])
     dist = LabeledDistribution([0.0, 1.0], [0.5, 0.5])
-    inst = MDLInstance(FeatureSpace(2), cls, [dist])
+    inst = MDLInstance(cls, [dist])
     o = OracleSet(inst, seed=0)
     # a singleton version space imputes every label: the draw queries none
     xs, _ = amdl.induced_family(o, (0,)).draw(0, 1000)
@@ -56,7 +55,7 @@ def test_seed_replay_identical():
 def test_query_label_deterministic_eta():
     cls = HypothesisClass([Hypothesis([1, 1])])
     dist = LabeledDistribution([0.5, 0.5], [1.0, 0.0])
-    inst = MDLInstance(FeatureSpace(2), cls, [dist])
+    inst = MDLInstance(cls, [dist])
     o = OracleSet(inst, seed=0)
     xs, ys = amdl.plain_family(o).draw(0, 100)
     assert set(xs.tolist()) == {0, 1}
@@ -74,7 +73,7 @@ def test_query_label_bernoulli_rate():
 def test_query_label_zero_mass_point_still_answered():
     cls = HypothesisClass([Hypothesis([1, 1])])
     dist = LabeledDistribution([1.0, 0.0], [0.5, 1.0])
-    inst = MDLInstance(FeatureSpace(2), cls, [dist])
+    inst = MDLInstance(cls, [dist])
     o = OracleSet(inst, seed=0)
     assert o._labels_for(0, np.array([1])).tolist() == [1]
 
@@ -179,7 +178,7 @@ def _induced_fixture():
     dist = LabeledDistribution([Fraction(3, 10), Fraction(2, 10), Fraction(4, 10),
                                 Fraction(1, 10)],
                                [Fraction(1, 2), Fraction(1, 4), Fraction(1), Fraction(0)])
-    inst = MDLInstance(FeatureSpace(4), cls, [dist])
+    inst = MDLInstance(cls, [dist])
     return inst
 
 
@@ -244,7 +243,7 @@ def test_sample_imputed_total_classifier_free():
 def test_sample_imputed_label_rate_matches_abstention_mass():
     cls = HypothesisClass([Hypothesis([1, 1])])
     dist = LabeledDistribution([0.9, 0.1], [1.0, 0.5])
-    inst = MDLInstance(FeatureSpace(2), cls, [dist])
+    inst = MDLInstance(cls, [dist])
     o = OracleSet(inst, seed=8)
     f = np.array([1, 0], dtype=np.int8)  # abstains on mass 0.1
     n = 100_000
@@ -346,7 +345,7 @@ def _agreement_mass_instance(mass: Fraction) -> MDLInstance:
     cls = HypothesisClass([Hypothesis([1, 1, -1]), Hypothesis([1, -1, -1])])
     dist = LabeledDistribution([mass / 2, 1 - mass, mass / 2],
                                [Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)])
-    return MDLInstance(FeatureSpace(3), cls, [dist])
+    return MDLInstance(cls, [dist])
 
 
 def _generator_sequence(seed: int, i: int, k: int):
@@ -435,7 +434,7 @@ def test_transcript_records_every_label_query(tmp_path):
     # query, prefixed by the trial's seed
     path = tmp_path / "transcript.log"
     cfg = RunConfig(alg="passive-naive", eps=0.2, delta=0.1, trials=2, base_seed=3,
-                    instance=inst, trace=True, transcript_path=str(path))
+                    instance=inst, transcript_path=str(path))
     recs = run_trials(cfg)
     p = cfg.plan()
     want = []
@@ -462,7 +461,7 @@ def _three_distribution_fixture():
                              Fraction(7, 10)],
                             [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 2)]),
     ]
-    return MDLInstance(FeatureSpace(4), cls, dists)
+    return MDLInstance(cls, dists)
 
 
 _SAMPLE = (np.array([2, 3, 2], dtype=np.int64), np.array([1, -1, -1], dtype=np.int8))
@@ -747,8 +746,8 @@ def test_large_candidate_set_solve_equals_k_draws(desk_knobs):
     V = cls.full_version_space()
     got = mdl_hedge_vc(cls, V, fused, cfg, inst.k, 4)
     want = mdl_hedge_vc(cls, V, twin, cfg, inst.k, 4)
-    assert got.rounds > 100 and len(got.play_counts) > 1
-    assert got.play_counts == want.play_counts
+    assert got.rounds > 100 and len(got.hypothesis.counts) > 1
+    assert got.hypothesis.counts == want.hypothesis.counts
     assert got.reward_draws.tolist() == want.reward_draws.tolist()
     assert got.store_draws.tolist() == want.store_draws.tolist()
     assert fused.calls.tolist() == twin.calls.tolist()
@@ -950,7 +949,7 @@ def _point_map_instances() -> dict:
         rows = [[1] * m, [1 if x % 2 == 0 else -1 for x in range(m)],
                 rng.choice([-1, 1], size=m).tolist()]
         etas = [[Fraction(int(v), 8) for v in rng.integers(0, 9, size=m)] for _ in marginals]
-        return MDLInstance(FeatureSpace(m), HypothesisClass([Hypothesis(r) for r in rows]),
+        return MDLInstance(HypothesisClass([Hypothesis(r) for r in rows]),
                            [LabeledDistribution(p, e) for p, e in zip(marginals, etas)])
 
     f = Fraction

@@ -275,15 +275,14 @@ def test_active_dist_free_final_label_cost_reconciles(desk_knobs):
     # the last epoch's label cost is the passive draw count thinned by the
     # abstention mass of the final classifier; a rare disagreement point keeps
     # that mass fractional under tiny batches, exhibiting the savings mechanism
-    from amdl import (FeatureSpace, Hypothesis, HypothesisClass,
-                      LabeledDistribution, MDLInstance)
+    from amdl import Hypothesis, HypothesisClass, LabeledDistribution, MDLInstance
     cls = HypothesisClass([Hypothesis([-1, -1, -1, -1]), Hypothesis([1, -1, -1, -1]),
                            Hypothesis([-1, 1, -1, -1]), Hypothesis([-1, -1, 1, -1])])
     d1 = LabeledDistribution([Fraction(1, 100), Fraction(99, 100), Fraction(0),
                               Fraction(0)], [Fraction(0)] * 4)
     d2 = LabeledDistribution([Fraction(0), Fraction(0), Fraction(1, 2),
                               Fraction(1, 2)], [Fraction(0)] * 4)
-    inst = MDLInstance(FeatureSpace(4), cls, [d1, d2])
+    inst = MDLInstance(cls, [d1, d2])
     knobs = dict(desk_knobs, c_n=0.01)
     cfg = SolverConfig(eps=0.2, delta=0.1, nu=0.0, **knobs)
     reconciled = 0

@@ -69,6 +69,15 @@ def test_paired_cells_refuses_to_report_unequal_records():
         script.compare(a, b, cells, 1)
 
 
+def test_paired_cells_refuses_to_report_unequal_transcripts():
+    script = _load_script("paired_cells")
+    cells = script.pac_cells()[:1]
+    a, b = (script.Side(SCRIPTS.parent, cells) for _ in range(2))
+    b.transcript = lambda cell, inst, seed: [(0, 0, 1, 1)]
+    with pytest.raises(SystemExit, match="the label transcripts differ"):
+        script.compare(a, b, cells, 1)
+
+
 def test_paired_cells_times_only_the_cells_named(capsys):
     script = _load_script("paired_cells")
     table = script.main([str(SCRIPTS.parent), str(SCRIPTS.parent), "--trials", "1",
