@@ -5,16 +5,19 @@ process.
 Loads `amdl` from A/src and from B/src, swapping `sys.modules` to the side
 that runs, and plays single trials of each pac-cells cell (the cell list of
 this repository's bench/workloads.py) at RunConfig(profile="desk",
-delta=0.1, trials=1), seeds 50000 on, alternating which side runs first.  It
-refuses to report if the two sides' records (`TrialRecord.csv_row()`, wall
-time left out) differ on any trial, or if their label transcripts (from one
-untimed traced trial per side) differ on any of a cell's first 3 seeds.  It
-prints each cell's median ms per side and the median of the per-trial B/A
-time ratios.  `--cells SUBSTR` (repeatable) times only the cells whose names
-contain one of the given substrings; a substring that matches no cell is
-refused.
+delta=0.1, trials=1), seeds `--base-seed` (default 50000) on, alternating
+which side runs first.  It refuses to report if the two sides' records
+(`TrialRecord.csv_row()`, wall time left out) differ on any trial, or if
+their label transcripts (from one untimed traced trial per side) differ on
+any of a cell's first 3 seeds.  It prints each cell's median ms per side,
+the median of the per-trial B/A time ratios, the number of paired trials
+in which B ran faster, and the distance between the quartiles of A's times
+(0 for a single trial): what a claimed gain must beat.  `--cells SUBSTR`
+(repeatable) times only the cells whose names contain one of the given
+substrings; a substring that matches no cell is refused.
 
-Usage: python scripts/paired_cells.py A B [--trials 200] [--cells SUBSTR ...]
+Usage: python scripts/paired_cells.py A B [--trials 200] [--base-seed 50000]
+                                          [--cells SUBSTR ...]
 """
 
 import argparse
@@ -111,13 +114,22 @@ class Side:
         return list(oracles.ledger.transcript)
 
 
-def compare(a: Side, b: Side, cells: list[tuple], trials: int) -> dict:
-    """Per cell: the median ms of each side and the median B/A ratio."""
+def _quartile_spread(times: list[float]) -> float:
+    if len(times) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(times, n=4)
+    return q3 - q1
+
+
+def compare(a: Side, b: Side, cells: list[tuple], trials: int,
+            base_seed: int = BASE_SEED) -> dict:
+    """Per cell: the median ms of each side, the median B/A ratio, the
+    trials B won and the quartile spread of A's ms."""
     table = {}
     for c, cell in enumerate(cells):
         times = {"a": [], "b": []}
         for t in range(trials):
-            seed = BASE_SEED + t
+            seed = base_seed + t
             order = [("a", a), ("b", b)] if t % 2 == 0 else [("b", b), ("a", a)]
             rows = {}
             for key, side in order:
@@ -134,6 +146,8 @@ def compare(a: Side, b: Side, cells: list[tuple], trials: int) -> dict:
             "a_ms_median": statistics.median(times["a"]),
             "b_ms_median": statistics.median(times["b"]),
             "median_ratio": statistics.median(y / x for x, y in zip(times["a"], times["b"])),
+            "b_wins": sum(y < x for x, y in zip(times["a"], times["b"])),
+            "a_iqr_ms": _quartile_spread(times["a"]),
         }
     return table
 
@@ -143,11 +157,15 @@ def main(argv: list[str] | None = None) -> dict:
     ap.add_argument("a", type=Path, help="the reference tree (holds src/amdl)")
     ap.add_argument("b", type=Path, help="the tree to time against it")
     ap.add_argument("--trials", type=int, default=200, help="trials per cell (default 200)")
+    ap.add_argument("--base-seed", type=int, default=BASE_SEED,
+                    help=f"the first trial's seed (default {BASE_SEED})")
     ap.add_argument("--cells", action="append", metavar="SUBSTR",
                     help="time only the cells whose names contain SUBSTR (repeatable)")
     args = ap.parse_args(argv)
     if args.trials < 1:
         ap.error("--trials must be at least 1")
+    if args.base_seed < 0:
+        ap.error("--base-seed must be at least 0")
     cells = pac_cells()
     for pattern in args.cells or ():
         if not any(pattern in cell[0] for cell in cells):
@@ -155,11 +173,13 @@ def main(argv: list[str] | None = None) -> dict:
     if args.cells:
         cells = [cell for cell in cells if any(pattern in cell[0] for pattern in args.cells)]
     a, b = Side(args.a, cells), Side(args.b, cells)
-    table = compare(a, b, cells, args.trials)
-    print(f"{'cell':42s} {'trials':>6s} {'A ms':>9s} {'B ms':>9s} {'B/A':>7s}")
+    table = compare(a, b, cells, args.trials, args.base_seed)
+    print(f"{'cell':42s} {'trials':>6s} {'A ms':>9s} {'B ms':>9s} {'B/A':>7s} "
+          f"{'B wins':>7s} {'A IQR ms':>9s}")
     for name, row in table.items():
         print(f"{name:42s} {row['trials']:6d} {row['a_ms_median']:9.3f} "
-              f"{row['b_ms_median']:9.3f} {row['median_ratio']:7.3f}")
+              f"{row['b_ms_median']:9.3f} {row['median_ratio']:7.3f} "
+              f"{row['b_wins']:7d} {row['a_iqr_ms']:9.3f}")
     print(f"records equal on all {len(cells) * args.trials} trials")
     return table
 

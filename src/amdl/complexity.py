@@ -24,7 +24,7 @@ from functools import wraps
 import numpy as np
 
 from .core import (ContractViolation, Hypothesis, HypothesisClass,
-                   LabeledDistribution, MDLInstance, _frac)
+                   LabeledDistribution, MDLInstance, _frac, check_int)
 
 DEFAULT_VC_CAP = 12
 DEFAULT_STAR_CAP = 64
@@ -45,20 +45,14 @@ class ComplexityValue:
         return self.value
 
 
-def _check_cap(cap: int) -> None:
-    if cap < 0:
-        raise ContractViolation("cap must be non-negative")
-
-
 def _memoized(search):
     """`search(cls, cap)` computed once per class and cap, and kept on the
     class; its label matrix is read-only, so the value cannot go stale."""
     @wraps(search)
     def measure(cls: HypothesisClass, cap: int = search.__defaults__[0]) -> ComplexityValue:
-        _check_cap(cap)
-        key = (search.__name__, cap)
+        key = (search.__name__, check_int("cap", cap))
         if key not in cls._measures:
-            cls._measures[key] = search(cls, cap)
+            cls._measures[key] = search(cls, key[1])
         return cls._measures[key]
     return measure
 
@@ -204,7 +198,7 @@ def star_number(cls: HypothesisClass, hstar: Hypothesis,
     downward closed); degrades to a greedy lower bound with
     `lower_bound_only=True` if the cap or the node budget is hit.
     """
-    _check_cap(cap)
+    cap = check_int("cap", cap)
     if len(hstar) != cls.m:
         raise ContractViolation("reference must label the class's points")
     return _star_search(_column_masks(cls.labels), hstar.labels, len(cls), cap)

@@ -33,6 +33,17 @@ class ContractViolation(ValueError):
 Number = Union[int, float, Fraction, str]
 
 
+def check_int(name: str, value, least: int | None = 0, below: int | None = None) -> int:
+    """`value` as a plain int: a Python int (no bool or other subclass) or a
+    numpy integer, with least <= value < below where those bounds are given.
+    Refused otherwise with a ContractViolation that names the argument."""
+    if ((type(value) is int or isinstance(value, np.integer))
+            and (least is None or value >= least) and (below is None or value < below)):
+        return value if type(value) is int else int(value)
+    bounds = "".join(f"{op} {v} and " for op, v in ((">=", least), ("<", below)) if v is not None)
+    raise ContractViolation(f"{name} must be {bounds}an integer, got {value!r}")
+
+
 def _frac(x: Number) -> Fraction:
     """Exact conversion; floats map to their exact binary value and strings
     are read as `Fraction` reads them.  Bools, NaN, infinities and anything
@@ -223,13 +234,10 @@ class RandomizedHypothesis:
 
     def __init__(self, cls: HypothesisClass, support: Iterable[int] | Mapping[int, int]):
         if isinstance(support, Mapping):
-            counts = {int(idx): int(n) for idx, n in support.items()}
-            if any(n < 1 for n in counts.values()):
-                raise ContractViolation("randomized hypothesis counts must be positive")
+            counts = {check_int("support member", idx, 0, len(cls)):
+                      check_int("support count", n, 1) for idx, n in support.items()}
         else:
-            counts = Counter(map(int, support))
-        if any(not 0 <= idx < len(cls) for idx in counts):
-            raise ContractViolation("support index out of class range")
+            counts = Counter(check_int("support member", idx, 0, len(cls)) for idx in support)
         if not counts:
             raise ContractViolation("randomized hypothesis support must be non-empty")
         self.cls = cls
@@ -331,7 +339,9 @@ class MDLInstance:
     def pair_disagreement_exact(self, ia: int, ib: int, i: int) -> Fraction:
         """Exact rho_i between class members ia, ib."""
         cls = self.hypothesis_class
-        return disagreement_exact(cls[ia], cls[ib], self.distributions[i])
+        ia, ib = (check_int("class member", v, 0, len(cls)) for v in (ia, ib))
+        return disagreement_exact(cls[ia], cls[ib],
+                                  self.distributions[check_int("distribution index", i, 0, self.k)])
 
 
 def worst_loss(h: HypothesisLike, inst: MDLInstance) -> float:
@@ -355,12 +365,10 @@ def disagreement(h1: HypothesisLike, h2: HypothesisLike, dist: LabeledDistributi
 
 def check_members(cls: HypothesisClass, version_space: Sequence[int]) -> list[int]:
     """The version space's members as ints, each an integer index of the class."""
-    V = list(version_space)
-    types = set(map(type, V))       # `t is int` refuses bools
-    if not V or not all(t is int or issubclass(t, np.integer) for t in types) \
-            or min(V) < 0 or max(V) >= len(cls):
-        raise ContractViolation(f"version space members {V!r} must index a {len(cls)}-member class")
-    return V if types == {int} else [int(v) for v in V]
+    V = [check_int("version space member", v, 0, len(cls)) for v in version_space]
+    if not V:
+        raise ContractViolation("a version space needs at least one member")
+    return V
 
 
 def agreement_labels(cls: HypothesisClass, version_space: Sequence[int]) -> np.ndarray:
@@ -441,6 +449,8 @@ def _field(doc: dict, key: str, kind: type, where: str = "instance", required: b
             raise ContractViolation(f"{where} is missing {key!r}")
         return None
     value = doc[key]
+    if kind is int:
+        return check_int(f"{where} field {key!r}", value, None)
     if (isinstance(value, bool) or not isinstance(value, kind)
             or isinstance(value, float) and not math.isfinite(value)):
         raise ContractViolation(f"{where} field {key!r} must be of type {kind.__name__}, "

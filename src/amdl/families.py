@@ -18,7 +18,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .core import (ContractViolation, Hypothesis, HypothesisClass, LabeledDistribution,
-                   MDLInstance, _frac)
+                   MDLInstance, _frac, check_int)
 
 # each family's required parameters, in its generator's argument order
 REQUIRED_PARAMS = {
@@ -36,8 +36,7 @@ PARAM_TYPES = {"k": Integral, "theta": Integral, "i": Integral, "j": Integral,
                "m": Integral, "n_hyp": Integral, "seed": Integral,
                "flipped_index": Integral, "eps": Real, "nu": Real, "nu_prime": Real,
                "case": str, "realizable": bool}
-_KIND_NAMES = {Integral: "an integer", Real: "a finite real number", str: "a string",
-               bool: "a bool"}
+_KIND_NAMES = {Real: "a finite real number", str: "a string", bool: "a bool"}
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,9 @@ class FamilySpec:
         optional = [name for name in OPTIONAL_PARAMS.get(self.family, ()) if name in self.params]
         for name in REQUIRED_PARAMS[self.family] + tuple(optional):
             value, kind = self.params[name], PARAM_TYPES[name]
-            if (isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)
+            if kind is Integral:    # the generator checks the range
+                self.params[name] = check_int(f"family {self.family!r} param {name!r}", value, None)
+            elif (isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)
                     or kind is Real and not math.isfinite(value)):
                 raise ContractViolation(f"family {self.family!r} param {name!r} must be "
                                         f"{_KIND_NAMES[kind]}, got {value!r}")
@@ -87,8 +88,7 @@ def gen_prop1(k: int, eps) -> MDLInstance:
     epsF = _frac(eps)
     if not 0 < epsF < 1:
         raise ContractViolation("eps must lie in (0,1)")
-    if k < 1:
-        raise ContractViolation("k must be >= 1")
+    k = check_int("k", k, 1)
     m = k + 1
     # index 0: all-minus; index l >= 1: flip of point l (the anchor point 0 is
     # never flippable in this class)
@@ -114,10 +114,8 @@ def gen_star_lb(k: int, theta: int, i: int, j: int) -> MDLInstance:
     """One member of the star-family: k uniform block distributions, all
     labeled by the base hypothesis except block i, labeled by the j-th flip
     inside that block (j = 0 keeps the base labeling everywhere)."""
-    if k < 1 or theta < 1:
-        raise ContractViolation("k and theta must be >= 1")
-    if not (1 <= i <= k) or not (0 <= j <= theta):
-        raise ContractViolation("need i in [1..k], j in [0..theta]")
+    k, theta = check_int("k", k, 1), check_int("theta", theta, 1)
+    i, j = check_int("i", i, 1, k + 1), check_int("j", j, 0, theta + 1)
     m = k * theta
     cls = _single_flip_class(m, range(m))
     flip_point = (i - 1) * theta + (j - 1) if j >= 1 else None
@@ -145,12 +143,11 @@ def gen_agnostic_lb(k: int, nu, eps, flipped_index: int | None = None) -> MDLIns
     hypothesis.
     """
     nuF, epsF = _frac(nu), _frac(eps)
-    if k < 2:
-        raise ContractViolation("k must be >= 2")
+    k = check_int("k", k, 2)
     if not (nuF >= 8 * epsF and nuF <= Fraction(1, 2) and epsF > 0):
         raise ContractViolation("need nu >= 8 eps, nu <= 1/2, eps > 0")
-    if flipped_index is not None and not (2 <= flipped_index <= k):
-        raise ContractViolation("flipped_index must lie in {2..k}")
+    if flipped_index is not None:
+        flipped_index = check_int("flipped_index", flipped_index, 2, k + 1)
     m = k + 2  # points: 0 = x1, 1 = x2, 2..k+1 = z_1..z_k
     h1 = Hypothesis(np.ones(m, dtype=np.int8))
     lab2 = np.ones(m, dtype=np.int8)
@@ -224,8 +221,8 @@ def gen_random(m: int, n_hyp: int, k: int, seed: int,
                realizable: bool = False) -> MDLInstance:
     """Random desk-scale instance with exact rational pmfs (integer weights
     normalized), for oracle-equivalence and property tests."""
-    if m < 1 or n_hyp < 1 or k < 1:
-        raise ContractViolation("m, n_hyp, k must be >= 1")
+    m, n_hyp, k = check_int("m", m, 1), check_int("n_hyp", n_hyp, 1), check_int("k", k, 1)
+    seed = check_int("seed", seed)
     if n_hyp > 2 ** m:
         raise ContractViolation("cannot have more distinct hypotheses than labelings")
     rng = np.random.default_rng(seed)

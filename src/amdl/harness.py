@@ -22,7 +22,7 @@ import numpy as np
 from . import runplan
 from .active import RunResult, active_large_eps, active_small_eps
 from .complexity import star_number_unqualified, vc_dimension
-from .core import ContractViolation, MDLInstance, worst_loss
+from .core import ContractViolation, MDLInstance, check_int, worst_loss
 from .hedge import KNOBS, SolverConfig, mdl_hedge_vc, naive_erm_baseline
 from .oracles import OracleSet, plain_family
 from .rpu import active_dist_free
@@ -63,17 +63,11 @@ class RunConfig:
     def __post_init__(self):
         if self.alg not in ALGORITHMS:
             raise ContractViolation(f"unknown algorithm tag {self.alg!r}")
-        counts = (self.trials, self.base_seed, self.workers)
-        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in counts):
-            raise ContractViolation(f"trials, base_seed and workers must be integers, got {counts}")
-        if self.trials < 1:
-            raise ContractViolation("trials must be >= 1")
-        if self.base_seed < 0:
-            raise ContractViolation(f"base_seed must be >= 0, got {self.base_seed}")
+        self.trials = check_int("trials", self.trials, 1)
+        self.base_seed = check_int("base_seed", self.base_seed)
+        self.workers = check_int("workers", self.workers, 1)
         if not isinstance(self.profile, str) or self.profile not in PROFILES:
             raise ContractViolation(f"unknown profile {self.profile!r}")
-        if self.workers < 1:
-            raise ContractViolation(f"workers must be >= 1, got {self.workers}")
         if self.transcript_path == "":
             raise ContractViolation("transcript_path must name a file, got ''")
         unknown = sorted(set(self.knobs) - set(KNOBS))
@@ -274,10 +268,12 @@ def sweep(config: dict) -> list[dict]:
         delta = float(config.get("delta", 0.1))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ContractViolation(f"sweep delta must be a number: {exc}") from exc
-    counts = (config.get("trials", 50), config.get("base_seed", 0))
-    if any(type(v) not in (int, float) or isinstance(v, float) and not v.is_integer() for v in counts):
-        raise ContractViolation(f"sweep trials and base_seed must be integers, got {counts}")
-    trials, base_seed = map(int, counts)
+
+    def count(key: str, default: int) -> int:
+        v = config.get(key, default)    # an integral float is a count; RunConfig checks the range
+        return check_int(f"sweep {key}", int(v) if type(v) is float and v.is_integer() else v, None)
+
+    trials, base_seed = count("trials", 50), count("base_seed", 0)
     knobs = config.get("knobs", {})
     if not isinstance(knobs, dict):
         raise ContractViolation(f"sweep knobs must be a mapping, got {knobs!r}")

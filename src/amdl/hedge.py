@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (ContractViolation, Hypothesis, HypothesisClass, MDLInstance,
-                   RandomizedHypothesis, check_members)
+                   RandomizedHypothesis, check_int, check_members)
 from .oracles import OracleSet, SamplerFamily, plain_family
 
 WEIGHT_SUM_TOL = 1e-12
@@ -352,7 +352,8 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     every distribution holds at least one sample before the first ERM.
     """
     V = sorted(check_members(cls, version_space))
-    eps1, eta, T, T1 = hyperparams(cfg, k, d)
+    k = check_int(f"k (the sampler serves {sampler.k})", k, sampler.k, sampler.k + 1)
+    eps1, eta, T, T1 = hyperparams(cfg, k, check_int("d", d))
     state = HedgeState(k)
     store = PooledStore(cls.labels[V], k)
     tally = [0] * len(V)       # plays of each candidate
@@ -414,6 +415,7 @@ def naive_erm_baseline(inst: MDLInstance, oracles: OracleSet, n: int) -> Hypothe
     Draws n labeled pairs from each distribution (the run plan's `naive_n`)
     and minimizes the worst empirical error; a comparison baseline only.
     """
+    n = check_int("n", n, 1)
     fam = plain_family(oracles)
     cls = inst.hypothesis_class
     worst = np.zeros(len(cls))

@@ -56,8 +56,8 @@ are consumed and their draws, queries, `calls` and transcript lines
 metered, in round order and then distribution order, just as requests made
 one at a time would.  They are settled when the run ends: when a block is
 rebuilt, `draw` runs, or new counts or a new candidate matrix arrive; when
-any other reader of a stream runs (the kernels, `_labels_for`, agreement
-sampling, `draw_labeled_batch`), each of which settles the ledger's
+any other reader of a stream runs (the kernels, agreement sampling,
+`draw_labeled_batch`), each of which settles the ledger's
 `pending` family first; when the ledger or `calls` is read; and when the
 solve ends.  A block is rebuilt when c_i changes, when stream i was read
 elsewhere since it was built, or when its requests run out.  It is built
@@ -76,7 +76,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, MDLInstance, agreement_labels, check_members
+from .core import ContractViolation, MDLInstance, agreement_labels, check_int, check_members
 
 BLOCK = 4096    # variates a stream draws from its generator at a time, at least
 _NO_VARIATES = np.empty(0)
@@ -208,11 +208,6 @@ def _even_ends(base: int, step: int, rounds: int) -> Sequence[int]:
     return range(base, base + step * rounds + 1, step) if step else [base] * (rounds + 1)
 
 
-def _check_count(n: int) -> None:
-    if n < 0:
-        raise ContractViolation(f"cannot draw a negative number of samples ({n})")
-
-
 class _Rounds:
     """Successive requests of c pairs each (or of the sizes in the array c)
     that a family kernel drew ahead from stream i.
@@ -237,11 +232,9 @@ class OracleSet:
     """Sampling access to one instance for one run, with a shared ledger."""
 
     def __init__(self, instance: MDLInstance, seed: int, log_transcript: bool = False):
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ContractViolation(f"seed must be an integer >= 0, got {seed!r}")
         self.instance = instance
         k = instance.k
-        children = np.random.SeedSequence(seed).spawn(k + 1)
+        children = np.random.SeedSequence(check_int("seed", seed)).spawn(k + 1)
         self._streams = [_Uniforms(np.random.default_rng(c)) for c in children[:k]]
         self._aux = _Uniforms(np.random.default_rng(children[k]))
         self._points = [d.points for d in instance.distributions]
@@ -255,25 +248,6 @@ class OracleSet:
         self._every = (np.ones(m, dtype=bool), np.zeros(m, dtype=np.int8), True)  # plain sampling
 
     # -- raw oracles --------------------------------------------------------
-
-    def _check(self, i: int, n: int) -> None:
-        if not 0 <= i < self.instance.k:
-            raise ContractViolation(f"distribution index {i} out of range")
-        _check_count(n)
-
-    def _labels_for(self, i: int, xs: np.ndarray) -> np.ndarray:
-        """The labeling oracle: y = +1 with probability eta_plus[x]."""
-        ledger = self.ledger
-        ledger.settle()
-        n = xs.size
-        u = self._streams[i].take(n)
-        ys = _SIGN[(u < self._eta[i][xs]).view(np.int8)]
-        self._asked[i] += n
-        if ledger.log_transcript:
-            cum = int(ledger._queries.sum())
-            ledger._transcript.extend(zip(repeat(i, n), xs.tolist(), ys.tolist(),
-                                          range(cum - n + 1, cum + 1)))
-        return ys
 
     def _settle(self, blocks: Sequence[_Rounds], r: int) -> None:
         """Make the next r requests of each block happen, as r rounds of one
@@ -399,7 +373,7 @@ class OracleSet:
         the imputing kernel over the view that queries every point, which
         takes n point variates, then n label variates, with no chase; kept
         as the bulk sampler that `bench/layers.py` times."""
-        self._check(i, n)
+        i, n = check_int("distribution index", i, 0, self.instance.k), check_int("sample count", n)
         blk = self._imputing_rounds(self._every, i, n, 1)
         self._settle([blk], 1)
         return blk.xs[0], blk.ys[0]
@@ -421,8 +395,10 @@ class OracleSet:
                                      n: int) -> tuple[np.ndarray, np.ndarray]:
         """n iid labeled pairs from D_i conditioned on the agreement region, by
         rejection; costs exactly n label queries, rejections count as unlabeled
-        draws only (exactly the geometric number, no overshoot)."""
-        self._check(i, n)
+        draws only (exactly the geometric number, no overshoot).  The rejection
+        consumes the variates it reads; the sample is then one request whose
+        draws are those points and whose queries take the next n variates."""
+        i, n = check_int("distribution index", i, 0, self.instance.k), check_int("sample count", n)
         dis_mask = self._vs_view(version_space)[0]
         d = self.instance.distributions[i]
         agree = ~dis_mask
@@ -436,7 +412,7 @@ class OracleSet:
         self.ledger.settle()
         stream = self._streams[i]
         out = np.empty(n, dtype=np.int64)
-        got = 0
+        got = drawn = 0
         while got < n:
             need = n - got
             u = stream.ahead(max(stream.block, min(2 * need, math.ceil(1.05 * need / mass) + 64)))
@@ -446,16 +422,18 @@ class OracleSet:
             got += idx.size
             cut = int(idx[-1]) + 1 if got == n else u.size
             stream.pos += cut
-            self._drawn[i] += cut
-        ys = self._labels_for(i, out)
+            drawn += cut
+        base = stream.consumed
+        ys = _SIGN[(stream.ahead(n) < self._eta[i][out]).view(np.int8)]
+        every = np.broadcast_to(True, (1, n))   # all queried: a view, so no n-byte mask is made
+        self._settle([_Rounds(self, i, drawn, out[None], ys[None], every,
+                              [base, base + n], [n])], 1)
         return out, ys
 
     def aux_choice_batch(self, n: int, size: int) -> np.ndarray:
         """n uniform picks from range(size) on the auxiliary stream."""
-        _check_count(n)
-        if size < 1:
-            raise ContractViolation(f"cannot pick from an empty range (size {size})")
-        u = self._aux.take(n)
+        size = check_int("pick range size", size, 1)
+        u = self._aux.take(check_int("pick count", n))
         return np.minimum((u * size).astype(np.int64), size - 1)
 
 
@@ -499,9 +477,7 @@ class SamplerFamily:
         return self._calls
 
     def draw(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if not 0 <= i < self.k:
-            raise ContractViolation(f"distribution index {i} out of range")
-        _check_count(n)
+        i, n = check_int("distribution index", i, 0, self.k), check_int("sample count", n)
         blk = self._kernels[i](n, 1)        # the kernel settles served rounds first
         self._oracles._settle([blk], 1)
         self._tally[i] += n
@@ -517,11 +493,10 @@ class SamplerFamily:
         sizes, and a surrogate kernel refuses them before any stream moves.
         Members are distinct distribution indices and `sizes` an integer
         matrix with a row per member, refused otherwise."""
+        members = [check_int("requests need distinct members; each", i, 0, self.k) for i in members]
         sizes = np.asarray(sizes)
-        if (not all(type(i) is int or isinstance(i, np.integer) for i in members)
-                or not all(0 <= i < self.k for i in members) or len(set(members)) != len(members)
-                or sizes.ndim != 2 or sizes.dtype.kind not in "iu" or not sizes.size
-                or sizes.shape[0] != len(members) or sizes.min() < 0):
+        if (len(set(members)) != len(members) or sizes.ndim != 2 or sizes.dtype.kind not in "iu"
+                or not sizes.size or sizes.shape[0] != len(members) or sizes.min() < 0):
             raise ContractViolation(
                 f"requests need distinct members of range({self.k}) and a non-empty matrix "
                 f"of sizes >= 0, a row per member; got {list(members)!r} and "
@@ -557,22 +532,21 @@ class SamplerFamily:
             r = 0
         table = self._tables.get(j)
         if table is None:
+            j = check_int("candidate", j, 0, len(labels))
             table = self._tables[j] = self._table(j)
         return table, r
 
     def serve(self, m: int) -> None:
         """Serve the open run's next m rounds, as m `round_losses` calls would."""
-        if not 0 < m <= self._length - self._served:
-            raise ContractViolation(f"cannot serve {m} rounds of the open run")
-        self._served += m
+        self._served += check_int("rounds served", m, 1, self._length - self._served + 1)
 
     def _open_run(self, labels: np.ndarray, counts: Sequence[int], rounds_left: int) -> None:
         """Settle what is served and open a run at this round, rebuilding the
         blocks that cannot serve it."""
-        if len(counts) != self.k or min(counts) < 1:
-            raise ContractViolation("a round needs at least one draw from every distribution")
-        if rounds_left < 1:
-            raise ContractViolation("a round needs a horizon of at least itself")
+        if len(counts) != self.k:
+            raise ContractViolation("a round needs a draw count for every distribution")
+        counts = [check_int("a round's draw count", c, 1) for c in counts]
+        check_int("rounds_left", rounds_left, 1)
         self._oracles.ledger.settle()
         blocks = self._blocks
         for i, c in enumerate(counts):
@@ -582,7 +556,7 @@ class SamplerFamily:
             if (blk is None or blk.c != c or blk.b == len(blk.queries)
                     or blk.ends[blk.b] != blk.stream.consumed):
                 blocks[i] = self._kernels[i](c, min(rounds_left, max(1, BLOCK // (2 * c))))
-        self._labels, self._counts = labels, list(counts)
+        self._labels, self._counts = labels, counts
         self._length = min(len(blk.queries) - blk.b for blk in blocks)
         self._oracles.ledger.pending = self
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, HypothesisClass, MDLInstance
+from .core import ContractViolation, HypothesisClass, MDLInstance, check_int
 from .hedge import mdl_hedge_vc
 from .oracles import BLOCK, OracleSet, SamplerFamily, check_outputs, imputed_family
 from .active import RunResult
@@ -61,6 +61,7 @@ def robust_rpu_learn(cls: HypothesisClass, draw: Batches, N: int, n: int) -> Abs
     of each pair's batch, point and label; it is called for slabs of at most
     `BLOCK` pairs (or one batch).
     """
+    N, n = check_int("N", N, 1), check_int("n", n, 1)
     m = cls.m
     labels = cls.labels.astype(np.int64)
     # row 2x + (y > 0): the members that do not give label y at x

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
 from typing import Iterator
 
-from .core import ContractViolation
+from .core import ContractViolation, check_int
 from .hedge import SolverConfig, hyperparams
 
 REGIME_FACTOR = 100.0
+AGREEMENT_FACTOR = 100.0   # the constant in active-dd-small's agreement sample n0
 LABEL_CEILING = 10 ** 8    # the harness refuses a run whose plan may query more labels
 
 
@@ -35,8 +35,7 @@ def batch_size(s_star: int, xi: float, c_n: float = 1.0) -> int:
     """
     if not 0 < xi <= 1:
         raise ContractViolation("target reliability must lie in (0, 1]")
-    if s_star < 0:
-        raise ContractViolation(f"star number must be >= 0, got {s_star}")
+    s_star = check_int("star number", s_star)
     if not 0 < c_n < math.inf:
         raise ContractViolation("batch-size knob must be positive and finite")
 
@@ -166,7 +165,7 @@ def _small(p: RunPlan) -> RunPlan:
     else:
         # an excess-error target of 1 is vacuous: stage one is skipped
         warnings.append("stage1 skipped: 100*nu >= 1, V0 = full class")
-    n0 = math.ceil(REGIME_FACTOR * (eps + nu) / eps ** 2 * math.log(p.k / delta_p))
+    n0 = math.ceil(AGREEMENT_FACTOR * (eps + nu) / eps ** 2 * math.log(p.k / delta_p))
     return replace(p, stage1=stage1, eps_p=eps_p, n0=n0, warnings=tuple(warnings),
                    solve=_solve(replace(p.cfg, eps=eps / 2.0, delta=delta_p), p.k, p.d))
 
@@ -178,9 +177,7 @@ def _auto(p: RunPlan) -> RunPlan:
 
 
 def _dist_free(p: RunPlan) -> RunPlan:
-    cfg, k, d, s = p.cfg, p.k, p.d, p.s
-    if s is None or s < 0:
-        raise ContractViolation(f"active-df needs a star number s >= 0, got {s!r}")
+    cfg, k, d, s = p.cfg, p.k, p.d, check_int("active-df's star number s", p.s)
     n0 = max(1, math.ceil(math.log2((d + k) / (s * cfg.eps)) - 1e-12)) if s > 0 else 1
     warnings = []
     if cfg.eps < REGIME_FACTOR * (k + d) * cfg.nu:
@@ -219,9 +216,7 @@ def plan(alg: str, cfg: SolverConfig, k: int, d: int, s: int | None = None) -> R
     is not a number are refused with ContractViolation."""
     if alg not in _PLANNERS:
         raise ContractViolation(f"unknown algorithm {alg!r}; known: {list(_PLANNERS)}")
-    for name, v, least in (("k", k, 1), ("d", d, 0)):
-        if isinstance(v, bool) or not isinstance(v, Integral) or v < least:
-            raise ContractViolation(f"{name} must be an int >= {least}, got {v!r}")
+    k, d = check_int("k", k, 1), check_int("d", d)
     try:
         return _PLANNERS[alg](RunPlan(alg, cfg, k, d, s))
     except ContractViolation:

@@ -116,11 +116,25 @@ def test_theta_requires_positive_radius():
 
 def test_exact_layer_refuses_negative_cap():
     cls = amdl.gen_star_lb(2, 4, 1, 0).hypothesis_class
-    for call in (lambda: vc_dimension(cls, cap=-1),
-                 lambda: star_number(cls, cls[0], cap=-1),
-                 lambda: star_number_unqualified(cls, cap=-1)):
-        with pytest.raises(ContractViolation, match="cap"):
-            call()
+    for cap in (-1, True, 2.5, "3", None):
+        for call in (lambda: vc_dimension(cls, cap=cap),
+                     lambda: star_number(cls, cls[0], cap=cap),
+                     lambda: star_number_unqualified(cls, cap=cap)):
+            with pytest.raises(ContractViolation, match="cap"):
+                call()
+    assert vc_dimension(cls, np.int64(3)) == vc_dimension(cls, 3)
+    assert star_number(cls, cls[0], np.int64(3)) == star_number(cls, cls[0], 3)
+    assert star_number_unqualified(cls, np.int64(3)) == star_number_unqualified(cls, 3)
+    assert all(type(cap) is int for _, cap in cls._measures)
+
+
+def test_a_refused_bool_cap_leaves_no_memo():
+    # True was memoized under the key of cap 1, so cap 1 then read back True
+    cls = amdl.gen_star_lb(2, 4, 1, 0).hypothesis_class
+    with pytest.raises(ContractViolation, match="cap"):
+        vc_dimension(cls, True)
+    assert vc_dimension(cls, 1) == complexity.ComplexityValue(1, lower_bound_only=True)
+    assert vc_dimension(cls, 1).value is not True
 
 
 @pytest.mark.parametrize("m", [5, 7])

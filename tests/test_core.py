@@ -231,11 +231,15 @@ def test_randomized_hypothesis_validation():
     inst = two_point_instance()
     with pytest.raises(ContractViolation):
         RandomizedHypothesis(inst.hypothesis_class, [])
-    with pytest.raises(ContractViolation):
-        RandomizedHypothesis(inst.hypothesis_class, [5])
-    for counts in ({}, {5: 1}, {-1: 2}, {0: 0}, {0: 2, 1: -1}):
+    for support in ([5], [True], [1.5], [0, np.float64(1)]):
+        with pytest.raises(ContractViolation, match="support member"):
+            RandomizedHypothesis(inst.hypothesis_class, support)
+    for counts in ({}, {5: 1}, {-1: 2}, {0: 0}, {0: 2, 1: -1}, {0: 1.5}, {0: True}, {True: 1}):
         with pytest.raises(ContractViolation):
             RandomizedHypothesis(inst.hypothesis_class, counts)
+    for support in ([np.int64(1), 1, 0], {np.int64(1): np.int64(2), 0: 1}):
+        mix = RandomizedHypothesis(inst.hypothesis_class, support)
+        assert mix.counts == ((0, 1), (1, 2)) and all(type(v) is int for c in mix.counts for v in c)
 
 
 def test_randomized_hypothesis_from_counts_equals_the_expanded_support():
@@ -250,6 +254,16 @@ def test_randomized_hypothesis_from_counts_equals_the_expanded_support():
         got = RandomizedHypothesis(cls, counts)
         assert (got.counts, got.total) == (want.counts, want.total)
         assert got.total == sum(counts.values()) and got.counts == tuple(sorted(counts.items()))
+
+
+def test_pair_disagreement_refuses_an_index_that_is_not_a_member_or_distribution():
+    # -1 read the last member and True member 1
+    inst = amdl.gen_random(4, 5, 2, seed=1)
+    for args in ((-1, 0, 0), (True, 0, 0), (0, 1.0, 0), (0, 5, 0), (0, 1, 2), (0, 1, False)):
+        with pytest.raises(ContractViolation, match="member|distribution index"):
+            inst.pair_disagreement_exact(*args)
+    assert inst.pair_disagreement_exact(*map(np.int64, (4, 1, 1))) == \
+        inst.pair_disagreement_exact(4, 1, 1)
 
 
 def test_hypothesis_class_validation():

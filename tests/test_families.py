@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -49,6 +50,9 @@ def test_star_lb_parameter_ranges():
         amdl.gen_star_lb(2, 3, 3, 1)  # i out of range
     with pytest.raises(ContractViolation):
         amdl.gen_star_lb(2, 3, 1, 4)  # j out of range
+    for args in ((2, 3.0, 1, 1), (2, 3, 1.5, 1), (2, 3, 1, True), (True, 3, 1, 1)):
+        with pytest.raises(ContractViolation):
+            amdl.gen_star_lb(*args)
 
 
 def test_agnostic_lb_loss_table_exact():
@@ -86,6 +90,39 @@ def test_agnostic_lb_parameter_ranges():
         amdl.gen_agnostic_lb(1, 0.4, 0.05)
     with pytest.raises(ContractViolation):
         amdl.gen_agnostic_lb(4, 0.4, 0.05, flipped_index=1)
+    with pytest.raises(ContractViolation, match="flipped_index"):
+        amdl.gen_agnostic_lb(4, 0.4, 0.05, flipped_index=2.0)
+    with pytest.raises(ContractViolation, match="k"):
+        amdl.gen_agnostic_lb(4.0, 0.4, 0.05)
+
+
+# generator calls whose integer parameter is a bool, fractional or out of range
+BAD_GENERATOR_INTS = {
+    "prop1-k-bool": (lambda: amdl.gen_prop1(True, 0.1), "k"),
+    "prop1-k-fractional": (lambda: amdl.gen_prop1(2.5, 0.1), "k"),
+    "random-m-float": (lambda: amdl.gen_random(4.0, 3, 2, 0), "m"),
+    "random-n-hyp-bool": (lambda: amdl.gen_random(4, True, 2, 0), "n_hyp"),
+    "random-k-fractional": (lambda: amdl.gen_random(4, 3, 1.5, 0), "k"),
+    "random-seed-negative": (lambda: amdl.gen_random(4, 3, 2, -1), "seed"),
+    "random-seed-fractional": (lambda: amdl.gen_random(4, 3, 2, 1.5), "seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GENERATOR_INTS))
+def test_generators_refuse_a_bad_integer_parameter(case):
+    call, name = BAD_GENERATOR_INTS[case]
+    with pytest.raises(ContractViolation, match=f"^{name} must be"):
+        call()
+
+
+@pytest.mark.parametrize("family,args", [
+    ("prop1", (3, 0.1)), ("star-lb", (2, 4, 1, 2)), ("agnostic-lb", (4, 0.4, 0.05, 3)),
+    ("random", (5, 6, 2, 7))], ids=str)
+def test_generators_take_numpy_integers(family, args):
+    gen = amdl.families.GENERATORS[family]
+    as_numpy = [np.int64(v) if type(v) is int else v for v in args]
+    got = amdl.instance_to_dict(gen(*as_numpy))
+    assert json.dumps(got) == json.dumps(amdl.instance_to_dict(gen(*args)))
 
 
 def test_example1_case_a_arithmetic():

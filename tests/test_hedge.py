@@ -276,6 +276,47 @@ def test_round_losses_sample_count_and_noise_rate():
     assert abs(total / rounds - 0.5) < 0.02
 
 
+# the solver's k (its sampler's) and d, and the naive baseline's n, that are
+# a bool, fractional or out of range
+BAD_SOLVER_INTS = {
+    "mdl_hedge_vc-k-below-the-sampler's": ("k", dict(k=1)),
+    "mdl_hedge_vc-k-zero": ("k", dict(k=0)),
+    "mdl_hedge_vc-k-fractional": ("k", dict(k=1.5)),
+    "mdl_hedge_vc-d-negative": ("d", dict(d=-1)),
+    "mdl_hedge_vc-d-fractional": ("d", dict(d=1.5)),
+    "mdl_hedge_vc-d-bool": ("d", dict(d=True)),
+    "naive_erm_baseline-n-zero": ("n", dict(n=0)),
+    "naive_erm_baseline-n-fractional": ("n", dict(n=2.5)),
+    "naive_erm_baseline-n-bool": ("n", dict(n=True)),
+}
+
+
+def _solve_or_baseline(o: OracleSet, k=2, d=1, n=None):
+    inst = o.instance
+    if n is not None:
+        return naive_erm_baseline(inst, o, n)
+    cls = inst.hypothesis_class
+    cfg = SolverConfig(eps=0.1, delta=0.1, nu=float(inst.nu_exact()), **amdl.PROFILES["desk"])
+    return mdl_hedge_vc(cls, cls.full_version_space(), plain_family(o), cfg, k, d)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SOLVER_INTS))
+def test_solver_and_baseline_refuse_a_bad_integer_before_any_draw(case):
+    name, args = BAD_SOLVER_INTS[case]
+    o = OracleSet(amdl.gen_prop1(2, 0.2), seed=0)
+    with pytest.raises(ContractViolation, match=f"^{name}"):
+        _solve_or_baseline(o, **args)
+    assert [s.consumed for s in o._streams] == [0, 0] and o.ledger.unlabeled_total == 0
+
+
+@pytest.mark.parametrize("args", [dict(k=2, d=1), dict(n=40)], ids=str)
+def test_solver_and_baseline_take_numpy_integers(args):
+    inst = amdl.gen_prop1(2, 0.2)
+    outs = [_solve_or_baseline(OracleSet(inst, seed=3), **{key: cast(v) for key, v in args.items()})
+            for cast in (int, np.int64)]
+    assert repr(outs[0]) == repr(outs[1])
+
+
 def test_round_losses_refuses_an_empty_count():
     inst = amdl.gen_prop1(3, 0.2)
     fam = plain_family(OracleSet(inst, seed=0))

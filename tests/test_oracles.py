@@ -64,18 +64,11 @@ def test_query_label_deterministic_eta():
 
 
 def test_query_label_bernoulli_rate():
-    inst = two_point_instance()
-    o = OracleSet(inst, seed=3)
-    ys = o._labels_for(0, np.zeros(100_000, dtype=np.int64))
-    assert abs(np.mean(ys == 1) - 0.25) < 0.01
-
-
-def test_query_label_zero_mass_point_still_answered():
-    cls = HypothesisClass([Hypothesis([1, 1])])
-    dist = LabeledDistribution([1.0, 0.0], [0.5, 1.0])
-    inst = MDLInstance(cls, [dist])
-    o = OracleSet(inst, seed=0)
-    assert o._labels_for(0, np.array([1])).tolist() == [1]
+    # eta_plus is 1/4 at point 0 and 3/4 at point 1
+    o = OracleSet(two_point_instance(), seed=3)
+    xs, ys = amdl.plain_family(o).draw(0, 200_000)
+    for x, rate in ((0, 0.25), (1, 0.75)):
+        assert abs(np.mean(ys[xs == x] == 1) - rate) < 0.01
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
@@ -114,7 +107,60 @@ BAD_CALLS = {
         o.instance.hypothesis_class.labels, 0, [-1], 3),
     "sample_surrogate_batch": lambda o: amdl.surrogate_family(o, (0, 1), [_S]).round_losses(
         o.instance.hypothesis_class.labels, 0, [-1], 3),
+    # a count, index or size that is a bool or not an integer
+    "draw_labeled_batch-fractional-count": lambda o: o.draw_labeled_batch(0, 2.5),
+    "draw_labeled_batch-bool-index": lambda o: o.draw_labeled_batch(False, 3),
+    "sample_conditional_agreement-fractional-count":
+        lambda o: o.sample_conditional_agreement(0, (0, 1), 2.5),
+    "aux_choice_batch-fractional-size": lambda o: o.aux_choice_batch(3, 2.5),
+    "aux_choice_batch-bool-count": lambda o: o.aux_choice_batch(True, 3),
+    "plain_family.draw-fractional-count": lambda o: amdl.plain_family(o).draw(0, 2.5),
+    "plain_family.draw-fractional-index": lambda o: amdl.plain_family(o).draw(0.5, 3),
+    "plain_family.draw-bool-count": lambda o: amdl.plain_family(o).draw(0, True),
+    "round_losses-fractional-count": lambda o: amdl.plain_family(o).round_losses(
+        o.instance.hypothesis_class.labels, 0, [1.5], 3),
+    "round_losses-fractional-horizon": lambda o: amdl.plain_family(o).round_losses(
+        o.instance.hypothesis_class.labels, 0, [2], 2.5),
+    "run_table-candidate-out-of-range": lambda o: amdl.plain_family(o).run_table(
+        o.instance.hypothesis_class.labels, 3, [2], 3),
+    "run_table-negative-candidate": lambda o: amdl.plain_family(o).run_table(
+        o.instance.hypothesis_class.labels, -1, [2], 3),
+    "serve-bool": lambda o: _served(amdl.plain_family(o), True),
 }
+
+
+def _served(fam, m):
+    fam.run_table(fam._oracles.instance.hypothesis_class.labels, 0, [2], 3)
+    fam.serve(m)
+
+
+# the integer arguments of each sampler entry point, as Python ints and as numpy ints
+INT_CALLS = {
+    "draw_labeled_batch": lambda o, n: o.draw_labeled_batch(n(0), n(5)),
+    "sample_conditional_agreement":
+        lambda o, n: o.sample_conditional_agreement(n(0), (n(0), n(1)), n(4)),
+    "aux_choice_batch": lambda o, n: o.aux_choice_batch(n(4), n(3)),
+    "plain_family.draw": lambda o, n: amdl.plain_family(o).draw(n(0), n(3)),
+    "draw_requests": lambda o, n: amdl.plain_family(o).draw_requests(
+        [n(0)], np.array([[2, 3]])),
+    "round_losses": lambda o, n: amdl.plain_family(o).round_losses(
+        o.instance.hypothesis_class.labels, n(1), [n(2)], n(3)),
+    "serve": lambda o, n: _served(amdl.plain_family(o), n(2)),
+    "induced_family": lambda o, n: amdl.induced_family(o, [n(0), n(1)]).draw(n(0), n(3)),
+    "agreement_labels": lambda o, n: amdl.agreement_labels(o.instance.hypothesis_class,
+                                                           [n(0), n(2)]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(INT_CALLS))
+def test_numpy_integers_are_served_as_ints(call):
+    got = []
+    for n in (int, np.int64):
+        o = OracleSet(_induced_fixture(), seed=n(0), log_transcript=True)
+        out = INT_CALLS[call](o, n)
+        got.append((repr(out), [s.consumed for s in (*o._streams, o._aux)],
+                    o.ledger.unlabeled_draws.tolist(), o.ledger.transcript))
+    assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("call", sorted(BAD_CALLS))

@@ -10,7 +10,7 @@ import pytest
 import amdl
 from amdl import (AbstainingClassifier, ContractViolation, OracleSet,
                   SolverConfig)
-from amdl.oracles import imputed_family
+from amdl.oracles import imputed_family, plain_family
 from amdl.rpu import (active_dist_free, mixture_draw, passive_rpu_mdl, robust_rpu_learn,
                       threshold_majority)
 from amdl.runplan import batch_size, plan, robust
@@ -69,12 +69,13 @@ def test_batch_size_satisfies_bound_and_scales():
         if n > 1:
             assert load(s, n - 1) > xi / 2  # minimality before the knob
     assert batch_size(4, 0.5, c_n=0.5) == math.ceil(0.5 * batch_size(4, 0.5))
+    assert batch_size(np.int64(4), 0.5) == batch_size(4, 0.5)
     with pytest.raises(ContractViolation):
         batch_size(4, 0.0)
 
 
 @pytest.mark.parametrize("s_star, c_n", [(-1, 1.0), (-5, 1.0), (4, 0.0), (4, -1.0),
-                                         (4, math.nan), (4, math.inf)])
+                                         (4, math.nan), (4, math.inf), (2.5, 1.0), (True, 1.0)])
 def test_batch_size_refuses_a_negative_star_number_or_bad_knob(s_star, c_n):
     with pytest.raises(ContractViolation):
         batch_size(s_star, 0.5, c_n)
@@ -102,6 +103,26 @@ def test_robust_rpu_learn_noiseless_reliable(desk_knobs):
         abstain_ok += rep.abstention_mass[0] <= 0.25
     assert violations == 0
     assert abstain_ok >= 27  # 1 - delta of trials
+
+
+@pytest.mark.parametrize("N, n", [(60, 0), (60, 2.5), (0, 4), (True, 4), (60, True)], ids=str)
+def test_robust_rpu_learn_refuses_a_bad_batch_count_or_size(N, n):
+    # n = 0 raised ZeroDivisionError, n = 2.5 TypeError; N = 0 abstained everywhere
+    inst = amdl.gen_prop1(2, 0.2)
+    o = OracleSet(inst, 0)
+    with pytest.raises(ContractViolation, match="^N |^n "):
+        robust_rpu_learn(inst.hypothesis_class, mixture_draw(plain_family(o), o, (0,)), N, n)
+    assert o.ledger.unlabeled_total == 0
+
+
+def test_robust_rpu_learn_takes_numpy_integers():
+    outs = []
+    for cast in (int, np.int64):
+        inst = amdl.gen_prop1(2, 0.2)
+        o = OracleSet(inst, 0)
+        outs.append(robust_rpu_learn(inst.hypothesis_class, mixture_draw(plain_family(o), o, (0,)),
+                                     cast(60), cast(4)).outputs.tolist())
+    assert outs[0] == outs[1]
 
 
 def test_robust_rpu_learn_tolerates_corrupted_batches(desk_knobs):

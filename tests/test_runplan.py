@@ -7,6 +7,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import amdl
@@ -130,9 +131,10 @@ def test_small_eps_agreement_sample_formula(desk_knobs):
 
 def test_active_df_plan_needs_a_star_number(desk_knobs):
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **desk_knobs)
-    for s in (None, -1):
+    for s in (None, -1, 1.5, True, "2"):
         with pytest.raises(ContractViolation, match="star number"):
             plan("active-df", cfg, 2, 1, s)
+    assert plan("active-df", cfg, *map(np.int64, (2, 1, 1))) == plan("active-df", cfg, 2, 1, 1)
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))

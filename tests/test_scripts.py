@@ -92,3 +92,33 @@ def test_paired_cells_refuses_a_pattern_that_matches_no_cell(capsys):
         script.main([str(SCRIPTS.parent), str(SCRIPTS.parent), "--cells", "prop1",
                      "--cells", "no-such-cell"])
     assert "'no-such-cell' matches none of" in capsys.readouterr().err
+
+
+def test_paired_cells_counts_b_wins_and_a_quartile_spread():
+    # seeds from base_seed on; B is faster on 3 of 5 trials; A's quartiles are 1.5 and 4.5
+    script = _load_script("paired_cells")
+    cells = script.pac_cells()[:1]
+    a, b = (script.Side(SCRIPTS.parent, cells) for _ in range(2))
+    a_ms = dict(zip(range(7, 12), [1.0, 2.0, 3.0, 4.0, 5.0]))
+    b_ms = dict(zip(range(7, 12), [0.5, 2.5, 2.0, 4.5, 1.0]))
+    seeds = []
+    a.trial = lambda cell, inst, seed: (seeds.append(seed) or a_ms[seed], "record")
+    b.trial = lambda cell, inst, seed: (b_ms[seed], "record")
+    for side in (a, b):
+        side.transcript = lambda cell, inst, seed: []
+    (row,) = script.compare(a, b, cells, 5, base_seed=7).values()
+    assert seeds == [7, 8, 9, 10, 11]
+    assert row["b_wins"] == 3 and row["a_iqr_ms"] == 3.0
+    assert script.compare(a, b, cells, 1, base_seed=7)[cells[0][0]]["a_iqr_ms"] == 0.0
+
+
+def test_paired_cells_takes_a_base_seed(monkeypatch, capsys):
+    script = _load_script("paired_cells")
+    compare, seeds = script.compare, []
+    monkeypatch.setattr(script, "compare", lambda *args: seeds.append(args[-1]) or compare(*args))
+    table = script.main([str(SCRIPTS.parent), str(SCRIPTS.parent), "--trials", "1",
+                         "--cells", "prop1", "--base-seed", "123"])
+    assert seeds == [123] and [row["b_wins"] for row in table.values()] in ([0], [1])
+    assert "B wins" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        script.main([str(SCRIPTS.parent), str(SCRIPTS.parent), "--base-seed", "-1"])
