@@ -1,5 +1,6 @@
 """The maintenance scripts under scripts/ run against the current API."""
 
+import hashlib
 import importlib.util
 import re
 import sys
@@ -35,6 +36,25 @@ def test_calibrate_profile_output(monkeypatch, capsys):
     script.main()
     out = re.sub(r" t/trial \S+", "", capsys.readouterr().out)
     assert out == CALIBRATE_TWO_TRIALS
+
+
+# sha256 of what `run_scaling_sweeps.py --trials 2` writes
+SCALING_SWEEP_TWO_TRIALS = {
+    "scaling_sweep.csv": "63eda3378804fca9887cc53115ac87fa16ccb68fc3c9b5bb52dc9d8f34c54b86",
+    "labels_vs_eps.csv": "705f8039140661a47de48a3c8cd542ac2920f1920cd7560722fe87d5ec500e16",
+    "labels_vs_k.csv": "bafe350f9d48de5b340eac393abc6b3839242891dc4c3e2fcc6aba9fdd9528d6",
+    "success_vs_eps.csv": "4b9929d42a7bd83fa9e607dffc5f39f04ae903dfd3bdcf8ee2111fae7dba935a",
+}
+
+
+def test_run_scaling_sweeps_output(monkeypatch, tmp_path, capsys):
+    script = _load_script("run_scaling_sweeps")
+    monkeypatch.setattr(sys, "argv", ["run_scaling_sweeps.py", "--trials", "2",
+                                      "--outdir", str(tmp_path)])
+    assert script.main() == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == SCALING_SWEEP_TWO_TRIALS
+    assert "slope=466.4" in capsys.readouterr().out
 
 
 def test_verify_constructions_output(capsys):
