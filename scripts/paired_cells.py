@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time two source trees of amdl against each other, trial by trial, in one
-process.
+"""Time two source trees of amdl against each other, trial by trial or sweep
+by sweep, in one process.
 
 Loads `amdl` from A/src and from B/src, swapping `sys.modules` to the side
 that runs, and plays single trials of each pac-cells cell (the cell list of
@@ -16,13 +16,21 @@ in which B ran faster, and the distance between the quartiles of A's times
 (repeatable) times only the cells whose names contain one of the given
 substrings; a substring that matches no cell is refused.
 
+With `--sweep CONFIG` it times whole `harness.sweep` calls of the JSON sweep
+config instead, `--trials` of them per side, the n-th at base_seed
+`--base-seed` + n, alternating as above, and prints the same columns for
+them.  It refuses to report if the two sides' rows, or the records their
+`run_trials` returned to the sweep (captured as bench/workloads.py captures
+them), differ on any sweep.
+
 Usage: python scripts/paired_cells.py A B [--trials 200] [--base-seed 50000]
-                                          [--cells SUBSTR ...]
+                                          [--cells SUBSTR ... | --sweep CONFIG]
 """
 
 import argparse
 import ast
 import importlib
+import json
 import statistics
 import sys
 import time
@@ -105,6 +113,27 @@ class Side:
             ms = (time.perf_counter() - t0) * 1e3
         return ms, rec.csv_row()
 
+    def sweep(self, config: dict) -> tuple[float, list, list]:
+        """(ms, rows, records) of one `harness.sweep` of `config`, with the
+        records its cells' `run_trials` returned, as `csv_row()` lines."""
+        harness = self.modules["amdl.harness"]
+        run_trials, records = harness.run_trials, []
+
+        def capture(cfg):
+            recs = run_trials(cfg)
+            records.extend(r.csv_row() for r in recs)
+            return recs
+
+        with _swapped(self.modules):
+            harness.run_trials = capture
+            try:
+                t0 = time.perf_counter()
+                rows = harness.sweep(config)
+                ms = (time.perf_counter() - t0) * 1e3
+            finally:
+                harness.run_trials = run_trials
+        return ms, rows, records
+
     def transcript(self, cell: tuple, inst, seed: int) -> list:
         """The label transcript of one traced trial of `cell` at `seed`."""
         cfg = self._config(cell, inst, seed)
@@ -141,46 +170,79 @@ def compare(a: Side, b: Side, cells: list[tuple], trials: int,
             if t < TRACED_SEEDS and (a.transcript(cell, a.instances[c], seed)
                                      != b.transcript(cell, b.instances[c], seed)):
                 raise SystemExit(f"{cell[0]} seed {seed}: the label transcripts differ")
-        table[cell[0]] = {
-            "trials": trials,
-            "a_ms_median": statistics.median(times["a"]),
-            "b_ms_median": statistics.median(times["b"]),
-            "median_ratio": statistics.median(y / x for x, y in zip(times["a"], times["b"])),
-            "b_wins": sum(y < x for x, y in zip(times["a"], times["b"])),
-            "a_iqr_ms": _quartile_spread(times["a"]),
-        }
+        table[cell[0]] = _summary(times, trials)
     return table
+
+
+def compare_sweeps(a: Side, b: Side, name: str, config: dict, runs: int,
+                   base_seed: int = BASE_SEED) -> dict:
+    """The columns of `compare` for `runs` whole sweeps of `config`, the
+    n-th at base_seed + n."""
+    times = {"a": [], "b": []}
+    for t in range(runs):
+        seeded = dict(config, base_seed=base_seed + t)
+        order = [("a", a), ("b", b)] if t % 2 == 0 else [("b", b), ("a", a)]
+        outs = {}
+        for key, side in order:
+            ms, *outs[key] = side.sweep(seeded)
+            times[key].append(ms)
+        if outs["a"] != outs["b"]:
+            raise SystemExit(f"{name} base_seed {base_seed + t}: the sweep rows or records differ")
+    return {name: _summary(times, runs)}
+
+
+def _summary(times: dict, trials: int) -> dict:
+    return {
+        "trials": trials,
+        "a_ms_median": statistics.median(times["a"]),
+        "b_ms_median": statistics.median(times["b"]),
+        "median_ratio": statistics.median(y / x for x, y in zip(times["a"], times["b"])),
+        "b_wins": sum(y < x for x, y in zip(times["a"], times["b"])),
+        "a_iqr_ms": _quartile_spread(times["a"]),
+    }
 
 
 def main(argv: list[str] | None = None) -> dict:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a", type=Path, help="the reference tree (holds src/amdl)")
     ap.add_argument("b", type=Path, help="the tree to time against it")
-    ap.add_argument("--trials", type=int, default=200, help="trials per cell (default 200)")
+    ap.add_argument("--trials", type=int, default=200,
+                    help="trials per cell, or sweeps with --sweep (default 200)")
     ap.add_argument("--base-seed", type=int, default=BASE_SEED,
                     help=f"the first trial's seed (default {BASE_SEED})")
     ap.add_argument("--cells", action="append", metavar="SUBSTR",
                     help="time only the cells whose names contain SUBSTR (repeatable)")
+    ap.add_argument("--sweep", type=Path, metavar="CONFIG",
+                    help="time whole sweeps of this JSON sweep config instead of trials")
     args = ap.parse_args(argv)
     if args.trials < 1:
         ap.error("--trials must be at least 1")
     if args.base_seed < 0:
         ap.error("--base-seed must be at least 0")
-    cells = pac_cells()
-    for pattern in args.cells or ():
-        if not any(pattern in cell[0] for cell in cells):
-            ap.error(f"--cells {pattern!r} matches none of {[cell[0] for cell in cells]}")
-    if args.cells:
-        cells = [cell for cell in cells if any(pattern in cell[0] for pattern in args.cells)]
-    a, b = Side(args.a, cells), Side(args.b, cells)
-    table = compare(a, b, cells, args.trials, args.base_seed)
+    if args.sweep is not None:
+        if args.cells:
+            ap.error("--cells times pac-cells trials; it does not apply to --sweep")
+        config = json.loads(args.sweep.read_text())
+        a, b = Side(args.a, []), Side(args.b, [])
+        table = compare_sweeps(a, b, str(args.sweep), config, args.trials, args.base_seed)
+        what = f"rows and records equal on all {args.trials} sweeps"
+    else:
+        cells = pac_cells()
+        for pattern in args.cells or ():
+            if not any(pattern in cell[0] for cell in cells):
+                ap.error(f"--cells {pattern!r} matches none of {[cell[0] for cell in cells]}")
+        if args.cells:
+            cells = [cell for cell in cells if any(pattern in cell[0] for pattern in args.cells)]
+        a, b = Side(args.a, cells), Side(args.b, cells)
+        table = compare(a, b, cells, args.trials, args.base_seed)
+        what = f"records equal on all {len(cells) * args.trials} trials"
     print(f"{'cell':42s} {'trials':>6s} {'A ms':>9s} {'B ms':>9s} {'B/A':>7s} "
           f"{'B wins':>7s} {'A IQR ms':>9s}")
     for name, row in table.items():
         print(f"{name:42s} {row['trials']:6d} {row['a_ms_median']:9.3f} "
               f"{row['b_ms_median']:9.3f} {row['median_ratio']:7.3f} "
               f"{row['b_wins']:7d} {row['a_iqr_ms']:9.3f}")
-    print(f"records equal on all {len(cells) * args.trials} trials")
+    print(what)
     return table
 
 

@@ -65,10 +65,23 @@ def _max_dis_mass(inst: MDLInstance, version_space: Sequence[int]) -> Fraction:
     return max(Fraction(d._weigh(dis), d._mden) for d in inst.distributions)
 
 
-def active_large_eps(inst: MDLInstance, oracles: OracleSet, p: RunPlan) -> RunResult:
+@dataclass
+class Halving:
+    """An epoch-halving run after len(trace) epochs: V is None before any, [] on collapse."""
+
+    V: list[int] | None = None
+    out: Hypothesis | RandomizedHypothesis | None = None
+    trace: list = field(default_factory=list)
+    version_spaces: list = field(default_factory=list)
+    prev_dis: set[int] | None = None
+
+
+def active_large_eps(inst: MDLInstance, oracles: OracleSet, p: RunPlan,
+                     state: Halving | None = None) -> RunResult:
     """Epoch-halving disagreement-based active learner, to the target of
     `p.cfg` (`p.cfg.nu` is the instance's optimal error), over the plan's
-    halving epochs.
+    halving epochs; from a `state` that ran the plan's first epochs it runs the
+    rest, and leaves `state` where it stops.
 
     Each epoch solves a passive problem over the version-space-imputed
     distributions at target eps_n, then keeps only hypotheses within exact
@@ -91,13 +104,10 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, p: RunPlan) -> RunRe
     its stage-two version space on.
     """
     cls = inst.hypothesis_class
-    V = list(cls.full_version_space())
-    trace = []
-    version_spaces = []
-    prev_dis: set[int] | None = None
-    out = cls[V[0]]
-    for ep in p.epochs:
-        n = ep.n
+    s = Halving() if state is None else state
+    s.V = list(cls.full_version_space()) if s.V is None else s.V
+    for ep in p.epochs[len(s.trace):] if s.V else ():
+        n, V = ep.n, s.V
         labels_before = oracles.ledger.label_total
         fam = induced_family(oracles, V)
         res: HedgeResult = mdl_hedge_vc(cls, V, fam, ep.solve, inst.k, p.d)
@@ -107,19 +117,22 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, p: RunPlan) -> RunRe
             raise ContractViolation(f"epoch {n} version space is not nested")
         labels_epoch = oracles.ledger.label_total - labels_before
         if not V_new:
-            trace.append((n, ep.eps_n, 0, float("nan"), res.total_draws, labels_epoch))
-            return RunResult(None, "version_space_collapse", trace, {"collapse_epoch": n}, p)
+            s.V = V_new
+            s.trace.append((n, ep.eps_n, 0, float("nan"), res.total_draws, labels_epoch))
+            break
         dis_now = set(int(x) for x in disagreement_region(cls, V_new))
-        if prev_dis is not None and not dis_now <= prev_dis:
+        if s.prev_dis is not None and not dis_now <= s.prev_dis:
             raise ContractViolation(f"epoch {n} disagreement region grew")
-        prev_dis = dis_now
-        V, out = V_new, h_n
-        version_spaces.append(tuple(V))
-        trace.append((n, ep.eps_n, len(V), float(_max_dis_mass(inst, V)),
-                      res.total_draws, labels_epoch))
-    return RunResult(out, None, trace,
-                     {"center_index": V[0], "version_spaces": version_spaces,
-                      "final_version_space": tuple(V)}, p)
+        s.prev_dis, s.V, s.out = dis_now, V_new, h_n
+        s.version_spaces.append(tuple(V_new))
+        s.trace.append((n, ep.eps_n, len(V_new), float(_max_dis_mass(inst, V_new)),
+                        res.total_draws, labels_epoch))
+    if not s.V:
+        return RunResult(None, "version_space_collapse", list(s.trace),
+                         {"collapse_epoch": s.trace[-1][0]}, p)
+    return RunResult(s.out if s.trace else cls[s.V[0]], None, list(s.trace),
+                     {"center_index": s.V[0], "version_spaces": list(s.version_spaces),
+                      "final_version_space": tuple(s.V)}, p)
 
 
 def active_small_eps(inst: MDLInstance, oracles: OracleSet, p: RunPlan) -> RunResult:

@@ -37,6 +37,13 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_out(*paths: str | None) -> None:
+    """Refuse, untouched and before any trial, a directory or a path whose "dir/." is unwritable."""
+    for path in filter(None, paths):
+        if os.path.isdir(path) or not os.access(os.path.join(os.path.dirname(path), "."), os.W_OK):
+            raise ContractViolation(f"cannot open {path}: a directory, or not in a writable one")
+
+
 def _cmd_gen(args) -> int:
     params = {name: getattr(args, name) for name in PARAM_TYPES
               if getattr(args, name) is not None}
@@ -79,6 +86,7 @@ def _cmd_run(args) -> int:
     if args.trace and not args.out:
         raise ContractViolation("--trace writes the transcript to <out>.transcript; give --out")
     transcript = f"{args.out}.transcript" if args.trace else None
+    _check_out(transcript, args.out)
     cfg = RunConfig(alg=args.alg, eps=args.eps, delta=args.delta,
                     trials=args.trials, base_seed=args.seed,
                     profile=args.profile, knobs=_parse_knobs(args.knob),
@@ -89,6 +97,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_out(args.out)
     with open(args.config) as fh:
         try:
             config = json.load(fh)

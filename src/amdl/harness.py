@@ -14,13 +14,12 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Callable
 
 import numpy as np
 
 from . import runplan
-from .active import RunResult, active_large_eps, active_small_eps
+from .active import Halving, RunResult, active_large_eps, active_small_eps
 from .complexity import star_number_unqualified, vc_dimension
 from .core import ContractViolation, MDLInstance, check_int, worst_loss
 from .hedge import KNOBS, SolverConfig, mdl_hedge_vc, naive_erm_baseline
@@ -157,20 +156,29 @@ def can_fail(inst: MDLInstance, eps: float) -> bool:
     return not float(inst.worst_member_loss()) <= float(inst.nu_exact()) + eps + SUCCESS_TOL
 
 
+_carried: dict | None = None    # in a sweep: seed -> (inst, plan, oracles, Halving, seconds)
+
+
 def run_single_trial(inst: MDLInstance, p: RunPlan, seed: int,
                      trace: bool = False) -> tuple[TrialRecord, RunResult, OracleSet]:
     """Execute one seeded trial of the plan `p` on `inst`, whose k and nu it
-    must have been planned for; returns the record, the algorithm's result
-    and the trial's oracle set (its ledger holds the label transcript when
-    `trace` is set)."""
+    must have been planned for (in a sweep, an epoch-halving trial may go on
+    from an earlier cell's); returns the record, the algorithm's result and
+    the trial's oracle set (its ledger holds the transcript when `trace` is set)."""
     cfg = p.cfg
     if p.k != inst.k or cfg.nu != float(inst.nu_exact()):
         raise ContractViolation(f"a plan for k={p.k}, nu={cfg.nu!r} is not a plan for this "
                                 f"instance (k={inst.k}, nu={float(inst.nu_exact())!r})")
-    oracles = OracleSet(inst, seed, log_transcript=trace)
+    carry = _carried is not None and not trace and (p.alg == "active-dd-large" or p.branch == "large")
+    was, held_p, oracles, state, spent = (_carried.pop(seed, None) if carry else None) or (None,) * 5
+    if not (was is inst and held_p.alg == p.alg and
+            held_p.epochs[:len(state.trace)] == p.epochs[:len(state.trace)]):
+        oracles, state, spent = OracleSet(inst, seed, log_transcript=trace), Halving(), 0.0
     t0 = time.perf_counter()
-    res = RUNNERS[p.alg](inst, oracles, p)
-    wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
+    res = active_large_eps(inst, oracles, p, state) if carry else RUNNERS[p.alg](inst, oracles, p)
+    spent += time.perf_counter() - t0
+    (_carried if carry else {})[seed] = (inst, p, oracles, state, spent)   # held once it returned
+    wall_ms = int(round(1000.0 * spent))
     achieved = worst_loss(res.output, inst) if res.output is not None else float("nan")
     success = res.ok and achieved <= cfg.nu + cfg.eps + SUCCESS_TOL
     ledger = oracles.ledger
@@ -245,7 +253,8 @@ def sweep(config: dict) -> list[dict]:
 
     Config schema (JSON): profile, delta, trials, base_seed, optional knobs,
     `families` = [{"family": tag, "params": {...}}], `algs` = [tags],
-    `eps_grid` = [floats].  Infeasible cells are recorded as skipped rows.
+    `eps_grid` = [floats].  Infeasible cells are recorded as skipped rows.  An
+    entry is generated once, and its epoch-halving trials go on from cell to cell.
     """
     from .families import FamilySpec
 
@@ -277,27 +286,35 @@ def sweep(config: dict) -> list[dict]:
     knobs = config.get("knobs", {})
     if not isinstance(knobs, dict):
         raise ContractViolation(f"sweep knobs must be a mapping, got {knobs!r}")
-    rows = []
-    cells = product(config["families"], config["algs"], config["eps_grid"])
-    for cell_index, (fam, alg, eps) in enumerate(cells, 1):
-        row = {"family": fam["family"], "params": json.dumps(fam.get("params", {}), sort_keys=True),
-               "alg": alg, "eps": repr(float(eps)), "delta": repr(delta),
-               "trials": trials, "skipped": 0, "reason": ""}
-        rows.append(row)
-        try:
-            inst = FamilySpec(fam["family"], fam.get("params", {})).generate()
-            recs = run_trials(RunConfig(alg=alg, eps=float(eps), delta=delta, trials=trials,
-                                        base_seed=base_seed, profile=profile, knobs=knobs,
-                                        instance=inst))
-        except ContractViolation as exc:
-            row.update(dict.fromkeys(_SWEEP_STATS, ""), skipped=1, reason=str(exc))
-            continue
-        labels = np.array([r.labels_total for r in recs], dtype=float)
-        lo, hi = _bootstrap_ci(labels, base_seed + cell_index)
-        row.update({"mean_labels": repr(float(labels.mean())),
-                    "median_labels": repr(float(np.median(labels))),
-                    "ci_lo": repr(lo), "ci_hi": repr(hi),
-                    "success_rate": repr(float(np.mean([r.success for r in recs])))})
+    global _carried
+    rows, _carried = [], {}
+    try:
+        for fam in config["families"]:
+            made = None     # the entry's instance, made at its first cell
+            for alg in config["algs"]:
+                _carried.clear()    # one (families entry, alg) group at a time
+                for eps in config["eps_grid"]:
+                    row = {"family": fam["family"],
+                           "params": json.dumps(fam.get("params", {}), sort_keys=True),
+                           "alg": alg, "eps": repr(float(eps)), "delta": repr(delta),
+                           "trials": trials, "skipped": 0, "reason": ""}
+                    rows.append(row)
+                    try:
+                        made = made or FamilySpec(fam["family"], fam.get("params", {})).generate()
+                        recs = run_trials(RunConfig(alg=alg, eps=float(eps), delta=delta,
+                                                    trials=trials, base_seed=base_seed,
+                                                    profile=profile, knobs=knobs, instance=made))
+                    except ContractViolation as exc:
+                        row.update(dict.fromkeys(_SWEEP_STATS, ""), skipped=1, reason=str(exc))
+                        continue
+                    labels = np.array([r.labels_total for r in recs], dtype=float)
+                    lo, hi = _bootstrap_ci(labels, base_seed + len(rows))
+                    row.update({"mean_labels": repr(float(labels.mean())),
+                                "median_labels": repr(float(np.median(labels))),
+                                "ci_lo": repr(lo), "ci_hi": repr(hi),
+                                "success_rate": repr(float(np.mean([r.success for r in recs])))})
+    finally:
+        _carried = None
     return rows
 
 

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -687,6 +688,39 @@ def test_cli_refuses_a_path_it_cannot_open_by_name(case, tmp_path):
     }[case]
     with pytest.raises(ContractViolation, match=f"cannot open {re.escape(str(path))}:"):
         cli_main(argv)
+
+
+@pytest.mark.parametrize("command", ["run", "run --trace", "sweep"])
+@pytest.mark.parametrize("case", ["missing-dir", "is-a-dir", "under-a-file", "read-only-dir"])
+def test_cli_refuses_an_out_it_cannot_write_before_any_trial(command, case, tmp_path,
+                                                             monkeypatch):
+    # refused with nothing run and nothing created or truncated; root may write
+    # into any directory, so the read-only one is read-only to os.access only
+    inst_path, config, ro = tmp_path / "p.json", tmp_path / "sweep.json", tmp_path / "ro"
+    amdl.save_instance(amdl.gen_prop1(2, 0.1), str(inst_path))
+    config.write_text(json.dumps({"trials": 1, "families": [{"family": "prop1", "params":
+                                  {"k": 2, "eps": 0.1}}], "algs": ["passive-naive"],
+                                  "eps_grid": [0.2]}))
+    ro.mkdir()
+    (ro / "x.csv").write_text("kept")
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: os.path.normpath(path) != str(ro)
+                        and access(path, mode))
+    for name in ("run_trials", "sweep"):
+        monkeypatch.setattr(f"amdl.cli.{name}", lambda *args: pytest.fail("a trial ran"))
+    out = {"missing-dir": tmp_path / "missing" / "x.csv", "is-a-dir": tmp_path,
+           "under-a-file": inst_path / "x.csv", "read-only-dir": ro / "x.csv"}[case]
+    argv = {"run": ["run", "--instance", str(inst_path), "--alg", "passive-naive",
+                    "--eps", "0.2"],
+            "run --trace": ["run", "--instance", str(inst_path), "--alg", "passive-naive",
+                            "--eps", "0.2", "--trace"],
+            "sweep": ["sweep", "--config", str(config)]}[command]
+    # the transcript, <out>.transcript, is checked first, and is no directory
+    named = f"{out}.transcript" if command == "run --trace" and case != "is-a-dir" else out
+    with pytest.raises(ContractViolation, match=f"cannot open {re.escape(str(named))}:"):
+        cli_main(argv + ["--out", str(out)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json", "ro", "sweep.json"]
+    assert [p.name for p in ro.iterdir()] == ["x.csv"] and (ro / "x.csv").read_text() == "kept"
 
 
 def test_cli_choices_are_the_registries():

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -142,3 +143,64 @@ def test_paired_cells_takes_a_base_seed(monkeypatch, capsys):
     assert "B wins" in capsys.readouterr().out
     with pytest.raises(SystemExit):
         script.main([str(SCRIPTS.parent), str(SCRIPTS.parent), "--base-seed", "-1"])
+
+
+SMALL_SWEEP = {"trials": 2, "families": [{"family": "star-lb",
+                                          "params": {"k": 2, "theta": 8, "i": 1, "j": 3}}],
+               "algs": ["active-dd-large", "passive-naive"], "eps_grid": [0.2, 0.1]}
+
+
+def test_paired_cells_times_whole_sweeps_of_a_config(tmp_path, capsys):
+    import amdl
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(SMALL_SWEEP))
+    script = _load_script("paired_cells")
+    table = script.main([str(SCRIPTS.parent), str(SCRIPTS.parent), "--trials", "3",
+                         "--sweep", str(config)])
+    assert sys.modules["amdl"] is amdl
+    (row,) = table.values()
+    assert list(table) == [str(config)] and row["trials"] == 3 and row["median_ratio"] > 0
+    assert 0 <= row["b_wins"] <= 3 and row["a_iqr_ms"] >= 0
+    assert capsys.readouterr().out.endswith("rows and records equal on all 3 sweeps\n")
+
+
+def test_paired_cells_sweeps_seed_each_run_and_capture_every_record():
+    script = _load_script("paired_cells")
+    a, b = (script.Side(SCRIPTS.parent, []) for _ in range(2))
+    ms, rows, records = a.sweep(dict(SMALL_SWEEP, base_seed=7))
+    assert ms > 0 and len(rows) == 4 and len(records) == 8
+    assert [int(line.split(",")[5]) for line in records] == [7, 8] * 4
+    seeds = []
+    sweep = a.sweep
+    a.sweep = lambda config: seeds.append(config["base_seed"]) or sweep(config)
+    (row,) = script.compare_sweeps(a, b, "small", SMALL_SWEEP, 2, base_seed=7).values()
+    assert seeds == [7, 8] and row["trials"] == 2
+
+
+@pytest.mark.parametrize("differ", ["rows", "records"])
+def test_paired_cells_refuses_to_report_unequal_sweeps(differ):
+    script = _load_script("paired_cells")
+    a, b = (script.Side(SCRIPTS.parent, []) for _ in range(2))
+    sweep = b.sweep
+
+    def other(config):
+        ms, rows, records = sweep(config)
+        if differ == "rows":
+            rows[-1] = dict(rows[-1], mean_labels="0.0")
+        else:
+            records[0] += ",another"
+        return ms, rows, records
+
+    b.sweep = other
+    with pytest.raises(SystemExit, match="the sweep rows or records differ"):
+        script.compare_sweeps(a, b, "small", SMALL_SWEEP, 1)
+
+
+def test_paired_cells_refuses_cells_with_a_sweep(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(SMALL_SWEEP))
+    script = _load_script("paired_cells")
+    with pytest.raises(SystemExit):
+        script.main([str(SCRIPTS.parent), str(SCRIPTS.parent), "--sweep", str(config),
+                     "--cells", "prop1"])
+    assert "does not apply to --sweep" in capsys.readouterr().err
