@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time two source trees of amdl against each other, trial by trial or sweep
-by sweep, in one process.
+by sweep or instance-scale op by op, in one process.
 
 Loads `amdl` from A/src and from B/src, swapping `sys.modules` to the side
 that runs, and plays single trials of each pac-cells cell (the cell list of
@@ -23,13 +23,20 @@ them.  It refuses to report if the two sides' rows, or the records their
 `run_trials` returned to the sweep (captured as bench/workloads.py captures
 them), differ on any sweep.
 
+With `--measure` it times the instance-scale op instead: bench/workloads.py's
+`measure_and_run`, loaded once per side on that side's amdl, for each class
+size of its INSTANCE_ROUND, `--trials` ops per size, the n-th at seed
+`--base-seed` + n, alternating as above.  It refuses to report if the two
+sides' measured values or records differ on any op.
+
 Usage: python scripts/paired_cells.py A B [--trials 200] [--base-seed 50000]
-                                          [--cells SUBSTR ... | --sweep CONFIG]
+                                          [--cells SUBSTR ... | --sweep CONFIG | --measure]
 """
 
 import argparse
 import ast
 import importlib
+import importlib.util
 import json
 import statistics
 import sys
@@ -43,13 +50,17 @@ DELTA = 0.1
 TRACED_SEEDS = 3        # the first seeds of each cell whose transcripts are compared
 
 
-def pac_cells() -> list[tuple]:
-    """PAC_CELLS of bench/workloads.py, read without importing it: it
-    imports amdl, and each side needs its own."""
+def workload_constant(name: str):
+    """The constant `name` of bench/workloads.py, read without importing it:
+    it imports amdl, and each side needs its own."""
     for node in ast.parse(WORKLOADS.read_text()).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PAC_CELLS"]:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
             return ast.literal_eval(node.value)
-    raise SystemExit(f"no PAC_CELLS in {WORKLOADS}")
+    raise SystemExit(f"no {name} in {WORKLOADS}")
+
+
+def pac_cells() -> list[tuple]:
+    return workload_constant("PAC_CELLS")
 
 
 def _amdl_modules() -> dict:
@@ -87,11 +98,24 @@ def load_side(tree: Path) -> dict:
     return modules
 
 
+def _load_workloads():
+    """bench/workloads.py loaded afresh on the amdl in `sys.modules`, where it
+    is listed while it runs, as its dataclasses need."""
+    spec = importlib.util.spec_from_file_location("_workloads", WORKLOADS)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
 class Side:
     """One tree's amdl and the pac-cells instances it generated."""
 
     def __init__(self, tree: Path, cells: list[tuple]):
         self.modules = load_side(tree)
+        self.workloads = None       # bench/workloads.py on this side's amdl, once loaded
         with _swapped(self.modules):
             spec = self.modules["amdl.families"].FamilySpec
             self.instances = [spec(family, dict(params)).generate()
@@ -133,6 +157,17 @@ class Side:
             finally:
                 harness.run_trials = run_trials
         return ms, rows, records
+
+    def measure(self, n_hyp: int, seed: int) -> tuple[float, list]:
+        """(ms, values and records) of bench/workloads.py's `measure_and_run`
+        on the random class of `n_hyp` members at `seed`, the measured values
+        as one JSON line and each record as its `csv_row()`."""
+        with _swapped(self.modules):
+            self.workloads = self.workloads or _load_workloads()
+            t0 = time.perf_counter()
+            out = self.workloads.measure_and_run(seed, n_hyp, seed)
+            ms = (time.perf_counter() - t0) * 1e3
+        return ms, [json.dumps(out.measured, sort_keys=True)] + [r.csv_row() for r, _ in out.trials]
 
     def transcript(self, cell: tuple, inst, seed: int) -> list:
         """The label transcript of one traced trial of `cell` at `seed`."""
@@ -191,6 +226,26 @@ def compare_sweeps(a: Side, b: Side, name: str, config: dict, runs: int,
     return {name: _summary(times, runs)}
 
 
+def compare_measures(a: Side, b: Side, sizes: list[int], runs: int,
+                     base_seed: int = BASE_SEED) -> dict:
+    """The columns of `compare` for `runs` instance-scale ops per class size,
+    the n-th at seed base_seed + n."""
+    table = {}
+    for n_hyp in sizes:
+        times = {"a": [], "b": []}
+        for t in range(runs):
+            order = [("a", a), ("b", b)] if t % 2 == 0 else [("b", b), ("a", a)]
+            outs = {}
+            for key, side in order:
+                ms, outs[key] = side.measure(n_hyp, base_seed + t)
+                times[key].append(ms)
+            if outs["a"] != outs["b"]:
+                raise SystemExit(f"|H|={n_hyp} seed {base_seed + t}: "
+                                 "the measured values or records differ")
+        table[f"measure_and_run(|H|={n_hyp})"] = _summary(times, runs)
+    return table
+
+
 def _summary(times: dict, trials: int) -> dict:
     return {
         "trials": trials,
@@ -214,14 +269,23 @@ def main(argv: list[str] | None = None) -> dict:
                     help="time only the cells whose names contain SUBSTR (repeatable)")
     ap.add_argument("--sweep", type=Path, metavar="CONFIG",
                     help="time whole sweeps of this JSON sweep config instead of trials")
+    ap.add_argument("--measure", action="store_true",
+                    help="time instance-scale ops (measure_and_run) instead of trials")
     args = ap.parse_args(argv)
     if args.trials < 1:
         ap.error("--trials must be at least 1")
     if args.base_seed < 0:
         ap.error("--base-seed must be at least 0")
-    if args.sweep is not None:
-        if args.cells:
-            ap.error("--cells times pac-cells trials; it does not apply to --sweep")
+    if args.cells and (args.sweep is not None or args.measure):
+        ap.error("--cells times pac-cells trials; it does not apply to --sweep or --measure")
+    if args.sweep is not None and args.measure:
+        ap.error("--sweep and --measure time different ops; give one")
+    if args.measure:
+        sizes = sorted(set(workload_constant("INSTANCE_ROUND")))
+        a, b = Side(args.a, []), Side(args.b, [])
+        table = compare_measures(a, b, sizes, args.trials, args.base_seed)
+        what = f"measured values and records equal on all {len(sizes) * args.trials} ops"
+    elif args.sweep is not None:
         config = json.loads(args.sweep.read_text())
         a, b = Side(args.a, []), Side(args.b, [])
         table = compare_sweeps(a, b, str(args.sweep), config, args.trials, args.base_seed)

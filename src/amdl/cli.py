@@ -38,7 +38,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _check_out(*paths: str | None) -> None:
-    """Refuse, untouched and before any trial, a directory or a path whose "dir/." is unwritable."""
+    """Refuse, untouched and before any work, a directory or a path whose "dir/." is unwritable."""
     for path in filter(None, paths):
         if os.path.isdir(path) or not os.access(os.path.join(os.path.dirname(path), "."), os.W_OK):
             raise ContractViolation(f"cannot open {path}: a directory, or not in a writable one")
@@ -55,6 +55,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    _check_out(args.out)
     inst = load_instance(args.instance)
     cls = inst.hypothesis_class
     h_best, nu = best_nu(inst)

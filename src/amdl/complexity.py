@@ -1,17 +1,19 @@
 """Exact combinatorial/metric complexity measures of an instance.
 
 VC dimension and the unqualified star number are exhaustive searches capped
-at desk scale, by one level search in numpy over the non-constant points:
-each set gives every member a pattern id, and a child set is kept iff its
-ids take all values (shattered) or hold a pattern and all its one-point
-flips (a star set around some member); both properties are downward closed.
+at desk scale, by one level search in numpy over the n non-constant points:
+each set gives every member a pattern id, in the narrowest unsigned type that
+holds 2^min(cap, n) - 1, and a child set is kept iff its ids take all values
+(shattered) or hold a pattern and all its one-point flips (a star set around
+some member); both properties are downward closed.
 The star number around a fixed reference is a branch-and-bound on member
 bitmasks: for each point, the int whose bit i says whether member i agrees
 with the reference there.
 The disagreement coefficient is evaluated exactly over the finite candidate
 radius set (the ball-mass function is piecewise constant on finite supports,
 so the sup over r >= r0 is attained at a candidate radius); its profile takes
-one pass over the members sorted by their distance to the reference.
+one pass over the members sorted by their distance to the reference, all in
+integer numerators, and Fractions are built only for the outputs.
 """
 
 from __future__ import annotations
@@ -73,24 +75,31 @@ def _holds_star(seen: np.ndarray, size: int) -> np.ndarray:
     return ok.any(axis=1)
 
 
+def _id_type(n: int, cap: int) -> np.dtype:
+    """The narrowest unsigned type that holds 2^min(cap, n) - 1; intp above 32 bits."""
+    t = np.min_scalar_type((1 << min(cap, n)) - 1)
+    return t if t.itemsize <= 4 else np.dtype(np.intp)
+
+
 def _children(bits: np.ndarray, last: np.ndarray, ids: np.ndarray, size: int,
               width: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
     """The extensions of each set of `size` points (its last point and its
-    members' pattern ids; `bits` is points x members, 0/1) by one of the
-    `width` points after its last one whose seen ids `keep` passes, built in
-    slabs of bounded cells: the kept children's last points and ids."""
+    members' pattern ids; `bits`, points x members, 0/1 in the ids' type) by
+    one of the `width` points after its last one whose seen ids (one flat
+    count per slab of bounded cells) `keep` passes: their last points and ids."""
     parent = np.repeat(np.arange(last.size), width)
     point = np.arange(parent.size) + np.repeat(last + 1 - (np.cumsum(width) - width), width)
     patterns = 2 << size
     step = max(1, _VC_SLAB // (patterns + bits.shape[1]))
-    kept = np.zeros(parent.size, dtype=bool)
+    found = [(point[:0], ids[:0])]
     for i in range(0, parent.size, step):
-        child = ids[parent[i:i + step]] | bits[point[i:i + step]] << size
-        seen = np.zeros((len(child), patterns), dtype=bool)
-        seen[np.arange(len(child))[:, None], child] = True
-        kept[i:i + step] = keep(seen, size + 1)
-    point = point[kept]
-    return point, ids[parent[kept]] | bits[point] << size
+        x = point[i:i + step]
+        child = ids[parent[i:i + step]] | bits[x] << size
+        cells = np.add(child, np.arange(0, x.size * patterns, patterns)[:, None], dtype=np.intp)
+        seen = np.bincount(cells.ravel(), minlength=x.size * patterns).astype(bool)
+        kept = keep(seen.reshape(x.size, patterns), size + 1)
+        found.append((x[kept], child[kept]))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 @_memoized
@@ -104,6 +113,7 @@ def vc_dimension(cls: HypothesisClass, cap: int = DEFAULT_VC_CAP) -> ComplexityV
     bits = _varying_bits(cls)
     if not len(bits):
         return ComplexityValue(0, lower_bound_only=False)
+    bits = bits.astype(_id_type(len(bits), cap))
     last, ids, size = np.arange(len(bits)), bits, 1
     while size < cap:
         last, ids = _children(bits, last, ids, size, len(bits) - 1 - last,
@@ -222,6 +232,7 @@ def star_number_unqualified(cls: HypothesisClass, cap: int = DEFAULT_STAR_CAP) -
     """
     bits = _varying_bits(cls)
     n = len(bits)
+    bits = bits.astype(_id_type(n, cap))
     cells = 0
     for t in range(min(cap, n), 0, -1):
         if t == n:
@@ -257,12 +268,11 @@ class DisagreementProfile:
     masses: tuple[Fraction, ...]
 
 
-def disagreement_profile(dist: LabeledDistribution, cls: HypothesisClass,
-                         hstar: Hypothesis) -> DisagreementProfile:
-    """One pass over the members in order of their distance rho to `hstar`:
-    the disagreement region grows as the running min and max of their rows,
-    and each distinct rho reads its mass where its last member joins.  Both
-    are integer numerators over `dist._mden` until the output."""
+def _profile_nums(dist: LabeledDistribution, cls: HypothesisClass,
+                  hstar: Hypothesis) -> tuple[list[int], list[int]]:
+    """The distinct distances rho to `hstar` and their masses, as numerators over
+    `dist._mden`, in one pass over the members by rho: the disagreement region
+    grows as the running min and max of their rows, read where each rho ends."""
     if len(hstar) != cls.m or dist.m != cls.m:
         raise ContractViolation("reference and distribution must cover the class's points")
     rho = dist._weigh(cls.labels != hstar.labels).tolist()
@@ -271,12 +281,17 @@ def disagreement_profile(dist: LabeledDistribution, cls: HypothesisClass,
     grown = np.minimum.accumulate(rows) != np.maximum.accumulate(rows)
     ends = [j for j in range(len(order) - 1) if rho[order[j]] != rho[order[j + 1]]]
     ends.append(len(order) - 1)
-    den = dist._mden
-    radii = tuple(Fraction(rho[order[j]], den) for j in ends)
-    masses = tuple(Fraction(v, den) for v in dist._weigh(grown[ends]).tolist())
+    masses = dist._weigh(grown[ends]).tolist()
     if any(a > b for a, b in zip(masses, masses[1:])):
         raise ContractViolation("disagreement masses must not decrease in the radius")
-    return DisagreementProfile(radii, masses)
+    return [rho[order[j]] for j in ends], masses
+
+
+def disagreement_profile(dist: LabeledDistribution, cls: HypothesisClass,
+                         hstar: Hypothesis) -> DisagreementProfile:
+    """The ball-mass profile of `_profile_nums`, as Fractions."""
+    return DisagreementProfile(*(tuple(Fraction(v, dist._mden) for v in nums)
+                                 for nums in _profile_nums(dist, cls, hstar)))
 
 
 def disagreement_coefficient_exact(dist: LabeledDistribution, cls: HypothesisClass,
@@ -284,15 +299,18 @@ def disagreement_coefficient_exact(dist: LabeledDistribution, cls: HypothesisCla
     r0 = _frac(r0)
     if r0 <= 0:
         raise ContractViolation("r0 must be positive")
-    prof = disagreement_profile(dist, cls, hstar)
-    # the mass at r0 is that of the last radius <= r0; a radius above r0
-    # carries its own mass
-    j = bisect_right(prof.radii, r0)
-    theta = max([(prof.masses[j - 1] if j else Fraction(0)) / r0]
-                + [mass / r for r, mass in zip(prof.radii[j:], prof.masses[j:])])
-    if theta * r0 > 1:
+    radii, masses = _profile_nums(dist, cls, hstar)
+    p, q, den = r0.numerator, r0.denominator, dist._mden
+    # numerators over den; the mass at r0 = p/q is that of the last radius <= r0,
+    # a radius above r0 carries its own mass; ratios compared by cross-multiplying
+    j = bisect_right(radii, p * den, key=q.__mul__)
+    num, div = (masses[j - 1] * q if j else 0), den * p
+    for r, mass in zip(radii[j:], masses[j:]):
+        if mass * div > num * r:
+            num, div = mass, r
+    if num * p > div * q:
         raise ContractViolation("disagreement coefficient exceeded its 1/r0 ceiling")
-    return theta
+    return Fraction(num, div)
 
 
 def disagreement_coefficient(dist: LabeledDistribution, cls: HypothesisClass,

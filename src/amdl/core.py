@@ -7,7 +7,10 @@ coefficient ratios computed from generator-built instances are exact, and
 repeated evaluation is bit-identical.  Float views are derived for sampling.
 Every exact mass and disagreement is one call of the kernel
 `LabeledDistribution._weigh` on integer per-point weights, and every exact
-loss one `total * _A + plus @ _B` on a support's +1 vote counts.
+loss one `total * _A + plus @ _B` on a support's +1 vote counts: in int64
+when max |weight| (or the support size) times the sum of the |numerators| is
+below 2^63, else on Python ints; either way the result is Python ints, and
+Fractions are built only for outputs.
 """
 
 from __future__ import annotations
@@ -56,6 +59,15 @@ def _frac(x: Number) -> Fraction:
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             pass
     raise ContractViolation(f"expected a finite number, got {x!r}")
+
+
+def _exact_dot(weights: np.ndarray, nums: np.ndarray, bound: int):
+    """`weights @ nums` (object ints) exactly, as Python ints: in int64 when the
+    weights are signed integers and `bound` caps every |partial sum| below 2^63."""
+    if weights.dtype.kind not in "bi" or bound >= 1 << 63:
+        return weights @ nums
+    out = weights @ nums.astype(np.int64)
+    return int(out) if out.ndim == 0 else out.astype(object)
 
 
 def _integerize(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
@@ -179,6 +191,7 @@ class LabeledDistribution:
         # per support member and Pr[y = -1] - Pr[y = +1] per +1 vote (`_plus_counts`)
         self._A = self._mnum @ self._enum
         self._B = self._mnum * (self._eden - 2 * self._enum)
+        self._msum, self._bsum = sum(self._mnum), sum(map(abs, self._B))
         self._eta_f: np.ndarray | None = None
         self._cdf: np.ndarray | None = None
         self._buckets: np.ndarray | None = None
@@ -216,11 +229,18 @@ class LabeledDistribution:
         xs[miss] = self.cdf.searchsorted(u.flat[miss], side="right")
         return xs.reshape(u.shape)
 
-    def _weigh(self, weights: np.ndarray):
-        """The exact kernel: integer per-point `weights` (one row per
-        hypothesis or point set, the last axis the points) summed against the
-        marginal, as Python-int numerators over `_mden`."""
-        return weights @ self._mnum
+    def _weigh(self, weights: np.ndarray, lim: int | None = None):
+        """The exact kernel: integer per-point `weights` (one row per hypothesis
+        or point set, the last axis the points; |weights| <= `lim` if given)
+        summed against the marginal, as Python-int numerators over `_mden`."""
+        if lim is None:
+            lim = 1 if weights.dtype == bool else max(int(weights.max(initial=0)),
+                                                      -int(weights.min(initial=0)))
+        return _exact_dot(weights, self._mnum, lim * self._msum)
+
+    def _loss_num(self, plus: np.ndarray, total: int):
+        """Loss numerators over total * _mden * _eden of `total`-member supports' +1 counts."""
+        return total * self._A + _exact_dot(plus, self._B, total * self._bsum)
 
 
 class RandomizedHypothesis:
@@ -265,7 +285,7 @@ def _plus_counts(h: HypothesisLike, m: int) -> tuple[np.ndarray, int]:
 
 
 def _loss(dist: LabeledDistribution, plus: np.ndarray, total: int) -> Fraction:
-    return Fraction(total * dist._A + plus @ dist._B, total * dist._mden * dist._eden)
+    return Fraction(dist._loss_num(plus, total), total * dist._mden * dist._eden)
 
 
 def loss_exact(h: HypothesisLike, dist: LabeledDistribution) -> Fraction:
@@ -322,7 +342,7 @@ class MDLInstance:
             den = math.lcm(*(d._mden * d._eden for d in self.distributions))
             worst = 0
             for d in self.distributions:
-                worst = np.maximum(worst, (d._A + plus @ d._B) * (den // (d._mden * d._eden)))
+                worst = np.maximum(worst, d._loss_num(plus, 1) * (den // (d._mden * d._eden)))
             worst = worst.tolist()
             idx = min(range(len(worst)), key=worst.__getitem__)
             self._best = (idx, Fraction(worst[idx], den), worst, den)

@@ -1,8 +1,8 @@
 """Closed-form pmfs of the distributions the label-efficient samplers draw
 from: the version-space-imputed, abstain-imputed and surrogate laws, the
-per-radius definition of the disagreement profile, the exact loss, mass
-and disagreement by their definitions as `Fraction` sums, rejection
-sampling from the agreement region one variate at a time, the robust RPU
+per-radius definition of the disagreement profile, the exact kernel's
+weighted sum, loss, mass and disagreement by their definitions as
+`Fraction` sums, rejection sampling from the agreement region one variate at a time, the robust RPU
 learner one batch at a time, the Hedge solver's product play shadow as a
 loop over lists, and the Bernoulli KL divergence by quadrature of its
 integral form.  Also the exact helpers that only the tests call: a point
@@ -35,6 +35,12 @@ from amdl.runplan import batch_size
 def mass_reference(points, dist: LabeledDistribution) -> Fraction:
     """Mass of a set of points: the sum of their marginals, point by point."""
     return sum((dist.marginal[x] for x in points), Fraction(0))
+
+
+def weighed_reference(weights, dist: LabeledDistribution) -> Fraction:
+    """What `LabeledDistribution._weigh` computes for one row of per-point
+    weights, by its definition: the sum of weight times marginal."""
+    return sum((int(w) * p for w, p in zip(weights, dist.marginal)), Fraction(0))
 
 
 def mass_exact(dist: LabeledDistribution, points) -> Fraction:

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 import amdl
 from amdl import (ContractViolation, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, RandomizedHypothesis)
-from amdl.core import disagreement_exact, instance_from_dict, instance_to_dict, loss_exact
+from amdl.core import (_loss, _plus_counts, disagreement_exact, instance_from_dict,
+                       instance_to_dict, loss_exact)
 
 from closed_forms import (best_nu_index, disagreement_reference, loss_reference, mass_exact,
-                          mass_reference, max_disagreement, max_disagreement_exact)
+                          mass_reference, max_disagreement, max_disagreement_exact,
+                          weighed_reference)
 from conftest import brute_best_nu, brute_loss, two_point_instance
 from test_complexity import STAR_PINS
 
@@ -557,6 +559,33 @@ def test_exact_metrics_match_their_definitions(shape):
     assert inst.nu_exact() == nu
     assert best_nu_index(inst) == worst.index(nu)
     assert amdl.best_nu(inst) == (cls[worst.index(nu)], float(nu))
+
+
+@pytest.mark.parametrize("lim", [1, 5])
+@pytest.mark.parametrize("above", [False, True])
+def test_exact_kernels_just_below_and_just_above_the_int64_bound(lim, above):
+    # labels are always -1 and the marginal numerators (so |B| too) sum to S:
+    # a weight or support size of at most lim keeps the kernels in int64 iff
+    # lim * S < 2^63; on both sides they give the Fraction sums, as Python ints
+    S = (2 ** 63 - 1) // lim + above
+    d = LabeledDistribution([Fraction(1, S), Fraction(2, S), Fraction(S - 3, S)], [0, 0, 0])
+    assert d._mden == d._msum == d._bsum == S and (lim * S >= 2 ** 63) == above
+    rows = np.array([[lim, 0, lim], [1, lim, 0], [0, 0, 0], [lim, lim, lim]])
+    weighed = d._weigh(rows)
+    assert weighed.dtype == object and all(type(v) is int for v in weighed)
+    assert [Fraction(v, S) for v in weighed] == [weighed_reference(r, d) for r in rows]
+    for r in [*rows, rows[0] > 0]:
+        assert type(d._weigh(r)) is int
+        assert Fraction(d._weigh(r), S) == weighed_reference(r, d)
+    cls = HypothesisClass(np.array([[1, 1, 1], [-1, 1, -1], [1, -1, -1]]))
+    for h in (cls[0], cls[1], RandomizedHypothesis(cls, [0] * lim),
+              RandomizedHypothesis(cls, [0] * (lim - lim // 2) + [2] * (lim // 2))):
+        plus, total = _plus_counts(h, 3)
+        assert type(d._loss_num(plus, total)) is int
+        assert _loss(d, plus, total) == loss_exact(h, d) == loss_reference(h, d)
+    worst = d._loss_num((cls.labels > 0).astype(np.int64), 1)
+    assert worst.dtype == object and all(type(v) is int for v in worst)
+    assert MDLInstance(cls, [d]).worst_member_loss() == max(loss_reference(h, d) for h in cls)
 
 
 # every shipped family but `random`, whose classes the test below draws

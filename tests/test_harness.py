@@ -690,12 +690,13 @@ def test_cli_refuses_a_path_it_cannot_open_by_name(case, tmp_path):
         cli_main(argv)
 
 
-@pytest.mark.parametrize("command", ["run", "run --trace", "sweep"])
+@pytest.mark.parametrize("command", ["run", "run --trace", "sweep", "measure"])
 @pytest.mark.parametrize("case", ["missing-dir", "is-a-dir", "under-a-file", "read-only-dir"])
 def test_cli_refuses_an_out_it_cannot_write_before_any_trial(command, case, tmp_path,
                                                              monkeypatch):
-    # refused with nothing run and nothing created or truncated; root may write
-    # into any directory, so the read-only one is read-only to os.access only
+    # refused with nothing run, no instance loaded and nothing created or
+    # truncated; root may write into any directory, so the read-only one is
+    # read-only to os.access only
     inst_path, config, ro = tmp_path / "p.json", tmp_path / "sweep.json", tmp_path / "ro"
     amdl.save_instance(amdl.gen_prop1(2, 0.1), str(inst_path))
     config.write_text(json.dumps({"trials": 1, "families": [{"family": "prop1", "params":
@@ -706,15 +707,17 @@ def test_cli_refuses_an_out_it_cannot_write_before_any_trial(command, case, tmp_
     access = os.access
     monkeypatch.setattr(os, "access", lambda path, mode: os.path.normpath(path) != str(ro)
                         and access(path, mode))
-    for name in ("run_trials", "sweep"):
-        monkeypatch.setattr(f"amdl.cli.{name}", lambda *args: pytest.fail("a trial ran"))
+    for name in ("run_trials", "sweep", "load_instance"):
+        monkeypatch.setattr(f"amdl.cli.{name}",
+                            lambda *args, name=name: pytest.fail(f"{name} ran"))
     out = {"missing-dir": tmp_path / "missing" / "x.csv", "is-a-dir": tmp_path,
            "under-a-file": inst_path / "x.csv", "read-only-dir": ro / "x.csv"}[case]
     argv = {"run": ["run", "--instance", str(inst_path), "--alg", "passive-naive",
                     "--eps", "0.2"],
             "run --trace": ["run", "--instance", str(inst_path), "--alg", "passive-naive",
                             "--eps", "0.2", "--trace"],
-            "sweep": ["sweep", "--config", str(config)]}[command]
+            "sweep": ["sweep", "--config", str(config)],
+            "measure": ["measure", "--instance", str(inst_path)]}[command]
     # the transcript, <out>.transcript, is checked first, and is no directory
     named = f"{out}.transcript" if command == "run --trace" and case != "is-a-dir" else out
     with pytest.raises(ContractViolation, match=f"cannot open {re.escape(str(named))}:"):

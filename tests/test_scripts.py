@@ -204,3 +204,45 @@ def test_paired_cells_refuses_cells_with_a_sweep(tmp_path, capsys):
         script.main([str(SCRIPTS.parent), str(SCRIPTS.parent), "--sweep", str(config),
                      "--cells", "prop1"])
     assert "does not apply to --sweep" in capsys.readouterr().err
+
+
+def test_paired_cells_times_instance_scale_ops(capsys):
+    import amdl
+    script = _load_script("paired_cells")
+    sizes = sorted(set(script.workload_constant("INSTANCE_ROUND")))
+    table = script.main([str(SCRIPTS.parent), str(SCRIPTS.parent), "--trials", "1",
+                         "--measure"])
+    assert sys.modules["amdl"] is amdl and "_workloads" not in sys.modules
+    assert list(table) == [f"measure_and_run(|H|={n})" for n in sizes] == \
+        ["measure_and_run(|H|=128)", "measure_and_run(|H|=256)"]
+    assert all(row["trials"] == 1 and row["median_ratio"] > 0 for row in table.values())
+    assert capsys.readouterr().out.endswith("measured values and records equal on all 2 ops\n")
+
+
+def test_paired_cells_measure_op_gives_values_and_records():
+    # measure_and_run of the side's own amdl: the values as a JSON line, then
+    # the passive-hedge records from the op's seed on
+    script = _load_script("paired_cells")
+    side = script.Side(SCRIPTS.parent, [])
+    ms, out = side.measure(128, 7)
+    assert ms > 0 and side.workloads.core is side.modules["amdl.core"]
+    assert sorted(json.loads(out[0])) == ["nu", "star", "star_unqualified", "theta", "vc"]
+    assert [int(line.split(",")[5]) for line in out[1:]] == [7, 8, 9, 10]
+    assert side.measure(128, 7)[1] == out
+
+
+def test_paired_cells_refuses_to_report_unequal_measures():
+    script = _load_script("paired_cells")
+    a, b = (script.Side(SCRIPTS.parent, []) for _ in range(2))
+    measure = b.measure
+    b.measure = lambda n_hyp, seed: (measure(n_hyp, seed)[0], ['{"vc": 0}'])
+    with pytest.raises(SystemExit, match=r"\|H\|=128 seed 7: the measured values or records"):
+        script.compare_measures(a, b, [128], 1, base_seed=7)
+
+
+@pytest.mark.parametrize("other", [["--cells", "prop1"], ["--sweep", "sweep.json"]])
+def test_paired_cells_refuses_measure_with_cells_or_a_sweep(other, capsys):
+    script = _load_script("paired_cells")
+    with pytest.raises(SystemExit):
+        script.main([str(SCRIPTS.parent), str(SCRIPTS.parent), "--measure", *other])
+    assert "--measure" in capsys.readouterr().err
