@@ -18,16 +18,16 @@ from amdl.cli import main as cli_main
 from amdl.complexity import disagreement_profile, star_number_unqualified, vc_dimension
 from amdl.core import instance_from_dict
 
+from test_complexity import _plus_point as _plus_point_class
+
 
 def _plus_point(inst: MDLInstance) -> MDLInstance:
-    """`inst` with one more point of mass 1/64 and eta 1/2, labelled +1 by member 0 only."""
-    col = -np.ones((len(inst.hypothesis_class), 1), dtype=np.int8)
-    col[0] = 1
-    cls = HypothesisClass(np.hstack([inst.hypothesis_class.labels, col]))
+    """`inst` on `test_complexity._plus_point`'s class, one more point that
+    member 0 alone labels +1, the point of mass 1/64 and eta 1/2."""
     dists = [LabeledDistribution([v * Fraction(63, 64) for v in d.marginal] + [Fraction(1, 64)],
                                  list(d.eta_plus) + [Fraction(1, 2)])
              for d in inst.distributions]
-    return MDLInstance(cls, dists)
+    return MDLInstance(_plus_point_class(inst.hypothesis_class), dists)
 
 
 def _wide() -> MDLInstance:
