@@ -63,7 +63,8 @@ def _frac(x: Number) -> Fraction:
 
 def _exact_dot(weights: np.ndarray, nums: np.ndarray, bound: int):
     """`weights @ nums` (object ints) exactly, as Python ints: in int64 when the
-    weights are signed integers and `bound` caps every |partial sum| below 2^63."""
+    weights are signed integers and `bound`, at least sum |nums|, caps every
+    |num| and every |partial sum| below 2^63."""
     if weights.dtype.kind not in "bi" or bound >= 1 << 63:
         return weights @ nums
     out = weights @ nums.astype(np.int64)
@@ -229,13 +230,12 @@ class LabeledDistribution:
         xs[miss] = self.cdf.searchsorted(u.flat[miss], side="right")
         return xs.reshape(u.shape)
 
-    def _weigh(self, weights: np.ndarray, lim: int | None = None):
+    def _weigh(self, weights: np.ndarray):
         """The exact kernel: integer per-point `weights` (one row per hypothesis
-        or point set, the last axis the points; |weights| <= `lim` if given)
-        summed against the marginal, as Python-int numerators over `_mden`."""
-        if lim is None:
-            lim = 1 if weights.dtype == bool else max(int(weights.max(initial=0)),
-                                                      -int(weights.min(initial=0)))
+        or point set, the last axis the points) summed against the marginal, as
+        Python-int numerators over `_mden`, bounded by max(1, |weights|) * `_msum`."""
+        lim = 1 if weights.dtype == bool else max(1, int(weights.max(initial=0)),
+                                                  -int(weights.min(initial=0)))
         return _exact_dot(weights, self._mnum, lim * self._msum)
 
     def _loss_num(self, plus: np.ndarray, total: int):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import amdl
 from amdl import (ContractViolation, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, RandomizedHypothesis)
+from amdl.active import _within_radius
 from amdl.core import (_loss, _plus_counts, disagreement_exact, instance_from_dict,
                        instance_to_dict, loss_exact)
 
@@ -22,6 +23,7 @@ from closed_forms import (best_nu_index, disagreement_reference, loss_reference,
                           weighed_reference)
 from conftest import brute_best_nu, brute_loss, two_point_instance
 from test_complexity import STAR_PINS
+from test_exact_pins import _wide
 
 
 def test_loss_prop1_reference_hypothesis():
@@ -586,6 +588,24 @@ def test_exact_kernels_just_below_and_just_above_the_int64_bound(lim, above):
     worst = d._loss_num((cls.labels > 0).astype(np.int64), 1)
     assert worst.dtype == object and all(type(v) is int for v in worst)
     assert MDLInstance(cls, [d]).worst_member_loss() == max(loss_reference(h, d) for h in cls)
+
+
+def test_exact_kernels_on_all_zero_weights_of_a_wide_instance():
+    # a member against itself weighs every point 0; the int64 path must still
+    # be refused when the marginal numerators themselves pass 2^63
+    inst = _wide()
+    cls = inst.hypothesis_class
+    mix = RandomizedHypothesis(cls, [3, 3])
+    for i, d in enumerate(inst.distributions):
+        assert max(d._mnum) >= 2 ** 63
+        for h in (cls[0], cls[5], mix):
+            assert disagreement_exact(h, h, d) == 0 == disagreement_reference(h, h, d)
+            assert amdl.disagreement(h, h, d) == 0.0
+        assert inst.pair_disagreement_exact(2, 2, i) == 0
+        zero = d._weigh(np.zeros((3, inst.m), dtype=np.int64))
+        assert zero.dtype == object and all(type(v) is int and v == 0 for v in zero)
+        assert type(d._weigh(np.zeros(inst.m, dtype=np.int64))) is int
+    assert _within_radius(inst, [4], cls[4], Fraction(0)) == [4]
 
 
 # every shipped family but `random`, whose classes the test below draws
