@@ -56,8 +56,7 @@ def _within_radius(inst: MDLInstance, version_space: Sequence[int], mix: Hypothe
     weights = np.where(inst.hypothesis_class.labels[V] > 0, total - plus, plus)
     keep = np.ones(len(V), dtype=bool)
     for dist in inst.distributions:
-        rho = dist._weigh(weights)
-        keep &= rho * bound.denominator <= bound.numerator * total * dist._mden
+        keep &= dist._weigh(weights) * bound.denominator <= bound.numerator * total * dist._mden
     return [h for h, kept in zip(V, keep.tolist()) if kept]
 
 

@@ -86,7 +86,7 @@ def _children(bits: np.ndarray, last: np.ndarray, ids: np.ndarray, size: int,
     """The extensions of each set of `size` points (its last point and its
     members' pattern ids; `bits`, points x members, 0/1 in the ids' type) by
     one of the `width` points after its last one whose seen ids (one flat
-    count per slab of bounded cells) `keep` passes: their last points and ids."""
+    fill per slab of bounded cells) `keep` passes: their last points and ids."""
     parent = np.repeat(np.arange(last.size), width)
     point = np.arange(parent.size) + np.repeat(last + 1 - (np.cumsum(width) - width), width)
     patterns = 2 << size
@@ -96,8 +96,9 @@ def _children(bits: np.ndarray, last: np.ndarray, ids: np.ndarray, size: int,
         x = point[i:i + step]
         child = ids[parent[i:i + step]] | bits[x] << size
         cells = np.add(child, np.arange(0, x.size * patterns, patterns)[:, None], dtype=np.intp)
-        seen = np.bincount(cells.ravel(), minlength=x.size * patterns).astype(bool)
-        kept = keep(seen.reshape(x.size, patterns), size + 1)
+        seen = np.zeros((x.size, patterns), dtype=bool)
+        seen.ravel()[cells.ravel()] = True
+        kept = keep(seen, size + 1)
         found.append((x[kept], child[kept]))
     return tuple(map(np.concatenate, zip(*found)))
 

@@ -234,8 +234,7 @@ class LabeledDistribution:
         """The exact kernel: integer per-point `weights` (one row per hypothesis
         or point set, the last axis the points) summed against the marginal, as
         Python-int numerators over `_mden`, bounded by max(1, |weights|) * `_msum`."""
-        lim = 1 if weights.dtype == bool else max(1, int(weights.max(initial=0)),
-                                                  -int(weights.min(initial=0)))
+        lim = 1 if weights.dtype == bool else int(np.abs(weights).max(initial=1))
         return _exact_dot(weights, self._mnum, lim * self._msum)
 
     def _loss_num(self, plus: np.ndarray, total: int):
