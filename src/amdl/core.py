@@ -8,8 +8,8 @@ repeated evaluation is bit-identical.  Float views are derived for sampling.
 Every exact mass and disagreement is one call of the kernel
 `LabeledDistribution._weigh` on integer per-point weights, and every exact
 loss one `total * _A + plus @ _B` on a support's +1 vote counts: in int64
-when max |weight| (or the support size) times the sum of the |numerators| is
-below 2^63, else on Python ints; either way the result is Python ints, and
+when max(1, max |weight|) (or the support size) times the sum of the
+|numerators| is below 2^63, else on Python ints; the result is Python ints, and
 Fractions are built only for outputs.
 """
 
