@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -307,6 +308,28 @@ def test_report_single_row_series():
     })
     outputs = report(rows)
     assert len(outputs["labels_vs_eps.csv"].strip().split("\n")) == 2
+
+
+# a sweep that mixes families with a k (given first or last) and without
+# one, and skips the cells at eps 1.5 and those of an infeasible entry
+REPORT_SWEEP = {
+    "trials": 2, "delta": 0.1, "base_seed": 3,
+    "families": [{"family": "prop1", "params": {"k": 3, "eps": 0.1}},
+                 {"family": "example1", "params": {"nu_prime": 0.2, "eps": 0.05, "case": "a"}},
+                 {"family": "prop1", "params": {"eps": 0.1, "k": 2}},
+                 {"family": "agnostic-lb", "params": {"k": 2, "nu": 0.1, "eps": 0.05}},
+                 {"family": "agnostic-lb", "params": {"k": 2, "nu": 0.4, "eps": 0.05}}],
+    "algs": ["passive-naive", "passive-hedge"], "eps_grid": [0.5, 0.2, 1.5]}
+# sha256 of the report's three series as JSON with sorted keys
+REPORT_DIGEST = "f14437570bd9595f16d95381378b9a24cd0d30b38c2348913153c98bfc0cea75"
+
+
+def test_report_of_a_mixed_sweep_matches_its_pin():
+    rows = sweep(REPORT_SWEEP)
+    assert sum(r["skipped"] for r in rows) == 14 and len(rows) == 30
+    for got in (report(rows), report(sweep_from_csv(sweep_to_csv(rows)))):
+        assert sorted(got) == ["labels_vs_eps.csv", "labels_vs_k.csv", "success_vs_eps.csv"]
+        assert hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest() == REPORT_DIGEST
 
 
 def test_report_schema_mismatch():
