@@ -19,9 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (ContractViolation, Hypothesis, HypothesisLike, MDLInstance,
-                   RandomizedHypothesis, _plus_counts, agreement_labels,
-                   disagreement_region)
-from .hedge import HedgeResult, mdl_hedge_vc
+                   RandomizedHypothesis, _plus_counts, agreement_labels)
+from .hedge import mdl_hedge_vc
 from .oracles import (DegenerateAgreementRegion, OracleSet, induced_family,
                       surrogate_family)
 from .runplan import RunPlan
@@ -60,8 +59,8 @@ def _within_radius(inst: MDLInstance, version_space: Sequence[int], mix: Hypothe
     return [h for h, kept in zip(V, keep.tolist()) if kept]
 
 
-def _max_dis_mass(inst: MDLInstance, version_space: Sequence[int]) -> Fraction:
-    dis = agreement_labels(inst.hypothesis_class, version_space) == 0
+def _max_dis_mass(inst: MDLInstance, dis: np.ndarray) -> Fraction:
+    """The largest mass any distribution puts on the disagreement mask `dis`."""
     return max(Fraction(d._weigh(dis), d._mden) for d in inst.distributions)
 
 
@@ -73,7 +72,7 @@ class Halving:
     out: Hypothesis | RandomizedHypothesis | None = None
     trace: list = field(default_factory=list)
     version_spaces: list = field(default_factory=list)
-    prev_dis: set[int] | None = None
+    prev_dis: np.ndarray | None = None     # the last epoch's disagreement mask
 
 
 def active_large_eps(inst: MDLInstance, oracles: OracleSet, p: RunPlan,
@@ -107,26 +106,23 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, p: RunPlan,
     s = Halving() if state is None else state
     s.V = list(cls.full_version_space()) if s.V is None else s.V
     for ep in p.epochs[len(s.trace):] if s.V else ():
-        n, V = ep.n, s.V
-        labels_before = oracles.ledger.label_total
-        fam = induced_family(oracles, V)
-        res: HedgeResult = mdl_hedge_vc(cls, V, fam, ep.solve, inst.k, p.d)
-        h_n = res.hypothesis
+        n, V, ledger = ep.n, s.V, oracles.ledger
+        labels_before, draws_before = ledger.label_total, ledger.unlabeled_total
+        h_n = mdl_hedge_vc(cls, V, induced_family(oracles, V), ep.solve, inst.k, p.d).hypothesis
         V_new = _within_radius(inst, V, h_n, Fraction(2) * Fraction(ep.eps_n))
         if not set(V_new) <= set(V):
             raise ContractViolation(f"epoch {n} version space is not nested")
-        labels_epoch = oracles.ledger.label_total - labels_before
+        spent = (ledger.unlabeled_total - draws_before, ledger.label_total - labels_before)
         if not V_new:
             s.V = V_new
-            s.trace.append((n, ep.eps_n, 0, float("nan"), res.total_draws, labels_epoch))
+            s.trace.append((n, ep.eps_n, 0, float("nan"), *spent))
             break
-        dis_now = set(int(x) for x in disagreement_region(cls, V_new))
-        if s.prev_dis is not None and not dis_now <= s.prev_dis:
+        dis = agreement_labels(cls, V_new) == 0
+        if s.prev_dis is not None and (dis > s.prev_dis).any():
             raise ContractViolation(f"epoch {n} disagreement region grew")
-        s.prev_dis, s.V, s.out = dis_now, V_new, h_n
+        s.prev_dis, s.V, s.out = dis, V_new, h_n
         s.version_spaces.append(tuple(V_new))
-        s.trace.append((n, ep.eps_n, len(V_new), float(_max_dis_mass(inst, V_new)),
-                        res.total_draws, labels_epoch))
+        s.trace.append((n, ep.eps_n, len(V_new), float(_max_dis_mass(inst, dis)), *spent))
     if not s.V:
         return RunResult(None, "version_space_collapse", list(s.trace),
                          {"collapse_epoch": s.trace[-1][0]}, p)
@@ -172,11 +168,13 @@ def active_small_eps(inst: MDLInstance, oracles: OracleSet, p: RunPlan) -> RunRe
             samples.append(None)
             degenerate.append(i)
     agreement_labels_cost = oracles.ledger.label_total - labels_before
+    draws_before = oracles.ledger.unlabeled_total
     fam = surrogate_family(oracles, V0, samples)
     res = mdl_hedge_vc(cls, V0, fam, p.solve, inst.k, p.d)
-    stage2_labels = oracles.ledger.label_total - labels_before
-    trace.append(("stage2", p.solve.eps, len(V0), float(_max_dis_mass(inst, V0)),
-                  res.total_draws, stage2_labels))
+    trace.append(("stage2", p.solve.eps, len(V0),
+                  float(_max_dis_mass(inst, agreement_labels(cls, V0) == 0)),
+                  oracles.ledger.unlabeled_total - draws_before,
+                  oracles.ledger.label_total - labels_before))
     return RunResult(
         res.hypothesis, None, trace,
         {"v0_size": len(V0), "agreement_label_cost": agreement_labels_cost,

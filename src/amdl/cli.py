@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from numbers import Integral, Real
 
 from .complexity import (disagreement_coefficient, star_number,
                          star_number_unqualified, vc_dimension)
@@ -127,19 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a benchmark instance file")
     g.add_argument("--family", required=True, choices=FAMILIES)
-    g.add_argument("--k", type=int)
-    g.add_argument("--eps", type=float)
-    g.add_argument("--nu", type=float)
-    g.add_argument("--theta", type=int)
-    g.add_argument("--i", type=int)
-    g.add_argument("--j", type=int)
-    g.add_argument("--flipped-index", type=int, dest="flipped_index")
-    g.add_argument("--nu-prime", type=float, dest="nu_prime")
-    g.add_argument("--case", choices=("a", "b"))
-    g.add_argument("--m", type=int)
-    g.add_argument("--n-hyp", type=int, dest="n_hyp")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--realizable", action="store_true", default=None)
+    for name, kind in PARAM_TYPES.items():     # a flag per generator parameter
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            g.add_argument(flag, action="store_true", default=None)
+        else:
+            g.add_argument(flag, type={Integral: int, Real: float, str: str}[kind])
     g.add_argument("--out", required=True)
     g.set_defaults(fn=_cmd_gen)
 

@@ -9,6 +9,7 @@ parameters.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,18 +21,7 @@ import numpy as np
 from .core import (ContractViolation, Hypothesis, HypothesisClass, LabeledDistribution,
                    MDLInstance, _frac, check_int)
 
-# each family's required parameters, in its generator's argument order
-REQUIRED_PARAMS = {
-    "prop1": ("k", "eps"),
-    "star-lb": ("k", "theta", "i", "j"),
-    "agnostic-lb": ("k", "nu", "eps"),
-    "example1": ("nu_prime", "eps", "case"),
-    "random": ("m", "n_hyp", "k", "seed"),
-}
-FAMILIES = tuple(REQUIRED_PARAMS)
-# the parameters a family's generator also takes, when given, in argument order after those
-OPTIONAL_PARAMS = {"agnostic-lb": ("flipped_index",), "random": ("realizable",)}
-# the type of each parameter; a bool counts as neither number
+# the type of each generator parameter; a bool counts as neither number
 PARAM_TYPES = {"k": Integral, "theta": Integral, "i": Integral, "j": Integral,
                "m": Integral, "n_hyp": Integral, "seed": Integral,
                "flipped_index": Integral, "eps": Real, "nu": Real, "nu_prime": Real,
@@ -41,9 +31,9 @@ _KIND_NAMES = {Real: "a finite real number", str: "a string", bool: "a bool"}
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family tag plus its parameters (copied); validated against the
-    family's required parameter names, the types of the parameters it has,
-    and its ranges."""
+    """A family tag plus its parameters (copied); validated against its
+    generator's signature (every parameter without a default is given, and
+    no other), the types of the parameters it has, and its ranges."""
 
     family: str
     params: dict = field(default_factory=dict)
@@ -55,11 +45,12 @@ class FamilySpec:
             raise ContractViolation(f"family {self.family!r} params must be a mapping of "
                                     f"names to values, got {self.params!r}")
         object.__setattr__(self, "params", dict(self.params))
-        missing = [name for name in REQUIRED_PARAMS[self.family] if name not in self.params]
+        takes = inspect.signature(GENERATORS[self.family]).parameters
+        missing = [name for name, p in takes.items()
+                   if p.default is p.empty and name not in self.params]
         if missing:
             raise ContractViolation(f"family {self.family!r} needs params {missing}")
-        optional = [name for name in OPTIONAL_PARAMS.get(self.family, ()) if name in self.params]
-        for name in REQUIRED_PARAMS[self.family] + tuple(optional):
+        for name in [name for name in takes if name in self.params]:
             value, kind = self.params[name], PARAM_TYPES[name]
             if kind is Integral:    # the generator checks the range
                 self.params[name] = check_int(f"family {self.family!r} param {name!r}", value, None)
@@ -67,10 +58,13 @@ class FamilySpec:
                     or kind is Real and not math.isfinite(value)):
                 raise ContractViolation(f"family {self.family!r} param {name!r} must be "
                                         f"{_KIND_NAMES[kind]}, got {value!r}")
+        unknown = [name for name in self.params if name not in takes]
+        if unknown:
+            raise ContractViolation(f"family {self.family!r} takes no params {unknown}; "
+                                    f"it takes {list(takes)}")
 
     def generate(self) -> MDLInstance:
-        names = REQUIRED_PARAMS[self.family] + OPTIONAL_PARAMS.get(self.family, ())
-        return GENERATORS[self.family](*(self.params[n] for n in names if n in self.params))
+        return GENERATORS[self.family](**self.params)
 
 
 def _single_flip_class(m: int, flippable) -> HypothesisClass:
@@ -253,9 +247,10 @@ def gen_random(m: int, n_hyp: int, k: int, seed: int,
                                  "instance_id": f"random-m{m}-h{n_hyp}-k{k}-s{seed}"})
 
 
-# each family's generator, called with its given parameters in the order above
+# each family's generator; its signature is the family's parameter list
 GENERATORS = {"prop1": gen_prop1, "star-lb": gen_star_lb, "agnostic-lb": gen_agnostic_lb,
               "example1": gen_example1, "random": gen_random}
+FAMILIES = tuple(GENERATORS)
 
 
 @dataclass(frozen=True)

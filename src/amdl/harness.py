@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -28,10 +28,6 @@ from .rpu import active_dist_free
 from .runplan import RunPlan
 
 SUCCESS_TOL = 1e-12
-
-RUN_CSV_HEADER = ("instance_id,family,alg,eps,delta,seed,labels_total,"
-                  "labels_per_dist,unlabeled,achieved_err,nu,success,"
-                  "failure_mode,wall_ms")
 
 # Named knob presets.  `fidelity` keeps the literal schedule constants (far too
 # many rounds to execute at desk scale, kept for reference); `desk` preserves
@@ -122,6 +118,9 @@ class TrialRecord:
             "1" if self.success else "0", self.failure_mode, str(wall),
         ])
         return buf.getvalue()
+
+
+RUN_CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
 
 def _passive_hedge(inst, oracles, p) -> RunResult:
@@ -272,10 +271,12 @@ def sweep(config: dict) -> list[dict]:
     if not isinstance(grid, list) or not all(
             isinstance(eps, (int, float)) and not isinstance(eps, bool) for eps in grid):
         raise ContractViolation(f"sweep eps_grid must be a list of numbers, got {grid!r}")
-    profile = config.get("profile", "desk")
-    try:
-        delta = float(config.get("delta", 0.1))
-    except (TypeError, ValueError, OverflowError) as exc:
+    profile, delta = config.get("profile", "desk"), config.get("delta", 0.1)
+    try:    # a real number, as eps_grid's entries, not a str or bool that float() takes
+        if isinstance(delta, bool) or not isinstance(delta, (int, float)):
+            raise TypeError(f"got {delta!r}")
+        delta = float(delta)
+    except (TypeError, OverflowError) as exc:
         raise ContractViolation(f"sweep delta must be a number: {exc}") from exc
 
     def count(key: str, default: int) -> int:
@@ -377,40 +378,31 @@ def sweep_from_csv(text: str) -> list[dict]:
 
 def report(rows: list[dict]) -> dict[str, str]:
     """Pivot a sweep into per-figure plain-CSV series (no rendering):
-    labels vs eps, labels vs k, success rate vs eps."""
+    labels vs eps, labels vs k (the rows whose params have a k), success
+    rate vs eps."""
     for row in rows:
         missing = [c for c in SWEEP_CSV_HEADER if c not in row]
         if missing:
             raise ContractViolation(f"sweep row missing columns {missing}")
     live = [r for r in rows if str(r["skipped"]) in ("0", "")]
-
-    def emit(cols: list[str], data: list[list]) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cols)
-        writer.writerows(data)
-        return buf.getvalue()
-
-    def series(cols: list[str], key_fn) -> str:
-        data = [[r[c] for c in cols] for r in sorted(live, key=key_fn)]
-        return emit(cols, data)
-
-    labels_vs_eps = series(["family", "params", "alg", "eps", "mean_labels",
-                            "ci_lo", "ci_hi"],
-                           lambda r: (r["family"], r["params"], r["alg"], float(r["eps"])))
-    k_rows = []
+    with_k = []     # the live rows whose params have a k, with that k
     for r in live:
         params = json.loads(r["params"]) if r["params"] else {}
         if "k" in params:
-            k_rows.append((params["k"], r))
-    k_data = [[r["family"], r["alg"], kk, r["eps"], r["mean_labels"],
-               r["ci_lo"], r["ci_hi"]]
-              for kk, r in sorted(k_rows, key=lambda t: (t[1]["family"], t[1]["alg"],
-                                                         t[0], float(t[1]["eps"])))]
-    labels_vs_k = emit(["family", "alg", "k", "eps", "mean_labels", "ci_lo", "ci_hi"],
-                       k_data)
-    success_vs_eps = series(["family", "params", "alg", "eps", "success_rate"],
-                            lambda r: (r["family"], r["params"], r["alg"], float(r["eps"])))
-    return {"labels_vs_eps.csv": labels_vs_eps,
-            "labels_vs_k.csv": labels_vs_k,
-            "success_vs_eps.csv": success_vs_eps}
+            with_k.append({**r, "k": params["k"]})
+
+    def pivot(rows: list[dict], cols: list[str]) -> str:
+        # sorted by the columns before eps, then by eps as a number
+        lead = cols[:cols.index("eps")]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([r[c] for c in cols]
+                         for r in sorted(rows, key=lambda r: ([r[c] for c in lead], float(r["eps"]))))
+        return buf.getvalue()
+
+    return {"labels_vs_eps.csv": pivot(live, ["family", "params", "alg", "eps", "mean_labels",
+                                              "ci_lo", "ci_hi"]),
+            "labels_vs_k.csv": pivot(with_k, ["family", "alg", "k", "eps", "mean_labels",
+                                              "ci_lo", "ci_hi"]),
+            "success_vs_eps.csv": pivot(live, ["family", "params", "alg", "eps", "success_rate"])}

@@ -338,10 +338,6 @@ class HedgeResult:
     store_draws: np.ndarray
     trace: list | None = None
 
-    @property
-    def total_draws(self) -> int:
-        return int(self.reward_draws.sum() + self.store_draws.sum())
-
 
 def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
                  sampler: SamplerFamily, cfg: SolverConfig, k: int, d: int,

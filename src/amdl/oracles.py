@@ -52,19 +52,18 @@ of its blocks runs out.  Within a run the rewards of candidate j are a
 table, one row of k losses per round, built on j's first play with one
 numpy pass over each block's requests in the run; a round is one lookup and
 a counter step.  The served requests are settled in bulk: their variates
-are consumed and their draws, queries, `calls` and transcript lines
-metered, in round order and then distribution order, just as requests made
-one at a time would.  They are settled when the run ends: when a block is
-rebuilt, `draw` runs, or new counts or a new candidate matrix arrive; when
-any other reader of a stream runs (the kernels, agreement sampling,
-`draw_labeled_batch`), each of which settles the ledger's
-`pending` family first; when the ledger or `calls` is read; and when the
-solve ends.  A block is rebuilt when c_i changes, when stream i was read
-elsewhere since it was built, or when its requests run out.  It is built
-with no more requests than the caller still plays, and no more variates
-than one buffer block unless a single request needs more.  Reading ahead
-changes no variate: a stream that holds too few appends the generator's
-next variates behind its unread tail.
+are consumed and their draws, queries and transcript lines metered, in
+round order and then distribution order, just as requests made one at a
+time would.  They are settled when the run ends: when a block is rebuilt,
+`draw` runs, or new counts or a new candidate matrix arrive; when any other
+reader of a stream runs (the kernels and agreement sampling), each of which
+settles the ledger's `pending` family first; when the ledger is read; and
+when the solve ends.  A block is rebuilt when c_i changes, when stream i
+was read elsewhere since it was built, or when its requests run out.  It is
+built with no more requests than the caller still plays, and no more
+variates than one buffer block unless a single request needs more.  Reading
+ahead changes no variate: a stream that holds too few appends the
+generator's next variates behind its unread tail.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, MDLInstance, agreement_labels, check_int, check_members
+from .core import ContractViolation, MDLInstance, agreement_labels, check_int
 
 BLOCK = 4096    # variates a stream draws from its generator at a time, at least
 _NO_VARIATES = np.empty(0)
@@ -243,7 +242,6 @@ class OracleSet:
         # the ledger's counts as memoryviews: metering adds Python ints
         self._asked = memoryview(self.ledger._queries)
         self._drawn = memoryview(self.ledger._draws)
-        self._view_cache: dict = {}
         m = instance.m
         self._every = (np.ones(m, dtype=bool), np.zeros(m, dtype=np.int8), True)  # plain sampling
 
@@ -280,8 +278,8 @@ class OracleSet:
             blk.b = b
 
     # -- per-family kernels: `rounds` requests of c pairs from stream i, read
-    # ahead in the documented consumption order; the sampler families and
-    # `draw_labeled_batch` draw through them
+    # ahead in the documented consumption order; the sampler families draw
+    # through them
 
     def _imputing_rounds(self, view: View, i: int, c, rounds: int) -> _Rounds:
         """Plain, induced and imputed sampling: a label query where
@@ -369,25 +367,15 @@ class OracleSet:
                        need, _even_ends(base, 2 * c, rounds), np.diff(first).tolist())
 
     def draw_labeled_batch(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Plain labeled sampling, one label query per pair: one request of
-        the imputing kernel over the view that queries every point, which
-        takes n point variates, then n label variates, with no chase; kept
-        as the bulk sampler that `bench/layers.py` times."""
-        i, n = check_int("distribution index", i, 0, self.instance.k), check_int("sample count", n)
-        blk = self._imputing_rounds(self._every, i, n, 1)
-        self._settle([blk], 1)
-        return blk.xs[0], blk.ys[0]
+        """Plain labeled sampling, one label query per pair: `draw` on the
+        plain family, kept as the bulk sampler that `bench/layers.py` times."""
+        return plain_family(self).draw(i, n)
 
     # -- version-space / classifier views ------------------------------------
 
     def _vs_view(self, version_space: Sequence[int]) -> View:
-        cls = self.instance.hypothesis_class
-        key = tuple(check_members(cls, version_space))    # before the cache: True == 1
-        got = self._view_cache.get(key)
-        if got is None:
-            agr = agreement_labels(cls, key)
-            got = self._view_cache[key] = (agr == 0, agr, not agr.any())
-        return got
+        agr = agreement_labels(self.instance.hypothesis_class, version_space)
+        return agr == 0, agr, not agr.any()
 
     # -- conditional-agreement and auxiliary sampling ------------------------
 
@@ -451,9 +439,8 @@ class SamplerFamily:
     a whole solver round, one request per distribution, from blocks of
     requests kept per distribution, a run of rounds at a time (`run_table`
     and `serve` serve several), and `settle` makes the served requests
-    happen (see the module docstring).  `calls[i]` counts pairs drawn; no
-    solver reads it, but the tests reconcile it against the ledger and the
-    `HedgeResult` draws.
+    happen (see the module docstring).  The family keeps no count of its
+    own: what it draws is metered in the oracle set's ledger.
     """
 
     def __init__(self, oracles: OracleSet, kernels: Sequence[Kernel]):
@@ -462,8 +449,6 @@ class SamplerFamily:
         self._kernels = tuple(kernels)
         self._blocks: list[_Rounds | None] = [None] * self.k
         self._labels: np.ndarray | None = None
-        self._calls = np.zeros(self.k, dtype=np.int64)
-        self._tally = memoryview(self._calls)
         # the open run: its counts (None when none is open), its length in
         # rounds, the rounds served, and the loss table of each candidate
         # played, one row per round of the run
@@ -471,23 +456,17 @@ class SamplerFamily:
         self._length = self._served = 0
         self._tables: dict[int, np.ndarray] = {}
 
-    @property
-    def calls(self) -> np.ndarray:
-        self._oracles.ledger.settle()
-        return self._calls
-
     def draw(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         i, n = check_int("distribution index", i, 0, self.k), check_int("sample count", n)
         blk = self._kernels[i](n, 1)        # the kernel settles served rounds first
         self._oracles._settle([blk], 1)
-        self._tally[i] += n
         return blk.xs[0], blk.ys[0]
 
     def draw_requests(self, members: Sequence[int],
                       sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Request r of member j draws `sizes[j, r]` pairs from distribution
-        `members[j]`; the pairs, ledger, transcript and `calls` are those of
-        `draw` called for every r and, within r, every j in turn.  The pairs
+        `members[j]`; the pairs, ledger and transcript are those of `draw`
+        called for every r and, within r, every j in turn.  The pairs
         come back member by member, each member's in request order.
         Imputing families only (plain included): their kernels take unequal
         sizes, and a surrogate kernel refuses them before any stream moves.
@@ -504,8 +483,6 @@ class SamplerFamily:
         rows = sizes.shape[1]
         blocks = [self._kernels[i](sizes[j], rows) for j, i in enumerate(members)]
         self._oracles._settle(blocks, rows)
-        for blk in blocks:
-            self._tally[blk.i] += blk.at[-1]
         return (np.concatenate([blk.xs for blk in blocks]),
                 np.concatenate([blk.ys for blk in blocks]))
 
@@ -576,8 +553,6 @@ class SamplerFamily:
         r = self._served
         if r:
             self._oracles._settle(self._blocks, r)
-            for i, c in enumerate(self._counts):
-                self._tally[i] += c * r
         self._served = self._length = 0
         self._counts, self._tables = None, {}
         if self._oracles.ledger.pending is self:

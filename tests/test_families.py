@@ -1,16 +1,18 @@
 """Benchmark families: exact construction tables, separation, KL utility."""
 
 import hashlib
+import inspect
 import itertools
 import json
 import math
+from numbers import Integral, Real
 
 import numpy as np
 import pytest
 
 import amdl
 from amdl import ContractViolation, FamilySpec
-from amdl.families import REQUIRED_PARAMS, kl_bernoulli, verify_separation
+from amdl.families import GENERATORS, kl_bernoulli, verify_separation
 
 from closed_forms import kl_bernoulli_integral
 
@@ -172,7 +174,8 @@ def test_family_spec_generate_and_validation():
     ("agnostic-lb", {"k": 4, "eps": 0.05}), ("example1", {"nu_prime": 0.2, "eps": 0.05}),
     ("random", {"m": 4, "n_hyp": 3, "k": 2})])
 def test_family_spec_names_a_missing_param(family, params):
-    missing = (set(REQUIRED_PARAMS[family]) - set(params)).pop()
+    takes = inspect.signature(GENERATORS[family]).parameters.values()
+    missing = ({p.name for p in takes if p.default is p.empty} - set(params)).pop()
     with pytest.raises(ContractViolation, match=missing):
         FamilySpec(family, params)
 
@@ -203,6 +206,41 @@ def test_family_spec_names_a_wrong_typed_param(case):
     family, params, field = WRONG_TYPED_PARAMS[case]
     with pytest.raises(ContractViolation, match=field):
         FamilySpec(family, params)
+
+
+# params a family's generator does not take, each with the name its refusal
+# must give: a misspelt optional param once built the default instance
+UNKNOWN_PARAMS = {
+    "agnostic-lb-flipped": ("agnostic-lb", {"k": 4, "nu": 0.4, "eps": 0.05, "flipped": 3},
+                            "flipped"),
+    "random-realisable": ("random", {"m": 4, "n_hyp": 3, "k": 2, "seed": 0, "realisable": True},
+                          "realisable"),
+    "prop1-seed": ("prop1", {"k": 2, "eps": 0.1, "seed": 3}, "seed"),
+    "example1-k": ("example1", {"nu_prime": 0.2, "eps": 0.05, "case": "a", "k": 2}, "k"),
+    "star-lb-non-string": ("star-lb", {"k": 2, "theta": 4, "i": 1, "j": 2, 7: 1}, "7"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_PARAMS))
+def test_family_spec_names_a_param_its_generator_does_not_take(case):
+    family, params, name = UNKNOWN_PARAMS[case]
+    with pytest.raises(ContractViolation, match=f"takes no params .*{name}"):
+        FamilySpec(family, params)
+
+
+def test_every_generator_parameter_is_typed_and_a_gen_flag():
+    # the family's parameters are its generator's signature: each one has a
+    # type for FamilySpec and a flag of `amdl gen`, which parses it as such
+    from amdl.cli import build_parser
+    gen = next(a for a in build_parser()._actions if a.dest == "command").choices["gen"]
+    flags = {act.dest: act for act in gen._actions if act.dest not in ("help", "family", "out")}
+    takes = {name for g in GENERATORS.values() for name in inspect.signature(g).parameters}
+    assert takes == set(amdl.families.PARAM_TYPES) == set(flags)
+    for name, kind in amdl.families.PARAM_TYPES.items():
+        act = flags[name]
+        assert act.option_strings == ["--" + name.replace("_", "-")] and act.default is None
+        parse = {Integral: int, Real: float, str: str}.get(kind)
+        assert act.type is parse and (act.nargs == 0) == (kind is bool)
 
 
 def test_family_spec_takes_numpy_numbers_and_copies_its_params():

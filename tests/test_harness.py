@@ -218,6 +218,35 @@ def test_sweep_family_with_a_wrong_typed_optional_param_gives_skipped_rows(case)
     test_sweep_family_with_a_wrong_typed_param_gives_skipped_rows(params, field, family)
 
 
+def test_sweep_family_with_a_param_its_generator_does_not_take_gives_skipped_rows():
+    # a misspelt optional param skips its entry's cells, naming the param,
+    # rather than building the default instance
+    rows = sweep({"families": [{"family": "agnostic-lb",
+                                "params": {"k": 2, "nu": 0.4, "eps": 0.05, "flipped": 2}},
+                               {"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
+                  "algs": ["passive-naive"], "eps_grid": [0.2], "trials": 1})
+    assert [r["skipped"] for r in rows] == [1, 0]
+    assert "takes no params ['flipped']" in rows[0]["reason"]
+
+
+def test_cli_gen_refuses_a_param_the_family_does_not_take(tmp_path):
+    out = tmp_path / "p.json"
+    with pytest.raises(ContractViolation, match=r"'prop1' takes no params \['seed'\]"):
+        cli_main(["gen", "--family", "prop1", "--k", "2", "--eps", "0.1", "--seed", "3",
+                  "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", ["0.1", True, None, [0.1]])
+def test_sweep_refuses_a_delta_that_is_not_a_number(delta):
+    # as eps_grid's entries: a string that float() takes, or a bool it reads
+    # as 1.0, is refused at entry, not run or skipped cell by cell
+    config = {"families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
+              "algs": ["passive-naive"], "eps_grid": [0.2], "trials": 1, "delta": delta}
+    with pytest.raises(ContractViolation, match="sweep delta must be a number"):
+        sweep(config)
+
+
 @pytest.mark.parametrize("grid", [["x"], 0.2, [0.2, None], [True]])
 def test_sweep_refuses_a_non_numeric_eps_grid(grid):
     config = {"families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}],

@@ -259,7 +259,7 @@ def test_round_losses_realizable_is_zero():
     fam = plain_family(o)
     r = fam.round_losses(inst.hypothesis_class.labels, 0, [1], 1)
     assert r == [0.0]
-    assert fam.calls.tolist() == [1] and o.ledger.label_total == 1
+    assert o.ledger.unlabeled_draws.tolist() == [1] and o.ledger.label_total == 1
 
 
 def test_round_losses_sample_count_and_noise_rate():
@@ -272,7 +272,7 @@ def test_round_losses_sample_count_and_noise_rate():
     total, rounds = 0.0, 3000
     for t in range(rounds):
         total += fam.round_losses(cls.labels, 0, counts, rounds - t)[0]
-    assert o.ledger.label_total == int(fam.calls.sum()) == 3 * rounds
+    assert o.ledger.label_total == o.ledger.unlabeled_total == 3 * rounds
     assert abs(total / rounds - 0.5) < 0.02
 
 
@@ -370,9 +370,10 @@ def test_mdl_hedge_vc_accounting_reconciles(desk_knobs):
     o = OracleSet(inst, seed=0)
     fam = plain_family(o)
     res = mdl_hedge_vc(inst.hypothesis_class, (0, 1), fam, cfg, 3, 1, collect_trace=True)
-    # every sampler call is one labeled pair: ledger equals the solver's counts
-    assert res.total_draws == int(fam.calls.sum()) == o.ledger.label_total
-    assert np.array_equal(res.reward_draws + res.store_draws, fam.calls)
+    # every plain draw is one labeled pair: the ledger equals the solver's counts
+    drawn = res.reward_draws + res.store_draws
+    assert int(drawn.sum()) == o.ledger.label_total
+    assert np.array_equal(drawn, o.ledger.unlabeled_draws)
     assert res.hypothesis.total == res.rounds
     # trace monotonicity of the running maxima l1 norm
     l1 = [row[2] for row in res.trace]

@@ -207,11 +207,12 @@ def test_bad_version_space_members_refused_before_any_draw(call, members):
 
 
 def test_family_calls_unmoved_by_a_refused_draw():
-    fam = amdl.plain_family(OracleSet(two_point_instance(), seed=0))
+    o = OracleSet(two_point_instance(), seed=0)
+    fam = amdl.plain_family(o)
     fam.draw(0, 4)
     with pytest.raises(ContractViolation):
         fam.draw(0, -3)
-    assert fam.calls.tolist() == [4]
+    assert o.ledger.unlabeled_draws.tolist() == o.ledger.label_queries.tolist() == [4]
 
 
 def _induced_fixture():
@@ -535,7 +536,6 @@ class _DrawnRounds:
     def __init__(self, family):
         self.family = family
         self.k = family.k
-        self.calls = family.calls
 
     def draw(self, i, n):
         return self.family.draw(i, n)
@@ -598,18 +598,18 @@ def _run_ops(o: OracleSet, family, ops: list[tuple]):
             yield o.draw_labeled_batch(op[1], op[2])
 
 
-def _metered(o: OracleSet, family) -> tuple:
-    """What the ledger and the family's `calls` show when read."""
+def _metered(o: OracleSet) -> tuple:
+    """What the ledger shows when read."""
     ledger = o.ledger
     return (ledger.label_queries.tolist(), ledger.unlabeled_draws.tolist(),
-            list(ledger.transcript), family.calls.tolist())
+            list(ledger.transcript))
 
 
 def _check_twin_ops(inst: MDLInstance, kind: str, log_transcript: bool, start: str,
                     ops: list[tuple], read_every_step: bool = False) -> None:
     """Play `ops` on the block path and on its twin, which draws each round's
     requests one at a time, and require equal results.  With
-    `read_every_step` the ledger and `calls` are read and compared after
+    `read_every_step` the ledger is read and compared after
     every round and every other op, which settles the served rounds there."""
     fused_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
     twin_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
@@ -624,8 +624,8 @@ def _check_twin_ops(inst: MDLInstance, kind: str, log_transcript: bool, start: s
         else:
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
         if read_every_step:
-            assert _metered(fused_o, fused) == _metered(twin_o, twin)
-    assert _metered(fused_o, fused) == _metered(twin_o, twin)
+            assert _metered(fused_o) == _metered(twin_o)
+    assert _metered(fused_o) == _metered(twin_o)
     assert len(fused_o.ledger.transcript) == (fused_o.ledger.label_total
                                               if log_transcript else 0)
     assert fused_o.ledger.label_total > 0
@@ -697,7 +697,7 @@ def test_zero_size_requests_draw_nothing(kind):
         for xs, ys in (fam.draw(i, 0), o.draw_labeled_batch(i, 0)):
             assert xs.size == ys.size == 0
     assert [s.consumed for s in o._streams] == [0] * o.instance.k
-    assert _metered(o, fam) == ([0] * 3, [0] * 3, [], [0] * 3)
+    assert _metered(o) == ([0] * 3, [0] * 3, [])
 
 
 @pytest.mark.parametrize("log_transcript", [False, True])
@@ -718,7 +718,7 @@ def test_zero_size_requests_equal_k_draws_on_a_twin(kind, log_transcript):
 @pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
 def test_a_solve_refused_part_way_leaves_the_served_rounds_metered(kind, log_transcript):
     # rounds served from blocks, then a round with a zero count: the refusal
-    # leaves the ledger, `calls` and the streams as the served rounds made
+    # leaves the ledger and the streams as the served rounds made
     # one at a time leave them, and the family serves on afterwards
     inst = _three_distribution_fixture()
     fused_o = OracleSet(inst, seed=8, log_transcript=log_transcript)
@@ -732,7 +732,7 @@ def test_a_solve_refused_part_way_leaves_the_served_rounds_metered(kind, log_tra
             fam.round_losses(labels, t % 3, list(counts), 40 - t)
     with pytest.raises(ContractViolation):
         fused.round_losses(labels, 0, [2, 0, 3], 40 - len(served))
-    assert _metered(fused_o, fused) == _metered(twin_o, twin)
+    assert _metered(fused_o) == _metered(twin_o)
     assert [s.consumed for s in fused_o._streams] == [s.consumed for s in twin_o._streams]
     ops = [("solve", 1, [(1, 2, 1)] * 6), ("draw", 2, 5), ("solve", 0, [(3, 1, 2)] * 3)]
     for got, want in zip(_run_ops(fused_o, fused, ops), _run_ops(twin_o, twin, ops),
@@ -741,7 +741,7 @@ def test_a_solve_refused_part_way_leaves_the_served_rounds_metered(kind, log_tra
             assert got == want
         else:
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-    assert _metered(fused_o, fused) == _metered(twin_o, twin)
+    assert _metered(fused_o) == _metered(twin_o)
 
 
 def test_a_solve_that_raises_leaves_no_rounds_unsettled(desk_knobs):
@@ -764,7 +764,7 @@ def test_a_solve_that_raises_leaves_no_rounds_unsettled(desk_knobs):
     with pytest.raises(ContractViolation, match="part-way"):
         mdl_hedge_vc(inst.hypothesis_class, (0, 1), fam, cfg, inst.k, 1)
     assert o.ledger.pending is None
-    assert o.ledger.label_total == int(fam.calls.sum()) > 0
+    assert o.ledger.label_total == o.ledger.unlabeled_total > 0
 
 
 def test_settle_refuses_a_stream_moved_under_served_rounds():
@@ -782,6 +782,23 @@ def test_settle_refuses_a_stream_moved_under_served_rounds():
         o.ledger.label_total
 
 
+@pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
+def test_a_solves_draws_are_the_ledgers_draws_over_it(kind, desk_knobs):
+    # the ledger is the one meter of draws: over a solve, what it adds per
+    # distribution is the solver's own count, reward draws plus store growth,
+    # after draws that are not the solve's (agreement sampling, a plain draw)
+    inst = _three_distribution_fixture()
+    cfg = SolverConfig(eps=0.2, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
+    o = OracleSet(inst, seed=11)
+    o.sample_conditional_agreement(0, (0, 1), 20)
+    o.draw_labeled_batch(2, 7)
+    before = o.ledger.unlabeled_draws.copy()
+    res = mdl_hedge_vc(inst.hypothesis_class, (0, 1), FAMILY_BUILDERS[kind](o), cfg, inst.k, 1)
+    assert res.rounds > 10 and res.reward_draws.min() > 0
+    assert (res.reward_draws + res.store_draws).tolist() == (
+        o.ledger.unlabeled_draws - before).tolist()
+
+
 def test_large_candidate_set_solve_equals_k_draws(desk_knobs):
     inst = amdl.gen_random(10, 256, 4, seed=0)
     cls = inst.hypothesis_class
@@ -796,7 +813,7 @@ def test_large_candidate_set_solve_equals_k_draws(desk_knobs):
     assert got.hypothesis.counts == want.hypothesis.counts
     assert got.reward_draws.tolist() == want.reward_draws.tolist()
     assert got.store_draws.tolist() == want.store_draws.tolist()
-    assert fused.calls.tolist() == twin.calls.tolist()
+    assert fused_o.ledger.unlabeled_draws.tolist() == twin_o.ledger.unlabeled_draws.tolist()
     assert fused_o.ledger.label_queries.tolist() == twin_o.ledger.label_queries.tolist()
 
 
@@ -961,8 +978,8 @@ def _scripted_draws(kind: str, log_transcript: bool) -> tuple[str, str]:
                                o.ledger.label_queries.tolist(),
                                o.ledger.unlabeled_draws.tolist(),
                                [s.consumed for s in (*o._streams, o._aux)])).encode())
-        assert fam.calls.tolist() == [sum(n for j, n in ops if j == i)
-                                      for i in range(o.instance.k)]
+        assert o.ledger.unlabeled_draws.tolist() == [sum(n for j, n in ops if j == i)
+                                                     for i in range(o.instance.k)]
         assert len(o.ledger.transcript) == (o.ledger.label_total if log_transcript else 0)
         lines.update(repr(o.ledger.transcript).encode())
     assert crossed
@@ -1091,8 +1108,10 @@ def _family_digest(inst: MDLInstance, build, ragged: bool, requests: bool) -> st
     if requests:
         members = [j % inst.k for j in REQUEST_MEMBERS]
         xs, ys = fam.draw_requests(members, REQUEST_SIZES)
-        h.update(repr((xs.dtype.str, xs.tolist(), ys.dtype.str, ys.tolist(),
-                       fam.calls.tolist())).encode())
+        drawn = [0] * inst.k    # the pairs the family drew: each member's row sum
+        for i, row in zip(members, REQUEST_SIZES.sum(axis=1).tolist()):
+            drawn[i] += row
+        h.update(repr((xs.dtype.str, xs.tolist(), ys.dtype.str, ys.tolist(), drawn)).encode())
     h.update(repr((o.ledger.label_queries.tolist(), o.ledger.unlabeled_draws.tolist(),
                    [s.consumed for s in (*o._streams, o._aux)],
                    o.ledger.transcript)).encode())
@@ -1185,7 +1204,7 @@ def test_draw_requests_equals_draws_on_a_twin(kind, log_transcript, data):
                         for side in (0, 1))
     assert xs.dtype == want_xs.dtype and ys.dtype == want_ys.dtype
     assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
-    assert _metered(fused_o, fused) == _metered(twin_o, twin)
+    assert _metered(fused_o) == _metered(twin_o)
     assert len(fused_o.ledger.transcript) == (fused_o.ledger.label_total
                                               if log_transcript else 0)
     for a, b in zip(fused_o._streams, twin_o._streams):
@@ -1218,12 +1237,12 @@ def test_malformed_requests_refused_before_any_draw(case):
     fam = amdl.plain_family(o)
     fam.draw_requests([2, 0], np.array([[3, 0], [1, 4]]))
     streams = [s.consumed for s in (*o._streams, o._aux)]
-    metered = _metered(o, fam)
+    metered = _metered(o)
     members, sizes = BAD_REQUESTS[case]
     with pytest.raises(ContractViolation, match="requests need"):
         fam.draw_requests(members, np.array(sizes))
     assert [s.consumed for s in (*o._streams, o._aux)] == streams
-    assert _metered(o, fam) == metered
+    assert _metered(o) == metered
 
 
 def test_surrogate_requests_refused_before_any_draw():
@@ -1235,11 +1254,11 @@ def test_surrogate_requests_refused_before_any_draw():
     fam = amdl.surrogate_family(o, (0, 1), samples)
     fam.draw(1, 3)
     streams = [s.consumed for s in (*o._streams, o._aux)]
-    metered = _metered(o, fam)
+    metered = _metered(o)
     with pytest.raises(ContractViolation, match="draw_requests needs an imputing family"):
         fam.draw_requests([0], np.array([[2, 3]]))
     assert [s.consumed for s in (*o._streams, o._aux)] == streams
-    assert _metered(o, fam) == metered
+    assert _metered(o) == metered
 
 
 BAD_OUTPUTS = {

@@ -183,11 +183,11 @@ def test_batched_learner_equals_one_batch_at_a_time(case, log, desk_knobs):
                                      mixture_draw_reference(fam, o, members), xi, delta,
                                      s_star, cfg)
         seen.append((f.tolist(), o.ledger.label_queries.tolist(),
-                     o.ledger.unlabeled_draws.tolist(), fam.calls.tolist(),
+                     o.ledger.unlabeled_draws.tolist(),
                      [stream.consumed for stream in o._streams], o._aux.consumed,
                      o.ledger.transcript))
     assert seen[0] == seen[1]
-    assert len(seen[0][6]) == (sum(seen[0][1]) if log else 0)
+    assert len(seen[0][5]) == (sum(seen[0][1]) if log else 0)
 
 
 def test_passive_rpu_mdl_single_distribution_equals_robust(desk_knobs):
