@@ -158,15 +158,16 @@ def test_sweep_refuses_a_config_without_its_grid(missing):
 
 @pytest.mark.parametrize("change", [
     None, [], "families=3", "algs=passive-naive", "trials=x", "trials=None", "delta={}",
-    "base_seed=[]", "base_seed=inf"], ids=str)
+    "delta=0.1", "delta=True", "base_seed=[]", "base_seed=inf"], ids=str)
 def test_sweep_refuses_a_config_of_the_wrong_shape(change):
-    # each raised TypeError or ValueError before the entry checks
+    # each raised TypeError or ValueError before the entry checks, but for
+    # the delta "0.1", which ran, and true, read as 1.0 to skip every cell
     config = {"families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
               "algs": ["passive-naive"], "eps_grid": [0.2], "trials": 1}
     if isinstance(change, str):
         key, value = change.split("=")
         config[key] = {"x": "x", "None": None, "{}": {}, "[]": [], "inf": math.inf,
-                       "3": 3}.get(value, value)
+                       "3": 3, "True": True}.get(value, value)
     else:
         config = change
     with pytest.raises(ContractViolation):
@@ -219,14 +220,10 @@ def test_sweep_family_with_a_wrong_typed_optional_param_gives_skipped_rows(case)
 
 
 def test_sweep_family_with_a_param_its_generator_does_not_take_gives_skipped_rows():
-    # a misspelt optional param skips its entry's cells, naming the param,
-    # rather than building the default instance
-    rows = sweep({"families": [{"family": "agnostic-lb",
-                                "params": {"k": 2, "nu": 0.4, "eps": 0.05, "flipped": 2}},
-                               {"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
-                  "algs": ["passive-naive"], "eps_grid": [0.2], "trials": 1})
-    assert [r["skipped"] for r in rows] == [1, 0]
-    assert "takes no params ['flipped']" in rows[0]["reason"]
+    # a misspelt optional param once built the default instance
+    test_sweep_family_with_a_wrong_typed_param_gives_skipped_rows(
+        {"k": 2, "nu": 0.4, "eps": 0.05, "flipped": 2}, "takes no params ['flipped']",
+        "agnostic-lb")
 
 
 def test_cli_gen_refuses_a_param_the_family_does_not_take(tmp_path):
@@ -235,16 +232,6 @@ def test_cli_gen_refuses_a_param_the_family_does_not_take(tmp_path):
         cli_main(["gen", "--family", "prop1", "--k", "2", "--eps", "0.1", "--seed", "3",
                   "--out", str(out)])
     assert not out.exists()
-
-
-@pytest.mark.parametrize("delta", ["0.1", True, None, [0.1]])
-def test_sweep_refuses_a_delta_that_is_not_a_number(delta):
-    # as eps_grid's entries: a string that float() takes, or a bool it reads
-    # as 1.0, is refused at entry, not run or skipped cell by cell
-    config = {"families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
-              "algs": ["passive-naive"], "eps_grid": [0.2], "trials": 1, "delta": delta}
-    with pytest.raises(ContractViolation, match="sweep delta must be a number"):
-        sweep(config)
 
 
 @pytest.mark.parametrize("grid", [["x"], 0.2, [0.2, None], [True]])
