@@ -267,17 +267,20 @@ def sweep(config: dict) -> list[dict]:
             raise ContractViolation(f"sweep {key} must be a list, got {config[key]!r}")
     if any(not isinstance(fam, dict) or "family" not in fam for fam in config["families"]):
         raise ContractViolation("every sweep families entry needs a 'family' key")
+
+    def real(name: str, v) -> float:
+        try:    # a real number, not a str or bool that float() takes
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise TypeError(f"got {v!r}")
+            return float(v)
+        except (TypeError, OverflowError) as exc:
+            raise ContractViolation(f"sweep {name} must be a number: {exc}") from exc
+
     grid = config["eps_grid"]
-    if not isinstance(grid, list) or not all(
-            isinstance(eps, (int, float)) and not isinstance(eps, bool) for eps in grid):
+    if not isinstance(grid, list):
         raise ContractViolation(f"sweep eps_grid must be a list of numbers, got {grid!r}")
-    profile, delta = config.get("profile", "desk"), config.get("delta", 0.1)
-    try:    # a real number, as eps_grid's entries, not a str or bool that float() takes
-        if isinstance(delta, bool) or not isinstance(delta, (int, float)):
-            raise TypeError(f"got {delta!r}")
-        delta = float(delta)
-    except (TypeError, OverflowError) as exc:
-        raise ContractViolation(f"sweep delta must be a number: {exc}") from exc
+    grid = [real("eps_grid entry", eps) for eps in grid]
+    profile, delta = config.get("profile", "desk"), real("delta", config.get("delta", 0.1))
 
     def count(key: str, default: int) -> int:
         v = config.get(key, default)    # an integral float is a count; RunConfig checks the range
@@ -294,15 +297,15 @@ def sweep(config: dict) -> list[dict]:
             made = None     # the entry's instance, made at its first cell
             for alg in config["algs"]:
                 _carried.clear()    # one (families entry, alg) group at a time
-                for eps in config["eps_grid"]:
+                for eps in grid:
                     row = {"family": fam["family"],
                            "params": json.dumps(fam.get("params", {}), sort_keys=True),
-                           "alg": alg, "eps": repr(float(eps)), "delta": repr(delta),
+                           "alg": alg, "eps": repr(eps), "delta": repr(delta),
                            "trials": trials, "skipped": 0, "reason": ""}
                     rows.append(row)
                     try:
                         made = made or FamilySpec(fam["family"], fam.get("params", {})).generate()
-                        recs = run_trials(RunConfig(alg=alg, eps=float(eps), delta=delta,
+                        recs = run_trials(RunConfig(alg=alg, eps=eps, delta=delta,
                                                     trials=trials, base_seed=base_seed,
                                                     profile=profile, knobs=knobs, instance=made))
                     except ContractViolation as exc:

@@ -437,10 +437,10 @@ class SamplerFamily:
     distribution i.  `draw(i, n)` makes one request of n pairs, and
     `draw_requests` rows of requests of unequal sizes; `round_losses` serves
     a whole solver round, one request per distribution, from blocks of
-    requests kept per distribution, a run of rounds at a time (`run_table`
-    and `serve` serve several), and `settle` makes the served requests
-    happen (see the module docstring).  The family keeps no count of its
-    own: what it draws is metered in the oracle set's ledger.
+    requests kept per distribution, a run of rounds at a time (`run_table`,
+    `serve` and `serve_zero_rows` serve several), and `settle` makes the
+    served requests happen (see the module docstring).  The family keeps no
+    count of its own: what it draws is metered in the oracle set's ledger.
     """
 
     def __init__(self, oracles: OracleSet, kernels: Sequence[Kernel]):
@@ -450,11 +450,12 @@ class SamplerFamily:
         self._blocks: list[_Rounds | None] = [None] * self.k
         self._labels: np.ndarray | None = None
         # the open run: its counts (None when none is open), its length in
-        # rounds, the rounds served, and the loss table of each candidate
-        # played, one row per round of the run
+        # rounds, the rounds served, the loss table of each candidate played,
+        # one row per round of the run, and the rows where it has a loss
         self._counts: list[int] | None = None
         self._length = self._served = 0
         self._tables: dict[int, np.ndarray] = {}
+        self._loss_rows: dict[int, np.ndarray] = {}
 
     def draw(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         i, n = check_int("distribution index", i, 0, self.k), check_int("sample count", n)
@@ -517,6 +518,15 @@ class SamplerFamily:
         """Serve the open run's next m rounds, as m `round_losses` calls would."""
         self._served += check_int("rounds served", m, 1, self._length - self._served + 1)
 
+    def serve_zero_rows(self, j: int, cap: int) -> int:
+        """Serve, as `round_losses` would, the open run's next rounds, at most
+        `cap`, while candidate j's (opened) table is zero there; their number."""
+        if j not in self._loss_rows:    # the rows with a loss, then the run's end
+            self._loss_rows[j] = np.append(np.flatnonzero(self._tables[j].any(axis=1)), self._length)
+        rows, s = self._loss_rows[j], self._served
+        self._served = min(int(rows[rows.searchsorted(s)]), s + check_int("zero rounds", cap, 0))
+        return self._served - s
+
     def _open_run(self, labels: np.ndarray, counts: Sequence[int], rounds_left: int) -> None:
         """Settle what is served and open a run at this round, rebuilding the
         blocks that cannot serve it."""
@@ -554,7 +564,7 @@ class SamplerFamily:
         if r:
             self._oracles._settle(self._blocks, r)
         self._served = self._length = 0
-        self._counts, self._tables = None, {}
+        self._counts, self._tables, self._loss_rows = None, {}, {}
         if self._oracles.ledger.pending is self:
             self._oracles.ledger.pending = None
 

@@ -158,16 +158,17 @@ def test_sweep_refuses_a_config_without_its_grid(missing):
 
 @pytest.mark.parametrize("change", [
     None, [], "families=3", "algs=passive-naive", "trials=x", "trials=None", "delta={}",
-    "delta=0.1", "delta=True", "base_seed=[]", "base_seed=inf"], ids=str)
+    "delta=0.1", "delta=True", "base_seed=[]", "base_seed=inf", "eps_grid=[10**400]"], ids=str)
 def test_sweep_refuses_a_config_of_the_wrong_shape(change):
     # each raised TypeError or ValueError before the entry checks, but for
-    # the delta "0.1", which ran, and true, read as 1.0 to skip every cell
+    # the delta "0.1", which ran, true, read as 1.0 to skip every cell, and
+    # an eps too large for a float, which raised OverflowError in the cell loop
     config = {"families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
               "algs": ["passive-naive"], "eps_grid": [0.2], "trials": 1}
     if isinstance(change, str):
         key, value = change.split("=")
         config[key] = {"x": "x", "None": None, "{}": {}, "[]": [], "inf": math.inf,
-                       "3": 3, "True": True}.get(value, value)
+                       "3": 3, "True": True, "[10**400]": [10**400]}.get(value, value)
     else:
         config = change
     with pytest.raises(ContractViolation):

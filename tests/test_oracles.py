@@ -547,6 +547,10 @@ class _DrawnRounds:
             losses.append(float((labels[j][xs] != ys).mean()))
         return losses
 
+    def serve_zero_rows(self, j, cap):
+        # no zero rows ahead: the solver plays every round on its own
+        return 0
+
     def settle(self):
         # every draw is settled as it is made
         self.family.settle()
@@ -815,6 +819,89 @@ def test_large_candidate_set_solve_equals_k_draws(desk_knobs):
     assert got.store_draws.tolist() == want.store_draws.tolist()
     assert fused_o.ledger.unlabeled_draws.tolist() == twin_o.ledger.unlabeled_draws.tolist()
     assert fused_o.ledger.label_queries.tolist() == twin_o.ledger.label_queries.tolist()
+
+
+# a realizable solve: (alg, instance, eps); active-dd-large's is epoch 5's
+# solve of a run, over the 10 members epoch 4 kept
+ZERO_RUN_SOLVES = {
+    "star-lb(2,8,1,3)-epoch-5": ("active-dd-large", lambda: amdl.gen_star_lb(2, 8, 1, 3), 0.01),
+    "prop1(8,0.05)": ("passive-hedge", lambda: amdl.gen_prop1(8, 0.05), 0.05),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_RUN_SOLVES))
+def test_zero_reward_runs_equal_one_round_at_a_time(case, monkeypatch):
+    # a round whose reward row is all zeros leaves every weight as it is, so
+    # the solver plays the open run's next zero rows with it, calling neither
+    # hedge_step nor the ERM for them; the twin plays every round on its own
+    # from k draws
+    from amdl import hedge
+    alg, make, eps = ZERO_RUN_SOLVES[case]
+    inst = make()
+    p = RunConfig(alg=alg, eps=eps, delta=0.1, instance=inst).plan()
+    if p.epochs:
+        V = amdl.active_large_eps(inst, OracleSet(inst, seed=0), p).metadata["version_spaces"][3]
+        solve, build = p.epochs[4].solve, lambda o: amdl.induced_family(o, V)
+    else:
+        V, solve, build = inst.hypothesis_class.full_version_space(), p.solve, amdl.plain_family
+    steps, served, step = [], [], hedge.hedge_step
+    monkeypatch.setattr(hedge, "hedge_step", lambda *a: steps.append(1) or step(*a))
+    fused_o, twin_o = (OracleSet(inst, seed=11, log_transcript=True) for _ in range(2))
+    fused = build(fused_o)
+    serve = fused.serve_zero_rows
+    fused.serve_zero_rows = lambda j, cap: served.append(serve(j, cap)) or served[-1]
+    got = mdl_hedge_vc(inst.hypothesis_class, V, fused, solve, inst.k, p.d, collect_trace=True)
+    fused_steps = len(steps)
+    want = mdl_hedge_vc(inst.hypothesis_class, V, _DrawnRounds(build(twin_o)), solve, inst.k,
+                        p.d, collect_trace=True)
+    assert len(V) > 2 and got.rounds == want.rounds
+    assert got.hypothesis.counts == want.hypothesis.counts
+    assert got.reward_draws.tolist() == want.reward_draws.tolist()
+    assert got.store_draws.tolist() == want.store_draws.tolist()
+    assert len(got.trace) == len(want.trace) == got.rounds
+    for a, b in zip(got.trace, want.trace):
+        assert (a[0], a[1].tobytes(), *a[2:]) == (b[0], b[1].tobytes(), *b[2:])
+    assert _metered(fused_o) == _metered(twin_o) and fused_o.ledger.label_total > 0
+    # every round steps the weights, opens a zero run or is served in one
+    assert sum(served) > 0 and fused_steps + len(served) + sum(served) == got.rounds
+    assert fused_steps == len(steps) - fused_steps
+
+
+def test_a_zero_run_stops_at_the_open_runs_end_and_its_cap():
+    inst = amdl.gen_star_lb(2, 8, 1, 3)
+    labels = inst.hypothesis_class.labels
+    target, counts = best_nu_index(inst), [1] * inst.k
+    assert inst.nu_exact() == 0
+    fam = amdl.plain_family(OracleSet(inst, seed=4))
+    # the target errs nowhere: every row of its run is zero
+    assert fam.round_losses(labels, target, counts, 7) == [0.0] * inst.k
+    assert fam.serve_zero_rows(target, 100) == 6        # the run holds rounds_left rows
+    assert fam.serve_zero_rows(target, 100) == 0
+    fam.round_losses(labels, target, counts, 50)
+    assert [fam.serve_zero_rows(target, cap) for cap in (0, 10, 1000, 5)] == [0, 10, 39, 0]
+    with pytest.raises(ContractViolation):
+        fam.serve_zero_rows(target, -1)
+    # another member's zero runs end at its next row with a loss, which the
+    # next round serves, or at the cap the rounds left set; a twin drawing
+    # every round on its own meters the same
+    fused_o, twin_o = OracleSet(inst, seed=4), OracleSet(inst, seed=4)
+    fused, twin = amdl.plain_family(fused_o), _DrawnRounds(amdl.plain_family(twin_o))
+    j = len(labels) - 1         # errs with mass 1/8 under each distribution
+    left, runs = 40, []
+    while left:
+        got = fused.round_losses(labels, j, counts, left)
+        assert got == twin.round_losses(labels, j, counts, left)
+        left -= 1
+        if not any(got):
+            table, r = fused._tables[j], fused._served
+            runs.append(fused.serve_zero_rows(j, left))
+            assert runs[-1] == min((table[r:].any(axis=1).tolist() + [True]).index(True), left)
+            for _ in range(runs[-1]):
+                assert twin.round_losses(labels, j, counts, left) == [0.0] * inst.k
+                left -= 1
+    fused.settle()
+    assert _metered(fused_o) == _metered(twin_o)
+    assert 0 < sum(runs) < 40 - len(runs)
 
 
 def test_blocks_hold_no_more_requests_than_the_rounds_left():
