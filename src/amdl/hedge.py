@@ -10,20 +10,19 @@ the passive subroutine of every active algorithm in this package.
 A round of `mdl_hedge_vc`: grow the store when some weight reaches twice its
 threshold, play the weighted ERM over the store's float64 mistake counts,
 estimate the rewards from ceil(k * w_bar_i) fresh pairs per distribution (one
-`SamplerFamily.round_losses` call), and update the weights with
-`hedge_step`.  A zero reward row changes no weight, so the rounds after it
-repeat it while its candidate's rows stay zero, and are played with it
-(`SamplerFamily.serve_zero_rows`), with no `hedge_step` or ERM.  The running
-maxima w_bar seldom grow, so the counts are recomputed, and the reward draws
-totalled, only when they do.  The sampler meters served rounds in bulk; the
-solve settles the last of them as it ends, on an error too.  A solve over at
+`SamplerFamily.round_losses` call), and update the weights with `hedge_step`.  A
+zero reward row changes no weight: the next rounds, while zero too, are played
+with it (`SamplerFamily.serve_zero_rows`), with no `hedge_step` or ERM.  The
+running maxima w_bar seldom grow, so the counts are recomputed, and the reward
+draws totalled, only when they do.  The sampler meters served rounds in bulk;
+the solve settles the last of them as it ends, on an error too.  A solve over at
 most two candidates plays stretches of rounds at once, as a shadow in Python
-floats predicts them, each round verified bit for bit (`_play_chunk`).  Over
-two distributions the shadow steps one log-weight ratio against fixed
-thresholds; otherwise it multiplies the weights a block of rounds at a time,
-in straight-line code over k local floats built once per k
-(`_PRODUCT_SOURCE`): a round then makes no list and calls no map or sum, which
-halves the shadow's time per round.
+floats predicts them, each round verified bit for bit (`_play_chunk`).  Over two
+distributions the shadow steps one log-weight ratio against fixed thresholds;
+otherwise it multiplies the weights a block of rounds at a time, in
+straight-line code over k local floats built once per k (`_PRODUCT_SOURCE`): a
+round then makes no list and calls no map or sum, which halves the shadow's
+time per round.
 
 `hyperparams` gives a solve its (eps1, eta, T, T1) schedule; README's
 "Knob profiles" table states it with the run plan's other sizes
@@ -137,10 +136,6 @@ class HedgeState:
         e /= np.add.reduce(e)
         return e
 
-    def check_sum(self) -> None:
-        if not abs(math.fsum(self.w) - 1.0) <= WEIGHT_SUM_TOL:
-            raise ContractViolation("Hedge weights no longer sum to one")
-
 
 def hedge_step(state: HedgeState, r_hat: Sequence[float], eta: float) -> HedgeState:
     """Multiplicative update W_i <- W_i e^{eta r_i} (log-space), renormalize,
@@ -152,7 +147,8 @@ def hedge_step(state: HedgeState, r_hat: Sequence[float], eta: float) -> HedgeSt
     state.w = state.w_arr.tolist()
     state.w_bar = _fold_max(state.w_bar, state.w)
     state.t += 1
-    state.check_sum()
+    if not abs(math.fsum(state.w) - 1.0) <= WEIGHT_SUM_TOL:
+        raise ContractViolation("Hedge weights no longer sum to one")
     return state
 
 
@@ -357,7 +353,9 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     k = check_int(f"k (the sampler serves {sampler.k})", k, sampler.k, sampler.k + 1)
     eps1, eta, T, T1 = hyperparams(cfg, k, check_int("d", d))
     state = HedgeState(k)
-    state.check_sum()          # a solve may play no hedge_step
+    # hedge_step checks the sum after each step, and a solve may make none
+    if not abs(math.fsum(state.w) - 1.0) <= WEIGHT_SUM_TOL:
+        raise ContractViolation("Hedge weights no longer sum to one")
     store = PooledStore(cls.labels[V], k)
     tally = [0] * len(V)       # plays of each candidate
     reward_draws = [0] * k
@@ -398,12 +396,12 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
                 continue
             r = sampler.round_losses(store.labels, local, counts, T - t)
             # a zero reward changes no weight: the next zero rows repeat this round
-            played = 1 if any(r) else 1 + sampler.serve_zero_rows(local, T - t - 1)
+            played = 1 if (step := any(r)) else 1 + sampler.serve_zero_rows(local, T - t - 1)
             tally[local] += played
             if trace is not None:
                 trace.extend((state.t + 1 + s, state.w_arr, float(np.sum(state.w_bar)),
                               int(store.n.sum())) for s in range(played))
-            if any(r):
+            if step:
                 hedge_step(state, r, eta)
             else:
                 state.t += played

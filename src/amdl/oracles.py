@@ -69,6 +69,7 @@ generator's next variates behind its unread tail.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import partial
 from itertools import repeat
 from typing import Callable, Sequence
@@ -455,7 +456,7 @@ class SamplerFamily:
         self._counts: list[int] | None = None
         self._length = self._served = 0
         self._tables: dict[int, np.ndarray] = {}
-        self._loss_rows: dict[int, np.ndarray] = {}
+        self._loss_rows: dict[int, list[int]] = {}
 
     def draw(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         i, n = check_int("distribution index", i, 0, self.k), check_int("sample count", n)
@@ -521,10 +522,11 @@ class SamplerFamily:
     def serve_zero_rows(self, j: int, cap: int) -> int:
         """Serve, as `round_losses` would, the open run's next rounds, at most
         `cap`, while candidate j's (opened) table is zero there; their number."""
-        if j not in self._loss_rows:    # the rows with a loss, then the run's end
-            self._loss_rows[j] = np.append(np.flatnonzero(self._tables[j].any(axis=1)), self._length)
+        if j not in self._loss_rows:    # the rows with a loss (a positive sum), then the run's end
+            self._loss_rows[j] = [*(self._tables[j] @ np.ones(self.k)).nonzero()[0].tolist(),
+                                  self._length]
         rows, s = self._loss_rows[j], self._served
-        self._served = min(int(rows[rows.searchsorted(s)]), s + check_int("zero rounds", cap, 0))
+        self._served = min(rows[bisect_left(rows, s)], s + check_int("zero rounds", cap, 0))
         return self._served - s
 
     def _open_run(self, labels: np.ndarray, counts: Sequence[int], rounds_left: int) -> None:
