@@ -11,6 +11,7 @@ import numpy as np
 
 import amdl
 from amdl.harness import PROFILES, RunConfig, run_single_trial
+from amdl.hedge import KNOBS
 
 # (row name, instance builder, algorithm tag, eps)
 SUITES = (
@@ -47,11 +48,11 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--trials", type=int, default=20)
     ap.add_argument("--profile", default="desk")
-    for knob in ("c_t", "c_t1", "c_eta", "c_eps1", "c_n"):
+    for knob in KNOBS:
         ap.add_argument(f"--{knob}", type=float, default=None)
     args = ap.parse_args()
     kn = dict(PROFILES[args.profile])
-    for knob in ("c_t", "c_t1", "c_eta", "c_eps1", "c_n"):
+    for knob in KNOBS:
         v = getattr(args, knob)
         if v is not None:
             kn[knob] = v

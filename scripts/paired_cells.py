@@ -185,27 +185,33 @@ def _quartile_spread(times: list[float]) -> float:
     return q3 - q1
 
 
+def _paired(a: Side, b: Side, runs: int, op, differ) -> dict:
+    """`_summary` of `runs` paired runs: run t times `op(side, t)`, which gives
+    (ms, *outputs), on A then B when t is even and on B then A when odd, and
+    exits with the message `differ(t, outputs)` when the sides' outputs differ."""
+    times, outs = {"a": [], "b": []}, {}
+    for t in range(runs):
+        for key, side in (("a", a), ("b", b)) if t % 2 == 0 else (("b", b), ("a", a)):
+            ms, *outs[key] = op(side, t)
+            times[key].append(ms)
+        if outs["a"] != outs["b"]:
+            raise SystemExit(differ(t, outs))
+    return _summary(times, runs)
+
+
 def compare(a: Side, b: Side, cells: list[tuple], trials: int,
             base_seed: int = BASE_SEED) -> dict:
     """Per cell: the median ms of each side, the median B/A ratio, the
     trials B won and the quartile spread of A's ms."""
     table = {}
     for c, cell in enumerate(cells):
-        times = {"a": [], "b": []}
-        for t in range(trials):
-            seed = base_seed + t
-            order = [("a", a), ("b", b)] if t % 2 == 0 else [("b", b), ("a", a)]
-            rows = {}
-            for key, side in order:
-                ms, rows[key] = side.trial(cell, side.instances[c], seed)
-                times[key].append(ms)
-            if rows["a"] != rows["b"]:
-                raise SystemExit(f"{cell[0]} seed {seed}: the records differ\n"
-                                 f"  A: {rows['a']}\n  B: {rows['b']}")
-            if t < TRACED_SEEDS and (a.transcript(cell, a.instances[c], seed)
-                                     != b.transcript(cell, b.instances[c], seed)):
+        table[cell[0]] = _paired(
+            a, b, trials, lambda side, t: side.trial(cell, side.instances[c], base_seed + t),
+            lambda t, outs: f"{cell[0]} seed {base_seed + t}: the records differ\n"
+                            f"  A: {outs['a'][0]}\n  B: {outs['b'][0]}")
+        for seed in range(base_seed, base_seed + min(trials, TRACED_SEEDS)):
+            if a.transcript(cell, a.instances[c], seed) != b.transcript(cell, b.instances[c], seed):
                 raise SystemExit(f"{cell[0]} seed {seed}: the label transcripts differ")
-        table[cell[0]] = _summary(times, trials)
     return table
 
 
@@ -213,37 +219,19 @@ def compare_sweeps(a: Side, b: Side, name: str, config: dict, runs: int,
                    base_seed: int = BASE_SEED) -> dict:
     """The columns of `compare` for `runs` whole sweeps of `config`, the
     n-th at base_seed + n."""
-    times = {"a": [], "b": []}
-    for t in range(runs):
-        seeded = dict(config, base_seed=base_seed + t)
-        order = [("a", a), ("b", b)] if t % 2 == 0 else [("b", b), ("a", a)]
-        outs = {}
-        for key, side in order:
-            ms, *outs[key] = side.sweep(seeded)
-            times[key].append(ms)
-        if outs["a"] != outs["b"]:
-            raise SystemExit(f"{name} base_seed {base_seed + t}: the sweep rows or records differ")
-    return {name: _summary(times, runs)}
+    return {name: _paired(
+        a, b, runs, lambda side, t: side.sweep(dict(config, base_seed=base_seed + t)),
+        lambda t, _: f"{name} base_seed {base_seed + t}: the sweep rows or records differ")}
 
 
 def compare_measures(a: Side, b: Side, sizes: list[int], runs: int,
                      base_seed: int = BASE_SEED) -> dict:
     """The columns of `compare` for `runs` instance-scale ops per class size,
     the n-th at seed base_seed + n."""
-    table = {}
-    for n_hyp in sizes:
-        times = {"a": [], "b": []}
-        for t in range(runs):
-            order = [("a", a), ("b", b)] if t % 2 == 0 else [("b", b), ("a", a)]
-            outs = {}
-            for key, side in order:
-                ms, outs[key] = side.measure(n_hyp, base_seed + t)
-                times[key].append(ms)
-            if outs["a"] != outs["b"]:
-                raise SystemExit(f"|H|={n_hyp} seed {base_seed + t}: "
-                                 "the measured values or records differ")
-        table[f"measure_and_run(|H|={n_hyp})"] = _summary(times, runs)
-    return table
+    return {f"measure_and_run(|H|={n_hyp})": _paired(
+        a, b, runs, lambda side, t: side.measure(n_hyp, base_seed + t),
+        lambda t, _: f"|H|={n_hyp} seed {base_seed + t}: the measured values or records differ")
+        for n_hyp in sizes}
 
 
 def _summary(times: dict, trials: int) -> dict:

@@ -1,6 +1,6 @@
-"""Distribution-dependent active learners: the epoch-halving disagreement
-algorithm (large target error) and the two-stage agreement-querying algorithm
-(small target error); `active-dd-auto` runs the one its plan chose.
+"""Distribution-dependent active learners on the instance of the oracle set
+they sample: the epoch-halving disagreement algorithm (large target error) and
+the two-stage agreement-querying algorithm (small target error).
 
 Version-space updates compare exact disagreement masses against the epoch
 radius, so the deterministic invariants (nested version spaces, retained
@@ -61,7 +61,7 @@ def _within_radius(inst: MDLInstance, version_space: Sequence[int], mix: Hypothe
 
 def _max_dis_mass(inst: MDLInstance, dis: np.ndarray) -> Fraction:
     """The largest mass any distribution puts on the disagreement mask `dis`."""
-    return max(Fraction(d._weigh(dis), d._mden) for d in inst.distributions)
+    return max(d.mass(dis) for d in inst.distributions)
 
 
 @dataclass
@@ -75,12 +75,11 @@ class Halving:
     prev_dis: np.ndarray | None = None     # the last epoch's disagreement mask
 
 
-def active_large_eps(inst: MDLInstance, oracles: OracleSet, p: RunPlan,
-                     state: Halving | None = None) -> RunResult:
-    """Epoch-halving disagreement-based active learner, to the target of
-    `p.cfg` (`p.cfg.nu` is the instance's optimal error), over the plan's
-    halving epochs; from a `state` that ran the plan's first epochs it runs the
-    rest, and leaves `state` where it stops.
+def active_large_eps(oracles: OracleSet, p: RunPlan, state: Halving | None = None) -> RunResult:
+    """Epoch-halving disagreement-based active learner on the oracle set's
+    instance, to the target of `p.cfg` (`p.cfg.nu` is the instance's optimal
+    error), over the plan's halving epochs; from a `state` that ran the
+    plan's first epochs it runs the rest, and leaves `state` where it stops.
 
     Each epoch solves a passive problem over the version-space-imputed
     distributions at target eps_n, then keeps only hypotheses within exact
@@ -102,6 +101,7 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, p: RunPlan,
     lowest-index survivor, the single hypothesis `active_small_eps` centres
     its stage-two version space on.
     """
+    inst = oracles.instance
     cls = inst.hypothesis_class
     s = Halving() if state is None else state
     s.V = list(cls.full_version_space()) if s.V is None else s.V
@@ -131,9 +131,9 @@ def active_large_eps(inst: MDLInstance, oracles: OracleSet, p: RunPlan,
                       "final_version_space": tuple(s.V)}, p)
 
 
-def active_small_eps(inst: MDLInstance, oracles: OracleSet, p: RunPlan) -> RunResult:
-    """Two-stage learner for the noise-dominated regime, to the target of
-    `p.cfg`, given the optimal error `p.cfg.nu` > 0.
+def active_small_eps(oracles: OracleSet, p: RunPlan) -> RunResult:
+    """Two-stage learner for the noise-dominated regime on the oracle set's
+    instance, to the target of `p.cfg`, given the optimal error `p.cfg.nu` > 0.
 
     Stage one, when the plan has it, localizes a version space around a
     coarse hypothesis: V0 holds every member within 2 eps_p of stage one's
@@ -143,9 +143,10 @@ def active_small_eps(inst: MDLInstance, oracles: OracleSet, p: RunPlan) -> RunRe
     problem over the surrogate distributions, querying fresh labels only in
     the disagreement region.
     """
+    inst = oracles.instance
     cls = inst.hypothesis_class
     if p.stage1 is not None:
-        stage1 = active_large_eps(inst, oracles, p.stage1)
+        stage1 = active_large_eps(oracles, p.stage1)
         if not stage1.ok:
             stage1.metadata["failed_stage"] = 1
             stage1.plan = p

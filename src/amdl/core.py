@@ -237,6 +237,10 @@ class LabeledDistribution:
         lim = 1 if weights.dtype == bool else int(np.abs(weights).max(initial=1))
         return _exact_dot(weights, self._mnum, lim * self._msum)
 
+    def mass(self, mask: np.ndarray) -> Fraction:
+        """The exact mass of the points where the boolean `mask` holds."""
+        return Fraction(self._weigh(mask), self._mden)
+
     def _loss_num(self, plus: np.ndarray, total: int):
         """Loss numerators over total * _mden * _eden of `total`-member supports' +1 counts."""
         return total * self._A + _exact_dot(plus, self._B, total * self._bsum)

@@ -1,5 +1,5 @@
-"""Experiment runner: algorithm dispatch, seeded multi-trial Monte Carlo,
-normative CSV emission, sweep orchestration, and plot-data export.
+"""Experiment runner: dispatch to the learner a run's plan names, seeded
+multi-trial Monte Carlo, normative CSV emission, sweeps, and plot-data export.
 
 Success is judged against the exact achieved worst-case error (the simulator
 knows the pmfs), never against a held-out estimate.  Emitted bytes are fully
@@ -25,18 +25,17 @@ from .core import ContractViolation, MDLInstance, check_int, worst_loss
 from .hedge import KNOBS, SolverConfig, mdl_hedge_vc, naive_erm_baseline
 from .oracles import OracleSet, plain_family
 from .rpu import active_dist_free
-from .runplan import RunPlan
+from .runplan import ALGORITHMS, RunPlan
 
 SUCCESS_TOL = 1e-12
 
-# Named knob presets.  `fidelity` keeps the literal schedule constants (far too
-# many rounds to execute at desk scale, kept for reference); `desk` preserves
-# the schedule's shape in (eps, nu, k, d, delta) while scaling the constants
-# down to desk-scale round counts.  Acceptance suites reference `desk`.
+# Named knob presets.  `fidelity` is the knobs' defaults, the literal schedule
+# constants (far too many rounds to execute at desk scale, kept for reference);
+# `desk` preserves the schedule's shape in (eps, nu, k, d, delta) while scaling
+# the constants down to desk-scale round counts.  Acceptance suites reference `desk`.
 PROFILES: dict[str, dict] = {
-    "fidelity": dict(c_t=1.0, c_t1=1.0, c_eta=1.0, c_eps1=1.0, c_n=1.0, c_naive=1.0),
-    "desk": dict(c_t=3e-5, c_t1=1e-4, c_eta=50.0, c_eps1=100.0, c_n=0.1,
-                 c_naive=1.0),
+    "fidelity": {},
+    "desk": dict(c_t=3e-5, c_t1=1e-4, c_eta=50.0, c_eps1=100.0, c_n=0.1),
 }
 
 
@@ -123,31 +122,26 @@ class TrialRecord:
 RUN_CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
 
-def _passive_hedge(inst, oracles, p) -> RunResult:
+def _passive_hedge(oracles, p) -> RunResult:
     # the solver's nu parameter is the exact optimum, so its guarantee
     # precondition (supplied nu >= min-max loss) holds by construction
-    cls = inst.hypothesis_class
-    res = mdl_hedge_vc(cls, cls.full_version_space(), plain_family(oracles), p.solve,
-                       inst.k, p.d)
+    cls = oracles.instance.hypothesis_class
+    res = mdl_hedge_vc(cls, cls.full_version_space(), plain_family(oracles), p.solve, p.k, p.d)
     return RunResult(res.hypothesis, plan=p)
 
 
-# Every runner takes (inst, oracles, plan), where the plan carries the run's
-# eps and delta, the exact nu and every size, and looks its learner up as a
+# The runner of each learner a plan names (`RunPlan.learner`).  A runner takes
+# (oracles, plan): the oracle set holds the instance, and the plan the run's
+# eps and delta, the exact nu and every size.  It looks its learner up as a
 # global of this module when it runs, so a wrapper set on the module
 # (bench/layers.py sets them) sees every trial.
 RUNNERS: dict[str, Callable[..., RunResult]] = {
-    "active-dd-large": lambda inst, oracles, p: active_large_eps(inst, oracles, p),
-    "active-dd-small": lambda inst, oracles, p: active_small_eps(inst, oracles, p),
-    "active-dd-auto": lambda inst, oracles, p: (
-        active_large_eps if p.branch == "large" else active_small_eps)(inst, oracles, p),
-    "active-df": lambda inst, oracles, p: active_dist_free(inst, oracles, p),
-    "passive-hedge": _passive_hedge,
-    "passive-naive": lambda inst, oracles, p: RunResult(
-        naive_erm_baseline(inst, oracles, p.naive_n), plan=p),
+    "large": lambda oracles, p: active_large_eps(oracles, p),
+    "small": lambda oracles, p: active_small_eps(oracles, p),
+    "df": lambda oracles, p: active_dist_free(oracles, p),
+    "hedge": _passive_hedge,
+    "naive": lambda oracles, p: RunResult(naive_erm_baseline(oracles, p.naive_n), plan=p),
 }
-
-ALGORITHMS = tuple(RUNNERS)
 
 
 def can_fail(inst: MDLInstance, eps: float) -> bool:
@@ -168,13 +162,13 @@ def run_single_trial(inst: MDLInstance, p: RunPlan, seed: int,
     if p.k != inst.k or cfg.nu != float(inst.nu_exact()):
         raise ContractViolation(f"a plan for k={p.k}, nu={cfg.nu!r} is not a plan for this "
                                 f"instance (k={inst.k}, nu={float(inst.nu_exact())!r})")
-    carry = _carried is not None and not trace and (p.alg == "active-dd-large" or p.branch == "large")
+    carry = _carried is not None and not trace and p.learner == "large"
     was, held_p, oracles, state, spent = (_carried.pop(seed, None) if carry else None) or (None,) * 5
     if not (was is inst and held_p.alg == p.alg and
             held_p.epochs[:len(state.trace)] == p.epochs[:len(state.trace)]):
         oracles, state, spent = OracleSet(inst, seed, log_transcript=trace), Halving(), 0.0
     t0 = time.perf_counter()
-    res = active_large_eps(inst, oracles, p, state) if carry else RUNNERS[p.alg](inst, oracles, p)
+    res = active_large_eps(oracles, p, state) if carry else RUNNERS[p.learner](oracles, p)
     spent += time.perf_counter() - t0
     (_carried if carry else {})[seed] = (inst, p, oracles, state, spent)   # held once it returned
     wall_ms = int(round(1000.0 * spent))

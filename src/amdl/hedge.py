@@ -32,7 +32,7 @@ time per round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import reduce
 from numbers import Real
 from operator import ge
@@ -40,18 +40,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ContractViolation, Hypothesis, HypothesisClass, MDLInstance,
+from .core import (ContractViolation, Hypothesis, HypothesisClass,
                    RandomizedHypothesis, check_int, check_members)
 from .oracles import OracleSet, SamplerFamily, plain_family
 
 WEIGHT_SUM_TOL = 1e-12
 SHADOW_BLOCK = 16      # product-shadow rounds per boundary test; first threshold-shadow window
-KNOBS = ("c_t", "c_t1", "c_eta", "c_eps1", "c_n", "c_naive")   # SolverConfig's scale knobs
 
 
 @dataclass
 class SolverConfig:
-    """Target error, confidence, the (supplied) optimal error, and scale knobs."""
+    """Target error, confidence, the (supplied) optimal error, and scale knobs (`KNOBS`)."""
 
     eps: float
     delta: float
@@ -61,7 +60,6 @@ class SolverConfig:
     c_eta: float = 1.0
     c_eps1: float = 1.0
     c_n: float = 1.0       # batch-size knob of the RPU learner
-    c_naive: float = 1.0   # sample-size knob of the naive ERM baseline
 
     def __post_init__(self):
         for name in ("eps", "delta", "nu"):   # a str or None fails the comparisons below
@@ -76,6 +74,9 @@ class SolverConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Real) or not 0 < v < math.inf:
                 raise ContractViolation(f"scale knob {name} must be positive and finite, got {v!r}")
+
+
+KNOBS = tuple(f.name for f in fields(SolverConfig) if f.default is not MISSING)
 
 
 def hyperparams(cfg: SolverConfig, k: int, d: int) -> tuple[float, float, int, int]:
@@ -367,10 +368,10 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     # _fold_max shows by handing back a new list; the draws of a run of
     # rounds on one w_bar are added when the run ends
     bar, counts, since = None, [0] * k, 0
-    chunked, t = len(V) <= 2, 0      # see _play_chunk
+    chunked = len(V) <= 2      # see _play_chunk
 
     try:
-        while t < T:
+        while state.t < T:
             # hedge_step leaves state.w normalized and checks its sum
             w = state.w
             if any(map(ge, w, doubled)):
@@ -387,16 +388,15 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
             # reward: the played hypothesis' empirical loss on ceil(k * w_bar_i)
             # fresh draws from each distribution, unbiased for the sampled one
             if state.w_bar is not bar:
-                reward_draws = [a + (t - since) * b for a, b in zip(reward_draws, counts)]
-                bar, since = state.w_bar, t
+                reward_draws = [a + (state.t - since) * b for a, b in zip(reward_draws, counts)]
+                bar, since = state.w_bar, state.t
                 counts = [math.ceil(k * v) for v in bar]
-            if chunked and (played := _play_chunk(state, store, sampler, tally, local, counts,
-                                                  doubled, eta, T - t, trace)):
-                t += played
+            if chunked and _play_chunk(state, store, sampler, tally, local, counts, doubled, eta,
+                                       T - state.t, trace):
                 continue
-            r = sampler.round_losses(store.labels, local, counts, T - t)
+            r = sampler.round_losses(store.labels, local, counts, T - state.t)
             # a zero reward changes no weight: the next zero rows repeat this round
-            played = 1 if (step := any(r)) else 1 + sampler.serve_zero_rows(local, T - t - 1)
+            played = 1 if (step := any(r)) else 1 + sampler.serve_zero_rows(local, T - state.t - 1)
             tally[local] += played
             if trace is not None:
                 trace.extend((state.t + 1 + s, state.w_arr, float(np.sum(state.w_bar)),
@@ -405,7 +405,6 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
                 hedge_step(state, r, eta)
             else:
                 state.t += played
-            t += played
     finally:
         # meter the rounds served since the last settle, also on an error
         sampler.settle()
@@ -415,7 +414,7 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
                        np.array(reward_draws, dtype=np.int64), store.n.copy(), trace)
 
 
-def naive_erm_baseline(inst: MDLInstance, oracles: OracleSet, n: int) -> Hypothesis:
+def naive_erm_baseline(oracles: OracleSet, n: int) -> Hypothesis:
     """Per-distribution sampling at the textbook passive rate, then minimax ERM.
 
     Draws n labeled pairs from each distribution (the run plan's `naive_n`)
@@ -423,6 +422,7 @@ def naive_erm_baseline(inst: MDLInstance, oracles: OracleSet, n: int) -> Hypothe
     """
     n = check_int("n", n, 1)
     fam = plain_family(oracles)
+    inst = oracles.instance
     cls = inst.hypothesis_class
     worst = np.zeros(len(cls))
     for i in range(inst.k):

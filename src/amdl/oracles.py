@@ -391,20 +391,20 @@ class OracleSet:
         dis_mask = self._vs_view(version_space)[0]
         d = self.instance.distributions[i]
         agree = ~dis_mask
-        weight = d._weigh(agree)
-        if weight == 0:
+        mass = d.mass(agree)
+        if mass == 0:
             raise DegenerateAgreementRegion(
                 f"distribution {i} puts zero mass on the agreement region")
         # each read-ahead: 5% over the draws expected to hold the points still
         # needed, at most twice as many draws (as any mass below 0.525 gives)
-        mass = max(weight / d._mden, 0.5)
+        share = max(float(mass), 0.5)
         self.ledger.settle()
         stream = self._streams[i]
         out = np.empty(n, dtype=np.int64)
         got = drawn = 0
         while got < n:
             need = n - got
-            u = stream.ahead(max(stream.block, min(2 * need, math.ceil(1.05 * need / mass) + 64)))
+            u = stream.ahead(max(stream.block, min(2 * need, math.ceil(1.05 * need / share) + 64)))
             xs = d.points(u)
             idx = np.flatnonzero(agree[xs])[:need]
             out[got:got + idx.size] = xs[idx]
@@ -446,7 +446,7 @@ class SamplerFamily:
 
     def __init__(self, oracles: OracleSet, kernels: Sequence[Kernel]):
         self.k = len(kernels)
-        self._oracles = oracles
+        self.oracles = oracles      # the oracle set its kernels read, and its instance
         self._kernels = tuple(kernels)
         self._blocks: list[_Rounds | None] = [None] * self.k
         self._labels: np.ndarray | None = None
@@ -461,7 +461,7 @@ class SamplerFamily:
     def draw(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         i, n = check_int("distribution index", i, 0, self.k), check_int("sample count", n)
         blk = self._kernels[i](n, 1)        # the kernel settles served rounds first
-        self._oracles._settle([blk], 1)
+        self.oracles._settle([blk], 1)
         return blk.xs[0], blk.ys[0]
 
     def draw_requests(self, members: Sequence[int],
@@ -484,7 +484,7 @@ class SamplerFamily:
                 f"{sizes.dtype} {sizes.shape}")
         rows = sizes.shape[1]
         blocks = [self._kernels[i](sizes[j], rows) for j, i in enumerate(members)]
-        self._oracles._settle(blocks, rows)
+        self.oracles._settle(blocks, rows)
         return (np.concatenate([blk.xs for blk in blocks]),
                 np.concatenate([blk.ys for blk in blocks]))
 
@@ -536,7 +536,7 @@ class SamplerFamily:
             raise ContractViolation("a round needs a draw count for every distribution")
         counts = [check_int("a round's draw count", c, 1) for c in counts]
         check_int("rounds_left", rounds_left, 1)
-        self._oracles.ledger.settle()
+        self.oracles.ledger.settle()
         blocks = self._blocks
         for i, c in enumerate(counts):
             blk = blocks[i]
@@ -547,7 +547,7 @@ class SamplerFamily:
                 blocks[i] = self._kernels[i](c, min(rounds_left, max(1, BLOCK // (2 * c))))
         self._labels, self._counts = labels, counts
         self._length = min(len(blk.queries) - blk.b for blk in blocks)
-        self._oracles.ledger.pending = self
+        self.oracles.ledger.pending = self
 
     def _table(self, j: int) -> np.ndarray:
         """Candidate j's losses in each round of the open run, a row per round."""
@@ -564,11 +564,11 @@ class SamplerFamily:
         """Make the rounds served in the open run happen, and close it."""
         r = self._served
         if r:
-            self._oracles._settle(self._blocks, r)
+            self.oracles._settle(self._blocks, r)
         self._served = self._length = 0
         self._counts, self._tables, self._loss_rows = None, {}, {}
-        if self._oracles.ledger.pending is self:
-            self._oracles.ledger.pending = None
+        if self.oracles.ledger.pending is self:
+            self.oracles.ledger.pending = None
 
 
 def _imputing_family(oracles: OracleSet, view: View) -> SamplerFamily:

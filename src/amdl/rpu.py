@@ -1,11 +1,11 @@
 """Distribution-free active learning via reliable abstaining classifiers.
 
 A noise-robust single-distribution learner builds many per-batch consistent
-version spaces and combines them by a thresholded majority vote; a pruning
-loop lifts it to k distributions; an epoch loop halves the abstention mass and
-finishes with one passive solve over the abstain-imputed distributions.
-The learner draws its batches together, in the order of drawing them one at
-a time, and votes with integer counts.
+version spaces and combines them by a thresholded majority vote, drawing its
+batches together, in the order of drawing them one at a time, and voting with
+integer counts; a pruning loop lifts it to the k distributions of its sampler
+family's instance; an epoch loop halves the abstention mass and finishes with
+one passive solve over the abstain-imputed distributions.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, HypothesisClass, MDLInstance, check_int
+from .core import ContractViolation, HypothesisClass, check_int
 from .hedge import mdl_hedge_vc
 from .oracles import BLOCK, OracleSet, SamplerFamily, check_outputs, imputed_family
 from .active import RunResult
@@ -82,13 +82,13 @@ def robust_rpu_learn(cls: HypothesisClass, draw: Batches, N: int, n: int) -> Abs
     return AbstainingClassifier(threshold_majority(votes_nonzero, votes_sum, N))
 
 
-def mixture_draw(family: SamplerFamily, oracles: OracleSet, members: Sequence[int]) -> Batches:
+def mixture_draw(family: SamplerFamily, members: Sequence[int]) -> Batches:
     """`draw(b, n)` for `robust_rpu_learn` over the uniform mixture of
-    `members`: each batch picks its pairs' members on the auxiliary stream,
-    then draws each member's share of it in member order."""
+    `members`: each batch picks its pairs' members on the family's auxiliary
+    stream, then draws each member's share of it in member order."""
     def draw(b: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         k = len(members)
-        picks = oracles.aux_choice_batch(b * n, k).reshape(b, n) * b + np.arange(b)[:, None]
+        picks = family.oracles.aux_choice_batch(b * n, k).reshape(b, n) * b + np.arange(b)[:, None]
         sizes = np.bincount(picks.ravel(), minlength=k * b)     # member-major
         xs, ys = family.draw_requests(members, sizes.reshape(k, b))
         return np.repeat(np.arange(k * b) % b, sizes), xs, ys
@@ -103,29 +103,28 @@ class PruneResult:
     per_round_abstain: list
 
 
-def passive_rpu_mdl(cls: HypothesisClass, family: SamplerFamily, oracles: OracleSet,
-                    active_set: Sequence[int], rp: Robust,
-                    abstain_mass: Callable[[int, AbstainingClassifier], Fraction]) -> PruneResult:
+def passive_rpu_mdl(family: SamplerFamily, active_set: Sequence[int], rp: Robust) -> PruneResult:
     """Collaborative reliable learning by mixture training and pruning.
 
-    Each round trains on the uniform mixture of the surviving distributions
-    with the plan's N batches of `rp.batch` pairs (reliability xi/2), then
-    prunes every distribution whose exact abstention mass is already
-    <= xi = `rp.xi`; after `rp.cap` rounds it reports a stall.  The returned
-    classifier predicts with the first committing round in round order.
+    Each round trains on the uniform mixture of the family's surviving
+    distributions with the plan's N batches of `rp.batch` pairs (reliability
+    xi/2), then prunes every distribution whose exact abstention mass is
+    already <= xi = `rp.xi`; after `rp.cap` rounds it reports a stall.  The
+    returned classifier predicts with the first committing round in round order.
     """
     if len(active_set) == 0:
         raise ContractViolation("needs at least one distribution")
+    inst = family.oracles.instance
+    cls = inst.hypothesis_class
     remaining = list(active_set)
     learned: list[AbstainingClassifier] = []
     per_round_abstain = []
     while remaining:
         if len(learned) >= rp.cap:
             return PruneResult(None, len(learned), "pruning_stalled", per_round_abstain)
-        f_r = robust_rpu_learn(cls, mixture_draw(family, oracles, tuple(remaining)), rp.N,
-                               rp.batch)
+        f_r = robust_rpu_learn(cls, mixture_draw(family, tuple(remaining)), rp.N, rp.batch)
         learned.append(f_r)
-        masses = {i: abstain_mass(i, f_r) for i in remaining}
+        masses = {i: inst.distributions[i].mass(f_r.outputs == 0) for i in remaining}
         per_round_abstain.append({i: float(v) for i, v in masses.items()})
         remaining = [i for i in remaining if masses[i] > Fraction(rp.xi)]   # the rest are pruned
     out = np.zeros(cls.m, dtype=np.int8)
@@ -135,9 +134,9 @@ def passive_rpu_mdl(cls: HypothesisClass, family: SamplerFamily, oracles: Oracle
     return PruneResult(AbstainingClassifier(out), len(learned), None, per_round_abstain)
 
 
-def active_dist_free(inst: MDLInstance, oracles: OracleSet, p: RunPlan) -> RunResult:
-    """Distribution-free active learner, to the target of `p.cfg` (`p.cfg.nu`
-    is the instance's optimal error), over the plan's epochs.
+def active_dist_free(oracles: OracleSet, p: RunPlan) -> RunResult:
+    """Distribution-free active learner on the oracle set's instance, to the
+    target of `p.cfg` (`p.cfg.nu` is its optimal error), over the plan's epochs.
 
     Epochs refine an abstaining classifier whose abstention mass halves every
     round under every distribution, querying labels only where the previous
@@ -145,33 +144,28 @@ def active_dist_free(inst: MDLInstance, oracles: OracleSet, p: RunPlan) -> RunRe
     one passive solve over the imputed distributions, at the overall eps
     (the accounting reading), not the schedule value 2^-n0.
     """
-    cls = inst.hypothesis_class
-    k = inst.k
+    inst = oracles.instance
+    cls, k = inst.hypothesis_class, inst.k
     f = AbstainingClassifier.always_abstain(inst.m)
     trace = []
     classifiers: list[np.ndarray] = []
-
-    def abstain_mass_of(i: int, g: AbstainingClassifier) -> Fraction:
-        d = inst.distributions[i]
-        return Fraction(d._weigh(g.outputs == 0), d._mden)
     *robust_epochs, final = p.epochs
     for ep in robust_epochs:
         labels_before = oracles.ledger.label_total
-        pr = passive_rpu_mdl(cls, imputed_family(oracles, f.outputs), oracles, range(k),
-                             ep.robust, abstain_mass_of)
+        pr = passive_rpu_mdl(imputed_family(oracles, f.outputs), range(k), ep.robust)
         labels_epoch = oracles.ledger.label_total - labels_before
         if pr.failure_mode is not None:
             trace.append((ep.n, ep.eps_n, float("nan"), pr.rounds, labels_epoch))
             return RunResult(None, pr.failure_mode, trace, {"failed_epoch": ep.n}, p)
         f = pr.classifier
         classifiers.append(f.outputs.copy())
-        abst = max(float(abstain_mass_of(i, f)) for i in range(k))
+        abst = max(float(d.mass(f.outputs == 0)) for d in inst.distributions)
         trace.append((ep.n, ep.eps_n, abst, pr.rounds, labels_epoch))
     before = oracles.ledger.label_queries.copy()
     res = mdl_hedge_vc(cls, cls.full_version_space(), imputed_family(oracles, f.outputs),
                        final.solve, k, p.d)
     labels = oracles.ledger.label_queries - before
-    abstain = [float(abstain_mass_of(i, f)) for i in range(k)]
+    abstain = [float(d.mass(f.outputs == 0)) for d in inst.distributions]
     trace.append((final.n, final.eps_n, max(abstain), 0, int(labels.sum())))
     return RunResult(res.hypothesis, None, trace,
                      {"final_draws_per_dist": (res.reward_draws + res.store_draws).tolist(),

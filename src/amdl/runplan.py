@@ -106,7 +106,7 @@ class RunPlan:
     k: int
     d: int
     s: int | None = None
-    branch: str | None = None    # active-dd-auto's: "large" or "small"
+    learner: str = ""            # the learner that runs it: large, small, df, hedge or naive
     stage1: RunPlan | None = None    # active-dd-small's stage one, when it runs
     eps_p: float = 1.0           # its target: V0 keeps the members within 2 eps_p
     epochs: tuple[Epoch, ...] = ()
@@ -146,7 +146,7 @@ def _large(p: RunPlan) -> RunPlan:
     warnings = ()
     if cfg.eps < REGIME_FACTOR * cfg.nu:
         warnings = (f"regime: eps={cfg.eps} < {REGIME_FACTOR}*nu={REGIME_FACTOR * cfg.nu}",)
-    return replace(p, epochs=epochs, warnings=warnings)
+    return replace(p, learner="large", epochs=epochs, warnings=warnings)
 
 
 def _small(p: RunPlan) -> RunPlan:
@@ -166,14 +166,12 @@ def _small(p: RunPlan) -> RunPlan:
         # an excess-error target of 1 is vacuous: stage one is skipped
         warnings.append("stage1 skipped: 100*nu >= 1, V0 = full class")
     n0 = math.ceil(AGREEMENT_FACTOR * (eps + nu) / eps ** 2 * math.log(p.k / delta_p))
-    return replace(p, stage1=stage1, eps_p=eps_p, n0=n0, warnings=tuple(warnings),
+    return replace(p, learner="small", stage1=stage1, eps_p=eps_p, n0=n0, warnings=tuple(warnings),
                    solve=_solve(replace(p.cfg, eps=eps / 2.0, delta=delta_p), p.k, p.d))
 
 
 def _auto(p: RunPlan) -> RunPlan:
-    if p.cfg.eps >= REGIME_FACTOR * p.cfg.nu:
-        return replace(_large(p), branch="large")
-    return replace(_small(p), branch="small")
+    return _large(p) if p.cfg.eps >= REGIME_FACTOR * p.cfg.nu else _small(p)
 
 
 def _dist_free(p: RunPlan) -> RunPlan:
@@ -194,19 +192,20 @@ def _dist_free(p: RunPlan) -> RunPlan:
             warnings.append(f"rpu regime: epoch {n} target {eps_n} < {REGIME_FACTOR:g}*s*nu="
                             f"{REGIME_FACTOR * s * cfg.nu}")
         epochs.append(Epoch(n, eps_n, delta_n, robust=robust(k, eps_n, delta_n, s, cfg.c_n)))
-    return replace(p, epochs=(*epochs, final), warnings=tuple(warnings))
+    return replace(p, learner="df", epochs=(*epochs, final), warnings=tuple(warnings))
 
 
 def _naive(p: RunPlan) -> RunPlan:
     eps = p.cfg.eps
-    n = math.ceil(p.cfg.c_naive * max(p.d, 1) * (p.cfg.nu + eps) / eps ** 2
-                  * math.log(p.k / (p.cfg.delta * eps)))
-    return replace(p, naive_n=max(n, 1))
+    n = math.ceil(max(p.d, 1) * (p.cfg.nu + eps) / eps ** 2 * math.log(p.k / (p.cfg.delta * eps)))
+    return replace(p, learner="naive", naive_n=max(n, 1))
 
 
 _PLANNERS = {"active-dd-large": _large, "active-dd-small": _small, "active-dd-auto": _auto,
-             "active-df": _dist_free, "passive-naive": _naive,
-             "passive-hedge": lambda p: replace(p, solve=_solve(p.cfg, p.k, p.d))}
+             "active-df": _dist_free,
+             "passive-hedge": lambda p: replace(p, learner="hedge", solve=_solve(p.cfg, p.k, p.d)),
+             "passive-naive": _naive}
+ALGORITHMS = tuple(_PLANNERS)
 
 
 def plan(alg: str, cfg: SolverConfig, k: int, d: int, s: int | None = None) -> RunPlan:
@@ -215,7 +214,7 @@ def plan(alg: str, cfg: SolverConfig, k: int, d: int, s: int | None = None) -> R
     that is not an int >= 1 or >= 0, and a size that overflows, underflows or
     is not a number are refused with ContractViolation."""
     if alg not in _PLANNERS:
-        raise ContractViolation(f"unknown algorithm {alg!r}; known: {list(_PLANNERS)}")
+        raise ContractViolation(f"unknown algorithm {alg!r}; known: {list(ALGORITHMS)}")
     k, d = check_int("k", k, 1), check_int("d", d)
     try:
         return _PLANNERS[alg](RunPlan(alg, cfg, k, d, s))

@@ -225,7 +225,7 @@ def test_criterion_5_epoch_invariants():
     for seed in range(trials):
         o = OracleSet(inst, seed)
         # radius bound rho(h, h_n) <= 2 eps_n is asserted inside the update
-        res = active_large_eps(inst, o, plan("active-dd-large", cfg, inst.k, 1))
+        res = active_large_eps(o, plan("active-dd-large", cfg, inst.k, 1))
         if not res.ok:
             continue
         spaces = res.metadata["version_spaces"]
@@ -252,7 +252,7 @@ def test_criterion_6_rpu_reliability():
     for seed in range(trials):
         o = OracleSet(inst, seed)
         fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
-        f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, o, (0,)),
+        f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, (0,)),
                              *robust_sizes(xi, DELTA, 8, cfg.c_n))
         rep = rpu_report(inst, f, target.labels)
         violations += any(v > 0 for v in rep.violation_mass)
@@ -263,7 +263,7 @@ def test_criterion_6_rpu_reliability():
     for seed in range(pipe_trials):
         o = OracleSet(inst, seed)
         from amdl.rpu import active_dist_free
-        res = active_dist_free(inst, o, plan("active-df", cfg, inst.k, 1, 8))
+        res = active_dist_free(o, plan("active-df", cfg, inst.k, 1, 8))
         if not res.ok:
             continue
         completed += 1

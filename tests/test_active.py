@@ -31,7 +31,7 @@ def test_epoch_schedule_brackets_target(desk_knobs):
     for eps in (0.3, 0.25, 0.1, 0.07, 0.03):
         cfg = SolverConfig(eps=eps, delta=0.1, nu=0.0, **desk_knobs)
         p = plan("active-dd-large", cfg, inst.k, 1)
-        res = active_large_eps(inst, OracleSet(inst, seed=0), p)
+        res = active_large_eps(OracleSet(inst, seed=0), p)
         assert res.ok
         schedule = list(halving(len(res.plan.epochs), 0.1))
         assert [row[:2] for row in res.trace] == [(n, eps_n) for n, eps_n, _ in schedule]
@@ -45,7 +45,7 @@ def test_one_point_realizable_run(desk_knobs):
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=0.0, **desk_knobs)
     for seed in range(5):
         o = OracleSet(inst, seed)
-        res = active_large_eps(inst, o, plan("active-dd-large", cfg, inst.k, 1))
+        res = active_large_eps(o, plan("active-dd-large", cfg, inst.k, 1))
         assert res.ok
         assert amdl.worst_loss(res.output, inst) == 0.0
         # the run localizes after the first epoch; label cost stays near the
@@ -57,7 +57,7 @@ def test_version_spaces_nested_and_radius_bound(desk_knobs):
     inst = amdl.gen_star_lb(2, 8, 1, 3)
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=3)
-    res = active_large_eps(inst, o, plan("active-dd-large", cfg, inst.k,
+    res = active_large_eps(o, plan("active-dd-large", cfg, inst.k,
                                          amdl.vc_dimension(inst.hypothesis_class).value))
     assert res.ok
     spaces = res.metadata["version_spaces"]
@@ -128,7 +128,7 @@ def test_kept_members_lie_within_the_epoch_radius(monkeypatch, family, eps):
             return res
 
         monkeypatch.setattr(active, "mdl_hedge_vc", capture)
-        run = active_large_eps(inst, OracleSet(inst, seed), plan("active-dd-large", cfg, inst.k, d))
+        run = active_large_eps(OracleSet(inst, seed), plan("active-dd-large", cfg, inst.k, d))
         monkeypatch.undo()
         # epoch n keeps what epoch n + 1 solves over; the last epoch keeps
         # the final version space, or nothing when the space collapsed
@@ -150,7 +150,7 @@ def test_realizable_labeling_hypothesis_survives(desk_knobs):
     survived = 0
     for seed in range(40):
         o = OracleSet(inst, seed)
-        res = active_large_eps(inst, o, plan("active-dd-large", cfg, inst.k, 1))
+        res = active_large_eps(o, plan("active-dd-large", cfg, inst.k, 1))
         if res.ok and all(target_idx in V for V in res.metadata["version_spaces"]):
             survived += 1
     assert survived >= 36  # 1 - delta of trials at delta = 0.1
@@ -163,7 +163,7 @@ def test_version_space_collapse_reported(desk_knobs):
     inst = amdl.gen_prop1(4, 0.4)
     cfg = SolverConfig(eps=0.02, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
     o = OracleSet(inst, seed=9)
-    res = active_large_eps(inst, o, plan("active-dd-large", cfg, inst.k, 1))
+    res = active_large_eps(o, plan("active-dd-large", cfg, inst.k, 1))
     assert res.failure_mode == "version_space_collapse"
     assert res.output is None and not res.ok
     assert res.metadata["collapse_epoch"] == 4
@@ -171,7 +171,7 @@ def test_version_space_collapse_reported(desk_knobs):
     assert any(w.startswith("regime:") for w in res.plan.warnings)
     # a neighbouring seed completes and reports no failure
     o2 = OracleSet(inst, seed=0)
-    res2 = active_large_eps(inst, o2, res.plan)
+    res2 = active_large_eps(o2, res.plan)
     assert res2.failure_mode is None and res2.ok
 
 
@@ -181,11 +181,25 @@ def test_small_eps_stage_one_cap(desk_knobs):
     nu = float(inst.nu_exact())
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = active_small_eps(inst, o, plan("active-dd-small", cfg, inst.k, 1))
+    res = active_small_eps(o, plan("active-dd-small", cfg, inst.k, 1))
     assert res.ok
     assert res.plan.eps_p == 1.0 and res.plan.stage1 is None
     assert res.metadata["v0_size"] == len(inst.hypothesis_class)
     assert any("stage1 skipped" in w for w in res.plan.warnings)
+
+
+def test_small_eps_reports_a_failed_stage_one(desk_knobs, monkeypatch):
+    # a stage one whose filter keeps no member ends the run there, under the
+    # run's own plan, not stage one's
+    inst = amdl.gen_prop1(8, 0.001)
+    cfg = SolverConfig(eps=0.05, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
+    p = plan("active-dd-small", cfg, inst.k, 1)
+    assert p.stage1 is not None and p.stage1.learner == "large"
+    monkeypatch.setattr(active, "_within_radius", lambda *args: [])
+    res = active_small_eps(OracleSet(inst, seed=0), p)
+    assert res.failure_mode == "version_space_collapse" and res.output is None
+    assert res.metadata == {"collapse_epoch": 1, "failed_stage": 1}
+    assert res.plan is p and [row[0] for row in res.trace] == [1]
 
 
 def test_small_eps_agreement_label_accounting(desk_knobs):
@@ -193,7 +207,7 @@ def test_small_eps_agreement_label_accounting(desk_knobs):
     nu = float(inst.nu_exact())
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **desk_knobs)
     o = OracleSet(inst, seed=1)
-    res = active_small_eps(inst, o, plan("active-dd-small", cfg, inst.k, 1))
+    res = active_small_eps(o, plan("active-dd-small", cfg, inst.k, 1))
     # tests/test_runplan.py checks n0 against its literal formula
     n0 = res.plan.n0
     assert res.metadata["agreement_label_cost"] == inst.k * n0
@@ -215,7 +229,7 @@ def test_small_eps_degenerate_agreement_flagged(desk_knobs):
     assert nu > 0
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = active_small_eps(inst, o, plan("active-dd-small", cfg, inst.k, 1))
+    res = active_small_eps(o, plan("active-dd-small", cfg, inst.k, 1))
     assert res.metadata["degenerate_agreement"] == [0, 1]
     assert res.ok
 
@@ -225,7 +239,7 @@ def test_small_eps_requires_positive_nu(desk_knobs):
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
     with pytest.raises(ContractViolation):
-        active_small_eps(inst, o, plan("active-dd-small", cfg, inst.k, 1))
+        active_small_eps(o, plan("active-dd-small", cfg, inst.k, 1))
 
 
 BAD_TARGETS = [("large", dict(eps=math.nan)), ("large", dict(eps=math.inf)),
@@ -244,9 +258,9 @@ def test_learners_refuse_bad_targets_at_entry(desk_knobs, learner, bad):
     # such target reaches a learner and nothing is drawn
     inst = amdl.gen_example1(0.2, 0.05, "a")
     o = OracleSet(inst, seed=0)
-    run = {"large": lambda cfg: active_large_eps(inst, o, plan("active-dd-large", cfg, 2, 1)),
-           "small": lambda cfg: active_small_eps(inst, o, plan("active-dd-small", cfg, 2, 1)),
-           "df": lambda cfg: amdl.active_dist_free(inst, o, plan("active-df", cfg, 2, 1, 2)),
+    run = {"large": lambda cfg: active_large_eps(o, plan("active-dd-large", cfg, 2, 1)),
+           "small": lambda cfg: active_small_eps(o, plan("active-dd-small", cfg, 2, 1)),
+           "df": lambda cfg: amdl.active_dist_free(o, plan("active-df", cfg, 2, 1, 2)),
            }[learner]
     with pytest.raises(ContractViolation):
         run(SolverConfig(**{"eps": 0.05, "delta": 0.1, "nu": 0.2, **bad}, **desk_knobs))
@@ -258,8 +272,9 @@ def test_regime_dispatch_branches(desk_knobs):
     inst = amdl.gen_star_lb(2, 4, 1, 1)
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = harness.RUNNERS["active-dd-auto"](inst, o, plan("active-dd-auto", cfg, inst.k, 1))
-    assert res.plan.branch == "large" and "center_index" in res.metadata
+    p = plan("active-dd-auto", cfg, inst.k, 1)
+    res = harness.RUNNERS[p.learner](o, p)
+    assert res.plan.learner == "large" and "center_index" in res.metadata
     # threshold arithmetic both ways around eps = 0.5
     assert 0.5 >= 100 * 0.004 and not 0.5 >= 100 * 0.01
 
@@ -269,7 +284,8 @@ def test_regime_dispatch_small_branch(desk_knobs):
     nu = float(inst.nu_exact())
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=nu, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = harness.RUNNERS["active-dd-auto"](inst, o, plan("active-dd-auto", cfg, inst.k, 1))
-    assert res.plan.branch == "small" and "v0_size" in res.metadata
+    p = plan("active-dd-auto", cfg, inst.k, 1)
+    res = harness.RUNNERS[p.learner](o, p)
+    assert res.plan.learner == "small" and "v0_size" in res.metadata
     assert res.ok
 

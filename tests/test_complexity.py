@@ -135,6 +135,7 @@ def test_a_refused_bool_cap_leaves_no_memo():
         vc_dimension(cls, True)
     assert vc_dimension(cls, 1) == complexity.ComplexityValue(1, lower_bound_only=True)
     assert vc_dimension(cls, 1).value is not True
+    assert int(vc_dimension(cls, 1)) == 1 and type(int(vc_dimension(cls, 1))) is int
 
 
 @pytest.mark.parametrize("m", [5, 7])

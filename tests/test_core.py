@@ -296,6 +296,28 @@ def test_declared_nu_checked():
         MDLInstance(cls, [dist], declared_nu=0.3)
 
 
+REFUSED_CONSTRUCTIONS = {
+    "unequal lengths": (lambda: LabeledDistribution([0.5, 0.5], [1.0]), "equal length"),
+    "no distributions": (lambda: MDLInstance(HypothesisClass([Hypothesis([1, -1])]), []),
+                         "k >= 1 distributions"),
+    "empty mixture": (lambda: amdl.mixture_distribution([]), "at least one distribution"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_CONSTRUCTIONS))
+def test_constructions_refuse_empty_or_unequal_parts(case):
+    build, message = REFUSED_CONSTRUCTIONS[case]
+    with pytest.raises(ContractViolation, match=message):
+        build()
+
+
+def test_index_of_refuses_a_non_member():
+    cls = HypothesisClass([Hypothesis([1, -1]), Hypothesis([-1, -1])])
+    assert cls.index_of(Hypothesis([-1, -1])) == 1
+    with pytest.raises(KeyError, match="not in class"):
+        cls.index_of(Hypothesis([1, 1]))
+
+
 def test_instance_refuses_a_distribution_of_another_size():
     # the instance takes m from its class
     cls = HypothesisClass([Hypothesis([1, -1])])
@@ -503,6 +525,19 @@ def test_mixture_distribution_prop1_average():
     assert float(bar.marginal[0]) == 0.8
     assert all(float(bar.marginal[i]) == 0.2 / 4 for i in range(1, 5))
     assert bar.eta_plus[1] == 1
+
+
+def test_mixture_distribution_weighted_closed_form():
+    # example1 case b: D_1 puts 2/5 on point 0 and 3/5 on point 2, all +1; D_2
+    # puts 1/5 on point 1 (label -1) and 4/5 on point 2, +1 with probability 11/16
+    inst = amdl.gen_example1(Fraction(1, 5), Fraction(1, 20), "b")
+    bar = amdl.mixture_distribution(inst.distributions, ["1/4", 0.75])
+    assert bar.marginal == (Fraction(1, 10), Fraction(3, 20), Fraction(3, 4))
+    # point 2: (1/4 3/5 + 3/4 4/5 11/16) / (3/4)
+    assert bar.eta_plus == (1, 0, Fraction(3, 4))
+    for h in inst.hypothesis_class.hypotheses:
+        assert loss_exact(h, bar) == sum(w * loss_exact(h, d) for w, d in
+                                         zip((Fraction(1, 4), Fraction(3, 4)), inst.distributions))
 
 
 @pytest.mark.parametrize("weights", [["1e999", 0], [0, "1e999"], ["1e999", "-1e999"],

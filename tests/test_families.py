@@ -159,6 +159,23 @@ def test_example1_parameter_ranges():
         amdl.gen_example1(0.2, 0.05, "c")
     with pytest.raises(ContractViolation):
         amdl.gen_example1(0.6, 0.05, "a")  # 2 nu' > 1
+    for nu_prime, eps in ((0.2, 0), (0.2, -0.05), (0, 0.05)):
+        with pytest.raises(ContractViolation, match="must be positive"):
+            amdl.gen_example1(nu_prime, eps, "b")
+    with pytest.raises(ContractViolation, match="exceeds the region mass"):
+        amdl.gen_example1(0.5, 0.1, "b")  # nu' + eps > 1 - nu'
+
+
+@pytest.mark.parametrize("eps", [0, 1, -0.1, 1.5])
+def test_prop1_refuses_eps_outside_the_unit_interval(eps):
+    with pytest.raises(ContractViolation, match=r"eps must lie in \(0,1\)"):
+        amdl.gen_prop1(2, eps)
+
+
+def test_random_refuses_more_hypotheses_than_labelings():
+    assert len(amdl.gen_random(2, 4, 1, seed=0).hypothesis_class) == 4
+    with pytest.raises(ContractViolation, match="more distinct hypotheses than labelings"):
+        amdl.gen_random(2, 5, 1, seed=0)
 
 
 def test_family_spec_generate_and_validation():

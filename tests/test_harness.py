@@ -119,10 +119,15 @@ def test_sweep_negative_base_seed_gives_skipped_rows():
     assert all(r["skipped"] == 1 and "base_seed must be >= 0" in r["reason"] for r in rows)
 
 
+def test_run_config_plan_needs_an_instance():
+    with pytest.raises(ContractViolation, match="needs an instance"):
+        RunConfig(alg="passive-hedge", eps=0.1, delta=0.1).plan()
+
+
 def test_run_config_refuses_unknown_knobs():
     with pytest.raises(ContractViolation, match="c_tt"):
         RunConfig(alg="passive-hedge", eps=0.1, delta=0.1, knobs={"c_tt": 1})
-    RunConfig(alg="passive-hedge", eps=0.1, delta=0.1, knobs={"c_t": 1e-5, "c_naive": 2.0})
+    RunConfig(alg="passive-hedge", eps=0.1, delta=0.1, knobs={"c_t": 1e-5, "c_n": 2.0})
 
 
 @pytest.mark.parametrize("knobs", [{"c_tt": 1.0}, {"c_t": float("nan")}, {"c_t": "x"},
@@ -542,7 +547,7 @@ CLI_VALUES = {
     "--delta": ["0.1", "0.5", "0", "1", "nan", "x"], "--trials": ["1", "2", "0", "-1", "x"],
     "--workers": ["1", "0", "-1", "x"], "--r0": ["0.1", "0", "-1", "2", "nan", "x"],
     "--cap": ["12", "0", "-1", "x"], "--hstar": ["0", "1", "-1", "99", "x"],
-    "--knob": ["c_eta=0.5", "c_t=x", "c_t", "zz=1", "c_naive=nan", "c_eta=-1", "=1"],
+    "--knob": ["c_eta=0.5", "c_t=x", "c_t", "zz=1", "c_n=nan", "c_eta=-1", "=1"],
 }
 CLI_FILES = ("instance.json", "broken.json", "list.json", "sweep.json", "sweep.csv", "bad.csv",
              "missing.json")
@@ -655,12 +660,12 @@ def test_cli_knob_override(tmp_path):
     cli_main(["gen", "--family", "prop1", "--k", "2", "--eps", "0.1",
               "--out", str(inst_path)])
     out = tmp_path / "r.csv"
-    rc = cli_main(["run", "--instance", str(inst_path), "--alg", "passive-naive",
-                   "--eps", "0.2", "--trials", "1", "--knob", "c_naive=2.0",
+    rc = cli_main(["run", "--instance", str(inst_path), "--alg", "passive-hedge",
+                   "--eps", "0.2", "--trials", "1", "--knob", "c_t=6e-5",
                    "--out", str(out)])
     assert rc == 0
     base = tmp_path / "r0.csv"
-    cli_main(["run", "--instance", str(inst_path), "--alg", "passive-naive",
+    cli_main(["run", "--instance", str(inst_path), "--alg", "passive-hedge",
               "--eps", "0.2", "--trials", "1", "--out", str(base)])
     labels = [int(p.read_text().strip().split("\n")[1].split(",")[6])
               for p in (out, base)]
@@ -692,8 +697,8 @@ def test_cli_refuses_bad_arguments(case, tmp_path):
     bad_config = tmp_path / "sweep.json"
     bad_config.write_text("{not json")
     run = ["run", "--instance", str(inst_path), "--alg", "passive-naive", "--eps", "0.2"]
-    argv = {"knob-without-value": run + ["--knob", "c_naive"],
-            "knob-not-number": run + ["--knob", "c_naive=x"],
+    argv = {"knob-without-value": run + ["--knob", "c_t"],
+            "knob-not-number": run + ["--knob", "c_t=x"],
             "hstar-too-big": ["measure", "--instance", str(inst_path), "--hstar", "3"],
             "hstar-negative": ["measure", "--instance", str(inst_path), "--hstar", "-1"],
             "config-not-json": ["sweep", "--config", str(bad_config)]}[case]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import amdl
 from amdl import (ContractViolation, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, OracleSet, SolverConfig, hedge)
-from amdl.hedge import (HedgeState, PooledStore, hedge_step, hyperparams, mdl_hedge_vc,
+from amdl.hedge import (KNOBS, HedgeState, PooledStore, hedge_step, hyperparams, mdl_hedge_vc,
                         naive_erm_baseline)
 from amdl.oracles import plain_family
 
@@ -63,7 +63,7 @@ def test_solver_config_validation():
         SolverConfig(eps=0.1, delta=0.1, nu=0.0, c_t=0.0)
 
 
-@pytest.mark.parametrize("knob", ["c_t", "c_t1", "c_eta", "c_eps1", "c_n", "c_naive"])
+@pytest.mark.parametrize("knob", KNOBS)
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
 def test_solver_config_refuses_non_finite_knobs(knob, value):
     # NaN passes a `<= 0` test, and hyperparams then failed in math.ceil
@@ -302,7 +302,7 @@ BAD_SOLVER_INTS = {
 def _solve_or_baseline(o: OracleSet, k=2, d=1, n=None):
     inst = o.instance
     if n is not None:
-        return naive_erm_baseline(inst, o, n)
+        return naive_erm_baseline(o, n)
     cls = inst.hypothesis_class
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=float(inst.nu_exact()), **amdl.PROFILES["desk"])
     return mdl_hedge_vc(cls, cls.full_version_space(), plain_family(o), cfg, k, d)
@@ -409,7 +409,7 @@ def test_naive_baseline_realizable_and_label_count(desk_knobs):
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
     n_per = amdl.plan("passive-naive", cfg, inst.k, 1).naive_n
-    h = naive_erm_baseline(inst, o, n_per)
+    h = naive_erm_baseline(o, n_per)
     assert amdl.worst_loss(h, inst) == 0.0
     assert o.ledger.label_total == inst.k * n_per
 

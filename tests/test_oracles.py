@@ -121,6 +121,8 @@ BAD_CALLS = {
         o.instance.hypothesis_class.labels, 0, [1.5], 3),
     "round_losses-fractional-horizon": lambda o: amdl.plain_family(o).round_losses(
         o.instance.hypothesis_class.labels, 0, [2], 2.5),
+    "round_losses-a-count-per-member-short": lambda o: amdl.plain_family(o).round_losses(
+        o.instance.hypothesis_class.labels, 0, [2, 2], 3),
     "run_table-candidate-out-of-range": lambda o: amdl.plain_family(o).run_table(
         o.instance.hypothesis_class.labels, 3, [2], 3),
     "run_table-negative-candidate": lambda o: amdl.plain_family(o).run_table(
@@ -130,7 +132,7 @@ BAD_CALLS = {
 
 
 def _served(fam, m):
-    fam.run_table(fam._oracles.instance.hypothesis_class.labels, 0, [2], 3)
+    fam.run_table(fam.oracles.instance.hypothesis_class.labels, 0, [2], 3)
     fam.serve(m)
 
 
@@ -840,7 +842,7 @@ def test_zero_reward_runs_equal_one_round_at_a_time(case, monkeypatch):
     inst = make()
     p = RunConfig(alg=alg, eps=eps, delta=0.1, instance=inst).plan()
     if p.epochs:
-        V = amdl.active_large_eps(inst, OracleSet(inst, seed=0), p).metadata["version_spaces"][3]
+        V = amdl.active_large_eps(OracleSet(inst, seed=0), p).metadata["version_spaces"][3]
         solve, build = p.epochs[4].solve, lambda o: amdl.induced_family(o, V)
     else:
         V, solve, build = inst.hypothesis_class.full_version_space(), p.solve, amdl.plain_family

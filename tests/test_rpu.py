@@ -15,13 +15,14 @@ from amdl.rpu import (active_dist_free, mixture_draw, passive_rpu_mdl, robust_rp
                       threshold_majority)
 from amdl.runplan import batch_size, plan, robust
 
-from closed_forms import (imputed_distribution, joint_exact, mass_exact, mixture_draw_reference,
-                          robust_rpu_reference, robust_sizes, rpu_report)
+from closed_forms import (imputed_distribution, joint_exact, mass_exact, mass_reference,
+                          mixture_draw_reference, robust_rpu_reference, robust_sizes, rpu_report)
 from conftest import empirical_tv
 
 
 def test_abstaining_classifier_validation():
-    AbstainingClassifier([1, 0, -1])
+    f = AbstainingClassifier([1, 0, -1])
+    assert [f(x) for x in range(3)] == [1, 0, -1] and type(f(0)) is int
     with pytest.raises(ContractViolation):
         AbstainingClassifier([1, 2, 0])
     # checked before the int8 cast, which wraps 255 to -1 and -255 to +1
@@ -96,7 +97,7 @@ def test_robust_rpu_learn_noiseless_reliable(desk_knobs):
     for seed in range(trials):
         inst, target, o = _noiseless_setup(seed)
         fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
-        f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, o, (0,)),
+        f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, (0,)),
                              *robust_sizes(0.25, 0.1, 8, cfg.c_n))
         rep = rpu_report(inst, f, target.labels, labels_used=o.ledger.label_total)
         violations += any(v > 0 for v in rep.violation_mass)
@@ -111,7 +112,7 @@ def test_robust_rpu_learn_refuses_a_bad_batch_count_or_size(N, n):
     inst = amdl.gen_prop1(2, 0.2)
     o = OracleSet(inst, 0)
     with pytest.raises(ContractViolation, match="^N |^n "):
-        robust_rpu_learn(inst.hypothesis_class, mixture_draw(plain_family(o), o, (0,)), N, n)
+        robust_rpu_learn(inst.hypothesis_class, mixture_draw(plain_family(o), (0,)), N, n)
     assert o.ledger.unlabeled_total == 0
 
 
@@ -120,7 +121,7 @@ def test_robust_rpu_learn_takes_numpy_integers():
     for cast in (int, np.int64):
         inst = amdl.gen_prop1(2, 0.2)
         o = OracleSet(inst, 0)
-        outs.append(robust_rpu_learn(inst.hypothesis_class, mixture_draw(plain_family(o), o, (0,)),
+        outs.append(robust_rpu_learn(inst.hypothesis_class, mixture_draw(plain_family(o), (0,)),
                                      cast(60), cast(4)).outputs.tolist())
     assert outs[0] == outs[1]
 
@@ -132,7 +133,7 @@ def test_robust_rpu_learn_tolerates_corrupted_batches(desk_knobs):
     o = OracleSet(inst, seed=0)
     fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.3, **desk_knobs)
-    f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, o, (0,)),
+    f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, (0,)),
                          *robust_sizes(0.5, 0.2, 2, cfg.c_n))
     assert set(np.unique(f.outputs)) <= {-1, 0, 1}
 
@@ -176,7 +177,7 @@ def test_batched_learner_equals_one_batch_at_a_time(case, log, desk_knobs):
         o = OracleSet(inst, seed=7, log_transcript=log)
         fam = imputed_family(o, outputs)
         if batched:
-            f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, o, members),
+            f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, members),
                                  *robust_sizes(xi, delta, s_star, c_n)).outputs
         else:
             f = robust_rpu_reference(inst.hypothesis_class,
@@ -194,16 +195,20 @@ def test_passive_rpu_mdl_single_distribution_equals_robust(desk_knobs):
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **desk_knobs)
     inst, target, o1 = _noiseless_setup(3, k=1)
     fam1 = imputed_family(o1, np.zeros(inst.m, dtype=np.int8))
-    pr = passive_rpu_mdl(inst.hypothesis_class, fam1, o1, range(1),
-                         robust(1, 0.25, 0.1, 8, cfg.c_n),
-                         abstain_mass=lambda i, g: mass_exact(
-                             inst.distributions[i], np.flatnonzero(g.outputs == 0)))
+    pr = passive_rpu_mdl(fam1, range(1), robust(1, 0.25, 0.1, 8, cfg.c_n))
     inst2, _, o2 = _noiseless_setup(3, k=1)
     fam2 = imputed_family(o2, np.zeros(inst2.m, dtype=np.int8))
-    f2 = robust_rpu_learn(inst2.hypothesis_class, mixture_draw(fam2, o2, (0,)),
+    f2 = robust_rpu_learn(inst2.hypothesis_class, mixture_draw(fam2, (0,)),
                           *robust_sizes(0.125, 0.05, 8, cfg.c_n))
     assert pr.failure_mode is None and pr.rounds == 1
     assert np.array_equal(pr.classifier.outputs, f2.outputs)
+
+
+def test_passive_rpu_mdl_refuses_an_empty_set():
+    o = OracleSet(amdl.gen_prop1(2, 0.1), 0)
+    with pytest.raises(ContractViolation, match="at least one distribution"):
+        passive_rpu_mdl(plain_family(o), [], robust(2, 0.25, 0.1, 2, 1.0))
+    assert o.ledger.label_total == 0 and o._aux.consumed == 0
 
 
 def test_passive_rpu_mdl_prunes_by_halving(desk_knobs):
@@ -213,10 +218,7 @@ def test_passive_rpu_mdl_prunes_by_halving(desk_knobs):
         inst, target, o = _noiseless_setup(seed, k=4)
         fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
         s_star = amdl.star_number_unqualified(inst.hypothesis_class).value
-        pr = passive_rpu_mdl(inst.hypothesis_class, fam, o, range(4),
-                             robust(4, 0.25, 0.1, s_star, cfg.c_n),
-                             abstain_mass=lambda i, g, inst=inst: mass_exact(
-                                 inst.distributions[i], np.flatnonzero(g.outputs == 0)))
+        pr = passive_rpu_mdl(fam, range(4), robust(4, 0.25, 0.1, s_star, cfg.c_n))
         assert pr.failure_mode is None
         survivors = [4]
         for masses in pr.per_round_abstain:
@@ -237,13 +239,23 @@ def test_passive_rpu_mdl_stall_reported(desk_knobs):
     inst = amdl.gen_prop1(2, 0.1)
     o = OracleSet(inst, 0)
     fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
-    pr = passive_rpu_mdl(inst.hypothesis_class, fam, o, range(2),
-                         robust(2, 0.01, 0.1, 2, cfg.c_n),
-                         abstain_mass=lambda i, g: mass_exact(
-                             inst.distributions[i], np.flatnonzero(g.outputs == 0)))
+    pr = passive_rpu_mdl(fam, range(2), robust(2, 0.01, 0.1, 2, cfg.c_n))
     assert pr.failure_mode == "pruning_stalled"
     assert pr.classifier is None
     assert pr.rounds == 4 * math.ceil(math.log2(2)) + 4
+
+
+@pytest.mark.parametrize("inst", [amdl.gen_star_lb(1, 4, 1, 2), amdl.gen_star_lb(4, 4, 1, 2),
+                                  amdl.gen_prop1(2, 0.1)], ids=["star-k1", "star-k4", "prop1"])
+def test_mass_is_the_closed_form_mass(inst):
+    # the pruning loop's abstention mass, on the instances of the prune tests above
+    rng = np.random.default_rng(7)
+    masks = [np.zeros(inst.m, bool), np.ones(inst.m, bool),
+             *(rng.random(inst.m) < 0.5 for _ in range(20))]
+    for d in inst.distributions:
+        for mask in masks:
+            pts = np.flatnonzero(mask)
+            assert d.mass(mask) == mass_exact(d, pts) == mass_reference(pts.tolist(), d)
 
 
 def test_imputed_distribution_consistency(desk_knobs):
@@ -263,7 +275,7 @@ def test_active_dist_free_schedule_degeneracy(desk_knobs):
     inst = amdl.gen_star_lb(2, 4, 1, 1)
     cfg = SolverConfig(eps=0.5, delta=0.1, nu=0.0, **desk_knobs)
     o = OracleSet(inst, seed=0)
-    res = active_dist_free(inst, o, plan("active-df", cfg, inst.k, 1, 8))
+    res = active_dist_free(o, plan("active-df", cfg, inst.k, 1, 8))
     assert res.ok
     assert len(res.plan.epochs) == 1
     assert len(res.trace) == 1
@@ -278,7 +290,7 @@ def test_active_dist_free_success_and_reliability(desk_knobs):
     trials = 25
     for seed in range(trials):
         o = OracleSet(inst, seed)
-        res = active_dist_free(inst, o, plan("active-df", cfg, inst.k, 1, 8))
+        res = active_dist_free(o, plan("active-df", cfg, inst.k, 1, 8))
         if not res.ok:
             continue
         wl = amdl.worst_loss(res.output, inst)
@@ -310,7 +322,7 @@ def test_active_dist_free_final_label_cost_reconciles(desk_knobs):
     fractional = 0
     for seed in range(10):
         o = OracleSet(inst, seed)
-        res = active_dist_free(inst, o, plan("active-df", cfg, inst.k, 1, 3))
+        res = active_dist_free(o, plan("active-df", cfg, inst.k, 1, 3))
         assert res.ok
         md = res.metadata
         draws = np.array(md["final_draws_per_dist"], dtype=float)
@@ -329,6 +341,6 @@ def test_active_dist_free_final_target_switch(desk_knobs):
     # the last epoch's passive solve targets the run's eps, not 2^-n0
     inst = amdl.gen_star_lb(2, 4, 1, 1)
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.0, **desk_knobs)
-    res = active_dist_free(inst, OracleSet(inst, seed=0), plan("active-df", cfg, inst.k, 1, 8))
+    res = active_dist_free(OracleSet(inst, seed=0), plan("active-df", cfg, inst.k, 1, 8))
     final = res.plan.epochs[-1]
     assert final.solve.eps == 0.1 and final.eps_n == 2.0 ** -len(res.plan.epochs) != 0.1

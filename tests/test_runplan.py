@@ -100,21 +100,21 @@ def test_every_size_equals_its_formula(alg):
                 plan(alg, cfg, k, d)
             continue
         p = plan(alg, cfg, k, d, s)
-        branch = alg
-        if alg == "active-dd-auto":
-            assert p.branch == ("large" if eps >= 100 * nu else "small")
-            branch = f"active-dd-{p.branch}"
-        if branch == "active-dd-large":
+        assert p.learner == {"active-dd-large": "large", "active-dd-small": "small",
+                             "active-df": "df", "passive-hedge": "hedge",
+                             "passive-naive": "naive"}.get(
+            alg, "large" if eps >= 100 * nu else "small")
+        if p.learner == "large":
             check_large(p, cfg, k, d)
-        elif branch == "active-dd-small":
+        elif p.learner == "small":
             check_small(p, cfg, k, d)
-        elif branch == "active-df":
+        elif p.learner == "df":
             check_dist_free(p, cfg, k, d, s)
-        elif branch == "passive-hedge":
+        elif p.learner == "hedge":
             assert p.solve == cfg and not p.epochs
         else:
             assert p.naive_n == max(1, math.ceil(
-                cfg.c_naive * max(d, 1) * (nu + eps) / eps ** 2 * math.log(k / (0.1 * eps))))
+                max(d, 1) * (nu + eps) / eps ** 2 * math.log(k / (0.1 * eps))))
         assert p.label_bound == (sum(k * (k * T + T1) for T, T1 in (
                                      hedge_rounds(c, k, d) for c in p.solves())) + k * p.n0
                                  + sum(e.robust.cap * e.robust.N * e.robust.batch

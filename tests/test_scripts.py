@@ -14,7 +14,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # `calibrate_profile.py --trials 2` under the desk profile, less the
 # machine-dependent t/trial column; each line ends with the plan's label bound
 CALIBRATE_TWO_TRIALS = """\
-knobs: {'c_t': 3e-05, 'c_t1': 0.0001, 'c_eta': 50.0, 'c_eps1': 100.0, 'c_n': 0.1, 'c_naive': 1.0}
+knobs: {'c_t': 3e-05, 'c_t1': 0.0001, 'c_eta': 50.0, 'c_eps1': 100.0, 'c_n': 0.1}
 prop1 k=4 alg1           ok 2/2 fails 0 worst_err 0.1000 bound 0.2000 margin +0.1000 labels 132 plan 3768 = agreement 0 + solve 3768 + rpu 0 + naive 0
 example1-a alg3          ok 2/2 fails 0 worst_err 0.2343 bound 0.4000 margin +0.1657 labels 156892 plan 173684 = agreement 153200 + solve 20484 + rpu 0 + naive 0
 example1-b alg3          ok 2/2 fails 0 worst_err 0.3054 bound 0.4500 margin +0.1446 labels 176540 plan 195566 = agreement 172350 + solve 23216 + rpu 0 + naive 0

@@ -110,7 +110,7 @@ def test_active_dd_auto_continues_across_its_branch_switch(monkeypatch):
     grid = [0.2, 0.05, 0.1, 0.4]
     config = _config([PROP1_LOW_NU], ["active-dd-auto"], grid, trials=2)
     _, cells = _assert_as_fresh(monkeypatch, config)
-    assert [cfg.plan().branch for cfg, _ in cells] == ["large", "small", "large", "large"]
+    assert [cfg.plan().learner for cfg, _ in cells] == ["large", "small", "large", "large"]
 
 
 def test_collapsing_cells_match_fresh_runs(monkeypatch):
