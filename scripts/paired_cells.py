@@ -19,7 +19,10 @@ substrings; a substring that matches no cell is refused.
 With `--sweep CONFIG` it times whole `harness.sweep` calls of the JSON sweep
 config instead, `--trials` of them per side, the n-th at base_seed
 `--base-seed` + n, alternating as above, and prints the same columns for
-them.  It refuses to report if the two sides' rows, or the records their
+them.  Each sweep runs the config as written, its own `trials` per cell
+included: configs/sweep_scaling.json runs 50 trials a cell, ten times the
+bench op's SWEEP_TRIALS (bench/workloads.py), so time a copy with `trials`
+set to 5 to time the bench op.  It refuses to report if the two sides' rows, or the records their
 `run_trials` returned to the sweep (captured as bench/workloads.py captures
 them), differ on any sweep.
 

@@ -10,14 +10,20 @@ the passive subroutine of every active algorithm in this package.
 A round of `mdl_hedge_vc`: grow the store when some weight reaches twice its
 threshold, play the weighted ERM over the store's float64 mistake counts,
 estimate the rewards from ceil(k * w_bar_i) fresh pairs per distribution (one
-`SamplerFamily.round_losses` call), and update the weights with `hedge_step`.  A
-zero reward row changes no weight: the next rounds, while zero too, are played
-with it (`SamplerFamily.serve_zero_rows`), with no `hedge_step` or ERM.  The
-running maxima w_bar seldom grow, so the counts are recomputed, and the reward
-draws totalled, only when they do.  The sampler meters served rounds in bulk;
-the solve settles the last of them as it ends, on an error too.  A solve over at
-most two candidates plays stretches of rounds at once, as a shadow in Python
-floats predicts them, each round verified bit for bit (`_play_chunk`).  Over two
+`SamplerFamily.row` call), and update the weights with `hedge_step`.  A zero
+reward row changes no weight, so the doubling test, the ERM and the counts
+stay as they were: the solver draws the next rows with the same play while
+they are zero, and plays the first row with a loss as the next round, with
+no `hedge_step` or ERM for the zero rows.  The running maxima w_bar seldom
+grow, so the counts are recomputed, and the reward draws totalled, only when
+they do.  A solve over at most two candidates plays stretches of rounds at
+once, as a shadow in Python floats predicts them, each round verified bit
+for bit (`_play_chunk`), on loss tables of the sampler's runs; its other
+rounds come from those runs too (`SamplerFamily.round_losses`, with
+`serve_zero_rows` for the zero rows after one).  Its sampler meters served
+rounds in bulk, and the solve settles the last of them as it ends, on an
+error too.  A larger solve plays no chunks, and a run's tables would mostly
+hold rows it never plays (see `amdl.oracles`).  Over two
 distributions the shadow steps one log-weight ratio against fixed thresholds;
 otherwise it multiplies the weights a block of rounds at a time, in
 straight-line code over k local floats built once per k (`_PRODUCT_SOURCE`): a
@@ -368,7 +374,7 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     # _fold_max shows by handing back a new list; the draws of a run of
     # rounds on one w_bar are added when the run ends
     bar, counts, since = None, [0] * k, 0
-    chunked = len(V) <= 2      # see _play_chunk
+    chunked = len(V) <= 2      # see _play_chunk; a larger solve draws rows
 
     try:
         while state.t < T:
@@ -391,17 +397,24 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
                 reward_draws = [a + (state.t - since) * b for a, b in zip(reward_draws, counts)]
                 bar, since = state.w_bar, state.t
                 counts = [math.ceil(k * v) for v in bar]
-            if chunked and _play_chunk(state, store, sampler, tally, local, counts, doubled, eta,
-                                       T - state.t, trace):
-                continue
-            r = sampler.round_losses(store.labels, local, counts, T - state.t)
-            # a zero reward changes no weight: the next zero rows repeat this round
-            played = 1 if (step := any(r)) else 1 + sampler.serve_zero_rows(local, T - state.t - 1)
+            # a zero reward changes no weight, so the rounds after it repeat its play
+            if chunked:
+                if _play_chunk(state, store, sampler, tally, local, counts, doubled, eta,
+                               T - state.t, trace):
+                    continue
+                r = sampler.round_losses(store.labels, local, counts, T - state.t)
+                played = 1 if any(r) else 1 + sampler.serve_zero_rows(local, T - state.t - 1)
+            else:
+                # zero rows, then the first row with a loss, all played with `local`
+                r, played = sampler.row(store.labels, local, counts), 1
+                while not any(r) and state.t + played < T:
+                    r, played = sampler.row(store.labels, local, counts), played + 1
             tally[local] += played
             if trace is not None:
                 trace.extend((state.t + 1 + s, state.w_arr, float(np.sum(state.w_bar)),
                               int(store.n.sum())) for s in range(played))
-            if step:
+            if any(r):
+                state.t += played - 1
                 hedge_step(state, r, eta)
             else:
                 state.t += played

@@ -23,8 +23,8 @@ from distribution i takes, from stream i,
   3. surrogate sampling only: one pick variate per non-queried point, in draw
      order, choosing a uniform element of the pre-labeled sample S_i.
 A request reads no other stream, so a solver round may serve its k requests
-in one call (`SamplerFamily.round_losses`) and consume exactly what k
-separate `draw` calls in index order would.  Every sampler maps point
+in one call (`SamplerFamily.row` or `round_losses`) and consume exactly what
+k separate `draw` calls in index order would.  Every sampler maps point
 variates with `LabeledDistribution.points` (a bucket table for large maps).
 
 Two numpy kernels draw the pairs: the imputing kernel, which serves plain,
@@ -44,8 +44,10 @@ batches), and draws one request of an int size (`draw`, store growth)
 directly, without the chase of request starts.
 
 A solver round's request from distribution i does not depend on the played
-hypothesis, and its size c_i seldom changes, so the family serves rounds
-from a block of requests kept per distribution, in runs.  A run is a stretch
+hypothesis, and its size c_i seldom changes, so for a solve over at most
+two candidates (`round_losses`, `run_table`) the family serves rounds from a
+block of requests kept per distribution, in runs, which the solver's chunks
+of rounds read whole.  A run is a stretch
 of rounds on one candidate matrix with unchanged counts, in which no block
 is rebuilt and nothing else reads a stream; it ends at the latest when one
 of its blocks runs out.  Within a run the rewards of candidate j are a
@@ -64,13 +66,25 @@ built with no more requests than the caller still plays, and no more
 variates than one buffer block unless a single request needs more.  Reading
 ahead changes no variate: a stream that holds too few appends the
 generator's next variates behind its unread tail.
+
+A solve over more than two candidates plays no chunks, and store growth and
+count changes end its runs after about 20 rounds, most of whose table rows it
+never plays; it draws each round with `row` instead.  A row's k requests are
+made one after another, each consuming its variates and metering its draws,
+queries and transcript lines before the next, so nothing is left pending.
+Two row kernels, imputing and surrogate (whose None-sample entries are
+surrogate requests that query every point), walk the points in Python over
+lists kept per stream: a window of the buffered variates from the stream's
+position and their points, remade when the buffer changes or the window runs
+out.  A family makes its row kernel, and a surrogate family lists its
+samples, on its first `row`.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -147,8 +161,8 @@ class QueryLedger:
     def __init__(self, k: int, log_transcript: bool = False):
         self.k = k
         self.log_transcript = log_transcript
-        self._queries = np.zeros(k, dtype=np.int64)
-        self._draws = np.zeros(k, dtype=np.int64)
+        self._queries = [0] * k     # Python ints, which metering adds to; read as arrays
+        self._draws = [0] * k
         self._transcript: list = []
         self.pending: SamplerFamily | None = None
 
@@ -160,12 +174,12 @@ class QueryLedger:
     @property
     def label_queries(self) -> np.ndarray:
         self.settle()
-        return self._queries
+        return np.array(self._queries, dtype=np.int64)
 
     @property
     def unlabeled_draws(self) -> np.ndarray:
         self.settle()
-        return self._draws
+        return np.array(self._draws, dtype=np.int64)
 
     @property
     def transcript(self) -> list:
@@ -174,11 +188,13 @@ class QueryLedger:
 
     @property
     def label_total(self) -> int:
-        return int(self.label_queries.sum())
+        self.settle()
+        return sum(self._queries)
 
     @property
     def unlabeled_total(self) -> int:
-        return int(self.unlabeled_draws.sum())
+        self.settle()
+        return sum(self._draws)
 
 
 _SIGN = np.array([-1, 1], dtype=np.int8)   # _SIGN[u < eta_plus[x]] is the label
@@ -239,10 +255,9 @@ class OracleSet:
         self._aux = _Uniforms(np.random.default_rng(children[k]))
         self._points = [d.points for d in instance.distributions]
         self._eta = [d.eta_f for d in instance.distributions]
+        # per stream, (buf, lo, hi, variates, points): buf[lo:hi] and its points as lists
+        self._listed = [(_NO_VARIATES, 0, 0, [], [])] * k
         self.ledger = QueryLedger(k, log_transcript)
-        # the ledger's counts as memoryviews: metering adds Python ints
-        self._asked = memoryview(self.ledger._queries)
-        self._drawn = memoryview(self.ledger._draws)
         m = instance.m
         self._every = (np.ones(m, dtype=bool), np.zeros(m, dtype=np.int8), True)  # plain sampling
 
@@ -259,7 +274,7 @@ class OracleSet:
                 raise ContractViolation(f"stream {blk.i} moved under {r} served requests")
         ledger = self.ledger
         if ledger.log_transcript:
-            cum = int(ledger._queries.sum())
+            cum = sum(ledger._queries)
             for t in range(r):
                 for blk in blocks:
                     b = blk.b + t
@@ -274,8 +289,8 @@ class OracleSet:
         for blk in blocks:
             stream, b = blk.stream, blk.b + r
             stream.pos = blk.ends[b] - stream.start
-            self._drawn[blk.i] += blk.c * r if blk.at is None else blk.at[b] - blk.at[blk.b]
-            self._asked[blk.i] += sum(blk.queries[blk.b:b])
+            ledger._draws[blk.i] += blk.c * r if blk.at is None else int(blk.at[b] - blk.at[blk.b])
+            ledger._queries[blk.i] += sum(blk.queries[blk.b:b])
             blk.b = b
 
     # -- per-family kernels: `rounds` requests of c pairs from stream i, read
@@ -367,6 +382,114 @@ class OracleSet:
         return _Rounds(self, i, c, np.where(need, pts, sx[pick]), np.where(need, fresh, sy[pick]),
                        need, _even_ends(base, 2 * c, rounds), np.diff(first).tolist())
 
+    # -- row kernels: one request of counts[i] pairs from each stream i in
+    # turn, each made as it is drawn, scored against one candidate's labels
+    # (a list over the points); they read the streams' lists
+
+    def _relist(self, i: int, n: int) -> tuple:
+        """Stream i's lists, remade to hold at least its next n variates."""
+        stream = self._streams[i]
+        stream.ahead(n)
+        buf, pos = stream.buf, stream.pos
+        hi = min(buf.size, pos + max(n, BLOCK))
+        seg = buf[pos:hi]
+        lst = self._listed[i] = (buf, pos, hi, seg.tolist(), self._points[i](seg).tolist())
+        return lst
+
+    @cached_property
+    def _eta_lists(self) -> list[list[float]]:
+        return [eta.tolist() for eta in self._eta]
+
+    def _imputing_row_kernel(self, view: View) -> RowKernel:
+        return partial(self._imputing_row, view[0].tolist(), view[1].tolist(), self._eta_lists)
+
+    def _surrogate_row_kernel(self, dis_mask: np.ndarray,
+                              samples: Sequence[tuple[np.ndarray, np.ndarray] | None]) -> RowKernel:
+        # a None sample's plain requests are surrogate requests that query every point
+        every, dis = self._every[0].tolist(), dis_mask.tolist()
+        return partial(self._surrogate_row, self._eta_lists,
+                       [(every, [], []) if s is None else (dis, s[0].tolist(), s[1].tolist())
+                        for s in samples])
+
+    def _imputing_row(self, dis: list[bool], lab: list[int], etas: list[list[float]],
+                      cand: list[int], counts: Sequence[int]) -> list[float]:
+        """A request's c points, then a label variate per point where
+        `dis[x]`; the imputed label `lab[x]` elsewhere."""
+        ledger = self.ledger
+        drawn, asked = ledger._draws, ledger._queries
+        log = ledger._transcript if ledger.log_transcript else None
+        cum = sum(asked) if log is not None else 0
+        losses = []
+        listed = self._listed
+        for i, c, stream, eta in zip(range(len(counts)), counts, self._streams, etas):
+            pos = stream.pos
+            buf, lo, hi, u, xs = listed[i]
+            if buf is not stream.buf or pos + 2 * c > hi:
+                buf, lo, hi, u, xs = self._relist(i, 2 * c)
+                pos = stream.pos
+            start = pos - lo
+            a = start + c           # the next label variate
+            miss = 0
+            for x in xs[start:a]:
+                if dis[x]:
+                    y = 1 if u[a] < eta[x] else -1
+                    a += 1
+                    if log is not None:
+                        cum += 1
+                        log.append((i, x, y, cum))
+                    miss += cand[x] != y
+                elif cand[x] != lab[x]:
+                    miss += 1
+            stream.pos = pos + a - start
+            drawn[i] += c
+            if a - start > c:
+                asked[i] += a - start - c
+            losses.append(miss / c)
+        return losses
+
+    def _surrogate_row(self, etas: list[list[float]],
+                       entries: list[tuple[list[bool], list[int], list[int]]],
+                       cand: list[int], counts: Sequence[int]) -> list[float]:
+        """A request's c points, a label variate per point where `dis[x]`,
+        then a pick of the sample (sx, sy) per other point."""
+        ledger = self.ledger
+        drawn, asked = ledger._draws, ledger._queries
+        log = ledger._transcript if ledger.log_transcript else None
+        cum = sum(asked) if log is not None else 0
+        losses = []
+        listed = self._listed
+        for i, c, stream, eta, (dis, sx, sy) in zip(range(len(counts)), counts, self._streams,
+                                                    etas, entries):
+            pos = stream.pos
+            buf, lo, hi, u, xs = listed[i]
+            if buf is not stream.buf or pos + 2 * c > hi:
+                buf, lo, hi, u, xs = self._relist(i, 2 * c)
+                pos = stream.pos
+            start = pos - lo
+            a = start + c           # the next label variate
+            pts = xs[start:a]
+            q = sum([dis[x] for x in pts])
+            b, size = a + q, len(sx)    # the next pick
+            miss = 0
+            for x in pts:
+                if dis[x]:
+                    y = 1 if u[a] < eta[x] else -1
+                    a += 1
+                    if log is not None:
+                        cum += 1
+                        log.append((i, x, y, cum))
+                    miss += cand[x] != y
+                else:
+                    p = min(int(u[b] * size), size - 1)
+                    b += 1
+                    miss += cand[sx[p]] != sy[p]
+            stream.pos = pos + 2 * c
+            drawn[i] += c
+            if q:
+                asked[i] += q
+            losses.append(miss / c)
+        return losses
+
     def draw_labeled_batch(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Plain labeled sampling, one label query per pair: `draw` on the
         plain family, kept as the bulk sampler that `bench/layers.py` times."""
@@ -429,6 +552,7 @@ class OracleSet:
 # -- sampler families ---------------------------------------------------------
 
 Kernel = Callable[[int, int], _Rounds]      # (c, rounds) -> requests drawn ahead
+RowKernel = Callable[[list, Sequence[int]], list]  # (candidate labels, counts) -> losses
 
 
 class SamplerFamily:
@@ -436,18 +560,25 @@ class SamplerFamily:
 
     `kernels[i](c, rounds)` draws ahead `rounds` requests of c pairs from
     distribution i.  `draw(i, n)` makes one request of n pairs, and
-    `draw_requests` rows of requests of unequal sizes; `round_losses` serves
-    a whole solver round, one request per distribution, from blocks of
+    `draw_requests` rows of requests of unequal sizes.  A whole solver round,
+    one request per distribution, is made at once by `row`, through the
+    kernel `make_row()` returns, or served by `round_losses` from blocks of
     requests kept per distribution, a run of rounds at a time (`run_table`,
     `serve` and `serve_zero_rows` serve several), and `settle` makes the
     served requests happen (see the module docstring).  The family keeps no
     count of its own: what it draws is metered in the oracle set's ledger.
     """
 
-    def __init__(self, oracles: OracleSet, kernels: Sequence[Kernel]):
+    def __init__(self, oracles: OracleSet, kernels: Sequence[Kernel],
+                 make_row: Callable[[], RowKernel]):
         self.k = len(kernels)
         self.oracles = oracles      # the oracle set its kernels read, and its instance
         self._kernels = tuple(kernels)
+        # `row`'s kernel, made on its first call, and the candidates' labels as lists
+        self._make_row, self._row = make_row, None
+        self._cand_labels: np.ndarray | None = None
+        self._cands: dict[int, list[int]] = {}
+        self._row_counts: list[int] = []
         self._blocks: list[_Rounds | None] = [None] * self.k
         self._labels: np.ndarray | None = None
         # the open run: its counts (None when none is open), its length in
@@ -488,6 +619,30 @@ class SamplerFamily:
         return (np.concatenate([blk.xs for blk in blocks]),
                 np.concatenate([blk.ys for blk in blocks]))
 
+    def row(self, labels: np.ndarray, j: int, counts: Sequence[int]) -> list[float]:
+        """Empirical loss of candidate j, row j of the label matrix `labels`,
+        on counts[i] fresh pairs from each distribution i: the pairs of
+        `draw(i, counts[i])` for i = 0..k-1 in turn, each request consumed
+        and metered as it is drawn, so nothing is left pending.  Counts equal
+        to the last ones checked are served as those."""
+        if labels is not self._cand_labels:
+            self._cand_labels, self._cands = labels, {}
+        cand = self._cands.get(j)
+        if cand is None:
+            cand = self._cands[j] = labels[check_int("candidate", j, 0, len(labels))].tolist()
+        if type(counts) is not list or counts != self._row_counts:
+            self._row_counts = self._checked_counts(counts)
+        if self.oracles.ledger.pending is not None:
+            self.oracles.ledger.settle()
+        if self._row is None:
+            self._row = self._make_row()
+        return self._row(cand, self._row_counts)
+
+    def _checked_counts(self, counts: Sequence[int]) -> list[int]:
+        if len(counts) != self.k:
+            raise ContractViolation("a round needs a draw count for every distribution")
+        return [check_int("a round's draw count", c, 1) for c in counts]
+
     def round_losses(self, labels: np.ndarray, j: int, counts: Sequence[int],
                      rounds_left: int) -> list[float]:
         """Empirical loss of candidate j, row j of the label matrix `labels`,
@@ -522,19 +677,20 @@ class SamplerFamily:
     def serve_zero_rows(self, j: int, cap: int) -> int:
         """Serve, as `round_losses` would, the open run's next rounds, at most
         `cap`, while candidate j's (opened) table is zero there; their number."""
+        cap, s = check_int("zero rounds", cap, 0), self._served
+        if s == self._length or self._tables[j][s].any():    # the next row has a loss
+            return 0
         if j not in self._loss_rows:    # the rows with a loss (a positive sum), then the run's end
             self._loss_rows[j] = [*(self._tables[j] @ np.ones(self.k)).nonzero()[0].tolist(),
                                   self._length]
-        rows, s = self._loss_rows[j], self._served
-        self._served = min(rows[bisect_left(rows, s)], s + check_int("zero rounds", cap, 0))
+        rows = self._loss_rows[j]
+        self._served = min(rows[bisect_left(rows, s)], s + cap)
         return self._served - s
 
     def _open_run(self, labels: np.ndarray, counts: Sequence[int], rounds_left: int) -> None:
         """Settle what is served and open a run at this round, rebuilding the
         blocks that cannot serve it."""
-        if len(counts) != self.k:
-            raise ContractViolation("a round needs a draw count for every distribution")
-        counts = [check_int("a round's draw count", c, 1) for c in counts]
+        counts = self._checked_counts(counts)
         check_int("rounds_left", rounds_left, 1)
         self.oracles.ledger.settle()
         blocks = self._blocks
@@ -573,7 +729,8 @@ class SamplerFamily:
 
 def _imputing_family(oracles: OracleSet, view: View) -> SamplerFamily:
     return SamplerFamily(oracles, [partial(oracles._imputing_rounds, view, i)
-                                   for i in range(oracles.instance.k)])
+                                   for i in range(oracles.instance.k)],
+                         partial(oracles._imputing_row_kernel, view))
 
 
 def plain_family(oracles: OracleSet) -> SamplerFamily:
@@ -602,4 +759,5 @@ def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
             raise ContractViolation("surrogate sampling needs a non-empty pre-labeled sample")
         else:
             kernels.append(partial(oracles._surrogate_rounds, dis_mask, sample, i))
-    return SamplerFamily(oracles, kernels)
+    return SamplerFamily(oracles, kernels,
+                         partial(oracles._surrogate_row_kernel, dis_mask, samples))

@@ -89,6 +89,7 @@ checks = {
     "negative draw": lambda: fam.draw(0, -1),
     "zero round count": lambda: fam.round_losses(inst.hypothesis_class.labels, 0,
                                                  [1, 0, 1], 5),
+    "zero row count": lambda: fam.row(inst.hypothesis_class.labels, 0, [1, 0, 1]),
     "nan knob": lambda: SolverConfig(eps=0.1, delta=0.1, nu=0.0, c_t=math.nan),
     "moved stream": served.settle,
     "fractional label": lambda: instance_from_dict(
@@ -99,9 +100,8 @@ checks = {
     "underflowed eps": lambda: hyperparams(
         SolverConfig(eps=1e-300, delta=0.1, nu=0.0, **PROFILES["desk"]), 2, 1),
     "negative member": lambda: amdl.agreement_labels(inst.hypothesis_class, [-1]),
-    "nan target": lambda: amdl.active_large_eps(
-        OracleSet(inst, seed=0),
-        SolverConfig(eps=math.nan, delta=0.1, nu=0.0, **PROFILES["desk"]), d=1),
+    "nan target": lambda: amdl.run_trials(
+        amdl.RunConfig(alg="active-dd-large", eps=math.nan, delta=0.1, instance=inst)),
     "malformed requests": lambda: fam.draw_requests([0], np.array([[1], [1]])),
     "bad outputs": lambda: amdl.imputed_family(OracleSet(inst, seed=0), np.full(inst.m, 7)),
     "wrapped outputs": lambda: amdl.AbstainingClassifier(np.array([255, 0])),
@@ -132,7 +132,8 @@ def test_runtime_checks_hold_under_python_O():
     exec(_CHUNKED_SOLVE, here)
     assert out.stdout.splitlines() == [here["SOLVE_LINE"],
                                        "refused: nan reward", "refused: negative draw",
-                                       "refused: zero round count", "refused: nan knob",
+                                       "refused: zero round count", "refused: zero row count",
+                                       "refused: nan knob",
                                        "refused: moved stream", "refused: fractional label",
                                        "refused: ragged hypothesis", "refused: ragged class row",
                                        "refused: overserved run", "refused: underflowed eps",

@@ -549,6 +549,9 @@ class _DrawnRounds:
             losses.append(float((labels[j][xs] != ys).mean()))
         return losses
 
+    def row(self, labels, j, counts):
+        return self.round_losses(labels, j, counts, 1)
+
     def serve_zero_rows(self, j, cap):
         # no zero rows ahead: the solver plays every round on its own
         return 0
@@ -596,6 +599,11 @@ def _run_ops(o: OracleSet, family, ops: list[tuple]):
             for t, counts in enumerate(rounds):
                 yield family.round_losses(cand, t % len(cand), list(counts),
                                           len(rounds) - t + sum(unplayed))
+        elif op[0] == "rows":
+            # rows of k requests, each made as it is drawn
+            cand = labels[op[1]:]
+            for t, counts in enumerate(op[2]):
+                yield family.row(cand, t % len(cand), list(counts))
         elif op[0] == "draw":
             yield family.draw(op[1], op[2])
         elif op[0] == "agree":
@@ -668,28 +676,82 @@ def test_round_losses_equals_k_draws_on_a_twin(kind, log_transcript):
         _check_twin_ops(inst, kind, log_transcript, start, _scripted_ops(inst.k), reads)
 
 
+def _rows_for_solves(ops: list[tuple]) -> list[tuple]:
+    """`ops` with every other solve, from the first, played row by row."""
+    solves = itertools.count()
+    return [("rows", op[1], op[2]) if op[0] == "solve" and next(solves) % 2 == 0 else op
+            for op in ops]
+
+
+@pytest.mark.parametrize("log_transcript", [False, True])
+@pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
+def test_rows_equal_k_draws_on_a_twin(kind, log_transcript):
+    # each row is k requests made one at a time; rows follow store growth,
+    # agreement sampling, plain draws and the rounds a run left pending
+    for name, start, reads in itertools.product(sorted(TWIN_INSTANCES),
+                                                ("fresh", "agreement", "large-buffer"),
+                                                (False, True)):
+        inst = TWIN_INSTANCES[name]()
+        _check_twin_ops(inst, kind, log_transcript, start,
+                        _rows_for_solves(_scripted_ops(inst.k)), reads)
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
+def test_a_row_leaves_nothing_pending(kind):
+    o = OracleSet(_three_distribution_fixture(), seed=6, log_transcript=True)
+    fam = FAMILY_BUILDERS[kind](o)
+    labels = o.instance.hypothesis_class.labels
+    fam.round_losses(labels, 0, [2, 1, 3], 10)
+    assert o.ledger.pending is fam
+    queries = []
+    for t in range(5):
+        fam.row(labels, t % 3, [1, 3, 2])
+        assert o.ledger.pending is None
+        queries.append(sum(o.ledger._queries))
+        # the transcript's running count is the ledger's
+        assert len(o.ledger._transcript) == queries[-1]
+    assert o.ledger._draws == [2 + 5, 1 + 15, 3 + 10]
+    assert queries == sorted(queries) and queries[0] > 0
+
+
+_ROUNDS = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 40)),
+                   min_size=1, max_size=30)
 _OPS = st.one_of(
-    st.tuples(st.just("solve"), st.integers(0, 2),
-              st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 40)),
-                       min_size=1, max_size=30), st.integers(0, 3)),
+    st.tuples(st.just("solve"), st.integers(0, 2), _ROUNDS, st.integers(0, 3)),
     st.tuples(st.just("draw"), st.integers(0, 2), st.integers(0, 900)),
     st.tuples(st.just("agree"), st.integers(0, 2), st.integers(0, 300)),
     st.tuples(st.just("labeled"), st.integers(0, 2), st.integers(0, 3)),
 )
 
 
+def _drawn_counts(ops: list[tuple]) -> list[tuple]:
+    """Each solve's or row op's drawn (a, b, big) as counts: they change in the
+    middle of blocks, and a large count reaches past a refill."""
+    return [(op[0], op[1], [tuple(c * (1 + 29 * (big == 40)) for c in (a, b, a + b - 1))
+                            for a, b, big in op[2]], *op[3:])
+            if op[0] in ("solve", "rows") else op for op in ops]
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.lists(_OPS, min_size=1, max_size=8), st.sampled_from(sorted(FAMILY_BUILDERS)),
        st.booleans())
 def test_round_losses_equals_k_draws_under_random_ops(ops, kind, log_transcript):
-    # counts drawn per solve round change in the middle of blocks; a horizon
-    # can end anywhere in a buffer, and a large count reaches past a refill
-    def solve_rounds(rounds):
-        return [tuple(c * (1 + 29 * (big == 40)) for c in (a, b, a + b - 1))
-                for a, b, big in rounds]
-    ops = [(op[0], op[1], solve_rounds(op[2]), op[3]) if op[0] == "solve" else op
-           for op in ops]
+    # a horizon can end anywhere in a buffer
+    ops = _drawn_counts(ops)
     ops.append(("solve", 0, [(1, 1, 1)]))
+    for reads in (False, True):
+        _check_twin_ops(_three_distribution_fixture(), kind, log_transcript, "fresh", ops,
+                        reads)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.one_of(_OPS, st.tuples(st.just("rows"), st.integers(0, 2), _ROUNDS)),
+                min_size=1, max_size=8),
+       st.sampled_from(sorted(FAMILY_BUILDERS)), st.booleans())
+def test_rows_equal_k_draws_under_random_ops(ops, kind, log_transcript):
+    # rows between served runs, draws, agreement samples and refills
+    ops = _drawn_counts(ops)
+    ops.append(("rows", 0, [(1, 1, 1)]))
     for reads in (False, True):
         _check_twin_ops(_three_distribution_fixture(), kind, log_transcript, "fresh", ops,
                         reads)
@@ -846,12 +908,12 @@ def test_zero_reward_runs_equal_one_round_at_a_time(case, monkeypatch):
         solve, build = p.epochs[4].solve, lambda o: amdl.induced_family(o, V)
     else:
         V, solve, build = inst.hypothesis_class.full_version_space(), p.solve, amdl.plain_family
-    steps, served, step = [], [], hedge.hedge_step
+    steps, zero, step = [], [], hedge.hedge_step
     monkeypatch.setattr(hedge, "hedge_step", lambda *a: steps.append(1) or step(*a))
     fused_o, twin_o = (OracleSet(inst, seed=11, log_transcript=True) for _ in range(2))
     fused = build(fused_o)
-    serve = fused.serve_zero_rows
-    fused.serve_zero_rows = lambda j, cap: served.append(serve(j, cap)) or served[-1]
+    row = fused.row
+    fused.row = lambda *a: zero.append(not any(r := row(*a))) or r
     got = mdl_hedge_vc(inst.hypothesis_class, V, fused, solve, inst.k, p.d, collect_trace=True)
     fused_steps = len(steps)
     want = mdl_hedge_vc(inst.hypothesis_class, V, _DrawnRounds(build(twin_o)), solve, inst.k,
@@ -864,8 +926,8 @@ def test_zero_reward_runs_equal_one_round_at_a_time(case, monkeypatch):
     for a, b in zip(got.trace, want.trace):
         assert (a[0], a[1].tobytes(), *a[2:]) == (b[0], b[1].tobytes(), *b[2:])
     assert _metered(fused_o) == _metered(twin_o) and fused_o.ledger.label_total > 0
-    # every round steps the weights, opens a zero run or is served in one
-    assert sum(served) > 0 and fused_steps + len(served) + sum(served) == got.rounds
+    # every round draws one row, and steps the weights unless the row is zero
+    assert len(zero) == got.rounds and 0 < sum(zero) == got.rounds - fused_steps
     assert fused_steps == len(steps) - fused_steps
 
 
@@ -904,6 +966,22 @@ def test_a_zero_run_stops_at_the_open_runs_end_and_its_cap():
     fused.settle()
     assert _metered(fused_o) == _metered(twin_o)
     assert 0 < sum(runs) < 40 - len(runs)
+
+
+def test_a_zero_run_before_a_loss_row_lists_no_rows():
+    # the next row has a loss: nothing is served, and the table's rows with a
+    # loss are not listed
+    inst = amdl.gen_star_lb(2, 8, 1, 3)
+    labels = inst.hypothesis_class.labels
+    fam = amdl.plain_family(OracleSet(inst, seed=4))
+    j = len(labels) - 1
+    table, _ = fam.run_table(labels, j, [1] * inst.k, 40)
+    zero = (~table.any(axis=1)).tolist()
+    r = next(r for r in range(len(zero) - 1) if zero[r] and not zero[r + 1])
+    fam.serve(r + 1)
+    assert fam.serve_zero_rows(j, 10) == 0 and j not in fam._loss_rows
+    fam.serve(1)
+    assert fam.serve_zero_rows(j, 10) == min(10, (zero[r + 2:] + [False]).index(False))
 
 
 def test_blocks_hold_no_more_requests_than_the_rounds_left():
