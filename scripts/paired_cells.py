@@ -8,13 +8,15 @@ this repository's bench/workloads.py) at RunConfig(profile="desk",
 delta=0.1, trials=1), seeds `--base-seed` (default 50000) on, alternating
 which side runs first.  It refuses to report if the two sides' records
 (`TrialRecord.csv_row()`, wall time left out) differ on any trial, or if
-their label transcripts (from one untimed traced trial per side) differ on
-any of a cell's first 3 seeds.  It prints each cell's median ms per side,
-the median of the per-trial B/A time ratios, the number of paired trials
-in which B ran faster, and the distance between the quartiles of A's times
-(0 for a single trial): what a claimed gain must beat.  `--cells SUBSTR`
-(repeatable) times only the cells whose names contain one of the given
-substrings; a substring that matches no cell is refused.
+their label transcripts, per-distribution unlabeled draws or stream
+positions (from one untimed traced trial per side) differ on any of a
+cell's first 3 seeds: a record holds only the total draws.  It prints
+each cell's median ms per side, the median of the per-trial B/A time
+ratios, the number of paired trials in which B ran faster, and the distance
+between the quartiles of A's times (0 for a single trial): what a claimed
+gain must beat.  `--cells SUBSTR` (repeatable) times only the cells whose
+names contain one of the given substrings; a substring that matches no cell
+is refused.
 
 With `--sweep CONFIG` it times whole `harness.sweep` calls of the JSON sweep
 config instead, `--trials` of them per side, the n-th at base_seed
@@ -50,7 +52,8 @@ from pathlib import Path
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 BASE_SEED = 50_000
 DELTA = 0.1
-TRACED_SEEDS = 3        # the first seeds of each cell whose transcripts are compared
+TRACED_SEEDS = 3        # the first seeds of each cell whose traced trials are compared
+TRACED = ("label transcripts", "per-distribution draws", "stream positions")
 
 
 def workload_constant(name: str):
@@ -172,13 +175,16 @@ class Side:
             ms = (time.perf_counter() - t0) * 1e3
         return ms, [json.dumps(out.measured, sort_keys=True)] + [r.csv_row() for r, _ in out.trials]
 
-    def transcript(self, cell: tuple, inst, seed: int) -> list:
-        """The label transcript of one traced trial of `cell` at `seed`."""
+    def traced(self, cell: tuple, inst, seed: int) -> tuple[list, list, list]:
+        """What one traced trial of `cell` at `seed` leaves, in the order of
+        TRACED: its label transcript, its unlabeled draws per distribution and
+        the variates each stream consumed, the auxiliary stream's last."""
         cfg = self._config(cell, inst, seed)
         with _swapped(self.modules):
             _, _, oracles = self.modules["amdl.harness"].run_single_trial(
                 inst, cfg.plan(), seed, trace=True)
-        return list(oracles.ledger.transcript)
+        return (list(oracles.ledger.transcript), oracles.ledger.unlabeled_draws.tolist(),
+                [s.consumed for s in (*oracles._streams, oracles._aux)])
 
 
 def _quartile_spread(times: list[float]) -> float:
@@ -213,8 +219,10 @@ def compare(a: Side, b: Side, cells: list[tuple], trials: int,
             lambda t, outs: f"{cell[0]} seed {base_seed + t}: the records differ\n"
                             f"  A: {outs['a'][0]}\n  B: {outs['b'][0]}")
         for seed in range(base_seed, base_seed + min(trials, TRACED_SEEDS)):
-            if a.transcript(cell, a.instances[c], seed) != b.transcript(cell, b.instances[c], seed):
-                raise SystemExit(f"{cell[0]} seed {seed}: the label transcripts differ")
+            for what, x, y in zip(TRACED, a.traced(cell, a.instances[c], seed),
+                                  b.traced(cell, b.instances[c], seed)):
+                if x != y:
+                    raise SystemExit(f"{cell[0]} seed {seed}: the {what} differ")
     return table
 
 

@@ -20,10 +20,10 @@ they do.  A solve over at most two candidates plays stretches of rounds at
 once, as a shadow in Python floats predicts them, each round verified bit
 for bit (`_play_chunk`), on loss tables of the sampler's runs; its other
 rounds come from those runs too (`SamplerFamily.round_losses`, with
-`serve_zero_rows` for the zero rows after one).  Its sampler meters served
-rounds in bulk, and the solve settles the last of them as it ends, on an
-error too.  A larger solve plays no chunks, and a run's tables would mostly
-hold rows it never plays (see `amdl.oracles`).  Over two
+`serve_zero_rows` for the zero rows after one).  Its sampler meters each
+round as it serves it, so the ledger is whole whenever the solve stops, on
+an error too.  A larger solve plays no chunks, and a run's tables would
+mostly hold rows it never plays (see `amdl.oracles`).  Over two
 distributions the shadow steps one log-weight ratio against fixed thresholds;
 otherwise it multiplies the weights a block of rounds at a time, in
 straight-line code over k local floats built once per k (`_PRODUCT_SOURCE`): a
@@ -376,51 +376,47 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     bar, counts, since = None, [0] * k, 0
     chunked = len(V) <= 2      # see _play_chunk; a larger solve draws rows
 
-    try:
-        while state.t < T:
-            # hedge_step leaves state.w normalized and checks its sum
-            w = state.w
-            if any(map(ge, w, doubled)):
-                state.w_hat = _fold_max(state.w_hat, w)
-                for i, v in enumerate(state.w_hat):
-                    grow = math.ceil(T1 * v) - int(store.n[i])
-                    if grow > 0:
-                        store.add(i, *sampler.draw(i, grow))
-                doubled = [2.0 * v for v in state.w_hat]
-                if not all(a < b + 1e-15 for a, b in zip(w, doubled)):
-                    raise ContractViolation(
-                        "doubling rule left a weight above twice its threshold")
-            local = store.erm(state.w_arr)
-            # reward: the played hypothesis' empirical loss on ceil(k * w_bar_i)
-            # fresh draws from each distribution, unbiased for the sampled one
-            if state.w_bar is not bar:
-                reward_draws = [a + (state.t - since) * b for a, b in zip(reward_draws, counts)]
-                bar, since = state.w_bar, state.t
-                counts = [math.ceil(k * v) for v in bar]
-            # a zero reward changes no weight, so the rounds after it repeat its play
-            if chunked:
-                if _play_chunk(state, store, sampler, tally, local, counts, doubled, eta,
-                               T - state.t, trace):
-                    continue
-                r = sampler.round_losses(store.labels, local, counts, T - state.t)
-                played = 1 if any(r) else 1 + sampler.serve_zero_rows(local, T - state.t - 1)
-            else:
-                # zero rows, then the first row with a loss, all played with `local`
-                r, played = sampler.row(store.labels, local, counts), 1
-                while not any(r) and state.t + played < T:
-                    r, played = sampler.row(store.labels, local, counts), played + 1
-            tally[local] += played
-            if trace is not None:
-                trace.extend((state.t + 1 + s, state.w_arr, float(np.sum(state.w_bar)),
-                              int(store.n.sum())) for s in range(played))
-            if any(r):
-                state.t += played - 1
-                hedge_step(state, r, eta)
-            else:
-                state.t += played
-    finally:
-        # meter the rounds served since the last settle, also on an error
-        sampler.settle()
+    while state.t < T:
+        # hedge_step leaves state.w normalized and checks its sum
+        w = state.w
+        if any(map(ge, w, doubled)):
+            state.w_hat = _fold_max(state.w_hat, w)
+            for i, v in enumerate(state.w_hat):
+                grow = math.ceil(T1 * v) - int(store.n[i])
+                if grow > 0:
+                    store.add(i, *sampler.draw(i, grow))
+            doubled = [2.0 * v for v in state.w_hat]
+            if not all(a < b + 1e-15 for a, b in zip(w, doubled)):
+                raise ContractViolation(
+                    "doubling rule left a weight above twice its threshold")
+        local = store.erm(state.w_arr)
+        # reward: the played hypothesis' empirical loss on ceil(k * w_bar_i)
+        # fresh draws from each distribution, unbiased for the sampled one
+        if state.w_bar is not bar:
+            reward_draws = [a + (state.t - since) * b for a, b in zip(reward_draws, counts)]
+            bar, since = state.w_bar, state.t
+            counts = [math.ceil(k * v) for v in bar]
+        # a zero reward changes no weight, so the rounds after it repeat its play
+        if chunked:
+            if _play_chunk(state, store, sampler, tally, local, counts, doubled, eta,
+                           T - state.t, trace):
+                continue
+            r = sampler.round_losses(store.labels, local, counts, T - state.t)
+            played = 1 if any(r) else 1 + sampler.serve_zero_rows(local, T - state.t - 1)
+        else:
+            # zero rows, then the first row with a loss, all played with `local`
+            r, played = sampler.row(store.labels, local, counts), 1
+            while not any(r) and state.t + played < T:
+                r, played = sampler.row(store.labels, local, counts), played + 1
+        tally[local] += played
+        if trace is not None:
+            trace.extend((state.t + 1 + s, state.w_arr, float(np.sum(state.w_bar)),
+                          int(store.n.sum())) for s in range(played))
+        if any(r):
+            state.t += played - 1
+            hedge_step(state, r, eta)
+        else:
+            state.t += played
 
     reward_draws = [a + (T - since) * b for a, b in zip(reward_draws, counts)]
     return HedgeResult(RandomizedHypothesis(cls, {h: n for h, n in zip(V, tally) if n}), T,

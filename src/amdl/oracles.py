@@ -47,37 +47,35 @@ A solver round's request from distribution i does not depend on the played
 hypothesis, and its size c_i seldom changes, so for a solve over at most
 two candidates (`round_losses`, `run_table`) the family serves rounds from a
 block of requests kept per distribution, in runs, which the solver's chunks
-of rounds read whole.  A run is a stretch
-of rounds on one candidate matrix with unchanged counts, in which no block
-is rebuilt and nothing else reads a stream; it ends at the latest when one
-of its blocks runs out.  Within a run the rewards of candidate j are a
-table, one row of k losses per round, built on j's first play with one
-numpy pass over each block's requests in the run; a round is one lookup and
-a counter step.  The served requests are settled in bulk: their variates
-are consumed and their draws, queries and transcript lines metered, in
-round order and then distribution order, just as requests made one at a
-time would.  They are settled when the run ends: when a block is rebuilt,
-`draw` runs, or new counts or a new candidate matrix arrive; when any other
-reader of a stream runs (the kernels and agreement sampling), each of which
-settles the ledger's `pending` family first; when the ledger is read; and
-when the solve ends.  A block is rebuilt when c_i changes, when stream i
-was read elsewhere since it was built, or when its requests run out.  It is
-built with no more requests than the caller still plays, and no more
-variates than one buffer block unless a single request needs more.  Reading
-ahead changes no variate: a stream that holds too few appends the
+of rounds read whole.  A run is a stretch of rounds on one candidate matrix
+with unchanged counts, in which no block is rebuilt; it ends at the latest
+when one of its blocks runs out.  Within a run the rewards of candidate j
+are a table, one row of k losses per round, built on j's first play with
+one numpy pass over each block's requests in the run; a round is one lookup
+and a counter step.  Served rounds are metered as they are served, as every
+request is when it is made: their variates are consumed and their draws,
+queries and transcript lines metered, in round order and then distribution
+order, just as requests made one at a time would.  One rule keeps a run
+true to the streams: it serves only while each block's stream stands where
+that block's next request starts.  Any other read that consumes a
+stream's variates (`draw`, a row, agreement sampling) moves it, and the
+next round opens a new run.  A block is rebuilt when c_i changes, when
+stream i was read elsewhere since it was built, or when its requests run
+out.  It is built with no more requests than the caller still plays, and no
+more variates than one buffer block unless a single request needs more.
+Reading ahead changes no variate: a stream that holds too few appends the
 generator's next variates behind its unread tail.
 
 A solve over more than two candidates plays no chunks, and store growth and
 count changes end its runs after about 20 rounds, most of whose table rows it
 never plays; it draws each round with `row` instead.  A row's k requests are
 made one after another, each consuming its variates and metering its draws,
-queries and transcript lines before the next, so nothing is left pending.
-Two row kernels, imputing and surrogate (whose None-sample entries are
-surrogate requests that query every point), walk the points in Python over
-lists kept per stream: a window of the buffered variates from the stream's
-position and their points, remade when the buffer changes or the window runs
-out.  A family makes its row kernel, and a surrogate family lists its
-samples, on its first `row`.
+queries and transcript lines before the next.  Two row kernels, imputing
+and surrogate (whose None-sample entries are surrogate requests that query
+every point), walk the points in Python over lists kept per stream: a window
+of the buffered variates from the stream's position and their points,
+remade when the buffer changes or the window runs out.  A family makes its
+row kernel, and a surrogate family lists its samples, on its first `row`.
 """
 
 from __future__ import annotations
@@ -153,47 +151,33 @@ class QueryLedger:
     """Per-run counters of label queries and unlabeled draws, per
     distribution, and the transcript of label queries when `log_transcript`.
 
-    A sampler family that has served requests without metering them is
-    `pending`.  Reading a count or the transcript settles it first, as does
-    every reader of a stream, so each read sees what requests made one at a
-    time would have left."""
+    Every request is metered as it is made or served, so each read sees
+    what requests made one at a time would have left."""
 
     def __init__(self, k: int, log_transcript: bool = False):
-        self.k = k
         self.log_transcript = log_transcript
         self._queries = [0] * k     # Python ints, which metering adds to; read as arrays
         self._draws = [0] * k
         self._transcript: list = []
-        self.pending: SamplerFamily | None = None
-
-    def settle(self) -> None:
-        """Meter the requests the pending family has served, if any."""
-        if self.pending is not None:
-            self.pending.settle()
 
     @property
     def label_queries(self) -> np.ndarray:
-        self.settle()
         return np.array(self._queries, dtype=np.int64)
 
     @property
     def unlabeled_draws(self) -> np.ndarray:
-        self.settle()
         return np.array(self._draws, dtype=np.int64)
 
     @property
     def transcript(self) -> list:
-        self.settle()
         return self._transcript
 
     @property
     def label_total(self) -> int:
-        self.settle()
         return sum(self._queries)
 
     @property
     def unlabeled_total(self) -> int:
-        self.settle()
         return sum(self._draws)
 
 
@@ -243,6 +227,10 @@ class _Rounds:
         self.xs, self.ys, self.need, self.at = xs, ys, need, at
         self.ends, self.queries, self.b = ends, queries, 0
 
+    def moved(self) -> bool:
+        """Whether the stream was read elsewhere since the next request was drawn."""
+        return self.ends[self.b] != self.stream.consumed
+
 
 class OracleSet:
     """Sampling access to one instance for one run, with a shared ledger."""
@@ -270,7 +258,7 @@ class OracleSet:
         and then block order.  Refused, before anything moves, if a stream
         no longer stands where its block's next request starts."""
         for blk in blocks:
-            if blk.ends[blk.b] != blk.stream.consumed:
+            if blk.moved():
                 raise ContractViolation(f"stream {blk.i} moved under {r} served requests")
         ledger = self.ledger
         if ledger.log_transcript:
@@ -302,7 +290,6 @@ class OracleSet:
         `dis_mask[x]`, the imputed label `labels[x]` elsewhere; c may be an
         array of sizes."""
         dis_mask, labels, every = view
-        self.ledger.settle()
         stream = self._streams[i]
         base = stream.consumed
         ragged = isinstance(c, np.ndarray)
@@ -363,7 +350,6 @@ class OracleSet:
             raise ContractViolation("surrogate requests all take one size; "
                                     "draw_requests needs an imputing family")
         sx, sy = sample
-        self.ledger.settle()
         stream = self._streams[i]
         base = stream.consumed
         u = stream.ahead(2 * c * rounds).reshape(rounds, 2 * c)
@@ -521,7 +507,6 @@ class OracleSet:
         # each read-ahead: 5% over the draws expected to hold the points still
         # needed, at most twice as many draws (as any mass below 0.525 gives)
         share = max(float(mass), 0.5)
-        self.ledger.settle()
         stream = self._streams[i]
         out = np.empty(n, dtype=np.int64)
         got = drawn = 0
@@ -564,8 +549,8 @@ class SamplerFamily:
     one request per distribution, is made at once by `row`, through the
     kernel `make_row()` returns, or served by `round_losses` from blocks of
     requests kept per distribution, a run of rounds at a time (`run_table`,
-    `serve` and `serve_zero_rows` serve several), and `settle` makes the
-    served requests happen (see the module docstring).  The family keeps no
+    `serve` and `serve_zero_rows` serve several; see the module docstring).
+    Every request is metered when it is made or served.  The family keeps no
     count of its own: what it draws is metered in the oracle set's ledger.
     """
 
@@ -581,7 +566,7 @@ class SamplerFamily:
         self._row_counts: list[int] = []
         self._blocks: list[_Rounds | None] = [None] * self.k
         self._labels: np.ndarray | None = None
-        # the open run: its counts (None when none is open), its length in
+        # the open run: its counts (None before the first run), its length in
         # rounds, the rounds served, the loss table of each candidate played,
         # one row per round of the run, and the rows where it has a loss
         self._counts: list[int] | None = None
@@ -591,7 +576,7 @@ class SamplerFamily:
 
     def draw(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         i, n = check_int("distribution index", i, 0, self.k), check_int("sample count", n)
-        blk = self._kernels[i](n, 1)        # the kernel settles served rounds first
+        blk = self._kernels[i](n, 1)
         self.oracles._settle([blk], 1)
         return blk.xs[0], blk.ys[0]
 
@@ -623,8 +608,8 @@ class SamplerFamily:
         """Empirical loss of candidate j, row j of the label matrix `labels`,
         on counts[i] fresh pairs from each distribution i: the pairs of
         `draw(i, counts[i])` for i = 0..k-1 in turn, each request consumed
-        and metered as it is drawn, so nothing is left pending.  Counts equal
-        to the last ones checked are served as those."""
+        and metered as it is drawn.  Counts equal to the last ones checked
+        are served as those."""
         if labels is not self._cand_labels:
             self._cand_labels, self._cands = labels, {}
         cand = self._cands.get(j)
@@ -632,8 +617,6 @@ class SamplerFamily:
             cand = self._cands[j] = labels[check_int("candidate", j, 0, len(labels))].tolist()
         if type(counts) is not list or counts != self._row_counts:
             self._row_counts = self._checked_counts(counts)
-        if self.oracles.ledger.pending is not None:
-            self.oracles.ledger.settle()
         if self._row is None:
             self._row = self._make_row()
         return self._row(cand, self._row_counts)
@@ -652,16 +635,17 @@ class SamplerFamily:
         this round and the later rounds the caller plays against `labels`; no
         block draws further ahead."""
         table, r = self.run_table(labels, j, counts, rounds_left)
-        self._served = r + 1
+        self.serve(1)
         return table[r].tolist()
 
     def run_table(self, labels: np.ndarray, j: int, counts: Sequence[int],
                   rounds_left: int) -> tuple[np.ndarray, int]:
         """Candidate j's loss table in the run that serves this round, opened
-        if need be, and this round's row in it; `serve` marks rounds served."""
+        if need be, and this round's row in it; `serve` serves rounds.  A run
+        serves only while no stream was read elsewhere since it opened."""
         r = self._served
         if (labels is not self._labels or counts != self._counts or r == self._length
-                or rounds_left < 1):
+                or rounds_left < 1 or any(blk.moved() for blk in self._blocks)):
             self._open_run(labels, counts, rounds_left)
             r = 0
         table = self._tables.get(j)
@@ -671,39 +655,43 @@ class SamplerFamily:
         return table, r
 
     def serve(self, m: int) -> None:
-        """Serve the open run's next m rounds, as m `round_losses` calls would."""
-        self._served += check_int("rounds served", m, 1, self._length - self._served + 1)
+        """Serve the open run's next m rounds, consuming and metering them as
+        m `round_losses` calls would."""
+        m = check_int("rounds served", m, 1, self._length - self._served + 1)
+        self.oracles._settle(self._blocks, m)
+        self._served += m
 
     def serve_zero_rows(self, j: int, cap: int) -> int:
         """Serve, as `round_losses` would, the open run's next rounds, at most
         `cap`, while candidate j's (opened) table is zero there; their number."""
         cap, s = check_int("zero rounds", cap, 0), self._served
-        if s == self._length or self._tables[j][s].any():    # the next row has a loss
+        table = self._tables.get(j)
+        if table is None:
+            raise ContractViolation(f"candidate {j!r} has no table in the open run")
+        if s == self._length or table[s].any():    # the next row has a loss
             return 0
         if j not in self._loss_rows:    # the rows with a loss (a positive sum), then the run's end
-            self._loss_rows[j] = [*(self._tables[j] @ np.ones(self.k)).nonzero()[0].tolist(),
-                                  self._length]
+            self._loss_rows[j] = [*(table @ np.ones(self.k)).nonzero()[0].tolist(), self._length]
         rows = self._loss_rows[j]
-        self._served = min(rows[bisect_left(rows, s)], s + cap)
-        return self._served - s
+        m = min(rows[bisect_left(rows, s)], s + cap) - s
+        if m:
+            self.serve(m)
+        return m
 
     def _open_run(self, labels: np.ndarray, counts: Sequence[int], rounds_left: int) -> None:
-        """Settle what is served and open a run at this round, rebuilding the
-        blocks that cannot serve it."""
+        """Open a run at this round, rebuilding the blocks that cannot serve it."""
         counts = self._checked_counts(counts)
         check_int("rounds_left", rounds_left, 1)
-        self.oracles.ledger.settle()
+        self._served, self._tables, self._loss_rows = 0, {}, {}
         blocks = self._blocks
         for i, c in enumerate(counts):
             blk = blocks[i]
             # a block serves while its size holds, a request is left and the
             # stream stands where that request starts, untouched since
-            if (blk is None or blk.c != c or blk.b == len(blk.queries)
-                    or blk.ends[blk.b] != blk.stream.consumed):
+            if blk is None or blk.c != c or blk.b == len(blk.queries) or blk.moved():
                 blocks[i] = self._kernels[i](c, min(rounds_left, max(1, BLOCK // (2 * c))))
         self._labels, self._counts = labels, counts
         self._length = min(len(blk.queries) - blk.b for blk in blocks)
-        self.oracles.ledger.pending = self
 
     def _table(self, j: int) -> np.ndarray:
         """Candidate j's losses in each round of the open run, a row per round."""
@@ -711,20 +699,11 @@ class SamplerFamily:
         table = np.empty((length, self.k))
         ones = np.ones(max(self._counts))       # a request's mistakes: a product with ones
         for i, blk in enumerate(self._blocks):
-            run = slice(blk.b, blk.b + length)
+            start = blk.b - self._served        # the run's first request
+            run = slice(start, start + length)
             # count / c in numpy is the correctly rounded quotient, as in Python
             np.divide((row[blk.xs[run]] != blk.ys[run]) @ ones[:blk.c], blk.c, out=table[:, i])
         return table
-
-    def settle(self) -> None:
-        """Make the rounds served in the open run happen, and close it."""
-        r = self._served
-        if r:
-            self.oracles._settle(self._blocks, r)
-        self._served = self._length = 0
-        self._counts, self._tables, self._loss_rows = None, {}, {}
-        if self.oracles.ledger.pending is self:
-            self.oracles.ledger.pending = None
 
 
 def _imputing_family(oracles: OracleSet, view: View) -> SamplerFamily:

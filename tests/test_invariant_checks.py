@@ -83,7 +83,9 @@ fam = plain_family(OracleSet(inst, seed=0))
 moved = OracleSet(inst, seed=0)
 served = plain_family(moved)
 served.round_losses(inst.hypothesis_class.labels, 0, [1, 2, 1], 5)
-moved._streams[1].take(1)     # a reader that skipped the settle hook
+moved._streams[1].take(1)     # a read the open run did not make
+untabled = plain_family(OracleSet(inst, seed=0))
+untabled.round_losses(inst.hypothesis_class.labels, 0, [1, 1, 1], 5)
 checks = {
     "nan reward": lambda: hedge_step(HedgeState(2), [math.nan, 0.5], 0.1),
     "negative draw": lambda: fam.draw(0, -1),
@@ -91,12 +93,13 @@ checks = {
                                                  [1, 0, 1], 5),
     "zero row count": lambda: fam.row(inst.hypothesis_class.labels, 0, [1, 0, 1]),
     "nan knob": lambda: SolverConfig(eps=0.1, delta=0.1, nu=0.0, c_t=math.nan),
-    "moved stream": served.settle,
+    "moved stream": lambda: served.serve(1),
     "fractional label": lambda: instance_from_dict(
         {"m": 1, "hypotheses": [[1.5]], "distributions": [{"marginal": [1], "eta_plus": [1]}]}),
     "ragged hypothesis": lambda: amdl.Hypothesis([[1], [1, -1]]),
     "ragged class row": lambda: amdl.HypothesisClass([[1, -1], [1]]),
     "overserved run": lambda: served.serve(5),
+    "untabled candidate": lambda: untabled.serve_zero_rows(1, 3),
     "underflowed eps": lambda: hyperparams(
         SolverConfig(eps=1e-300, delta=0.1, nu=0.0, **PROFILES["desk"]), 2, 1),
     "negative member": lambda: amdl.agreement_labels(inst.hypothesis_class, [-1]),
@@ -136,7 +139,8 @@ def test_runtime_checks_hold_under_python_O():
                                        "refused: nan knob",
                                        "refused: moved stream", "refused: fractional label",
                                        "refused: ragged hypothesis", "refused: ragged class row",
-                                       "refused: overserved run", "refused: underflowed eps",
+                                       "refused: overserved run", "refused: untabled candidate",
+                                       "refused: underflowed eps",
                                        "refused: negative member", "refused: nan target",
                                        "refused: malformed requests", "refused: bad outputs",
                                        "refused: wrapped outputs", "refused: plan ceiling",

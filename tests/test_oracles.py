@@ -556,10 +556,6 @@ class _DrawnRounds:
         # no zero rows ahead: the solver plays every round on its own
         return 0
 
-    def settle(self):
-        # every draw is settled as it is made
-        self.family.settle()
-
 
 def _scripted_ops(k: int) -> list[tuple]:
     """Solves of a few rounds each, with the events that must drop a block in
@@ -568,7 +564,9 @@ def _scripted_ops(k: int) -> list[tuple]:
     stream across the next block boundaries two requests per block; store
     growth, agreement sampling and plain labeled draws read the streams
     between rounds; each solve's horizon ends part-way into a buffer, and
-    one solve stops short of the horizon it announced."""
+    one solve stops short of the horizon it announced.  The last solve is
+    resumed on its own candidate matrix and counts after a plain draw, an
+    agreement sample and an empty draw, each in the middle of its run."""
     small = [tuple((3 * t + i) % 4 + 1 for i in range(k)) for t in range(4)]
     grow = tuple(v + (i == 1) for i, v in enumerate(small[0]))
     big = [tuple(5000 if i == t else 1 for i in range(k)) for t in range(2)]
@@ -583,6 +581,9 @@ def _scripted_ops(k: int) -> list[tuple]:
         ("draw", 0, 3000),
         ("solve", 1, [grow, grow], 4),
         ("solve", 0, [grow] * 3),
+        ("solve", 2, [small[1]] * 2, 12), ("draw", 1, 7), ("resume", [small[1]], 11),
+        ("agree", 0, 25), ("resume", [small[1]] * 2, 9), ("draw", 2, 0),
+        ("resume", [small[1]] * 3, 6),
     ]
 
 
@@ -591,11 +592,15 @@ def _run_ops(o: OracleSet, family, ops: list[tuple]):
     other op returns as it happens."""
     labels = o.instance.hypothesis_class.labels
     for op in ops:
-        if op[0] == "solve":
+        if op[0] in ("solve", "resume"):
             # a solve plays one candidate matrix for len(rounds) rounds, after
-            # announcing `unplayed` more
-            _, first, rounds, *unplayed = op
-            cand = labels[first:]
+            # announcing `unplayed` more; a resume plays on the last solve's
+            # matrix object, as a solve does after store growth
+            if op[0] == "solve":
+                _, first, rounds, *unplayed = op
+                cand = labels[first:]
+            else:
+                _, rounds, *unplayed = op
             for t, counts in enumerate(rounds):
                 yield family.round_losses(cand, t % len(cand), list(counts),
                                           len(rounds) - t + sum(unplayed))
@@ -623,8 +628,8 @@ def _check_twin_ops(inst: MDLInstance, kind: str, log_transcript: bool, start: s
                     ops: list[tuple], read_every_step: bool = False) -> None:
     """Play `ops` on the block path and on its twin, which draws each round's
     requests one at a time, and require equal results.  With
-    `read_every_step` the ledger is read and compared after
-    every round and every other op, which settles the served rounds there."""
+    `read_every_step` the ledger is also compared after every round and
+    every other op."""
     fused_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
     twin_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
     _start_streams(fused_o, start)
@@ -667,8 +672,7 @@ def _start_streams(o: OracleSet, start: str) -> None:
 @pytest.mark.parametrize("log_transcript", [False, True])
 @pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
 def test_round_losses_equals_k_draws_on_a_twin(kind, log_transcript):
-    # read at the end only, the ledger settles whole runs of served rounds;
-    # read after every step, it must be current there too
+    # the ledgers are compared at the end, and with `reads` after every step
     for name, start, reads in itertools.product(sorted(TWIN_INSTANCES),
                                                 ("fresh", "agreement", "large-buffer"),
                                                 (False, True)):
@@ -687,7 +691,7 @@ def _rows_for_solves(ops: list[tuple]) -> list[tuple]:
 @pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
 def test_rows_equal_k_draws_on_a_twin(kind, log_transcript):
     # each row is k requests made one at a time; rows follow store growth,
-    # agreement sampling, plain draws and the rounds a run left pending
+    # agreement sampling, plain draws and the rounds of served runs
     for name, start, reads in itertools.product(sorted(TWIN_INSTANCES),
                                                 ("fresh", "agreement", "large-buffer"),
                                                 (False, True)):
@@ -698,20 +702,40 @@ def test_rows_equal_k_draws_on_a_twin(kind, log_transcript):
 
 @pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
 def test_a_row_leaves_nothing_pending(kind):
-    o = OracleSet(_three_distribution_fixture(), seed=6, log_transcript=True)
-    fam = FAMILY_BUILDERS[kind](o)
-    labels = o.instance.hypothesis_class.labels
-    fam.round_losses(labels, 0, [2, 1, 3], 10)
-    assert o.ledger.pending is fam
-    queries = []
+    # round_losses, serve, serve_zero_rows and row each meter what they serve
+    # as they return: right after each call, with no ledger read in between,
+    # the ledger is the twin's, whose rounds are k draws each
+    inst = _three_distribution_fixture()
+    fused_o, twin_o = (OracleSet(inst, seed=6, log_transcript=True) for _ in range(2))
+    fused, twin = FAMILY_BUILDERS[kind](fused_o), _DrawnRounds(FAMILY_BUILDERS[kind](twin_o))
+    labels = inst.hypothesis_class.labels
+    counts = [1, 1, 1]
+
+    def unread(o):      # the ledger's lists, not its read properties
+        return o.ledger._queries, o.ledger._draws, o.ledger._transcript
+
+    def twin_rounds(rows):
+        for row in rows:
+            assert twin.round_losses(labels, 0, counts, 1) == row.tolist()
+        assert unread(fused_o) == unread(twin_o)
+
+    assert fused.round_losses(labels, 0, counts, 40) == twin.round_losses(labels, 0, counts, 40)
+    assert unread(fused_o) == unread(twin_o)
+    table, r = fused.run_table(labels, 0, counts, 39)
+    zero = (~table.any(axis=1)).tolist()
+    s = next(s for s in range(r + 1, len(zero) - 1) if zero[s] and zero[s + 1])
+    fused.serve(s - r)
+    twin_rounds(table[r:s])
+    assert fused.round_losses(labels, 0, counts, 39 - s) == [0.0] * 3
+    twin_rounds(table[s:s + 1])
+    m = fused.serve_zero_rows(0, 39 - s)
+    assert m > 0
+    twin_rounds(table[s + 1:s + 1 + m])
     for t in range(5):
-        fam.row(labels, t % 3, [1, 3, 2])
-        assert o.ledger.pending is None
-        queries.append(sum(o.ledger._queries))
-        # the transcript's running count is the ledger's
-        assert len(o.ledger._transcript) == queries[-1]
-    assert o.ledger._draws == [2 + 5, 1 + 15, 3 + 10]
-    assert queries == sorted(queries) and queries[0] > 0
+        assert fused.row(labels, t % 3, [1, 3, 2]) == twin.row(labels, t % 3, [1, 3, 2])
+        assert unread(fused_o) == unread(twin_o)
+    assert fused.round_losses(labels, 0, counts, 9) == twin.round_losses(labels, 0, counts, 9)
+    assert unread(fused_o) == unread(twin_o) and sum(fused_o.ledger._queries) > 0
 
 
 _ROUNDS = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 40)),
@@ -813,8 +837,8 @@ def test_a_solve_refused_part_way_leaves_the_served_rounds_metered(kind, log_tra
 
 
 def test_a_solve_that_raises_leaves_no_rounds_unsettled(desk_knobs):
-    # the solver settles its served rounds on the way out of an error, so the
-    # ledger is whole without being read
+    # every round is metered as it is served, so a solve that stops on an
+    # error leaves the ledger whole
     inst = amdl.gen_agnostic_lb(3, 0.4, 0.05)
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
     o = OracleSet(inst, seed=3)
@@ -831,23 +855,28 @@ def test_a_solve_that_raises_leaves_no_rounds_unsettled(desk_knobs):
     fam.run_table = run_table
     with pytest.raises(ContractViolation, match="part-way"):
         mdl_hedge_vc(inst.hypothesis_class, (0, 1), fam, cfg, inst.k, 1)
-    assert o.ledger.pending is None
     assert o.ledger.label_total == o.ledger.unlabeled_total > 0
 
 
 def test_settle_refuses_a_stream_moved_under_served_rounds():
-    # a reader that skipped the ledger's settle hook moved stream 1: settling
-    # must refuse rather than consume variates that were read already
-    o = OracleSet(_three_distribution_fixture(), seed=1)
-    fam = amdl.plain_family(o)
-    labels = o.instance.hypothesis_class.labels
+    # a read of stream 1 the open run did not make: serving must refuse
+    # rather than consume variates that were read already, and the next
+    # round opens a new run that matches the twin
+    inst = _three_distribution_fixture()
+    o, twin_o = OracleSet(inst, seed=1), OracleSet(inst, seed=1)
+    fam, twin = amdl.plain_family(o), _DrawnRounds(amdl.plain_family(twin_o))
+    labels = inst.hypothesis_class.labels
     for t in range(3):
-        fam.round_losses(labels, t % 3, [1, 2, 1], 10)
-    o._streams[1].take(1)
+        assert fam.round_losses(labels, t % 3, [1, 2, 1], 10) == \
+            twin.round_losses(labels, t % 3, [1, 2, 1], 10)
+    for side in (o, twin_o):
+        side._streams[1].take(1)
     with pytest.raises(ContractViolation, match="moved"):
-        fam.settle()
-    with pytest.raises(ContractViolation, match="moved"):
-        o.ledger.label_total
+        fam.serve(1)
+    assert _metered(o) == _metered(twin_o)
+    assert fam.round_losses(labels, 0, [1, 2, 1], 7) == twin.round_losses(labels, 0, [1, 2, 1], 7)
+    assert _metered(o) == _metered(twin_o)
+    assert [s.consumed for s in o._streams] == [s.consumed for s in twin_o._streams]
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
@@ -963,7 +992,6 @@ def test_a_zero_run_stops_at_the_open_runs_end_and_its_cap():
             for _ in range(runs[-1]):
                 assert twin.round_losses(labels, j, counts, left) == [0.0] * inst.k
                 left -= 1
-    fused.settle()
     assert _metered(fused_o) == _metered(twin_o)
     assert 0 < sum(runs) < 40 - len(runs)
 
@@ -990,8 +1018,8 @@ def test_blocks_hold_no_more_requests_than_the_rounds_left():
     labels = o.instance.hypothesis_class.labels
     for left in (3, 2, 1, 40, 39):
         fam.round_losses(labels, 0, [1, 2, 1], left)
-        # a block's first b requests are settled, the open run's next ones served
-        assert all(len(blk.queries) - blk.b - fam._served < left for blk in fam._blocks)
+        # b counts a block's served requests: what is left fits the rounds left
+        assert all(len(blk.queries) - blk.b < left for blk in fam._blocks)
 
 
 def test_uniform_take_matches_one_generator_run():

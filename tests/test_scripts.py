@@ -94,8 +94,28 @@ def test_paired_cells_refuses_to_report_unequal_transcripts():
     script = _load_script("paired_cells")
     cells = script.pac_cells()[:1]
     a, b = (script.Side(SCRIPTS.parent, cells) for _ in range(2))
-    b.transcript = lambda cell, inst, seed: [(0, 0, 1, 1)]
+    traced = b.traced
+    b.traced = lambda cell, inst, seed: ([(0, 0, 1, 1)], *traced(cell, inst, seed)[1:])
     with pytest.raises(SystemExit, match="the label transcripts differ"):
+        script.compare(a, b, cells, 1)
+
+
+@pytest.mark.parametrize("part", [1, 2])
+def test_paired_cells_refuses_to_report_unequal_draws_or_positions(part):
+    # a record holds only the total draws: a change that moves draws between
+    # distributions, or leaves a stream elsewhere, shows in the traced trial
+    script = _load_script("paired_cells")
+    cells = script.pac_cells()[:1]
+    a, b = (script.Side(SCRIPTS.parent, cells) for _ in range(2))
+    traced = b.traced
+
+    def other(cell, inst, seed):
+        out = list(traced(cell, inst, seed))
+        out[part] = [out[part][0] + 1, *out[part][1:]]
+        return tuple(out)
+
+    b.traced = other
+    with pytest.raises(SystemExit, match=f"the {script.TRACED[part]} differ"):
         script.compare(a, b, cells, 1)
 
 
@@ -126,7 +146,7 @@ def test_paired_cells_counts_b_wins_and_a_quartile_spread():
     a.trial = lambda cell, inst, seed: (seeds.append(seed) or a_ms[seed], "record")
     b.trial = lambda cell, inst, seed: (b_ms[seed], "record")
     for side in (a, b):
-        side.transcript = lambda cell, inst, seed: []
+        side.traced = lambda cell, inst, seed: ([], [], [])
     (row,) = script.compare(a, b, cells, 5, base_seed=7).values()
     assert seeds == [7, 8, 9, 10, 11]
     assert row["b_wins"] == 3 and row["a_iqr_ms"] == 3.0
