@@ -238,7 +238,9 @@ class LabeledDistribution:
         return _exact_dot(weights, self._mnum, lim * self._msum)
 
     def mass(self, mask: np.ndarray) -> Fraction:
-        """The exact mass of the points where the boolean `mask` holds."""
+        """The exact mass of the points where `mask`, a boolean array of shape (m,), holds."""
+        if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != (self.m,):
+            raise ContractViolation(f"mass needs a boolean mask of shape ({self.m},)")
         return Fraction(self._weigh(mask), self._mden)
 
     def _loss_num(self, plus: np.ndarray, total: int):

@@ -70,19 +70,22 @@ A solve over more than two candidates plays no chunks, and store growth and
 count changes end its runs after about 20 rounds, most of whose table rows it
 never plays; it draws each round with `row` instead.  A row's k requests are
 made one after another, each consuming its variates and metering its draws,
-queries and transcript lines before the next.  Two row kernels, imputing
-and surrogate (whose None-sample entries are surrogate requests that query
-every point), walk the points in Python over lists kept per stream: a window
+queries and transcript lines before the next.  One row kernel serves every
+family: it walks the points in Python over lists kept per stream (a window
 of the buffered variates from the stream's position and their points,
-remade when the buffer changes or the window runs out.  A family makes its
-row kernel, and a surrogate family lists its samples, on its first `row`.
+remade when the buffer changes or the window runs out).  A surrogate
+family imputes 0 everywhere, so against a +-1 candidate (`row` refuses any
+other) each point it does not query counts one miss; a pick pass then reads
+the picks that follow the request's labels, takes those misses back and
+counts each pick's own.  A family makes its row kernel, and a surrogate
+family lists its samples, on its first `row`.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import cached_property, partial
+from functools import partial
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -368,9 +371,9 @@ class OracleSet:
         return _Rounds(self, i, c, np.where(need, pts, sx[pick]), np.where(need, fresh, sy[pick]),
                        need, _even_ends(base, 2 * c, rounds), np.diff(first).tolist())
 
-    # -- row kernels: one request of counts[i] pairs from each stream i in
+    # -- the row kernel: one request of counts[i] pairs from each stream i in
     # turn, each made as it is drawn, scored against one candidate's labels
-    # (a list over the points); they read the streams' lists
+    # (a list over the points), for every family; it reads the streams' lists
 
     def _relist(self, i: int, n: int) -> tuple:
         """Stream i's lists, remade to hold at least its next n variates."""
@@ -382,32 +385,32 @@ class OracleSet:
         lst = self._listed[i] = (buf, pos, hi, seg.tolist(), self._points[i](seg).tolist())
         return lst
 
-    @cached_property
-    def _eta_lists(self) -> list[list[float]]:
-        return [eta.tolist() for eta in self._eta]
-
     def _imputing_row_kernel(self, view: View) -> RowKernel:
-        return partial(self._imputing_row, view[0].tolist(), view[1].tolist(), self._eta_lists)
+        dis = view[0].tolist()
+        return partial(self._row, [(eta.tolist(), dis, None) for eta in self._eta], view[1].tolist())
 
     def _surrogate_row_kernel(self, dis_mask: np.ndarray,
                               samples: Sequence[tuple[np.ndarray, np.ndarray] | None]) -> RowKernel:
         # a None sample's plain requests are surrogate requests that query every point
-        every, dis = self._every[0].tolist(), dis_mask.tolist()
-        return partial(self._surrogate_row, self._eta_lists,
-                       [(every, [], []) if s is None else (dis, s[0].tolist(), s[1].tolist())
-                        for s in samples])
+        every, zeros, dis = self._every[0].tolist(), self._every[1].tolist(), dis_mask.tolist()
+        return partial(self._row, [(eta.tolist(), every, None) if s is None
+                                   else (eta.tolist(), dis, (s[0].tolist(), s[1].tolist()))
+                                   for eta, s in zip(self._eta, samples)], zeros)
 
-    def _imputing_row(self, dis: list[bool], lab: list[int], etas: list[list[float]],
-                      cand: list[int], counts: Sequence[int]) -> list[float]:
-        """A request's c points, then a label variate per point where
-        `dis[x]`; the imputed label `lab[x]` elsewhere."""
+    def _row(self, entries: list[tuple[list[float], list[bool], tuple[list, list] | None]],
+             lab: list[int], cand: list[int], counts: Sequence[int]) -> list[float]:
+        """Request i's c points, then a label variate per point where its
+        entry's `dis[x]`, the imputed label `lab[x]` elsewhere; with a sample
+        (sx, sy), a pick per such point after the labels, which replaces the
+        miss that `lab`'s 0 counted there (see the module docstring)."""
         ledger = self.ledger
         drawn, asked = ledger._draws, ledger._queries
         log = ledger._transcript if ledger.log_transcript else None
         cum = sum(asked) if log is not None else 0
         losses = []
         listed = self._listed
-        for i, c, stream, eta in zip(range(len(counts)), counts, self._streams, etas):
+        for i, c, stream, (eta, dis, sample) in zip(range(len(counts)), counts, self._streams,
+                                                     entries):
             pos = stream.pos
             buf, lo, hi, u, xs = listed[i]
             if buf is not stream.buf or pos + 2 * c > hi:
@@ -426,53 +429,17 @@ class OracleSet:
                     miss += cand[x] != y
                 elif cand[x] != lab[x]:
                     miss += 1
-            stream.pos = pos + a - start
-            drawn[i] += c
             if a - start > c:
                 asked[i] += a - start - c
-            losses.append(miss / c)
-        return losses
-
-    def _surrogate_row(self, etas: list[list[float]],
-                       entries: list[tuple[list[bool], list[int], list[int]]],
-                       cand: list[int], counts: Sequence[int]) -> list[float]:
-        """A request's c points, a label variate per point where `dis[x]`,
-        then a pick of the sample (sx, sy) per other point."""
-        ledger = self.ledger
-        drawn, asked = ledger._draws, ledger._queries
-        log = ledger._transcript if ledger.log_transcript else None
-        cum = sum(asked) if log is not None else 0
-        losses = []
-        listed = self._listed
-        for i, c, stream, eta, (dis, sx, sy) in zip(range(len(counts)), counts, self._streams,
-                                                    etas, entries):
-            pos = stream.pos
-            buf, lo, hi, u, xs = listed[i]
-            if buf is not stream.buf or pos + 2 * c > hi:
-                buf, lo, hi, u, xs = self._relist(i, 2 * c)
-                pos = stream.pos
-            start = pos - lo
-            a = start + c           # the next label variate
-            pts = xs[start:a]
-            q = sum([dis[x] for x in pts])
-            b, size = a + q, len(sx)    # the next pick
-            miss = 0
-            for x in pts:
-                if dis[x]:
-                    y = 1 if u[a] < eta[x] else -1
-                    a += 1
-                    if log is not None:
-                        cum += 1
-                        log.append((i, x, y, cum))
-                    miss += cand[x] != y
-                else:
-                    p = min(int(u[b] * size), size - 1)
-                    b += 1
+            if sample is not None:      # a pick per unqueried point, in place of its miss on 0
+                sx, sy = sample
+                size, b, a = len(sx), a, start + 2 * c
+                miss -= a - b
+                for v in u[b:a]:
+                    p = min(int(v * size), size - 1)
                     miss += cand[sx[p]] != sy[p]
-            stream.pos = pos + 2 * c
+            stream.pos = lo + a
             drawn[i] += c
-            if q:
-                asked[i] += q
             losses.append(miss / c)
         return losses
 
@@ -609,12 +576,16 @@ class SamplerFamily:
         on counts[i] fresh pairs from each distribution i: the pairs of
         `draw(i, counts[i])` for i = 0..k-1 in turn, each request consumed
         and metered as it is drawn.  Counts equal to the last ones checked
-        are served as those."""
+        are served as those.  A candidate row is listed, and refused unless
+        every label is -1 or +1, once per label matrix."""
         if labels is not self._cand_labels:
             self._cand_labels, self._cands = labels, {}
         cand = self._cands.get(j)
         if cand is None:
-            cand = self._cands[j] = labels[check_int("candidate", j, 0, len(labels))].tolist()
+            cand = labels[check_int("candidate", j, 0, len(labels))].tolist()
+            if not set(cand) <= {-1, 1}:    # the row kernel's pick pass counts on it
+                raise ContractViolation(f"candidate {j}'s labels must all be -1 or +1")
+            self._cands[j] = cand
         if type(counts) is not list or counts != self._row_counts:
             self._row_counts = self._checked_counts(counts)
         if self._row is None:

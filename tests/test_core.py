@@ -288,6 +288,23 @@ def test_distribution_validation():
         LabeledDistribution([-0.5, 1.5], [0.5, 0.5])  # negative mass
 
 
+MASS_REFUSED = {
+    "int weights": np.arange(10),       # read as weights, it gave 109/24
+    "short mask": np.ones(9, dtype=bool),
+    "list": [True] * 10,
+    "row of a matrix": np.ones((1, 10), dtype=bool),
+    "int8 mask": np.ones(10, dtype=np.int8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MASS_REFUSED))
+def test_mass_refuses_anything_but_a_boolean_mask_of_m_points(case):
+    dist = amdl.gen_random(10, 8, 2, 3).distributions[0]
+    assert dist.mass(np.ones(10, dtype=bool)) == 1
+    with pytest.raises(ContractViolation, match=r"boolean mask of shape \(10,\)"):
+        dist.mass(MASS_REFUSED[case])
+
+
 def test_declared_nu_checked():
     cls = HypothesisClass([Hypothesis([1])])
     dist = LabeledDistribution([1.0], [1.0])

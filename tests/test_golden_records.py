@@ -6,12 +6,15 @@ at two seeds each, and the label transcripts of five of them: all but
 pins.  Four more cells, records and transcripts, pin the routes no
 criterion-4 cell takes: stage one of `active-dd-small` (at eps 0.5 on
 `example1(0.004,0.002,a)`, where 100 nu = 0.6 < 1), both branches of
-`active-dd-auto`, and `passive-naive`.  The two cells whose solves hold two candidates are pinned over twenty
-seeds as well, records and transcripts, and so are two `active-df` cells
-whose robust learner runs more than once: over eight pruning rounds on
-shrinking member sets, and in two epochs.  Any change to
-the order in which a sampler consumes its random stream, to the ledger, or
-to how a loss is rounded changes a digest; a pure speed-up must not.
+`active-dd-auto`, and `passive-naive`.  One more, `active-dd-small` on
+`gen_random(6, 3, 3, 36)` at eps 0.2, solves stage two over three
+candidates with one degenerate (None) and two sampled distributions, so its
+rows take the surrogate pick pass.  The two cells whose solves hold two
+candidates are pinned over twenty seeds as well, records and transcripts,
+and so are two `active-df` cells whose robust learner runs more than once:
+over eight pruning rounds on shrinking member sets, and in two epochs.  Any
+change to the order in which a sampler consumes its random stream, to the
+ledger, or to how a loss is rounded changes a digest; a pure speed-up must not.
 
 The `active-dd-large` cells of `configs/sweep_scaling.json` are pinned as
 well, with the version spaces and epoch trace each run keeps, so the exact
@@ -66,6 +69,8 @@ CELLS = {
         (lambda: amdl.gen_example1(0.2, 0.05, "b"), "active-dd-auto", 0.05),
     "agnostic-lb(4,0.4,0.05)/passive-naive/0.05":
         (lambda: amdl.gen_agnostic_lb(4, 0.4, 0.05), "passive-naive", 0.05),
+    "random(6,3,3,36)/active-dd-small/0.2":
+        (lambda: amdl.gen_random(6, 3, 3, 36), "active-dd-small", 0.2),
 }
 
 RECORD_SHA256 = {
@@ -89,6 +94,8 @@ RECORD_SHA256 = {
         "41bd4c44fedfd259280cadcca97182f84c7b21f674187a38f72f2fe06e7e174c",
     "agnostic-lb(4,0.4,0.05)/passive-naive/0.05":
         "02de5231875b9f986f583cc504109e16cd1e732f9de1ea5f21ad2e5d4febdef4",
+    "random(6,3,3,36)/active-dd-small/0.2":
+        "c23bda1036f4746e10f72c26624ad67c9eca5f7555a0d2f4066e1999914bd2c8",
 }
 
 TRANSCRIPT_SHA256 = {
@@ -110,6 +117,8 @@ TRANSCRIPT_SHA256 = {
         "fb96908da6b1745dc64f8a21b83bd9863859baacbf83d8c6b3c6928918c1b719",
     "agnostic-lb(4,0.4,0.05)/passive-naive/0.05":
         "97b5bea8ad0b9dfc7efe3f63b7568660026b0afcac992d15aff043f1a8dba9bd",
+    "random(6,3,3,36)/active-dd-small/0.2":
+        "6cb2ad9a42afff4931bf5f98fee809ea4978d7be7ff702ac4805a1a252bb127d",
 }
 
 

@@ -100,6 +100,8 @@ checks = {
     "ragged class row": lambda: amdl.HypothesisClass([[1, -1], [1]]),
     "overserved run": lambda: served.serve(5),
     "untabled candidate": lambda: untabled.serve_zero_rows(1, 3),
+    "non-+-1 candidate": lambda: fam.row(np.zeros((1, inst.m), dtype=np.int8), 0, [1, 1, 1]),
+    "mass of a non-mask": lambda: inst.distributions[0].mass(np.arange(inst.m)),
     "underflowed eps": lambda: hyperparams(
         SolverConfig(eps=1e-300, delta=0.1, nu=0.0, **PROFILES["desk"]), 2, 1),
     "negative member": lambda: amdl.agreement_labels(inst.hypothesis_class, [-1]),
@@ -140,6 +142,8 @@ def test_runtime_checks_hold_under_python_O():
                                        "refused: moved stream", "refused: fractional label",
                                        "refused: ragged hypothesis", "refused: ragged class row",
                                        "refused: overserved run", "refused: untabled candidate",
+                                       "refused: non-+-1 candidate",
+                                       "refused: mass of a non-mask",
                                        "refused: underflowed eps",
                                        "refused: negative member", "refused: nan target",
                                        "refused: malformed requests", "refused: bad outputs",

@@ -128,6 +128,9 @@ BAD_CALLS = {
     "run_table-negative-candidate": lambda o: amdl.plain_family(o).run_table(
         o.instance.hypothesis_class.labels, -1, [2], 3),
     "serve-bool": lambda o: _served(amdl.plain_family(o), True),
+    # a candidate label other than -1 or +1, which the surrogate pick pass cannot score
+    "row-zero-candidate-label": lambda o: amdl.surrogate_family(o, (0, 1), [_S]).row(
+        o.instance.hypothesis_class.labels * 0, 0, [2]),
 }
 
 
