@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (ContractViolation, Hypothesis, HypothesisLike, MDLInstance,
-                   RandomizedHypothesis, _plus_counts, agreement_labels)
+                   RandomizedHypothesis, _exact_dot, _plus_counts, agreement_labels)
 from .hedge import mdl_hedge_vc
 from .oracles import (DegenerateAgreementRegion, OracleSet, induced_family,
                       surrogate_family)
@@ -48,20 +48,14 @@ def _within_radius(inst: MDLInstance, version_space: Sequence[int], mix: Hypothe
                    bound: Fraction) -> list[int]:
     """The members h of the version space, in order, with max_i rho_i(h, mix)
     <= bound, rho_i the mean disagreement under distribution i.  h's weight
-    at a point is mix's count on the other label, so one kernel call per
-    distribution gives every rho_i over mix.total * _mden as a Python int."""
+    at a point is mix's count on the other label, so one kernel call gives
+    every rho_i, over mix.total times distribution i's `_mden`, as a Python int."""
     plus, total = _plus_counts(mix, inst.m)
     V = list(version_space)
     weights = np.where(inst.hypothesis_class.labels[V] > 0, total - plus, plus)
-    keep = np.ones(len(V), dtype=bool)
-    for dist in inst.distributions:
-        keep &= dist._weigh(weights) * bound.denominator <= bound.numerator * total * dist._mden
-    return [h for h, kept in zip(V, keep.tolist()) if kept]
-
-
-def _max_dis_mass(inst: MDLInstance, dis: np.ndarray) -> Fraction:
-    """The largest mass any distribution puts on the disagreement mask `dis`."""
-    return max(d.mass(dis) for d in inst.distributions)
+    rho = _exact_dot(weights, inst._mnums, inst._msum)     # column i over _mdens[i]
+    keep = rho * bound.denominator <= bound.numerator * total * inst._mdens
+    return [h for h, kept in zip(V, keep.all(axis=1).tolist()) if kept]
 
 
 @dataclass
@@ -122,7 +116,7 @@ def active_large_eps(oracles: OracleSet, p: RunPlan, state: Halving | None = Non
             raise ContractViolation(f"epoch {n} disagreement region grew")
         s.prev_dis, s.V, s.out = dis, V_new, h_n
         s.version_spaces.append(tuple(V_new))
-        s.trace.append((n, ep.eps_n, len(V_new), float(_max_dis_mass(inst, dis)), *spent))
+        s.trace.append((n, ep.eps_n, len(V_new), float(max(inst.masses(dis))), *spent))
     if not s.V:
         return RunResult(None, "version_space_collapse", list(s.trace),
                          {"collapse_epoch": s.trace[-1][0]}, p)
@@ -173,7 +167,7 @@ def active_small_eps(oracles: OracleSet, p: RunPlan) -> RunResult:
     fam = surrogate_family(oracles, V0, samples)
     res = mdl_hedge_vc(cls, V0, fam, p.solve, inst.k, p.d)
     trace.append(("stage2", p.solve.eps, len(V0),
-                  float(_max_dis_mass(inst, agreement_labels(cls, V0) == 0)),
+                  float(max(inst.masses(agreement_labels(cls, V0) == 0))),
                   oracles.ledger.unlabeled_total - draws_before,
                   oracles.ledger.label_total - labels_before))
     return RunResult(

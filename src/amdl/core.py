@@ -5,12 +5,12 @@ Probabilities are carried as exact rationals internally (integer numerators
 over a shared per-array denominator), so loss tables, disagreement masses and
 coefficient ratios computed from generator-built instances are exact, and
 repeated evaluation is bit-identical.  Float views are derived for sampling.
-Every exact mass and disagreement is one call of the kernel
-`LabeledDistribution._weigh` on integer per-point weights, and every exact
-loss one `total * _A + plus @ _B` on a support's +1 vote counts: in int64
-when max(1, max |weight|) (or the support size) times the sum of the
-|numerators| is below 2^63, else on Python ints; the result is Python ints, and
-Fractions are built only for outputs.
+Every exact mass and disagreement is one call of `_exact_dot` on integer
+per-point weights, every exact loss one `total * _A + plus @ _B` on a
+support's +1 counts, and `MDLInstance`'s stacks make one call cover all k
+distributions: in int64 when max(1, max |weight|) times the largest column's
+sum of |numerators| is below 2^63, else on Python ints; the result is Python
+ints, and Fractions are built only for outputs.
 """
 
 from __future__ import annotations
@@ -61,14 +61,22 @@ def _frac(x: Number) -> Fraction:
     raise ContractViolation(f"expected a finite number, got {x!r}")
 
 
-def _exact_dot(weights: np.ndarray, nums: np.ndarray, bound: int):
-    """`weights @ nums` (object ints) exactly, as Python ints: in int64 when the
-    weights are signed integers and `bound`, at least sum |nums|, caps every
-    |num| and every |partial sum| below 2^63."""
-    if weights.dtype.kind not in "bi" or bound >= 1 << 63:
+def _exact_dot(weights: np.ndarray, nums: np.ndarray, nsum: int):
+    """`weights @ nums` (object ints, one vector or a column each) exactly, as Python
+    ints: in int64 when the weights are bools or signed integers and max(1, |weights|)
+    times `nsum`, at least any column's sum |nums|, is below 2^63."""
+    lim = int(np.abs(weights).max(initial=1)) if weights.dtype.kind == "i" else 1
+    if weights.dtype.kind not in "bi" or lim * nsum >= 1 << 63:
         return weights @ nums
     out = weights @ nums.astype(np.int64)
     return int(out) if out.ndim == 0 else out.astype(object)
+
+
+def _mask(mask, m: int) -> np.ndarray:
+    """`mask`, refused unless a boolean array of shape (m,)."""
+    if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != (m,):
+        raise ContractViolation(f"a mass needs a boolean mask of shape ({m},)")
+    return mask
 
 
 def _integerize(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
@@ -233,19 +241,16 @@ class LabeledDistribution:
     def _weigh(self, weights: np.ndarray):
         """The exact kernel: integer per-point `weights` (one row per hypothesis
         or point set, the last axis the points) summed against the marginal, as
-        Python-int numerators over `_mden`, bounded by max(1, |weights|) * `_msum`."""
-        lim = 1 if weights.dtype == bool else int(np.abs(weights).max(initial=1))
-        return _exact_dot(weights, self._mnum, lim * self._msum)
+        Python-int numerators over `_mden`."""
+        return _exact_dot(weights, self._mnum, self._msum)
 
     def mass(self, mask: np.ndarray) -> Fraction:
         """The exact mass of the points where `mask`, a boolean array of shape (m,), holds."""
-        if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != (self.m,):
-            raise ContractViolation(f"mass needs a boolean mask of shape ({self.m},)")
-        return Fraction(self._weigh(mask), self._mden)
+        return Fraction(self._weigh(_mask(mask, self.m)), self._mden)
 
     def _loss_num(self, plus: np.ndarray, total: int):
         """Loss numerators over total * _mden * _eden of `total`-member supports' +1 counts."""
-        return total * self._A + _exact_dot(plus, self._B, total * self._bsum)
+        return total * self._A + _exact_dot(plus, self._B, self._bsum)
 
 
 class RandomizedHypothesis:
@@ -311,8 +316,8 @@ class MDLInstance:
     distributions: list[LabeledDistribution]
     declared_nu: float | None = None
     metadata: dict = field(default_factory=dict)
-    # the minimax member, nu, and every member's worst-loss numerator over one denominator
-    _best: tuple[int, Fraction, list[int], int] | None = field(default=None, repr=False, init=False)
+    # the minimax member, nu, and every member's worst-loss numerator over `_den`
+    _best: tuple[int, Fraction, list[int]] | None = field(default=None, repr=False, init=False)
 
     def __post_init__(self):
         if not self.distributions:
@@ -320,6 +325,16 @@ class MDLInstance:
         for d in self.distributions:
             if d.m != self.m:
                 raise ContractViolation(f"a distribution has {d.m} points, the class {self.m}")
+        # the k distributions side by side, for one kernel call over all: marginal numerators
+        # (m x k), column i over _mdens[i], and loss coefficients _A, _B over one _den
+        dists = self.distributions
+        self._mnums = np.stack([d._mnum for d in dists], axis=1)
+        self._mdens = np.array([d._mden for d in dists], dtype=object)
+        self._den = math.lcm(*(d._mden * d._eden for d in dists))
+        scale = self._den // np.array([d._mden * d._eden for d in dists], dtype=object)
+        self._A = np.array([d._A for d in dists], dtype=object) * scale
+        self._B = np.stack([d._B for d in dists], axis=1) * scale
+        self._msum, self._bsum = max(self._mnums.sum(axis=0)), max(abs(self._B).sum(axis=0))
         if self.declared_nu is not None:
             computed = self.nu_exact()
             if abs(computed - _frac(self.declared_nu)) > NU_DECLARED_TOL:
@@ -334,29 +349,34 @@ class MDLInstance:
     def m(self) -> int:
         return self.hypothesis_class.m
 
+    def masses(self, mask: np.ndarray) -> list[Fraction]:
+        """Each distribution's exact mass of the points where the boolean (m,) `mask` holds."""
+        nums = _exact_dot(_mask(mask, self.m), self._mnums, self._msum).tolist()
+        return list(map(Fraction, nums, self._mdens.tolist()))
+
+    def _loss_nums(self, plus: np.ndarray, total: int) -> np.ndarray:
+        """`LabeledDistribution._loss_num` for all k, a column each, over total * _den."""
+        return total * self._A + _exact_dot(plus, self._B, self._bsum)
+
     def worst_loss_exact(self, h: HypothesisLike) -> Fraction:
         plus, total = _plus_counts(h, self.m)
-        return max(_loss(d, plus, total) for d in self.distributions)
+        return Fraction(max(self._loss_nums(plus, total).tolist()), total * self._den)
 
     def _best_pair(self) -> tuple[int, Fraction]:
         """The first member of least worst-case loss, and that loss: every
-        member's loss in one product per distribution, the numerators scaled
-        to the common denominator and kept for `worst_member_loss`."""
+        member's loss under every distribution in one product, the worst
+        numerators kept for `worst_member_loss`."""
         if self._best is None:
             plus = (self.hypothesis_class.labels > 0).astype(np.int64)
-            den = math.lcm(*(d._mden * d._eden for d in self.distributions))
-            worst = 0
-            for d in self.distributions:
-                worst = np.maximum(worst, d._loss_num(plus, 1) * (den // (d._mden * d._eden)))
-            worst = worst.tolist()
+            worst = self._loss_nums(plus, 1).max(axis=1).tolist()
             idx = min(range(len(worst)), key=worst.__getitem__)
-            self._best = (idx, Fraction(worst[idx], den), worst, den)
+            self._best = (idx, Fraction(worst[idx], self._den), worst)
         return self._best[:2]
 
     def worst_member_loss(self) -> Fraction:
         """The largest worst-case loss of a member; no output (a member or mixture) exceeds it."""
         self._best_pair()
-        return Fraction(max(self._best[2]), self._best[3])
+        return Fraction(max(self._best[2]), self._den)
 
     def nu_exact(self) -> Fraction:
         return self._best_pair()[1]

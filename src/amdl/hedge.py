@@ -9,11 +9,11 @@ the passive subroutine of every active algorithm in this package.
 
 A round of `mdl_hedge_vc`: grow the store when some weight reaches twice its
 threshold, play the weighted ERM over the store's float64 mistake counts,
-estimate the rewards from ceil(k * w_bar_i) fresh pairs per distribution (one
-`SamplerFamily.row` call), and update the weights with `hedge_step`.  A zero
-reward row changes no weight, so the doubling test, the ERM and the counts
-stay as they were: the solver draws the next rows with the same play while
-they are zero, and plays the first row with a loss as the next round, with
+estimate the rewards from ceil(k * w_bar_i) fresh pairs per distribution (a
+row), and update the weights with `hedge_step`.  A zero reward row changes no
+weight, so the doubling test, the ERM and the counts stay as they were: one
+`SamplerFamily.row` call draws a zero-row stretch with the same play, up to
+the first row with a loss, which is played as the next round, or to T, with
 no `hedge_step` or ERM for the zero rows.  The running maxima w_bar seldom
 grow, so the counts are recomputed, and the reward draws totalled, only when
 they do.  A solve over at most two candidates plays stretches of rounds at
@@ -405,9 +405,7 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
             played = 1 if any(r) else 1 + sampler.serve_zero_rows(local, T - state.t - 1)
         else:
             # zero rows, then the first row with a loss, all played with `local`
-            r, played = sampler.row(store.labels, local, counts), 1
-            while not any(r) and state.t + played < T:
-                r, played = sampler.row(store.labels, local, counts), played + 1
+            r, played = sampler.row(store.labels, local, counts, T - state.t)
         tally[local] += played
         if trace is not None:
             trace.extend((state.t + 1 + s, state.w_arr, float(np.sum(state.w_bar)),

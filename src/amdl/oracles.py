@@ -68,17 +68,17 @@ generator's next variates behind its unread tail.
 
 A solve over more than two candidates plays no chunks, and store growth and
 count changes end its runs after about 20 rounds, most of whose table rows it
-never plays; it draws each round with `row` instead.  A row's k requests are
-made one after another, each consuming its variates and metering its draws,
-queries and transcript lines before the next.  One row kernel serves every
-family: it walks the points in Python over lists kept per stream (a window
-of the buffered variates from the stream's position and their points,
-remade when the buffer changes or the window runs out).  A surrogate
-family imputes 0 everywhere, so against a +-1 candidate (`row` refuses any
-other) each point it does not query counts one miss; a pick pass then reads
-the picks that follow the request's labels, takes those misses back and
-counts each pick's own.  A family makes its row kernel, and a surrogate
-family lists its samples, on its first `row`.
+never plays; it draws rows, one `row` call per zero-row stretch and the loss
+row that ends it.  A row's k requests are made one after another, each
+consuming its variates and metering its draws, queries and transcript lines
+before the next.  One row kernel serves every family: it walks the points in
+Python over lists kept per stream (a window of the buffered variates from the
+stream's position and their points, remade when the buffer changes or the
+window runs out).  A surrogate family imputes 0 everywhere, so against a +-1
+candidate (`row` refuses any other) each point it does not query counts one
+miss; a pick pass then reads the picks that follow the request's labels, takes
+those misses back and counts each pick's own.  A family makes its row kernel,
+and a surrogate family lists its samples, on its first `row`.
 """
 
 from __future__ import annotations
@@ -387,61 +387,66 @@ class OracleSet:
 
     def _imputing_row_kernel(self, view: View) -> RowKernel:
         dis = view[0].tolist()
-        return partial(self._row, [(eta.tolist(), dis, None) for eta in self._eta], view[1].tolist())
+        return partial(self._row, [(i, eta.tolist(), dis, None) for i, eta in enumerate(self._eta)],
+                       view[1].tolist())
 
     def _surrogate_row_kernel(self, dis_mask: np.ndarray,
                               samples: Sequence[tuple[np.ndarray, np.ndarray] | None]) -> RowKernel:
         # a None sample's plain requests are surrogate requests that query every point
         every, zeros, dis = self._every[0].tolist(), self._every[1].tolist(), dis_mask.tolist()
-        return partial(self._row, [(eta.tolist(), every, None) if s is None
-                                   else (eta.tolist(), dis, (s[0].tolist(), s[1].tolist()))
-                                   for eta, s in zip(self._eta, samples)], zeros)
+        return partial(self._row, [(i, eta.tolist(), every, None) if s is None
+                                   else (i, eta.tolist(), dis, (s[0].tolist(), s[1].tolist()))
+                                   for i, (eta, s) in enumerate(zip(self._eta, samples))], zeros)
 
-    def _row(self, entries: list[tuple[list[float], list[bool], tuple[list, list] | None]],
-             lab: list[int], cand: list[int], counts: Sequence[int]) -> list[float]:
-        """Request i's c points, then a label variate per point where its
-        entry's `dis[x]`, the imputed label `lab[x]` elsewhere; with a sample
-        (sx, sy), a pick per such point after the labels, which replaces the
-        miss that `lab`'s 0 counted there (see the module docstring)."""
+    def _row(self, entries: list[tuple[int, list[float], list[bool], tuple[list, list] | None]],
+             lab: list[int], cand: list[int], counts: Sequence[int],
+             cap: int) -> tuple[list[float], int]:
+        """`row`'s rows: request i's c points, then a label variate per point where
+        its entry's `dis[x]`, the imputed label `lab[x]` elsewhere; with a sample
+        (sx, sy), a pick per such point after the labels, which replaces the miss
+        that `lab`'s 0 counted there (see the module docstring)."""
         ledger = self.ledger
         drawn, asked = ledger._draws, ledger._queries
         log = ledger._transcript if ledger.log_transcript else None
         cum = sum(asked) if log is not None else 0
-        losses = []
         listed = self._listed
-        for i, c, stream, (eta, dis, sample) in zip(range(len(counts)), counts, self._streams,
-                                                     entries):
-            pos = stream.pos
-            buf, lo, hi, u, xs = listed[i]
-            if buf is not stream.buf or pos + 2 * c > hi:
-                buf, lo, hi, u, xs = self._relist(i, 2 * c)
+        rows = 0
+        while True:
+            rows += 1
+            losses = []
+            for (i, eta, dis, sample), c, stream in zip(entries, counts, self._streams):
                 pos = stream.pos
-            start = pos - lo
-            a = start + c           # the next label variate
-            miss = 0
-            for x in xs[start:a]:
-                if dis[x]:
-                    y = 1 if u[a] < eta[x] else -1
-                    a += 1
-                    if log is not None:
-                        cum += 1
-                        log.append((i, x, y, cum))
-                    miss += cand[x] != y
-                elif cand[x] != lab[x]:
-                    miss += 1
-            if a - start > c:
-                asked[i] += a - start - c
-            if sample is not None:      # a pick per unqueried point, in place of its miss on 0
-                sx, sy = sample
-                size, b, a = len(sx), a, start + 2 * c
-                miss -= a - b
-                for v in u[b:a]:
-                    p = min(int(v * size), size - 1)
-                    miss += cand[sx[p]] != sy[p]
-            stream.pos = lo + a
-            drawn[i] += c
-            losses.append(miss / c)
-        return losses
+                buf, lo, hi, u, xs = listed[i]
+                if buf is not stream.buf or pos + 2 * c > hi:
+                    buf, lo, hi, u, xs = self._relist(i, 2 * c)
+                    pos = stream.pos
+                start = pos - lo
+                a = start + c           # the next label variate
+                miss = 0
+                for x in xs[start:a]:
+                    if dis[x]:
+                        y = 1 if u[a] < eta[x] else -1
+                        a += 1
+                        if log is not None:
+                            cum += 1
+                            log.append((i, x, y, cum))
+                        miss += cand[x] != y
+                    elif cand[x] != lab[x]:
+                        miss += 1
+                if a - start > c:
+                    asked[i] += a - start - c
+                if sample is not None:      # a pick per unqueried point, in place of its miss on 0
+                    sx, sy = sample
+                    size, b, a = len(sx), a, start + 2 * c
+                    miss -= a - b
+                    for v in u[b:a]:
+                        p = min(int(v * size), size - 1)
+                        miss += cand[sx[p]] != sy[p]
+                stream.pos = lo + a
+                drawn[i] += c
+                losses.append(miss / c)
+            if any(losses) or rows == cap:
+                return losses, rows
 
     def draw_labeled_batch(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Plain labeled sampling, one label query per pair: `draw` on the
@@ -504,18 +509,18 @@ class OracleSet:
 # -- sampler families ---------------------------------------------------------
 
 Kernel = Callable[[int, int], _Rounds]      # (c, rounds) -> requests drawn ahead
-RowKernel = Callable[[list, Sequence[int]], list]  # (candidate labels, counts) -> losses
+RowKernel = Callable[[list, Sequence[int], int], tuple[list, int]]  # see SamplerFamily.row
 
 
 class SamplerFamily:
     """A per-distribution (x, y) source injected into the solvers.
 
     `kernels[i](c, rounds)` draws ahead `rounds` requests of c pairs from
-    distribution i.  `draw(i, n)` makes one request of n pairs, and
-    `draw_requests` rows of requests of unequal sizes.  A whole solver round,
-    one request per distribution, is made at once by `row`, through the
-    kernel `make_row()` returns, or served by `round_losses` from blocks of
-    requests kept per distribution, a run of rounds at a time (`run_table`,
+    distribution i.  `draw(i, n)` makes one request of n pairs,
+    `draw_requests` rows of requests of unequal sizes, and `row` the solver
+    rounds of a zero-row stretch, one request per distribution each, through
+    the kernel `make_row()` returns; `round_losses` serves rounds from blocks
+    of requests kept per distribution, a run of rounds at a time (`run_table`,
     `serve` and `serve_zero_rows` serve several; see the module docstring).
     Every request is metered when it is made or served.  The family keeps no
     count of its own: what it draws is metered in the oracle set's ledger.
@@ -571,13 +576,14 @@ class SamplerFamily:
         return (np.concatenate([blk.xs for blk in blocks]),
                 np.concatenate([blk.ys for blk in blocks]))
 
-    def row(self, labels: np.ndarray, j: int, counts: Sequence[int]) -> list[float]:
-        """Empirical loss of candidate j, row j of the label matrix `labels`,
-        on counts[i] fresh pairs from each distribution i: the pairs of
-        `draw(i, counts[i])` for i = 0..k-1 in turn, each request consumed
-        and metered as it is drawn.  Counts equal to the last ones checked
-        are served as those.  A candidate row is listed, and refused unless
-        every label is -1 or +1, once per label matrix."""
+    def row(self, labels: np.ndarray, j: int, counts: Sequence[int], cap: int) -> tuple[list, int]:
+        """Candidate j's (row j of the label matrix `labels`) losses on counts[i]
+        fresh pairs from each distribution i, the pairs of `draw(i, counts[i])`
+        for i = 0..k-1 in turn, each request consumed and metered as it is drawn,
+        in rows up to the first with a loss, or `cap` rows: the last row's losses
+        and the rows drawn.  Counts equal to the last ones checked are served as
+        those.  A candidate row is listed, and refused unless every label is -1
+        or +1, once per label matrix."""
         if labels is not self._cand_labels:
             self._cand_labels, self._cands = labels, {}
         cand = self._cands.get(j)
@@ -588,9 +594,11 @@ class SamplerFamily:
             self._cands[j] = cand
         if type(counts) is not list or counts != self._row_counts:
             self._row_counts = self._checked_counts(counts)
+        if type(cap) is not int or cap < 1:
+            cap = check_int("a stretch's row cap", cap, 1)
         if self._row is None:
             self._row = self._make_row()
-        return self._row(cand, self._row_counts)
+        return self._row(cand, self._row_counts, cap)
 
     def _checked_counts(self, counts: Sequence[int]) -> list[int]:
         if len(counts) != self.k:

@@ -124,8 +124,8 @@ def passive_rpu_mdl(family: SamplerFamily, active_set: Sequence[int], rp: Robust
             return PruneResult(None, len(learned), "pruning_stalled", per_round_abstain)
         f_r = robust_rpu_learn(cls, mixture_draw(family, tuple(remaining)), rp.N, rp.batch)
         learned.append(f_r)
-        masses = {i: inst.distributions[i].mass(f_r.outputs == 0) for i in remaining}
-        per_round_abstain.append({i: float(v) for i, v in masses.items()})
+        masses = inst.masses(f_r.outputs == 0)
+        per_round_abstain.append({i: float(masses[i]) for i in remaining})
         remaining = [i for i in remaining if masses[i] > Fraction(rp.xi)]   # the rest are pruned
     out = np.zeros(cls.m, dtype=np.int8)
     for f_r in learned:
@@ -159,13 +159,13 @@ def active_dist_free(oracles: OracleSet, p: RunPlan) -> RunResult:
             return RunResult(None, pr.failure_mode, trace, {"failed_epoch": ep.n}, p)
         f = pr.classifier
         classifiers.append(f.outputs.copy())
-        abst = max(float(d.mass(f.outputs == 0)) for d in inst.distributions)
+        abst = float(max(inst.masses(f.outputs == 0)))
         trace.append((ep.n, ep.eps_n, abst, pr.rounds, labels_epoch))
     before = oracles.ledger.label_queries.copy()
     res = mdl_hedge_vc(cls, cls.full_version_space(), imputed_family(oracles, f.outputs),
                        final.solve, k, p.d)
     labels = oracles.ledger.label_queries - before
-    abstain = [float(d.mass(f.outputs == 0)) for d in inst.distributions]
+    abstain = [float(v) for v in inst.masses(f.outputs == 0)]
     trace.append((final.n, final.eps_n, max(abstain), 0, int(labels.sum())))
     return RunResult(res.hypothesis, None, trace,
                      {"final_draws_per_dist": (res.reward_draws + res.store_draws).tolist(),

@@ -642,6 +642,51 @@ def test_exact_kernels_just_below_and_just_above_the_int64_bound(lim, above):
     assert MDLInstance(cls, [d]).worst_member_loss() == max(loss_reference(h, d) for h in cls)
 
 
+# instances whose stacked kernels take each path: prop1's 2^56 denominators
+# put a mixture of a few hundred members on Python ints, star-lb keeps all in int64
+STACKED = {
+    "prop1(8,0.05)": lambda: amdl.gen_prop1(8, 0.05),
+    "star-lb(2,8,1,3)": lambda: amdl.gen_star_lb(2, 8, 1, 3),
+    "random(6,10,3)": lambda: amdl.gen_random(6, 10, 3, seed=4),
+    "random(9,64,4)": lambda: amdl.gen_random(9, 64, 4, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED))
+def test_stacked_kernels_equal_per_distribution_fractions(name):
+    """masses, _within_radius, worst_loss_exact and nu_exact, each one kernel
+    call over all k distributions, against per-distribution Fraction sums;
+    one mixture's support size takes every stack's bound past 2^63."""
+    inst = STACKED[name]()
+    cls, dists, n = inst.hypothesis_class, inst.distributions, len(inst.hypothesis_class)
+    rng = np.random.default_rng(len(name))
+    for mask in (np.zeros(inst.m, dtype=bool), np.ones(inst.m, dtype=bool),
+                 rng.random(inst.m) < 0.5, amdl.agreement_labels(cls, range(n)) == 0):
+        pts = np.flatnonzero(mask).tolist()
+        assert inst.masses(mask) == [mass_reference(pts, d) for d in dists]
+    heavy = {0: 2 ** 61, n - 1: 2 ** 61 - 1, n // 2: 3}
+    plus, total = _plus_counts(RandomizedHypothesis(cls, heavy), inst.m)
+    # a filter weight is plus or total - plus, so one reaches total / 2
+    assert min(int(plus.max()) * inst._bsum, total // 2 * inst._msum) >= 2 ** 63
+    drawn = np.unique(rng.integers(0, n, size=300), return_counts=True)
+    supports = [{0: 1}, {n - 1: 1}, dict(zip(*(v.tolist() for v in drawn))), heavy]
+    # a mixture's loss and disagreement are the count-weighted means of its members'
+    loss = [[loss_reference(g, d) for d in dists] for g in cls]
+    rho = [[[disagreement_reference(g, f, d) for d in dists] for f in cls] for g in cls]
+    for support in supports:
+        mix, total = RandomizedHypothesis(cls, support), sum(support.values())
+        losses = [sum(c * loss[j][i] for j, c in support.items()) / total for i in range(inst.k)]
+        nums = inst._loss_nums(*_plus_counts(mix, inst.m))
+        assert [Fraction(v, total * inst._den) for v in nums] == losses
+        assert inst.worst_loss_exact(mix) == max(losses)
+        far = [max(sum(c * rho[h][j][i] for j, c in support.items()) / total
+                   for i in range(inst.k)) for h in range(n)]
+        for bound in {*far, *(v + Fraction(1, 10 ** 12) for v in far), Fraction(0), Fraction(1)}:
+            assert _within_radius(inst, range(n), mix, bound) == [h for h in range(n)
+                                                                  if far[h] <= bound]
+    assert inst.nu_exact() == min(map(max, loss)) and inst.worst_member_loss() == max(map(max, loss))
+
+
 def test_exact_kernels_on_all_zero_weights_of_a_wide_instance():
     # a member against itself weighs every point 0; the int64 path must still
     # be refused when the marginal numerators themselves pass 2^63

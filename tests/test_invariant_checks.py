@@ -91,7 +91,8 @@ checks = {
     "negative draw": lambda: fam.draw(0, -1),
     "zero round count": lambda: fam.round_losses(inst.hypothesis_class.labels, 0,
                                                  [1, 0, 1], 5),
-    "zero row count": lambda: fam.row(inst.hypothesis_class.labels, 0, [1, 0, 1]),
+    "zero row count": lambda: fam.row(inst.hypothesis_class.labels, 0, [1, 0, 1], 1),
+    "zero row cap": lambda: fam.row(inst.hypothesis_class.labels, 0, [1, 1, 1], 0),
     "nan knob": lambda: SolverConfig(eps=0.1, delta=0.1, nu=0.0, c_t=math.nan),
     "moved stream": lambda: served.serve(1),
     "fractional label": lambda: instance_from_dict(
@@ -100,8 +101,9 @@ checks = {
     "ragged class row": lambda: amdl.HypothesisClass([[1, -1], [1]]),
     "overserved run": lambda: served.serve(5),
     "untabled candidate": lambda: untabled.serve_zero_rows(1, 3),
-    "non-+-1 candidate": lambda: fam.row(np.zeros((1, inst.m), dtype=np.int8), 0, [1, 1, 1]),
+    "non-+-1 candidate": lambda: fam.row(np.zeros((1, inst.m), dtype=np.int8), 0, [1, 1, 1], 1),
     "mass of a non-mask": lambda: inst.distributions[0].mass(np.arange(inst.m)),
+    "masses of a non-mask": lambda: inst.masses(np.arange(inst.m)),
     "underflowed eps": lambda: hyperparams(
         SolverConfig(eps=1e-300, delta=0.1, nu=0.0, **PROFILES["desk"]), 2, 1),
     "negative member": lambda: amdl.agreement_labels(inst.hypothesis_class, [-1]),
@@ -138,12 +140,14 @@ def test_runtime_checks_hold_under_python_O():
     assert out.stdout.splitlines() == [here["SOLVE_LINE"],
                                        "refused: nan reward", "refused: negative draw",
                                        "refused: zero round count", "refused: zero row count",
+                                       "refused: zero row cap",
                                        "refused: nan knob",
                                        "refused: moved stream", "refused: fractional label",
                                        "refused: ragged hypothesis", "refused: ragged class row",
                                        "refused: overserved run", "refused: untabled candidate",
                                        "refused: non-+-1 candidate",
                                        "refused: mass of a non-mask",
+                                       "refused: masses of a non-mask",
                                        "refused: underflowed eps",
                                        "refused: negative member", "refused: nan target",
                                        "refused: malformed requests", "refused: bad outputs",

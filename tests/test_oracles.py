@@ -130,7 +130,12 @@ BAD_CALLS = {
     "serve-bool": lambda o: _served(amdl.plain_family(o), True),
     # a candidate label other than -1 or +1, which the surrogate pick pass cannot score
     "row-zero-candidate-label": lambda o: amdl.surrogate_family(o, (0, 1), [_S]).row(
-        o.instance.hypothesis_class.labels * 0, 0, [2]),
+        o.instance.hypothesis_class.labels * 0, 0, [2], 1),
+    # a stretch must draw at least one row
+    "row-zero-cap": lambda o: amdl.plain_family(o).row(o.instance.hypothesis_class.labels,
+                                                       0, [2], 0),
+    "row-fractional-cap": lambda o: amdl.plain_family(o).row(o.instance.hypothesis_class.labels,
+                                                             0, [2], 1.5),
 }
 
 
@@ -151,6 +156,8 @@ INT_CALLS = {
     "round_losses": lambda o, n: amdl.plain_family(o).round_losses(
         o.instance.hypothesis_class.labels, n(1), [n(2)], n(3)),
     "serve": lambda o, n: _served(amdl.plain_family(o), n(2)),
+    "row": lambda o, n: amdl.plain_family(o).row(
+        o.instance.hypothesis_class.labels, n(1), [n(2)], n(3)),
     "induced_family": lambda o, n: amdl.induced_family(o, [n(0), n(1)]).draw(n(0), n(3)),
     "agreement_labels": lambda o, n: amdl.agreement_labels(o.instance.hypothesis_class,
                                                            [n(0), n(2)]),
@@ -552,8 +559,13 @@ class _DrawnRounds:
             losses.append(float((labels[j][xs] != ys).mean()))
         return losses
 
-    def row(self, labels, j, counts):
-        return self.round_losses(labels, j, counts, 1)
+    def row(self, labels, j, counts, cap):
+        # rows up to the first with a loss, or cap rows, each one k draws
+        for rows in range(1, cap + 1):
+            losses = self.round_losses(labels, j, counts, 1)
+            if any(losses):
+                break
+        return losses, rows
 
     def serve_zero_rows(self, j, cap):
         # no zero rows ahead: the solver plays every round on its own
@@ -608,10 +620,13 @@ def _run_ops(o: OracleSet, family, ops: list[tuple]):
                 yield family.round_losses(cand, t % len(cand), list(counts),
                                           len(rounds) - t + sum(unplayed))
         elif op[0] == "rows":
-            # rows of k requests, each made as it is drawn
-            cand = labels[op[1]:]
-            for t, counts in enumerate(op[2]):
-                yield family.row(cand, t % len(cand), list(counts))
+            # stretches of rows of k requests, each made as it is drawn, up to
+            # the first row with a loss or the cap: the last row's losses and
+            # the rows drawn
+            _, first, rounds, cap = op
+            cand = labels[first:]
+            for t, counts in enumerate(rounds):
+                yield list(family.row(cand, t % len(cand), list(counts), cap))
         elif op[0] == "draw":
             yield family.draw(op[1], op[2])
         elif op[0] == "agree":
@@ -628,21 +643,25 @@ def _metered(o: OracleSet) -> tuple:
 
 
 def _check_twin_ops(inst: MDLInstance, kind: str, log_transcript: bool, start: str,
-                    ops: list[tuple], read_every_step: bool = False) -> None:
+                    ops: list[tuple], read_every_step: bool = False,
+                    families: dict = FAMILY_BUILDERS) -> list[int]:
     """Play `ops` on the block path and on its twin, which draws each round's
     requests one at a time, and require equal results.  With
     `read_every_step` the ledger is also compared after every round and
-    every other op."""
+    every other op.  Returns the rows each stretch of a rows op drew."""
     fused_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
     twin_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
     _start_streams(fused_o, start)
     _start_streams(twin_o, start)
-    fused = FAMILY_BUILDERS[kind](fused_o)
-    twin = _DrawnRounds(FAMILY_BUILDERS[kind](twin_o))
+    fused = families[kind](fused_o)
+    twin = _DrawnRounds(families[kind](twin_o))
+    drawn = []
     for got, want in zip(_run_ops(fused_o, fused, ops), _run_ops(twin_o, twin, ops),
                          strict=True):
         if isinstance(got, list):
             assert got == want
+            if isinstance(got[0], list):    # a stretch: its last row's losses, its rows
+                drawn.append(got[1])
         else:
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
         if read_every_step:
@@ -656,6 +675,7 @@ def _check_twin_ops(inst: MDLInstance, kind: str, log_transcript: bool, start: s
     for a, b in zip(fused_o._streams, twin_o._streams):
         assert a.consumed == b.consumed
         assert np.array_equal(a.take(9000), b.take(9000))
+    return drawn
 
 
 def _start_streams(o: OracleSet, start: str) -> None:
@@ -683,24 +703,60 @@ def test_round_losses_equals_k_draws_on_a_twin(kind, log_transcript):
         _check_twin_ops(inst, kind, log_transcript, start, _scripted_ops(inst.k), reads)
 
 
-def _rows_for_solves(ops: list[tuple]) -> list[tuple]:
-    """`ops` with every other solve, from the first, played row by row."""
+def _rows_for_solves(ops: list[tuple], cap: int) -> list[tuple]:
+    """`ops` with every other solve, from the first, played in stretches of
+    rows of at most `cap` rows each."""
     solves = itertools.count()
-    return [("rows", op[1], op[2]) if op[0] == "solve" and next(solves) % 2 == 0 else op
+    return [("rows", op[1], op[2], cap) if op[0] == "solve" and next(solves) % 2 == 0 else op
             for op in ops]
+
+
+# a stretch's row caps: one row, two rows, and more than most stretches draw
+STRETCH_CAPS = (1, 2, 64)
 
 
 @pytest.mark.parametrize("log_transcript", [False, True])
 @pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
 def test_rows_equal_k_draws_on_a_twin(kind, log_transcript):
-    # each row is k requests made one at a time; rows follow store growth,
-    # agreement sampling, plain draws and the rounds of served runs
-    for name, start, reads in itertools.product(sorted(TWIN_INSTANCES),
-                                                ("fresh", "agreement", "large-buffer"),
-                                                (False, True)):
-        inst = TWIN_INSTANCES[name]()
-        _check_twin_ops(inst, kind, log_transcript, start,
-                        _rows_for_solves(_scripted_ops(inst.k)), reads)
+    # each row is k requests made one at a time; stretches of rows follow
+    # store growth, agreement sampling, plain draws and the rounds of served runs
+    longest = 0
+    for n, (name, start, reads) in enumerate(itertools.product(
+            sorted(TWIN_INSTANCES), ("fresh", "agreement", "large-buffer"), (False, True))):
+        inst, cap = TWIN_INSTANCES[name](), STRETCH_CAPS[n % len(STRETCH_CAPS)]
+        drawn = _check_twin_ops(inst, kind, log_transcript, start,
+                                _rows_for_solves(_scripted_ops(inst.k), cap), reads)
+        assert max(drawn) <= cap
+        longest = max(longest, *drawn)
+    # _SAMPLE labels point 2 both ways, so a surrogate row with picks has a
+    # loss; test_surrogate_stretches_equal_k_draws_on_a_twin gives surrogate
+    # rows a sample without one
+    assert longest > 1 or kind.startswith("surrogate")
+
+
+# surrogate families on a sample that member 0 labels without a miss
+STRETCH_FAMILIES = {
+    "surrogate": lambda o: amdl.surrogate_family(o, (0, 1), [_consistent(o)] * o.instance.k),
+    "surrogate-none": lambda o: amdl.surrogate_family(
+        o, (0, 1), [None if i == 1 else _consistent(o) for i in range(o.instance.k)]),
+}
+
+
+def _consistent(o: OracleSet) -> tuple[np.ndarray, np.ndarray]:
+    pts = _SAMPLE[0]
+    return pts, o.instance.hypothesis_class.labels[0][pts].astype(np.int8)
+
+
+@pytest.mark.parametrize("log_transcript", [False, True])
+@pytest.mark.parametrize("kind", sorted(STRETCH_FAMILIES))
+def test_surrogate_stretches_equal_k_draws_on_a_twin(kind, log_transcript):
+    # zero rows of surrogate requests, picks included, drawn in stretches
+    inst = amdl.gen_prop1(8, 0.05)
+    for start, cap in itertools.product(("fresh", "large-buffer"), STRETCH_CAPS):
+        drawn = _check_twin_ops(inst, kind, log_transcript, start,
+                                _rows_for_solves(_scripted_ops(inst.k), cap),
+                                families=STRETCH_FAMILIES)
+        assert max(drawn) <= cap and (max(drawn) > 1) == (cap > 1)
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
@@ -735,7 +791,8 @@ def test_a_row_leaves_nothing_pending(kind):
     assert m > 0
     twin_rounds(table[s + 1:s + 1 + m])
     for t in range(5):
-        assert fused.row(labels, t % 3, [1, 3, 2]) == twin.row(labels, t % 3, [1, 3, 2])
+        assert fused.row(labels, t % 3, [1, 3, 2], t + 1) == twin.row(labels, t % 3, [1, 3, 2],
+                                                                      t + 1)
         assert unread(fused_o) == unread(twin_o)
     assert fused.round_losses(labels, 0, counts, 9) == twin.round_losses(labels, 0, counts, 9)
     assert unread(fused_o) == unread(twin_o) and sum(fused_o.ledger._queries) > 0
@@ -772,13 +829,14 @@ def test_round_losses_equals_k_draws_under_random_ops(ops, kind, log_transcript)
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.lists(st.one_of(_OPS, st.tuples(st.just("rows"), st.integers(0, 2), _ROUNDS)),
+@given(st.lists(st.one_of(_OPS, st.tuples(st.just("rows"), st.integers(0, 2), _ROUNDS,
+                                          st.sampled_from(STRETCH_CAPS))),
                 min_size=1, max_size=8),
        st.sampled_from(sorted(FAMILY_BUILDERS)), st.booleans())
 def test_rows_equal_k_draws_under_random_ops(ops, kind, log_transcript):
-    # rows between served runs, draws, agreement samples and refills
+    # stretches of rows between served runs, draws, agreement samples and refills
     ops = _drawn_counts(ops)
-    ops.append(("rows", 0, [(1, 1, 1)]))
+    ops.append(("rows", 0, [(1, 1, 1)], 2))
     for reads in (False, True):
         _check_twin_ops(_three_distribution_fixture(), kind, log_transcript, "fresh", ops,
                         reads)
@@ -940,12 +998,12 @@ def test_zero_reward_runs_equal_one_round_at_a_time(case, monkeypatch):
         solve, build = p.epochs[4].solve, lambda o: amdl.induced_family(o, V)
     else:
         V, solve, build = inst.hypothesis_class.full_version_space(), p.solve, amdl.plain_family
-    steps, zero, step = [], [], hedge.hedge_step
+    steps, stretches, step = [], [], hedge.hedge_step
     monkeypatch.setattr(hedge, "hedge_step", lambda *a: steps.append(1) or step(*a))
     fused_o, twin_o = (OracleSet(inst, seed=11, log_transcript=True) for _ in range(2))
     fused = build(fused_o)
     row = fused.row
-    fused.row = lambda *a: zero.append(not any(r := row(*a))) or r
+    fused.row = lambda *a: stretches.append(out := row(*a)) or out
     got = mdl_hedge_vc(inst.hypothesis_class, V, fused, solve, inst.k, p.d, collect_trace=True)
     fused_steps = len(steps)
     want = mdl_hedge_vc(inst.hypothesis_class, V, _DrawnRounds(build(twin_o)), solve, inst.k,
@@ -958,8 +1016,12 @@ def test_zero_reward_runs_equal_one_round_at_a_time(case, monkeypatch):
     for a, b in zip(got.trace, want.trace):
         assert (a[0], a[1].tobytes(), *a[2:]) == (b[0], b[1].tobytes(), *b[2:])
     assert _metered(fused_o) == _metered(twin_o) and fused_o.ledger.label_total > 0
-    # every round draws one row, and steps the weights unless the row is zero
-    assert len(zero) == got.rounds and 0 < sum(zero) == got.rounds - fused_steps
+    # every round draws one row, and steps the weights unless the row is zero;
+    # a stretch ends at its first row with a loss, the last one perhaps at T
+    drawn = [n for _, n in stretches]
+    assert sum(drawn) == got.rounds and max(drawn) > 1
+    assert all(any(r) for r, _ in stretches[:-1])
+    assert sum(any(r) for r, _ in stretches) == fused_steps < got.rounds
     assert fused_steps == len(steps) - fused_steps
 
 
