@@ -21,11 +21,10 @@ is refused.
 With `--sweep CONFIG` it times whole `harness.sweep` calls of the JSON sweep
 config instead, `--trials` of them per side, the n-th at base_seed
 `--base-seed` + n, alternating as above, and prints the same columns for
-them.  Each sweep runs the config as written, its own `trials` per cell
-included, unless `--cell-trials N` sets them: configs/sweep_scaling.json runs
-50 trials a cell, ten times the bench op's SWEEP_TRIALS (bench/workloads.py),
-so `--cell-trials 5` times the bench op.  It refuses to report if the two
-sides' rows, or the records their `run_trials` returned to the sweep
+them.  Each sweep runs the bench op's SWEEP_TRIALS (bench/workloads.py)
+trials a cell in place of the config's own `trials`, so a sweep of
+configs/sweep_scaling.json times the bench op.  It refuses to report if the
+two sides' rows, or the records their `run_trials` returned to the sweep
 (captured as bench/workloads.py captures them), differ on any sweep.
 
 With `--measure` it times the instance-scale op instead: bench/workloads.py's
@@ -35,8 +34,7 @@ size of its INSTANCE_ROUND, `--trials` ops per size, the n-th at seed
 sides' measured values or records differ on any op.
 
 Usage: python scripts/paired_cells.py A B [--trials 200] [--base-seed 50000]
-                                          [--cells SUBSTR ... | --sweep CONFIG
-                                           [--cell-trials N] | --measure]
+                                          [--cells SUBSTR ... | --sweep CONFIG | --measure]
 """
 
 import argparse
@@ -268,9 +266,8 @@ def main(argv: list[str] | None = None) -> dict:
     ap.add_argument("--cells", action="append", metavar="SUBSTR",
                     help="time only the cells whose names contain SUBSTR (repeatable)")
     ap.add_argument("--sweep", type=Path, metavar="CONFIG",
-                    help="time whole sweeps of this JSON sweep config instead of trials")
-    ap.add_argument("--cell-trials", type=int, metavar="N",
-                    help="with --sweep, run N trials a cell in place of the config's trials")
+                    help="time whole sweeps of this JSON sweep config, at the bench "
+                         "op's SWEEP_TRIALS trials a cell, instead of trials")
     ap.add_argument("--measure", action="store_true",
                     help="time instance-scale ops (measure_and_run) instead of trials")
     args = ap.parse_args(argv)
@@ -282,19 +279,13 @@ def main(argv: list[str] | None = None) -> dict:
         ap.error("--cells times pac-cells trials; it does not apply to --sweep or --measure")
     if args.sweep is not None and args.measure:
         ap.error("--sweep and --measure time different ops; give one")
-    if args.cell_trials is not None and args.sweep is None:
-        ap.error("--cell-trials sets a sweep config's trials; it needs --sweep")
-    if args.cell_trials is not None and args.cell_trials < 1:
-        ap.error("--cell-trials must be at least 1")
     if args.measure:
         sizes = sorted(set(workload_constant("INSTANCE_ROUND")))
         a, b = Side(args.a, []), Side(args.b, [])
         table = compare_measures(a, b, sizes, args.trials, args.base_seed)
         what = f"measured values and records equal on all {len(sizes) * args.trials} ops"
     elif args.sweep is not None:
-        config = json.loads(args.sweep.read_text())
-        if args.cell_trials is not None:
-            config["trials"] = args.cell_trials
+        config = dict(json.loads(args.sweep.read_text()), trials=workload_constant("SWEEP_TRIALS"))
         a, b = Side(args.a, []), Side(args.b, [])
         table = compare_sweeps(a, b, str(args.sweep), config, args.trials, args.base_seed)
         what = f"rows and records equal on all {args.trials} sweeps"

@@ -249,7 +249,8 @@ class LabeledDistribution:
         return Fraction(self._weigh(_mask(mask, self.m)), self._mden)
 
     def _loss_num(self, plus: np.ndarray, total: int):
-        """Loss numerators over total * _mden * _eden of `total`-member supports' +1 counts."""
+        """Loss numerators over total * _mden * _eden of `total`-member supports' +1 counts;
+        on an MDLInstance's stacks, a column per distribution over total * _den."""
         return total * self._A + _exact_dot(plus, self._B, self._bsum)
 
 
@@ -354,9 +355,7 @@ class MDLInstance:
         nums = _exact_dot(_mask(mask, self.m), self._mnums, self._msum).tolist()
         return list(map(Fraction, nums, self._mdens.tolist()))
 
-    def _loss_nums(self, plus: np.ndarray, total: int) -> np.ndarray:
-        """`LabeledDistribution._loss_num` for all k, a column each, over total * _den."""
-        return total * self._A + _exact_dot(plus, self._B, self._bsum)
+    _loss_nums = LabeledDistribution._loss_num
 
     def worst_loss_exact(self, h: HypothesisLike) -> Fraction:
         plus, total = _plus_counts(h, self.m)

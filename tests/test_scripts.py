@@ -184,7 +184,7 @@ def test_paired_cells_times_whole_sweeps_of_a_config(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("rows and records equal on all 3 sweeps\n")
 
 
-def test_paired_cells_cell_trials_set_each_sweeps_trials(tmp_path, monkeypatch, capsys):
+def test_paired_cells_sweeps_run_the_bench_ops_trials_a_cell(tmp_path, monkeypatch, capsys):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps(SMALL_SWEEP))
     script = _load_script("paired_cells")
@@ -192,20 +192,9 @@ def test_paired_cells_cell_trials_set_each_sweeps_trials(tmp_path, monkeypatch, 
     monkeypatch.setattr(script.Side, "sweep",
                         lambda side, cfg: seen.append(cfg["trials"]) or sweep(side, cfg))
     script.main([str(SCRIPTS.parent), str(SCRIPTS.parent), "--trials", "1",
-                 "--sweep", str(config), "--cell-trials", "1"])
-    assert seen == [1, 1] and SMALL_SWEEP["trials"] == 2
+                 "--sweep", str(config)])
+    assert seen == [script.workload_constant("SWEEP_TRIALS")] * 2 != [SMALL_SWEEP["trials"]] * 2
     assert capsys.readouterr().out.endswith("rows and records equal on all 1 sweeps\n")
-
-
-@pytest.mark.parametrize("args, message", [
-    (["--sweep", "sweep.json", "--cell-trials", "0"], "at least 1"),
-    (["--cell-trials", "5"], "needs --sweep"),
-    (["--measure", "--cell-trials", "5"], "needs --sweep")])
-def test_paired_cells_refuses_cell_trials_below_one_or_without_a_sweep(args, message, capsys):
-    script = _load_script("paired_cells")
-    with pytest.raises(SystemExit):
-        script.main([str(SCRIPTS.parent), str(SCRIPTS.parent), *args])
-    assert message in capsys.readouterr().err
 
 
 def test_paired_cells_sweeps_seed_each_run_and_capture_every_record():
