@@ -17,6 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 import amdl
+from amdl.core import loss_exact
 from amdl.families import kl_bernoulli, verify_separation
 from closed_forms import kl_bernoulli_integral
 
@@ -26,13 +27,14 @@ def main() -> int:
     inst = amdl.gen_agnostic_lb(k, nu, eps)
     h1, h2 = inst.hypothesis_class.hypotheses
     print(f"agnostic-lb (k={k}, nu={nu}, eps={eps})")
-    print(f"  L(h1, D_1) = {amdl.loss(h1, inst.distributions[0])}   (expect 0)")
-    print(f"  L(h2, D_1) = {amdl.loss(h2, inst.distributions[0])}   (expect {nu})")
-    print(f"  L(h1, D_i) = {amdl.loss(h1, inst.distributions[1])}   (expect {nu - 2 * eps})")
-    print(f"  L(h2, D_i) = {amdl.loss(h2, inst.distributions[1])}   (expect {nu / 2 - 2 * eps})")
-    flipped = amdl.gen_agnostic_lb(k, nu, eps, flipped_index=2)
-    print(f"  L(h1, D'_i) = {amdl.loss(h1, flipped.distributions[1])}  (expect {nu + 2 * eps})")
-    print(f"  L(h2, D'_i) = {amdl.loss(h2, flipped.distributions[1])}  (expect {nu / 2 + 2 * eps})")
+    d_1, d_i = inst.distributions[:2]
+    print(f"  L(h1, D_1) = {float(loss_exact(h1, d_1))}   (expect 0)")
+    print(f"  L(h2, D_1) = {float(loss_exact(h2, d_1))}   (expect {nu})")
+    print(f"  L(h1, D_i) = {float(loss_exact(h1, d_i))}   (expect {nu - 2 * eps})")
+    print(f"  L(h2, D_i) = {float(loss_exact(h2, d_i))}   (expect {nu / 2 - 2 * eps})")
+    flipped = amdl.gen_agnostic_lb(k, nu, eps, flipped_index=2).distributions[1]
+    print(f"  L(h1, D'_i) = {float(loss_exact(h1, flipped))}  (expect {nu + 2 * eps})")
+    print(f"  L(h2, D'_i) = {float(loss_exact(h2, flipped))}  (expect {nu / 2 + 2 * eps})")
 
     print("prop1 coefficient ratio")
     for kk in (2, 4, 8):
@@ -49,7 +51,10 @@ def main() -> int:
     print(f"  nu = {amdl.best_nu(st)[1]} (realizable), "
           f"VC = {amdl.vc_dimension(st.hypothesis_class).value}, "
           f"star = {amdl.star_number(st.hypothesis_class, st.hypothesis_class[0]).value}")
-    print(f"  theta_max(0.1) = {amdl.theta_max(st, amdl.best_nu(st)[0], 0.1)} <= theta = 4")
+    hstar = amdl.best_nu(st)[0]
+    theta_max = max(amdl.disagreement_coefficient(d, st.hypothesis_class, hstar, 0.1)
+                    for d in st.distributions)
+    print(f"  theta_max(0.1) = {theta_max} <= theta = 4")
     for theta in (2, 3):
         fam = [amdl.gen_star_lb(2, theta, i, j)
                for i in (1, 2) for j in range(1, theta + 1)]

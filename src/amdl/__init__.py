@@ -2,13 +2,10 @@
 
 from .core import (ContractViolation, Hypothesis, HypothesisClass, LabeledDistribution,
                    MDLInstance, RandomizedHypothesis, agreement_labels, best_nu,
-                   disagreement, disagreement_region, instance_from_dict,
-                   instance_to_dict, load_instance, loss, mixture_distribution,
-                   save_instance, worst_loss)
-from .complexity import (ComplexityValue, DisagreementProfile,
-                         disagreement_coefficient, disagreement_profile,
-                         star_number, star_number_unqualified, theta_max,
-                         vc_dimension)
+                   instance_from_dict, instance_to_dict, load_instance,
+                   mixture_distribution, save_instance, worst_loss)
+from .complexity import (ComplexityValue, disagreement_coefficient, star_number,
+                         star_number_unqualified, vc_dimension)
 from .oracles import (DegenerateAgreementRegion, OracleSet, QueryLedger,
                       SamplerFamily, imputed_family, induced_family,
                       plain_family, surrogate_family)

@@ -11,9 +11,10 @@ bitmasks: for each point, the int whose bit i says whether member i agrees
 with the reference there.
 The disagreement coefficient is evaluated exactly over the finite candidate
 radius set (the ball-mass function is piecewise constant on finite supports,
-so the sup over r >= r0 is attained at a candidate radius); its profile takes
-one pass over the members sorted by their distance to the reference, all in
-integer numerators, and Fractions are built only for the outputs.
+so the sup over r >= r0 is attained at a candidate radius); its profile
+(`_profile_nums`) takes one pass over the members sorted by their distance to
+the reference, in integer numerators.  theta_max over the k distributions is
+the max of their coefficients, as `amdl measure` prints it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import wraps
 import numpy as np
 
 from .core import (ContractViolation, Hypothesis, HypothesisClass,
-                   LabeledDistribution, MDLInstance, _frac, check_int)
+                   LabeledDistribution, _frac, check_int)
 
 DEFAULT_VC_CAP = 12
 DEFAULT_STAR_CAP = 64
@@ -257,21 +258,10 @@ def star_number_unqualified(cls: HypothesisClass, cap: int = DEFAULT_STAR_CAP) -
     return ComplexityValue(t, lower_bound_only=t == cap)
 
 
-@dataclass(frozen=True)
-class DisagreementProfile:
-    """Ball-mass profile around a reference hypothesis under one distribution.
-
-    `radii` are the distinct candidate radii (exact), `masses[j]` the mass of
-    DIS(B(h*, radii[j])); masses are non-decreasing in the radius.
-    """
-
-    radii: tuple[Fraction, ...]
-    masses: tuple[Fraction, ...]
-
-
 def _profile_nums(dist: LabeledDistribution, cls: HypothesisClass,
                   hstar: Hypothesis) -> tuple[list[int], list[int]]:
-    """The distinct distances rho to `hstar` and their masses, as numerators over
+    """The ball-mass profile around `hstar`: the distinct distances rho to it and
+    the masses of DIS(B(hstar, rho)), non-decreasing in rho, as numerators over
     `dist._mden`, in one pass over the members by rho: the disagreement region
     grows as the running min and max of their rows, read where each rho ends."""
     if len(hstar) != cls.m or dist.m != cls.m:
@@ -286,13 +276,6 @@ def _profile_nums(dist: LabeledDistribution, cls: HypothesisClass,
     if any(a > b for a, b in zip(masses, masses[1:])):
         raise ContractViolation("disagreement masses must not decrease in the radius")
     return [rho[order[j]] for j in ends], masses
-
-
-def disagreement_profile(dist: LabeledDistribution, cls: HypothesisClass,
-                         hstar: Hypothesis) -> DisagreementProfile:
-    """The ball-mass profile of `_profile_nums`, as Fractions."""
-    return DisagreementProfile(*(tuple(Fraction(v, dist._mden) for v in nums)
-                                 for nums in _profile_nums(dist, cls, hstar)))
 
 
 def disagreement_coefficient_exact(dist: LabeledDistribution, cls: HypothesisClass,
@@ -318,12 +301,3 @@ def disagreement_coefficient(dist: LabeledDistribution, cls: HypothesisClass,
                              hstar: Hypothesis, r0) -> float:
     """sup_{r >= r0} Pr[DIS(B(h*, r))] / r, evaluated exactly."""
     return float(disagreement_coefficient_exact(dist, cls, hstar, r0))
-
-
-def theta_max_exact(inst: MDLInstance, hstar: Hypothesis, r0) -> Fraction:
-    return max(disagreement_coefficient_exact(d, inst.hypothesis_class, hstar, r0)
-               for d in inst.distributions)
-
-
-def theta_max(inst: MDLInstance, hstar: Hypothesis, r0) -> float:
-    return float(theta_max_exact(inst, hstar, r0))

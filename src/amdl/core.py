@@ -5,6 +5,8 @@ Probabilities are carried as exact rationals internally (integer numerators
 over a shared per-array denominator), so loss tables, disagreement masses and
 coefficient ratios computed from generator-built instances are exact, and
 repeated evaluation is bit-identical.  Float views are derived for sampling.
+A loss or disagreement comes back exact (`loss_exact`, `disagreement_exact`);
+a version space's disagreement region is where `agreement_labels` is 0.
 Every exact mass and disagreement is one call of `_exact_dot` on integer
 per-point weights, every exact loss one `total * _A + plus @ _B` on a
 support's +1 counts, and `MDLInstance`'s stacks make one call cover all k
@@ -124,7 +126,7 @@ class Hypothesis:
         return h
 
     def __call__(self, x: int) -> int:
-        return int(self.labels[x])
+        return int(self.labels[check_int("point", x, 0, self.labels.size)])
 
     def __len__(self) -> int:
         return int(self.labels.size)
@@ -295,18 +297,11 @@ def _plus_counts(h: HypothesisLike, m: int) -> tuple[np.ndarray, int]:
     return plus, total
 
 
-def _loss(dist: LabeledDistribution, plus: np.ndarray, total: int) -> Fraction:
-    return Fraction(dist._loss_num(plus, total), total * dist._mden * dist._eden)
-
-
 def loss_exact(h: HypothesisLike, dist: LabeledDistribution) -> Fraction:
     """Exact 0-1 loss sum_x marginal[x] Pr[y != h(x) | x]; the mean over the
     support for a mixture."""
-    return _loss(dist, *_plus_counts(h, dist.m))
-
-
-def loss(h: Hypothesis, dist: LabeledDistribution) -> float:
-    return float(loss_exact(h, dist))
+    plus, total = _plus_counts(h, dist.m)
+    return Fraction(dist._loss_num(plus, total), total * dist._mden * dist._eden)
 
 
 @dataclass
@@ -402,11 +397,6 @@ def disagreement_exact(h1: HypothesisLike, h2: HypothesisLike, dist: LabeledDist
                     total1 * total2 * dist._mden)
 
 
-def disagreement(h1: HypothesisLike, h2: HypothesisLike, dist: LabeledDistribution) -> float:
-    """Pr_{x~D}[h1(x) != h2(x)]; mean over support pairs for randomized arguments."""
-    return float(disagreement_exact(h1, h2, dist))
-
-
 def check_members(cls: HypothesisClass, version_space: Sequence[int]) -> list[int]:
     """The version space's members as ints, each an integer index of the class."""
     V = [check_int("version space member", v, 0, len(cls)) for v in version_space]
@@ -420,11 +410,6 @@ def agreement_labels(cls: HypothesisClass, version_space: Sequence[int]) -> np.n
     sub = cls.labels[check_members(cls, version_space)]
     lo, hi = sub.min(axis=0), sub.max(axis=0)
     return np.where(lo == hi, lo, 0).astype(np.int8)
-
-
-def disagreement_region(cls: HypothesisClass, version_space: Sequence[int]) -> np.ndarray:
-    """Points where some pair in the version space disagrees."""
-    return np.nonzero(agreement_labels(cls, version_space) == 0)[0]
 
 
 def best_nu(inst: MDLInstance) -> tuple[Hypothesis, float]:

@@ -86,8 +86,9 @@ KNOBS = tuple(f.name for f in fields(SolverConfig) if f.default is not MISSING)
 
 
 def hyperparams(cfg: SolverConfig, k: int, d: int) -> tuple[float, float, int, int]:
-    """(eps1, eta, T, T1) from the stated schedule; errors on nonpositive,
-    underflowing or overflowing results."""
+    """(eps1, eta, T, T1) from the stated schedule, for ints k >= 1 and d >= 0;
+    errors on nonpositive, underflowing or overflowing results."""
+    k, d = check_int("k", k, 1), check_int("d", d)
     eps1 = cfg.c_eps1 * cfg.eps / 100.0
     if not eps1 ** 2 > 0:
         raise ContractViolation(f"eps1 = {eps1!r} underflows when squared")
@@ -358,7 +359,7 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     """
     V = sorted(check_members(cls, version_space))
     k = check_int(f"k (the sampler serves {sampler.k})", k, sampler.k, sampler.k + 1)
-    eps1, eta, T, T1 = hyperparams(cfg, k, check_int("d", d))
+    eps1, eta, T, T1 = hyperparams(cfg, k, d)
     state = HedgeState(k)
     # hedge_step checks the sum after each step, and a solve may make none
     if not abs(math.fsum(state.w) - 1.0) <= WEIGHT_SUM_TOL:

@@ -32,7 +32,7 @@ class AbstainingClassifier:
         self.outputs = check_outputs(outputs)
 
     def __call__(self, x: int) -> int:
-        return int(self.outputs[x])
+        return int(self.outputs[check_int("point", x, 0, self.outputs.size)])
 
     @staticmethod
     def always_abstain(m: int) -> "AbstainingClassifier":

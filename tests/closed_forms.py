@@ -26,7 +26,7 @@ from scipy.integrate import quad
 
 from amdl.core import (ContractViolation, Hypothesis, HypothesisClass, HypothesisLike,
                        LabeledDistribution, MDLInstance, RandomizedHypothesis,
-                       agreement_labels, disagreement_exact, disagreement_region)
+                       agreement_labels, disagreement_exact)
 from amdl.hedge import SHADOW_BLOCK
 from amdl.rpu import AbstainingClassifier, threshold_majority
 from amdl.runplan import batch_size
@@ -150,7 +150,7 @@ def surrogate_joint_exact(dist: LabeledDistribution, cls: HypothesisClass,
     """Exact joint pmf of the surrogate distribution given the realized S_i:
     the raw joint restricted to DIS(V0) plus Pr[AGR(V0)] times the empirical
     distribution of S_i."""
-    dis = set(int(x) for x in disagreement_region(cls, version_space))
+    dis = set(int(x) for x in np.flatnonzero(agreement_labels(cls, version_space) == 0))
     out: dict[tuple[int, int], Fraction] = {}
     joint = joint_exact(dist)
     for (x, y), p in joint.items():
@@ -175,7 +175,7 @@ def disagreement_profile_reference(dist: LabeledDistribution, cls: HypothesisCla
     masses = []
     for r in radii:
         ball = [i for i, rho in enumerate(rhos) if rho <= r]
-        masses.append(mass_reference(disagreement_region(cls, ball), dist))
+        masses.append(mass_reference(np.flatnonzero(agreement_labels(cls, ball) == 0), dist))
     return radii, masses
 
 

@@ -20,6 +20,7 @@ from amdl import (OracleSet, RunConfig, SolverConfig, best_nu,
                   disagreement_coefficient, mixture_distribution, star_number,
                   vc_dimension)
 from amdl.active import active_large_eps
+from amdl.core import loss_exact
 from amdl.families import kl_bernoulli, verify_separation
 from amdl.harness import PROFILES, run_trials
 from amdl.rpu import mixture_draw, robust_rpu_learn
@@ -48,14 +49,14 @@ def test_criterion_1_agnostic_loss_table():
     h1, h2 = inst.hypothesis_class.hypotheses
     flipped = amdl.gen_agnostic_lb(k, nu, eps, flipped_index=2)
     checks = [
-        amdl.loss(h1, inst.distributions[0]) == 0.0,
-        amdl.loss(h2, inst.distributions[0]) == nu,
-        all(amdl.loss(h1, inst.distributions[i]) == nu - 2 * eps
+        float(loss_exact(h1, inst.distributions[0])) == 0.0,
+        float(loss_exact(h2, inst.distributions[0])) == nu,
+        all(float(loss_exact(h1, inst.distributions[i])) == nu - 2 * eps
             for i in range(1, k)),
-        all(amdl.loss(h2, inst.distributions[i]) == nu / 2 - 2 * eps
+        all(float(loss_exact(h2, inst.distributions[i])) == nu / 2 - 2 * eps
             for i in range(1, k)),
-        amdl.loss(h1, flipped.distributions[1]) == nu + 2 * eps,
-        amdl.loss(h2, flipped.distributions[1]) == nu / 2 + 2 * eps,
+        float(loss_exact(h1, flipped.distributions[1])) == nu + 2 * eps,
+        float(loss_exact(h2, flipped.distributions[1])) == nu / 2 + 2 * eps,
     ]
     conclude(1, "agnostic loss table exact", all(checks),
              f"six closed-form values at k={k}, nu={nu}, eps={eps}, tolerance 0")

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 import amdl
 from amdl import complexity
 from amdl import ContractViolation, Hypothesis, HypothesisClass
-from amdl.complexity import (disagreement_coefficient_exact,
-                             disagreement_profile, star_number,
-                             star_number_unqualified, theta_max_exact,
-                             vc_dimension)
+from amdl.cli import main as cli_main
+from amdl.complexity import (_profile_nums, disagreement_coefficient_exact, star_number,
+                             star_number_unqualified, vc_dimension)
 
 from closed_forms import disagreement_profile_reference
 from conftest import brute_star, brute_vc
@@ -145,13 +144,11 @@ def test_exact_layer_refuses_mismatched_points(m):
     ref = Hypothesis([1] * m)
     other = amdl.gen_random(m, 4, 1, seed=3).distributions[0]
     calls = [lambda: star_number(cls, ref),
-             lambda: disagreement_profile(d, cls, ref),
-             lambda: disagreement_profile(other, cls, cls[0]),
+             lambda: _profile_nums(d, cls, ref),
+             lambda: _profile_nums(other, cls, cls[0]),
              lambda: disagreement_coefficient_exact(d, cls, ref, 0.1),
              lambda: amdl.disagreement_coefficient(d, cls, ref, 0.1),
-             lambda: amdl.disagreement_coefficient(other, cls, cls[0], 0.1),
-             lambda: theta_max_exact(inst, ref, 0.1),
-             lambda: amdl.theta_max(inst, ref, 0.1)]
+             lambda: amdl.disagreement_coefficient(other, cls, cls[0], 0.1)]
     for call in calls:
         with pytest.raises(ContractViolation, match="points"):
             call()
@@ -167,18 +164,25 @@ def test_theta_refuses_non_finite_radius(r0):
 
 def test_theta_max_prop1_and_star_bound():
     inst = amdl.gen_prop1(4, 0.05)
-    assert amdl.theta_max(inst, inst.hypothesis_class[0], 0.05) == 1.0
+    assert max(amdl.disagreement_coefficient(d, inst.hypothesis_class, inst.hypothesis_class[0],
+                                             0.05) for d in inst.distributions) == 1.0
     star_inst = amdl.gen_star_lb(3, 4, 2, 1)
     hstar = amdl.best_nu(star_inst)[0]
     # claim: theta_max(eps) <= theta for eps < 1/(2 theta)
-    assert amdl.theta_max(star_inst, hstar, 0.1) <= 4.0
+    assert max(amdl.disagreement_coefficient(d, star_inst.hypothesis_class, hstar, 0.1)
+               for d in star_inst.distributions) <= 4.0
 
 
-def test_theta_max_single_distribution():
+def test_theta_max_single_distribution(tmp_path):
+    # `amdl measure`'s theta_max over one distribution is that distribution's coefficient
     inst = amdl.gen_prop1(1, 0.2)
-    h = inst.hypothesis_class[0]
-    assert amdl.theta_max(inst, h, 0.2) == amdl.disagreement_coefficient(
-        inst.distributions[0], inst.hypothesis_class, h, 0.2)
+    path, out = tmp_path / "inst.json", tmp_path / "measure.txt"
+    amdl.save_instance(inst, str(path))
+    assert cli_main(["measure", "--instance", str(path), "--r0", "0.2", "--out", str(out)]) == 0
+    values = dict(line.split("=") for line in out.read_text().splitlines())
+    theta = amdl.disagreement_coefficient(inst.distributions[0], inst.hypothesis_class,
+                                          amdl.best_nu(inst)[0], 0.2)
+    assert values["theta_max"] == values["theta_0"] == repr(theta)
 
 
 @settings(max_examples=25, deadline=None)
@@ -214,10 +218,10 @@ def test_theta_below_star_number(seed):
 
 def test_profile_monotone_masses():
     inst = amdl.gen_random(6, 8, 1, seed=5)
-    prof = disagreement_profile(inst.distributions[0], inst.hypothesis_class,
-                                inst.hypothesis_class[2])
-    assert all(a < b for a, b in zip(prof.radii, prof.radii[1:]))
-    assert all(a <= b for a, b in zip(prof.masses, prof.masses[1:]))
+    radii, masses = _profile_nums(inst.distributions[0], inst.hypothesis_class,
+                                  inst.hypothesis_class[2])
+    assert all(a < b for a, b in zip(radii, radii[1:]))
+    assert all(a <= b for a, b in zip(masses, masses[1:]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -232,9 +236,10 @@ def test_profile_matches_per_radius_definition(seed, outside):
         ref = Hypothesis(rng.choice([-1, 1], size=m))
     else:
         ref = cls[int(rng.integers(len(cls)))]
-    prof = disagreement_profile(inst.distributions[0], cls, ref)
-    radii, masses = disagreement_profile_reference(inst.distributions[0], cls, ref)
-    assert prof == amdl.complexity.DisagreementProfile(tuple(radii), tuple(masses))
+    d = inst.distributions[0]
+    radii, masses = disagreement_profile_reference(d, cls, ref)
+    assert _profile_nums(d, cls, ref) == ([r * d._mden for r in radii],
+                                          [m * d._mden for m in masses])
 
 
 @settings(max_examples=40, deadline=None)
@@ -419,9 +424,9 @@ def test_profile_and_theta_pinned(gen, pin):
     h = hashlib.sha256()
     thetas = []
     for d in inst.distributions:
-        prof = disagreement_profile(d, cls, ref)
-        h.update((" ".join(f"{r}:{m}" for r, m in zip(prof.radii, prof.masses))
-                  + "\n").encode())
+        radii, masses = _profile_nums(d, cls, ref)
+        h.update((" ".join(f"{Fraction(r, d._mden)}:{Fraction(m, d._mden)}"
+                           for r, m in zip(radii, masses)) + "\n").encode())
         thetas.append(str(disagreement_coefficient_exact(d, cls, ref, Fraction(1, 20))))
     assert (h.hexdigest(), thetas) == pin
 

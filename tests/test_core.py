@@ -15,8 +15,8 @@ import amdl
 from amdl import (ContractViolation, Hypothesis, HypothesisClass,
                   LabeledDistribution, MDLInstance, RandomizedHypothesis)
 from amdl.active import _within_radius
-from amdl.core import (_loss, _plus_counts, disagreement_exact, instance_from_dict,
-                       instance_to_dict, loss_exact)
+from amdl.core import (_plus_counts, disagreement_exact, instance_from_dict, instance_to_dict,
+                       loss_exact)
 
 from closed_forms import (best_nu_index, disagreement_reference, loss_reference, mass_exact,
                           mass_reference, max_disagreement, max_disagreement_exact,
@@ -30,25 +30,33 @@ def test_loss_prop1_reference_hypothesis():
     inst = amdl.gen_prop1(3, 0.2)
     hstar = inst.hypothesis_class[0]
     for d in inst.distributions:
-        assert amdl.loss(hstar, d) == 0.2
+        assert float(loss_exact(hstar, d)) == 0.2
 
 
 def test_loss_fully_consistent_labels_is_zero():
     h = Hypothesis([1, -1, 1])
     dist = LabeledDistribution([Fraction(1, 3)] * 3, [1, 0, 1])
-    assert amdl.loss(h, dist) == 0.0
+    assert float(loss_exact(h, dist)) == 0.0
 
 
 def test_loss_hand_evaluated_two_point():
     # uniform on 2 points, eta_plus = (0.25, 0.75), h identically +1:
     # 0.5*0.75 + 0.5*0.25 = 0.5
     inst = two_point_instance()
-    assert amdl.loss(inst.hypothesis_class[0], inst.distributions[0]) == 0.5
+    assert float(loss_exact(inst.hypothesis_class[0], inst.distributions[0])) == 0.5
 
 
 def test_loss_dimension_mismatch():
     with pytest.raises(ContractViolation):
-        amdl.loss(Hypothesis([1, 1]), LabeledDistribution([1.0], [0.5]))
+        loss_exact(Hypothesis([1, 1]), LabeledDistribution([1.0], [0.5]))
+
+
+@pytest.mark.parametrize("x", [-1, 3, True, 1.0, np.int64(-1)], ids=repr)
+def test_labelings_refuse_a_point_outside_the_domain(x):
+    for labeling in (Hypothesis([1, -1, -1]), amdl.AbstainingClassifier([1, 0, -1])):
+        assert labeling(np.int64(2)) == -1
+        with pytest.raises(ContractViolation, match="^point"):
+            labeling(x)
 
 
 def test_worst_loss_agnostic_table():
@@ -56,13 +64,13 @@ def test_worst_loss_agnostic_table():
     h1, h2 = inst.hypothesis_class.hypotheses
     assert amdl.worst_loss(h1, inst) == 0.4 - 2 * 0.05
     assert amdl.worst_loss(h2, inst) == 0.4
-    assert amdl.loss(h1, inst.distributions[0]) == 0.0
+    assert float(loss_exact(h1, inst.distributions[0])) == 0.0
 
 
 def test_worst_loss_single_distribution_reduces_to_loss():
     inst = two_point_instance()
     h = inst.hypothesis_class[0]
-    assert amdl.worst_loss(h, inst) == amdl.loss(h, inst.distributions[0])
+    assert amdl.worst_loss(h, inst) == float(loss_exact(h, inst.distributions[0]))
 
 
 def test_worst_loss_duplicate_support_mixture():
@@ -75,15 +83,15 @@ def test_disagreement_prop1():
     inst = amdl.gen_prop1(4, 0.1)
     cls = inst.hypothesis_class
     for i in range(4):
-        assert amdl.disagreement(cls[0], cls[i + 1], inst.distributions[i]) == 0.1
+        assert float(disagreement_exact(cls[0], cls[i + 1], inst.distributions[i])) == 0.1
 
 
 def test_disagreement_identity_and_complement():
     inst = two_point_instance()
     h_plus, h_minus = inst.hypothesis_class.hypotheses
     d = inst.distributions[0]
-    assert amdl.disagreement(h_plus, h_plus, d) == 0.0
-    assert amdl.disagreement(h_plus, h_minus, d) == 1.0
+    assert float(disagreement_exact(h_plus, h_plus, d)) == 0.0
+    assert float(disagreement_exact(h_plus, h_minus, d)) == 1.0
 
 
 def test_max_disagreement_prop1_pair_brute_force():
@@ -110,21 +118,21 @@ def test_max_disagreement_equal_arguments():
 def test_disagreement_region_singleton_and_complements():
     inst = two_point_instance()
     cls = inst.hypothesis_class
-    assert amdl.disagreement_region(cls, [0]).size == 0
-    assert list(amdl.disagreement_region(cls, [0, 1])) == [0, 1]
+    assert np.flatnonzero(amdl.agreement_labels(cls, [0]) == 0).size == 0
+    assert list(np.flatnonzero(amdl.agreement_labels(cls, [0, 1]) == 0)) == [0, 1]
 
 
 def test_disagreement_region_prop1():
     inst = amdl.gen_prop1(5, 0.1)
-    region = amdl.disagreement_region(inst.hypothesis_class,
-                                      inst.hypothesis_class.full_version_space())
+    cls = inst.hypothesis_class
+    region = np.flatnonzero(amdl.agreement_labels(cls, cls.full_version_space()) == 0)
     assert list(region) == [1, 2, 3, 4, 5]
 
 
 def test_disagreement_region_empty_version_space():
     inst = two_point_instance()
     with pytest.raises(ContractViolation):
-        amdl.disagreement_region(inst.hypothesis_class, [])
+        amdl.agreement_labels(inst.hypothesis_class, [])
 
 
 def test_agreement_labels_unanimous_accessor():
@@ -219,8 +227,8 @@ def test_disagreement_region_monotone(seed):
     size = int(rng.integers(1, len(cls)))
     v1 = sorted(rng.choice(len(cls), size=size, replace=False))
     v2 = sorted(set(v1) | {int(rng.integers(0, len(cls)))})
-    r1 = set(amdl.disagreement_region(cls, v1).tolist())
-    r2 = set(amdl.disagreement_region(cls, v2).tolist())
+    r1 = set(np.flatnonzero(amdl.agreement_labels(cls, v1) == 0).tolist())
+    r2 = set(np.flatnonzero(amdl.agreement_labels(cls, v2) == 0).tolist())
     assert r1 <= r2
 
 
@@ -636,7 +644,7 @@ def test_exact_kernels_just_below_and_just_above_the_int64_bound(lim, above):
               RandomizedHypothesis(cls, [0] * (lim - lim // 2) + [2] * (lim // 2))):
         plus, total = _plus_counts(h, 3)
         assert type(d._loss_num(plus, total)) is int
-        assert _loss(d, plus, total) == loss_exact(h, d) == loss_reference(h, d)
+        assert loss_exact(h, d) == loss_reference(h, d)
     worst = d._loss_num((cls.labels > 0).astype(np.int64), 1)
     assert worst.dtype == object and all(type(v) is int for v in worst)
     assert MDLInstance(cls, [d]).worst_member_loss() == max(loss_reference(h, d) for h in cls)
@@ -697,7 +705,6 @@ def test_exact_kernels_on_all_zero_weights_of_a_wide_instance():
         assert max(d._mnum) >= 2 ** 63
         for h in (cls[0], cls[5], mix):
             assert disagreement_exact(h, h, d) == 0 == disagreement_reference(h, h, d)
-            assert amdl.disagreement(h, h, d) == 0.0
         assert inst.pair_disagreement_exact(2, 2, i) == 0
         zero = d._weigh(np.zeros((3, inst.m), dtype=np.int64))
         assert zero.dtype == object and all(type(v) is int and v == 0 for v in zero)

@@ -15,7 +15,7 @@ from amdl import (HypothesisClass, LabeledDistribution, MDLInstance,
                   RandomizedHypothesis, save_instance)
 from amdl.active import _within_radius
 from amdl.cli import main as cli_main
-from amdl.complexity import disagreement_profile, star_number_unqualified, vc_dimension
+from amdl.complexity import _profile_nums, star_number_unqualified, vc_dimension
 from amdl.core import instance_from_dict
 
 from test_complexity import _plus_point as _plus_point_class
@@ -87,8 +87,9 @@ def _lines(inst: MDLInstance, tmp_path) -> list[str]:
     cls = inst.hypothesis_class
     ref = amdl.best_nu(inst)[0]
     for d in inst.distributions:
-        prof = disagreement_profile(d, cls, ref)
-        lines.append(" ".join(f"{r}:{m}" for r, m in zip(prof.radii, prof.masses)))
+        radii, masses = _profile_nums(d, cls, ref)
+        lines.append(" ".join(f"{Fraction(r, d._mden)}:{Fraction(m, d._mden)}"
+                              for r, m in zip(radii, masses)))
     lines.append(f"worst_member_loss={inst.worst_member_loss()}")
     V = cls.full_version_space()
     for mix in _mixtures(cls):

@@ -12,6 +12,7 @@ import pytest
 
 import amdl
 from amdl import ContractViolation, FamilySpec
+from amdl.core import loss_exact
 from amdl.families import GENERATORS, kl_bernoulli, verify_separation
 
 from closed_forms import kl_bernoulli_integral
@@ -22,8 +23,8 @@ def test_prop1_construction():
     assert inst.m == 5 and len(inst.hypothesis_class) == 5
     h, nu = amdl.best_nu(inst)
     assert nu == 0.1  # every class member errs at mass eps somewhere
-    region = amdl.disagreement_region(inst.hypothesis_class,
-                                      inst.hypothesis_class.full_version_space())
+    cls = inst.hypothesis_class
+    region = np.flatnonzero(amdl.agreement_labels(cls, cls.full_version_space()) == 0)
     assert list(region) == [1, 2, 3, 4]
 
 
@@ -44,7 +45,8 @@ def test_star_lb_theta_bound():
     inst = amdl.gen_star_lb(2, 4, 1, 2)
     hstar = amdl.best_nu(inst)[0]
     # claim: every member distribution has coefficient at most theta
-    assert amdl.theta_max(inst, hstar, 0.1) <= 4.0
+    assert max(amdl.disagreement_coefficient(d, inst.hypothesis_class, hstar, 0.1)
+               for d in inst.distributions) <= 4.0
 
 
 def test_star_lb_parameter_ranges():
@@ -61,14 +63,14 @@ def test_agnostic_lb_loss_table_exact():
     k, nu, eps = 4, 0.4, 0.05
     inst = amdl.gen_agnostic_lb(k, nu, eps)
     h1, h2 = inst.hypothesis_class.hypotheses
-    assert amdl.loss(h1, inst.distributions[0]) == 0.0
-    assert amdl.loss(h2, inst.distributions[0]) == nu
+    assert float(loss_exact(h1, inst.distributions[0])) == 0.0
+    assert float(loss_exact(h2, inst.distributions[0])) == nu
     for i in range(1, k):
-        assert amdl.loss(h1, inst.distributions[i]) == nu - 2 * eps
-        assert amdl.loss(h2, inst.distributions[i]) == nu / 2 - 2 * eps
+        assert float(loss_exact(h1, inst.distributions[i])) == nu - 2 * eps
+        assert float(loss_exact(h2, inst.distributions[i])) == nu / 2 - 2 * eps
     flipped = amdl.gen_agnostic_lb(k, nu, eps, flipped_index=3)
-    assert amdl.loss(h1, flipped.distributions[2]) == nu + 2 * eps
-    assert amdl.loss(h2, flipped.distributions[2]) == nu / 2 + 2 * eps
+    assert float(loss_exact(h1, flipped.distributions[2])) == nu + 2 * eps
+    assert float(loss_exact(h2, flipped.distributions[2])) == nu / 2 + 2 * eps
 
 
 def test_agnostic_lb_optima():
@@ -131,10 +133,10 @@ def test_example1_case_a_arithmetic():
     nu_p, eps = 0.2, 0.05
     inst = amdl.gen_example1(nu_p, eps, "a")
     h1, h2 = inst.hypothesis_class.hypotheses
-    assert amdl.loss(h1, inst.distributions[0]) == 0.0
-    assert amdl.loss(h2, inst.distributions[0]) == 2 * nu_p
-    assert amdl.loss(h1, inst.distributions[1]) == 2 * nu_p - eps
-    assert amdl.loss(h2, inst.distributions[1]) == nu_p - eps
+    assert float(loss_exact(h1, inst.distributions[0])) == 0.0
+    assert float(loss_exact(h2, inst.distributions[0])) == 2 * nu_p
+    assert float(loss_exact(h1, inst.distributions[1])) == 2 * nu_p - eps
+    assert float(loss_exact(h2, inst.distributions[1])) == nu_p - eps
     # h1 is the unique strictly-valid output; h2 sits exactly on the boundary
     h, nu = amdl.best_nu(inst)
     assert h == h1 and nu == 2 * nu_p - eps
@@ -145,8 +147,8 @@ def test_example1_case_b_arithmetic():
     nu_p, eps = 0.2, 0.05
     inst = amdl.gen_example1(nu_p, eps, "b")
     h1, h2 = inst.hypothesis_class.hypotheses
-    assert amdl.loss(h1, inst.distributions[1]) == 2 * nu_p + eps
-    assert amdl.loss(h2, inst.distributions[1]) == nu_p + eps
+    assert float(loss_exact(h1, inst.distributions[1])) == 2 * nu_p + eps
+    assert float(loss_exact(h2, inst.distributions[1])) == nu_p + eps
     h, nu = amdl.best_nu(inst)
     assert h == h2 and nu == 2 * nu_p
     assert amdl.worst_loss(h1, inst) == nu + eps

@@ -52,6 +52,13 @@ def test_hyperparams_knob_scaling():
     assert T11 == math.ceil(T10 * 0.25)
 
 
+@pytest.mark.parametrize("k, d", [(0, 1), (2, -1), (2.5, 1), (True, 1), (2, 1.5), (2, True)],
+                         ids=str)
+def test_hyperparams_refuse_a_bad_k_or_d(k, d):
+    with pytest.raises(ContractViolation, match="^[kd] must be"):
+        hyperparams(SolverConfig(eps=0.1, delta=0.1, nu=0.0), k, d)
+
+
 def test_solver_config_validation():
     with pytest.raises(ContractViolation):
         SolverConfig(eps=0.0, delta=0.1, nu=0.0)

@@ -53,3 +53,29 @@ def test_declared_dependencies_are_what_the_package_imports():
     assert third_party == {_requirement_name(d) for d in project["dependencies"]}
     assert "scipy" in {_requirement_name(d)
                        for d in project["optional-dependencies"]["test"]}
+
+
+# `amdl.__all__` is every public name the package imports, so adding or dropping
+# an import changes the API; this pin makes that change a visible diff
+PUBLIC_API = [
+    "ALGORITHMS", "AbstainingClassifier", "ComplexityValue", "ContractViolation",
+    "DegenerateAgreementRegion", "FamilySpec", "HedgeResult", "HedgeState", "Hypothesis",
+    "HypothesisClass", "LABEL_CEILING", "LabeledDistribution", "MDLInstance", "OracleSet",
+    "PROFILES", "QueryLedger", "RandomizedHypothesis", "RunConfig", "RunPlan", "RunResult",
+    "SamplerFamily", "SeparationReport", "SolverConfig", "TrialRecord", "active",
+    "active_dist_free", "active_large_eps", "active_small_eps", "agreement_labels",
+    "batch_size", "best_nu", "can_fail", "complexity", "core", "disagreement_coefficient",
+    "families", "gen_agnostic_lb", "gen_example1", "gen_prop1", "gen_random", "gen_star_lb",
+    "harness", "hedge", "hedge_step", "hyperparams", "imputed_family", "induced_family",
+    "instance_from_dict", "instance_to_dict", "kl_bernoulli", "load_instance", "mdl_hedge_vc",
+    "mixture_distribution", "naive_erm_baseline", "oracles", "passive_rpu_mdl",
+    "plain_family", "plan", "records_to_csv", "report", "robust_rpu_learn", "rpu",
+    "run_trials", "runplan", "save_instance", "star_number", "star_number_unqualified",
+    "surrogate_family", "sweep", "sweep_to_csv", "threshold_majority", "vc_dimension",
+    "verify_separation", "worst_loss",
+]
+
+
+def test_public_api_is_pinned():
+    import amdl
+    assert sorted(amdl.__all__) == PUBLIC_API

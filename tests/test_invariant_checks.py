@@ -106,6 +106,12 @@ checks = {
     "masses of a non-mask": lambda: inst.masses(np.arange(inst.m)),
     "underflowed eps": lambda: hyperparams(
         SolverConfig(eps=1e-300, delta=0.1, nu=0.0, **PROFILES["desk"]), 2, 1),
+    "zero k": lambda: hyperparams(SolverConfig(eps=0.1, delta=0.1, nu=0.0), 0, 1),
+    "negative d": lambda: hyperparams(SolverConfig(eps=0.1, delta=0.1, nu=0.0), 2, -1),
+    "fractional k": lambda: hyperparams(SolverConfig(eps=0.1, delta=0.1, nu=0.0), 2.5, 1),
+    "bool k": lambda: hyperparams(SolverConfig(eps=0.1, delta=0.1, nu=0.0), True, 1),
+    "point below a hypothesis": lambda: amdl.Hypothesis([1, -1, -1])(-1),
+    "point past an abstainer": lambda: amdl.AbstainingClassifier([1, 0, -1])(3),
     "negative member": lambda: amdl.agreement_labels(inst.hypothesis_class, [-1]),
     "nan target": lambda: amdl.run_trials(
         amdl.RunConfig(alg="active-dd-large", eps=math.nan, delta=0.1, instance=inst)),
@@ -149,6 +155,10 @@ def test_runtime_checks_hold_under_python_O():
                                        "refused: mass of a non-mask",
                                        "refused: masses of a non-mask",
                                        "refused: underflowed eps",
+                                       "refused: zero k", "refused: negative d",
+                                       "refused: fractional k", "refused: bool k",
+                                       "refused: point below a hypothesis",
+                                       "refused: point past an abstainer",
                                        "refused: negative member", "refused: nan target",
                                        "refused: malformed requests", "refused: bad outputs",
                                        "refused: wrapped outputs", "refused: plan ceiling",

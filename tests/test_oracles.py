@@ -195,7 +195,8 @@ def test_bad_counts_refused_before_any_state_moves(call):
 BAD_MEMBERS = ([-1], [3], [1.0], [True], [0, np.float64(1)])
 MEMBER_CALLS = {
     "agreement_labels": lambda o, V: amdl.agreement_labels(o.instance.hypothesis_class, V),
-    "disagreement_region": lambda o, V: amdl.disagreement_region(o.instance.hypothesis_class, V),
+    "disagreement_region": lambda o, V: np.flatnonzero(
+        amdl.agreement_labels(o.instance.hypothesis_class, V) == 0),
     "induced_family": lambda o, V: amdl.induced_family(o, V).draw(0, 3),
     "surrogate_family": lambda o, V: amdl.surrogate_family(o, V, [_S]).draw(0, 3),
     "sample_conditional_agreement": lambda o, V: o.sample_conditional_agreement(0, V, 2),
