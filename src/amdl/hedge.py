@@ -18,13 +18,13 @@ no `hedge_step` or ERM for the zero rows.  The running maxima w_bar seldom
 grow, so the counts are recomputed, and the reward draws totalled, only when
 they do.  A solve over at most two candidates plays stretches of rounds at
 once, as a shadow in Python floats predicts them, each round verified bit
-for bit (`_play_chunk`), on loss tables of the sampler's runs; its other
-rounds come from those runs too (`SamplerFamily.round_losses`, with
-`serve_zero_rows` for the zero rows after one).  Its sampler meters each
-round as it serves it, so the ledger is whole whenever the solve stops, on
-an error too.  A larger solve plays no chunks, and a run's tables would
-mostly hold rows it never plays (see `amdl.oracles`).  Over two
-distributions the shadow steps one log-weight ratio against fixed thresholds;
+for bit (`_play_chunk`), on loss tables of the sampler's runs.  So a round
+is either played in a chunk on runs or drawn as a row: every round that no
+chunk plays comes from `row`, as does every round of a larger solve, whose
+runs' tables would mostly hold rows it never plays (see `amdl.oracles`).
+The sampler meters each round as it serves it, so the ledger is whole
+whenever the solve stops, on an error too.  Over two distributions the
+shadow steps one log-weight ratio against fixed thresholds;
 otherwise it multiplies the weights a block of rounds at a time, in
 straight-line code over k local floats built once per k (`_PRODUCT_SOURCE`): a
 round then makes no list and calls no map or sum, which halves the shadow's
@@ -397,16 +397,12 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
             reward_draws = [a + (state.t - since) * b for a, b in zip(reward_draws, counts)]
             bar, since = state.w_bar, state.t
             counts = [math.ceil(k * v) for v in bar]
-        # a zero reward changes no weight, so the rounds after it repeat its play
-        if chunked:
-            if _play_chunk(state, store, sampler, tally, local, counts, doubled, eta,
-                           T - state.t, trace):
-                continue
-            r = sampler.round_losses(store.labels, local, counts, T - state.t)
-            played = 1 if any(r) else 1 + sampler.serve_zero_rows(local, T - state.t - 1)
-        else:
-            # zero rows, then the first row with a loss, all played with `local`
-            r, played = sampler.row(store.labels, local, counts, T - state.t)
+        if chunked and _play_chunk(state, store, sampler, tally, local, counts, doubled, eta,
+                                   T - state.t, trace):
+            continue
+        # a zero reward changes no weight, so the rounds after it repeat its
+        # play: zero rows, then the first row with a loss, all played with `local`
+        r, played = sampler.row(store.labels, local, counts, T - state.t)
         tally[local] += played
         if trace is not None:
             trace.extend((state.t + 1 + s, state.w_arr, float(np.sum(state.w_bar)),

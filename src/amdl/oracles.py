@@ -23,8 +23,8 @@ from distribution i takes, from stream i,
   3. surrogate sampling only: one pick variate per non-queried point, in draw
      order, choosing a uniform element of the pre-labeled sample S_i.
 A request reads no other stream, so a solver round may serve its k requests
-in one call (`SamplerFamily.row` or `round_losses`) and consume exactly what
-k separate `draw` calls in index order would.  Every sampler maps point
+in one call (`SamplerFamily.row`, or a run's `serve`) and consume exactly
+what k separate `draw` calls in index order would.  Every sampler maps point
 variates with `LabeledDistribution.points` (a bucket table for large maps).
 
 Two numpy kernels draw the pairs: the imputing kernel, which serves plain,
@@ -44,47 +44,51 @@ batches), and draws one request of an int size (`draw`, store growth)
 directly, without the chase of request starts.
 
 A solver round's request from distribution i does not depend on the played
-hypothesis, and its size c_i seldom changes, so for a solve over at most
-two candidates (`round_losses`, `run_table`) the family serves rounds from a
-block of requests kept per distribution, in runs, which the solver's chunks
-of rounds read whole.  A run is a stretch of rounds on one candidate matrix
-with unchanged counts, in which no block is rebuilt; it ends at the latest
-when one of its blocks runs out.  Within a run the rewards of candidate j
-are a table, one row of k losses per round, built on j's first play with
-one numpy pass over each block's requests in the run; a round is one lookup
-and a counter step.  Served rounds are metered as they are served, as every
-request is when it is made: their variates are consumed and their draws,
-queries and transcript lines metered, in round order and then distribution
-order, just as requests made one at a time would.  One rule keeps a run
-true to the streams: it serves only while each block's stream stands where
-that block's next request starts.  Any other read that consumes a
-stream's variates (`draw`, a row, agreement sampling) moves it, and the
-next round opens a new run.  A block is rebuilt when c_i changes, when
-stream i was read elsewhere since it was built, or when its requests run
-out.  It is built with no more requests than the caller still plays, and no
-more variates than one buffer block unless a single request needs more.
+hypothesis, and its size c_i seldom changes, so for the chunks of rounds
+that a solve over at most two candidates plays (`run_table`, `serve`) the
+family serves rounds from a block of requests kept per distribution, in
+runs, which the chunks read whole.  A run is a stretch of rounds on one
+candidate matrix with unchanged counts, in which no block is rebuilt; it
+ends at the latest when one of its blocks runs out.  Within a run the
+rewards of candidate j are a table, one row of k losses per round, built on
+j's first play with one numpy pass over each block's requests in the run; a
+round is one lookup and a counter step.  Served rounds are metered as they
+are served, as every request is when it is made: their variates are consumed
+and their draws, queries and transcript lines metered, in round order and
+then distribution order, just as requests made one at a time would.  One
+rule keeps a run true to the streams: it serves only while each block's
+stream stands where that block's next request starts.  Any other read that
+consumes a stream's variates (`draw`, a row, agreement sampling) moves it,
+and the next round opens a new run.  A block is rebuilt when c_i changes,
+when stream i was read elsewhere since it was built, or when its requests
+run out.  It is built with no more requests than the caller still plays, and
+no more variates than one buffer block unless a single request needs more.
 Reading ahead changes no variate: a stream that holds too few appends the
 generator's next variates behind its unread tail.
 
-A solve over more than two candidates plays no chunks, and store growth and
-count changes end its runs after about 20 rounds, most of whose table rows it
-never plays; it draws rows, one `row` call per zero-row stretch and the loss
-row that ends it.  A row's k requests are made one after another, each
-consuming its variates and metering its draws, queries and transcript lines
-before the next.  One row kernel serves every family: it walks the points in
-Python over lists kept per stream (a window of the buffered variates from the
-stream's position and their points, remade when the buffer changes or the
-window runs out).  A surrogate family imputes 0 everywhere, so against a +-1
-candidate (`row` refuses any other) each point it does not query counts one
-miss; a pick pass then reads the picks that follow the request's labels, takes
-those misses back and counts each pick's own.  A family makes its row kernel,
-and a surrogate family lists its samples, on its first `row`.
+Every other solver round is a row, drawn with no run: a solve over more
+than two candidates plays no chunks, and store growth and count changes end
+its runs after about 20 rounds, most of whose table rows it never plays; a
+round that no chunk plays would open a run for a round or two.  One `row`
+call draws a zero-row stretch and the loss row that ends it.  A row's k
+requests are made one after another, each consuming its variates and
+metering its draws, queries and transcript lines before the next.  One row
+kernel serves every family: it walks the points in Python over lists kept
+per stream (a window of the buffered variates from the stream's position and
+their points, remade when the buffer changes or the window runs out).  A
+stream's first window lists ROW_WINDOW variates (more if one request needs
+them), and each remade one twice the last, up to BLOCK, so a stream read
+mostly by chunks lists little more than its rows use.  A surrogate family
+imputes 0 everywhere, so against a +-1 candidate (`row` refuses any other)
+each point it does not query counts one miss; a pick pass then reads the
+picks that follow the request's labels, takes those misses back and counts
+each pick's own, read from the sample arrays.  A family makes its row kernel
+on its first `row`.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import partial
 from itertools import repeat
 from typing import Callable, Sequence
@@ -94,6 +98,7 @@ import numpy as np
 from .core import ContractViolation, MDLInstance, agreement_labels, check_int
 
 BLOCK = 4096    # variates a stream draws from its generator at a time, at least
+ROW_WINDOW = 256    # variates a stream's first row window lists, at least
 _NO_VARIATES = np.empty(0)
 
 
@@ -376,11 +381,14 @@ class OracleSet:
     # (a list over the points), for every family; it reads the streams' lists
 
     def _relist(self, i: int, n: int) -> tuple:
-        """Stream i's lists, remade to hold at least its next n variates."""
+        """Stream i's lists, remade to hold at least its next n variates and at
+        most twice the last window's (ROW_WINDOW at first, up to BLOCK)."""
+        _, lo, hi, _, _ = self._listed[i]
+        width = max(n, min(BLOCK, max(ROW_WINDOW, 2 * (hi - lo))))
         stream = self._streams[i]
         stream.ahead(n)
         buf, pos = stream.buf, stream.pos
-        hi = min(buf.size, pos + max(n, BLOCK))
+        hi = min(buf.size, pos + width)
         seg = buf[pos:hi]
         lst = self._listed[i] = (buf, pos, hi, seg.tolist(), self._points[i](seg).tolist())
         return lst
@@ -394,11 +402,11 @@ class OracleSet:
                               samples: Sequence[tuple[np.ndarray, np.ndarray] | None]) -> RowKernel:
         # a None sample's plain requests are surrogate requests that query every point
         every, zeros, dis = self._every[0].tolist(), self._every[1].tolist(), dis_mask.tolist()
-        return partial(self._row, [(i, eta.tolist(), every, None) if s is None
-                                   else (i, eta.tolist(), dis, (s[0].tolist(), s[1].tolist()))
+        return partial(self._row, [(i, eta.tolist(), every if s is None else dis, s)
                                    for i, (eta, s) in enumerate(zip(self._eta, samples))], zeros)
 
-    def _row(self, entries: list[tuple[int, list[float], list[bool], tuple[list, list] | None]],
+    def _row(self, entries: list[tuple[int, list[float], list[bool],
+                                       tuple[np.ndarray, np.ndarray] | None]],
              lab: list[int], cand: list[int], counts: Sequence[int],
              cap: int) -> tuple[list[float], int]:
         """`row`'s rows: request i's c points, then a label variate per point where
@@ -436,12 +444,12 @@ class OracleSet:
                 if a - start > c:
                     asked[i] += a - start - c
                 if sample is not None:      # a pick per unqueried point, in place of its miss on 0
-                    sx, sy = sample
-                    size, b, a = len(sx), a, start + 2 * c
+                    sx, sy = sample     # read with item(), so the losses stay Python floats
+                    size, b, a = sx.size, a, start + 2 * c
                     miss -= a - b
                     for v in u[b:a]:
                         p = min(int(v * size), size - 1)
-                        miss += cand[sx[p]] != sy[p]
+                        miss += cand[sx.item(p)] != sy.item(p)
                 stream.pos = lo + a
                 drawn[i] += c
                 losses.append(miss / c)
@@ -519,9 +527,9 @@ class SamplerFamily:
     distribution i.  `draw(i, n)` makes one request of n pairs,
     `draw_requests` rows of requests of unequal sizes, and `row` the solver
     rounds of a zero-row stretch, one request per distribution each, through
-    the kernel `make_row()` returns; `round_losses` serves rounds from blocks
-    of requests kept per distribution, a run of rounds at a time (`run_table`,
-    `serve` and `serve_zero_rows` serve several; see the module docstring).
+    the kernel `make_row()` returns.  `run_table` and `serve` serve a solver's
+    chunks of rounds from blocks of requests kept per distribution, a run of
+    rounds at a time (see the module docstring).
     Every request is metered when it is made or served.  The family keeps no
     count of its own: what it draws is metered in the oracle set's ledger.
     """
@@ -539,12 +547,11 @@ class SamplerFamily:
         self._blocks: list[_Rounds | None] = [None] * self.k
         self._labels: np.ndarray | None = None
         # the open run: its counts (None before the first run), its length in
-        # rounds, the rounds served, the loss table of each candidate played,
-        # one row per round of the run, and the rows where it has a loss
+        # rounds, the rounds served, and the loss table of each candidate
+        # played, one row per round of the run
         self._counts: list[int] | None = None
         self._length = self._served = 0
         self._tables: dict[int, np.ndarray] = {}
-        self._loss_rows: dict[int, list[int]] = {}
 
     def draw(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         i, n = check_int("distribution index", i, 0, self.k), check_int("sample count", n)
@@ -605,23 +612,15 @@ class SamplerFamily:
             raise ContractViolation("a round needs a draw count for every distribution")
         return [check_int("a round's draw count", c, 1) for c in counts]
 
-    def round_losses(self, labels: np.ndarray, j: int, counts: Sequence[int],
-                     rounds_left: int) -> list[float]:
-        """Empirical loss of candidate j, row j of the label matrix `labels`,
-        on counts[i] fresh pairs from each distribution i, unbiased for the
-        sampled distribution.  The pairs are exactly those of
-        `draw(i, counts[i])` for i = 0..k-1 in turn.  `rounds_left` counts
-        this round and the later rounds the caller plays against `labels`; no
-        block draws further ahead."""
-        table, r = self.run_table(labels, j, counts, rounds_left)
-        self.serve(1)
-        return table[r].tolist()
-
     def run_table(self, labels: np.ndarray, j: int, counts: Sequence[int],
                   rounds_left: int) -> tuple[np.ndarray, int]:
-        """Candidate j's loss table in the run that serves this round, opened
-        if need be, and this round's row in it; `serve` serves rounds.  A run
-        serves only while no stream was read elsewhere since it opened."""
+        """Candidate j's (row j of the label matrix `labels`) loss table in the
+        run that serves this round, opened if need be, and this round's row in
+        it: a row's losses are on counts[i] fresh pairs from each distribution
+        i, the pairs of `draw(i, counts[i])` for i = 0..k-1 in turn.
+        `rounds_left` counts this round and the later rounds the caller plays
+        against `labels`; no block draws further ahead.  `serve` serves rounds.
+        A run serves only while no stream was read elsewhere since it opened."""
         r = self._served
         if (labels is not self._labels or counts != self._counts or r == self._length
                 or rounds_left < 1 or any(blk.moved() for blk in self._blocks)):
@@ -635,33 +634,16 @@ class SamplerFamily:
 
     def serve(self, m: int) -> None:
         """Serve the open run's next m rounds, consuming and metering them as
-        m `round_losses` calls would."""
+        m rounds of k `draw` calls each would."""
         m = check_int("rounds served", m, 1, self._length - self._served + 1)
         self.oracles._settle(self._blocks, m)
         self._served += m
-
-    def serve_zero_rows(self, j: int, cap: int) -> int:
-        """Serve, as `round_losses` would, the open run's next rounds, at most
-        `cap`, while candidate j's (opened) table is zero there; their number."""
-        cap, s = check_int("zero rounds", cap, 0), self._served
-        table = self._tables.get(j)
-        if table is None:
-            raise ContractViolation(f"candidate {j!r} has no table in the open run")
-        if s == self._length or table[s].any():    # the next row has a loss
-            return 0
-        if j not in self._loss_rows:    # the rows with a loss (a positive sum), then the run's end
-            self._loss_rows[j] = [*(table @ np.ones(self.k)).nonzero()[0].tolist(), self._length]
-        rows = self._loss_rows[j]
-        m = min(rows[bisect_left(rows, s)], s + cap) - s
-        if m:
-            self.serve(m)
-        return m
 
     def _open_run(self, labels: np.ndarray, counts: Sequence[int], rounds_left: int) -> None:
         """Open a run at this round, rebuilding the blocks that cannot serve it."""
         counts = self._checked_counts(counts)
         check_int("rounds_left", rounds_left, 1)
-        self._served, self._tables, self._loss_rows = 0, {}, {}
+        self._served, self._tables = 0, {}
         blocks = self._blocks
         for i, c in enumerate(counts):
             blk = blocks[i]

@@ -97,6 +97,15 @@ def one_point_instance() -> MDLInstance:
     return MDLInstance(cls, [LabeledDistribution([Fraction(1)], [Fraction(1)])])
 
 
+def round_losses(family, labels: np.ndarray, j: int, counts, rounds_left: int) -> list[float]:
+    """One solver round served from `family`'s run, as `hedge._play_chunk`
+    serves each round of a chunk: candidate j's row of the run's loss table,
+    then `serve(1)`."""
+    table, r = family.run_table(labels, j, counts, rounds_left)
+    family.serve(1)
+    return table[r].tolist()
+
+
 @pytest.fixture
 def desk_knobs() -> dict:
     from amdl.harness import PROFILES

@@ -16,7 +16,7 @@ from amdl.hedge import (KNOBS, HedgeState, PooledStore, hedge_step, hyperparams,
 from amdl.oracles import plain_family
 
 from closed_forms import product_plays_reference, support_indices
-from conftest import one_point_instance
+from conftest import one_point_instance, round_losses
 
 
 def test_hyperparams_fidelity_head_values():
@@ -139,7 +139,7 @@ def test_hedge_step_uniform_rewards_cancel():
     assert np.allclose(state.w, 0.25, atol=1e-15)
 
 
-# the solver passes round_losses' list of floats; arrays are refused alike
+# the solver passes a row's list of floats; arrays are refused alike
 BAD_REWARDS = [[1.2, 0.0], [0.0, -0.1], [0.5, float("inf")], [0.5], [0.5, 0.5, 0.5]]
 
 
@@ -272,7 +272,7 @@ def test_round_losses_realizable_is_zero():
     inst = one_point_instance()
     o = OracleSet(inst, seed=0)
     fam = plain_family(o)
-    r = fam.round_losses(inst.hypothesis_class.labels, 0, [1], 1)
+    r = round_losses(fam, inst.hypothesis_class.labels, 0, [1], 1)
     assert r == [0.0]
     assert o.ledger.unlabeled_draws.tolist() == [1] and o.ledger.label_total == 1
 
@@ -286,7 +286,7 @@ def test_round_losses_sample_count_and_noise_rate():
     counts = [math.ceil(5 * 0.6)]  # the solver's ceil(k * w_bar_i)
     total, rounds = 0.0, 3000
     for t in range(rounds):
-        total += fam.round_losses(cls.labels, 0, counts, rounds - t)[0]
+        total += round_losses(fam, cls.labels, 0, counts, rounds - t)[0]
     assert o.ledger.label_total == o.ledger.unlabeled_total == 3 * rounds
     assert abs(total / rounds - 0.5) < 0.02
 
@@ -336,9 +336,9 @@ def test_round_losses_refuses_an_empty_count():
     inst = amdl.gen_prop1(3, 0.2)
     fam = plain_family(OracleSet(inst, seed=0))
     with pytest.raises(ContractViolation):
-        fam.round_losses(inst.hypothesis_class.labels, 0, [1, 0, 1], 5)
+        round_losses(fam, inst.hypothesis_class.labels, 0, [1, 0, 1], 5)
     with pytest.raises(ContractViolation):
-        fam.round_losses(inst.hypothesis_class.labels, 0, [1, 1, 1], 0)
+        round_losses(fam, inst.hypothesis_class.labels, 0, [1, 1, 1], 0)
 
 
 def _alternation_instance(gamma: Fraction) -> MDLInstance:

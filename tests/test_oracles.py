@@ -3,6 +3,7 @@
 import bisect
 import hashlib
 import itertools
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from amdl.harness import PROFILES, RunConfig, run_single_trial, run_trials
 
 from closed_forms import (best_nu_index, conditional_agreement_reference, imputed_distribution,
                           induced_distribution, joint_exact, surrogate_joint_exact)
-from conftest import empirical_tv, two_point_instance
+from conftest import empirical_tv, round_losses, two_point_instance
 
 
 def test_draw_unlabeled_point_mass():
@@ -100,13 +101,13 @@ BAD_CALLS = {
     "imputed_family.draw": lambda o: amdl.imputed_family(
         o, np.array([0, 1, 0, -1], dtype=np.int8)).draw(0, -5),
     "surrogate_family.draw": lambda o: amdl.surrogate_family(o, (0, 1), [_S]).draw(0, -1),
-    "round_losses-zero-count": lambda o: amdl.plain_family(o).round_losses(
-        o.instance.hypothesis_class.labels, 0, [0], 3),
-    # the induced and surrogate samplers' batches: the round path the solvers run
-    "sample_induced_batch": lambda o: amdl.induced_family(o, (0, 1)).round_losses(
-        o.instance.hypothesis_class.labels, 0, [-1], 3),
-    "sample_surrogate_batch": lambda o: amdl.surrogate_family(o, (0, 1), [_S]).round_losses(
-        o.instance.hypothesis_class.labels, 0, [-1], 3),
+    "round_losses-zero-count": lambda o: round_losses(
+        amdl.plain_family(o), o.instance.hypothesis_class.labels, 0, [0], 3),
+    # the induced and surrogate samplers' batches: the round path a chunk runs
+    "sample_induced_batch": lambda o: round_losses(
+        amdl.induced_family(o, (0, 1)), o.instance.hypothesis_class.labels, 0, [-1], 3),
+    "sample_surrogate_batch": lambda o: round_losses(
+        amdl.surrogate_family(o, (0, 1), [_S]), o.instance.hypothesis_class.labels, 0, [-1], 3),
     # a count, index or size that is a bool or not an integer
     "draw_labeled_batch-fractional-count": lambda o: o.draw_labeled_batch(0, 2.5),
     "draw_labeled_batch-bool-index": lambda o: o.draw_labeled_batch(False, 3),
@@ -117,12 +118,12 @@ BAD_CALLS = {
     "plain_family.draw-fractional-count": lambda o: amdl.plain_family(o).draw(0, 2.5),
     "plain_family.draw-fractional-index": lambda o: amdl.plain_family(o).draw(0.5, 3),
     "plain_family.draw-bool-count": lambda o: amdl.plain_family(o).draw(0, True),
-    "round_losses-fractional-count": lambda o: amdl.plain_family(o).round_losses(
-        o.instance.hypothesis_class.labels, 0, [1.5], 3),
-    "round_losses-fractional-horizon": lambda o: amdl.plain_family(o).round_losses(
-        o.instance.hypothesis_class.labels, 0, [2], 2.5),
-    "round_losses-a-count-per-member-short": lambda o: amdl.plain_family(o).round_losses(
-        o.instance.hypothesis_class.labels, 0, [2, 2], 3),
+    "round_losses-fractional-count": lambda o: round_losses(
+        amdl.plain_family(o), o.instance.hypothesis_class.labels, 0, [1.5], 3),
+    "round_losses-fractional-horizon": lambda o: round_losses(
+        amdl.plain_family(o), o.instance.hypothesis_class.labels, 0, [2], 2.5),
+    "round_losses-a-count-per-member-short": lambda o: round_losses(
+        amdl.plain_family(o), o.instance.hypothesis_class.labels, 0, [2, 2], 3),
     "run_table-candidate-out-of-range": lambda o: amdl.plain_family(o).run_table(
         o.instance.hypothesis_class.labels, 3, [2], 3),
     "run_table-negative-candidate": lambda o: amdl.plain_family(o).run_table(
@@ -153,8 +154,8 @@ INT_CALLS = {
     "plain_family.draw": lambda o, n: amdl.plain_family(o).draw(n(0), n(3)),
     "draw_requests": lambda o, n: amdl.plain_family(o).draw_requests(
         [n(0)], np.array([[2, 3]])),
-    "round_losses": lambda o, n: amdl.plain_family(o).round_losses(
-        o.instance.hypothesis_class.labels, n(1), [n(2)], n(3)),
+    "round_losses": lambda o, n: round_losses(
+        amdl.plain_family(o), o.instance.hypothesis_class.labels, n(1), [n(2)], n(3)),
     "serve": lambda o, n: _served(amdl.plain_family(o), n(2)),
     "row": lambda o, n: amdl.plain_family(o).row(
         o.instance.hypothesis_class.labels, n(1), [n(2)], n(3)),
@@ -195,8 +196,6 @@ def test_bad_counts_refused_before_any_state_moves(call):
 BAD_MEMBERS = ([-1], [3], [1.0], [True], [0, np.float64(1)])
 MEMBER_CALLS = {
     "agreement_labels": lambda o, V: amdl.agreement_labels(o.instance.hypothesis_class, V),
-    "disagreement_region": lambda o, V: np.flatnonzero(
-        amdl.agreement_labels(o.instance.hypothesis_class, V) == 0),
     "induced_family": lambda o, V: amdl.induced_family(o, V).draw(0, 3),
     "surrogate_family": lambda o, V: amdl.surrogate_family(o, V, [_S]).draw(0, 3),
     "sample_conditional_agreement": lambda o, V: o.sample_conditional_agreement(0, V, 2),
@@ -544,7 +543,7 @@ TWIN_INSTANCES = {
 
 class _DrawnRounds:
     """A family whose rounds are, by definition, k `draw` calls in index
-    order: the reference the block path must equal."""
+    order: the reference the run and row paths must equal."""
 
     def __init__(self, family):
         self.family = family
@@ -568,9 +567,17 @@ class _DrawnRounds:
                 break
         return losses, rows
 
-    def serve_zero_rows(self, j, cap):
-        # no zero rows ahead: the solver plays every round on its own
-        return 0
+
+class _RunRounds:
+    """A family whose rounds are served one at a time from its runs
+    (`round_losses`), as `hedge._play_chunk` serves the rounds of a chunk."""
+
+    def __init__(self, family):
+        self.family = family
+        self.draw, self.row = family.draw, family.row
+
+    def round_losses(self, labels, j, counts, rounds_left):
+        return round_losses(self.family, labels, j, counts, rounds_left)
 
 
 def _scripted_ops(k: int) -> list[tuple]:
@@ -654,7 +661,7 @@ def _check_twin_ops(inst: MDLInstance, kind: str, log_transcript: bool, start: s
     twin_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
     _start_streams(fused_o, start)
     _start_streams(twin_o, start)
-    fused = families[kind](fused_o)
+    fused = _RunRounds(families[kind](fused_o))
     twin = _DrawnRounds(families[kind](twin_o))
     drawn = []
     for got, want in zip(_run_ops(fused_o, fused, ops), _run_ops(twin_o, twin, ops),
@@ -760,11 +767,54 @@ def test_surrogate_stretches_equal_k_draws_on_a_twin(kind, log_transcript):
         assert max(drawn) <= cap and (max(drawn) > 1) == (cap > 1)
 
 
+@pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS) + [f"{kind}-consistent"
+                                                            for kind in sorted(STRETCH_FAMILIES)])
+def test_rows_give_python_float_losses(kind):
+    # hedge_step folds a row's losses into the Python-float weights, so no
+    # numpy scalar may reach it: surrogate picks read the sample arrays
+    build = FAMILY_BUILDERS.get(kind) or STRETCH_FAMILIES[kind.removesuffix("-consistent")]
+    inst = amdl.gen_prop1(8, 0.05)
+    labels = inst.hypothesis_class.labels
+    fam = build(OracleSet(inst, seed=2))
+    for j, cap in ((0, 1), (1, 3), (0, 64), (2, 1)):
+        losses, rows = fam.row(labels, j, [3] * inst.k, cap)
+        assert {type(v) for v in losses} == {float} and type(rows) is int
+
+
+def test_row_windows_start_small_and_double_up_to_a_block(monkeypatch):
+    # on streams part-way into an oversized buffer, a stream's first row lists
+    # ROW_WINDOW variates, not the buffer's next BLOCK, and each window
+    # after it twice the last, up to BLOCK or the buffer's end
+    inst = _three_distribution_fixture()
+    o = OracleSet(inst, seed=3)
+    _start_streams(o, "large-buffer")
+    big = [stream.buf for stream in o._streams]
+    windows = [[] for _ in big]     # (variates listed, variates the buffer held from there)
+    relist = OracleSet._relist
+
+    def logged(self, i, n):
+        buf, lo, hi, _, _ = lst = relist(self, i, n)
+        if buf is big[i]:
+            windows[i].append((hi - lo, buf.size - lo))
+        return lst
+
+    monkeypatch.setattr(OracleSet, "_relist", logged)
+    fam = amdl.plain_family(o)
+    labels = inst.hypothesis_class.labels
+    for t in range(6500):
+        fam.row(labels, t % 3, [1, 2, 1], 1)
+    for got in windows:
+        assert got[0][0] == oracles.ROW_WINDOW
+        assert all(w == min(held, oracles.BLOCK, 2 * last)
+                   for (last, _), (w, held) in zip(got, got[1:]))
+        assert oracles.BLOCK in [w for w, _ in got] and got[-1][0] == got[-1][1]
+
+
 @pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
 def test_a_row_leaves_nothing_pending(kind):
-    # round_losses, serve, serve_zero_rows and row each meter what they serve
-    # as they return: right after each call, with no ledger read in between,
-    # the ledger is the twin's, whose rounds are k draws each
+    # a run's served rounds and a row each meter what they serve as they
+    # return: right after each call, with no ledger read in between, the
+    # ledger is the twin's, whose rounds are k draws each
     inst = _three_distribution_fixture()
     fused_o, twin_o = (OracleSet(inst, seed=6, log_transcript=True) for _ in range(2))
     fused, twin = FAMILY_BUILDERS[kind](fused_o), _DrawnRounds(FAMILY_BUILDERS[kind](twin_o))
@@ -774,28 +824,18 @@ def test_a_row_leaves_nothing_pending(kind):
     def unread(o):      # the ledger's lists, not its read properties
         return o.ledger._queries, o.ledger._draws, o.ledger._transcript
 
-    def twin_rounds(rows):
-        for row in rows:
-            assert twin.round_losses(labels, 0, counts, 1) == row.tolist()
-        assert unread(fused_o) == unread(twin_o)
-
-    assert fused.round_losses(labels, 0, counts, 40) == twin.round_losses(labels, 0, counts, 40)
+    assert round_losses(fused, labels, 0, counts, 40) == twin.round_losses(labels, 0, counts, 40)
     assert unread(fused_o) == unread(twin_o)
     table, r = fused.run_table(labels, 0, counts, 39)
-    zero = (~table.any(axis=1)).tolist()
-    s = next(s for s in range(r + 1, len(zero) - 1) if zero[s] and zero[s + 1])
-    fused.serve(s - r)
-    twin_rounds(table[r:s])
-    assert fused.round_losses(labels, 0, counts, 39 - s) == [0.0] * 3
-    twin_rounds(table[s:s + 1])
-    m = fused.serve_zero_rows(0, 39 - s)
-    assert m > 0
-    twin_rounds(table[s + 1:s + 1 + m])
+    fused.serve(5)
+    for row in table[r:r + 5]:
+        assert twin.round_losses(labels, 0, counts, 1) == row.tolist()
+    assert unread(fused_o) == unread(twin_o)
     for t in range(5):
         assert fused.row(labels, t % 3, [1, 3, 2], t + 1) == twin.row(labels, t % 3, [1, 3, 2],
                                                                       t + 1)
         assert unread(fused_o) == unread(twin_o)
-    assert fused.round_losses(labels, 0, counts, 9) == twin.round_losses(labels, 0, counts, 9)
+    assert round_losses(fused, labels, 0, counts, 9) == twin.round_losses(labels, 0, counts, 9)
     assert unread(fused_o) == unread(twin_o) and sum(fused_o.ledger._queries) > 0
 
 
@@ -882,14 +922,14 @@ def test_a_solve_refused_part_way_leaves_the_served_rounds_metered(kind, log_tra
     labels = inst.hypothesis_class.labels
     served = [(2, 1, 3)] * 5 + [(2, 2, 3)] * 4
     for t, counts in enumerate(served):
-        for fam in (fused, twin):
-            fam.round_losses(labels, t % 3, list(counts), 40 - t)
+        round_losses(fused, labels, t % 3, list(counts), 40 - t)
+        twin.round_losses(labels, t % 3, list(counts), 40 - t)
     with pytest.raises(ContractViolation):
-        fused.round_losses(labels, 0, [2, 0, 3], 40 - len(served))
+        round_losses(fused, labels, 0, [2, 0, 3], 40 - len(served))
     assert _metered(fused_o) == _metered(twin_o)
     assert [s.consumed for s in fused_o._streams] == [s.consumed for s in twin_o._streams]
     ops = [("solve", 1, [(1, 2, 1)] * 6), ("draw", 2, 5), ("solve", 0, [(3, 1, 2)] * 3)]
-    for got, want in zip(_run_ops(fused_o, fused, ops), _run_ops(twin_o, twin, ops),
+    for got, want in zip(_run_ops(fused_o, _RunRounds(fused), ops), _run_ops(twin_o, twin, ops),
                          strict=True):
         if isinstance(got, list):
             assert got == want
@@ -920,6 +960,29 @@ def test_a_solve_that_raises_leaves_no_rounds_unsettled(desk_knobs):
     assert o.ledger.label_total == o.ledger.unlabeled_total > 0
 
 
+def test_a_two_candidate_solve_opens_runs_only_for_its_chunks(monkeypatch, desk_knobs):
+    # every round that no chunk plays is drawn as a row, so the only runs a
+    # solve opens are those its chunks read (a round whose weights sit at
+    # their limit, such as the first, opens none)
+    inst = amdl.gen_agnostic_lb(4, 0.4, 0.05)
+    cfg = SolverConfig(eps=0.05, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
+    callers = []
+    open_run = oracles.SamplerFamily._open_run
+
+    def logged(self, *args):
+        frame, names = sys._getframe(1), []
+        while frame.f_code.co_name != "mdl_hedge_vc":
+            names.append(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append((names[0], names[-1]))
+        return open_run(self, *args)
+
+    monkeypatch.setattr(oracles.SamplerFamily, "_open_run", logged)
+    res = mdl_hedge_vc(inst.hypothesis_class, (0, 1), amdl.plain_family(OracleSet(inst, seed=3)),
+                       cfg, inst.k, 1)
+    assert res.rounds > 100 and set(callers) == {("run_table", "_play_chunk")}
+
+
 def test_settle_refuses_a_stream_moved_under_served_rounds():
     # a read of stream 1 the open run did not make: serving must refuse
     # rather than consume variates that were read already, and the next
@@ -929,14 +992,14 @@ def test_settle_refuses_a_stream_moved_under_served_rounds():
     fam, twin = amdl.plain_family(o), _DrawnRounds(amdl.plain_family(twin_o))
     labels = inst.hypothesis_class.labels
     for t in range(3):
-        assert fam.round_losses(labels, t % 3, [1, 2, 1], 10) == \
+        assert round_losses(fam, labels, t % 3, [1, 2, 1], 10) == \
             twin.round_losses(labels, t % 3, [1, 2, 1], 10)
     for side in (o, twin_o):
         side._streams[1].take(1)
     with pytest.raises(ContractViolation, match="moved"):
         fam.serve(1)
     assert _metered(o) == _metered(twin_o)
-    assert fam.round_losses(labels, 0, [1, 2, 1], 7) == twin.round_losses(labels, 0, [1, 2, 1], 7)
+    assert round_losses(fam, labels, 0, [1, 2, 1], 7) == twin.round_losses(labels, 0, [1, 2, 1], 7)
     assert _metered(o) == _metered(twin_o)
     assert [s.consumed for s in o._streams] == [s.consumed for s in twin_o._streams]
 
@@ -987,7 +1050,7 @@ ZERO_RUN_SOLVES = {
 @pytest.mark.parametrize("case", sorted(ZERO_RUN_SOLVES))
 def test_zero_reward_runs_equal_one_round_at_a_time(case, monkeypatch):
     # a round whose reward row is all zeros leaves every weight as it is, so
-    # the solver plays the open run's next zero rows with it, calling neither
+    # the solver plays the zero rows after it with it, calling neither
     # hedge_step nor the ERM for them; the twin plays every round on its own
     # from k draws
     from amdl import hedge
@@ -1026,56 +1089,33 @@ def test_zero_reward_runs_equal_one_round_at_a_time(case, monkeypatch):
     assert fused_steps == len(steps) - fused_steps
 
 
-def test_a_zero_run_stops_at_the_open_runs_end_and_its_cap():
+def test_a_zero_stretch_stops_at_its_cap_and_at_a_loss_row():
     inst = amdl.gen_star_lb(2, 8, 1, 3)
     labels = inst.hypothesis_class.labels
     target, counts = best_nu_index(inst), [1] * inst.k
     assert inst.nu_exact() == 0
-    fam = amdl.plain_family(OracleSet(inst, seed=4))
-    # the target errs nowhere: every row of its run is zero
-    assert fam.round_losses(labels, target, counts, 7) == [0.0] * inst.k
-    assert fam.serve_zero_rows(target, 100) == 6        # the run holds rounds_left rows
-    assert fam.serve_zero_rows(target, 100) == 0
-    fam.round_losses(labels, target, counts, 50)
-    assert [fam.serve_zero_rows(target, cap) for cap in (0, 10, 1000, 5)] == [0, 10, 39, 0]
-    with pytest.raises(ContractViolation):
-        fam.serve_zero_rows(target, -1)
-    # another member's zero runs end at its next row with a loss, which the
-    # next round serves, or at the cap the rounds left set; a twin drawing
-    # every round on its own meters the same
+    o = OracleSet(inst, seed=4)
+    fam = amdl.plain_family(o)
+    # the target errs nowhere: every stretch on it draws its cap of zero rows
+    for cap in (1, 7, 50):
+        assert fam.row(labels, target, counts, cap) == ([0.0] * inst.k, cap)
+    assert o.ledger.unlabeled_draws.tolist() == [58] * inst.k
+    # another member's stretches end at its first row with a loss, which may
+    # be the stretch's first row, or at the cap the rounds left set; a twin
+    # drawing every row on its own meters the same
     fused_o, twin_o = OracleSet(inst, seed=4), OracleSet(inst, seed=4)
     fused, twin = amdl.plain_family(fused_o), _DrawnRounds(amdl.plain_family(twin_o))
     j = len(labels) - 1         # errs with mass 1/8 under each distribution
-    left, runs = 40, []
+    left, stretches = 40, []
     while left:
-        got = fused.round_losses(labels, j, counts, left)
-        assert got == twin.round_losses(labels, j, counts, left)
-        left -= 1
-        if not any(got):
-            table, r = fused._tables[j], fused._served
-            runs.append(fused.serve_zero_rows(j, left))
-            assert runs[-1] == min((table[r:].any(axis=1).tolist() + [True]).index(True), left)
-            for _ in range(runs[-1]):
-                assert twin.round_losses(labels, j, counts, left) == [0.0] * inst.k
-                left -= 1
+        got = fused.row(labels, j, counts, left)
+        assert got == twin.row(labels, j, counts, left)
+        stretches.append(got)
+        left -= got[1]
     assert _metered(fused_o) == _metered(twin_o)
-    assert 0 < sum(runs) < 40 - len(runs)
-
-
-def test_a_zero_run_before_a_loss_row_lists_no_rows():
-    # the next row has a loss: nothing is served, and the table's rows with a
-    # loss are not listed
-    inst = amdl.gen_star_lb(2, 8, 1, 3)
-    labels = inst.hypothesis_class.labels
-    fam = amdl.plain_family(OracleSet(inst, seed=4))
-    j = len(labels) - 1
-    table, _ = fam.run_table(labels, j, [1] * inst.k, 40)
-    zero = (~table.any(axis=1)).tolist()
-    r = next(r for r in range(len(zero) - 1) if zero[r] and not zero[r + 1])
-    fam.serve(r + 1)
-    assert fam.serve_zero_rows(j, 10) == 0 and j not in fam._loss_rows
-    fam.serve(1)
-    assert fam.serve_zero_rows(j, 10) == min(10, (zero[r + 2:] + [False]).index(False))
+    assert all(any(r) for r, _ in stretches[:-1])
+    drawn = [n for _, n in stretches]
+    assert max(drawn) > 1 and 1 in drawn[:-1]
 
 
 def test_blocks_hold_no_more_requests_than_the_rounds_left():
@@ -1083,7 +1123,7 @@ def test_blocks_hold_no_more_requests_than_the_rounds_left():
     fam = amdl.induced_family(o, (0, 1))
     labels = o.instance.hypothesis_class.labels
     for left in (3, 2, 1, 40, 39):
-        fam.round_losses(labels, 0, [1, 2, 1], left)
+        round_losses(fam, labels, 0, [1, 2, 1], left)
         # b counts a block's served requests: what is left fits the rounds left
         assert all(len(blk.queries) - blk.b < left for blk in fam._blocks)
 
@@ -1133,7 +1173,7 @@ def test_stream_keeps_one_block_and_one_refill_after_a_long_agreement_run():
     for t in range(3000):
         tail = stream.buf.size - stream.pos
         buf = stream.buf
-        fam.round_losses(labels, t % 3, [1, 2, 3], 10_000)
+        round_losses(fam, labels, t % 3, [1, 2, 3], 10_000)
         blk = fam._blocks[2]
         assert blk.xs.size * 2 <= stream.block
         if stream.buf is not buf:
