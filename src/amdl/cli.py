@@ -8,7 +8,7 @@ import os
 import sys
 from numbers import Integral, Real
 
-from .complexity import (disagreement_coefficient, star_number,
+from .complexity import (DEFAULT_VC_CAP, disagreement_coefficient, star_number,
                          star_number_unqualified, vc_dimension)
 from .core import ContractViolation, best_nu, load_instance, save_instance
 from .families import FAMILIES, PARAM_TYPES, FamilySpec
@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--hstar", type=int, default=None,
                    help="reference hypothesis index (default: the minimax optimum)")
     m.add_argument("--r0", type=float, default=0.05)
-    m.add_argument("--cap", type=int, default=12)
+    m.add_argument("--cap", type=int, default=DEFAULT_VC_CAP)
     m.add_argument("--out")
     m.set_defaults(fn=_cmd_measure)
 

@@ -342,6 +342,8 @@ def _play_chunk(state: HedgeState, store: PooledStore, sampler: SamplerFamily, t
 
 @dataclass
 class HedgeResult:
+    """A solve's mixture of plays and its draws per distribution: reward
+    draws plus store draws are the ledger's draws over the solve."""
     hypothesis: RandomizedHypothesis
     rounds: int
     reward_draws: np.ndarray
@@ -366,15 +368,14 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
         raise ContractViolation("Hedge weights no longer sum to one")
     store = PooledStore(cls.labels[V], k)
     tally = [0] * len(V)       # plays of each candidate
-    reward_draws = [0] * k
+    drawn = sampler.oracles.ledger.unlabeled_draws     # the ledger meters the solve's draws
     doubled = [0.0] * k        # 2 * w_hat, the doubling thresholds
     trace = [] if collect_trace else None
     # hedge_step folds every later round's weights into w_bar as it makes them
     state.w_bar = _fold_max(state.w_bar, state.w)
     # the reward counts ceil(k * w_bar_i) change only when w_bar grows, which
-    # _fold_max shows by handing back a new list; the draws of a run of
-    # rounds on one w_bar are added when the run ends
-    bar, counts, since = None, [0] * k, 0
+    # _fold_max shows by handing back a new list
+    bar = None
     chunked = len(V) <= 2      # see _play_chunk; a larger solve draws rows
 
     while state.t < T:
@@ -394,8 +395,7 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
         # reward: the played hypothesis' empirical loss on ceil(k * w_bar_i)
         # fresh draws from each distribution, unbiased for the sampled one
         if state.w_bar is not bar:
-            reward_draws = [a + (state.t - since) * b for a, b in zip(reward_draws, counts)]
-            bar, since = state.w_bar, state.t
+            bar = state.w_bar
             counts = [math.ceil(k * v) for v in bar]
         if chunked and _play_chunk(state, store, sampler, tally, local, counts, doubled, eta,
                                    T - state.t, trace):
@@ -413,9 +413,9 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
         else:
             state.t += played
 
-    reward_draws = [a + (T - since) * b for a, b in zip(reward_draws, counts)]
     return HedgeResult(RandomizedHypothesis(cls, {h: n for h, n in zip(V, tally) if n}), T,
-                       np.array(reward_draws, dtype=np.int64), store.n.copy(), trace)
+                       sampler.oracles.ledger.unlabeled_draws - drawn - store.n, store.n.copy(),
+                       trace)
 
 
 def naive_erm_baseline(oracles: OracleSet, n: int) -> Hypothesis:

@@ -204,11 +204,12 @@ def check_outputs(outputs, m: int | None = None) -> np.ndarray:
     return outs.astype(np.int8)
 
 
-def _imputed_view(outputs, m: int) -> View:
-    """An abstaining classifier's outputs over m points as (abstains,
-    labels, abstains everywhere)."""
-    outs = check_outputs(outputs, m)
-    return outs == 0, outs, not outs.any()
+def check_distinct(members: Sequence[int], k: int) -> list[int]:
+    """`members` as a non-empty list of distinct indices of range(k)."""
+    got = [check_int("requests need distinct members; each", i, 0, k) for i in members]
+    if not got or len(set(got)) != len(got):
+        raise ContractViolation(f"requests need distinct members of range({k}); got {got!r}")
+    return got
 
 
 def _even_ends(base: int, step: int, rounds: int) -> Sequence[int]:
@@ -569,14 +570,13 @@ class SamplerFamily:
         sizes, and a surrogate kernel refuses them before any stream moves.
         Members are distinct distribution indices and `sizes` an integer
         matrix with a row per member, refused otherwise."""
-        members = [check_int("requests need distinct members; each", i, 0, self.k) for i in members]
+        members = check_distinct(members, self.k)
         sizes = np.asarray(sizes)
-        if (len(set(members)) != len(members) or sizes.ndim != 2 or sizes.dtype.kind not in "iu"
-                or not sizes.size or sizes.shape[0] != len(members) or sizes.min() < 0):
+        if (sizes.ndim != 2 or sizes.dtype.kind not in "iu" or not sizes.size
+                or sizes.shape[0] != len(members) or sizes.min() < 0):
             raise ContractViolation(
-                f"requests need distinct members of range({self.k}) and a non-empty matrix "
-                f"of sizes >= 0, a row per member; got {list(members)!r} and "
-                f"{sizes.dtype} {sizes.shape}")
+                f"requests need a non-empty matrix of sizes >= 0, a row per member of "
+                f"{members!r}; got {sizes.dtype} {sizes.shape}")
         rows = sizes.shape[1]
         blocks = [self._kernels[i](sizes[j], rows) for j, i in enumerate(members)]
         self.oracles._settle(blocks, rows)
@@ -682,7 +682,8 @@ def induced_family(oracles: OracleSet, version_space: Sequence[int]) -> SamplerF
 
 
 def imputed_family(oracles: OracleSet, outputs: np.ndarray) -> SamplerFamily:
-    return _imputing_family(oracles, _imputed_view(outputs, oracles.instance.m))
+    outs = check_outputs(outputs, oracles.instance.m)
+    return _imputing_family(oracles, (outs == 0, outs, not outs.any()))
 
 
 def surrogate_family(oracles: OracleSet, version_space: Sequence[int],

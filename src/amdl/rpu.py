@@ -1,24 +1,26 @@
 """Distribution-free active learning via reliable abstaining classifiers.
 
-A noise-robust single-distribution learner builds many per-batch consistent
-version spaces and combines them by a thresholded majority vote, drawing its
-batches together, in the order of drawing them one at a time, and voting with
-integer counts; a pruning loop lifts it to the k distributions of its sampler
-family's instance; an epoch loop halves the abstention mass and finishes with
-one passive solve over the abstain-imputed distributions.
+A noise-robust learner builds many per-batch consistent version spaces over
+the uniform mixture of some members of its sampler family and combines them
+by a thresholded majority vote, drawing its batches together, in the order of
+drawing them one at a time, and voting with integer counts; a pruning loop
+lifts it to the k distributions of the family's instance; an epoch loop
+halves the abstention mass and finishes with one passive solve over the
+abstain-imputed distributions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import ContractViolation, HypothesisClass, check_int
+from .core import ContractViolation, check_int
 from .hedge import mdl_hedge_vc
-from .oracles import BLOCK, OracleSet, SamplerFamily, check_outputs, imputed_family
+from .oracles import (BLOCK, OracleSet, SamplerFamily, check_distinct, check_outputs,
+                      imputed_family)
 from .active import RunResult
 from .runplan import Robust, RunPlan
 
@@ -34,10 +36,6 @@ class AbstainingClassifier:
     def __call__(self, x: int) -> int:
         return int(self.outputs[check_int("point", x, 0, self.outputs.size)])
 
-    @staticmethod
-    def always_abstain(m: int) -> "AbstainingClassifier":
-        return AbstainingClassifier(np.zeros(m, dtype=np.int8))
-
 
 def threshold_majority(votes_nonzero: np.ndarray, votes_sum: np.ndarray,
                        n_batches: int) -> np.ndarray:
@@ -47,22 +45,24 @@ def threshold_majority(votes_nonzero: np.ndarray, votes_sum: np.ndarray,
     return np.where(commit, np.sign(votes_sum), 0).astype(np.int8)
 
 
-Batches = Callable[[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
-def robust_rpu_learn(cls: HypothesisClass, draw: Batches, N: int, n: int) -> AbstainingClassifier:
-    """Noise-tolerant reliable learner for a single distribution.
+def robust_rpu_learn(family: SamplerFamily, members: Sequence[int], N: int,
+                     n: int) -> AbstainingClassifier:
+    """Noise-tolerant reliable learner for the uniform mixture of `members`,
+    distributions of `family`.
 
     Builds N per-batch consistent version spaces from batches of n pairs (an
     inconsistent batch is treated as corrupted and votes nothing) and returns
     the thresholded majority of their abstain-or-predict classifiers; the
-    plan sizes N and n (`runplan.robust`).  `draw(b, n)` gives the next b
-    batches of n pairs, as b draws of a batch in turn would, as flat arrays
-    of each pair's batch, point and label; it is called for slabs of at most
-    `BLOCK` pairs (or one batch).
+    plan sizes N and n (`runplan.robust`).  Each batch picks its pairs'
+    members on the family's auxiliary stream, then draws each member's share
+    of it in member order; batches are drawn in slabs of at most `BLOCK`
+    pairs (or one batch), as one batch at a time would draw them.  Members
+    are distinct distribution indices, refused before any stream moves.
     """
     N, n = check_int("N", N, 1), check_int("n", n, 1)
-    m = cls.m
+    members = check_distinct(members, family.k)
+    cls = family.oracles.instance.hypothesis_class
+    m, k = cls.m, len(members)
     labels = cls.labels.astype(np.int64)
     # row 2x + (y > 0): the members that do not give label y at x
     wrong = np.stack([labels.T > 0, labels.T < 0], axis=1).reshape(2 * m, -1).astype(np.int64)
@@ -70,7 +70,10 @@ def robust_rpu_learn(cls: HypothesisClass, draw: Batches, N: int, n: int) -> Abs
     slab = max(1, BLOCK // n)
     for done in range(0, N, slab):
         b = min(slab, N - done)
-        batch, xs, ys = draw(b, n)
+        picks = family.oracles.aux_choice_batch(b * n, k).reshape(b, n) * b + np.arange(b)[:, None]
+        sizes = np.bincount(picks.ravel(), minlength=k * b)     # member-major
+        xs, ys = family.draw_requests(members, sizes.reshape(k, b))
+        batch = np.repeat(np.arange(k * b) % b, sizes)
         seen = np.bincount((batch * m + xs) * 2 + (ys > 0), minlength=2 * m * b).reshape(b, 2 * m)
         consistent = (seen @ wrong == 0).astype(np.int64)
         # a batch's classifier: the sign of its consistent members' label sum
@@ -80,19 +83,6 @@ def robust_rpu_learn(cls: HypothesisClass, draw: Batches, N: int, n: int) -> Abs
         votes_nonzero += np.count_nonzero(f, axis=0)
         votes_sum += f.sum(axis=0)
     return AbstainingClassifier(threshold_majority(votes_nonzero, votes_sum, N))
-
-
-def mixture_draw(family: SamplerFamily, members: Sequence[int]) -> Batches:
-    """`draw(b, n)` for `robust_rpu_learn` over the uniform mixture of
-    `members`: each batch picks its pairs' members on the family's auxiliary
-    stream, then draws each member's share of it in member order."""
-    def draw(b: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        k = len(members)
-        picks = family.oracles.aux_choice_batch(b * n, k).reshape(b, n) * b + np.arange(b)[:, None]
-        sizes = np.bincount(picks.ravel(), minlength=k * b)     # member-major
-        xs, ys = family.draw_requests(members, sizes.reshape(k, b))
-        return np.repeat(np.arange(k * b) % b, sizes), xs, ys
-    return draw
 
 
 @dataclass
@@ -106,11 +96,12 @@ class PruneResult:
 def passive_rpu_mdl(family: SamplerFamily, active_set: Sequence[int], rp: Robust) -> PruneResult:
     """Collaborative reliable learning by mixture training and pruning.
 
-    Each round trains on the uniform mixture of the family's surviving
-    distributions with the plan's N batches of `rp.batch` pairs (reliability
-    xi/2), then prunes every distribution whose exact abstention mass is
-    already <= xi = `rp.xi`; after `rp.cap` rounds it reports a stall.  The
-    returned classifier predicts with the first committing round in round order.
+    Each round's robust learner draws from the uniform mixture of the
+    family's surviving members, the plan's N batches of `rp.batch` pairs
+    (reliability xi/2); the round then prunes every distribution whose exact
+    abstention mass is already <= xi = `rp.xi`.  After `rp.cap` rounds it
+    reports a stall.  The returned classifier predicts with the first
+    committing round in round order.
     """
     if len(active_set) == 0:
         raise ContractViolation("needs at least one distribution")
@@ -122,7 +113,7 @@ def passive_rpu_mdl(family: SamplerFamily, active_set: Sequence[int], rp: Robust
     while remaining:
         if len(learned) >= rp.cap:
             return PruneResult(None, len(learned), "pruning_stalled", per_round_abstain)
-        f_r = robust_rpu_learn(cls, mixture_draw(family, tuple(remaining)), rp.N, rp.batch)
+        f_r = robust_rpu_learn(family, remaining, rp.N, rp.batch)
         learned.append(f_r)
         masses = inst.masses(f_r.outputs == 0)
         per_round_abstain.append({i: float(masses[i]) for i in remaining})
@@ -146,7 +137,7 @@ def active_dist_free(oracles: OracleSet, p: RunPlan) -> RunResult:
     """
     inst = oracles.instance
     cls, k = inst.hypothesis_class, inst.k
-    f = AbstainingClassifier.always_abstain(inst.m)
+    f = AbstainingClassifier(np.zeros(inst.m, dtype=np.int8))
     trace = []
     classifiers: list[np.ndarray] = []
     *robust_epochs, final = p.epochs

@@ -23,7 +23,7 @@ from amdl.active import active_large_eps
 from amdl.core import loss_exact
 from amdl.families import kl_bernoulli, verify_separation
 from amdl.harness import PROFILES, run_trials
-from amdl.rpu import mixture_draw, robust_rpu_learn
+from amdl.rpu import robust_rpu_learn
 from amdl.runplan import plan
 from amdl.oracles import imputed_family
 
@@ -253,8 +253,7 @@ def test_criterion_6_rpu_reliability():
     for seed in range(trials):
         o = OracleSet(inst, seed)
         fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
-        f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, (0,)),
-                             *robust_sizes(xi, DELTA, 8, cfg.c_n))
+        f = robust_rpu_learn(fam, (0,), *robust_sizes(xi, DELTA, 8, cfg.c_n))
         rep = rpu_report(inst, f, target.labels)
         violations += any(v > 0 for v in rep.violation_mass)
         abst_ok += rep.abstention_mass[0] <= xi

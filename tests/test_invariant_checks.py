@@ -115,6 +115,7 @@ checks = {
     "nan target": lambda: amdl.run_trials(
         amdl.RunConfig(alg="active-dd-large", eps=math.nan, delta=0.1, instance=inst)),
     "malformed requests": lambda: fam.draw_requests([0], np.array([[1], [1]])),
+    "repeated learn members": lambda: amdl.robust_rpu_learn(fam, [0, 0], 60, 4),
     "bad outputs": lambda: amdl.imputed_family(OracleSet(inst, seed=0), np.full(inst.m, 7)),
     "wrapped outputs": lambda: amdl.AbstainingClassifier(np.array([255, 0])),
     "plan ceiling": lambda: amdl.run_trials(
@@ -160,6 +161,7 @@ def test_runtime_checks_hold_under_python_O():
                                        "refused: point below a hypothesis",
                                        "refused: point past an abstainer",
                                        "refused: negative member", "refused: nan target",
-                                       "refused: malformed requests", "refused: bad outputs",
+                                       "refused: malformed requests",
+                                       "refused: repeated learn members", "refused: bad outputs",
                                        "refused: wrapped outputs", "refused: plan ceiling",
                                        "refused: another run's plan"]

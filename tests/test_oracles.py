@@ -3,6 +3,7 @@
 import bisect
 import hashlib
 import itertools
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -525,14 +526,15 @@ def _three_distribution_fixture():
 
 _SAMPLE = (np.array([2, 3, 2], dtype=np.int64), np.array([1, -1, -1], dtype=np.int8))
 
+# each family on the version space V, (0, 1) unless given
 FAMILY_BUILDERS = {
-    "plain": lambda o: amdl.plain_family(o),
-    "induced": lambda o: amdl.induced_family(o, (0, 1)),
-    "imputed": lambda o: amdl.imputed_family(
+    "plain": lambda o, V=(0, 1): amdl.plain_family(o),
+    "induced": lambda o, V=(0, 1): amdl.induced_family(o, V),
+    "imputed": lambda o, V=(0, 1): amdl.imputed_family(
         o, np.resize(np.array([0, 1, 0, -1], dtype=np.int8), o.instance.m)),
-    "surrogate": lambda o: amdl.surrogate_family(o, (0, 1), [_SAMPLE] * o.instance.k),
-    "surrogate-none": lambda o: amdl.surrogate_family(
-        o, (0, 1), [None if i == 1 else _SAMPLE for i in range(o.instance.k)]),
+    "surrogate": lambda o, V=(0, 1): amdl.surrogate_family(o, V, [_SAMPLE] * o.instance.k),
+    "surrogate-none": lambda o, V=(0, 1): amdl.surrogate_family(
+        o, V, [None if i == 1 else _SAMPLE for i in range(o.instance.k)]),
 }
 
 TWIN_INSTANCES = {
@@ -547,7 +549,7 @@ class _DrawnRounds:
 
     def __init__(self, family):
         self.family = family
-        self.k = family.k
+        self.k, self.oracles = family.k, family.oracles
 
     def draw(self, i, n):
         return self.family.draw(i, n)
@@ -1004,21 +1006,36 @@ def test_settle_refuses_a_stream_moved_under_served_rounds():
     assert [s.consumed for s in o._streams] == [s.consumed for s in twin_o._streams]
 
 
-@pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
-def test_a_solves_draws_are_the_ledgers_draws_over_it(kind, desk_knobs):
+# a family kind on two candidates, whose rounds are mostly played in chunks,
+# or ("-rows") on three, whose rounds are all drawn as rows
+SOLVE_SPACES = {**{kind: (kind, (0, 1)) for kind in FAMILY_BUILDERS},
+                **{f"{kind}-rows": (kind, (0, 1, 2)) for kind in FAMILY_BUILDERS}}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_SPACES))
+def test_a_solves_draws_are_the_ledgers_draws_over_it(case, desk_knobs):
     # the ledger is the one meter of draws: over a solve, what it adds per
-    # distribution is the solver's own count, reward draws plus store growth,
-    # after draws that are not the solve's (agreement sampling, a plain draw)
+    # distribution is reward draws plus store growth, after draws that are not
+    # the solve's (agreement sampling, a plain draw); each round draws
+    # ceil(k * w_bar_i) reward pairs from distribution i, w_bar the running
+    # maximum of the played weight vectors
+    kind, V = SOLVE_SPACES[case]
     inst = _three_distribution_fixture()
     cfg = SolverConfig(eps=0.2, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
     o = OracleSet(inst, seed=11)
-    o.sample_conditional_agreement(0, (0, 1), 20)
+    o.sample_conditional_agreement(0, V, 20)
     o.draw_labeled_batch(2, 7)
     before = o.ledger.unlabeled_draws.copy()
-    res = mdl_hedge_vc(inst.hypothesis_class, (0, 1), FAMILY_BUILDERS[kind](o), cfg, inst.k, 1)
+    res = mdl_hedge_vc(inst.hypothesis_class, V, FAMILY_BUILDERS[kind](o, V), cfg, inst.k, 1,
+                       collect_trace=True)
     assert res.rounds > 10 and res.reward_draws.min() > 0
     assert (res.reward_draws + res.store_draws).tolist() == (
         o.ledger.unlabeled_draws - before).tolist()
+    w_bar, expected = np.zeros(inst.k), np.zeros(inst.k, dtype=np.int64)
+    for row in res.trace:
+        w_bar = np.maximum(w_bar, row[1])
+        expected += [math.ceil(inst.k * v) for v in w_bar]
+    assert res.reward_draws.tolist() == expected.tolist()
 
 
 def test_large_candidate_set_solve_equals_k_draws(desk_knobs):

@@ -11,8 +11,7 @@ import amdl
 from amdl import (AbstainingClassifier, ContractViolation, OracleSet,
                   SolverConfig)
 from amdl.oracles import imputed_family, plain_family
-from amdl.rpu import (active_dist_free, mixture_draw, passive_rpu_mdl, robust_rpu_learn,
-                      threshold_majority)
+from amdl.rpu import active_dist_free, passive_rpu_mdl, robust_rpu_learn, threshold_majority
 from amdl.runplan import batch_size, plan, robust
 
 from closed_forms import (imputed_distribution, joint_exact, mass_exact, mass_reference,
@@ -97,8 +96,7 @@ def test_robust_rpu_learn_noiseless_reliable(desk_knobs):
     for seed in range(trials):
         inst, target, o = _noiseless_setup(seed)
         fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
-        f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, (0,)),
-                             *robust_sizes(0.25, 0.1, 8, cfg.c_n))
+        f = robust_rpu_learn(fam, (0,), *robust_sizes(0.25, 0.1, 8, cfg.c_n))
         rep = rpu_report(inst, f, target.labels, labels_used=o.ledger.label_total)
         violations += any(v > 0 for v in rep.violation_mass)
         abstain_ok += rep.abstention_mass[0] <= 0.25
@@ -106,14 +104,24 @@ def test_robust_rpu_learn_noiseless_reliable(desk_knobs):
     assert abstain_ok >= 27  # 1 - delta of trials
 
 
-@pytest.mark.parametrize("N, n", [(60, 0), (60, 2.5), (0, 4), (True, 4), (60, True)], ids=str)
-def test_robust_rpu_learn_refuses_a_bad_batch_count_or_size(N, n):
-    # n = 0 raised ZeroDivisionError, n = 2.5 TypeError; N = 0 abstained everywhere
-    inst = amdl.gen_prop1(2, 0.2)
-    o = OracleSet(inst, 0)
-    with pytest.raises(ContractViolation, match="^N |^n "):
-        robust_rpu_learn(inst.hypothesis_class, mixture_draw(plain_family(o), (0,)), N, n)
-    assert o.ledger.unlabeled_total == 0
+# (N, n, members) of a learn on a 2-distribution family
+BAD_LEARNS = {**{f"{N}-{n}": (N, n, (0,))
+                 for N, n in [(60, 0), (60, 2.5), (0, 4), (True, 4), (60, True)]},
+              **{f"members-{members}": (60, 4, members)
+                 for members in [(0, 0), (5,), (1.0,), ()]}}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LEARNS))
+def test_robust_rpu_learn_refuses_a_bad_batch_count_or_size(case):
+    # n = 0 raised ZeroDivisionError, n = 2.5 TypeError; N = 0 abstained
+    # everywhere; repeated or out-of-range members moved the auxiliary stream
+    # before the draws refused them
+    N, n, members = BAD_LEARNS[case]
+    o = OracleSet(amdl.gen_prop1(2, 0.2), 0)
+    with pytest.raises(ContractViolation, match="^N |^n |^requests need"):
+        robust_rpu_learn(plain_family(o), members, N, n)
+    assert o.ledger.unlabeled_total == o.ledger.label_total == 0
+    assert o._aux.consumed == 0 and all(s.consumed == 0 for s in o._streams)
 
 
 def test_robust_rpu_learn_takes_numpy_integers():
@@ -121,8 +129,7 @@ def test_robust_rpu_learn_takes_numpy_integers():
     for cast in (int, np.int64):
         inst = amdl.gen_prop1(2, 0.2)
         o = OracleSet(inst, 0)
-        outs.append(robust_rpu_learn(inst.hypothesis_class, mixture_draw(plain_family(o), (0,)),
-                                     cast(60), cast(4)).outputs.tolist())
+        outs.append(robust_rpu_learn(plain_family(o), (0,), cast(60), cast(4)).outputs.tolist())
     assert outs[0] == outs[1]
 
 
@@ -133,8 +140,7 @@ def test_robust_rpu_learn_tolerates_corrupted_batches(desk_knobs):
     o = OracleSet(inst, seed=0)
     fam = imputed_family(o, np.zeros(inst.m, dtype=np.int8))
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=0.3, **desk_knobs)
-    f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, (0,)),
-                         *robust_sizes(0.5, 0.2, 2, cfg.c_n))
+    f = robust_rpu_learn(fam, (0,), *robust_sizes(0.5, 0.2, 2, cfg.c_n))
     assert set(np.unique(f.outputs)) <= {-1, 0, 1}
 
 
@@ -177,8 +183,7 @@ def test_batched_learner_equals_one_batch_at_a_time(case, log, desk_knobs):
         o = OracleSet(inst, seed=7, log_transcript=log)
         fam = imputed_family(o, outputs)
         if batched:
-            f = robust_rpu_learn(inst.hypothesis_class, mixture_draw(fam, members),
-                                 *robust_sizes(xi, delta, s_star, c_n)).outputs
+            f = robust_rpu_learn(fam, members, *robust_sizes(xi, delta, s_star, c_n)).outputs
         else:
             f = robust_rpu_reference(inst.hypothesis_class,
                                      mixture_draw_reference(fam, o, members), xi, delta,
@@ -198,8 +203,7 @@ def test_passive_rpu_mdl_single_distribution_equals_robust(desk_knobs):
     pr = passive_rpu_mdl(fam1, range(1), robust(1, 0.25, 0.1, 8, cfg.c_n))
     inst2, _, o2 = _noiseless_setup(3, k=1)
     fam2 = imputed_family(o2, np.zeros(inst2.m, dtype=np.int8))
-    f2 = robust_rpu_learn(inst2.hypothesis_class, mixture_draw(fam2, (0,)),
-                          *robust_sizes(0.125, 0.05, 8, cfg.c_n))
+    f2 = robust_rpu_learn(fam2, (0,), *robust_sizes(0.125, 0.05, 8, cfg.c_n))
     assert pr.failure_mode is None and pr.rounds == 1
     assert np.array_equal(pr.classifier.outputs, f2.outputs)
 
