@@ -18,10 +18,11 @@ no `hedge_step` or ERM for the zero rows.  The running maxima w_bar seldom
 grow, so the counts are recomputed, and the reward draws totalled, only when
 they do.  A solve over at most two candidates plays stretches of rounds at
 once, as a shadow in Python floats predicts them, each round verified bit
-for bit (`_play_chunk`), on loss tables of the sampler's runs.  So a round
-is either played in a chunk on runs or drawn as a row: every round that no
-chunk plays comes from `row`, as does every round of a larger solve, whose
-runs' tables would mostly hold rows it never plays (see `amdl.oracles`).
+for bit (`_play_chunk`), on the loss tables the sampler reads from its
+blocks (`SamplerFamily.tables`).  So a round is either played in a chunk or
+drawn as a row: every round that no chunk plays comes from `row`, as does
+every round of a larger solve, whose tables would mostly hold rows it never
+plays (see `amdl.oracles`).
 The sampler meters each round as it serves it, so the ledger is whole
 whenever the solve stops, on an error too.  Over two distributions the
 shadow steps one log-weight ratio against fixed thresholds;
@@ -300,17 +301,17 @@ def _play_chunk(state: HedgeState, store: PooledStore, sampler: SamplerFamily, t
                 local: int, counts: list[int], doubled: list[float], eta: float,
                 rounds_left: int, trace: list | None) -> int:
     """Play this round (ERM pick `local`) and the next ones of a solve over at
-    most two candidates as `_predict_plays` predicts them, up to the run's
-    end or T, in one numpy pass that computes each round as `hedge_step` and
-    `erm` would, bit for bit.  The longest prefix whose plays match and that
-    crosses no boundary or check is played and its length returned.  None is
-    tried, and no table built, while a weight sits at its limit min(doubled_i,
-    counts_i / k), where the shadow stops (at 1/k in a solve's first round, or
-    over the k = 2 empty interval): it seldom plays past this round there."""
+    most two candidates as `_predict_plays` predicts them, up to the last row
+    of the sampler's tables or T, in one numpy pass that computes each round
+    as `hedge_step` and `erm` would, bit for bit.  The longest prefix whose
+    plays match and that crosses no boundary or check is played and its
+    length returned.  None is tried, and no table built, while a weight sits
+    at its limit min(doubled_i, counts_i / k), where the shadow stops (at 1/k
+    in a solve's first round, or over the k = 2 empty interval): it seldom
+    plays past this round there."""
     if any(w >= min(a, c / state.k) for w, a, c in zip(state.w, doubled, counts)):
         return 0
-    tables = [table[r:] for table, r in (sampler.run_table(store.labels, j, counts, rounds_left)
-                                         for j in range(len(store.labels)))]
+    tables = sampler.tables(store.labels, counts, rounds_left)
     p = np.array(_predict_plays(state, store, tables, local, counts, doubled, eta,
                                 min(len(tables[0]), rounds_left)))
     m = len(p)

@@ -23,8 +23,8 @@ from distribution i takes, from stream i,
   3. surrogate sampling only: one pick variate per non-queried point, in draw
      order, choosing a uniform element of the pre-labeled sample S_i.
 A request reads no other stream, so a solver round may serve its k requests
-in one call (`SamplerFamily.row`, or a run's `serve`) and consume exactly
-what k separate `draw` calls in index order would.  Every sampler maps point
+in one call (`SamplerFamily.row` or `serve`) and consume exactly what k
+separate `draw` calls in index order would.  Every sampler maps point
 variates with `LabeledDistribution.points` (a bucket table for large maps).
 
 Two numpy kernels draw the pairs: the imputing kernel, which serves plain,
@@ -45,45 +45,43 @@ directly, without the chase of request starts.
 
 A solver round's request from distribution i does not depend on the played
 hypothesis, and its size c_i seldom changes, so for the chunks of rounds
-that a solve over at most two candidates plays (`run_table`, `serve`) the
-family serves rounds from a block of requests kept per distribution, in
-runs, which the chunks read whole.  A run is a stretch of rounds on one
-candidate matrix with unchanged counts, in which no block is rebuilt; it
-ends at the latest when one of its blocks runs out.  Within a run the
-rewards of candidate j are a table, one row of k losses per round, built on
-j's first play with one numpy pass over each block's requests in the run; a
-round is one lookup and a counter step.  Served rounds are metered as they
-are served, as every request is when it is made: their variates are consumed
-and their draws, queries and transcript lines metered, in round order and
-then distribution order, just as requests made one at a time would.  One
-rule keeps a run true to the streams: it serves only while each block's
-stream stands where that block's next request starts.  Any other read that
-consumes a stream's variates (`draw`, a row, agreement sampling) moves it,
-and the next round opens a new run.  A block is rebuilt when c_i changes,
-when stream i was read elsewhere since it was built, or when its requests
-run out.  It is built with no more requests than the caller still plays, and
-no more variates than one buffer block unless a single request needs more.
-Reading ahead changes no variate: a stream that holds too few appends the
-generator's next variates behind its unread tail.
+that a solve over at most two candidates plays (`tables`, `serve`) the
+family keeps a block of requests per distribution, drawn ahead, that serves
+chunk after chunk until it must be rebuilt.  A chunk's `tables` gives each
+candidate's rewards as a table, one row of k losses per round that every
+block still holds, from the blocks' next requests on, built with one numpy
+pass over each block's requests; a round of a chunk is one row.  `serve`
+makes the chunk's rounds happen, and meters them as every request is
+metered when it is made: their variates are consumed and their draws,
+queries and transcript lines metered, in round order and then distribution
+order, just as requests made one at a time would.  One rule keeps a block
+true to its stream: it serves only while the stream stands where the
+block's next request starts.  Any other read that consumes a stream's
+variates (`draw`, a row, agreement sampling) moves it, and the next
+`tables` rebuilds that block; so it does when c_i changes or the block's
+requests run out.  A block is built with no more requests than the caller
+still plays, and no more variates than one buffer block unless a single
+request needs more.  Reading ahead changes no variate: a stream that holds
+too few appends the generator's next variates behind its unread tail.
 
-Every other solver round is a row, drawn with no run: a solve over more
-than two candidates plays no chunks, and store growth and count changes end
-its runs after about 20 rounds, most of whose table rows it never plays; a
-round that no chunk plays would open a run for a round or two.  One `row`
-call draws a zero-row stretch and the loss row that ends it.  A row's k
-requests are made one after another, each consuming its variates and
-metering its draws, queries and transcript lines before the next.  One row
-kernel serves every family: it walks the points in Python over lists kept
-per stream (a window of the buffered variates from the stream's position and
-their points, remade when the buffer changes or the window runs out).  A
-stream's first window lists ROW_WINDOW variates (more if one request needs
-them), and each remade one twice the last, up to BLOCK, so a stream read
-mostly by chunks lists little more than its rows use.  A surrogate family
-imputes 0 everywhere, so against a +-1 candidate (`row` refuses any other)
-each point it does not query counts one miss; a pick pass then reads the
-picks that follow the request's labels, takes those misses back and counts
-each pick's own, read from the sample arrays.  A family makes its row kernel
-on its first `row`.
+Every other solver round is a row, drawn with no block: a solve over more
+than two candidates plays no chunks, as store growth and count changes
+rebuild its blocks after about 20 rounds, most of whose table rows it would
+never play; a round that no chunk plays would build blocks and tables for a
+round or two.  One `row` call draws a zero-row stretch and the loss row that
+ends it.  A row's k requests are made one after another, each consuming its
+variates and metering its draws, queries and transcript lines before the
+next.  One row kernel serves every family: it walks the points in Python
+over lists kept per stream (a window of the buffered variates from the
+stream's position and their points, remade when the buffer changes or the
+window runs out).  A stream's first window lists ROW_WINDOW variates (more
+if one request needs them), and each remade one twice the last, up to BLOCK,
+so a stream read mostly by chunks lists little more than its rows use.  A
+surrogate family imputes 0 everywhere, so against a +-1 candidate (`row`
+refuses any other) each point it does not query counts one miss; a pick pass
+then reads the picks that follow the request's labels, takes those misses
+back and counts each pick's own, read from the sample arrays.  A family
+makes its row kernel on its first `row`.
 """
 
 from __future__ import annotations
@@ -528,9 +526,9 @@ class SamplerFamily:
     distribution i.  `draw(i, n)` makes one request of n pairs,
     `draw_requests` rows of requests of unequal sizes, and `row` the solver
     rounds of a zero-row stretch, one request per distribution each, through
-    the kernel `make_row()` returns.  `run_table` and `serve` serve a solver's
-    chunks of rounds from blocks of requests kept per distribution, a run of
-    rounds at a time (see the module docstring).
+    the kernel `make_row()` returns.  `tables` and `serve` serve a solver's
+    chunks of rounds from blocks of requests kept per distribution (see the
+    module docstring).
     Every request is metered when it is made or served.  The family keeps no
     count of its own: what it draws is metered in the oracle set's ledger.
     """
@@ -545,14 +543,7 @@ class SamplerFamily:
         self._cand_labels: np.ndarray | None = None
         self._cands: dict[int, list[int]] = {}
         self._row_counts: list[int] = []
-        self._blocks: list[_Rounds | None] = [None] * self.k
-        self._labels: np.ndarray | None = None
-        # the open run: its counts (None before the first run), its length in
-        # rounds, the rounds served, and the loss table of each candidate
-        # played, one row per round of the run
-        self._counts: list[int] | None = None
-        self._length = self._served = 0
-        self._tables: dict[int, np.ndarray] = {}
+        self._blocks: list[_Rounds | None] = [None] * self.k   # the chunks' requests, drawn ahead
 
     def draw(self, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         i, n = check_int("distribution index", i, 0, self.k), check_int("sample count", n)
@@ -612,38 +603,18 @@ class SamplerFamily:
             raise ContractViolation("a round needs a draw count for every distribution")
         return [check_int("a round's draw count", c, 1) for c in counts]
 
-    def run_table(self, labels: np.ndarray, j: int, counts: Sequence[int],
-                  rounds_left: int) -> tuple[np.ndarray, int]:
-        """Candidate j's (row j of the label matrix `labels`) loss table in the
-        run that serves this round, opened if need be, and this round's row in
-        it: a row's losses are on counts[i] fresh pairs from each distribution
-        i, the pairs of `draw(i, counts[i])` for i = 0..k-1 in turn.
+    def tables(self, labels: np.ndarray, counts: Sequence[int],
+               rounds_left: int) -> list[np.ndarray]:
+        """Each candidate's (row of the label matrix `labels`) loss table, a
+        row per round from this one on, for as many rounds as every block
+        still holds: a row's losses are on counts[i] fresh pairs from each
+        distribution i, the pairs of `draw(i, counts[i])` for i = 0..k-1 in
+        turn.  A block that cannot serve this round is rebuilt first.
         `rounds_left` counts this round and the later rounds the caller plays
-        against `labels`; no block draws further ahead.  `serve` serves rounds.
-        A run serves only while no stream was read elsewhere since it opened."""
-        r = self._served
-        if (labels is not self._labels or counts != self._counts or r == self._length
-                or rounds_left < 1 or any(blk.moved() for blk in self._blocks)):
-            self._open_run(labels, counts, rounds_left)
-            r = 0
-        table = self._tables.get(j)
-        if table is None:
-            j = check_int("candidate", j, 0, len(labels))
-            table = self._tables[j] = self._table(j)
-        return table, r
-
-    def serve(self, m: int) -> None:
-        """Serve the open run's next m rounds, consuming and metering them as
-        m rounds of k `draw` calls each would."""
-        m = check_int("rounds served", m, 1, self._length - self._served + 1)
-        self.oracles._settle(self._blocks, m)
-        self._served += m
-
-    def _open_run(self, labels: np.ndarray, counts: Sequence[int], rounds_left: int) -> None:
-        """Open a run at this round, rebuilding the blocks that cannot serve it."""
+        against `labels`; no rebuilt block draws further ahead.  `serve`
+        serves the tables' first rows."""
         counts = self._checked_counts(counts)
-        check_int("rounds_left", rounds_left, 1)
-        self._served, self._tables = 0, {}
+        rounds_left = check_int("rounds_left", rounds_left, 1)
         blocks = self._blocks
         for i, c in enumerate(counts):
             blk = blocks[i]
@@ -651,20 +622,28 @@ class SamplerFamily:
             # stream stands where that request starts, untouched since
             if blk is None or blk.c != c or blk.b == len(blk.queries) or blk.moved():
                 blocks[i] = self._kernels[i](c, min(rounds_left, max(1, BLOCK // (2 * c))))
-        self._labels, self._counts = labels, counts
-        self._length = min(len(blk.queries) - blk.b for blk in blocks)
+        rows = self._rows_left()
+        tables = [np.empty((rows, self.k)) for _ in labels]
+        ones = np.ones(max(counts))     # a request's mistakes: a product with ones
+        for i, blk in enumerate(blocks):
+            ahead = slice(blk.b, blk.b + rows)
+            xs, ys, c = blk.xs[ahead], blk.ys[ahead], blk.c
+            for row, table in zip(labels, tables):
+                # count / c in numpy is the correctly rounded quotient, as in Python
+                np.divide((row[xs] != ys) @ ones[:c], c, out=table[:, i])
+        return tables
 
-    def _table(self, j: int) -> np.ndarray:
-        """Candidate j's losses in each round of the open run, a row per round."""
-        row, length = self._labels[j], self._length
-        table = np.empty((length, self.k))
-        ones = np.ones(max(self._counts))       # a request's mistakes: a product with ones
-        for i, blk in enumerate(self._blocks):
-            start = blk.b - self._served        # the run's first request
-            run = slice(start, start + length)
-            # count / c in numpy is the correctly rounded quotient, as in Python
-            np.divide((row[blk.xs[run]] != blk.ys[run]) @ ones[:blk.c], blk.c, out=table[:, i])
-        return table
+    def serve(self, m: int) -> None:
+        """Serve the blocks' next m rounds, the first m rows of `tables`,
+        consuming and metering them as m rounds of k `draw` calls each would.
+        Refused past the rounds the blocks hold, so before the first `tables`."""
+        m = check_int("rounds served", m, 1, self._rows_left() + 1)
+        self.oracles._settle(self._blocks, m)
+
+    def _rows_left(self) -> int:
+        """The rounds every block still holds."""
+        blocks = self._blocks
+        return 0 if None in blocks else min(len(blk.queries) - blk.b for blk in blocks)
 
 
 def _imputing_family(oracles: OracleSet, view: View) -> SamplerFamily:

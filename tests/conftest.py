@@ -98,12 +98,12 @@ def one_point_instance() -> MDLInstance:
 
 
 def round_losses(family, labels: np.ndarray, j: int, counts, rounds_left: int) -> list[float]:
-    """One solver round served from `family`'s run, as `hedge._play_chunk`
-    serves each round of a chunk: candidate j's row of the run's loss table,
+    """One solver round served from `family`'s blocks, as `hedge._play_chunk`
+    serves each round of a chunk: the first row of candidate j's loss table,
     then `serve(1)`."""
-    table, r = family.run_table(labels, j, counts, rounds_left)
+    losses = family.tables(labels, counts, rounds_left)[j][0]
     family.serve(1)
-    return table[r].tolist()
+    return losses.tolist()
 
 
 @pytest.fixture

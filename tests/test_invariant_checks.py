@@ -82,13 +82,13 @@ inst = amdl.gen_prop1(3, 0.2)
 fam = plain_family(OracleSet(inst, seed=0))
 moved = OracleSet(inst, seed=0)
 served = plain_family(moved)
-served.run_table(inst.hypothesis_class.labels, 0, [1, 2, 1], 5)
+served.tables(inst.hypothesis_class.labels, [1, 2, 1], 5)
 served.serve(1)
-moved._streams[1].take(1)     # a read the open run did not make
+moved._streams[1].take(1)     # a read the blocks did not make
 checks = {
     "nan reward": lambda: hedge_step(HedgeState(2), [math.nan, 0.5], 0.1),
     "negative draw": lambda: fam.draw(0, -1),
-    "zero round count": lambda: fam.run_table(inst.hypothesis_class.labels, 0, [1, 0, 1], 5),
+    "zero round count": lambda: fam.tables(inst.hypothesis_class.labels, [1, 0, 1], 5),
     "zero row count": lambda: fam.row(inst.hypothesis_class.labels, 0, [1, 0, 1], 1),
     "zero row cap": lambda: fam.row(inst.hypothesis_class.labels, 0, [1, 1, 1], 0),
     "nan knob": lambda: SolverConfig(eps=0.1, delta=0.1, nu=0.0, c_t=math.nan),
@@ -98,6 +98,7 @@ checks = {
     "ragged hypothesis": lambda: amdl.Hypothesis([[1], [1, -1]]),
     "ragged class row": lambda: amdl.HypothesisClass([[1, -1], [1]]),
     "overserved run": lambda: served.serve(5),
+    "serve before tables": lambda: fam.serve(1),
     "stretch past the candidates": lambda: fam.row(inst.hypothesis_class.labels,
                                                    len(inst.hypothesis_class), [1, 1, 1], 3),
     "non-+-1 candidate": lambda: fam.row(np.zeros((1, inst.m), dtype=np.int8), 0, [1, 1, 1], 1),
@@ -151,6 +152,7 @@ def test_runtime_checks_hold_under_python_O():
                                        "refused: moved stream", "refused: fractional label",
                                        "refused: ragged hypothesis", "refused: ragged class row",
                                        "refused: overserved run",
+                                       "refused: serve before tables",
                                        "refused: stretch past the candidates",
                                        "refused: non-+-1 candidate",
                                        "refused: mass of a non-mask",

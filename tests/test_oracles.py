@@ -125,11 +125,9 @@ BAD_CALLS = {
         amdl.plain_family(o), o.instance.hypothesis_class.labels, 0, [2], 2.5),
     "round_losses-a-count-per-member-short": lambda o: round_losses(
         amdl.plain_family(o), o.instance.hypothesis_class.labels, 0, [2, 2], 3),
-    "run_table-candidate-out-of-range": lambda o: amdl.plain_family(o).run_table(
-        o.instance.hypothesis_class.labels, 3, [2], 3),
-    "run_table-negative-candidate": lambda o: amdl.plain_family(o).run_table(
-        o.instance.hypothesis_class.labels, -1, [2], 3),
     "serve-bool": lambda o: _served(amdl.plain_family(o), True),
+    # no block to serve from before the first `tables`
+    "serve-before-tables": lambda o: amdl.plain_family(o).serve(1),
     # a candidate label other than -1 or +1, which the surrogate pick pass cannot score
     "row-zero-candidate-label": lambda o: amdl.surrogate_family(o, (0, 1), [_S]).row(
         o.instance.hypothesis_class.labels * 0, 0, [2], 1),
@@ -142,7 +140,7 @@ BAD_CALLS = {
 
 
 def _served(fam, m):
-    fam.run_table(fam.oracles.instance.hypothesis_class.labels, 0, [2], 3)
+    fam.tables(fam.oracles.instance.hypothesis_class.labels, [2], 3)
     fam.serve(m)
 
 
@@ -570,9 +568,10 @@ class _DrawnRounds:
         return losses, rows
 
 
-class _RunRounds:
-    """A family whose rounds are served one at a time from its runs
-    (`round_losses`), as `hedge._play_chunk` serves the rounds of a chunk."""
+class _BlockRounds:
+    """A family whose rounds are served one at a time from its blocks
+    (`round_losses`: a `tables` call, then `serve(1)`), as `hedge._play_chunk`
+    serves the rounds of a chunk."""
 
     def __init__(self, family):
         self.family = family
@@ -591,7 +590,7 @@ def _scripted_ops(k: int) -> list[tuple]:
     between rounds; each solve's horizon ends part-way into a buffer, and
     one solve stops short of the horizon it announced.  The last solve is
     resumed on its own candidate matrix and counts after a plain draw, an
-    agreement sample and an empty draw, each in the middle of its run."""
+    agreement sample and an empty draw, each in the middle of its blocks."""
     small = [tuple((3 * t + i) % 4 + 1 for i in range(k)) for t in range(4)]
     grow = tuple(v + (i == 1) for i, v in enumerate(small[0]))
     big = [tuple(5000 if i == t else 1 for i in range(k)) for t in range(2)]
@@ -663,7 +662,7 @@ def _check_twin_ops(inst: MDLInstance, kind: str, log_transcript: bool, start: s
     twin_o = OracleSet(inst, seed=31, log_transcript=log_transcript)
     _start_streams(fused_o, start)
     _start_streams(twin_o, start)
-    fused = _RunRounds(families[kind](fused_o))
+    fused = _BlockRounds(families[kind](fused_o))
     twin = _DrawnRounds(families[kind](twin_o))
     drawn = []
     for got, want in zip(_run_ops(fused_o, fused, ops), _run_ops(twin_o, twin, ops),
@@ -814,9 +813,9 @@ def test_row_windows_start_small_and_double_up_to_a_block(monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(FAMILY_BUILDERS))
 def test_a_row_leaves_nothing_pending(kind):
-    # a run's served rounds and a row each meter what they serve as they
-    # return: right after each call, with no ledger read in between, the
-    # ledger is the twin's, whose rounds are k draws each
+    # served rounds and a row each meter what they serve as they return:
+    # right after each call, with no ledger read in between, the ledger is
+    # the twin's, whose rounds are k draws each
     inst = _three_distribution_fixture()
     fused_o, twin_o = (OracleSet(inst, seed=6, log_transcript=True) for _ in range(2))
     fused, twin = FAMILY_BUILDERS[kind](fused_o), _DrawnRounds(FAMILY_BUILDERS[kind](twin_o))
@@ -828,11 +827,14 @@ def test_a_row_leaves_nothing_pending(kind):
 
     assert round_losses(fused, labels, 0, counts, 40) == twin.round_losses(labels, 0, counts, 40)
     assert unread(fused_o) == unread(twin_o)
-    table, r = fused.run_table(labels, 0, counts, 39)
+    tables = fused.tables(labels, counts, 39)
     fused.serve(5)
-    for row in table[r:r + 5]:
+    for row in tables[0][:5]:
         assert twin.round_losses(labels, 0, counts, 1) == row.tolist()
     assert unread(fused_o) == unread(twin_o)
+    # the blocks serve on from where `serve` left them: the same rows, from row 5
+    later = fused.tables(labels, counts, 34)
+    assert all(np.array_equal(a[5:], b) for a, b in zip(tables, later, strict=True))
     for t in range(5):
         assert fused.row(labels, t % 3, [1, 3, 2], t + 1) == twin.row(labels, t % 3, [1, 3, 2],
                                                                       t + 1)
@@ -931,8 +933,8 @@ def test_a_solve_refused_part_way_leaves_the_served_rounds_metered(kind, log_tra
     assert _metered(fused_o) == _metered(twin_o)
     assert [s.consumed for s in fused_o._streams] == [s.consumed for s in twin_o._streams]
     ops = [("solve", 1, [(1, 2, 1)] * 6), ("draw", 2, 5), ("solve", 0, [(3, 1, 2)] * 3)]
-    for got, want in zip(_run_ops(fused_o, _RunRounds(fused), ops), _run_ops(twin_o, twin, ops),
-                         strict=True):
+    for got, want in zip(_run_ops(fused_o, _BlockRounds(fused), ops),
+                         _run_ops(twin_o, twin, ops), strict=True):
         if isinstance(got, list):
             assert got == want
         else:
@@ -942,53 +944,55 @@ def test_a_solve_refused_part_way_leaves_the_served_rounds_metered(kind, log_tra
 
 def test_a_solve_that_raises_leaves_no_rounds_unsettled(desk_knobs):
     # every round is metered as it is served, so a solve that stops on an
-    # error leaves the ledger whole
-    inst = amdl.gen_agnostic_lb(3, 0.4, 0.05)
+    # error leaves the ledger whole, whether it stops as a chunk reads its
+    # tables (over two candidates) or as a stretch of rows is drawn (over
+    # four, where no chunk plays); both calls take the rounds left last
+    inst = amdl.gen_prop1(3, 0.2)
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
-    o = OracleSet(inst, seed=3)
-    fam = amdl.plain_family(o)
     T = hyperparams(cfg, inst.k, 1)[2]
-    read = fam.run_table
+    for path, V in (("tables", (0, 1)), ("row", (0, 1, 2, 3))):
+        o = OracleSet(inst, seed=0)
+        fam = amdl.plain_family(o)
+        calls = Counter()
 
-    def run_table(labels, j, counts, rounds_left):
-        # every round reads its losses here, alone or in a chunk of rounds
-        if T - rounds_left >= 49:
-            raise ContractViolation("stop part-way")
-        return read(labels, j, counts, rounds_left)
+        def stop(*args, read=getattr(fam, path)):
+            calls[path] += 1
+            if T - args[-1] >= 49:
+                raise ContractViolation("stop part-way")
+            return read(*args)
 
-    fam.run_table = run_table
-    with pytest.raises(ContractViolation, match="part-way"):
-        mdl_hedge_vc(inst.hypothesis_class, (0, 1), fam, cfg, inst.k, 1)
-    assert o.ledger.label_total == o.ledger.unlabeled_total > 0
+        setattr(fam, path, stop)
+        with pytest.raises(ContractViolation, match="part-way"):
+            mdl_hedge_vc(inst.hypothesis_class, V, fam, cfg, inst.k, 1)
+        assert calls[path] > 1
+        # plain sampling queries every pair, and a request takes two variates a pair
+        assert o.ledger.label_total == o.ledger.unlabeled_total > 0
+        assert [s.consumed for s in o._streams] == (2 * o.ledger.unlabeled_draws).tolist()
 
 
-def test_a_two_candidate_solve_opens_runs_only_for_its_chunks(monkeypatch, desk_knobs):
-    # every round that no chunk plays is drawn as a row, so the only runs a
-    # solve opens are those its chunks read (a round whose weights sit at
-    # their limit, such as the first, opens none)
+def test_a_two_candidate_solve_reads_tables_only_in_its_chunks(monkeypatch, desk_knobs):
+    # every round that no chunk plays is drawn as a row, so the only tables a
+    # solve reads are its chunks' (a round whose weights sit at their limit,
+    # such as the first, reads none)
     inst = amdl.gen_agnostic_lb(4, 0.4, 0.05)
     cfg = SolverConfig(eps=0.05, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
     callers = []
-    open_run = oracles.SamplerFamily._open_run
+    tables = oracles.SamplerFamily.tables
 
     def logged(self, *args):
-        frame, names = sys._getframe(1), []
-        while frame.f_code.co_name != "mdl_hedge_vc":
-            names.append(frame.f_code.co_name)
-            frame = frame.f_back
-        callers.append((names[0], names[-1]))
-        return open_run(self, *args)
+        callers.append(sys._getframe(1).f_code.co_name)
+        return tables(self, *args)
 
-    monkeypatch.setattr(oracles.SamplerFamily, "_open_run", logged)
+    monkeypatch.setattr(oracles.SamplerFamily, "tables", logged)
     res = mdl_hedge_vc(inst.hypothesis_class, (0, 1), amdl.plain_family(OracleSet(inst, seed=3)),
                        cfg, inst.k, 1)
-    assert res.rounds > 100 and set(callers) == {("run_table", "_play_chunk")}
+    assert res.rounds > 100 and set(callers) == {"_play_chunk"}
 
 
 def test_settle_refuses_a_stream_moved_under_served_rounds():
-    # a read of stream 1 the open run did not make: serving must refuse
+    # a read of stream 1 its block did not make: serving must refuse
     # rather than consume variates that were read already, and the next
-    # round opens a new run that matches the twin
+    # round rebuilds that block and matches the twin
     inst = _three_distribution_fixture()
     o, twin_o = OracleSet(inst, seed=1), OracleSet(inst, seed=1)
     fam, twin = amdl.plain_family(o), _DrawnRounds(amdl.plain_family(twin_o))
