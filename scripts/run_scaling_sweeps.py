@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Label-complexity scaling sweeps over the benchmark families.
 
-Reproduces the three headline shapes at desk scale and writes both the raw
-sweep CSV and the per-figure plot-data series:
-  - epoch-halving active learner vs ln(1/eps) on the star family,
-  - two-stage active learner vs k on the agnostic family,
-  - naive passive baseline vs the active learner on the averaging family.
+Reproduces two headline shapes at desk scale and writes both the raw sweep
+CSV and the per-figure plot-data series:
+  - epoch-halving active learner vs ln(1/eps) on the star family, beside the
+    naive passive baseline on the same star-lb cells,
+  - two-stage active learner vs k on the agnostic family, beside
+    passive-hedge.
 
 Usage: python scripts/run_scaling_sweeps.py --outdir results [--trials 50]
 """

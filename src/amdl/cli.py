@@ -6,7 +6,7 @@ import argparse
 import json
 import os
 import sys
-from numbers import Integral, Real
+from numbers import Real
 
 from .complexity import (DEFAULT_VC_CAP, disagreement_coefficient, star_number,
                          star_number_unqualified, vc_dimension)
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         if kind is bool:
             g.add_argument(flag, action="store_true", default=None)
         else:
-            g.add_argument(flag, type={Integral: int, Real: float, str: str}[kind])
+            g.add_argument(flag, type=float if kind is Real else kind)
     g.add_argument("--out", required=True)
     g.set_defaults(fn=_cmd_gen)
 

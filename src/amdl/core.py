@@ -49,6 +49,21 @@ def check_int(name: str, value, least: int | None = 0, below: int | None = None)
     raise ContractViolation(f"{name} must be {bounds}an integer, got {value!r}")
 
 
+def check_real(name: str, value, least: float = -math.inf, below: float = math.inf):
+    """`value` unchanged: a real number (no bool) that is finite as a float,
+    with least < value < below.  Refused otherwise with a ContractViolation
+    that names the argument."""
+    try:
+        if (not isinstance(value, bool) and isinstance(value, Real)
+                and least < value < below and math.isfinite(value)):
+            return value
+    except OverflowError:   # an int too large for a float
+        pass
+    span = (f"in ({least:g}, {below:g})" if below < math.inf else "finite" if least == -math.inf
+            else "positive and finite" if least == 0 else f"finite and > {least:g}")
+    raise ContractViolation(f"{name} must be a real number, {span}, got {value!r}")
+
+
 def _frac(x: Number) -> Fraction:
     """Exact conversion; floats map to their exact binary value and strings
     are read as `Fraction` reads them.  Bools, NaN, infinities and anything
@@ -397,17 +412,20 @@ def disagreement_exact(h1: HypothesisLike, h2: HypothesisLike, dist: LabeledDist
                     total1 * total2 * dist._mden)
 
 
-def check_members(cls: HypothesisClass, version_space: Sequence[int]) -> list[int]:
-    """The version space's members as ints, each an integer index of the class."""
-    V = [check_int("version space member", v, 0, len(cls)) for v in version_space]
-    if not V:
-        raise ContractViolation("a version space needs at least one member")
-    return V
+def check_members(what: str, members: Sequence[int], below: int,
+                  distinct: bool = False) -> list[int]:
+    """`members` as a non-empty list of ints of range(below), no two equal if
+    `distinct` (a version space may repeat a member; requests may not)."""
+    need = f"{what} need {'distinct ' if distinct else ''}members of range({below})"
+    got = [check_int(f"{need}; each", v, 0, below) for v in members]
+    if not got or distinct and len(set(got)) != len(got):
+        raise ContractViolation(f"{need}; got {got!r}")
+    return got
 
 
 def agreement_labels(cls: HypothesisClass, version_space: Sequence[int]) -> np.ndarray:
     """Unanimous label V(x) on the agreement region, 0 on the disagreement region."""
-    sub = cls.labels[check_members(cls, version_space)]
+    sub = cls.labels[check_members("version spaces", version_space, len(cls))]
     lo, hi = sub.min(axis=0), sub.max(axis=0)
     return np.where(lo == hi, lo, 0).astype(np.int8)
 
@@ -470,20 +488,21 @@ def instance_to_dict(inst: MDLInstance) -> dict:
 
 def _field(doc: dict, key: str, kind: type, where: str = "instance", required: bool = True):
     """doc[key], refused by name if doc is no mapping, if required and
-    missing, or if not of type `kind` (a real must be finite, and no bool)."""
+    missing, or if not of type `kind`: an int as `check_int` takes it, a Real
+    as `check_real` does, and a bool only where `kind` is bool."""
     if not isinstance(doc, dict):
         raise ContractViolation(f"{where} must be a mapping, got {doc!r}")
     if key not in doc:
         if required:
             raise ContractViolation(f"{where} is missing {key!r}")
         return None
-    value = doc[key]
+    value, name = doc[key], f"{where} field {key!r}"
     if kind is int:
-        return check_int(f"{where} field {key!r}", value, None)
-    if (isinstance(value, bool) or not isinstance(value, kind)
-            or isinstance(value, float) and not math.isfinite(value)):
-        raise ContractViolation(f"{where} field {key!r} must be of type {kind.__name__}, "
-                                f"got {value!r}")
+        return check_int(name, value, None)
+    if kind is Real:
+        return check_real(name, value)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ContractViolation(f"{name} must be of type {kind.__name__}, got {value!r}")
     return value
 
 

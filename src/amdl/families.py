@@ -14,26 +14,24 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .core import (ContractViolation, Hypothesis, HypothesisClass, LabeledDistribution,
-                   MDLInstance, _frac, check_int)
+                   MDLInstance, _field, _frac, check_int, check_real)
 
-# the type of each generator parameter; a bool counts as neither number
-PARAM_TYPES = {"k": Integral, "theta": Integral, "i": Integral, "j": Integral,
-               "m": Integral, "n_hyp": Integral, "seed": Integral,
-               "flipped_index": Integral, "eps": Real, "nu": Real, "nu_prime": Real,
+# the kind of each generator parameter, as `core._field` reads it
+PARAM_TYPES = {"k": int, "theta": int, "i": int, "j": int, "m": int, "n_hyp": int,
+               "seed": int, "flipped_index": int, "eps": Real, "nu": Real, "nu_prime": Real,
                "case": str, "realizable": bool}
-_KIND_NAMES = {Real: "a finite real number", str: "a string", bool: "a bool"}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """A family tag plus its parameters (copied); validated against its
     generator's signature (every parameter without a default is given, and
-    no other), the types of the parameters it has, and its ranges."""
+    no other), the kinds of the parameters it has, and its ranges."""
 
     family: str
     params: dict = field(default_factory=dict)
@@ -41,27 +39,15 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ContractViolation(f"unknown family {self.family!r}")
-        if not isinstance(self.params, dict):
-            raise ContractViolation(f"family {self.family!r} params must be a mapping of "
-                                    f"names to values, got {self.params!r}")
-        object.__setattr__(self, "params", dict(self.params))
         takes = inspect.signature(GENERATORS[self.family]).parameters
-        missing = [name for name, p in takes.items()
-                   if p.default is p.empty and name not in self.params]
-        if missing:
-            raise ContractViolation(f"family {self.family!r} needs params {missing}")
-        for name in [name for name in takes if name in self.params]:
-            value, kind = self.params[name], PARAM_TYPES[name]
-            if kind is Integral:    # the generator checks the range
-                self.params[name] = check_int(f"family {self.family!r} param {name!r}", value, None)
-            elif (isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)
-                    or kind is Real and not math.isfinite(value)):
-                raise ContractViolation(f"family {self.family!r} param {name!r} must be "
-                                        f"{_KIND_NAMES[kind]}, got {value!r}")
+        where = f"family {self.family!r} params"    # the generator checks the ranges
+        read = {name: _field(self.params, name, PARAM_TYPES[name], where, p.default is p.empty)
+                for name, p in takes.items()}
         unknown = [name for name in self.params if name not in takes]
         if unknown:
             raise ContractViolation(f"family {self.family!r} takes no params {unknown}; "
                                     f"it takes {list(takes)}")
+        object.__setattr__(self, "params", {name: read[name] for name in self.params})
 
     def generate(self) -> MDLInstance:
         return GENERATORS[self.family](**self.params)
@@ -327,7 +313,6 @@ def verify_separation(instances: list[MDLInstance], eps) -> SeparationReport:
 
 def kl_bernoulli(p: float, q: float) -> float:
     """Closed-form KL divergence between Bernoulli(p) and Bernoulli(q)."""
-    if not (0 < p < 1 and 0 < q < 1):
-        raise ContractViolation("p and q must lie in the open interval (0,1)")
+    p, q = check_real("p", p, 0, 1), check_real("q", q, 0, 1)
     return p * math.log(p / q) + (1 - p) * math.log((1 - p) / (1 - q))
 

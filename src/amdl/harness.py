@@ -21,7 +21,7 @@ import numpy as np
 from . import runplan
 from .active import Halving, RunResult, active_large_eps, active_small_eps
 from .complexity import star_number_unqualified, vc_dimension
-from .core import ContractViolation, MDLInstance, check_int, worst_loss
+from .core import ContractViolation, MDLInstance, _field, check_int, check_real, worst_loss
 from .hedge import KNOBS, SolverConfig, mdl_hedge_vc, naive_erm_baseline
 from .oracles import OracleSet, plain_family
 from .rpu import active_dist_free
@@ -146,6 +146,7 @@ RUNNERS: dict[str, Callable[..., RunResult]] = {
 
 def can_fail(inst: MDLInstance, eps: float) -> bool:
     """Whether some member's worst-case loss fails `run_single_trial`'s success test."""
+    eps = check_real("eps", eps)
     return not float(inst.worst_member_loss()) <= float(inst.nu_exact()) + eps + SUCCESS_TOL
 
 
@@ -248,45 +249,27 @@ def sweep(config: dict) -> list[dict]:
     """
     from .families import FamilySpec
 
-    if not isinstance(config, dict):
-        raise ContractViolation(f"sweep config must be a mapping, got {config!r}")
-    missing = [key for key in ("families", "algs", "eps_grid") if key not in config]
-    if missing:
-        raise ContractViolation(f"sweep config is missing {missing}")
-    for key in ("families", "algs"):
-        if not isinstance(config[key], list):
-            raise ContractViolation(f"sweep {key} must be a list, got {config[key]!r}")
-    if any(not isinstance(fam, dict) or "family" not in fam for fam in config["families"]):
+    families, algs, grid = (_field(config, key, list, "sweep config")
+                            for key in ("families", "algs", "eps_grid"))
+    if any(not isinstance(fam, dict) or "family" not in fam for fam in families):
         raise ContractViolation("every sweep families entry needs a 'family' key")
-
-    def real(name: str, v) -> float:
-        try:    # a real number, not a str or bool that float() takes
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise TypeError(f"got {v!r}")
-            return float(v)
-        except (TypeError, OverflowError) as exc:
-            raise ContractViolation(f"sweep {name} must be a number: {exc}") from exc
-
-    grid = config["eps_grid"]
-    if not isinstance(grid, list):
-        raise ContractViolation(f"sweep eps_grid must be a list of numbers, got {grid!r}")
-    grid = [real("eps_grid entry", eps) for eps in grid]
-    profile, delta = config.get("profile", "desk"), real("delta", config.get("delta", 0.1))
+    # checked, then made floats, so each row's repr(eps) and repr(delta) are a float's
+    grid = [float(check_real("sweep eps_grid entry", eps)) for eps in grid]
+    profile = config.get("profile", "desk")
+    delta = float(check_real("sweep delta", config.get("delta", 0.1)))
 
     def count(key: str, default: int) -> int:
         v = config.get(key, default)    # an integral float is a count; RunConfig checks the range
         return check_int(f"sweep {key}", int(v) if type(v) is float and v.is_integer() else v, None)
 
     trials, base_seed = count("trials", 50), count("base_seed", 0)
-    knobs = config.get("knobs", {})
-    if not isinstance(knobs, dict):
-        raise ContractViolation(f"sweep knobs must be a mapping, got {knobs!r}")
+    knobs = _field(config, "knobs", dict, "sweep config", required=False) or {}
     global _carried
     rows, _carried = [], {}
     try:
-        for fam in config["families"]:
+        for fam in families:
             made = None     # the entry's instance, made at its first cell
-            for alg in config["algs"]:
+            for alg in algs:
                 _carried.clear()    # one (families entry, alg) group at a time
                 for eps in grid:
                     row = {"family": fam["family"],

@@ -41,14 +41,13 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import reduce
-from numbers import Real
 from operator import ge
 from typing import Sequence
 
 import numpy as np
 
 from .core import (ContractViolation, Hypothesis, HypothesisClass,
-                   RandomizedHypothesis, check_int, check_members)
+                   RandomizedHypothesis, check_int, check_members, check_real)
 from .oracles import OracleSet, SamplerFamily, plain_family
 
 WEIGHT_SUM_TOL = 1e-12
@@ -69,18 +68,12 @@ class SolverConfig:
     c_n: float = 1.0       # batch-size knob of the RPU learner
 
     def __post_init__(self):
-        for name in ("eps", "delta", "nu"):   # a str or None fails the comparisons below
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Real):
-                raise ContractViolation(f"{name} must be a real number, got {v!r}")
-        if not (0 < self.eps < 1 and 0 < self.delta < 1):
-            raise ContractViolation("eps and delta must lie in (0,1)")
-        if not 0 <= self.nu < 1:
-            raise ContractViolation("nu must lie in [0,1)")
-        for name in KNOBS:   # refuses NaN, bools and non-numbers
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Real) or not 0 < v < math.inf:
-                raise ContractViolation(f"scale knob {name} must be positive and finite, got {v!r}")
+        for name in ("eps", "delta"):
+            check_real(name, getattr(self, name), 0, 1)
+        if not 0 <= check_real("nu", self.nu) < 1:
+            raise ContractViolation(f"nu must lie in [0,1), got {self.nu!r}")
+        for name in KNOBS:
+            check_real(f"scale knob {name}", getattr(self, name), 0)
 
 
 KNOBS = tuple(f.name for f in fields(SolverConfig) if f.default is not MISSING)
@@ -360,7 +353,7 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
     The doubling rule necessarily fires at t=1 (thresholds start at zero), so
     every distribution holds at least one sample before the first ERM.
     """
-    V = sorted(check_members(cls, version_space))
+    V = sorted(check_members("version spaces", version_space, len(cls)))
     k = check_int(f"k (the sampler serves {sampler.k})", k, sampler.k, sampler.k + 1)
     eps1, eta, T, T1 = hyperparams(cfg, k, d)
     state = HedgeState(k)

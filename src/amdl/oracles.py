@@ -93,7 +93,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, MDLInstance, agreement_labels, check_int
+from .core import ContractViolation, MDLInstance, agreement_labels, check_int, check_members
 
 BLOCK = 4096    # variates a stream draws from its generator at a time, at least
 ROW_WINDOW = 256    # variates a stream's first row window lists, at least
@@ -200,14 +200,6 @@ def check_outputs(outputs, m: int | None = None) -> np.ndarray:
     if outs.shape != (size,) or not np.isin(outs, (-1, 0, 1)).all():
         raise ContractViolation(f"outputs must be a vector of {size} values in {{-1, 0, +1}}")
     return outs.astype(np.int8)
-
-
-def check_distinct(members: Sequence[int], k: int) -> list[int]:
-    """`members` as a non-empty list of distinct indices of range(k)."""
-    got = [check_int("requests need distinct members; each", i, 0, k) for i in members]
-    if not got or len(set(got)) != len(got):
-        raise ContractViolation(f"requests need distinct members of range({k}); got {got!r}")
-    return got
 
 
 def _even_ends(base: int, step: int, rounds: int) -> Sequence[int]:
@@ -561,7 +553,7 @@ class SamplerFamily:
         sizes, and a surrogate kernel refuses them before any stream moves.
         Members are distinct distribution indices and `sizes` an integer
         matrix with a row per member, refused otherwise."""
-        members = check_distinct(members, self.k)
+        members = check_members("requests", members, self.k, distinct=True)
         sizes = np.asarray(sizes)
         if (sizes.ndim != 2 or sizes.dtype.kind not in "iu" or not sizes.size
                 or sizes.shape[0] != len(members) or sizes.min() < 0):

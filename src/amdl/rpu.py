@@ -17,10 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ContractViolation, check_int
+from .core import ContractViolation, check_int, check_members
 from .hedge import mdl_hedge_vc
-from .oracles import (BLOCK, OracleSet, SamplerFamily, check_distinct, check_outputs,
-                      imputed_family)
+from .oracles import BLOCK, OracleSet, SamplerFamily, check_outputs, imputed_family
 from .active import RunResult
 from .runplan import Robust, RunPlan
 
@@ -41,7 +40,7 @@ def threshold_majority(votes_nonzero: np.ndarray, votes_sum: np.ndarray,
                        n_batches: int) -> np.ndarray:
     """Abstain where at most N/5 batch classifiers commit, else the sign of the
     vote sum; an exactly balanced sum abstains (conservative sign convention)."""
-    commit = 5 * votes_nonzero > n_batches
+    commit = 5 * votes_nonzero > check_int("n_batches", n_batches, 1)
     return np.where(commit, np.sign(votes_sum), 0).astype(np.int8)
 
 
@@ -60,7 +59,7 @@ def robust_rpu_learn(family: SamplerFamily, members: Sequence[int], N: int,
     are distinct distribution indices, refused before any stream moves.
     """
     N, n = check_int("N", N, 1), check_int("n", n, 1)
-    members = check_distinct(members, family.k)
+    members = check_members("requests", members, family.k, distinct=True)
     cls = family.oracles.instance.hypothesis_class
     m, k = cls.m, len(members)
     labels = cls.labels.astype(np.int64)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .core import ContractViolation, check_int
+from .core import ContractViolation, check_int, check_real
 from .hedge import SolverConfig, hyperparams
 
 REGIME_FACTOR = 100.0
@@ -33,11 +33,10 @@ def batch_size(s_star: int, xi: float, c_n: float = 1.0) -> int:
     bound at per-batch confidence 1/40; found by doubling then bisection.  The
     log factor is clamped at 1 since the bound is vacuous below n = s.
     """
-    if not 0 < xi <= 1:
-        raise ContractViolation("target reliability must lie in (0, 1]")
+    if not 0 < check_real("target reliability", xi) <= 1:
+        raise ContractViolation(f"target reliability must lie in (0, 1], got {xi!r}")
     s_star = check_int("star number", s_star)
-    if not 0 < c_n < math.inf:
-        raise ContractViolation("batch-size knob must be positive and finite")
+    check_real("batch-size knob", c_n, 0)
 
     def load(n: int) -> float:
         dis = 10.0 * s_star * max(1.0, math.log(math.e * n / s_star)) \

@@ -393,7 +393,7 @@ MALFORMED_INSTANCE_FILES = {
                     "eta_plus"),
     "string-nu": (_instance_text(lambda d: d.update(nu="0.1")), "'nu'"),
     "nan-nu": (_instance_text(lambda d: d.update(nu=float("nan"))), "'nu'"),
-    "float-overflowing-nu": (_instance_text(lambda d: d.update(nu=10 ** 400)), "declared nu"),
+    "float-overflowing-nu": (_instance_text(lambda d: d.update(nu=10 ** 400)), "'nu'"),
     "dict-hypotheses": (_instance_text(lambda d: d.update(hypotheses={"h": [1, 1]})),
                         "hypotheses"),
     "int-distributions": (_instance_text(lambda d: d.update(distributions=3)),
@@ -744,3 +744,49 @@ def test_exact_losses_equal_their_fraction_sums(data):
     worst = [max(loss_reference(g, d) for d in dists) for g in cls]
     assert inst.nu_exact() == min(worst)
     assert inst.worst_member_loss() == max(worst)
+
+
+_SWEEP = {"families": [{"family": "prop1", "params": {"k": 2, "eps": 0.1}}],
+          "algs": ["passive-naive"], "eps_grid": [0.2], "trials": 1}
+
+# every float-typed input from outside the program, as a call taking the
+# value, with what its refusal must name
+OUTSIDE_REALS = {
+    **{f"SolverConfig {name}": (lambda v, name=name: amdl.SolverConfig(
+        **{"eps": 0.1, "delta": 0.1, "nu": 0.0, name: v}), name)
+       for name in ("eps", "delta", "nu", *amdl.hedge.KNOBS)},
+    "sweep eps_grid entry": (lambda v: amdl.sweep({**_SWEEP, "eps_grid": [0.2, v]}), "eps_grid"),
+    "sweep delta": (lambda v: amdl.sweep({**_SWEEP, "delta": v}), "delta"),
+    "family param": (lambda v: amdl.FamilySpec("prop1", {"k": 2, "eps": v}), "'eps'"),
+    "instance file nu": (lambda v: instance_from_dict(json.loads(_instance_text(
+        lambda d: None)) | {"nu": v}), "'nu'"),
+    "batch_size xi": (lambda v: amdl.batch_size(3, v), "target reliability"),
+    "batch_size c_n": (lambda v: amdl.batch_size(3, 0.5, v), "batch-size knob"),
+    "kl_bernoulli p": (lambda v: amdl.kl_bernoulli(v, 0.5), "^p "),
+    "can_fail eps": (lambda v: amdl.can_fail(amdl.gen_prop1(2, 0.1), v), "eps"),
+}
+
+
+@pytest.mark.parametrize("value", ["0.1", True, float("nan"), float("inf"), 10 ** 400],
+                         ids=["str", "bool", "nan", "inf", "int-too-large"])
+@pytest.mark.parametrize("case", sorted(OUTSIDE_REALS))
+def test_every_outside_real_refuses_a_value_that_is_no_finite_real(case, value):
+    # one check, core.check_real, refuses by name a string, a bool, NaN, an
+    # infinity and an int too large for a float, wherever a float comes in
+    call, name = OUTSIDE_REALS[case]
+    with pytest.raises(ContractViolation, match=name):
+        call(value)
+
+
+def test_exact_inputs_still_read_strings():
+    # the exact readers (core._frac) take a string as Fraction reads it:
+    # pmfs, a generator's eps and nu, mixture weights and r0
+    dist = LabeledDistribution(["1/4", "3/4"], ["0", "1"])
+    assert dist.marginal == (Fraction(1, 4), Fraction(3, 4))
+    assert amdl.gen_prop1(2, "0.1").metadata["eps"] == 0.1
+    assert amdl.gen_agnostic_lb(4, "0.4", "0.05").nu_exact() == Fraction(3, 10)   # exactly
+    assert amdl.mixture_distribution([dist, dist], ["1/2", "1/2"]).marginal == dist.marginal
+    inst = amdl.gen_prop1(3, 0.1)
+    h = inst.hypothesis_class[0]
+    assert (amdl.disagreement_coefficient(inst.distributions[0], inst.hypothesis_class, h, "1/10")
+            == amdl.disagreement_coefficient(inst.distributions[0], inst.hypothesis_class, h, 0.1))

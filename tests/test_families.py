@@ -5,7 +5,7 @@ import inspect
 import itertools
 import json
 import math
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 import pytest
@@ -258,7 +258,8 @@ def test_every_generator_parameter_is_typed_and_a_gen_flag():
     for name, kind in amdl.families.PARAM_TYPES.items():
         act = flags[name]
         assert act.option_strings == ["--" + name.replace("_", "-")] and act.default is None
-        parse = {Integral: int, Real: float, str: str}.get(kind)
+        parse = {int: int, Real: float, str: str}.get(kind)
+        assert kind in (int, Real, str, bool)   # the kinds core._field reads
         assert act.type is parse and (act.nargs == 0) == (kind is bool)
 
 
@@ -357,6 +358,14 @@ def test_kl_bernoulli_closed_form():
     assert kl_bernoulli(0.5, 0.25) == pytest.approx(
         0.5 * math.log(2) + 0.5 * math.log(2 / 3), abs=1e-15)
     assert kl_bernoulli(0.5, 0.25) == pytest.approx(0.14384103622589042, abs=1e-15)
+
+
+@pytest.mark.parametrize("p,q", [("0.3", 0.5), (0.3, "0.5"), (True, 0.5), (0.3, math.nan),
+                                 (0.0, 0.5), (0.3, 1.0), (math.inf, 0.5)], ids=repr)
+def test_kl_bernoulli_refuses_what_is_not_a_real_in_the_open_unit_interval(p, q):
+    # "0.3" raised TypeError in the range comparison
+    with pytest.raises(ContractViolation, match="^[pq] must be a real number"):
+        kl_bernoulli(p, q)
 
 
 def test_kl_bernoulli_grid_against_quadrature():

@@ -248,6 +248,13 @@ def test_sweep_refuses_a_non_numeric_eps_grid(grid):
         sweep(config)
 
 
+@pytest.mark.parametrize("eps", ["0.1", math.nan, math.inf, True, None], ids=repr)
+def test_can_fail_refuses_an_eps_that_is_no_finite_real(eps):
+    # "0.1" raised TypeError, and NaN made every cell one that can fail
+    with pytest.raises(ContractViolation, match="eps"):
+        amdl.can_fail(amdl.gen_prop1(2, 0.1), eps)
+
+
 @pytest.mark.parametrize("workers", [0, -1, -8])
 def test_run_config_refuses_workers_below_one(workers):
     with pytest.raises(ContractViolation, match="workers"):

@@ -124,6 +124,9 @@ checks = {
     "another run's plan": lambda: amdl.harness.run_single_trial(
         inst, amdl.RunConfig(alg="passive-naive", eps=0.2, delta=0.1,
                              instance=amdl.gen_prop1(2, 0.1)).plan(), 0),
+    "string target": lambda: SolverConfig(eps="0.1", delta=0.1, nu=0.0),
+    "knobs list": lambda: amdl.sweep({"families": [], "algs": [], "eps_grid": [], "knobs": [1]}),
+    "repeated request member": lambda: fam.draw_requests([0, 0], np.ones((2, 1), dtype=np.int64)),
 }
 for name, check in checks.items():
     try:
@@ -166,4 +169,6 @@ def test_runtime_checks_hold_under_python_O():
                                        "refused: malformed requests",
                                        "refused: repeated learn members", "refused: bad outputs",
                                        "refused: wrapped outputs", "refused: plan ceiling",
-                                       "refused: another run's plan"]
+                                       "refused: another run's plan",
+                                       "refused: string target", "refused: knobs list",
+                                       "refused: repeated request member"]

@@ -75,10 +75,27 @@ def test_batch_size_satisfies_bound_and_scales():
 
 
 @pytest.mark.parametrize("s_star, c_n", [(-1, 1.0), (-5, 1.0), (4, 0.0), (4, -1.0),
-                                         (4, math.nan), (4, math.inf), (2.5, 1.0), (True, 1.0)])
+                                         (4, math.nan), (4, math.inf), (2.5, 1.0), (True, 1.0),
+                                         (3, True), (3, "0.1")])
 def test_batch_size_refuses_a_negative_star_number_or_bad_knob(s_star, c_n):
+    # c_n true was taken as 1 (871 pairs), c_n "0.1" raised TypeError
     with pytest.raises(ContractViolation):
         batch_size(s_star, 0.5, c_n)
+
+
+@pytest.mark.parametrize("xi", ["0.5", True, 0.0, 1.5, math.nan], ids=repr)
+def test_batch_size_refuses_a_bad_target_reliability(xi):
+    # xi "0.5" raised TypeError in the range comparison
+    with pytest.raises(ContractViolation, match="target reliability"):
+        batch_size(3, xi)
+    assert batch_size(3, 1) == batch_size(3, 1.0)
+
+
+@pytest.mark.parametrize("n_batches", ["5", 0, 2.5, True, None], ids=repr)
+def test_threshold_majority_refuses_a_batch_count_that_is_not_a_positive_integer(n_batches):
+    # "5" raised numpy's UFuncTypeError, 2.5 and true were compared as numbers
+    with pytest.raises(ContractViolation, match="n_batches"):
+        threshold_majority(np.array([1]), np.array([1]), n_batches)
 
 
 def _noiseless_setup(seed, k=2):
