@@ -10,7 +10,7 @@ from numbers import Real
 
 from .complexity import (DEFAULT_VC_CAP, disagreement_coefficient, star_number,
                          star_number_unqualified, vc_dimension)
-from .core import ContractViolation, best_nu, load_instance, save_instance
+from .core import ContractViolation, best_nu, check_int, load_instance, save_instance
 from .families import FAMILIES, PARAM_TYPES, FamilySpec
 from .harness import (ALGORITHMS, PROFILES, RunConfig, records_to_csv, report,
                       run_trials, sweep, sweep_from_csv, sweep_to_csv)
@@ -60,9 +60,8 @@ def _cmd_measure(args) -> int:
     inst = load_instance(args.instance)
     cls = inst.hypothesis_class
     h_best, nu = best_nu(inst)
-    ref_idx = args.hstar if args.hstar is not None else cls.index_of(h_best)
-    if not 0 <= ref_idx < len(cls):
-        raise ContractViolation(f"--hstar must index the class (size {len(cls)}), got {ref_idx}")
+    ref_idx = (cls.index_of(h_best) if args.hstar is None
+               else check_int("--hstar (an index into the class)", args.hstar, 0, len(cls)))
     ref = cls[ref_idx]
     vc = vc_dimension(cls, cap=args.cap)
     st = star_number(cls, ref)

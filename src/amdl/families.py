@@ -203,6 +203,8 @@ def gen_random(m: int, n_hyp: int, k: int, seed: int,
     normalized), for oracle-equivalence and property tests."""
     m, n_hyp, k = check_int("m", m, 1), check_int("n_hyp", n_hyp, 1), check_int("k", k, 1)
     seed = check_int("seed", seed)
+    if type(realizable) is not bool:
+        raise ContractViolation(f"realizable must be a bool, got {realizable!r}")
     if n_hyp > 2 ** m:
         raise ContractViolation("cannot have more distinct hypotheses than labelings")
     rng = np.random.default_rng(seed)

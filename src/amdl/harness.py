@@ -357,6 +357,8 @@ def report(rows: list[dict]) -> dict[str, str]:
     """Pivot a sweep into per-figure plain-CSV series (no rendering):
     labels vs eps, labels vs k (the rows whose params have a k), success
     rate vs eps."""
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ContractViolation("a report needs a list of sweep rows, each a mapping")
     for row in rows:
         missing = [c for c in SWEEP_CSV_HEADER if c not in row]
         if missing:

@@ -123,6 +123,7 @@ class HedgeState:
     w_bar: list[float] = field(init=False)
 
     def __post_init__(self):
+        self.k = check_int("k", self.k, 1)
         self.log_w = [0.0] * self.k
         self.w_arr = np.full(self.k, 1.0 / self.k)
         self.w = self.w_arr.tolist()
@@ -142,6 +143,8 @@ class HedgeState:
 def hedge_step(state: HedgeState, r_hat: Sequence[float], eta: float) -> HedgeState:
     """Multiplicative update W_i <- W_i e^{eta r_i} (log-space), renormalize,
     and fold the new weight vector into the running maxima."""
+    if type(eta) is not float or not 0.0 < eta < math.inf:     # a float passes with no call
+        check_real("eta", eta, 0)
     if len(r_hat) != state.k or not all(0.0 <= r <= 1.0 for r in r_hat):   # refuses NaN
         raise ContractViolation("reward estimates must be k values in [0,1]")
     state.log_w = [v + eta * r for v, r in zip(state.log_w, r_hat)]

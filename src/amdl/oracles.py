@@ -4,7 +4,9 @@ Interaction model: per distribution i there is an example oracle (unlabeled
 draws, free but counted) and a labeling oracle (the metered resource).  The
 learners sample through the sampler families: plain (`plain_family`),
 version-space-imputed (`induced_family`), abstain-imputed (`imputed_family`)
-and surrogate (`surrogate_family`).  `OracleSet` itself adds
+and surrogate (`surrogate_family`).  A family is its views, one per
+distribution (see `SamplerFamily`), and every imputing view comes from one
+constructor, `OracleSet._view(labels)`.  `OracleSet` itself adds
 conditional-agreement sampling, by rejection on variates read ahead in
 reads sized by the region's mass, and the auxiliary stream's picks.
 
@@ -27,9 +29,9 @@ in one call (`SamplerFamily.row` or `serve`) and consume exactly what k
 separate `draw` calls in index order would.  Every sampler maps point
 variates with `LabeledDistribution.points` (a bucket table for large maps).
 
-Two numpy kernels draw the pairs: the imputing kernel, which serves plain,
-induced and imputed sampling, and the surrogate kernel.  Plain sampling is
-the imputing kernel over the view that queries every point.  `kernel(c,
+Two numpy kernels draw the pairs: the imputing kernel serves a view with
+no sample, the surrogate kernel one with a sample.  Plain sampling is the
+imputing kernel over the view that queries every point.  `kernel(c,
 rounds)` reads ahead, without consuming, the variates of `rounds` successive
 requests of c pairs each.  A surrogate request takes 2c variates, and so
 does an imputing request over a view that queries every point (a flag the
@@ -81,7 +83,7 @@ surrogate family imputes 0 everywhere, so against a +-1 candidate (`row`
 refuses any other) each point it does not query counts one miss; a pick pass
 then reads the picks that follow the request's labels, takes those misses
 back and counts each pick's own, read from the sample arrays.  A family
-makes its row kernel on its first `row`.
+makes its row kernel from its views on its first `row`.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import repeat
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -188,7 +190,8 @@ class QueryLedger:
 
 
 _SIGN = np.array([-1, 1], dtype=np.int8)   # _SIGN[u < eta_plus[x]] is the label
-View = tuple[np.ndarray, np.ndarray, bool]  # (dis_mask, labels, queries every point)
+# (dis_mask, labels, queries every point, surrogate sample (sx, sy) or None)
+View = tuple[np.ndarray, np.ndarray, bool, tuple[np.ndarray, np.ndarray] | None]
 
 
 def check_outputs(outputs, m: int | None = None) -> np.ndarray:
@@ -245,8 +248,7 @@ class OracleSet:
         # per stream, (buf, lo, hi, variates, points): buf[lo:hi] and its points as lists
         self._listed = [(_NO_VARIATES, 0, 0, [], [])] * k
         self.ledger = QueryLedger(k, log_transcript)
-        m = instance.m
-        self._every = (np.ones(m, dtype=bool), np.zeros(m, dtype=np.int8), True)  # plain sampling
+        self._every = self._view(np.zeros(instance.m, dtype=np.int8))    # plain sampling
 
     # -- raw oracles --------------------------------------------------------
 
@@ -280,7 +282,7 @@ class OracleSet:
             ledger._queries[blk.i] += sum(blk.queries[blk.b:b])
             blk.b = b
 
-    # -- per-family kernels: `rounds` requests of c pairs from stream i, read
+    # -- per-view kernels: `rounds` requests of c pairs from stream i, read
     # ahead in the documented consumption order; the sampler families draw
     # through them
 
@@ -288,7 +290,7 @@ class OracleSet:
         """Plain, induced and imputed sampling: a label query where
         `dis_mask[x]`, the imputed label `labels[x]` elsewhere; c may be an
         array of sizes."""
-        dis_mask, labels, every = view
+        dis_mask, labels, every, _ = view
         stream = self._streams[i]
         base = stream.consumed
         ragged = isinstance(c, np.ndarray)
@@ -343,12 +345,8 @@ class OracleSet:
         return _Rounds(self, i, c, xs, np.where(need, fresh, labels[xs]), need,
                        [base + v for v in starts] + [base + s], queries, at)
 
-    def _surrogate_rounds(self, dis_mask: np.ndarray, sample: tuple[np.ndarray, np.ndarray],
-                          i: int, c: int, rounds: int) -> _Rounds:
-        if np.ndim(c):
-            raise ContractViolation("surrogate requests all take one size; "
-                                    "draw_requests needs an imputing family")
-        sx, sy = sample
+    def _surrogate_rounds(self, view: View, i: int, c: int, rounds: int) -> _Rounds:
+        dis_mask, _, _, (sx, sy) = view
         stream = self._streams[i]
         base = stream.consumed
         u = stream.ahead(2 * c * rounds).reshape(rounds, 2 * c)
@@ -383,18 +381,6 @@ class OracleSet:
         seg = buf[pos:hi]
         lst = self._listed[i] = (buf, pos, hi, seg.tolist(), self._points[i](seg).tolist())
         return lst
-
-    def _imputing_row_kernel(self, view: View) -> RowKernel:
-        dis = view[0].tolist()
-        return partial(self._row, [(i, eta.tolist(), dis, None) for i, eta in enumerate(self._eta)],
-                       view[1].tolist())
-
-    def _surrogate_row_kernel(self, dis_mask: np.ndarray,
-                              samples: Sequence[tuple[np.ndarray, np.ndarray] | None]) -> RowKernel:
-        # a None sample's plain requests are surrogate requests that query every point
-        every, zeros, dis = self._every[0].tolist(), self._every[1].tolist(), dis_mask.tolist()
-        return partial(self._row, [(i, eta.tolist(), every if s is None else dis, s)
-                                   for i, (eta, s) in enumerate(zip(self._eta, samples))], zeros)
 
     def _row(self, entries: list[tuple[int, list[float], list[bool],
                                        tuple[np.ndarray, np.ndarray] | None]],
@@ -454,9 +440,12 @@ class OracleSet:
 
     # -- version-space / classifier views ------------------------------------
 
+    def _view(self, labels: np.ndarray) -> View:
+        """A labeling's imputing view: a label query where it is 0, its label elsewhere."""
+        return labels == 0, labels, not labels.any(), None
+
     def _vs_view(self, version_space: Sequence[int]) -> View:
-        agr = agreement_labels(self.instance.hypothesis_class, version_space)
-        return agr == 0, agr, not agr.any()
+        return self._view(agreement_labels(self.instance.hypothesis_class, version_space))
 
     # -- conditional-agreement and auxiliary sampling ------------------------
 
@@ -507,31 +496,42 @@ class OracleSet:
 
 # -- sampler families ---------------------------------------------------------
 
-Kernel = Callable[[int, int], _Rounds]      # (c, rounds) -> requests drawn ahead
-RowKernel = Callable[[list, Sequence[int], int], tuple[list, int]]  # see SamplerFamily.row
-
-
 class SamplerFamily:
-    """A per-distribution (x, y) source injected into the solvers.
+    """A per-distribution (x, y) source injected into the solvers: its
+    views, one per distribution of its oracle set, all imputing one labeling.
 
-    `kernels[i](c, rounds)` draws ahead `rounds` requests of c pairs from
+    `views[i] = (dis_mask, labels, queries_every_point, sample)`: a request
+    from distribution i queries the label of each point x where
+    `dis_mask[x]` and elsewhere imputes `labels[x]`, or with a pre-labeled
+    sample (sx, sy) picks one of its pairs.  Every imputing view (no sample)
+    is `OracleSet._view(labels)`: `_every`, the zero labeling's (plain), a
+    version space's agreement labels' (induced) or a classifier's outputs'
+    (imputed).  A surrogate view is `(dis_mask, _every[1], False, sample)`,
+    or `_every` where the sample is None.
+    `_kernels[i](c, rounds)` draws ahead `rounds` requests of c pairs from
     distribution i.  `draw(i, n)` makes one request of n pairs,
     `draw_requests` rows of requests of unequal sizes, and `row` the solver
     rounds of a zero-row stretch, one request per distribution each, through
-    the kernel `make_row()` returns.  `tables` and `serve` serve a solver's
+    a row kernel made from the views.  `tables` and `serve` serve a solver's
     chunks of rounds from blocks of requests kept per distribution (see the
     module docstring).
     Every request is metered when it is made or served.  The family keeps no
     count of its own: what it draws is metered in the oracle set's ledger.
     """
 
-    def __init__(self, oracles: OracleSet, kernels: Sequence[Kernel],
-                 make_row: Callable[[], RowKernel]):
-        self.k = len(kernels)
+    def __init__(self, oracles: OracleSet, views: Sequence[View]):
+        self.k = k = oracles.instance.k
+        if len(views) != k or any(v[1] is not views[0][1] and not np.array_equal(v[1], views[0][1])
+                                  for v in views):
+            raise ContractViolation(f"a family needs one view per distribution ({k}), all "
+                                    f"imputing one labeling; got {len(views)} views")
         self.oracles = oracles      # the oracle set its kernels read, and its instance
-        self._kernels = tuple(kernels)
+        self._views = tuple(views)
+        self._kernels = tuple(partial(oracles._imputing_rounds if v[3] is None
+                                      else oracles._surrogate_rounds, v, i)
+                              for i, v in enumerate(views))
         # `row`'s kernel, made on its first call, and the candidates' labels as lists
-        self._make_row, self._row = make_row, None
+        self._row = None
         self._cand_labels: np.ndarray | None = None
         self._cands: dict[int, list[int]] = {}
         self._row_counts: list[int] = []
@@ -549,11 +549,14 @@ class SamplerFamily:
         `members[j]`; the pairs, ledger and transcript are those of `draw`
         called for every r and, within r, every j in turn.  The pairs
         come back member by member, each member's in request order.
-        Imputing families only (plain included): their kernels take unequal
-        sizes, and a surrogate kernel refuses them before any stream moves.
-        Members are distinct distribution indices and `sizes` an integer
-        matrix with a row per member, refused otherwise."""
+        Imputing views only (plain included): their kernels take unequal
+        sizes, and a member with a surrogate view is refused.  Members are
+        distinct distribution indices and `sizes` an integer matrix with a
+        row per member, refused otherwise; nothing moves before the checks."""
         members = check_members("requests", members, self.k, distinct=True)
+        if any(self._views[i][3] is not None for i in members):
+            raise ContractViolation("surrogate requests all take one size; "
+                                    "draw_requests needs an imputing family")
         sizes = np.asarray(sizes)
         if (sizes.ndim != 2 or sizes.dtype.kind not in "iu" or not sizes.size
                 or sizes.shape[0] != len(members) or sizes.min() < 0):
@@ -586,8 +589,13 @@ class SamplerFamily:
             self._row_counts = self._checked_counts(counts)
         if type(cap) is not int or cap < 1:
             cap = check_int("a stretch's row cap", cap, 1)
-        if self._row is None:
-            self._row = self._make_row()
+        if self._row is None:   # OracleSet._row over the views, each distinct mask listed once
+            o, views = self.oracles, self._views
+            listed = {id(v[0]): v[0] for v in views}
+            listed = {key: mask.tolist() for key, mask in listed.items()}
+            self._row = partial(o._row, [(i, eta.tolist(), listed[id(v[0])], v[3])
+                                         for i, (eta, v) in enumerate(zip(o._eta, views))],
+                                views[0][1].tolist())
         return self._row(cand, self._row_counts, cap)
 
     def _checked_counts(self, counts: Sequence[int]) -> list[int]:
@@ -638,23 +646,17 @@ class SamplerFamily:
         return 0 if None in blocks else min(len(blk.queries) - blk.b for blk in blocks)
 
 
-def _imputing_family(oracles: OracleSet, view: View) -> SamplerFamily:
-    return SamplerFamily(oracles, [partial(oracles._imputing_rounds, view, i)
-                                   for i in range(oracles.instance.k)],
-                         partial(oracles._imputing_row_kernel, view))
-
-
 def plain_family(oracles: OracleSet) -> SamplerFamily:
-    return _imputing_family(oracles, oracles._every)
+    return SamplerFamily(oracles, [oracles._every] * oracles.instance.k)
 
 
 def induced_family(oracles: OracleSet, version_space: Sequence[int]) -> SamplerFamily:
-    return _imputing_family(oracles, oracles._vs_view(version_space))
+    return SamplerFamily(oracles, [oracles._vs_view(version_space)] * oracles.instance.k)
 
 
 def imputed_family(oracles: OracleSet, outputs: np.ndarray) -> SamplerFamily:
-    outs = check_outputs(outputs, oracles.instance.m)
-    return _imputing_family(oracles, (outs == 0, outs, not outs.any()))
+    view = oracles._view(check_outputs(outputs, oracles.instance.m))
+    return SamplerFamily(oracles, [view] * oracles.instance.k)
 
 
 def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
@@ -663,13 +665,8 @@ def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
     region has zero mass there, in which case the surrogate equals the raw
     distribution and fresh labeled draws are used (flagged by the caller)."""
     dis_mask = oracles._vs_view(version_space)[0]
-    kernels = []
-    for i, sample in enumerate(samples):
-        if sample is None:
-            kernels.append(partial(oracles._imputing_rounds, oracles._every, i))
-        elif sample[0].size == 0:
-            raise ContractViolation("surrogate sampling needs a non-empty pre-labeled sample")
-        else:
-            kernels.append(partial(oracles._surrogate_rounds, dis_mask, sample, i))
-    return SamplerFamily(oracles, kernels,
-                         partial(oracles._surrogate_row_kernel, dis_mask, samples))
+    if any(s is not None and s[0].size == 0 for s in samples):
+        raise ContractViolation("surrogate sampling needs a non-empty pre-labeled sample")
+    zeros = oracles._every[1]
+    return SamplerFamily(oracles, [oracles._every if s is None else (dis_mask, zeros, False, s)
+                                   for s in samples])

@@ -220,6 +220,14 @@ WRONG_TYPED_PARAMS = {
 }
 
 
+@pytest.mark.parametrize("value", ["no", 1, None, np.True_])
+def test_gen_random_refuses_a_realizable_that_is_not_a_bool(value):
+    # called directly, as FamilySpec and `amdl gen` are, the generator once
+    # tested only the value's truth and recorded it in the metadata
+    with pytest.raises(ContractViolation, match="realizable must be a bool"):
+        amdl.gen_random(4, 3, 2, 0, realizable=value)
+
+
 @pytest.mark.parametrize("case", sorted(WRONG_TYPED_PARAMS))
 def test_family_spec_names_a_wrong_typed_param(case):
     family, params, field = WRONG_TYPED_PARAMS[case]

@@ -366,6 +366,9 @@ def test_report_schema_mismatch():
         sweep_from_csv("family,alg\nprop1,passive-naive\n")
     with pytest.raises(ContractViolation):
         report([{"family": "prop1"}])
+    for rows in (None, "family,alg", ({"family": "prop1"},), [None], [["prop1"]]):
+        with pytest.raises(ContractViolation, match="list of sweep rows"):
+            report(rows)
 
 
 # one live and one skipped row as `sweep_to_csv` writes them

@@ -158,6 +158,28 @@ def test_hedge_step_rejects_out_of_range_rewards():
 
 def test_hedge_step_rejects_nan_rewards():
     _refuses([float("nan"), 0.0])
+
+
+# a step size that is no positive finite real, and a weight count below one,
+# each refused by the argument's name
+BAD_HEDGE_ARGS = {
+    "eta-string": (lambda: hedge_step(HedgeState(2), [0.1, 0.2], "0.1"), "eta"),
+    "eta-bool": (lambda: hedge_step(HedgeState(2), [0.1, 0.2], True), "eta"),
+    "eta-zero": (lambda: hedge_step(HedgeState(2), [0.1, 0.2], 0.0), "eta"),
+    "eta-negative": (lambda: hedge_step(HedgeState(2), [0.1, 0.2], -0.5), "eta"),
+    "eta-nan": (lambda: hedge_step(HedgeState(2), [0.1, 0.2], math.nan), "eta"),
+    "eta-inf": (lambda: hedge_step(HedgeState(2), [0.1, 0.2], math.inf), "eta"),
+    "k-zero": (lambda: HedgeState(0), "k"),
+    "k-fractional": (lambda: HedgeState(2.0), "k"),
+    "k-bool": (lambda: HedgeState(True), "k"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEDGE_ARGS))
+def test_hedge_step_and_state_refuse_a_bad_eta_or_k(case):
+    call, name = BAD_HEDGE_ARGS[case]
+    with pytest.raises(ContractViolation, match=f"^{name} must be"):
+        call()
     _refuses([0.3, float("nan")])
 
 

@@ -127,6 +127,12 @@ checks = {
     "string target": lambda: SolverConfig(eps="0.1", delta=0.1, nu=0.0),
     "knobs list": lambda: amdl.sweep({"families": [], "algs": [], "eps_grid": [], "knobs": [1]}),
     "repeated request member": lambda: fam.draw_requests([0, 0], np.ones((2, 1), dtype=np.int64)),
+    "string eta": lambda: hedge_step(HedgeState(2), [0.1, 0.2], "0.1"),
+    "zero-weight state": lambda: HedgeState(0),
+    "a view too many": lambda: amdl.surrogate_family(
+        OracleSet(inst, seed=0), (0, 1), [(np.array([0]), np.array([1]))] * (inst.k + 1)),
+    "non-bool realizable": lambda: amdl.gen_random(4, 3, 2, 0, realizable="no"),
+    "report of no rows": lambda: amdl.harness.report(None),
 }
 for name, check in checks.items():
     try:
@@ -171,4 +177,8 @@ def test_runtime_checks_hold_under_python_O():
                                        "refused: wrapped outputs", "refused: plan ceiling",
                                        "refused: another run's plan",
                                        "refused: string target", "refused: knobs list",
-                                       "refused: repeated request member"]
+                                       "refused: repeated request member",
+                                       "refused: string eta", "refused: zero-weight state",
+                                       "refused: a view too many",
+                                       "refused: non-bool realizable",
+                                       "refused: report of no rows"]

@@ -1583,6 +1583,29 @@ def test_surrogate_requests_refused_before_any_draw():
     assert _metered(o) == metered
 
 
+# example1 has k = 2: a family with k - 1 or k + 1 views, or whose views impute
+# different labelings, is refused before any stream moves
+BAD_VIEWS = {
+    "surrogate-k-minus-1": lambda o: amdl.surrogate_family(o, (0, 1), [_S]),
+    "surrogate-k-plus-1": lambda o: amdl.surrogate_family(o, (0, 1), [_S] * 3),
+    "views-k-minus-1": lambda o: oracles.SamplerFamily(o, [o._every]),
+    "views-k-plus-1": lambda o: oracles.SamplerFamily(o, [o._every] * 3),
+    "two-labelings": lambda o: oracles.SamplerFamily(o, [o._every, o._vs_view((0,))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VIEWS))
+def test_a_family_needs_one_view_per_distribution_and_one_labeling(case):
+    o = OracleSet(amdl.gen_example1(0.2, 0.05, "b"), seed=0, log_transcript=True)
+    amdl.plain_family(o).draw(1, 3)
+    streams = [s.consumed for s in (*o._streams, o._aux)]
+    metered = _metered(o)
+    with pytest.raises(ContractViolation, match="one view per distribution"):
+        BAD_VIEWS[case](o)
+    assert [s.consumed for s in (*o._streams, o._aux)] == streams
+    assert _metered(o) == metered
+
+
 BAD_OUTPUTS = {
     "out of range": lambda m: np.full(m, 7),
     "a two": lambda m: np.r_[np.zeros(m - 1, dtype=np.int64), 2],
