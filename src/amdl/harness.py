@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -62,9 +63,14 @@ class RunConfig:
         self.workers = check_int("workers", self.workers, 1)
         if not isinstance(self.profile, str) or self.profile not in PROFILES:
             raise ContractViolation(f"unknown profile {self.profile!r}")
-        if self.transcript_path == "":
-            raise ContractViolation("transcript_path must name a file, got ''")
-        unknown = sorted(set(self.knobs) - set(KNOBS))
+        path = self.transcript_path
+        if path is not None and not (isinstance(path, str) and path):
+            raise ContractViolation(f"transcript_path must name a file, got {path!r}")
+        if not isinstance(self.knobs, Mapping):
+            raise ContractViolation(f"knobs must be a mapping, got {self.knobs!r}")
+        if self.instance is not None and not isinstance(self.instance, MDLInstance):
+            raise ContractViolation(f"instance must be an MDLInstance, got {self.instance!r}")
+        unknown = sorted(set(self.knobs) - set(KNOBS), key=str)    # keys of any type
         if unknown:
             raise ContractViolation(f"unknown solver knobs {unknown}; known: {list(KNOBS)}")
 

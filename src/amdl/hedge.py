@@ -295,7 +295,7 @@ def _chunk_stops(r: np.ndarray, w: np.ndarray, bars: np.ndarray, erm: np.ndarray
 
 def _play_chunk(state: HedgeState, store: PooledStore, sampler: SamplerFamily, tally: list[int],
                 local: int, counts: list[int], doubled: list[float], eta: float,
-                rounds_left: int, trace: list | None) -> int:
+                rounds_left: int) -> int:
     """Play this round (ERM pick `local`) and the next ones of a solve over at
     most two candidates as `_predict_plays` predicts them, up to the last row
     of the sampler's tables or T, in one numpy pass that computes each round
@@ -326,9 +326,11 @@ def _play_chunk(state: HedgeState, store: PooledStore, sampler: SamplerFamily, t
         sampler.serve(c)
         for j, n in enumerate(np.bincount(p[:c]).tolist()):
             tally[j] += n
-        if trace is not None:
-            trace.extend((state.t + 1 + s, w_s, float(np.sum(bars[s])), int(store.n.sum()))
-                         for s, w_s in enumerate([state.w_arr, *w[:c - 1]]))
+        ledger = sampler.oracles.ledger
+        if ledger.log_transcript:
+            ledger.solver_trace.extend(
+                (state.t + 1 + s, w_s, float(np.sum(bars[s])), int(store.n.sum()))
+                for s, w_s in enumerate([state.w_arr, *w[:c - 1]]))
         state.log_w = log_w[c].tolist()
         state.w_arr = w[c - 1]
         state.w = state.w_arr.tolist()
@@ -345,16 +347,16 @@ class HedgeResult:
     rounds: int
     reward_draws: np.ndarray
     store_draws: np.ndarray
-    trace: list | None = None
 
 
 def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
-                 sampler: SamplerFamily, cfg: SolverConfig, k: int, d: int,
-                 collect_trace: bool = False) -> HedgeResult:
+                 sampler: SamplerFamily, cfg: SolverConfig, k: int, d: int) -> HedgeResult:
     """Run the full Hedge/ERM game and return the uniform mixture of plays.
 
     The doubling rule necessarily fires at t=1 (thresholds start at zero), so
-    every distribution holds at least one sample before the first ERM.
+    every distribution holds at least one sample before the first ERM.  When
+    the sampler's ledger logs, each round appends its row (t, w, |w_bar|_1,
+    store size) to the ledger's `solver_trace`.
     """
     V = sorted(check_members("version spaces", version_space, len(cls)))
     k = check_int(f"k (the sampler serves {sampler.k})", k, sampler.k, sampler.k + 1)
@@ -365,9 +367,10 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
         raise ContractViolation("Hedge weights no longer sum to one")
     store = PooledStore(cls.labels[V], k)
     tally = [0] * len(V)       # plays of each candidate
-    drawn = sampler.oracles.ledger.unlabeled_draws     # the ledger meters the solve's draws
+    ledger = sampler.oracles.ledger
+    drawn = ledger.unlabeled_draws     # the ledger meters the solve's draws
+    trace = ledger.solver_trace if ledger.log_transcript else None
     doubled = [0.0] * k        # 2 * w_hat, the doubling thresholds
-    trace = [] if collect_trace else None
     # hedge_step folds every later round's weights into w_bar as it makes them
     state.w_bar = _fold_max(state.w_bar, state.w)
     # the reward counts ceil(k * w_bar_i) change only when w_bar grows, which
@@ -395,7 +398,7 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
             bar = state.w_bar
             counts = [math.ceil(k * v) for v in bar]
         if chunked and _play_chunk(state, store, sampler, tally, local, counts, doubled, eta,
-                                   T - state.t, trace):
+                                   T - state.t):
             continue
         # a zero reward changes no weight, so the rounds after it repeat its
         # play: zero rows, then the first row with a loss, all played with `local`
@@ -411,8 +414,7 @@ def mdl_hedge_vc(cls: HypothesisClass, version_space: Sequence[int],
             state.t += played
 
     return HedgeResult(RandomizedHypothesis(cls, {h: n for h, n in zip(V, tally) if n}), T,
-                       sampler.oracles.ledger.unlabeled_draws - drawn - store.n, store.n.copy(),
-                       trace)
+                       ledger.unlabeled_draws - drawn - store.n, store.n.copy())
 
 
 def naive_erm_baseline(oracles: OracleSet, n: int) -> Hypothesis:

@@ -157,7 +157,9 @@ class _Uniforms:
 
 class QueryLedger:
     """Per-run counters of label queries and unlabeled draws, per
-    distribution, and the transcript of label queries when `log_transcript`.
+    distribution, and when `log_transcript` the transcript of label queries
+    and the solver's rows (t, w, |w_bar|_1, store size), one per Hedge round
+    in solve order (`solver_trace`, which `mdl_hedge_vc` appends to).
 
     Every request is metered as it is made or served, so each read sees
     what requests made one at a time would have left."""
@@ -167,6 +169,7 @@ class QueryLedger:
         self._queries = [0] * k     # Python ints, which metering adds to; read as arrays
         self._draws = [0] * k
         self._transcript: list = []
+        self.solver_trace: list = []
 
     @property
     def label_queries(self) -> np.ndarray:
@@ -663,10 +666,21 @@ def surrogate_family(oracles: OracleSet, version_space: Sequence[int],
                      samples: Sequence[tuple[np.ndarray, np.ndarray] | None]) -> SamplerFamily:
     """Surrogate draws per distribution; a None sample means the agreement
     region has zero mass there, in which case the surrogate equals the raw
-    distribution and fresh labeled draws are used (flagged by the caller)."""
-    dis_mask = oracles._vs_view(version_space)[0]
-    if any(s is not None and s[0].size == 0 for s in samples):
-        raise ContractViolation("surrogate sampling needs a non-empty pre-labeled sample")
-    zeros = oracles._every[1]
-    return SamplerFamily(oracles, [oracles._every if s is None else (dis_mask, zeros, False, s)
-                                   for s in samples])
+    distribution and fresh labeled draws are used (flagged by the caller).
+    Whole-array reductions check each sample, with no temporary array: a
+    label is +-1 iff it lies in [-1, 1] and is not 0 (y * y wraps to 1 at
+    y = 127 in int8)."""
+    dis_mask, zeros, m = oracles._vs_view(version_space)[0], oracles._every[1], oracles.instance.m
+    fam = SamplerFamily(oracles, [oracles._every if s is None else (dis_mask, zeros, False, s)
+                                  for s in samples])
+    for s in samples:
+        xs, ys = s if isinstance(s, tuple) and len(s) == 2 else (None, None)
+        if s is not None and not (isinstance(xs, np.ndarray) and isinstance(ys, np.ndarray)
+                                  and {xs.dtype.kind, ys.dtype.kind} <= {"i", "u"}
+                                  and xs.ndim == 1 and xs.shape == ys.shape and xs.size
+                                  and 0 <= xs.min() and xs.max() < m
+                                  and -1 <= ys.min() and ys.max() <= 1 and ys.all()):
+            raise ContractViolation("surrogate sampling needs a non-empty pre-labeled sample: two "
+                                    f"equal-length integer arrays, points of range({m}) and "
+                                    f"labels +-1; got {s!r}")
+    return fam

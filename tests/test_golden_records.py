@@ -421,8 +421,7 @@ def _hedge_fields(inst: amdl.MDLInstance, eps: float, kind: str, seed: int) -> d
     cfg = SolverConfig(eps=eps, delta=DELTA, nu=float(inst.nu_exact()), **PROFILES["desk"])
     d = amdl.vc_dimension(cls).value
     o = OracleSet(inst, seed, log_transcript=True)
-    res = amdl.mdl_hedge_vc(cls, V, HEDGE_FAMILIES[kind](o, inst, V), cfg, inst.k, d,
-                            collect_trace=True)
+    res = amdl.mdl_hedge_vc(cls, V, HEDGE_FAMILIES[kind](o, inst, V), cfg, inst.k, d)
     return {
         "rounds": res.rounds,
         "reward_draws": [int(v) for v in res.reward_draws],
@@ -430,7 +429,7 @@ def _hedge_fields(inst: amdl.MDLInstance, eps: float, kind: str, seed: int) -> d
         "play_counts": list(res.hypothesis.counts),
         "support": list(support_indices(res.hypothesis)),
         "trace": [(int(t), [float(v) for v in w], float(l1), int(n))
-                  for t, w, l1, n in res.trace],
+                  for t, w, l1, n in o.ledger.solver_trace],
         "labels": o.ledger.label_queries.tolist(),
         "unlabeled": o.ledger.unlabeled_draws.tolist(),
         "transcript": [tuple(int(v) for v in row) for row in o.ledger.transcript],

@@ -122,11 +122,21 @@ def test_sweep_negative_base_seed_gives_skipped_rows():
 def test_run_config_plan_needs_an_instance():
     with pytest.raises(ContractViolation, match="needs an instance"):
         RunConfig(alg="passive-hedge", eps=0.1, delta=0.1).plan()
+    # anything else in its place raised AttributeError in plan()
+    with pytest.raises(ContractViolation, match="instance must be an MDLInstance"):
+        RunConfig(alg="passive-hedge", eps=0.1, delta=0.1, instance="x")
 
 
 def test_run_config_refuses_unknown_knobs():
     with pytest.raises(ContractViolation, match="c_tt"):
         RunConfig(alg="passive-hedge", eps=0.1, delta=0.1, knobs={"c_tt": 1})
+    # keys that do not sort together raised TypeError
+    with pytest.raises(ContractViolation, match="unknown solver knobs"):
+        RunConfig(alg="passive-hedge", eps=0.1, delta=0.1, knobs={1: 0.5, "c_tt": 1.0})
+    # None raised TypeError when built, a list of names TypeError in plan()
+    for knobs in (None, ["c_t"], "c_t"):
+        with pytest.raises(ContractViolation, match="knobs must be a mapping"):
+            RunConfig(alg="passive-hedge", eps=0.1, delta=0.1, knobs=knobs)
     RunConfig(alg="passive-hedge", eps=0.1, delta=0.1, knobs={"c_t": 1e-5, "c_n": 2.0})
 
 
@@ -811,6 +821,20 @@ def test_run_trials_refuses_a_trace_with_nowhere_to_go(monkeypatch):
     monkeypatch.setattr(harness, "_trial_worker", lambda args: ran.append(args) or worker(args))
     with pytest.raises(ContractViolation, match="transcript_path"):
         run_trials(_prop1_cfg(transcript_path=""))
+    # a file descriptor was written to and closed: any path not a non-empty
+    # str is refused, and the descriptor stays open and empty
+    read_end, write_end = os.pipe()
+    try:
+        for path in (write_end, b"audit.log"):
+            with pytest.raises(ContractViolation, match="transcript_path"):
+                run_trials(_prop1_cfg(transcript_path=path))
+        os.fstat(write_end)
+        os.set_blocking(read_end, False)
+        with pytest.raises(BlockingIOError):
+            os.read(read_end, 1)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
     assert ran == []
     run_trials(_prop1_cfg(trials=1))
     assert [traced for *_, traced in ran] == [False]

@@ -404,22 +404,22 @@ def test_mdl_hedge_vc_mixture_beats_pure_hypotheses(desk_knobs):
 def test_mdl_hedge_vc_accounting_reconciles(desk_knobs):
     inst = amdl.gen_agnostic_lb(3, 0.4, 0.05)
     cfg = SolverConfig(eps=0.1, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
-    o = OracleSet(inst, seed=0)
+    o = OracleSet(inst, seed=0, log_transcript=True)    # logging keeps the solver's rows
     fam = plain_family(o)
-    res = mdl_hedge_vc(inst.hypothesis_class, (0, 1), fam, cfg, 3, 1, collect_trace=True)
+    res = mdl_hedge_vc(inst.hypothesis_class, (0, 1), fam, cfg, 3, 1)
     # every plain draw is one labeled pair: the ledger equals the solver's counts
     drawn = res.reward_draws + res.store_draws
     assert int(drawn.sum()) == o.ledger.label_total
     assert np.array_equal(drawn, o.ledger.unlabeled_draws)
     assert res.hypothesis.total == res.rounds
     # trace monotonicity of the running maxima l1 norm
-    l1 = [row[2] for row in res.trace]
+    l1 = [row[2] for row in o.ledger.solver_trace]
     assert all(a <= b + 1e-15 for a, b in zip(l1, l1[1:]))
     # each round draws ceil(k * w_bar_i) reward pairs from distribution i,
     # where w_bar is the running maximum of the played weight vectors
     w_bar = np.zeros(3)
     expected = np.zeros(3, dtype=np.int64)
-    for row in res.trace:
+    for row in o.ledger.solver_trace:
         w_bar = np.maximum(w_bar, row[1])
         expected += [math.ceil(3 * v) for v in w_bar]
     assert res.reward_draws.tolist() == expected.tolist()
@@ -505,13 +505,44 @@ def _traced_solve(inst, V, seed: int, desk_knobs: dict, eps: float) -> tuple:
     transcript it left."""
     cfg = SolverConfig(eps=eps, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
     o = OracleSet(inst, seed, log_transcript=True)
-    res = mdl_hedge_vc(inst.hypothesis_class, V, plain_family(o), cfg, inst.k, 1,
-                       collect_trace=True)
-    trace = [(t, w.tobytes(), l1, n) for t, w, l1, n in res.trace]
+    res = mdl_hedge_vc(inst.hypothesis_class, V, plain_family(o), cfg, inst.k, 1)
+    trace = [(t, w.tobytes(), l1, n) for t, w, l1, n in o.ledger.solver_trace]
     return (res.rounds, res.reward_draws.tolist(), res.store_draws.tolist(),
             res.hypothesis.counts, res.hypothesis.total, trace,
             o.ledger.label_queries.tolist(), o.ledger.unlabeled_draws.tolist(),
             o.ledger.transcript)
+
+
+@pytest.mark.parametrize("make,V", [
+    (lambda: amdl.gen_agnostic_lb(4, 0.4, 0.05), (0, 1)),
+    (lambda: amdl.gen_prop1(3, 0.2), (0, 1, 2)),
+], ids=["chunked", "rows"])
+def test_a_solve_logs_its_rows_only_where_its_ledger_logs(desk_knobs, make, V):
+    # the solver's rows live on the ledger beside the label transcript: a
+    # ledger that does not log keeps none, and logging moves no draw or play
+    inst = make()
+    cfg = SolverConfig(eps=0.05, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
+    got = []
+    for log in (False, True):
+        o = OracleSet(inst, 4, log_transcript=log)
+        res = mdl_hedge_vc(inst.hypothesis_class, V, plain_family(o), cfg, inst.k, 1)
+        got.append((res.rounds, res.reward_draws.tolist(), res.store_draws.tolist(),
+                    res.hypothesis.counts, res.hypothesis.total,
+                    o.ledger.label_queries.tolist(), o.ledger.unlabeled_draws.tolist()))
+        assert len(o.ledger.solver_trace) == (res.rounds if log else 0)
+    assert got[0] == got[1]
+
+
+def test_a_trials_solves_log_one_row_per_round_in_solve_order():
+    # an active-dd-large trial solves once per epoch: its ledger holds each
+    # solve's rows in turn, t running 1..T within each
+    inst = amdl.gen_star_lb(2, 8, 1, 3)
+    p = amdl.RunConfig(alg="active-dd-large", eps=0.05, delta=0.1, instance=inst).plan()
+    _, res, o = amdl.harness.run_single_trial(inst, p, 0, trace=True)
+    Ts = [hyperparams(ep.solve, inst.k, p.d)[2] for ep in p.epochs[:len(res.trace)]]
+    assert len(Ts) > 1
+    assert [row[0] for row in o.ledger.solver_trace] == [t for T in Ts for t in range(1, T + 1)]
+    assert len(o.ledger.solver_trace) == sum(Ts)
 
 
 @pytest.mark.parametrize("make,V,eps", [

@@ -56,8 +56,8 @@ def solve(inst, seed):
     res = mdl_hedge_vc(inst.hypothesis_class, (0, 1), plain_family(oracles),
                        SolverConfig(eps=0.05, delta=0.1, nu=float(inst.nu_exact()),
                                     **PROFILES["desk"]),
-                       inst.k, 1, collect_trace=True)
-    trace = [(t, w.tolist(), l1, n) for t, w, l1, n in res.trace]
+                       inst.k, 1)
+    trace = [(t, w.tolist(), l1, n) for t, w, l1, n in oracles.ledger.solver_trace]
     return [res.rounds, res.reward_draws.tolist(), res.store_draws.tolist(),
             res.hypothesis.counts, res.hypothesis.total,
             hashlib.sha256(repr(trace).encode()).hexdigest(),
@@ -71,6 +71,7 @@ SOLVE_LINE = "solve: " + json.dumps([solve(amdl.gen_agnostic_lb(4, 0.4, 0.05), 3
 _UNDER_O = _CHUNKED_SOLVE + """
 print(SOLVE_LINE)
 import math
+import os
 import numpy as np
 import amdl
 from amdl import ContractViolation, OracleSet, plain_family
@@ -133,6 +134,10 @@ checks = {
         OracleSet(inst, seed=0), (0, 1), [(np.array([0]), np.array([1]))] * (inst.k + 1)),
     "non-bool realizable": lambda: amdl.gen_random(4, 3, 2, 0, realizable="no"),
     "report of no rows": lambda: amdl.harness.report(None),
+    "surrogate point past m": lambda: amdl.surrogate_family(
+        OracleSet(inst, seed=0), (0, 1), [(np.array([99]), np.array([1]))] * inst.k),
+    "transcript descriptor": lambda: amdl.RunConfig(
+        alg="passive-naive", eps=0.2, delta=0.1, instance=inst, transcript_path=os.pipe()[1]),
 }
 for name, check in checks.items():
     try:
@@ -181,4 +186,6 @@ def test_runtime_checks_hold_under_python_O():
                                        "refused: string eta", "refused: zero-weight state",
                                        "refused: a view too many",
                                        "refused: non-bool realizable",
-                                       "refused: report of no rows"]
+                                       "refused: report of no rows",
+                                       "refused: surrogate point past m",
+                                       "refused: transcript descriptor"]

@@ -362,6 +362,36 @@ def test_sample_surrogate_needs_nonempty_sample():
                               [(np.empty(0, dtype=int), np.empty(0, dtype=np.int8))])
 
 
+# pre-labeled samples a surrogate kernel cannot read: a point past m was
+# served, a label of 5 too, a short label array raised IndexError and two
+# lists AttributeError; 127 * 127 wraps to 1 in int8
+BAD_SAMPLES = {
+    "point-past-m": (np.array([99]), np.array([1])),
+    "negative-point": (np.array([-1]), np.array([1])),
+    "label-5": (np.array([0]), np.array([5])),
+    "label-0": (np.array([0]), np.array([0])),
+    "label-127-int8": (np.array([0]), np.array([127], dtype=np.int8)),
+    "short-labels": (np.array([0, 1]), np.array([1])),
+    "two-lists": ([0], [1]),
+    "float-points": (np.array([0.0]), np.array([1])),
+    "one-array": (np.array([0]),),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SAMPLES))
+def test_surrogate_family_refuses_a_sample_it_cannot_read(case):
+    inst = amdl.gen_prop1(2, 0.2)
+    o = OracleSet(inst, seed=0, log_transcript=True)
+    amdl.plain_family(o).draw(0, 3)
+    streams, metered = [s.consumed for s in (*o._streams, o._aux)], _metered(o)
+    good = (np.array([0, inst.m - 1]), np.array([1, -1], dtype=np.int8))
+    with pytest.raises(ContractViolation, match="pre-labeled sample"):
+        amdl.surrogate_family(o, (0, 1), [good, BAD_SAMPLES[case]])
+    assert [s.consumed for s in (*o._streams, o._aux)] == streams
+    assert _metered(o) == metered
+    amdl.surrogate_family(o, (0, 1), [good, None]).draw(1, 2)
+
+
 def test_conditional_agreement_plain_when_agreement_is_everything():
     inst = _induced_fixture()
     o = OracleSet(inst, seed=2)
@@ -1026,17 +1056,16 @@ def test_a_solves_draws_are_the_ledgers_draws_over_it(case, desk_knobs):
     kind, V = SOLVE_SPACES[case]
     inst = _three_distribution_fixture()
     cfg = SolverConfig(eps=0.2, delta=0.1, nu=float(inst.nu_exact()), **desk_knobs)
-    o = OracleSet(inst, seed=11)
+    o = OracleSet(inst, seed=11, log_transcript=True)    # logging keeps the solver's rows
     o.sample_conditional_agreement(0, V, 20)
     o.draw_labeled_batch(2, 7)
     before = o.ledger.unlabeled_draws.copy()
-    res = mdl_hedge_vc(inst.hypothesis_class, V, FAMILY_BUILDERS[kind](o, V), cfg, inst.k, 1,
-                       collect_trace=True)
+    res = mdl_hedge_vc(inst.hypothesis_class, V, FAMILY_BUILDERS[kind](o, V), cfg, inst.k, 1)
     assert res.rounds > 10 and res.reward_draws.min() > 0
     assert (res.reward_draws + res.store_draws).tolist() == (
         o.ledger.unlabeled_draws - before).tolist()
     w_bar, expected = np.zeros(inst.k), np.zeros(inst.k, dtype=np.int64)
-    for row in res.trace:
+    for row in o.ledger.solver_trace:
         w_bar = np.maximum(w_bar, row[1])
         expected += [math.ceil(inst.k * v) for v in w_bar]
     assert res.reward_draws.tolist() == expected.tolist()
@@ -1089,16 +1118,16 @@ def test_zero_reward_runs_equal_one_round_at_a_time(case, monkeypatch):
     fused = build(fused_o)
     row = fused.row
     fused.row = lambda *a: stretches.append(out := row(*a)) or out
-    got = mdl_hedge_vc(inst.hypothesis_class, V, fused, solve, inst.k, p.d, collect_trace=True)
+    got = mdl_hedge_vc(inst.hypothesis_class, V, fused, solve, inst.k, p.d)
     fused_steps = len(steps)
-    want = mdl_hedge_vc(inst.hypothesis_class, V, _DrawnRounds(build(twin_o)), solve, inst.k,
-                        p.d, collect_trace=True)
+    want = mdl_hedge_vc(inst.hypothesis_class, V, _DrawnRounds(build(twin_o)), solve, inst.k, p.d)
     assert len(V) > 2 and got.rounds == want.rounds
     assert got.hypothesis.counts == want.hypothesis.counts
     assert got.reward_draws.tolist() == want.reward_draws.tolist()
     assert got.store_draws.tolist() == want.store_draws.tolist()
-    assert len(got.trace) == len(want.trace) == got.rounds
-    for a, b in zip(got.trace, want.trace):
+    got_rows, want_rows = fused_o.ledger.solver_trace, twin_o.ledger.solver_trace
+    assert len(got_rows) == len(want_rows) == got.rounds
+    for a, b in zip(got_rows, want_rows):
         assert (a[0], a[1].tobytes(), *a[2:]) == (b[0], b[1].tobytes(), *b[2:])
     assert _metered(fused_o) == _metered(twin_o) and fused_o.ledger.label_total > 0
     # every round draws one row, and steps the weights unless the row is zero;
