@@ -7,8 +7,9 @@ version-space-imputed (`induced_family`), abstain-imputed (`imputed_family`)
 and surrogate (`surrogate_family`).  A family is its views, one per
 distribution (see `SamplerFamily`), and every imputing view comes from one
 constructor, `OracleSet._view(labels)`.  `OracleSet` itself adds
-conditional-agreement sampling, by rejection on variates read ahead in
-reads sized by the region's mass, and the auxiliary stream's picks.
+conditional-agreement sampling, by rejection on slices of at most SLICE
+variates mapped through one region code table, and the auxiliary stream's
+picks.
 
 RNG layout (documented split order): SeedSequence(seed).spawn(k + 1); child i
 < k is distribution i's stream, child k is the auxiliary stream used only for
@@ -27,7 +28,12 @@ from distribution i takes, from stream i,
 A request reads no other stream, so a solver round may serve its k requests
 in one call (`SamplerFamily.row` or `serve`) and consume exactly what k
 separate `draw` calls in index order would.  Every sampler maps point
-variates with `LabeledDistribution.points` (a bucket table for large maps).
+variates with `LabeledDistribution.points` (a bucket table for large maps),
+and agreement sampling with `LabeledDistribution.region`, through region
+codes made from the same table.  One helper, `OracleSet._meter`, meters
+the draws, queries and transcript lines of every request that a numpy
+kernel or agreement sampling makes; the row kernel meters its own as it
+walks the points.
 
 Two numpy kernels draw the pairs: the imputing kernel serves a view with
 no sample, the surrogate kernel one with a sample.  Plain sampling is the
@@ -88,7 +94,6 @@ makes its row kernel from its views on its first `row`.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from itertools import repeat
 from typing import Sequence
@@ -98,6 +103,7 @@ import numpy as np
 from .core import ContractViolation, MDLInstance, agreement_labels, check_int, check_members
 
 BLOCK = 4096    # variates a stream draws from its generator at a time, at least
+SLICE = 4 * BLOCK   # variates agreement sampling reads at a time, at most
 ROW_WINDOW = 256    # variates a stream's first row window lists, at least
 _NO_VARIATES = np.empty(0)
 
@@ -232,6 +238,10 @@ class _Rounds:
         self.xs, self.ys, self.need, self.at = xs, ys, need, at
         self.ends, self.queries, self.b = ends, queries, 0
 
+    def pairs(self, b: int, r: int) -> int:
+        """The pairs that requests b to b + r - 1 draw."""
+        return self.c * r if self.at is None else int(self.at[b + r] - self.at[b])
+
     def moved(self) -> bool:
         """Whether the stream was read elsewhere since the next request was drawn."""
         return self.ends[self.b] != self.stream.consumed
@@ -255,6 +265,19 @@ class OracleSet:
 
     # -- raw oracles --------------------------------------------------------
 
+    def _meter(self, i: int, draws: int, queries: int, xs: np.ndarray | None = None,
+               ys: np.ndarray | None = None) -> None:
+        """Meter requests from stream i: their draws and queries, and when the
+        transcript is logged, a line for each of the `queries` queried pairs,
+        their points xs and labels ys in draw order (one request at a time)."""
+        ledger = self.ledger
+        if ledger.log_transcript:
+            cum = sum(ledger._queries)
+            ledger._transcript.extend(zip(repeat(i, queries), xs.tolist(), ys.tolist(),
+                                          range(cum + 1, cum + queries + 1)))
+        ledger._draws[i] += draws
+        ledger._queries[i] += queries
+
     def _settle(self, blocks: Sequence[_Rounds], r: int) -> None:
         """Make the next r requests of each block happen, as r rounds of one
         request per block made one at a time would: consume their variates
@@ -264,25 +287,20 @@ class OracleSet:
         for blk in blocks:
             if blk.moved():
                 raise ContractViolation(f"stream {blk.i} moved under {r} served requests")
-        ledger = self.ledger
-        if ledger.log_transcript:
-            cum = sum(ledger._queries)
+        if self.ledger.log_transcript:
             for t in range(r):
                 for blk in blocks:
                     b = blk.b + t
-                    q = blk.queries[b]
-                    if q:
-                        pairs = b if blk.at is None else slice(blk.at[b], blk.at[b + 1])
-                        sel = blk.need[pairs]
-                        ledger._transcript.extend(zip(repeat(blk.i, q), blk.xs[pairs][sel].tolist(),
-                                                      blk.ys[pairs][sel].tolist(),
-                                                      range(cum + 1, cum + q + 1)))
-                        cum += q
+                    pairs = b if blk.at is None else slice(blk.at[b], blk.at[b + 1])
+                    sel = blk.need[pairs]
+                    self._meter(blk.i, blk.pairs(b, 1), blk.queries[b],
+                                blk.xs[pairs][sel], blk.ys[pairs][sel])
+        else:
+            for blk in blocks:
+                self._meter(blk.i, blk.pairs(blk.b, r), sum(blk.queries[blk.b:blk.b + r]))
         for blk in blocks:
             stream, b = blk.stream, blk.b + r
             stream.pos = blk.ends[b] - stream.start
-            ledger._draws[blk.i] += blk.c * r if blk.at is None else int(blk.at[b] - blk.at[blk.b])
-            ledger._queries[blk.i] += sum(blk.queries[blk.b:b])
             blk.b = b
 
     # -- per-view kernels: `rounds` requests of c pairs from stream i, read
@@ -457,37 +475,39 @@ class OracleSet:
         """n iid labeled pairs from D_i conditioned on the agreement region, by
         rejection; costs exactly n label queries, rejections count as unlabeled
         draws only (exactly the geometric number, no overshoot).  The rejection
-        consumes the variates it reads; the sample is then one request whose
-        draws are those points and whose queries take the next n variates."""
+        reads min(SLICE, max(BLOCK, 2 need)) variates at a time, with `need` the
+        points still wanted, maps them to region codes through one table
+        (`LabeledDistribution.region_codes`) and consumes them up to its last
+        accepted point; the n label variates are then consumed a slice at a
+        time.  So no temporary outgrows a slice, and the sample is one request
+        whose draws are the variates the rejection consumed.  The points come
+        in the narrowest signed type that holds m - 1, the labels in int8."""
         i, n = check_int("distribution index", i, 0, self.instance.k), check_int("sample count", n)
-        dis_mask = self._vs_view(version_space)[0]
+        keep = ~self._vs_view(version_space)[0]
         d = self.instance.distributions[i]
-        agree = ~dis_mask
-        mass = d.mass(agree)
-        if mass == 0:
+        if d.mass(keep) == 0:
             raise DegenerateAgreementRegion(
                 f"distribution {i} puts zero mass on the agreement region")
-        # each read-ahead: 5% over the draws expected to hold the points still
-        # needed, at most twice as many draws (as any mass below 0.525 gives)
-        share = max(float(mass), 0.5)
+        codes = d.region_codes(keep)
         stream = self._streams[i]
-        out = np.empty(n, dtype=np.int64)
+        out = np.empty(n, dtype=codes.dtype)
         got = drawn = 0
         while got < n:
             need = n - got
-            u = stream.ahead(max(stream.block, min(2 * need, math.ceil(1.05 * need / share) + 64)))
-            xs = d.points(u)
-            idx = np.flatnonzero(agree[xs])[:need]
+            u = stream.ahead(min(SLICE, max(BLOCK, 2 * need)))
+            xs = d.region(u, codes, keep)
+            idx = (xs >= 0).nonzero()[0][:need]
             out[got:got + idx.size] = xs[idx]
             got += idx.size
             cut = int(idx[-1]) + 1 if got == n else u.size
             stream.pos += cut
             drawn += cut
-        base = stream.consumed
-        ys = _SIGN[(stream.ahead(n) < self._eta[i][out]).view(np.int8)]
-        every = np.broadcast_to(True, (1, n))   # all queried: a view, so no n-byte mask is made
-        self._settle([_Rounds(self, i, drawn, out[None], ys[None], every,
-                              [base, base + n], [n])], 1)
+        ys = np.empty(n, dtype=np.int8)
+        eta = self._eta[i]
+        for at in range(0, n, SLICE):
+            pts = out[at:at + SLICE]
+            ys[at:at + pts.size] = _SIGN[(stream.take(pts.size) < eta[pts]).view(np.int8)]
+        self._meter(i, drawn, n, out, ys)
         return out, ys
 
     def aux_choice_batch(self, n: int, size: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.stats import chi2, nbinom
 
 from amdl.core import (ContractViolation, Hypothesis, HypothesisClass, HypothesisLike,
                        LabeledDistribution, MDLInstance, RandomizedHypothesis,
@@ -200,6 +201,39 @@ def conditional_agreement_reference(dist: LabeledDistribution, cls: HypothesisCl
         drawn += 1
     ys = [1 if next(uniforms) < dist.eta_f[x] else -1 for x in xs]
     return xs, ys, accepted_at
+
+
+FALSE_ALARM = 1e-6      # a law test's chance to fail on a sampler that draws its law
+
+
+def chi_square_test(counts: np.ndarray, law: Sequence[Fraction],
+                    alpha: float) -> tuple[float, float]:
+    """Pearson's statistic of the counts per point against the exact `law`,
+    and the limit it passes with probability 1 - alpha when the counts are
+    multinomial draws from `law`, by the chi-square approximation; cells
+    expected below 5 are pooled into one.  A count on a point the law gives
+    no mass makes the statistic infinite."""
+    counts = np.asarray(counts, dtype=np.float64)
+    expected = counts.sum() * np.array([float(p) for p in law])
+    if counts[expected == 0].any():
+        return math.inf, 0.0
+    small = (expected > 0) & (expected < 5)
+    cells = expected >= 5
+    obs = np.append(counts[cells], counts[small].sum())
+    exp = np.append(expected[cells], expected[small].sum())
+    obs, exp = obs[exp > 0], exp[exp > 0]
+    if obs.size < 2:
+        return 0.0, 0.0
+    return float(((obs - exp) ** 2 / exp).sum()), float(chi2.isf(alpha, obs.size - 1))
+
+
+def rejection_draws_range(n: int, mass: Fraction, alpha: float) -> tuple[int, int]:
+    """The draws that n accepted points take, when each draw is accepted with
+    probability `mass`: n plus a negative binomial count of rejections.
+    Returns the range outside which they fall with probability at most alpha,
+    alpha / 2 on each side."""
+    p = float(mass)
+    return n + int(nbinom.ppf(alpha / 2, n, p)), n + int(nbinom.isf(alpha / 2, n, p))
 
 
 def mixture_draw_reference(family, oracles, members: Sequence[int]):

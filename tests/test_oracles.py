@@ -21,8 +21,10 @@ from amdl.core import loss_exact
 from amdl.hedge import SolverConfig, hyperparams, mdl_hedge_vc
 from amdl.harness import PROFILES, RunConfig, run_single_trial, run_trials
 
-from closed_forms import (best_nu_index, conditional_agreement_reference, imputed_distribution,
-                          induced_distribution, joint_exact, surrogate_joint_exact)
+from closed_forms import (FALSE_ALARM, best_nu_index, chi_square_test,
+                          conditional_agreement_reference, imputed_distribution,
+                          induced_distribution, joint_exact, rejection_draws_range,
+                          surrogate_joint_exact)
 from conftest import empirical_tv, round_losses, two_point_instance
 
 
@@ -428,6 +430,33 @@ def test_conditional_agreement_degenerate_region():
         o.sample_conditional_agreement(0, (0, 1), 10)
 
 
+# instances whose agreement samples on version space (0, 1) `test_agreement_sample_law`
+# checks: m = 200 points (int16 codes), and example1's one-point region on 3 points
+LAW_INSTANCES = {"random-m200": lambda: amdl.gen_random(200, 6, 2, seed=4813),
+                 "example1(0.2,0.05,a)": lambda: amdl.gen_example1(0.2, 0.05, "a")}
+
+
+@pytest.mark.parametrize("name", sorted(LAW_INSTANCES))
+def test_agreement_sample_law(name):
+    # each distribution's accepted points against its marginal restricted to
+    # the agreement region (chi-square), and its draws against n / mass (the
+    # negative binomial); 2 k checks at FALSE_ALARM / (2 k) each, so a
+    # sampler that draws this law fails with probability at most FALSE_ALARM
+    inst = LAW_INSTANCES[name]()
+    V, n = (0, 1), 50_000
+    keep = amdl.agreement_labels(inst.hypothesis_class, V) != 0
+    alpha = FALSE_ALARM / (2 * inst.k)
+    o = OracleSet(inst, seed=4817)
+    for i, d in enumerate(inst.distributions):
+        mass = d.mass(keep)
+        xs, _ = o.sample_conditional_agreement(i, V, n)
+        law = [p / mass if keep[x] else Fraction(0) for x, p in enumerate(d.marginal)]
+        stat, limit = chi_square_test(np.bincount(xs, minlength=inst.m), law, alpha)
+        assert stat <= limit, (i, stat, limit)
+        lo, hi = rejection_draws_range(n, mass, alpha)
+        assert lo <= o.ledger.unlabeled_draws[i] <= hi, (i, lo, hi)
+
+
 def _agreement_mass_instance(mass: Fraction) -> MDLInstance:
     # two hypotheses that disagree on point 1 only, which carries 1 - mass
     cls = HypothesisClass([Hypothesis([1, 1, -1]), Hypothesis([1, -1, -1])])
@@ -443,15 +472,21 @@ def _generator_sequence(seed: int, i: int, k: int):
         yield from rng.random(1024).tolist()
 
 
-@pytest.mark.parametrize("n", [0, 1, 37, 1500, 5000])
-@pytest.mark.parametrize("mass", [Fraction(999, 1000), Fraction(3, 5), Fraction(1, 2),
-                                  Fraction(1, 100)], ids=str)
+# (mass, n): each size at each mass, and at mass 1/2 sizes that cross slice boundaries
+AGREEMENT_SIZES = [*itertools.product([Fraction(999, 1000), Fraction(3, 5), Fraction(1, 2),
+                                       Fraction(1, 100)], [0, 1, 37, 1500, 5000]),
+                   *((Fraction(1, 2), n) for n in (oracles.SLICE, oracles.SLICE + 1,
+                                                   3 * oracles.SLICE))]
+
+
+@pytest.mark.parametrize("mass, n", [pytest.param(mass, n, id=f"{mass}-{n}")
+                                     for mass, n in AGREEMENT_SIZES])
 def test_conditional_agreement_equals_one_variate_at_a_time(monkeypatch, mass, n):
-    # the points, labels, ledger and stream position of the one-at-a-time
-    # rejection loop; no read ahead while rejecting takes more than a buffer
-    # block or twice the points still needed
+    # the points, labels, transcript, ledger and stream position of the
+    # one-at-a-time rejection loop; no read ahead while rejecting takes more
+    # than a buffer block or twice the points still needed
     inst = _agreement_mass_instance(mass)
-    o = OracleSet(inst, seed=8)
+    o = OracleSet(inst, seed=8, log_transcript=True)
     stream = o._streams[0]
     stream.take(5)
     reads = []
@@ -471,6 +506,7 @@ def test_conditional_agreement_equals_one_variate_at_a_time(monkeypatch, mass, n
         inst.distributions[0], inst.hypothesis_class, (0, 1), uniforms, n)
     draws = accepted_at[-1] + 1 if n else 0
     assert xs.tolist() == want_xs and ys.tolist() == want_ys
+    assert o.ledger.transcript == [(0, x, y, q) for q, (x, y) in enumerate(zip(want_xs, want_ys), 1)]
     assert o.ledger.label_queries.tolist() == [n]
     assert o.ledger.unlabeled_draws.tolist() == [draws]
     assert stream.consumed == 5 + draws + n
@@ -1210,14 +1246,14 @@ def test_uniform_ahead_leaves_take_matching_a_fresh_twin():
 
 
 def test_stream_keeps_one_block_and_one_refill_after_a_long_agreement_run():
-    # after a rejection run leaves an oversized buffer, solver rounds hold a
+    # after a long read leaves an oversized buffer, solver rounds hold a
     # block of at most one buffer block of variates, and a stream that runs
     # short keeps only its unread tail and one refill
     inst = _three_distribution_fixture()
     o = OracleSet(inst, seed=4)
-    xs, _ = o.sample_conditional_agreement(2, (0, 1), 300_000)
     stream = o._streams[2]
-    assert xs.size == 300_000 and stream.buf.size > 10 * stream.block
+    stream.take(600_000)
+    assert stream.buf.size > 10 * stream.block
     fam = amdl.plain_family(o)
     labels = inst.hypothesis_class.labels
     for t in range(3000):
@@ -1229,6 +1265,25 @@ def test_stream_keeps_one_block_and_one_refill_after_a_long_agreement_run():
         if stream.buf is not buf:
             assert stream.buf.size <= tail + stream.block
     assert stream.buf.size <= 2 * stream.block
+
+
+def test_agreement_sample_leaves_at_most_one_slice_and_one_refill(monkeypatch):
+    # a long sample reads at most a slice at a time, so the stream keeps no
+    # more than a slice and one refill behind it
+    o = OracleSet(_three_distribution_fixture(), seed=4)
+    reads = []
+    ahead = oracles._Uniforms.ahead
+
+    def logged(self, size):
+        reads.append(size)
+        return ahead(self, size)
+
+    monkeypatch.setattr(oracles._Uniforms, "ahead", logged)
+    xs, ys = o.sample_conditional_agreement(2, (0, 1), 300_000)
+    monkeypatch.undo()
+    stream = o._streams[2]
+    assert xs.size == ys.size == 300_000 and max(reads) <= oracles.SLICE
+    assert stream.buf.size <= oracles.SLICE + stream.block
 
 
 # reads of each size on every stream of a fresh oracle set, in order: peeks
@@ -1655,6 +1710,22 @@ def test_imputed_family_refuses_outputs_outside_its_contract(case):
 
 # -- the point map ---------------------------------------------------------------------
 
+def _random_marginal(rng: np.random.Generator, m: int, zeros: float,
+                     dyadic: bool) -> tuple[LabeledDistribution, int]:
+    """A distribution on m points, with every cdf entry on an edge of the
+    bucket table's G buckets (dyadic) or with about a `zeros` share of
+    zero-mass points; and G."""
+    size = 1 << (8 * m - 1).bit_length()
+    if dyadic:
+        cuts = np.sort(rng.integers(0, size + 1, size=m - 1))
+        marginal = [Fraction(int(v), size) for v in np.diff(cuts, prepend=0, append=size)]
+    else:
+        w = rng.integers(1, 1000, size=m) * (rng.random(m) >= zeros)
+        w[rng.integers(m)] += 1
+        marginal = [Fraction(int(v), int(w.sum())) for v in w]
+    return LabeledDistribution(marginal, [Fraction(1, 2)] * m), size
+
+
 @settings(max_examples=80, deadline=None)
 @given(m=st.integers(1, 2000), seed=st.integers(0, 2 ** 32 - 1), zeros=st.sampled_from([0, 0.5, 0.9]),
        dyadic=st.booleans(), n=st.integers(0, 6000), c=st.integers(1, 5),
@@ -1665,15 +1736,7 @@ def test_point_map_equals_searchsorted(m, seed, zeros, dyadic, n, c, shape):
     # just below them, in flat arrays and in the strided views that plain
     # sampling and the surrogate kernel map; sizes on both sides of the table's crossover
     rng = np.random.default_rng(seed)
-    size = 1 << (8 * m - 1).bit_length()
-    if dyadic:
-        cuts = np.sort(rng.integers(0, size + 1, size=m - 1))
-        marginal = [Fraction(int(v), size) for v in np.diff(cuts, prepend=0, append=size)]
-    else:
-        w = rng.integers(1, 1000, size=m) * (rng.random(m) >= zeros)
-        w[rng.integers(m)] += 1
-        marginal = [Fraction(int(v), int(w.sum())) for v in w]
-    d = LabeledDistribution(marginal, [Fraction(1, 2)] * m)
+    d, size = _random_marginal(rng, m, zeros, dyadic)
     u = rng.random(2 * c * (n // (2 * c) + 1))
     cdf = d.cdf[d.cdf < 1]
     special = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], rng.integers(0, size, 8) / size,
@@ -1685,6 +1748,29 @@ def test_point_map_equals_searchsorted(m, seed, zeros, dyadic, n, c, shape):
     got, want = d.points(v), d.cdf.searchsorted(v, side="right")
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1), zeros=st.sampled_from([0, 0.5, 0.9]),
+       dyadic=st.booleans(), share=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
+def test_region_codes_equal_searched_points(m, seed, zeros, dyadic, share):
+    # random masks (empty and full ones too) over marginals with zero-mass
+    # points, or with every cdf entry on a bucket edge; variates at every
+    # bucket edge, at every cdf entry and its neighbours, at 0 and 1 - 2^-53;
+    # int8 codes up to m = 128, int16 above
+    rng = np.random.default_rng(seed)
+    d, size = _random_marginal(rng, m, zeros, dyadic)
+    keep = rng.random(m) < share
+    codes = d.region_codes(keep)
+    assert codes.dtype == (np.int8 if m <= 128 else np.int16) and codes.size == size
+    cdf = d.cdf
+    u = np.concatenate((np.arange(size) / size, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                        [0.0, 1 - 2.0 ** -53], rng.random(1000)))
+    u = u[u < 1]
+    x = cdf.searchsorted(u, side="right")
+    got = d.region(u, codes, keep)
+    assert got.dtype == codes.dtype
+    assert np.array_equal(got, np.where(keep[x], x, -1))
 
 
 def test_point_map_reads_its_table_from_the_crossover():
