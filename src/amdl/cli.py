@@ -94,9 +94,9 @@ def _cmd_run(args) -> int:
                     instance=load_instance(args.instance), transcript_path=transcript,
                     workers=args.workers)
     p = cfg.plan()
-    for warning in dict.fromkeys((*p.warnings, *(p.stage1.warnings if p.stage1 else ()))):
+    for warning in dict.fromkeys(p.warnings):
         sys.stderr.write(f"warning: {warning}\n")
-    _write(records_to_csv(run_trials(cfg), timing=args.timing), args.out)
+    _write(records_to_csv(run_trials(cfg, p), timing=args.timing), args.out)
     return 0
 
 

@@ -236,51 +236,24 @@ class LabeledDistribution:
             self._cdf = c
         return self._cdf
 
-    def _table(self) -> np.ndarray:
-        """The bucket table, built on first use: over G = 2^j >= 8 m buckets [g/G, (g+1)/G),
-        the point of every variate in a bucket, or -1 if a cdf entry lies inside it.  Since
-        u G is exact, floor(u G) names u's bucket."""
+    def points(self, u: np.ndarray) -> np.ndarray:
+        """Each variate's point, `cdf.searchsorted(u, side="right")` element for element.
+        From 4,096 / bit_length(m) variates (measured crossover: 2,048 at m = 3, 1,000
+        at m = 8, 400 at m = 1,000) a table over G = 2^j >= 8 m buckets gives floor(u G)'s
+        point, or -1 if a cdf entry lies inside the bucket; only then is u searched."""
+        if u.size * self.m.bit_length() < 4096:
+            return self.cdf.searchsorted(u, side="right")
         table = self._buckets
         if table is None:
             size = 1 << (8 * self.m - 1).bit_length()
             edges = np.arange(size + 1) / size
             first = self.cdf.searchsorted(edges, side="right")
             table = self._buckets = np.where(self.cdf.searchsorted(edges[1:]) > first[:-1], -1, first[:-1])
-        return table
-
-    def points(self, u: np.ndarray) -> np.ndarray:
-        """Each variate's point, `cdf.searchsorted(u, side="right")` element for element.
-        From 4,096 / bit_length(m) variates (measured crossover: 2,048 at m = 3, 1,000
-        at m = 8, 400 at m = 1,000) the bucket table gives floor(u G)'s point, and only
-        a variate in a bucket marked -1 is searched."""
-        if u.size * self.m.bit_length() < 4096:
-            return self.cdf.searchsorted(u, side="right")
-        table = self._table()
         xs = np.multiply(u, table.size, out=np.empty(u.shape, np.intp), casting="unsafe").ravel()
         table.take(xs, out=xs, mode="clip")     # each bucket index floor(u G) becomes its entry
         miss = (xs < 0).nonzero()[0]
         xs[miss] = self.cdf.searchsorted(u.flat[miss], side="right")
         return xs.reshape(u.shape)
-
-    def region_codes(self, keep: np.ndarray) -> np.ndarray:
-        """The bucket table as codes of the region where `keep`, a boolean array of shape
-        (m,), holds: a bucket inside one point of the region holds that point, a bucket
-        inside any other point -1, and a bucket with a cdf entry inside -2.  The codes
-        take the narrowest signed type that holds m - 1 (int8 up to m = 128)."""
-        kind = np.min_scalar_type(-self.m)
-        codes = np.where(_mask(keep, self.m), np.arange(self.m, dtype=kind), kind.type(-1))
-        table = self._table()
-        return np.where(table < 0, kind.type(-2), codes[table])
-
-    def region(self, u: np.ndarray, codes: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """Each variate of the flat array u as its region code through `codes`, the
-        `region_codes(keep)` table: its point x = `cdf.searchsorted(u, side="right")` if
-        keep[x], else -1.  Only a variate in a bucket coded -2 is searched."""
-        got = codes.take(np.multiply(u, codes.size, out=np.empty(u.size, np.intp), casting="unsafe"))
-        edge = (got == -2).nonzero()[0]
-        xs = self.cdf.searchsorted(u[edge], side="right")
-        got[edge] = np.where(keep[xs], xs, -1)
-        return got
 
     def _weigh(self, weights: np.ndarray):
         """The exact kernel: integer per-point `weights` (one row per hypothesis

@@ -200,16 +200,17 @@ def _trial_worker(args) -> tuple[TrialRecord, list[tuple[int, int, int, int]]]:
     return rec, list(oracles.ledger.transcript) if trace else []
 
 
-def run_trials(cfg: RunConfig) -> list[TrialRecord]:
+def run_trials(cfg: RunConfig, p: RunPlan | None = None) -> list[TrialRecord]:
     """Independent seeded trials; seeds are base_seed + trial index.
 
     With workers > 1 the trials run in a process pool; each trial owns its
     oracle set, and the pool returns the trials in seed order, as the serial
     loop does.  With a `transcript_path` the run writes the label
     transcript there; the records it returns leave it out.  The plan is
-    built, and a run over the label ceiling refused, before any trial draws.
+    built, and a run over the label ceiling refused, before any trial draws;
+    a caller that has built it already passes it as `p`.
     """
-    p = cfg.plan()
+    p = cfg.plan() if p is None else p
     trace = cfg.transcript_path is not None
     args = [(cfg.instance, p, cfg.base_seed + t, trace) for t in range(cfg.trials)]
     if cfg.workers > 1:

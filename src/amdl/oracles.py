@@ -8,8 +8,7 @@ and surrogate (`surrogate_family`).  A family is its views, one per
 distribution (see `SamplerFamily`), and every imputing view comes from one
 constructor, `OracleSet._view(labels)`.  `OracleSet` itself adds
 conditional-agreement sampling, by rejection on slices of at most SLICE
-variates mapped through one region code table, and the auxiliary stream's
-picks.
+variates, and the auxiliary stream's picks.
 
 RNG layout (documented split order): SeedSequence(seed).spawn(k + 1); child i
 < k is distribution i's stream, child k is the auxiliary stream used only for
@@ -28,12 +27,10 @@ from distribution i takes, from stream i,
 A request reads no other stream, so a solver round may serve its k requests
 in one call (`SamplerFamily.row` or `serve`) and consume exactly what k
 separate `draw` calls in index order would.  Every sampler maps point
-variates with `LabeledDistribution.points` (a bucket table for large maps),
-and agreement sampling with `LabeledDistribution.region`, through region
-codes made from the same table.  One helper, `OracleSet._meter`, meters
-the draws, queries and transcript lines of every request that a numpy
-kernel or agreement sampling makes; the row kernel meters its own as it
-walks the points.
+variates with `LabeledDistribution.points` (a bucket table for large maps).
+One helper, `OracleSet._meter`, meters the draws, queries and transcript
+lines of every request that a numpy kernel or agreement sampling makes;
+the row kernel meters its own as it walks the points.
 
 Two numpy kernels draw the pairs: the imputing kernel serves a view with
 no sample, the surrogate kernel one with a sample.  Plain sampling is the
@@ -238,10 +235,6 @@ class _Rounds:
         self.xs, self.ys, self.need, self.at = xs, ys, need, at
         self.ends, self.queries, self.b = ends, queries, 0
 
-    def pairs(self, b: int, r: int) -> int:
-        """The pairs that requests b to b + r - 1 draw."""
-        return self.c * r if self.at is None else int(self.at[b + r] - self.at[b])
-
     def moved(self) -> bool:
         """Whether the stream was read elsewhere since the next request was drawn."""
         return self.ends[self.b] != self.stream.consumed
@@ -269,9 +262,10 @@ class OracleSet:
                ys: np.ndarray | None = None) -> None:
         """Meter requests from stream i: their draws and queries, and when the
         transcript is logged, a line for each of the `queries` queried pairs,
-        their points xs and labels ys in draw order (one request at a time)."""
+        their points xs and labels ys in draw order; so a caller that logs
+        meters its queries one request at a time."""
         ledger = self.ledger
-        if ledger.log_transcript:
+        if ledger.log_transcript and queries:
             cum = sum(ledger._queries)
             ledger._transcript.extend(zip(repeat(i, queries), xs.tolist(), ys.tolist(),
                                           range(cum + 1, cum + queries + 1)))
@@ -287,20 +281,20 @@ class OracleSet:
         for blk in blocks:
             if blk.moved():
                 raise ContractViolation(f"stream {blk.i} moved under {r} served requests")
-        if self.ledger.log_transcript:
-            for t in range(r):
-                for blk in blocks:
-                    b = blk.b + t
+        log = self.ledger.log_transcript
+        for t in range(r if log else 0):     # the queries one request at a time
+            for blk in blocks:
+                b = blk.b + t
+                q = blk.queries[b]
+                if q:
                     pairs = b if blk.at is None else slice(blk.at[b], blk.at[b + 1])
                     sel = blk.need[pairs]
-                    self._meter(blk.i, blk.pairs(b, 1), blk.queries[b],
-                                blk.xs[pairs][sel], blk.ys[pairs][sel])
-        else:
-            for blk in blocks:
-                self._meter(blk.i, blk.pairs(blk.b, r), sum(blk.queries[blk.b:blk.b + r]))
+                    self._meter(blk.i, 0, q, blk.xs[pairs][sel], blk.ys[pairs][sel])
         for blk in blocks:
             stream, b = blk.stream, blk.b + r
             stream.pos = blk.ends[b] - stream.start
+            self._meter(blk.i, blk.c * r if blk.at is None else int(blk.at[b] - blk.at[blk.b]),
+                        0 if log else sum(blk.queries[blk.b:b]))
             blk.b = b
 
     # -- per-view kernels: `rounds` requests of c pairs from stream i, read
@@ -476,27 +470,25 @@ class OracleSet:
         rejection; costs exactly n label queries, rejections count as unlabeled
         draws only (exactly the geometric number, no overshoot).  The rejection
         reads min(SLICE, max(BLOCK, 2 need)) variates at a time, with `need` the
-        points still wanted, maps them to region codes through one table
-        (`LabeledDistribution.region_codes`) and consumes them up to its last
-        accepted point; the n label variates are then consumed a slice at a
-        time.  So no temporary outgrows a slice, and the sample is one request
+        points still wanted, maps them to points and consumes them up to its
+        last accepted point; the n label variates are then consumed a slice at
+        a time.  So no temporary outgrows a slice, and the sample is one request
         whose draws are the variates the rejection consumed.  The points come
         in the narrowest signed type that holds m - 1, the labels in int8."""
         i, n = check_int("distribution index", i, 0, self.instance.k), check_int("sample count", n)
-        keep = ~self._vs_view(version_space)[0]
+        agree = ~self._vs_view(version_space)[0]
         d = self.instance.distributions[i]
-        if d.mass(keep) == 0:
+        if d.mass(agree) == 0:
             raise DegenerateAgreementRegion(
                 f"distribution {i} puts zero mass on the agreement region")
-        codes = d.region_codes(keep)
         stream = self._streams[i]
-        out = np.empty(n, dtype=codes.dtype)
+        out = np.empty(n, dtype=np.min_scalar_type(-d.m))
         got = drawn = 0
         while got < n:
             need = n - got
             u = stream.ahead(min(SLICE, max(BLOCK, 2 * need)))
-            xs = d.region(u, codes, keep)
-            idx = (xs >= 0).nonzero()[0][:need]
+            xs = d.points(u)
+            idx = np.flatnonzero(agree[xs])[:need]
             out[got:got + idx.size] = xs[idx]
             got += idx.size
             cut = int(idx[-1]) + 1 if got == n else u.size

@@ -854,31 +854,43 @@ def test_cli_run_trace_without_out_is_refused(tmp_path, capsys):
 
 
 def test_cli_run_writes_each_plan_warning_once_to_stderr(tmp_path, capsys, monkeypatch):
-    # before the first trial, and with the stdout, --out and transcript bytes
-    # of the run without them; a plan with no warning writes nothing there
+    # before the first trial, from the one plan the run is built on, and with
+    # the stdout, --out and transcript bytes of the run without them; a plan
+    # with no warning writes nothing there
     inst_path = tmp_path / "e.json"
     amdl.save_instance(amdl.gen_example1(0.2, 0.05, "a"), str(inst_path))
     inst = amdl.load_instance(str(inst_path))
-    before = []
+    before, plans = [], []
+    trial, plan = harness._trial_worker, RunConfig.plan
 
-    def first_trial(cfg):
-        before.append(capsys.readouterr().err)
-        return run_trials(cfg)
+    def first_trial(args):
+        if len(before) < len(plans):
+            before.append(capsys.readouterr().err)
+        return trial(args)
 
-    monkeypatch.setattr("amdl.cli.run_trials", first_trial)
+    def counted_plan(cfg):
+        plans.append(cfg.alg)
+        return plan(cfg)
+
     for alg in ("active-dd-small", "active-df", "passive-hedge"):
         argv = ["run", "--instance", str(inst_path), "--alg", alg, "--eps", "0.1",
                 "--trials", "2", "--seed", "3"]
         cfg = RunConfig(alg=alg, eps=0.1, delta=0.1, trials=2, base_seed=3, instance=inst)
-        p = cfg.plan()
-        warnings = [*p.warnings, *(p.stage1.warnings if p.stage1 else ())]
+        warnings = cfg.plan().warnings
         assert (alg == "passive-hedge") == (not warnings)
         want = "".join(f"warning: {w}\n" for w in dict.fromkeys(warnings))
-        assert cli_main(argv) == 0
-        assert before.pop() == want and capsys.readouterr().out == records_to_csv(run_trials(cfg))
+        records = records_to_csv(run_trials(cfg))
         out = tmp_path / f"{alg}.csv"
-        assert cli_main(argv + ["--out", str(out), "--trace"]) == 0
-        assert before.pop() == want and capsys.readouterr() == ("", "")
+        with monkeypatch.context() as patched:
+            patched.setattr(harness, "_trial_worker", first_trial)
+            patched.setattr(RunConfig, "plan", counted_plan)
+            assert cli_main(argv) == 0
+            assert capsys.readouterr().out == records
+            assert cli_main(argv + ["--out", str(out), "--trace"]) == 0
+            assert capsys.readouterr() == ("", "")
+        assert before == [want, want] and plans == [alg, alg]   # one plan a run
+        before.clear()
+        plans.clear()
         cfg.transcript_path = str(tmp_path / "want.transcript")
         assert out.read_text() == records_to_csv(run_trials(cfg))
         assert (tmp_path / f"{alg}.csv.transcript").read_bytes() == \

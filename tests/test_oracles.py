@@ -431,7 +431,7 @@ def test_conditional_agreement_degenerate_region():
 
 
 # instances whose agreement samples on version space (0, 1) `test_agreement_sample_law`
-# checks: m = 200 points (int16 codes), and example1's one-point region on 3 points
+# checks: m = 200 points (int16 points), and example1's one-point region on 3 points (int8)
 LAW_INSTANCES = {"random-m200": lambda: amdl.gen_random(200, 6, 2, seed=4813),
                  "example1(0.2,0.05,a)": lambda: amdl.gen_example1(0.2, 0.05, "a")}
 
@@ -450,6 +450,7 @@ def test_agreement_sample_law(name):
     for i, d in enumerate(inst.distributions):
         mass = d.mass(keep)
         xs, _ = o.sample_conditional_agreement(i, V, n)
+        assert xs.dtype == (np.int8 if inst.m <= 128 else np.int16)
         law = [p / mass if keep[x] else Fraction(0) for x, p in enumerate(d.marginal)]
         stat, limit = chi_square_test(np.bincount(xs, minlength=inst.m), law, alpha)
         assert stat <= limit, (i, stat, limit)
@@ -1710,22 +1711,6 @@ def test_imputed_family_refuses_outputs_outside_its_contract(case):
 
 # -- the point map ---------------------------------------------------------------------
 
-def _random_marginal(rng: np.random.Generator, m: int, zeros: float,
-                     dyadic: bool) -> tuple[LabeledDistribution, int]:
-    """A distribution on m points, with every cdf entry on an edge of the
-    bucket table's G buckets (dyadic) or with about a `zeros` share of
-    zero-mass points; and G."""
-    size = 1 << (8 * m - 1).bit_length()
-    if dyadic:
-        cuts = np.sort(rng.integers(0, size + 1, size=m - 1))
-        marginal = [Fraction(int(v), size) for v in np.diff(cuts, prepend=0, append=size)]
-    else:
-        w = rng.integers(1, 1000, size=m) * (rng.random(m) >= zeros)
-        w[rng.integers(m)] += 1
-        marginal = [Fraction(int(v), int(w.sum())) for v in w]
-    return LabeledDistribution(marginal, [Fraction(1, 2)] * m), size
-
-
 @settings(max_examples=80, deadline=None)
 @given(m=st.integers(1, 2000), seed=st.integers(0, 2 ** 32 - 1), zeros=st.sampled_from([0, 0.5, 0.9]),
        dyadic=st.booleans(), n=st.integers(0, 6000), c=st.integers(1, 5),
@@ -1736,7 +1721,15 @@ def test_point_map_equals_searchsorted(m, seed, zeros, dyadic, n, c, shape):
     # just below them, in flat arrays and in the strided views that plain
     # sampling and the surrogate kernel map; sizes on both sides of the table's crossover
     rng = np.random.default_rng(seed)
-    d, size = _random_marginal(rng, m, zeros, dyadic)
+    size = 1 << (8 * m - 1).bit_length()
+    if dyadic:
+        cuts = np.sort(rng.integers(0, size + 1, size=m - 1))
+        marginal = [Fraction(int(v), size) for v in np.diff(cuts, prepend=0, append=size)]
+    else:
+        w = rng.integers(1, 1000, size=m) * (rng.random(m) >= zeros)
+        w[rng.integers(m)] += 1
+        marginal = [Fraction(int(v), int(w.sum())) for v in w]
+    d = LabeledDistribution(marginal, [Fraction(1, 2)] * m)
     u = rng.random(2 * c * (n // (2 * c) + 1))
     cdf = d.cdf[d.cdf < 1]
     special = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], rng.integers(0, size, 8) / size,
@@ -1748,29 +1741,6 @@ def test_point_map_equals_searchsorted(m, seed, zeros, dyadic, n, c, shape):
     got, want = d.points(v), d.cdf.searchsorted(v, side="right")
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
-
-
-@settings(max_examples=80, deadline=None)
-@given(m=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1), zeros=st.sampled_from([0, 0.5, 0.9]),
-       dyadic=st.booleans(), share=st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]))
-def test_region_codes_equal_searched_points(m, seed, zeros, dyadic, share):
-    # random masks (empty and full ones too) over marginals with zero-mass
-    # points, or with every cdf entry on a bucket edge; variates at every
-    # bucket edge, at every cdf entry and its neighbours, at 0 and 1 - 2^-53;
-    # int8 codes up to m = 128, int16 above
-    rng = np.random.default_rng(seed)
-    d, size = _random_marginal(rng, m, zeros, dyadic)
-    keep = rng.random(m) < share
-    codes = d.region_codes(keep)
-    assert codes.dtype == (np.int8 if m <= 128 else np.int16) and codes.size == size
-    cdf = d.cdf
-    u = np.concatenate((np.arange(size) / size, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
-                        [0.0, 1 - 2.0 ** -53], rng.random(1000)))
-    u = u[u < 1]
-    x = cdf.searchsorted(u, side="right")
-    got = d.region(u, codes, keep)
-    assert got.dtype == codes.dtype
-    assert np.array_equal(got, np.where(keep[x], x, -1))
 
 
 def test_point_map_reads_its_table_from_the_crossover():
